@@ -22,7 +22,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="run every scenario config")
     parser.add_argument("--scenario-dir", default="scenarios")
     parser.add_argument("--out-dir", default="out")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--full", action="store_true",
                         help="also run homogenize (and subcover where configured)")
     args = parser.parse_args(argv)
@@ -42,8 +41,7 @@ def main(argv=None) -> int:
                 commands.append("subcover")
         for command in commands:
             start = time.perf_counter()
-            code = run(path, command, out_dir=os.path.join(args.out_dir, name),
-                       threads=args.threads)
+            code = run(path, command, out_dir=os.path.join(args.out_dir, name))
             elapsed = time.perf_counter() - start
             status = "ok" if code == 0 else f"exit {code}"
             print(f"[{status:>7}] {name:<24} {command:<10} {elapsed:8.2f}s")

@@ -16,7 +16,7 @@ from .model import (GraphLagrangian, RegularityReport, TorusHamiltonian,
 from .topology import (CoverPoint, GraphCover, MetricGraph, QuotientPoint,
                        SpaceConvergenceReport, SubcoverMap, TorusCover,
                        cover_distance, estimate_space_convergence, f_eps,
-                       fhat_eps, figure_eight, g_map, ghat_map, match_point,
+                       figure_eight, g_map, ghat_map, match_point,
                        norm_value, quotient_distance, single_loop,
                        subcover_lift, subcover_project)
 from .action import (ActionQuery, EdgeBump, HopfResult, InitialDatum,
@@ -54,7 +54,7 @@ __all__ = [
     "alpha_torus_quadrature", "beta_graph", "beta_hat", "cover_distance",
     "datum_on_cover", "default_beta_evaluator", "double_legendre_residual",
     "effective_hamiltonian_subcover", "estimate_space_convergence",
-    "f_eps", "fenchel_young_residual", "fhat_eps", "figure_eight",
+    "f_eps", "fenchel_young_residual", "figure_eight",
     "function_convergence_check", "g_map", "ghat_map", "hopf_lax",
     "lax_oleinik", "legendre_transform", "legendre_transform_numeric",
     "load_config", "match_point", "matching_bound", "mean_action_check",

@@ -25,7 +25,7 @@ from scipy import optimize
 
 from .errors import SolverError
 from .model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
-from .topology import CoverPoint, dual_norm_value, norm_value
+from .topology import CoverPoint, _norm_rows, dual_norm_value, norm_value
 
 # sup |v|_b / |v|_a over v != 0 in dimension k, as a function factory
 _RATIO = {
@@ -136,14 +136,7 @@ class InitialDatum:
         if self.kind == "affine":
             return hs @ self.p + self.c
         if self.kind == "cone":
-            d = hs - self.center
-            if self.cone_norm == "l1":
-                r = np.sum(np.abs(d), axis=1)
-            elif self.cone_norm == "l2":
-                r = np.sqrt(np.sum(d * d, axis=1))
-            else:
-                r = np.max(np.abs(d), axis=1)
-            return self.slope * r + self.c
+            return self.slope * _norm_rows(hs - self.center, self.cone_norm) + self.c
         quad = 0.5 * np.einsum("mi,ij,mj->m", hs, self.q_matrix, hs)
         return quad + hs @ self.p + self.c
 
@@ -190,18 +183,6 @@ class InitialDatum:
         conv = norm_ratio(norm, "l2", self.dim)
         grad2 = self._qmax * conv * radius + float(np.linalg.norm(self.p))
         return grad2 * conv
-
-    def to_config(self):
-        out = {"kind": self.kind, "offset": self.c}
-        if self.kind == "affine":
-            out["slope_vector"] = [float(v) for v in self.p]
-        elif self.kind == "cone":
-            out.update(slope=self.slope, center=[float(v) for v in self.center],
-                       norm=self.cone_norm)
-        else:
-            out["matrix"] = [[float(v) for v in row] for row in self.q_matrix]
-            out["slope_vector"] = [float(v) for v in self.p]
-        return out
 
 
 class TorusBump:
@@ -408,8 +389,7 @@ def _attachment_list(cover, point: CoverPoint):
 
 
 def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
-                         x: CoverPoint, horizon: float, extra_cap: int = None,
-                         details: bool = False):
+                         x: CoverPoint, horizon: float) -> float:
     """Exact two-point action on a graph cover.
 
     The action of a path depends on its edge-traversal multiset only, so
@@ -420,19 +400,16 @@ def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
     resting allowed at the cheapest reachable potential.
     """
     graph = cover.graph
-    if extra_cap is None:
-        extra_cap = 3 if len(graph.edges) <= 4 else 2
+    extra_cap = 3 if len(graph.edges) <= 4 else 2
     pots = lagrangian.potentials
-    best = (math.inf, None)
+    best = math.inf
 
     # direct within-edge candidate (never touches a vertex)
     if (y.base[0] == "e" and x.base[0] == "e" and y.base[1] == x.base[1]
             and y.sheet == x.sheet):
         e = y.base[1]
-        cost, energy, rest = allocate_time([(abs(x.base[2] - y.base[2]), pots[e])],
-                                           horizon, pots[e])
-        best = min(best, (cost, {"route": "direct", "energy": energy,
-                                 "rest_time": rest}), key=lambda z: z[0])
+        best, _, _ = allocate_time([(abs(x.base[2] - y.base[2]), pots[e])],
+                                   horizon, pots[e])
 
     r_ranges = [range(extra_cap + 1)] * len(graph.edges)
     for (va, za, off_y, e_y) in _attachment_list(cover, y):
@@ -477,14 +454,12 @@ def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
                 rest_pool.extend(_vertex_rest_rate(lagrangian, v) for v in visited)
                 rest_pool.extend(v for _, v in partials)
                 rest = min(rest_pool)
-                cost, energy, rest_time = allocate_time(segments, horizon, rest)
-                if cost < best[0]:
-                    best = (cost, {"route": "walk", "counts": counts.tolist(),
-                                   "anchors": (va, vb), "energy": energy,
-                                   "rest_time": rest_time})
-    if not math.isfinite(best[0]):
+                cost, _, _ = allocate_time(segments, horizon, rest)
+                if cost < best:
+                    best = cost
+    if not math.isfinite(best):
         raise SolverError("no feasible traversal multiset found")
-    return best if details else best[0]
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +573,12 @@ def _auto_segments(horizon: float) -> int:
     return int(min(1024, max(64, 16 * math.ceil(horizon))))
 
 
+# segment doubling stops here even if the action is still moving
+_MAX_SEGMENTS = 2048
+
+
 def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float,
-                         tol: float = 1e-6, n_segments: int = None,
-                         max_segments: int = 2048, full_inits: bool = True,
-                         details: bool = False):
+                         tol: float = 1e-6, details: bool = False):
     """Two-point action on the R^n cover by trajectory descent.
 
     Piecewise-linear chains with midpoint quadrature, L-BFGS descent from
@@ -612,13 +589,13 @@ def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float
     x_lift = np.atleast_1d(np.asarray(x_lift, dtype=float))
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    n = n_segments or _auto_segments(horizon)
+    n = _auto_segments(horizon)
     best_val, best_nodes = math.inf, None
-    for init in _chain_inits(y_lift, x_lift, n, full_inits):
+    for init in _chain_inits(y_lift, x_lift, n, True):
         val, nodes = _solve_fixed_chain(_TrajectoryCost(model, horizon, n), init)
         if val < best_val:
             best_val, best_nodes = val, nodes
-    while n < max_segments:
+    while n < _MAX_SEGMENTS:
         n *= 2
         refined = _refine_nodes(best_nodes)
         val, nodes = _solve_fixed_chain(_TrajectoryCost(model, horizon, n), refined)
@@ -792,18 +769,16 @@ class LaxResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+# torus Lax-Oleinik: coarse screening survivors re-priced at full
+# resolution, and the segment-doubling tolerance of those re-pricings
+_N_TOP = 6
+_ACTION_TOL = 1e-7
+
+
 def _bump_value_lift(bump, lifts: np.ndarray) -> np.ndarray:
     if bump is None:
         return np.zeros(lifts.shape[0])
     return bump.value_many(lifts)
-
-
-def _row_norms(rows: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "l1":
-        return np.sum(np.abs(rows), axis=1)
-    if kind == "linf":
-        return np.max(np.abs(rows), axis=1)
-    return np.sqrt(np.sum(rows * rows, axis=1))
 
 
 def _shell_offsets(n: int, s: int) -> np.ndarray:
@@ -826,7 +801,7 @@ def _shell_offsets(n: int, s: int) -> np.ndarray:
     return np.array(cells, dtype=int)
 
 
-def _lax_torus(cover, model, datum, bump, x, t, eps, mesh, n_top, action_tol):
+def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
     horizon = t / eps
     x_lift = cover.lift(x)
     hx = eps * x_lift
@@ -835,7 +810,7 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh, n_top, action_tol):
     pb = eps * (bump.bound() if bump is not None else 0.0)
 
     stay, stay_nodes = minimal_action_torus(model, x_lift, x_lift, horizon,
-                                            tol=action_tol, details=True)
+                                            tol=_ACTION_TOL, details=True)
     bump_x = eps * bump.value_at_lift(x_lift) if bump is not None else 0.0
     incumbent = datum.value(hx) + bump_x + eps * stay
     best_nodes = stay_nodes
@@ -903,7 +878,7 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh, n_top, action_tol):
         ring = center[None, :] + _shell_offsets(n, s)
         gaps = np.maximum(np.maximum(ring - x_lift[None, :],
                                      x_lift[None, :] - (ring + 1.0)), 0.0)
-        d_los = _row_norms(gaps, cover.norm)
+        d_los = _norm_rows(gaps, cover.norm)
         lb_cells = (f_hx - pb - lip * eps * (d_los + cell_diam)
                     + (eps * d_los) ** 2 / (2.0 * quad * t) - drift * t)
         if (float(np.min(lb_cells)) > incumbent + 1e-12
@@ -915,7 +890,7 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh, n_top, action_tol):
         lifts_c = (live[:, None, :] + offsets[None, :, :]).reshape(-1, n)
         diff = lifts_c - x_lift[None, :]
         d2_c = np.sqrt(np.sum(diff * diff, axis=1))
-        d_c = d2_c if cover.norm == "l2" else _row_norms(diff, cover.norm)
+        d_c = d2_c if cover.norm == "l2" else _norm_rows(diff, cover.norm)
         f_c = (datum.value_many(eps * lifts_c)
                + eps * _bump_value_lift(bump, lifts_c))
         low_c = f_c + (eps * d_c) ** 2 / (2.0 * quad * t) - drift * t
@@ -959,17 +934,16 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh, n_top, action_tol):
         scored.append((total, idx, nodes))
         incumbent = min(incumbent, total)
     scored.sort(key=lambda z: z[0])
-    for total_c, idx, _ in scored[:n_top]:
+    for total_c, idx, _ in scored[:_N_TOP]:
         val, nodes = minimal_action_torus(model, lifts[idx], x_lift, horizon,
-                                          tol=action_tol, details=True)
+                                          tol=_ACTION_TOL, details=True)
         total = f_vals[idx] + eps * val
         if total < incumbent:
             incumbent = total
             best_nodes = nodes
             best_g = lifts[idx]
 
-    polished = _joint_polish_torus(model, datum, bump, eps, t, best_nodes,
-                                   action_tol)
+    polished = _joint_polish_torus(model, datum, bump, eps, t, best_nodes)
     if polished is not None and polished[0] < incumbent:
         incumbent, best_g = polished
     return LaxResult(value=float(incumbent), minimizer_g=np.asarray(best_g),
@@ -977,7 +951,7 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh, n_top, action_tol):
                      evaluated=evaluated, mesh=mesh)
 
 
-def _joint_polish_torus(model, datum, bump, eps, t, nodes, action_tol):
+def _joint_polish_torus(model, datum, bump, eps, t, nodes):
     """Descend over the start point and the chain together.
 
     Only used when the datum has a gradient; the cone with a polyhedral
@@ -1015,7 +989,12 @@ def _joint_polish_torus(model, datum, bump, eps, t, nodes, action_tol):
     return float(res.fun), chain[0]
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-9):
+def _golden_min(fn, lo: float, hi: float, tol: float):
+    """Golden-section search for the minimum of a unimodal fn on [lo, hi].
+
+    Stops once the bracket is at most tol wide; returns (s, fn(s)) at
+    the bracket midpoint.
+    """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
@@ -1034,7 +1013,7 @@ def _golden_min(fn, lo: float, hi: float, tol: float = 1e-9):
     return s, fn(s)
 
 
-def _lax_graph(cover, lagrangian, datum, bump, x, t, eps, mesh, action_tol):
+def _lax_graph(cover, lagrangian, datum, bump, x, t, eps, mesh):
     graph = cover.graph
     horizon = t / eps
     gx = cover.g_map(x)
@@ -1070,15 +1049,7 @@ def _lax_graph(cover, lagrangian, datum, bump, x, t, eps, mesh, action_tol):
         f_rows = datum.value_many(eps * rows)
         if bump is not None:
             f_rows = f_rows + eps * bump.value_at(loc)
-        diff = rows - gx[None, :]
-        if cover.norm == "l1":
-            d_lb = np.sum(np.abs(diff), axis=1)
-        elif cover.norm == "l2":
-            d_lb = np.sqrt(np.sum(diff * diff, axis=1))
-        else:
-            d_lb = (np.max(np.abs(diff), axis=1) if diff.shape[1]
-                    else np.zeros(n_sheets))
-        d_lb = d_lb / max(k0, 1e-12)
+        d_lb = _norm_rows(rows - gx[None, :], cover.norm) / max(k0, 1e-12)
         sl = slice(i * n_sheets, (i + 1) * n_sheets)
         f_all[sl] = f_rows
         lb_all[sl] = f_rows + (eps * d_lb) ** 2 / (2.0 * quad * t) - drift * t
@@ -1144,8 +1115,7 @@ def _lax_graph(cover, lagrangian, datum, bump, x, t, eps, mesh, action_tol):
 
 
 def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
-                eps: float, bump=None, mesh: int = 64, n_top: int = 6,
-                action_tol: float = 1e-7, details: bool = False):
+                eps: float, bump=None, mesh: int = 64, details: bool = False):
     """Rescaled cover solution at (x, t): inf over starting points of
     datum(F_eps(y)) [+ eps*bump(y)] + eps * action(y, x, t/eps).
 
@@ -1158,11 +1128,9 @@ def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
     if eps <= 0.0:
         raise ValueError(f"scale eps must be positive, got {eps}")
     if cover.family == "graph":
-        result = _lax_graph(cover, lagrangian, datum, bump, x, t, eps, mesh,
-                            action_tol)
+        result = _lax_graph(cover, lagrangian, datum, bump, x, t, eps, mesh)
     else:
-        result = _lax_torus(cover, lagrangian, datum, bump, x, t, eps, mesh,
-                            n_top, action_tol)
+        result = _lax_torus(cover, lagrangian, datum, bump, x, t, eps, mesh)
     return result if details else result.value
 
 

@@ -8,8 +8,13 @@ Six commands share one invocation shape::
 grid, ``homogenize``/``subcover`` run ladder experiments and write their
 reports, ``spaces`` measures the rescaled-space convergence constants,
 ``validate`` checks the config and model assumptions without writing
-anything.  Exit codes: 0 all checks passed, 1 a tolerance check failed,
-2 the config was rejected, 3 a solver gave up.
+anything.  ``homogenize`` accepts configs with ``cover.subcover`` and
+runs the ladder on that intermediate cover; ``subcover`` runs the same
+ladder plus the quotient consistency checks.
+
+Exit codes: 0 all checks passed, 1 a tolerance check failed, 2 the config
+was rejected, 3 a solver gave up, 4 an unexpected internal error (the
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import dataclasses
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -33,6 +39,7 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_SCHEMA = 2
 EXIT_SOLVER = 3
+EXIT_INTERNAL = 4
 
 COMMANDS = ("alpha", "beta", "homogenize", "subcover", "spaces", "validate")
 
@@ -144,9 +151,8 @@ def _write_report(cfg: ScenarioConfig, report, command: str, out_dir: str) -> in
     return EXIT_OK
 
 
-def _cmd_homogenize(cfg: ScenarioConfig, out_dir: str, threads: int) -> int:
-    report = run_experiment(cfg.scenario(), beta_eval=cfg.beta_evaluator(),
-                            threads=threads)
+def _cmd_homogenize(cfg: ScenarioConfig, out_dir: str) -> int:
+    report = run_experiment(cfg.scenario(), beta_eval=cfg.beta_evaluator())
     return _write_report(cfg, report, "homogenize", out_dir)
 
 
@@ -204,7 +210,7 @@ def _cmd_validate(cfg: ScenarioConfig) -> int:
     return EXIT_OK
 
 
-def run(config_path: str, command: str, out_dir=None, threads: int = 1,
+def run(config_path: str, command: str, out_dir=None,
         seed_override=None) -> int:
     """Dispatch one command for one config; returns the process exit code."""
     if command not in COMMANDS:
@@ -223,7 +229,7 @@ def run(config_path: str, command: str, out_dir=None, threads: int = 1,
         if command == "beta":
             return _cmd_beta(cfg, target)
         if command == "homogenize":
-            return _cmd_homogenize(cfg, target, threads)
+            return _cmd_homogenize(cfg, target)
         if command == "subcover":
             return _cmd_subcover(cfg, target)
         return _cmd_spaces(cfg, target)
@@ -236,6 +242,11 @@ def run(config_path: str, command: str, out_dir=None, threads: int = 1,
     except SolverError as exc:
         _emit(_error_record("solver", EXIT_SOLVER, str(exc)))
         return EXIT_SOLVER
+    except Exception as exc:
+        traceback.print_exc()
+        _emit(_error_record("internal", EXIT_INTERNAL,
+                            f"{type(exc).__name__}: {exc}"))
+        return EXIT_INTERNAL
 
 
 def main(argv=None) -> int:
@@ -247,13 +258,11 @@ def main(argv=None) -> int:
                         help="one of " + ", ".join(COMMANDS))
     parser.add_argument("--out-dir", default=None,
                         help="artifact directory (default from the config)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for ladder experiments")
     parser.add_argument("--seed-override", type=int, default=None,
                         help="replace the config seed")
     args = parser.parse_args(argv)
     return run(args.config, args.command, out_dir=args.out_dir,
-               threads=args.threads, seed_override=args.seed_override)
+               seed_override=args.seed_override)
 
 
 if __name__ == "__main__":

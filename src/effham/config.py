@@ -77,7 +77,6 @@ class ScenarioConfig:
     w_grid: dict = field(default_factory=dict)
     out_dir: str = "out"
     formats: tuple = ("csv", "json")
-    raw: dict = field(default_factory=dict, repr=False)
 
     def scenario(self) -> Scenario:
         return Scenario(name=self.name, cover=self.cover, model=self.model,
@@ -162,6 +161,12 @@ def _build_graph(system: dict, norm: str):
         raise ConfigError("system.edges", str(exc)) from None
     if graph.cycle_rank < 1:
         raise ConfigError("system.edges", "graph has no independent cycle")
+    if graph.cycle_rank > 2:
+        # rate grids, beta interpolation and point matching stop at two
+        # deck dimensions
+        raise ConfigError("system.edges",
+                          f"cycle rank {graph.cycle_rank} is above the "
+                          "supported maximum of 2")
     return GraphCover(graph, norm=norm), GraphLagrangian(graph, np.array(potentials))
 
 
@@ -265,6 +270,10 @@ def load_config(path: str) -> ScenarioConfig:
     subcover = None
     sub_mat = _optional(cover_cfg, "subcover")
     if sub_mat is not None:
+        if cover.family != "graph":
+            raise ConfigError("cover.subcover",
+                              "intermediate covers are supported on graph "
+                              "systems only")
         try:
             subcover = SubcoverMap(sub_mat)
         except ValueError as exc:
@@ -278,6 +287,9 @@ def load_config(path: str) -> ScenarioConfig:
     datum_dim = subcover.l if subcover is not None else cover.deck_rank
     datum = _build_datum(datum_cfg, datum_dim)
     bump = _build_bump(datum_cfg.get("bump"), cover)
+    if bump is not None and subcover is not None:
+        raise ConfigError("datum.bump",
+                          "not supported together with cover.subcover")
 
     experiment = _require(tree, "experiment", "config")
     ladder_cfg = _require(experiment, "ladder", "experiment")
@@ -338,4 +350,4 @@ def load_config(path: str) -> ScenarioConfig:
         subcover=subcover, eps_ladder=ladder, eval_points=tuple(points),
         tolerance=tolerance, seed=seed, mesh=mesh, rate_rungs=rate_rungs,
         p_grid=_grid_block("p_grid", 1.0), w_grid=_grid_block("w_grid", 1.0),
-        out_dir=str(_optional(output, "dir", "out")), formats=formats, raw=tree)
+        out_dir=str(_optional(output, "dir", "out")), formats=formats)

@@ -4,21 +4,25 @@ Scenarios pin a model, a cover, an initial datum and an epsilon ladder;
 the experiment runner matches evaluation targets to cover points, solves
 the rescaled problem rung by rung, and compares against the homogenized
 limit computed independently on homology space.
+
+Every abelian cover runs through the same pipeline.  The maximal cover is
+the identity case; an intermediate cover, the quotient of the maximal one
+by the kernel of a surjection Z^k -> Z^l (``Scenario.subcover``), is
+solved on the maximal cover with the datum pulled back through the
+surjection and limited by the quotient rate function beta-hat.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# unused minimal_action_graph: perfbench/test_perfbench.py expects the binding
 from .action import (InitialDatum, datum_on_cover, hopf_lax, lax_oleinik,
-                     minimal_action_graph, norm_ratio, _family_constants,
-                     _golden_min)
+                     minimal_action_graph, norm_ratio)
 from .errors import SolverError
 from .mather import (AnalyticQuadraticBeta, BetaHatEvaluator,
                      DirectBetaEvaluator, LegendreDual, MechanicalBeta1D,
@@ -141,7 +145,7 @@ class ExperimentReport:
     tolerance: float = 1e-2
     passed: bool = False
     diagnostics: dict = field(default_factory=dict)
-    lift_identity_error: float = None
+    cover_kernel_invariance_error: float = None
     kernel_invariance_error: float = None
     dual_limit_error: float = None
 
@@ -169,7 +173,7 @@ class ExperimentReport:
             "tolerance": self.tolerance,
             "passed": self.passed,
             "diagnostics": self.diagnostics,
-            "lift_identity_error": self.lift_identity_error,
+            "cover_kernel_invariance_error": self.cover_kernel_invariance_error,
             "kernel_invariance_error": self.kernel_invariance_error,
             "dual_limit_error": self.dual_limit_error,
         }
@@ -290,57 +294,56 @@ def _check_sandwich(report: ExperimentReport, scenario: Scenario,
 
 
 def run_experiment(scenario: Scenario, beta_eval=None,
-                   with_spaces: bool = True, threads: int = 1) -> ExperimentReport:
+                   with_spaces: bool = True) -> ExperimentReport:
     """Ladder sweep of the rescaled solution against its homogenized
     limit at matched points, with rate fit and report flags.
 
-    The (h, t, eps) cells are independent; ``threads`` > 1 maps them over
-    a pool while the report is still assembled in ladder order.
+    With ``scenario.subcover`` set, targets live on the intermediate
+    cover: points are matched through the map, the cover solution prices
+    the pulled-back datum, and the limit runs over beta-hat.  Only graph
+    covers without datum bumps take a subcover.
     """
     cover, model = scenario.cover, scenario.model
     if beta_eval is None:
         beta_eval = default_beta_evaluator(cover, model)
+    sub = scenario.subcover
+    datum, limit_eval = scenario.datum, beta_eval
+    if sub is not None:
+        if cover.family != "graph":
+            raise ValueError("quotient experiments are defined on graph covers")
+        if scenario.bump is not None:
+            raise ValueError("quotient experiments do not take datum bumps")
+        datum = _PulledBackDatum(scenario.datum, sub.matrix)
+        limit_eval = BetaHatEvaluator(sub, beta_eval)
     report = ExperimentReport(scenario=scenario.name,
                               tolerance=scenario.pass_tolerance())
 
     limits = {}
     for h, t in scenario.eval_points:
-        limits[(h, t)] = hopf_lax(beta_eval, scenario.datum, np.array(h), t)
-
-    cells = [(eps, h, t) for eps in scenario.eps_ladder
-             for h, t in scenario.eval_points]
-
-    def _solve_cell(cell):
-        eps, h, t = cell
-        point, image = match_point(cover, np.array(h), eps, scenario.mesh)
-        try:
-            res = lax_oleinik(cover, model, scenario.datum, point, t, eps,
-                              bump=scenario.bump, mesh=scenario.mesh,
-                              details=True)
-        except SolverError as exc:
-            raise SolverError(
-                f"scenario {scenario.name}: h={h} t={t} eps={eps}: {exc}"
-            ) from exc
-        return res, image
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(_solve_cell, cells))
-    else:
-        solved = [_solve_cell(cell) for cell in cells]
+        limits[(h, t)] = hopf_lax(limit_eval, scenario.datum, np.array(h), t)
 
     windows = []
     evaluated = 0
-    for (eps, h, t), (res, image) in zip(cells, solved):
-        windows.append(res.window)
-        evaluated += res.evaluated
-        u_val = limits[(h, t)]
-        err = abs(res.value - u_val)
-        match_err = norm_value(image - np.array(h), cover.norm)
-        report.rows.append(ExperimentRow(
-            h=h, t=t, eps=eps, v_eps=float(res.value),
-            u_limit=float(u_val), abs_error=float(err),
-            match_error=float(match_err)))
+    for eps in scenario.eps_ladder:
+        for h, t in scenario.eval_points:
+            point, image = match_point(cover, np.array(h), eps, scenario.mesh,
+                                       sub)
+            try:
+                res = lax_oleinik(cover, model, datum, point, t, eps,
+                                  bump=scenario.bump, mesh=scenario.mesh,
+                                  details=True)
+            except SolverError as exc:
+                raise SolverError(
+                    f"scenario {scenario.name}: h={h} t={t} eps={eps}: {exc}"
+                ) from exc
+            windows.append(res.window)
+            evaluated += res.evaluated
+            u_val = limits[(h, t)]
+            report.rows.append(ExperimentRow(
+                h=h, t=t, eps=eps, v_eps=float(res.value),
+                u_limit=float(u_val), abs_error=float(abs(res.value - u_val)),
+                match_error=float(norm_value(image - np.array(h),
+                                             cover.norm))))
 
     ladder = scenario.eps_ladder
     errs = report.errors_by_eps()
@@ -352,7 +355,7 @@ def run_experiment(scenario: Scenario, beta_eval=None,
                                          _rest_commute_bound(cover, model))
 
     dconv = function_convergence_check(
-        scenario.datum, cover, ladder, box_radius=2.0, bump=scenario.bump,
+        datum, cover, ladder, box_radius=2.0, bump=scenario.bump,
         seed=scenario.seed, mesh=min(scenario.mesh, 16))
     report.datum_residuals = [(r.eps, r.residual) for r in dconv.rows]
 
@@ -439,213 +442,60 @@ class _PulledBackDatum:
     def value_many(self, hs: np.ndarray) -> np.ndarray:
         return self.base.value_many(np.asarray(hs, dtype=float) @ self.matrix.T)
 
-    def gradient(self, h):
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-        g = self.base.gradient(self.matrix @ h)
-        return None if g is None else self.matrix.T @ g
-
     def growth_constants(self, norm_kind: str):
         a, b = self.base.growth_constants("l1")
         col = (float(np.max(np.sum(np.abs(self.matrix), axis=0)))
                if self.matrix.size else 0.0)
         return a * col * norm_ratio(norm_kind, "l1", self.dim), b
 
-    def upper_bound(self, radius: float, norm_kind: str) -> float:
-        a, b = self.growth_constants(norm_kind)
-        return a * radius + b
-
-
-def norm_value_rows(rows: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "l1":
-        return np.sum(np.abs(rows), axis=1)
-    if kind == "l2":
-        return np.sqrt(np.sum(rows * rows, axis=1))
-    return np.max(np.abs(rows), axis=1) if rows.shape[1] else np.zeros(len(rows))
-
-
-def _quotient_lax_graph(cover, sub, lagrangian, datum_hat, x, t: float,
-                        eps: float, mesh: int):
-    """Rescaled solution on the intermediate cover, priced fiberwise.
-
-    Candidates are full-cover mesh points whose datum sees only the
-    projected image, so kernel translates compete inside one fiber; the
-    window is certified through the pulled-back growth constants.
-    """
-    graph = cover.graph
-    horizon = t / eps
-    gx = cover.g_map(x)
-    fmat = sub.matrix.astype(float)
-    pulled = _PulledBackDatum(datum_hat, fmat)
-    quad, drift, _ = _family_constants(cover, lagrangian)
-    k0 = cover.g_lipschitz()
-
-    def fiber_value(g_rows: np.ndarray) -> np.ndarray:
-        return datum_hat.value_many(eps * (g_rows @ fmat.T))
-
-    incumbent = (float(fiber_value(gx[None, :])[0])
-                 + eps * minimal_action_graph(lagrangian, cover, x, x, horizon))
-    best_point = x
-    a_slope, b_const = pulled.growth_constants(cover.norm)
-    m_const = (incumbent + a_slope * norm_value(eps * gx, cover.norm)
-               + b_const + drift * t)
-    lin = quad * t * a_slope * k0
-    window = lin + math.sqrt(lin * lin + 2.0 * quad * t * max(0.0, m_const))
-
-    lmin = max(graph.min_nontree_length(), 1e-12)
-    reach = int(math.ceil(window / (eps * lmin))) + 2
-    x_sheet = np.array(x.sheet, dtype=int)
-    axes = [np.arange(x_sheet[j] - reach, x_sheet[j] + reach + 1)
-            for j in range(cover.deck_rank)]
-    sheets = (np.array(list(itertools.product(*axes)), dtype=int)
-              if cover.deck_rank else np.zeros((1, 0), dtype=int))
-    locs = cover.base_mesh(mesh)
-    n_sheets = sheets.shape[0]
-
-    lb_all = np.empty(len(locs) * n_sheets)
-    f_all = np.empty_like(lb_all)
-    for i, loc in enumerate(locs):
-        g0 = cover.g_of_base(loc)
-        rows = sheets + g0[None, :]
-        f_rows = fiber_value(rows)
-        gap = norm_value_rows(rows - gx[None, :], cover.norm) / max(k0, 1e-12)
-        sl = slice(i * n_sheets, (i + 1) * n_sheets)
-        f_all[sl] = f_rows
-        lb_all[sl] = f_rows + (eps * gap) ** 2 / (2.0 * quad * t) - drift * t
-    order = np.argsort(lb_all, kind="stable")
-
-    for flat in order:
-        if lb_all[flat] > incumbent + 1e-12:
-            break
-        loc = locs[flat // n_sheets]
-        sheet = np.array(sheets[flat % n_sheets], dtype=int)
-        point = (cover.vertex_point(loc[1], sheet) if loc[0] == "v"
-                 else cover.edge_point(loc[1], loc[2], sheet))
-        if point == x:
-            continue
-        total = (f_all[flat]
-                 + eps * minimal_action_graph(lagrangian, cover, point, x,
-                                              horizon))
-        if total < incumbent:
-            incumbent = total
-            best_point = point
-
-    # refine along every edge incident to the winner, fiber datum included
-    domains = []
-    if best_point.base[0] == "e":
-        domains.append((best_point.base[1], np.array(best_point.sheet, int)))
-    else:
-        for e, direction in graph.incident[best_point.base[1]]:
-            sheet = np.array(best_point.sheet, dtype=int)
-            if direction == -1:
-                sheet = sheet - graph.cocycles[e]
-            domains.append((e, sheet))
-    seen = set()
-    for e, sheet in domains:
-        key = (e, tuple(int(z) for z in sheet))
-        if key in seen:
-            continue
-        seen.add(key)
-        length = graph.length(e)
-
-        def objective(s, e=e, sheet=sheet):
-            pt = cover.edge_point(e, min(max(s, 0.0), length), sheet)
-            return (float(fiber_value(cover.g_map(pt)[None, :])[0])
-                    + eps * minimal_action_graph(lagrangian, cover, pt, x,
-                                                 horizon))
-
-        s_best, val = _golden_min(objective, 0.0, length,
-                                  tol=1e-9 * max(1.0, length))
-        if val < incumbent:
-            incumbent = val
-            best_point = cover.edge_point(e, s_best, sheet)
-    return float(incumbent), best_point
-
-
-def _match_point_quotient(cover, sub, h_hat: np.ndarray, eps: float,
-                          mesh: int):
-    """Full-cover mesh point whose projected scaled image is nearest h.
-
-    Sheets only matter through their projection, so the search runs over
-    quotient sheets directly and lifts the winner through the right
-    inverse; ties break toward the smaller quotient sheet and earlier
-    mesh locator.
-    """
-    fmat = sub.matrix.astype(float)
-    target = np.atleast_1d(np.asarray(h_hat, dtype=float)) / eps
-    best = None
-    for loc_idx, loc in enumerate(cover.base_mesh(mesh)):
-        g0_hat = fmat @ cover.g_of_base(loc)
-        center = np.round(target - g0_hat).astype(int)
-        axes = [np.arange(center[j] - 2, center[j] + 3)
-                for j in range(len(center))]
-        for row in itertools.product(*axes):
-            zeta = np.array(row, dtype=int)
-            d = norm_value(g0_hat + zeta - target, cover.norm)
-            key = (int(round(d / 1e-12)), tuple(int(v) for v in zeta), loc_idx)
-            if best is None or key < best[0]:
-                best = (key, loc, zeta)
-    _, loc, zeta = best
-    sheet = sub.lift_sheet(zeta)
-    point = (cover.vertex_point(loc[1], sheet) if loc[0] == "v"
-             else cover.edge_point(loc[1], loc[2], sheet))
-    return point, eps * (fmat @ cover.g_map(point))
-
 
 def run_subcover_experiment(scenario: Scenario, beta_eval=None,
                             p_grid=None) -> ExperimentReport:
-    """Quotient-cover pipeline with its three consistency checks: the
-    full-cover lift identity, kernel invariance of the lifted limit, and
-    dual agreement of the quotient effective Hamiltonian."""
+    """The ladder experiment of an intermediate cover plus three checks
+    that gate ``passed``.
+
+    * ``cover_kernel_invariance_error``: the pulled-back datum and the
+      action are both invariant under the kernel of the surjection, so on
+      the first rung v_eps(x + z) must equal v_eps(x) for every kernel
+      element z with coefficients in {-1, 0, 1}; bound 1e-9 plus the
+      matching bound of the last rung.
+    * ``kernel_invariance_error``: the same symmetry of the lifted limit
+      on homology space; bound 1e-8.
+    * ``dual_limit_error``: alpha at the pulled-back covector against the
+      conjugate of the quotient rate function; bound 1e-3.
+
+    Raises ValueError without a subcover map, on torus covers and with
+    datum bumps.
+    """
     sub = scenario.subcover
     if sub is None:
         raise ValueError("scenario has no subcover map")
     cover, model = scenario.cover, scenario.model
-    if cover.family != "graph":
-        raise ValueError("quotient experiments are defined on graph covers")
-    if scenario.bump is not None:
-        raise ValueError("quotient experiments do not take datum bumps")
     if beta_eval is None:
         beta_eval = default_beta_evaluator(cover, model)
-    bhat = BetaHatEvaluator(sub, beta_eval)
+    report = run_experiment(scenario, beta_eval=beta_eval, with_spaces=False)
     pulled = _PulledBackDatum(scenario.datum, sub.matrix)
-    report = ExperimentReport(scenario=scenario.name,
-                              tolerance=scenario.pass_tolerance())
+    shifts = [z for z in sub.kernel_elements(1) if np.any(z)]
 
-    limits = {}
-    for h, t in scenario.eval_points:
-        limits[(h, t)] = hopf_lax(bhat, scenario.datum, np.array(h), t)
-
-    lift_worst = 0.0
-    windows = 0.0
-    for eps in scenario.eps_ladder:
-        for h, t in scenario.eval_points:
-            point, image = _match_point_quotient(cover, sub, np.array(h), eps,
-                                                 scenario.mesh)
-            v_hat, _ = _quotient_lax_graph(cover, sub, model, scenario.datum,
-                                           point, t, eps, scenario.mesh)
-            res = lax_oleinik(cover, model, pulled, point, t, eps,
-                              mesh=scenario.mesh, details=True)
-            windows = max(windows, res.window)
-            lift_worst = max(lift_worst, abs(v_hat - res.value))
-            u_val = limits[(h, t)]
-            report.rows.append(ExperimentRow(
-                h=h, t=t, eps=eps, v_eps=float(v_hat), u_limit=float(u_val),
-                abs_error=float(abs(v_hat - u_val)),
-                match_error=float(norm_value(image - np.array(h),
-                                             cover.norm))))
-    report.lift_identity_error = float(lift_worst)
+    # kernel invariance of the cover solution on the first rung
+    eps = scenario.eps_ladder[0]
+    cover_worst = 0.0
+    for (h, t), row in zip(scenario.eval_points, report.rows):
+        point, _ = match_point(cover, np.array(h), eps, scenario.mesh, sub)
+        for z in shifts:
+            shifted = lax_oleinik(cover, model, pulled, cover.translate(point, z),
+                                  t, eps, mesh=scenario.mesh)
+            cover_worst = max(cover_worst, abs(shifted - row.v_eps))
+    report.cover_kernel_invariance_error = float(cover_worst)
 
     # kernel invariance of the lifted limit on homology space
     ker_worst = 0.0
-    if sub.kernel_rank() > 0:
-        for h, t in scenario.eval_points[:2]:
-            q0 = sub.right_inverse.astype(float) @ np.array(h)
-            base_val = hopf_lax(beta_eval, pulled, q0, t)
-            for z in sub.kernel_elements(1):
-                if not np.any(z):
-                    continue
-                shifted = hopf_lax(beta_eval, pulled, q0 + z, t)
-                ker_worst = max(ker_worst, abs(shifted - base_val))
+    for h, t in scenario.eval_points[:2]:
+        q0 = sub.right_inverse.astype(float) @ np.array(h)
+        base_val = hopf_lax(beta_eval, pulled, q0, t)
+        for z in shifts:
+            shifted = hopf_lax(beta_eval, pulled, q0 + z, t)
+            ker_worst = max(ker_worst, abs(shifted - base_val))
     report.kernel_invariance_error = float(ker_worst)
 
     # dual route: alpha at the pulled-back covector vs the conjugate of
@@ -653,6 +503,7 @@ def run_subcover_experiment(scenario: Scenario, beta_eval=None,
     if p_grid is None:
         p_grid = [np.full(sub.matrix.shape[0], v)
                   for v in np.linspace(-1.0, 1.0, 9)]
+    bhat = BetaHatEvaluator(sub, beta_eval)
     dual_src = LegendreDual(bhat.value, sub.matrix.shape[0], p_box=6.0,
                             p_points=49)
     dual_worst = 0.0
@@ -663,19 +514,11 @@ def run_subcover_experiment(scenario: Scenario, beta_eval=None,
         dual_worst = max(dual_worst, abs(lhs - rhs))
     report.dual_limit_error = float(dual_worst)
 
-    errs = report.errors_by_eps()
-    report.rate_exponent, report.rate_residual = _fit_rate(
-        errs, scenario.rate_rungs)
-    report.final_error = errs[-1][1] if errs else math.inf
-    report.monotone_ok = _check_monotone(report, scenario.eps_ladder)
-    report.sandwich_ok = _check_sandwich(report, scenario,
-                                         _rest_commute_bound(cover, model))
-    report.diagnostics = {"mesh": scenario.mesh, "max_window": windows,
-                          "kernel_rank": sub.kernel_rank()}
-    lift_tol = 1e-9 + matching_bound(cover, scenario.eps_ladder[-1],
-                                     scenario.mesh)
-    report.passed = (report.final_error < report.tolerance
-                     and report.monotone_ok
-                     and report.lift_identity_error <= lift_tol
+    report.diagnostics["kernel_rank"] = sub.kernel_rank()
+    cover_tol = 1e-9 + matching_bound(cover, scenario.eps_ladder[-1],
+                                      scenario.mesh)
+    report.passed = (report.passed
+                     and report.cover_kernel_invariance_error <= cover_tol
+                     and report.kernel_invariance_error <= 1e-8
                      and report.dual_limit_error <= 1e-3)
     return report

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import logsumexp
 
-from .action import allocate_time, norm_ratio
+from .action import _golden_min, allocate_time, norm_ratio
 from .errors import SolverError
 from .model import GraphLagrangian, TorusHamiltonian
 from .topology import SubcoverMap, norm_value
@@ -40,34 +40,6 @@ class DirectedCycle:
     homology: tuple       # integer vector
     length: float
     edge_counts: tuple    # traversals per edge, direction-blind
-
-
-@dataclass
-class Circulation:
-    """Conservative traversal-rate assignment realizing a homology rate."""
-
-    dart_rates: dict      # (edge, direction) -> rate >= 0
-    speeds: dict          # edge -> common speed of its runs
-    rest_share: float
-    graph: object
-
-    def conservation_residual(self) -> float:
-        g = self.graph
-        net = np.zeros(g.n_vertices)
-        for (e, direction), m in self.dart_rates.items():
-            u, v = g.tail(e), g.head(e)
-            if direction < 0:
-                u, v = v, u
-            net[u] -= m
-            net[v] += m
-        return float(np.max(np.abs(net))) if g.n_vertices else 0.0
-
-    def homology_rate(self) -> np.ndarray:
-        g = self.graph
-        rho = np.zeros(g.cycle_rank)
-        for (e, direction), m in self.dart_rates.items():
-            rho += direction * m * g.cocycles[e]
-        return rho
 
 
 def simple_cycles(graph) -> list:
@@ -146,8 +118,7 @@ def _has_negative_cycle(graph, dart_cost) -> bool:
     return True
 
 
-def alpha_graph(graph, lagrangian: GraphLagrangian, p, tol: float = 1e-9,
-                bracket_growth: float = 1.0) -> float:
+def alpha_graph(graph, lagrangian: GraphLagrangian, p, tol: float = 1e-9) -> float:
     """Effective Hamiltonian on a graph: smallest k with no closed walk
     of negative time-optimized cost.
 
@@ -171,7 +142,7 @@ def alpha_graph(graph, lagrangian: GraphLagrangian, p, tol: float = 1e-9,
 
     if not _has_negative_cycle(graph, costs(lo)):
         return -vmin
-    hi = lo + max(bracket_growth, 1.0)
+    hi = lo + 1.0
     while _has_negative_cycle(graph, costs(hi)):
         hi = lo + 2.0 * (hi - lo)
         if hi - lo > 1e12:
@@ -189,13 +160,13 @@ def alpha_graph(graph, lagrangian: GraphLagrangian, p, tol: float = 1e-9,
 # beta on graphs: circulation program over the cycle basis
 
 
-def _circulation_cost(graph, lagrangian, edge_rates, rest: float):
+def _circulation_cost(graph, lagrangian, edge_rates, rest: float) -> float:
     segments = [(edge_rates[e] * graph.length(e), lagrangian.potentials[e])
                 for e in range(len(graph.edges)) if edge_rates[e] > 1e-14]
-    return allocate_time(segments, 1.0, rest)
+    return allocate_time(segments, 1.0, rest)[0]
 
 
-def beta_graph(graph, lagrangian: GraphLagrangian, h, details: bool = False):
+def beta_graph(graph, lagrangian: GraphLagrangian, h) -> float:
     """Minimal average action rate among circulations of homology rate h.
 
     Weights on directed simple cycles give every conservative flow; the
@@ -212,10 +183,8 @@ def beta_graph(graph, lagrangian: GraphLagrangian, h, details: bool = False):
     if k == 0 or not cycles:
         if norm_value(h, "linf") > 1e-12:
             raise SolverError("nonzero homology rate on a tree")
-        cost, _, _ = _circulation_cost(graph, lagrangian,
-                                       np.zeros(len(graph.edges)), rest)
-        return (cost, _make_circulation(graph, lagrangian, cycles,
-                                        np.zeros(0), rest)) if details else cost
+        return _circulation_cost(graph, lagrangian, np.zeros(len(graph.edges)),
+                                 rest)
 
     z_mat = np.array([c.homology for c in cycles], dtype=float).T  # (k, nc)
     count_mat = np.array([c.edge_counts for c in cycles], dtype=float).T  # (ne, nc)
@@ -223,7 +192,7 @@ def beta_graph(graph, lagrangian: GraphLagrangian, h, details: bool = False):
 
     def cost_of(w):
         rates = count_mat @ np.maximum(w, 0.0)
-        return _circulation_cost(graph, lagrangian, rates, rest)[0]
+        return _circulation_cost(graph, lagrangian, rates, rest)
 
     lp = optimize.linprog(c=np.array([c.length for c in cycles]),
                           A_eq=z_mat, b_eq=h, bounds=[(0, None)] * nc,
@@ -250,22 +219,8 @@ def beta_graph(graph, lagrangian: GraphLagrangian, h, details: bool = False):
             span = min(hi_t, 1e3) - max(lo_t, -1e3)
             if span <= 1e-14:
                 continue
-            a, b = max(lo_t, -1e3), min(hi_t, 1e3)
-            phi = (math.sqrt(5.0) - 1.0) / 2.0
-            c1 = b - phi * (b - a)
-            c2 = a + phi * (b - a)
-            f1, f2 = cost_of(w + c1 * d), cost_of(w + c2 * d)
-            while (b - a) > 1e-11:
-                if f1 < f2:
-                    b, c2, f2 = c2, c1, f1
-                    c1 = b - phi * (b - a)
-                    f1 = cost_of(w + c1 * d)
-                else:
-                    a, c1, f1 = c1, c2, f2
-                    c2 = a + phi * (b - a)
-                    f2 = cost_of(w + c2 * d)
-            theta = 0.5 * (a + b)
-            cand = cost_of(w + theta * d)
+            theta, cand = _golden_min(lambda s: cost_of(w + s * d),
+                                      max(lo_t, -1e3), min(hi_t, 1e3), 1e-11)
             if cand < best - 1e-13:
                 w = np.maximum(w + theta * d, 0.0)
                 best = cand
@@ -283,31 +238,7 @@ def beta_graph(graph, lagrangian: GraphLagrangian, h, details: bool = False):
         if feas < 1e-9:
             w, best = np.maximum(res.x, 0.0), float(res.fun)
 
-    if details:
-        return best, _make_circulation(graph, lagrangian, cycles, w, rest)
     return best
-
-
-def _make_circulation(graph, lagrangian, cycles, w, rest):
-    dart_rates = {}
-    for wc, cyc in zip(w, cycles):
-        if wc <= 1e-14:
-            continue
-        for e, direction in cyc.darts:
-            key = (e, direction)
-            dart_rates[key] = dart_rates.get(key, 0.0) + float(wc)
-    edge_rates = np.zeros(len(graph.edges))
-    for (e, _), m in dart_rates.items():
-        edge_rates[e] += m
-    cost, energy, rest_time = _circulation_cost(graph, lagrangian, edge_rates,
-                                                rest)
-    speeds = {}
-    for e in range(len(graph.edges)):
-        if edge_rates[e] > 1e-14:
-            speeds[e] = math.sqrt(max(0.0, 2.0 * (lagrangian.potentials[e]
-                                                  + energy)))
-    return Circulation(dart_rates=dart_rates, speeds=speeds,
-                       rest_share=rest_time, graph=graph)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +349,23 @@ def alpha_torus_minimax(model: TorusHamiltonian, p, mesh: int = 64,
     return report if details else report.value
 
 
+def _rotation_integral(model: TorusHamiltonian, energy: float) -> float:
+    """Integral over the circle of sqrt(2(E - V)/A): the momentum that a
+    running orbit at energy E carries per turn (zero where E < V)."""
+
+    def integrand(x):
+        xa = np.array([x])
+        val = 2.0 * (energy - model.v.value(xa)) / model.a_entries[0].value(xa)
+        return math.sqrt(max(0.0, val))
+    with warnings.catch_warnings():
+        # tolerance sits at the roundoff limit on purpose; the sqrt kink
+        # at turning points trips a spurious warning
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        out, _ = integrate.quad(integrand, 0.0, 1.0, limit=200,
+                                epsabs=1e-13, epsrel=1e-13)
+    return out
+
+
 def alpha_torus_quadrature(model: TorusHamiltonian, p, tol: float = 1e-10) -> float:
     """Exact 1-D route: energy level whose rotation integral matches |p|.
 
@@ -431,30 +379,32 @@ def alpha_torus_quadrature(model: TorusHamiltonian, p, tol: float = 1e-10) -> fl
     p = float(np.atleast_1d(np.asarray(p, dtype=float))[0])
     _, vmax = model.potential_bounds(mesh=4096)
 
-    def rotation(energy):
-        def integrand(x):
-            xa = np.array([x])
-            val = 2.0 * (energy - model.v.value(xa)) / model.a_entries[0].value(xa)
-            return math.sqrt(max(0.0, val))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            out, _ = integrate.quad(integrand, 0.0, 1.0, limit=200,
-                                    epsabs=1e-13, epsrel=1e-13)
-        return out
-
-    p_crit = rotation(vmax)
+    p_crit = _rotation_integral(model, vmax)
     if abs(p) <= p_crit + 1e-14:
         return float(vmax)
     hi = vmax + 1.0
-    while rotation(hi) < abs(p):
+    while _rotation_integral(model, hi) < abs(p):
         hi = vmax + 2.0 * (hi - vmax)
-    energy = optimize.brentq(lambda e: rotation(e) - abs(p), vmax, hi,
-                             xtol=tol, rtol=8.9e-16, maxiter=200)
+    energy = optimize.brentq(lambda e: _rotation_integral(model, e) - abs(p),
+                             vmax, hi, xtol=tol, rtol=8.9e-16, maxiter=200)
     return float(energy)
 
 
 # ---------------------------------------------------------------------------
 # evaluators
+
+
+def _ball_axes(radius: float, per_axis: int, dim: int) -> list:
+    return [np.linspace(-radius, radius, per_axis)] * dim
+
+
+def _ball_nodes(axes, radius: float, kind: str):
+    """Grid nodes of the product of ``axes`` inside the ``kind`` ball of
+    the radius, in product order (callers keep the first strict best)."""
+    for combo in itertools.product(*axes):
+        w = np.array(combo)
+        if norm_value(w, kind) <= radius + 1e-12:
+            yield w
 
 
 class GridEvaluator:
@@ -511,11 +461,7 @@ class GridEvaluator:
         return float(min(min(-ax[0], ax[-1]) for ax in self.axes))
 
     def candidate_nodes(self, radius: float):
-        kind = self.knorm or self.norm
-        for combo in itertools.product(*self.axes):
-            w = np.array(combo)
-            if norm_value(w, kind) <= radius + 1e-12:
-                yield w
+        return _ball_nodes(self.axes, radius, self.knorm or self.norm)
 
     def grid_step(self) -> float:
         return float(max(np.max(np.diff(ax)) for ax in self.axes))
@@ -606,12 +552,8 @@ class AnalyticQuadraticBeta:
     def box_radius(self):
         return None
 
-    def candidate_nodes(self, radius: float, per_axis: int = 33):
-        axes = [np.linspace(-radius, radius, per_axis)] * self.dim
-        for combo in itertools.product(*axes):
-            w = np.array(combo)
-            if norm_value(w, "l2") <= radius + 1e-12:
-                yield w
+    def candidate_nodes(self, radius: float):
+        return _ball_nodes(_ball_axes(radius, 33, self.dim), radius, "l2")
 
 
 class DirectBetaEvaluator:
@@ -640,12 +582,8 @@ class DirectBetaEvaluator:
     def box_radius(self):
         return None
 
-    def candidate_nodes(self, radius: float, per_axis: int = 25):
-        axes = [np.linspace(-radius, radius, per_axis)] * self.dim
-        for combo in itertools.product(*axes):
-            w = np.array(combo)
-            if norm_value(w, "l1") <= radius + 1e-12:
-                yield w
+    def candidate_nodes(self, radius: float):
+        return _ball_nodes(_ball_axes(radius, 25, self.dim), radius, "l1")
 
 
 class LegendreDual:
@@ -687,24 +625,12 @@ class LegendreDual:
             step = self._nodes[1, 0] - self._nodes[0, 0]
             lo = max(-self.p_box, best_p[0] - step)
             hi = min(self.p_box, best_p[0] + step)
-            phi = (math.sqrt(5.0) - 1.0) / 2.0
 
             def neg(pv):
                 return -(pv * w[0] - self.source_fn(np.array([pv])))
 
-            a, b = lo, hi
-            c1, c2 = b - phi * (b - a), a + phi * (b - a)
-            f1, f2 = neg(c1), neg(c2)
-            while b - a > 1e-11:
-                if f1 < f2:
-                    b, c2, f2 = c2, c1, f1
-                    c1 = b - phi * (b - a)
-                    f1 = neg(c1)
-                else:
-                    a, c1, f1 = c1, c2, f2
-                    c2 = a + phi * (b - a)
-                    f2 = neg(c2)
-            out = max(float(pairings[best_idx]), -neg(0.5 * (a + b)))
+            _, low = _golden_min(neg, lo, hi, 1e-11)
+            out = max(float(pairings[best_idx]), -low)
         else:
             res = optimize.minimize(
                 lambda pv: -(pv @ w - self.source_fn(pv)), best_p,
@@ -722,12 +648,8 @@ class LegendreDual:
     def box_radius(self):
         return None
 
-    def candidate_nodes(self, radius: float, per_axis: int = 33):
-        axes = [np.linspace(-radius, radius, per_axis)] * self.dim
-        for combo in itertools.product(*axes):
-            w = np.array(combo)
-            if norm_value(w, self.knorm) <= radius + 1e-12:
-                yield w
+    def candidate_nodes(self, radius: float):
+        return _ball_nodes(_ball_axes(radius, 33, self.dim), radius, self.knorm)
 
 
 class MechanicalBeta1D:
@@ -755,20 +677,7 @@ class MechanicalBeta1D:
     def _rotation(self, energy: float) -> float:
         key = round(energy, 14)
         if key not in self._rot_cache:
-            model = self.model
-
-            def integrand(x):
-                xa = np.array([x])
-                val = (2.0 * (energy - model.v.value(xa))
-                       / model.a_entries[0].value(xa))
-                return math.sqrt(max(0.0, val))
-            with warnings.catch_warnings():
-                # tolerance sits at the roundoff limit on purpose; the
-                # sqrt kink at turning points trips a spurious warning
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                out, _ = integrate.quad(integrand, 0.0, 1.0, limit=200,
-                                        epsabs=1e-13, epsrel=1e-13)
-            self._rot_cache[key] = out
+            self._rot_cache[key] = _rotation_integral(self.model, energy)
         return self._rot_cache[key]
 
     def value(self, w) -> float:
@@ -790,20 +699,9 @@ class MechanicalBeta1D:
                 hi = self._vmax + 2.0 * (hi - self._vmax)
                 if hi - self._vmax > 1e9:
                     raise SolverError("beta energy bracket grew past its cap")
-            phi = (math.sqrt(5.0) - 1.0) / 2.0
-            a, b = lo, hi
-            c1, c2 = b - phi * (b - a), a + phi * (b - a)
-            f1, f2 = gain(c1), gain(c2)
-            while b - a > 1e-12 * max(1.0, abs(b)):
-                if f1 > f2:
-                    b, c2, f2 = c2, c1, f1
-                    c1 = b - phi * (b - a)
-                    f1 = gain(c1)
-                else:
-                    a, c1, f1 = c1, c2, f2
-                    c2 = a + phi * (b - a)
-                    f2 = gain(c2)
-            out = max(gain(0.5 * (a + b)), gain(lo))
+            _, low = _golden_min(lambda energy: -gain(energy), lo, hi,
+                                 1e-12 * max(1.0, abs(hi)))
+            out = max(-low, gain(lo))
         self._cache[key] = out
         return out
 
@@ -813,9 +711,8 @@ class MechanicalBeta1D:
     def box_radius(self):
         return None
 
-    def candidate_nodes(self, radius: float, per_axis: int = 33):
-        for w in np.linspace(-radius, radius, per_axis):
-            yield np.array([w])
+    def candidate_nodes(self, radius: float):
+        return _ball_nodes(_ball_axes(radius, 33, 1), radius, "l2")
 
 
 # ---------------------------------------------------------------------------
@@ -881,8 +778,7 @@ def alpha_beta_duality(source: GridEvaluator, out_box: float,
 # subcover quantities
 
 
-def beta_hat(sub: SubcoverMap, beta_eval, z, grid_points: int = 33,
-             details: bool = False):
+def beta_hat(sub: SubcoverMap, beta_eval, z, grid_points: int = 33) -> float:
     """Minimal action rate on the quotient: min of beta over the affine
     slice mapping to z, parametrized by the kernel basis.
 
@@ -894,8 +790,7 @@ def beta_hat(sub: SubcoverMap, beta_eval, z, grid_points: int = 33,
     kern = sub.kernel_basis.astype(float)
     r = kern.shape[1] if kern.size else 0
     if r == 0:
-        val = beta_eval.value(h0)
-        return (val, h0) if details else val
+        return beta_eval.value(h0)
 
     kappa, voff, knorm = beta_eval.coercivity()
     v0 = beta_eval.value(h0)
@@ -923,23 +818,10 @@ def beta_hat(sub: SubcoverMap, beta_eval, z, grid_points: int = 33,
     if r == 1:
         vals = [objective(np.array([s])) for s in axis]
         i = int(np.argmin(vals))
-        lo = axis[max(0, i - 1)]
-        hi = axis[min(len(axis) - 1, i + 1)]
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c1, c2 = b - phi * (b - a), a + phi * (b - a)
-        f1, f2 = objective(np.array([c1])), objective(np.array([c2]))
-        while b - a > 1e-10:
-            if f1 < f2:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - phi * (b - a)
-                f1 = objective(np.array([c1]))
-            else:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + phi * (b - a)
-                f2 = objective(np.array([c2]))
-        s_best = np.array([0.5 * (a + b)])
-        val = min(min(vals), objective(s_best))
+        _, low = _golden_min(lambda s: objective(np.array([s])),
+                             axis[max(0, i - 1)], axis[min(len(axis) - 1, i + 1)],
+                             1e-10)
+        val = min(min(vals), low)
     else:
         combos = list(itertools.product(axis, repeat=r))
         vals = [objective(np.array(c)) for c in combos]
@@ -948,10 +830,8 @@ def beta_hat(sub: SubcoverMap, beta_eval, z, grid_points: int = 33,
                                 method="Nelder-Mead",
                                 options={"xatol": 1e-9, "fatol": 1e-12,
                                          "maxiter": 4000})
-        s_best = np.atleast_1d(res.x)
         val = min(vals[i], float(res.fun))
-    h_best = h0 + kern @ s_best
-    return (float(val), h_best) if details else float(val)
+    return float(val)
 
 
 class BetaHatEvaluator:
@@ -995,13 +875,9 @@ class BetaHatEvaluator:
     def box_radius(self):
         return None
 
-    def candidate_nodes(self, radius: float, per_axis: int = 33):
-        kind = self._coercivity[2]
-        axes = [np.linspace(-radius, radius, per_axis)] * self.dim
-        for combo in itertools.product(*axes):
-            w = np.array(combo)
-            if norm_value(w, kind) <= radius + 1e-12:
-                yield w
+    def candidate_nodes(self, radius: float):
+        return _ball_nodes(_ball_axes(radius, 33, self.dim), radius,
+                           self._coercivity[2])
 
 
 def effective_hamiltonian_subcover(sub: SubcoverMap, alpha_fn, p) -> float:
@@ -1061,8 +937,7 @@ def _rate_samples(cover, rate_bound: float, count: int, seed: int):
 
 def mean_action_check(cover, lagrangian, beta_eval, rate_bound: float,
                       horizons, n_samples: int = 4, seed: int = 0,
-                      mesh: int = 16, tolerance: float = 0.05,
-                      action_kwargs: dict = None) -> MeanActionReport:
+                      mesh: int = 16, tolerance: float = 0.05) -> MeanActionReport:
     """Long-horizon table: worst gap between two-point action rates and
     beta at the realized rotation over sampled rate directions.
 
@@ -1077,7 +952,6 @@ def mean_action_check(cover, lagrangian, beta_eval, rate_bound: float,
     if not all(t > 0 for t in horizons):
         raise ValueError("horizons must be positive")
     samples = _rate_samples(cover, rate_bound, n_samples, seed)
-    kwargs = dict(action_kwargs or {})
     report = MeanActionReport(rows=[], rate_bound=rate_bound,
                               tolerance=tolerance)
     if cover.family == "graph":
@@ -1099,14 +973,13 @@ def mean_action_check(cover, lagrangian, beta_eval, rate_bound: float,
                 y = cover.from_lift(target)
                 rate = w
                 act = minimal_action_torus(lagrangian, cover.lift(x0),
-                                           cover.lift(y), t_hor, **kwargs)
+                                           cover.lift(y), t_hor)
             else:
                 y, image = match_point(cover, target, 1.0, mesh)
                 rate = (cover.g_map(y) - gx) / t_hor
                 if norm_value(rate, cover.norm) > rate_bound + 1e-9:
                     continue
-                act = minimal_action_graph(lagrangian, cover, x0, y, t_hor,
-                                           **kwargs)
+                act = minimal_action_graph(lagrangian, cover, x0, y, t_hor)
             gap = abs(act / t_hor - beta_eval.value(rate))
             if gap > worst:
                 worst, worst_rate = gap, tuple(float(r) for r in np.atleast_1d(rate))

@@ -98,19 +98,6 @@ class TrigPolynomial:
                 total += a
         return total
 
-    def bound_above(self) -> float:
-        """Cheap certified upper bound: sum of coefficient magnitudes."""
-        total = 0.0
-        for k, a, b in self.terms:
-            if np.any(k):
-                total += abs(a) + abs(b)
-            else:
-                total += a
-        return total
-
-    def to_config(self):
-        return [[list(map(int, k)), a, b] for k, a, b in self.terms]
-
 
 @dataclass
 class TorusHamiltonian:
@@ -181,10 +168,6 @@ class TorusHamiltonian:
         v = np.atleast_1d(np.asarray(v, dtype=float))
         return self.kinetic_inverse(x) @ v
 
-    def lagrangian_min_over_v(self, x) -> float:
-        """L(x, 0) = -V(x); rest is optimal since the kinetic part is PSD."""
-        return -self.v.value(x)
-
     def kinetic_eig_bounds(self, mesh: int = 64):
         """(min, max) eigenvalue of A(x) over a sampling grid."""
         grid = _torus_grid(self.n, mesh)
@@ -199,16 +182,6 @@ class TorusHamiltonian:
         grid = _torus_grid(self.n, mesh)
         vals = self.v.value_many(grid)
         return float(vals.min()), float(vals.max())
-
-    def superlinearity_offset(self, slope: float, mesh: int = 64) -> float:
-        """N with L(x, v) >= slope * |v| - N for all x, v (Euclidean |v|).
-
-        With a = max eigenvalue of A, L >= |v|^2/(2a) - max V, and the
-        worst case of slope*|v| - |v|^2/(2a) is slope^2 a / 2.
-        """
-        _, amax = self.kinetic_eig_bounds(mesh)
-        _, vmax = self.potential_bounds()
-        return 0.5 * slope * slope * amax + vmax
 
 
 @dataclass
@@ -233,19 +206,8 @@ class GraphLagrangian:
     def edge_value(self, e: int, v: float) -> float:
         return 0.5 * v * v + self.potentials[e]
 
-    def edge_hamiltonian(self, e: int, p: float) -> float:
-        return 0.5 * p * p - self.potentials[e]
-
     def min_potential(self) -> float:
         return float(self.potentials.min())
-
-    def rest_rate(self, e: int) -> float:
-        """Action per unit time of sitting still inside edge e."""
-        return float(self.potentials[e])
-
-    def superlinearity_offset(self, slope: float) -> float:
-        """N with L_e(v) >= slope |v| - N on every edge."""
-        return 0.5 * slope * slope - self.min_potential()
 
     def shifted(self, c: float) -> "GraphLagrangian":
         return GraphLagrangian(self.graph, self.potentials + c)

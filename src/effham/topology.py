@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import WindowExhaustedError
 
@@ -39,6 +38,18 @@ def norm_value(v, kind: str) -> float:
         return float(np.sqrt(np.sum(v * v)))
     if kind == "linf":
         return float(np.max(np.abs(v))) if v.size else 0.0
+    raise ValueError(f"unknown norm {kind!r}")
+
+
+def _norm_rows(rows: np.ndarray, kind: str) -> np.ndarray:
+    """``norm_value`` of every row of a 2-D array."""
+    if kind == "l1":
+        return np.sum(np.abs(rows), axis=1)
+    if kind == "l2":
+        return np.sqrt(np.sum(rows * rows, axis=1))
+    if kind == "linf":
+        return (np.max(np.abs(rows), axis=1) if rows.shape[1]
+                else np.zeros(rows.shape[0]))
     raise ValueError(f"unknown norm {kind!r}")
 
 
@@ -433,16 +444,22 @@ def cover_distance(cover, x: CoverPoint, y: CoverPoint, eps: float = None) -> fl
     return eps * d
 
 
-def match_point(cover, h, eps: float, mesh: int = 64):
+def match_point(cover, h, eps: float, mesh: int = 64, sub=None):
     """Canonical-mesh cover point whose scaled image is nearest h.
 
     Returns (point, image).  Ties are broken toward the lexicographically
     smaller sheet (then earlier mesh locator) so reruns are reproducible.
+    With a ``SubcoverMap`` (graph covers only), h lives on the quotient:
+    images are projected through the map, the search runs over quotient
+    sheets around each locator's own offset, and the winning sheet is
+    lifted through the right inverse.
     """
     if eps <= 0.0:
         raise ValueError(f"scale eps must be positive, got {eps}")
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if cover.family == "torus":
+        if sub is not None:
+            raise ValueError("subcover matching is defined on graph covers")
         target = h / eps
         coords = np.empty_like(target)
         for c, val in enumerate(target):
@@ -452,14 +469,20 @@ def match_point(cover, h, eps: float, mesh: int = 64):
         point = cover.from_lift(coords)
         return point, eps * cover.g_map(point)
     target = h / eps
-    k = cover.deck_rank
-    centers = np.round(target).astype(int) if k else np.zeros(0, dtype=int)
-    axes = [np.arange(centers[j] - 2, centers[j] + 3) for j in range(k)]
-    sheets = (np.array(list(itertools.product(*axes)), dtype=int)
-              if k else np.zeros((1, 0), dtype=int))
+    fmat = None if sub is None else sub.matrix.astype(float)
+
+    def window(center):
+        axes = [np.arange(c - 2, c + 3) for c in center]
+        return (np.array(list(itertools.product(*axes)), dtype=int)
+                if center.size else np.zeros((1, 0), dtype=int))
+
+    sheets = window(np.round(target).astype(int)) if sub is None else None
     best = None
     for loc_idx, loc in enumerate(cover.base_mesh(mesh)):
         g0 = cover.g_of_base(loc)
+        if sub is not None:
+            g0 = fmat @ g0
+            sheets = window(np.round(target - g0).astype(int))
         for row in sheets:
             image = eps * (row + g0)
             d = norm_value(image - h, cover.norm)
@@ -468,11 +491,13 @@ def match_point(cover, h, eps: float, mesh: int = 64):
             if best is None or key < best[0]:
                 best = (key, loc, row)
     _, loc, row = best
+    sheet = row if sub is None else sub.lift_sheet(row)
     if loc[0] == "v":
-        point = cover.vertex_point(loc[1], row)
+        point = cover.vertex_point(loc[1], sheet)
     else:
-        point = cover.edge_point(loc[1], loc[2], row)
-    return point, eps * cover.g_map(point)
+        point = cover.edge_point(loc[1], loc[2], sheet)
+    g = cover.g_map(point)
+    return point, eps * (g if sub is None else fmat @ g)
 
 
 def _smith_normal_form(mat: np.ndarray):
@@ -586,37 +611,6 @@ class SubcoverMap:
             out.append(self.kernel_basis @ np.array(coeffs, dtype=int))
         return out
 
-    def quotient_norm(self, q, kind: str) -> float:
-        """min { |h| : f h = q } over real h, in the requested norm."""
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        h0 = self.right_inverse @ q
-        ker = self.kernel_basis.astype(float)
-        if ker.size == 0:
-            return norm_value(h0, kind)
-        if kind == "l2":
-            # project h0 onto the orthogonal complement of the kernel
-            qmat, _ = np.linalg.qr(ker)
-            resid = h0 - qmat @ (qmat.T @ h0)
-            return float(np.linalg.norm(resid))
-        # l1 / linf reduce to a small linear program in (xi, slack) vars
-        r = ker.shape[1]
-        k = self.k
-        if kind == "l1":
-            c = np.concatenate([np.zeros(r), np.ones(k)])
-            a_ub = np.block([[ker, -np.eye(k)], [-ker, -np.eye(k)]])
-            b_ub = np.concatenate([-h0, h0])
-            bounds = [(None, None)] * r + [(0, None)] * k
-        else:
-            c = np.concatenate([np.zeros(r), [1.0]])
-            ones = np.ones((k, 1))
-            a_ub = np.block([[ker, -ones], [-ker, -ones]])
-            b_ub = np.concatenate([-h0, h0])
-            bounds = [(None, None)] * r + [(0, None)]
-        res = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if not res.success:
-            raise RuntimeError(f"quotient norm LP failed: {res.message}")
-        return float(res.fun)
-
     def kernel_covering_constant(self, kind: str) -> float:
         """B with: every real kernel vector is within B of the kernel lattice.
 
@@ -662,12 +656,6 @@ def ghat_map(cover, sub: SubcoverMap, qpoint: QuotientPoint) -> np.ndarray:
     """Deck coordinates on the intermediate cover; satisfies Ghat o proj = f o G."""
     rep = subcover_lift(cover, sub, qpoint)
     return sub.apply(cover.g_map(rep))
-
-
-def fhat_eps(cover, sub: SubcoverMap, qpoint: QuotientPoint, eps: float) -> np.ndarray:
-    if eps <= 0.0:
-        raise ValueError(f"scale eps must be positive, got {eps}")
-    return eps * ghat_map(cover, sub, qpoint)
 
 
 def _sheet_displacement_lower_bound(cover, gap: float) -> float:
