@@ -2,16 +2,20 @@
 
 Three layers:
 
-* ``minimal_action``: the two-point action over a fixed horizon.  Graphs
-  reduce exactly to finitely many edge-traversal multisets, each priced
-  by a closed-form time allocation at a common energy; tori run a
-  piecewise-linear trajectory descent with analytic gradients and
-  segment-doubling refinement.
+* ``minimal_action_graph``/``minimal_action_torus``: the two-point
+  action over a fixed horizon.  Graphs reduce exactly to finitely many
+  edge-traversal multisets, each priced by a closed-form time allocation
+  at a common energy; tori run a piecewise-linear trajectory descent with
+  analytic gradients and segment-doubling refinement.
 * ``lax_oleinik``: the rescaled cover solution, an infimum of
   datum + eps * action over starting points, truncated to a certified
-  window (``search_radius``), seeded on a mesh and polished.
+  window, seeded on a mesh and polished.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box.
+
+Both searches are cut off by the same quadratic-growth certificate
+(``_reach``): a start too far away pays more action than the datum can
+give back.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import numpy as np
 from scipy import optimize
 
 from .errors import SolverError
-from .model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
-from .topology import CoverPoint, _norm_rows, dual_norm_value, norm_value
+from .model import GraphLagrangian, TorusHamiltonian, TrigPolynomial, _torus_grid
+from .topology import CoverPoint, _grid, _norm_rows, dual_norm_value, norm_value
 
 # sup |v|_b / |v|_a over v != 0 in dimension k, as a function factory
 _RATIO = {
@@ -44,19 +48,6 @@ _RATIO = {
 def norm_ratio(from_kind: str, to_kind: str, dim: int) -> float:
     """Smallest C with |v|_to <= C |v|_from for all v in R^dim."""
     return _RATIO[(from_kind, to_kind)](dim)
-
-
-@dataclass(frozen=True)
-class ActionQuery:
-    """Two-point action query: start, end, and a positive horizon."""
-
-    start: CoverPoint
-    end: CoverPoint
-    horizon: float
-
-    def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
 
 
 class InitialDatum:
@@ -162,17 +153,6 @@ class InitialDatum:
                             - self.c)
         a = dual_norm_value(self.p, norm)
         return a, abs(self.c)
-
-    def upper_bound(self, radius: float, norm: str) -> float:
-        """sup of f over the ball |h|_norm <= radius."""
-        if self.kind == "affine":
-            return dual_norm_value(self.p, norm) * radius + self.c
-        if self.kind == "cone":
-            conv = norm_ratio(norm, self.cone_norm, self.dim)
-            reach = conv * radius + norm_value(self.center, self.cone_norm)
-            return self.slope * reach + self.c
-        r2 = norm_ratio(norm, "l2", self.dim) * radius
-        return 0.5 * self._qmax * r2 * r2 + dual_norm_value(self.p, norm) * radius + self.c
 
     def lipschitz_bound(self, radius: float, norm: str) -> float:
         """Lipschitz constant of f in |.|_norm over the ball of that radius."""
@@ -299,9 +279,10 @@ def allocate_time(segments, total_time: float, rest_potential: float):
         hi *= 2.0
         if hi > 1e18:
             raise SolverError("time allocation bracket blew up")
-    # root can sit arbitrarily close to 0, so convergence must be relative
+    # root can sit arbitrarily close to 0, so convergence must be relative;
+    # a bracket reaching down to 1e-310 takes over 1000 halvings to cross
     s_star = optimize.brentq(lambda s: travel_time(s) - total_time, lo, hi,
-                             xtol=1e-300, rtol=8.9e-16, maxiter=600)
+                             xtol=1e-300, rtol=8.9e-16, maxiter=2000)
     return travel_cost(s_star), float(s_star - v_floor), 0.0
 
 
@@ -376,18 +357,6 @@ def _vertex_rest_rate(lagrangian: GraphLagrangian, v: int) -> float:
     return min(rates)
 
 
-def _attachment_list(cover, point: CoverPoint):
-    if point.base[0] == "v":
-        return [(point.base[1], np.array(point.sheet, dtype=int), 0.0, None)]
-    _, e, s = point.base
-    g = cover.graph
-    sheet = np.array(point.sheet, dtype=int)
-    return [
-        (g.tail(e), sheet, s, e),
-        (g.head(e), sheet + g.cocycles[e], g.length(e) - s, e),
-    ]
-
-
 def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
                          x: CoverPoint, horizon: float) -> float:
     """Exact two-point action on a graph cover.
@@ -412,9 +381,9 @@ def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
                                    horizon, pots[e])
 
     r_ranges = [range(extra_cap + 1)] * len(graph.edges)
-    for (va, za, off_y, e_y) in _attachment_list(cover, y):
-        for (vb, zb, off_x, e_x) in _attachment_list(cover, x):
-            net = zb - za
+    for (va, za, off_y, e_y) in cover._attachments(y):
+        for (vb, zb, off_x, e_x) in cover._attachments(x):
+            net = np.subtract(zb, za)
             flows = {e: float(net[j]) for j, e in enumerate(graph.nontree_edges)}
             target_div = np.zeros(graph.n_vertices)
             target_div[va] += 1.0
@@ -690,68 +659,38 @@ def minimal_action_torus_rescaled(model: TorusHamiltonian, eps: float, y_lift,
     return best_val
 
 
-def minimal_action(cover, lagrangian, query: ActionQuery, **kwargs) -> float:
-    """Two-point action, dispatched on the cover family."""
-    if cover.family == "graph":
-        return minimal_action_graph(lagrangian, cover, query.start, query.end,
-                                    query.horizon, **kwargs)
-    return minimal_action_torus(lagrangian, cover.lift(query.start),
-                                cover.lift(query.end), query.horizon, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # search windows
 
 
+def _reach(lin: float, c: float) -> float:
+    """Largest r with r^2 - 2*lin*r - c <= 0 (zero when there is none)."""
+    return lin + math.sqrt(max(0.0, lin * lin + c))
+
+
 def _family_constants(cover, lagrangian):
-    """(quad, drift, rest_max): action >= d^2/(2*quad*T) - drift*T and
-    staying put costs at most rest_max per unit time."""
+    """(quad, drift): action >= d^2/(2*quad*T) - drift*T."""
     if cover.family == "graph":
-        vmin = lagrangian.min_potential()
-        vmax = float(np.max(lagrangian.potentials))
-        return 1.0, -vmin, vmax
+        return 1.0, -lagrangian.min_potential()
     _, amax = lagrangian.kinetic_eig_bounds()
-    vmin, vmax = lagrangian.potential_bounds()
-    return float(amax), float(vmax), float(-vmin)
+    _, vmax = lagrangian.potential_bounds()
+    return float(amax), float(vmax)
 
 
-def _window_radius(quad: float, t: float, a_slope: float, k0: float,
-                   m_const: float) -> float:
-    """Largest rescaled distance a minimizer can sit at.
+def _lax_window(cover, datum, quad: float, drift: float, pb: float, hx,
+                t: float, incumbent: float) -> float:
+    """Largest rescaled distance D from x at which a minimizer can sit.
 
-    Solves D^2/(2*quad*t) <= A*K0*D + m_const for D >= 0.
+    A start at distance D pays action at least D^2/(2*quad*t) - drift*t,
+    and the datum there (bump included) is at least
+    -A*(|hx| + K0*D) - B - pb, so beating the incumbent needs
+    D^2/(2*quad*t) <= A*K0*D + incumbent + A*|hx| + B + pb + drift*t.
     """
-    lin = quad * t * a_slope * k0
-    inner = lin * lin + 2.0 * quad * t * m_const
-    return lin + math.sqrt(max(0.0, inner))
-
-
-def search_radius(datum: InitialDatum, cover, lagrangian, eps: float,
-                  box_radius: float, t_interval, bump_bound: float = 0.0) -> float:
-    """Certified bound on d_eps(x, y) for any minimizer y of the cover
-    formula, uniform over x with |F_eps(x)| <= box_radius and t in the
-    interval.
-
-    Chain: the datum can pay at most its growth along the window, the
-    action grows quadratically in distance, and the staying-put candidate
-    caps the optimum.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    quad, drift, rest_max = _family_constants(cover, lagrangian)
     a_slope, b_const = datum.growth_constants(cover.norm)
-    k0 = cover.g_lipschitz()
-    pb = eps * bump_bound
-    t_lo, t_hi = (t_interval if isinstance(t_interval, (tuple, list))
-                  else (t_interval, t_interval))
-    best = 0.0
-    for t in {t_lo, t_hi, 0.5 * (t_lo + t_hi)}:
-        if t <= 0.0:
-            raise ValueError("time interval must be positive")
-        incumbent = datum.upper_bound(box_radius, cover.norm) + pb + rest_max * t
-        m_const = (incumbent + a_slope * box_radius + b_const + pb + drift * t)
-        best = max(best, _window_radius(quad, t, a_slope, k0, m_const))
-    return best
+    budget = (incumbent + a_slope * norm_value(hx, cover.norm) + b_const + pb
+              + drift * t)
+    return _reach(quad * t * a_slope * cover.g_lipschitz(),
+                  2.0 * quad * t * budget)
 
 
 # ---------------------------------------------------------------------------
@@ -782,31 +721,27 @@ def _bump_value_lift(bump, lifts: np.ndarray) -> np.ndarray:
 
 
 def _shell_offsets(n: int, s: int) -> np.ndarray:
-    """Integer offsets with sup-norm exactly s, as an (m, n) array."""
+    """Integer offsets with sup-norm exactly s, as an (m, n) array, for
+    n in {1, 2}; ``_lax_torus`` breaks ties by this order."""
     if s == 0:
         return np.zeros((1, n), dtype=int)
     if n == 1:
         return np.array([[-s], [s]], dtype=int)
-    if n == 2:
-        edge = np.arange(-s, s + 1)
-        inner = np.arange(-s + 1, s)
-        return np.concatenate([
-            np.stack([np.full(edge.size, -s), edge], axis=1),
-            np.stack([np.full(edge.size, s), edge], axis=1),
-            np.stack([inner, np.full(inner.size, -s)], axis=1),
-            np.stack([inner, np.full(inner.size, s)], axis=1),
-        ]).astype(int)
-    cells = [dz for dz in itertools.product(range(-s, s + 1), repeat=n)
-             if max(abs(v) for v in dz) == s]
-    return np.array(cells, dtype=int)
+    edge = np.arange(-s, s + 1)
+    inner = np.arange(-s + 1, s)
+    return np.concatenate([
+        np.stack([np.full(edge.size, -s), edge], axis=1),
+        np.stack([np.full(edge.size, s), edge], axis=1),
+        np.stack([inner, np.full(inner.size, -s)], axis=1),
+        np.stack([inner, np.full(inner.size, s)], axis=1),
+    ]).astype(int)
 
 
 def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
     horizon = t / eps
     x_lift = cover.lift(x)
     hx = eps * x_lift
-    quad, drift, _ = _family_constants(cover, model)
-    a_slope, b_const = datum.growth_constants(cover.norm)
+    quad, drift = _family_constants(cover, model)
     pb = eps * (bump.bound() if bump is not None else 0.0)
 
     stay, stay_nodes = minimal_action_torus(model, x_lift, x_lift, horizon,
@@ -816,9 +751,7 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
     best_nodes = stay_nodes
     best_g = x_lift.copy()
 
-    m_const = (incumbent - (-a_slope * norm_value(hx, cover.norm) - b_const - pb)
-               + drift * t)
-    window = _window_radius(quad, t, a_slope, cover.g_lipschitz(), m_const)
+    window = _lax_window(cover, datum, quad, drift, pb, hx, t, incumbent)
 
     # candidate lifts: mesh fractions per translate cell, cells swept in
     # expanding shells around x; a straight-path upper bound tightens the
@@ -831,12 +764,7 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
     lip = datum.lipschitz_bound(norm_value(hx, cover.norm) + window + 1.0,
                                 cover.norm)
     n = model.n
-    fracs = np.arange(mesh) / mesh
-    if n == 1:
-        offsets = fracs[:, None]
-    else:
-        aa, bb = np.meshgrid(fracs, fracs, indexing="ij")
-        offsets = np.stack([aa.ravel(), bb.ravel()], axis=1)
+    offsets = _torus_grid(n, mesh)
     cell_diam = norm_value(np.ones(n), cover.norm)
     center = np.floor(x_lift).astype(int)
     max_shell = int(math.ceil(reach)) + 2
@@ -844,14 +772,10 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
 
     # corner pre-sweep: price one straight path per translate cell so the
     # incumbent is near-optimal before any cell is materialized; corners are
-    # themselves candidates, so every bound stays achievable
+    # themselves candidates, so every bound stays achievable (and best_g
+    # follows each bound that lowers the incumbent)
     span = np.arange(-max_shell, max_shell + 1)
-    if n == 1:
-        corners = center[None, :] + span[:, None]
-    else:
-        ca, cb = np.meshgrid(span, span, indexing="ij")
-        corners = center[None, :] + np.stack([ca.ravel(), cb.ravel()], axis=1)
-    corners = corners.astype(float)
+    corners = (center[None, :] + _grid([span] * n)).astype(float)
     cdiff = corners - x_lift[None, :]
     cd2 = np.sqrt(np.sum(cdiff * cdiff, axis=1))
     sel = cd2 <= reach + cell_diam
@@ -859,7 +783,9 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
         cf = (datum.value_many(eps * corners[sel])
               + eps * _bump_value_lift(bump, corners[sel]))
         cup = cf + (eps * cd2[sel]) ** 2 / (2.0 * amin * t) - vmin * t
-        incumbent = min(incumbent, float(np.min(cup)))
+        j = int(np.argmin(cup))
+        if cup[j] < incumbent:
+            incumbent, best_g = float(cup[j]), corners[sel][j]
 
     parts = {"lift": [], "f": [], "dist": [], "low": []}
     stored = 0
@@ -895,7 +821,9 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
                + eps * _bump_value_lift(bump, lifts_c))
         low_c = f_c + (eps * d_c) ** 2 / (2.0 * quad * t) - drift * t
         up_c = f_c + (eps * d2_c) ** 2 / (2.0 * amin * t) - vmin * t
-        incumbent = min(incumbent, float(np.min(up_c)))
+        j = int(np.argmin(up_c))
+        if up_c[j] < incumbent:
+            incumbent, best_g = float(up_c[j]), lifts_c[j]
         keep = (low_c <= incumbent + 1e-9) & (d_c <= reach + 1e-12)
         if not np.any(keep):
             continue
@@ -932,7 +860,8 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
         total = f_vals[idx] + eps * val
         evaluated += 1
         scored.append((total, idx, nodes))
-        incumbent = min(incumbent, total)
+        if total < incumbent:
+            incumbent, best_g = total, lifts[idx]
     scored.sort(key=lambda z: z[0])
     for total_c, idx, _ in scored[:_N_TOP]:
         val, nodes = minimal_action_torus(model, lifts[idx], x_lift, horizon,
@@ -1018,8 +947,7 @@ def _lax_graph(cover, lagrangian, datum, bump, x, t, eps, mesh):
     horizon = t / eps
     gx = cover.g_map(x)
     hx = eps * gx
-    quad, drift, _ = _family_constants(cover, lagrangian)
-    a_slope, b_const = datum.growth_constants(cover.norm)
+    quad, drift = _family_constants(cover, lagrangian)
     pb = eps * (bump.bound() if bump is not None else 0.0)
     k0 = cover.g_lipschitz()
 
@@ -1027,17 +955,12 @@ def _lax_graph(cover, lagrangian, datum, bump, x, t, eps, mesh):
     incumbent = cdatum(x) + eps * minimal_action_graph(lagrangian, cover, x, x,
                                                        horizon)
     best_point = x
-    m_const = (incumbent + a_slope * norm_value(hx, cover.norm) + b_const + pb
-               + drift * t)
-    window = _window_radius(quad, t, a_slope, k0, m_const)
+    window = _lax_window(cover, datum, quad, drift, pb, hx, t, incumbent)
 
     lmin = max(graph.min_nontree_length(), 1e-12)
     sheet_reach = int(math.ceil(window / (eps * lmin))) + 2
-    x_sheet = np.array(x.sheet, dtype=int)
-    sheet_axes = [np.arange(x_sheet[j] - sheet_reach, x_sheet[j] + sheet_reach + 1)
-                  for j in range(cover.deck_rank)]
-    sheets = np.array(list(itertools.product(*sheet_axes)), dtype=int) \
-        if cover.deck_rank else np.zeros((1, 0), dtype=int)
+    sheets = _grid([np.arange(z - sheet_reach, z + sheet_reach + 1)
+                    for z in x.sheet])
 
     base_locs = cover.base_mesh(mesh)
     n_sheets = sheets.shape[0]
@@ -1120,8 +1043,8 @@ def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
     datum(F_eps(y)) [+ eps*bump(y)] + eps * action(y, x, t/eps).
 
     Candidates live on a base mesh crossed with a sheet window certified
-    by the search-radius chain; survivors are priced exactly and the
-    winner is polished continuously.
+    by ``_lax_window``; survivors are priced exactly and the winner is
+    polished continuously.
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
@@ -1138,16 +1061,7 @@ def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
 # Hopf-Lax on homology space
 
 
-@dataclass
-class HopfResult:
-    value: float
-    minimizer_q: np.ndarray
-    window: float
-    evaluated: int
-
-
-def hopf_lax(beta_eval, datum: InitialDatum, h, t: float,
-             details: bool = False):
+def hopf_lax(beta_eval, datum: InitialDatum, h, t: float) -> float:
     """Limit solution u(h, t) = min_q datum(q) + t * beta((h - q)/t).
 
     ``beta_eval`` must expose value(w), norm, coercivity() -> (kappa,
@@ -1168,19 +1082,15 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float,
     best_q = h.copy()
 
     budget = incumbent + a_slope * norm_value(h, norm) + b_const + t * v_off
-    lin = a_slope * c1 / (2.0 * kappa)
-    r_max = lin + math.sqrt(max(0.0, lin * lin + max(0.0, budget) / (t * kappa)))
+    r_max = _reach(a_slope * c1 / (2.0 * kappa), max(0.0, budget) / (t * kappa))
     box = getattr(beta_eval, "box_radius", lambda: None)()
     if box is not None and box + 1e-12 < r_max:
         raise SolverError(
             f"beta evaluator box {box} smaller than certified window {r_max:.3g}")
 
-    evaluated = 0
     for w in beta_eval.candidate_nodes(r_max):
-        w = np.asarray(w, dtype=float)
         q = h - t * w
         val = datum.value(q) + t * beta_eval.value(w)
-        evaluated += 1
         if val < incumbent:
             incumbent = val
             best_q = q
@@ -1190,11 +1100,19 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float,
 
     res = optimize.minimize(objective, best_q, method="Nelder-Mead",
                             options={"xatol": 1e-10, "fatol": 1e-12,
-                                     "maxiter": 4000, "maxfev": 8000})
+                                     "maxiter": 4000, "maxfev": 8000,
+                                     "initial_simplex": _simplex_start(best_q)})
     if res.fun < incumbent:
         incumbent = float(res.fun)
-        best_q = np.atleast_1d(res.x)
-    if details:
-        return HopfResult(value=float(incumbent), minimizer_q=best_q,
-                          window=float(r_max), evaluated=evaluated)
     return float(incumbent)
+
+
+def _simplex_start(x0: np.ndarray) -> np.ndarray:
+    """scipy's default Nelder-Mead start (each coordinate in turn moved by
+    5%, or set to 0.00025 at zero) with no move below 0.00025.  A 5% move
+    of a tiny nonzero coordinate is already under xatol, and the polish
+    would stop where it started."""
+    sim = np.tile(x0, (x0.size + 1, 1))
+    for k, q in enumerate(x0):
+        sim[k + 1, k] = (1 + 0.05) * q if abs(q) >= 0.005 else q + 0.00025
+    return sim

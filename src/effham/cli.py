@@ -31,9 +31,9 @@ import numpy as np
 from .config import ScenarioConfig, load_config
 from .errors import ConfigError, ModelValidityError, SolverError
 from .homogenize import run_experiment, run_subcover_experiment
-from .mather import LegendreDual, alpha_graph, alpha_torus_minimax
+from .mather import LegendreDual, _ball_axes, alpha_graph, alpha_torus_minimax
 from .model import verify_tonelli
-from .topology import estimate_space_convergence
+from .topology import _grid, estimate_space_convergence
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -65,14 +65,6 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _grid_nodes(dim: int, radius: float, n_points: int) -> np.ndarray:
-    axis = np.linspace(-radius, radius, n_points)
-    if dim == 1:
-        return axis[:, None]
-    aa, bb = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([aa.ravel(), bb.ravel()], axis=1)
-
-
 def _table_csv(header, rows) -> str:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -99,7 +91,7 @@ def _cmd_alpha(cfg: ScenarioConfig, out_dir: str) -> int:
     dim = cfg.cover.deck_rank
     radius, n_points = cfg.p_grid["radius"], cfg.p_grid["points"]
     fn = _alpha_fn(cfg, radius)
-    nodes = _grid_nodes(dim, radius, n_points)
+    nodes = _grid(_ball_axes(radius, n_points, dim))
     values = [float(fn(p)) for p in nodes]
     header = [f"p{i + 1}" for i in range(dim)] + ["alpha"]
     rows = [list(p) + [v] for p, v in zip(nodes, values)]
@@ -118,7 +110,7 @@ def _cmd_beta(cfg: ScenarioConfig, out_dir: str) -> int:
     dim = cfg.cover.deck_rank
     beta = cfg.beta_evaluator()
     radius, n_points = cfg.w_grid["radius"], cfg.w_grid["points"]
-    nodes = _grid_nodes(dim, radius, n_points)
+    nodes = _grid(_ball_axes(radius, n_points, dim))
     values = [float(beta.value(w)) for w in nodes]
     header = [f"w{i + 1}" for i in range(dim)] + ["beta"]
     rows = [list(w) + [v] for w, v in zip(nodes, values)]

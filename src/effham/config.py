@@ -76,7 +76,6 @@ class ScenarioConfig:
     p_grid: dict = field(default_factory=dict)
     w_grid: dict = field(default_factory=dict)
     out_dir: str = "out"
-    formats: tuple = ("csv", "json")
 
     def scenario(self) -> Scenario:
         return Scenario(name=self.name, cover=self.cover, model=self.model,
@@ -340,14 +339,10 @@ def load_config(path: str) -> ScenarioConfig:
         return {"radius": radius, "points": n_points}
 
     output = tree.get("output", {}) or {}
-    formats = tuple(_optional(output, "formats", ["csv", "json"]))
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ConfigError("output.formats", f"unknown format {fmt!r}")
 
     return ScenarioConfig(
         name=name, cover=cover, model=model, datum=datum, bump=bump,
         subcover=subcover, eps_ladder=ladder, eval_points=tuple(points),
         tolerance=tolerance, seed=seed, mesh=mesh, rate_rungs=rate_rungs,
         p_grid=_grid_block("p_grid", 1.0), w_grid=_grid_block("w_grid", 1.0),
-        out_dir=str(_optional(output, "dir", "out")), formats=formats)
+        out_dir=str(_optional(output, "dir", "out")))

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # unused minimal_action_graph: perfbench/test_perfbench.py expects the binding
-from .action import (InitialDatum, datum_on_cover, hopf_lax, lax_oleinik,
-                     minimal_action_graph, norm_ratio)
+from .action import (InitialDatum, hopf_lax, lax_oleinik, minimal_action_graph,
+                     norm_ratio)
 from .errors import SolverError
 from .mather import (AnalyticQuadraticBeta, BetaHatEvaluator,
                      DirectBetaEvaluator, LegendreDual, MechanicalBeta1D,
                      alpha_graph, effective_hamiltonian_subcover)
-from .topology import estimate_space_convergence, g_map, match_point, norm_value
+from .topology import estimate_space_convergence, match_point, norm_value
 
 
 def _is_constant(trig) -> bool:
@@ -137,7 +137,6 @@ class ExperimentReport:
     rows: list = field(default_factory=list)
     rate_exponent: float = None
     rate_residual: float = None
-    datum_residuals: list = field(default_factory=list)
     space_summary: dict = field(default_factory=dict)
     monotone_ok: bool = False
     sandwich_ok: bool = False
@@ -165,7 +164,6 @@ class ExperimentReport:
                      for r in self.rows],
             "rate_exponent": self.rate_exponent,
             "rate_residual": self.rate_residual,
-            "datum_residuals": [[e, r] for e, r in self.datum_residuals],
             "space_summary": self.space_summary,
             "monotone_ok": self.monotone_ok,
             "sandwich_ok": self.sandwich_ok,
@@ -192,70 +190,6 @@ class ExperimentReport:
                       "%.17g" % r.u_limit, "%.17g" % r.abs_error]
             lines.append(",".join(cells))
         return lines
-
-
-@dataclass
-class DatumConvergenceRow:
-    eps: float
-    residual: float
-
-
-@dataclass
-class DatumConvergenceReport:
-    rows: list
-    tolerance: float
-
-    def residuals(self):
-        return [r.residual for r in self.rows]
-
-    def passed(self, noise_floor: float = 1e-12) -> bool:
-        res = self.residuals()
-        ok = all(res[i + 1] <= res[i] + noise_floor for i in range(len(res) - 1))
-        return ok and res[-1] < self.tolerance
-
-
-def _base_mesh_points(cover, mesh: int):
-    zero = np.zeros(cover.deck_rank, dtype=int)
-    if cover.family == "torus":
-        return [cover.point(b, zero) for b in cover.base_mesh(mesh)]
-    points = []
-    for loc in cover.base_mesh(mesh):
-        if loc[0] == "v":
-            points.append(cover.vertex_point(loc[1], zero))
-        else:
-            points.append(cover.edge_point(loc[1], loc[2], zero))
-    return points
-
-
-def function_convergence_check(datum, cover, eps_ladder, box_radius: float,
-                               n_samples: int = 16, bump=None, seed: int = 0,
-                               mesh: int = 16,
-                               tolerance: float = 1e-6) -> DatumConvergenceReport:
-    """Uniform-convergence residual of the rescaled datum over a compact
-    target set: sup over samples of |f_eps(x) - f(F_eps(x))| per rung.
-
-    One deterministic pass over the base mesh joins the random targets, so
-    any deck-invariant perturbation attains its sup exactly whenever its
-    extrema sit on mesh points.
-    """
-    ladder = sorted((float(e) for e in eps_ladder), reverse=True)
-    rng = np.random.default_rng(seed)
-    k = cover.deck_rank
-    targets = [rng.uniform(-box_radius, box_radius, size=k)
-               for _ in range(n_samples)]
-    base_points = _base_mesh_points(cover, mesh)
-    rows = []
-    for eps in ladder:
-        f_eps = datum_on_cover(cover, datum, eps, bump)
-        worst = 0.0
-        for point in base_points:
-            image = eps * g_map(cover, point)
-            worst = max(worst, abs(f_eps(point) - datum.value(image)))
-        for h in targets:
-            point, image = match_point(cover, h, eps, mesh)
-            worst = max(worst, abs(f_eps(point) - datum.value(image)))
-        rows.append(DatumConvergenceRow(eps=eps, residual=float(worst)))
-    return DatumConvergenceReport(rows=rows, tolerance=tolerance)
 
 
 def _fit_rate(errs_by_eps, n_rungs: int, noise_floor: float = 1e-12):
@@ -354,11 +288,6 @@ def run_experiment(scenario: Scenario, beta_eval=None,
     report.sandwich_ok = _check_sandwich(report, scenario,
                                          _rest_commute_bound(cover, model))
 
-    dconv = function_convergence_check(
-        datum, cover, ladder, box_radius=2.0, bump=scenario.bump,
-        seed=scenario.seed, mesh=min(scenario.mesh, 16))
-    report.datum_residuals = [(r.eps, r.residual) for r in dconv.rows]
-
     if with_spaces:
         sp = estimate_space_convergence(cover, ladder, seed=scenario.seed)
         report.space_summary = {
@@ -375,7 +304,7 @@ def run_experiment(scenario: Scenario, beta_eval=None,
         "actions_evaluated": int(evaluated),
     }
     report.passed = (report.final_error < report.tolerance
-                     and report.monotone_ok)
+                     and report.monotone_ok and report.sandwich_ok)
     return report
 
 

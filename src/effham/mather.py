@@ -17,7 +17,6 @@ lower bound (coercivity) so downstream solvers can truncate searches.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,10 +25,10 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import logsumexp
 
-from .action import _golden_min, allocate_time, norm_ratio
+from .action import _golden_min, _reach, allocate_time, norm_ratio
 from .errors import SolverError
-from .model import GraphLagrangian, TorusHamiltonian
-from .topology import SubcoverMap, norm_value
+from .model import GraphLagrangian, TorusHamiltonian, _torus_grid
+from .topology import SubcoverMap, _ball_nodes, _grid, norm_value
 
 
 @dataclass(frozen=True)
@@ -255,18 +254,10 @@ class MinimaxReport:
 
 
 def _minimax_fields(model: TorusHamiltonian, mesh: int):
-    if model.n == 1:
-        xs = (np.arange(mesh) / mesh)[:, None]
-        a = model.a_entries[0].value_many(xs)
-        v = model.v.value_many(xs)
-        return (a,), v
-    pts = np.array([(i / mesh, j / mesh) for i in range(mesh)
-                    for j in range(mesh)])
-    a11 = model.a_entries[0].value_many(pts).reshape(mesh, mesh)
-    a12 = model.a_entries[1].value_many(pts).reshape(mesh, mesh)
-    a22 = model.a_entries[2].value_many(pts).reshape(mesh, mesh)
-    v = model.v.value_many(pts).reshape(mesh, mesh)
-    return (a11, a12, a22), v
+    pts = _torus_grid(model.n, mesh)
+    shape = (mesh,) * model.n
+    a_fields = tuple(a.value_many(pts).reshape(shape) for a in model.a_entries)
+    return a_fields, model.v.value_many(pts).reshape(shape)
 
 
 def _minimax_h_and_grad(model, a_fields, v_field, p, u, mesh):
@@ -395,16 +386,8 @@ def alpha_torus_quadrature(model: TorusHamiltonian, p, tol: float = 1e-10) -> fl
 
 
 def _ball_axes(radius: float, per_axis: int, dim: int) -> list:
+    """Axes of the symmetric rate grid: per_axis points on [-radius, radius]."""
     return [np.linspace(-radius, radius, per_axis)] * dim
-
-
-def _ball_nodes(axes, radius: float, kind: str):
-    """Grid nodes of the product of ``axes`` inside the ``kind`` ball of
-    the radius, in product order (callers keep the first strict best)."""
-    for combo in itertools.product(*axes):
-        w = np.array(combo)
-        if norm_value(w, kind) <= radius + 1e-12:
-            yield w
 
 
 class GridEvaluator:
@@ -508,12 +491,9 @@ class GridEvaluator:
     def from_function(cls, fn, dim: int, box: float, points: int,
                       norm: str = "l2", kappa: float = None, voff: float = None,
                       knorm: str = None, meta: dict = None) -> "GridEvaluator":
-        axis = np.linspace(-box, box, points)
-        if dim == 1:
-            values = np.array([fn(np.array([x])) for x in axis])
-        else:
-            values = np.array([[fn(np.array([x, y])) for y in axis] for x in axis])
-        return cls([axis] * dim, values, norm=norm, kappa=kappa, voff=voff,
+        axes = _ball_axes(box, points, dim)
+        values = np.array([fn(w) for w in _grid(axes)]).reshape((points,) * dim)
+        return cls(axes, values, norm=norm, kappa=kappa, voff=voff,
                    knorm=knorm, meta=meta)
 
 
@@ -549,9 +529,6 @@ class AnalyticQuadraticBeta:
     def coercivity(self):
         return 0.5 * self._lam_min, 0.0, "l2"
 
-    def box_radius(self):
-        return None
-
     def candidate_nodes(self, radius: float):
         return _ball_nodes(_ball_axes(radius, 33, self.dim), radius, "l2")
 
@@ -579,9 +556,6 @@ class DirectBetaEvaluator:
     def coercivity(self):
         return self._kappa, self._voff, "l1"
 
-    def box_radius(self):
-        return None
-
     def candidate_nodes(self, radius: float):
         return _ball_nodes(_ball_axes(radius, 25, self.dim), radius, "l1")
 
@@ -605,11 +579,7 @@ class LegendreDual:
         self.kappa = kappa
         self.voff = voff
         self.knorm = knorm or norm
-        axis = np.linspace(-p_box, p_box, p_points)
-        if dim == 1:
-            self._nodes = axis[:, None]
-        else:
-            self._nodes = np.array(list(itertools.product(axis, repeat=dim)))
+        self._nodes = _grid(_ball_axes(p_box, p_points, dim))
         self._source_at_nodes = np.array([source_fn(row) for row in self._nodes])
         self._cache = {}
 
@@ -644,9 +614,6 @@ class LegendreDual:
         if self.kappa is None:
             raise SolverError("evaluator has no certified lower bound")
         return self.kappa, self.voff, self.knorm
-
-    def box_radius(self):
-        return None
 
     def candidate_nodes(self, radius: float):
         return _ball_nodes(_ball_axes(radius, 33, self.dim), radius, self.knorm)
@@ -708,9 +675,6 @@ class MechanicalBeta1D:
     def coercivity(self):
         return self._kappa, self._vmax, "l2"
 
-    def box_radius(self):
-        return None
-
     def candidate_nodes(self, radius: float):
         return _ball_nodes(_ball_axes(radius, 33, 1), radius, "l2")
 
@@ -739,12 +703,10 @@ def alpha_beta_duality(source: GridEvaluator, out_box: float,
     """
     dim = source.dim
     resid = source.convexity_residual()
-    nodes = (source.axes[0][:, None] if dim == 1
-             else np.array(list(itertools.product(*source.axes))))
+    nodes = _grid(source.axes)
     src_vals = source.values.ravel(order="C")
-    axis = np.linspace(-out_box, out_box, out_points)
-    out_nodes = (axis[:, None] if dim == 1
-                 else np.array(list(itertools.product(axis, repeat=dim))))
+    out_axes = _ball_axes(out_box, out_points, dim)
+    out_nodes = _grid(out_axes)
 
     on_boundary = np.zeros(nodes.shape[0], dtype=bool)
     for c in range(dim):
@@ -763,7 +725,7 @@ def alpha_beta_duality(source: GridEvaluator, out_box: float,
         if np.any(on_boundary[arg]):
             truncation_ok = False
     shape = (out_points,) * dim
-    dual = GridEvaluator([axis] * dim, out_vals.reshape(shape, order="C"),
+    dual = GridEvaluator(out_axes, out_vals.reshape(shape, order="C"),
                          norm=source.norm,
                          meta={"dual_of": source.meta.get("name", "table"),
                                "convexity_residual": resid,
@@ -794,7 +756,7 @@ def beta_hat(sub: SubcoverMap, beta_eval, z, grid_points: int = 33) -> float:
 
     kappa, voff, knorm = beta_eval.coercivity()
     v0 = beta_eval.value(h0)
-    radius_bn = math.sqrt(max(0.0, (v0 + voff) / max(kappa, 1e-300)))
+    radius_bn = _reach(0.0, (v0 + voff) / max(kappa, 1e-300))
     k = h0.size
     radius_l2 = radius_bn * norm_ratio(knorm, "l2", k)
     pinv = np.linalg.pinv(kern)
@@ -815,23 +777,19 @@ def beta_hat(sub: SubcoverMap, beta_eval, z, grid_points: int = 33) -> float:
             return math.inf
 
     axis = np.linspace(-s_rad, s_rad, grid_points)
+    combos = _grid([axis] * r)
+    vals = [objective(c) for c in combos]
+    i = int(np.argmin(vals))
     if r == 1:
-        vals = [objective(np.array([s])) for s in axis]
-        i = int(np.argmin(vals))
         _, low = _golden_min(lambda s: objective(np.array([s])),
                              axis[max(0, i - 1)], axis[min(len(axis) - 1, i + 1)],
                              1e-10)
-        val = min(min(vals), low)
     else:
-        combos = list(itertools.product(axis, repeat=r))
-        vals = [objective(np.array(c)) for c in combos]
-        i = int(np.argmin(vals))
-        res = optimize.minimize(objective, np.array(combos[i]),
-                                method="Nelder-Mead",
+        res = optimize.minimize(objective, combos[i], method="Nelder-Mead",
                                 options={"xatol": 1e-9, "fatol": 1e-12,
                                          "maxiter": 4000})
-        val = min(vals[i], float(res.fun))
-    return float(val)
+        low = float(res.fun)
+    return float(min(vals[i], low))
 
 
 class BetaHatEvaluator:
@@ -871,9 +829,6 @@ class BetaHatEvaluator:
 
     def coercivity(self):
         return self._coercivity
-
-    def box_radius(self):
-        return None
 
     def candidate_nodes(self, radius: float):
         return _ball_nodes(_ball_axes(radius, 33, self.dim), radius,

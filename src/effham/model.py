@@ -25,6 +25,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ModelValidityError
+from .topology import _grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -235,11 +236,7 @@ def legendre_transform_numeric(h_of_p, v, p0=None, span: float = 10.0) -> float:
         return h_of_p(p if dim > 1 else float(p[0])) - float(np.dot(p, v))
 
     if p0 is None:
-        grid = np.linspace(-span, span, 201)
-        if dim == 1:
-            cands = grid.reshape(-1, 1)
-        else:
-            cands = np.array([[a, b] for a in grid for b in grid])
+        cands = _grid([np.linspace(-span, span, 201)] * dim)
         vals = np.array([neg(c) for c in cands])
         p0 = cands[int(np.argmin(vals))]
     res = optimize.minimize(neg, np.atleast_1d(p0), method="Nelder-Mead",
@@ -268,11 +265,8 @@ def double_legendre_residual(hamiltonian: TorusHamiltonian, x, p, span: float = 
 
 
 def _torus_grid(n: int, mesh: int) -> np.ndarray:
-    pts = np.arange(mesh) / mesh
-    if n == 1:
-        return pts.reshape(-1, 1)
-    xs, ys = np.meshgrid(pts, pts, indexing="ij")
-    return np.column_stack([xs.ravel(), ys.ravel()])
+    """The periodic grid of mesh points per axis on [0, 1)^n."""
+    return _grid([np.arange(mesh) / mesh] * n)
 
 
 @dataclass

@@ -19,7 +19,6 @@ are represented by projected sheets and a translate-minimizing metric.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +50,23 @@ def _norm_rows(rows: np.ndarray, kind: str) -> np.ndarray:
         return (np.max(np.abs(rows), axis=1) if rows.shape[1]
                 else np.zeros(rows.shape[0]))
     raise ValueError(f"unknown norm {kind!r}")
+
+
+def _grid(axes) -> np.ndarray:
+    """Product of 1-D axes as an (m, d) array, first axis slowest (the
+    order of nested loops over the axes); one empty row when there are no
+    axes."""
+    if not axes:
+        return np.zeros((1, 0), dtype=int)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _ball_nodes(axes, radius: float, kind: str) -> np.ndarray:
+    """Rows of ``_grid(axes)`` inside the ``kind`` ball of the radius, in
+    grid order (callers keep the first strict best)."""
+    nodes = _grid(axes)
+    return nodes[_norm_rows(nodes, kind) <= radius + 1e-12]
 
 
 def dual_norm_value(v, kind: str) -> float:
@@ -246,16 +262,6 @@ class TorusCover:
     def base_diameter(self) -> float:
         return 0.5 * float(np.sqrt(self.n))
 
-    def base_mesh(self, m: int):
-        """Base locators of the canonical m-per-dimension sampling mesh."""
-        pts = np.arange(m) / m
-        if self.n == 1:
-            return [np.array([t]) for t in pts]
-        return [np.array([a, b]) for a in pts for b in pts]
-
-    def g_of_base(self, base) -> np.ndarray:
-        return np.atleast_1d(np.asarray(base, dtype=float))
-
 
 class GraphCover:
     """Maximal abelian cover of a metric graph.
@@ -328,16 +334,17 @@ class GraphCover:
         return locs
 
     def _attachments(self, point: CoverPoint):
-        """(vertex, sheet tuple, offset) pairs reaching the point."""
+        """(vertex, sheet tuple, offset, edge) through which the point is
+        reached: the point itself at a vertex (edge None), else both ends
+        of its edge."""
         if point.base[0] == "v":
-            return [(point.base[1], point.sheet, 0.0)]
+            return [(point.base[1], point.sheet, 0.0, None)]
         _, e, s = point.base
         g = self.graph
-        sheet = np.array(point.sheet, dtype=int)
-        head_sheet = sheet + g.cocycles[e]
+        head_sheet = np.add(point.sheet, g.cocycles[e])
         return [
-            (g.tail(e), tuple(int(z) for z in sheet), s),
-            (g.head(e), tuple(int(z) for z in head_sheet), g.length(e) - s),
+            (g.tail(e), point.sheet, s, e),
+            (g.head(e), tuple(int(z) for z in head_sheet), g.length(e) - s, e),
         ]
 
     def _sheet_box(self, anchors, radius: int):
@@ -355,7 +362,7 @@ class GraphCover:
         dist = {}
         todo = set(targets)
         heap = []
-        for (v, sheet, offset) in sources:
+        for (v, sheet, offset, _) in sources:
             state = (v, sheet)
             if np.any(np.array(sheet) < lo) or np.any(np.array(sheet) > hi):
                 continue
@@ -397,22 +404,22 @@ class GraphCover:
         dst = self._attachments(x)
         if self.deck_rank == 0:
             lo = np.zeros(0, dtype=int)
-            settled = self._dijkstra(src, lo, lo, {(v, s) for v, s, _ in dst})
-            through = min((settled.get((v, s), np.inf) + off for v, s, off in dst),
-                          default=np.inf)
+            settled = self._dijkstra(src, lo, lo, {(v, s) for v, s, _, _ in dst})
+            through = min((settled.get((v, s), np.inf) + off
+                           for v, s, off, _ in dst), default=np.inf)
             return float(min(best_direct, through))
 
         sheet_span = max(
             int(np.max(np.abs(np.array(sy, dtype=int) - np.array(sx, dtype=int))))
-            for _, sy, _ in src for _, sx, _ in dst)
+            for _, sy, _, _ in src for _, sx, _, _ in dst)
         lmin = g.min_nontree_length()
         min_cycle = max(g.min_cycle_length(), 1e-12)
         radius = sheet_span + int(np.ceil(g.base_diameter() * self.deck_rank / min_cycle)) + 1
         for _ in range(10):
             lo, hi = self._sheet_box(src + dst, radius)
-            settled = self._dijkstra(src, lo, hi, {(v, s) for v, s, _ in dst})
-            through = min((settled.get((v, s), np.inf) + off for v, s, off in dst),
-                          default=np.inf)
+            settled = self._dijkstra(src, lo, hi, {(v, s) for v, s, _, _ in dst})
+            through = min((settled.get((v, s), np.inf) + off
+                           for v, s, off, _ in dst), default=np.inf)
             d = min(best_direct, through)
             # any competitor leaving the window crosses non-tree edges at
             # least 2*radius times beyond what the window already allows
@@ -472,9 +479,7 @@ def match_point(cover, h, eps: float, mesh: int = 64, sub=None):
     fmat = None if sub is None else sub.matrix.astype(float)
 
     def window(center):
-        axes = [np.arange(c - 2, c + 3) for c in center]
-        return (np.array(list(itertools.product(*axes)), dtype=int)
-                if center.size else np.zeros((1, 0), dtype=int))
+        return _grid([np.arange(c - 2, c + 3) for c in center])
 
     sheets = window(np.round(target).astype(int)) if sub is None else None
     best = None
@@ -603,13 +608,8 @@ class SubcoverMap:
 
     def kernel_elements(self, radius: int):
         """All kernel lattice points with coefficient box |c_i| <= radius."""
-        r = self.kernel_rank()
-        if r == 0:
-            return [np.zeros(self.k, dtype=int)]
-        out = []
-        for coeffs in itertools.product(range(-radius, radius + 1), repeat=r):
-            out.append(self.kernel_basis @ np.array(coeffs, dtype=int))
-        return out
+        coeffs = _grid([np.arange(-radius, radius + 1)] * self.kernel_rank())
+        return [self.kernel_basis @ c for c in coeffs]
 
     def kernel_covering_constant(self, kind: str) -> float:
         """B with: every real kernel vector is within B of the kernel lattice.
@@ -623,11 +623,10 @@ class SubcoverMap:
         ker = self.kernel_basis.astype(float)
         if r == 1:
             return 0.5 * norm_value(ker[:, 0], kind)
-        grid = np.linspace(0.0, 1.0, 17)
-        neighbors = [np.array(c) for c in itertools.product((-1, 0, 1, 2), repeat=r)]
+        neighbors = _grid([np.arange(-1, 3)] * r)
         worst = 0.0
-        for frac in itertools.product(grid, repeat=r):
-            point = ker @ np.array(frac)
+        for frac in _grid([np.linspace(0.0, 1.0, 17)] * r):
+            point = ker @ frac
             best = min(norm_value(point - ker @ nb, kind) for nb in neighbors)
             worst = max(worst, best)
         return worst
@@ -786,11 +785,10 @@ def _orbit_k_fit(cover, norm: str, sheet_radius: int) -> float:
     """
     x0 = cover.base_point()
     ratios = [1.0]
-    for z in itertools.product(range(-sheet_radius, sheet_radius + 1),
-                               repeat=cover.deck_rank):
+    for z in _grid([np.arange(-sheet_radius, sheet_radius + 1)] * cover.deck_rank):
         if not any(z):
             continue
-        y = cover.translate(x0, np.array(z, dtype=int))
+        y = cover.translate(x0, z)
         d = cover.distance(x0, y)
         gn = norm_value(cover.g_map(y) - cover.g_map(x0), norm)
         if d > 1e-12 and gn > 1e-12:
@@ -833,10 +831,8 @@ def estimate_space_convergence(cover, epsilons, n_samples: int = 120,
     slack = max((d / fitted_k - gn for d, gn in pairs), default=0.0)
     a_eps = [eps * max(0.0, slack) for eps in epsilons]
 
-    probes_1d = np.linspace(-ball_radius, ball_radius, 11)
-    k = cover.deck_rank
-    probes = [np.array(c) for c in itertools.product(probes_1d, repeat=k)]
-    probes = [p for p in probes if norm_value(p, norm) <= ball_radius + 1e-12]
+    probes = _ball_nodes([np.linspace(-ball_radius, ball_radius, 11)] * cover.deck_rank,
+                         ball_radius, norm)
     covering = []
     for eps in epsilons:
         covering.append(max(_image_nearest(cover, eps, p, mesh, norm) for p in probes))

@@ -2,31 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effham.action import (
-    ActionQuery,
     InitialDatum,
     hopf_lax,
     lax_oleinik,
-    minimal_action,
+    minimal_action_graph,
     minimal_action_torus,
     minimal_action_torus_rescaled,
-    search_radius,
 )
 from effham.mather import AnalyticQuadraticBeta, DirectBetaEvaluator
-from effham.topology import f_eps
+from effham.topology import f_eps, norm_value
 
 
-def test_free_straight_line_action(circle, free1):
+def test_free_straight_line_action(free1):
     # constant-speed segment: (3/2)^2 / 2 * 2
-    query = ActionQuery(circle.point([0.0]), circle.point([0.0], [3]), 2.0)
-    assert minimal_action(circle, free1, query) == pytest.approx(2.25, abs=1e-9)
+    got = minimal_action_torus(free1, [0.0], [3.0], 2.0)
+    assert got == pytest.approx(2.25, abs=1e-9)
 
 
 def test_loop_two_circuits_matches_time_allocation(loop2_cover, loop2_lag):
-    query = ActionQuery(loop2_cover.vertex_point(0),
-                        loop2_cover.vertex_point(0, [2]), 1.0)
-    got = minimal_action(loop2_cover, loop2_lag, query)
+    got = minimal_action_graph(loop2_lag, loop2_cover, loop2_cover.vertex_point(0),
+                               loop2_cover.vertex_point(0, [2]), 1.0)
     assert got == pytest.approx(8.5, abs=1e-9)
 
     # oracle: constant-speed travel for tau of the horizon, rest for the
@@ -37,39 +36,59 @@ def test_loop_two_circuits_matches_time_allocation(loop2_cover, loop2_lag):
     assert got == pytest.approx(float(np.min(costs)), abs=1e-9)
 
 
-def test_pendulum_resting_rate(circle, pendulum):
+def test_pendulum_resting_rate(pendulum):
     # parking on the potential maximum gives running cost -1 forever
-    query = ActionQuery(circle.point([0.0]), circle.point([0.0]), 32.0)
-    value = minimal_action(circle, pendulum, query)
+    value = minimal_action_torus(pendulum, [0.0], [0.0], 32.0)
     assert value / 32.0 == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_search_radius_flat_datum(circle, free1):
-    flat = InitialDatum.affine([0.0])
-    assert search_radius(flat, circle, free1, 0.5, 1.0, (1.0, 1.0)) >= 0.0
+def _window_solve(cover, model, slope, x, eps=0.5, t=1.0):
+    """(certified window, |Delta h| of the returned minimizer, K0) of one
+    cover solve with an affine datum; |Delta h| <= K0 * eps * d."""
+    res = lax_oleinik(cover, model, InitialDatum.affine([slope]), x, t, eps,
+                      mesh=16, details=True)
+    moved = eps * norm_value(res.minimizer_g - cover.g_map(x), cover.norm)
+    return res.window, moved, cover.g_lipschitz()
+
+
+@pytest.mark.parametrize("family", ["torus", "graph"])
+def test_lax_window_contains_minimizer(family, circle, free1, loop2_cover,
+                                       loop2_free):
+    if family == "torus":
+        cover, model, x = circle, free1, circle.point([0.25], [1])
+    else:
+        cover, model, x = loop2_cover, loop2_free, loop2_cover.edge_point(0, 0.3)
+    for slope in (0.0, 1.0, 3.0):
+        window, moved, k0 = _window_solve(cover, model, slope, x)
+        assert math.isfinite(window)
+        assert moved <= k0 * window + 1e-12
+    # free motion against slope 3 for unit time: the minimizer sits at
+    # |Delta h| = 3 * K0^2 (the cover distance is |Delta G| / K0 here)
+    assert moved == pytest.approx(3.0 * k0 * k0, abs=0.05)
 
 
 def test_search_radius_covers_linear_drift(circle, free1):
-    datum = InitialDatum.affine([1.0])
-    radius = search_radius(datum, circle, free1, 0.5, 1.0, (1.0, 1.0))
+    window = _window_solve(circle, free1, 1.0, circle.point([0.25], [1]))[0]
     # the optimal displacement for slope 1 over unit time has length 1
-    assert radius >= 1.0
+    assert window >= 1.0
 
 
 def test_search_radius_finite_and_monotone_in_slope(circle, free1):
-    r1 = search_radius(InitialDatum.affine([1.0]), circle, free1, 0.5, 1.0, (1.0, 1.0))
-    r_offset = search_radius(InitialDatum.affine([1.0], c=1000.0), circle, free1,
-                             0.5, 1.0, (1.0, 1.0))
-    r_steep = search_radius(InitialDatum.affine([1000.0]), circle, free1,
-                            0.5, 1.0, (1.0, 1.0))
-    for r in (r1, r_offset, r_steep):
+    x = circle.point([0.25], [1])
+    windows = [_window_solve(circle, free1, slope, x)[0]
+               for slope in (0.0, 1.0, 3.0, 1000.0)]
+    offset = lax_oleinik(circle, free1, InitialDatum.affine([1.0], c=1000.0),
+                         x, 1.0, 0.5, mesh=16, details=True).window
+    for r in windows + [offset]:
         assert math.isfinite(r)
-    assert r_steep > r1
+    assert windows[0] < windows[1] < windows[2] < windows[3]
 
 
 def test_search_radius_rejects_bad_scale(circle, free1):
+    # the window is measured in units of eps, so a zero scale is refused
     with pytest.raises(ValueError):
-        search_radius(InitialDatum.affine([0.0]), circle, free1, 0.0, 1.0, (1.0, 1.0))
+        lax_oleinik(circle, free1, InitialDatum.affine([0.0]),
+                    circle.base_point(), 1.0, 0.0, details=True)
 
 
 def test_lax_free_affine_is_exact(circle, free1):
@@ -100,8 +119,8 @@ def test_lax_cone_tip_matches_winding_enumeration(loop2_cover, loop2_free):
     for n in range(-10, 11):
         start = loop2_cover.vertex_point(0, [n])
         datum_part = datum.value(f_eps(loop2_cover, start, 0.5))
-        query = ActionQuery(start, tip, 1.0 / 0.5)
-        brute = min(brute, datum_part + 0.5 * minimal_action(loop2_cover, loop2_free, query))
+        brute = min(brute, datum_part + 0.5 * minimal_action_graph(
+            loop2_free, loop2_cover, start, tip, 1.0 / 0.5))
     assert got == pytest.approx(brute, abs=1e-9)
 
 
@@ -131,16 +150,15 @@ def test_lax_rejects_nonpositive_time_or_scale(circle, free1):
         lax_oleinik(circle, free1, datum, circle.base_point(), 1.0, -0.25)
 
 
-def test_action_semigroup_on_torus_midpoint_mesh(circle, free1):
-    start = circle.point([0.0])
-    end = circle.point([0.0], [3])
-    direct = minimal_action(circle, free1, ActionQuery(start, end, 2.0))
+def test_action_semigroup_on_torus_midpoint_mesh(free1):
+    start, end = [0.0], [3.0]
+    direct = minimal_action_torus(free1, start, end, 2.0)
     split = math.inf
     for k in range(4):
         for frac in (0.0, 0.25, 0.5, 0.75):
-            mid = circle.point([frac], [k])
-            first = minimal_action(circle, free1, ActionQuery(start, mid, 1.0))
-            second = minimal_action(circle, free1, ActionQuery(mid, end, 1.0))
+            mid = [k + frac]
+            first = minimal_action_torus(free1, start, mid, 1.0)
+            second = minimal_action_torus(free1, mid, end, 1.0)
             split = min(split, first + second)
     assert split >= direct - 1e-9
     assert split == pytest.approx(direct, abs=1e-9)
@@ -149,14 +167,14 @@ def test_action_semigroup_on_torus_midpoint_mesh(circle, free1):
 def test_action_semigroup_on_graph_midpoint_mesh(loop2_cover, loop2_free):
     start = loop2_cover.vertex_point(0)
     end = loop2_cover.vertex_point(0, [1])
-    direct = minimal_action(loop2_cover, loop2_free, ActionQuery(start, end, 1.0))
+    direct = minimal_action_graph(loop2_free, loop2_cover, start, end, 1.0)
     assert direct == pytest.approx(2.0, abs=1e-9)
     split = math.inf
     mids = [loop2_cover.edge_point(0, s) for s in (0.0, 0.5, 1.0, 1.5)]
     mids.append(loop2_cover.vertex_point(0, [1]))
     for mid in mids:
-        first = minimal_action(loop2_cover, loop2_free, ActionQuery(start, mid, 0.5))
-        second = minimal_action(loop2_cover, loop2_free, ActionQuery(mid, end, 0.5))
+        first = minimal_action_graph(loop2_free, loop2_cover, start, mid, 0.5)
+        second = minimal_action_graph(loop2_free, loop2_cover, mid, end, 0.5)
         split = min(split, first + second)
     assert split >= direct - 1e-9
     assert split == pytest.approx(direct, abs=1e-9)
@@ -199,6 +217,46 @@ def test_hopf_short_time_recovers_datum(circle):
     assert abs(got - datum.value([0.4])) <= 1e-2
 
 
-def test_query_rejects_nonpositive_horizon(circle):
+def test_actions_reject_nonpositive_horizon(free1, loop2_cover, loop2_free):
     with pytest.raises(ValueError):
-        ActionQuery(circle.base_point(), circle.base_point(), 0.0)
+        minimal_action_torus(free1, [0.0], [0.0], 0.0)
+    x = loop2_cover.vertex_point(0)
+    with pytest.raises(ValueError):
+        minimal_action_graph(loop2_free, loop2_cover, x, x, 0.0)
+
+
+# property tests on the cheap single-loop cover (length 2, potential 0.5)
+_ARCS = st.floats(0.0, 2.0)
+_SLOPES = st.floats(-1.5, 1.5)
+
+
+@settings(max_examples=12)
+@given(shift=st.floats(-5.0, 5.0), s=_ARCS, slope=_SLOPES,
+       h=st.floats(-1.0, 1.0))
+def test_constant_shift_moves_both_solutions(loop2, loop2_cover, loop2_lag,
+                                             shift, s, slope, h):
+    x = loop2_cover.edge_point(0, s)
+    beta = DirectBetaEvaluator(loop2, loop2_lag)
+    base = InitialDatum.cone(abs(slope), center=[0.3], c=0.1, dim=1)
+    moved = InitialDatum.cone(abs(slope), center=[0.3], c=0.1 + shift, dim=1)
+    v0 = lax_oleinik(loop2_cover, loop2_lag, base, x, 1.0, 0.5, mesh=16)
+    v1 = lax_oleinik(loop2_cover, loop2_lag, moved, x, 1.0, 0.5, mesh=16)
+    assert v1 - v0 == pytest.approx(shift, abs=1e-12)
+    u0 = hopf_lax(beta, base, [h], 1.0)
+    u1 = hopf_lax(beta, moved, [h], 1.0)
+    # the simplex polish stops at xatol 1e-10, so two searches over shifted
+    # windows can end 1e-12 apart when the minimum sits on the cone's kink
+    assert u1 - u0 == pytest.approx(shift, abs=1e-10)
+
+
+@settings(max_examples=12)
+@given(z=st.integers(-3, 3), s=_ARCS, slope=_SLOPES)
+def test_deck_translation_shifts_by_the_affine_pairing(loop2_cover, loop2_lag,
+                                                       z, s, slope):
+    eps = 0.5
+    datum = InitialDatum.affine([slope], c=0.2)
+    x = loop2_cover.edge_point(0, s)
+    v = lax_oleinik(loop2_cover, loop2_lag, datum, x, 1.0, eps, mesh=16)
+    v_z = lax_oleinik(loop2_cover, loop2_lag, datum,
+                      loop2_cover.translate(x, [z]), 1.0, eps, mesh=16)
+    assert v_z - v == pytest.approx(eps * slope * z, abs=1e-12)

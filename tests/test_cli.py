@@ -7,6 +7,7 @@ import yaml
 
 from effham import cli
 from effham.action import InitialDatum
+from effham.errors import SolverError
 from effham.homogenize import Scenario, run_experiment
 from effham.topology import SubcoverMap
 
@@ -75,6 +76,63 @@ def test_rejects_subcover_with_bump(tmp_path, capsys):
     tree["cover"] = {"subcover": [[1]]}
     tree["datum"]["bump"] = {"family": "edge", "amplitudes": [0.1]}
     assert _rejected(tmp_path, capsys, tree)["field"] == "datum.bump"
+
+
+def _set(path, value):
+    """Mutation that sets one dotted path of a scenario tree (list indices
+    as numbers)."""
+    *parents, last = path.split(".")
+
+    def mutate(tree):
+        node = tree
+        for key in parents:
+            node = node[int(key) if isinstance(node, list) else key]
+        node[int(last) if isinstance(node, list) else last] = value
+        return tree
+    return mutate
+
+
+@pytest.mark.parametrize("stem, mutate, field", [
+    ("single_loop", lambda tree: "name: [unclosed\n", "config"),
+    ("single_loop", _set("name", ""), "name"),
+    ("single_loop", _set("system.family", "tree"), "system.family"),
+    ("free_torus_1d", _set("system.dimension", 3), "system.dimension"),
+    ("single_loop", _set("system.edges.0.length", -1.0),
+     "system.edges[0].length"),
+    ("single_loop", _set("cover", {"norm": "l3"}), "cover.norm"),
+    ("single_loop", _set("datum.family", "sine"), "datum.family"),
+    ("free_torus_1d", _set("datum.slope_vector", [1.0, 2.0]),
+     "datum.slope_vector"),
+    ("single_loop", _set("experiment.ladder", [0.25, 0.5]),
+     "experiment.ladder"),
+    ("single_loop", _set("experiment.points.0.t", 0.0),
+     "experiment.points[0].t"),
+    ("single_loop", _set("compute.mesh", 1), "compute.mesh"),
+    ("single_loop", _set("compute.rate_rungs", 1), "compute.rate_rungs"),
+])
+def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
+                                                 mutate, field):
+    changed = mutate(_scenario_tree(stem))
+    path = tmp_path / "case.yaml"
+    path.write_text(changed if isinstance(changed, str)
+                    else yaml.safe_dump(changed, sort_keys=False))
+    assert cli.run(str(path), "validate", out_dir=str(tmp_path)) == cli.EXIT_SCHEMA
+    (record,) = _records(capsys)
+    assert record["error"]["exit"] == cli.EXIT_SCHEMA
+    assert record["error"]["field"] == field
+
+
+def test_solver_failure_exits_three(monkeypatch, capsys, tmp_path):
+    def stalled(*args, **kwargs):
+        raise SolverError("alpha bracket grew past its cap")
+
+    monkeypatch.setattr(cli, "alpha_graph", stalled)
+    path = os.path.join(ROOT, "scenarios", "single_loop.yaml")
+    assert cli.run(path, "alpha", out_dir=str(tmp_path)) == cli.EXIT_SOLVER
+    (record,) = _records(capsys)
+    assert record["error"]["kind"] == "solver"
+    assert record["error"]["exit"] == cli.EXIT_SOLVER
+    assert "bracket" in record["error"]["message"]
 
 
 def test_stray_exception_becomes_internal_error(monkeypatch, capsys):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from effham.action import InitialDatum, TorusBump
+from effham import homogenize
+from effham.action import InitialDatum
 from effham.homogenize import (
     Scenario,
     affine_datum_check,
-    function_convergence_check,
     matching_bound,
     run_experiment,
     run_subcover_experiment,
@@ -16,27 +16,6 @@ from effham.topology import SubcoverMap
 
 
 LADDER3 = (1.0, 0.5, 0.25)
-
-
-def test_function_convergence_affine_pullback_is_exact(circle, fig8_cover):
-    report = function_convergence_check(InitialDatum.affine([0.7], 0.2), circle,
-                                        [0.5, 0.25, 0.125], 1.0)
-    assert report.passed()
-    assert all(row.residual == 0.0 for row in report.rows)
-
-    report = function_convergence_check(InitialDatum.affine([0.4, -0.3]),
-                                        fig8_cover, [0.5, 0.25, 0.125], 1.0)
-    assert report.passed()
-    assert all(row.residual == 0.0 for row in report.rows)
-
-
-def test_function_convergence_bump_residual_equals_scale(circle):
-    bump = TorusBump(TrigPolynomial(1, [([1], 1.0, 0.0)]))
-    ladder = [0.5, 0.25, 0.125]
-    report = function_convergence_check(InitialDatum.affine([0.7], 0.2), circle,
-                                        ladder, 1.0, bump=bump)
-    for row, eps in zip(report.rows, ladder):
-        assert row.residual == pytest.approx(eps, abs=1e-15)
 
 
 def test_free_experiment_error_equals_matching(circle, free1):
@@ -51,6 +30,28 @@ def test_free_experiment_error_equals_matching(circle, free1):
     for row in report.rows:
         assert row.abs_error == pytest.approx(row.match_error, abs=1e-12)
     assert report.rate_exponent == pytest.approx(1.0, abs=1e-6)
+
+
+def test_sandwich_violation_fails_the_report(circle, free1, monkeypatch):
+    # a cover solver that undershoots the limit by 1 keeps the error flat
+    # (monotone) and under the loose tolerance, so only the sandwich
+    # check can catch it
+    solve = homogenize.lax_oleinik
+
+    def undershoot(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.value -= 1.0
+        return res
+
+    monkeypatch.setattr(homogenize, "lax_oleinik", undershoot)
+    scenario = Scenario(name="free-line", cover=circle, model=free1,
+                        datum=InitialDatum.affine([1.0], 0.25),
+                        eps_ladder=LADDER3, eval_points=(((1 / 3,), 1.0),),
+                        mesh=32, rate_rungs=3, tolerance=2.0)
+    report = run_experiment(scenario, with_spaces=False)
+    assert report.final_error < report.tolerance and report.monotone_ok
+    assert not report.sandwich_ok
+    assert not report.passed
 
 
 def test_experiment_reruns_are_identical(circle, free1):
