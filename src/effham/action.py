@@ -55,7 +55,10 @@ class InitialDatum:
 
     Families: affine p.h + c; cone slope*|h - center| + c (slope >= 0);
     quadratic h.Q.h/2 + p.h + c with Q positive semidefinite.  Growth
-    constants (A, B) certify f(h) >= -A|h| - B in a requested norm.
+    constants (A, B) certify f(h) >= -A|h| - B in a requested norm.  B
+    is -c and may be negative: the search windows add it to an incumbent
+    that already holds +c, so a constant added to the datum leaves them
+    where they are.
     """
 
     def __init__(self, kind, *, p=None, c=0.0, slope=0.0, center=None,
@@ -148,11 +151,10 @@ class InitialDatum:
 
     def growth_constants(self, norm: str):
         """(A, B) with f(h) >= -A|h|_norm - B for all h."""
-        if self.kind == "cone":
-            return 0.0, max(0.0, self.slope * norm_value(self.center, self.cone_norm)
-                            - self.c)
-        a = dual_norm_value(self.p, norm)
-        return a, abs(self.c)
+        # the cone and quadratic terms are nonnegative, so every family sits
+        # above c (cone) or p.h + c (affine, quadratic)
+        a = 0.0 if self.kind == "cone" else dual_norm_value(self.p, norm)
+        return a, -self.c
 
     def lipschitz_bound(self, radius: float, norm: str) -> float:
         """Lipschitz constant of f in |.|_norm over the ball of that radius."""
@@ -574,88 +576,6 @@ def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float
             break
     if details:
         return best_val, best_nodes
-    return best_val
-
-
-class _SlowTimeCost:
-    """Chain cost of the compressed-time route: integrate L(x, eps*v)
-    over horizon t with nodes still in cover coordinates.
-
-    Substituting s = sigma/eps in the action integral turns
-    eps * action(y, x, t/eps) into the integral of L(xi, eps*xi') over
-    [0, t]; the quadrature below runs entirely in compressed time, so
-    agreement with the direct route is a real cross-check.
-    """
-
-    def __init__(self, model: TorusHamiltonian, eps: float, t: float,
-                 n_segments: int):
-        self.model = model
-        self.eps = float(eps)
-        self.horizon = float(t)
-        self.n_segments = int(n_segments)
-        self.dt = self.horizon / self.n_segments
-
-    def action_grad(self, nodes: np.ndarray):
-        model = self.model
-        dt = self.dt
-        eps = self.eps
-        svel = eps * (nodes[1:] - nodes[:-1]) / dt
-        mid = 0.5 * (nodes[1:] + nodes[:-1])
-        grad = np.zeros_like(nodes)
-        if model.n == 1:
-            a = model.a_entries[0].value_many(mid)
-            w = svel[:, 0] / a
-            kin = 0.5 * svel[:, 0] * w
-            pot = model.v.value_many(mid)
-            act = dt * float(np.sum(kin - pot))
-            da = model.a_entries[0].gradient_many(mid)[:, 0]
-            dmid = -0.5 * w * w * da - model.v.gradient_many(mid)[:, 0]
-            grad[1:, 0] += eps * w + 0.5 * dt * dmid
-            grad[:-1, 0] += -eps * w + 0.5 * dt * dmid
-            return act, grad
-        a11 = model.a_entries[0].value_many(mid)
-        a12 = model.a_entries[1].value_many(mid)
-        a22 = model.a_entries[2].value_many(mid)
-        det = a11 * a22 - a12 * a12
-        w1 = (a22 * svel[:, 0] - a12 * svel[:, 1]) / det
-        w2 = (-a12 * svel[:, 0] + a11 * svel[:, 1]) / det
-        kin = 0.5 * (w1 * svel[:, 0] + w2 * svel[:, 1])
-        pot = model.v.value_many(mid)
-        act = dt * float(np.sum(kin - pot))
-        g11 = model.a_entries[0].gradient_many(mid)
-        g12 = model.a_entries[1].gradient_many(mid)
-        g22 = model.a_entries[2].gradient_many(mid)
-        gv = model.v.gradient_many(mid)
-        dmid = -0.5 * (g11 * (w1 * w1)[:, None] + 2.0 * g12 * (w1 * w2)[:, None]
-                       + g22 * (w2 * w2)[:, None]) - gv
-        wvec = eps * np.stack([w1, w2], axis=1)
-        grad[1:] += wvec + 0.5 * dt * dmid
-        grad[:-1] += -wvec + 0.5 * dt * dmid
-        return act, grad
-
-
-def minimal_action_torus_rescaled(model: TorusHamiltonian, eps: float, y_lift,
-                                  x_lift, t: float, tol: float = 1e-6,
-                                  max_segments: int = 2048) -> float:
-    """Second route to eps * action(y, x, t/eps), via compressed time."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    y_lift = np.atleast_1d(np.asarray(y_lift, dtype=float))
-    x_lift = np.atleast_1d(np.asarray(x_lift, dtype=float))
-    n = _auto_segments(t / eps)
-    best_val, best_nodes = math.inf, None
-    for init in _chain_inits(y_lift, x_lift, n, True):
-        val, nodes = _solve_fixed_chain(_SlowTimeCost(model, eps, t, n), init)
-        if val < best_val:
-            best_val, best_nodes = val, nodes
-    while n < max_segments:
-        n *= 2
-        refined = _refine_nodes(best_nodes)
-        val, nodes = _solve_fixed_chain(_SlowTimeCost(model, eps, t, n), refined)
-        improved = best_val - val
-        best_val, best_nodes = val, nodes
-        if abs(improved) < tol * max(eps, 1e-12):
-            break
     return best_val
 
 
@@ -1083,10 +1003,6 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float) -> float:
 
     budget = incumbent + a_slope * norm_value(h, norm) + b_const + t * v_off
     r_max = _reach(a_slope * c1 / (2.0 * kappa), max(0.0, budget) / (t * kappa))
-    box = getattr(beta_eval, "box_radius", lambda: None)()
-    if box is not None and box + 1e-12 < r_max:
-        raise SolverError(
-            f"beta evaluator box {box} smaller than certified window {r_max:.3g}")
 
     for w in beta_eval.candidate_nodes(r_max):
         q = h - t * w

@@ -194,18 +194,22 @@ def _build_datum(datum_cfg: dict, dim: int) -> InitialDatum:
                                              "datum.constant"),
                                  norm=norm, dim=dim)
     if family == "quadratic":
-        mat = _require(datum_cfg, "matrix", "datum")
-        q = np.atleast_2d(np.asarray(mat, dtype=float))
-        if q.shape != (dim, dim):
+        cells = np.atleast_2d(np.array(_require(datum_cfg, "matrix", "datum"),
+                                       dtype=object))
+        if cells.shape != (dim, dim):
             raise ConfigError("datum.matrix", f"expected a {dim}x{dim} matrix")
+        q = np.array([[_as_float(v, "datum.matrix") for v in row]
+                      for row in cells])
         p = datum_cfg.get("slope_vector")
         if p is not None:
             p = _as_vector(p, "datum.slope_vector")
             if p.shape != (dim,):
                 raise ConfigError("datum.slope_vector", f"expected {dim} entries")
-        return InitialDatum.quadratic(q, p=p,
-                                      c=_as_float(datum_cfg.get("constant", 0.0),
-                                                  "datum.constant"))
+        c = _as_float(datum_cfg.get("constant", 0.0), "datum.constant")
+        try:
+            return InitialDatum.quadratic(q, p=p, c=c)
+        except ValueError as exc:
+            raise ConfigError("datum.matrix", str(exc)) from None
     raise ConfigError("datum.family", f"unknown family {family!r}")
 
 

@@ -13,6 +13,8 @@ The convex pair at the heart of the limit problem:
 
 Evaluator objects bundle a value function with a certified quadratic
 lower bound (coercivity) so downstream solvers can truncate searches.
+``LegendreDual`` is the one Legendre transform: it takes the conjugate
+of any of them (or of alpha) point by point.
 """
 
 from __future__ import annotations
@@ -390,135 +392,15 @@ def _ball_axes(radius: float, per_axis: int, dim: int) -> list:
     return [np.linspace(-radius, radius, per_axis)] * dim
 
 
-class GridEvaluator:
-    """Tabulated convex function with multilinear interpolation.
-
-    Carries an optional certified quadratic lower bound
-    value(w) >= kappa * |w|_knorm^2 - voff so window-based solvers can
-    truncate.  Serializes to a plain dict of fixed-order float arrays.
-    """
-
-    def __init__(self, axes, values, norm: str = "l2", kappa: float = None,
-                 voff: float = None, knorm: str = None, meta: dict = None):
-        self.axes = [np.asarray(ax, dtype=float) for ax in axes]
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape != tuple(len(ax) for ax in self.axes):
-            raise ValueError("grid shape mismatch")
-        self.norm = norm
-        self.kappa = kappa
-        self.voff = voff
-        self.knorm = knorm
-        self.meta = dict(meta or {})
-        self.values.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    def value(self, w) -> float:
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        idx = []
-        frac = []
-        for c, ax in enumerate(self.axes):
-            if w[c] < ax[0] - 1e-12 or w[c] > ax[-1] + 1e-12:
-                raise ValueError(f"query {w[c]} outside grid axis {c}")
-            i = int(np.clip(np.searchsorted(ax, w[c]) - 1, 0, ax.size - 2))
-            idx.append(i)
-            frac.append((w[c] - ax[i]) / (ax[i + 1] - ax[i]))
-        if self.dim == 1:
-            i, s = idx[0], np.clip(frac[0], 0.0, 1.0)
-            return float((1 - s) * self.values[i] + s * self.values[i + 1])
-        i, j = idx
-        s = np.clip(frac[0], 0.0, 1.0)
-        r = np.clip(frac[1], 0.0, 1.0)
-        v = self.values
-        return float((1 - s) * (1 - r) * v[i, j] + s * (1 - r) * v[i + 1, j]
-                     + (1 - s) * r * v[i, j + 1] + s * r * v[i + 1, j + 1])
-
-    def coercivity(self):
-        if self.kappa is None:
-            raise SolverError("evaluator has no certified lower bound")
-        return self.kappa, self.voff, self.knorm
-
-    def box_radius(self) -> float:
-        return float(min(min(-ax[0], ax[-1]) for ax in self.axes))
-
-    def candidate_nodes(self, radius: float):
-        return _ball_nodes(self.axes, radius, self.knorm or self.norm)
-
-    def grid_step(self) -> float:
-        return float(max(np.max(np.diff(ax)) for ax in self.axes))
-
-    def convexity_residual(self) -> float:
-        worst = 0.0
-        v = self.values
-        if self.dim == 1:
-            mid = 0.5 * (v[:-2] + v[2:]) - v[1:-1]
-            worst = float(max(worst, np.max(-mid) if mid.size else 0.0))
-        else:
-            for axis in (0, 1):
-                sl = [slice(None)] * 2
-                sl_lo, sl_mid, sl_hi = list(sl), list(sl), list(sl)
-                sl_lo[axis] = slice(0, -2)
-                sl_mid[axis] = slice(1, -1)
-                sl_hi[axis] = slice(2, None)
-                mid = 0.5 * (v[tuple(sl_lo)] + v[tuple(sl_hi)]) - v[tuple(sl_mid)]
-                if mid.size:
-                    worst = float(max(worst, np.max(-mid)))
-        return worst
-
-    def to_table(self) -> dict:
-        return {
-            "axes": [[float(x) for x in ax] for ax in self.axes],
-            "values": [float(x) for x in self.values.ravel(order="C")],
-            "norm": self.norm,
-            "kappa": self.kappa,
-            "voff": self.voff,
-            "knorm": self.knorm,
-            "meta": self.meta,
-        }
-
-    @classmethod
-    def from_table(cls, table: dict) -> "GridEvaluator":
-        axes = [np.array(ax, dtype=float) for ax in table["axes"]]
-        shape = tuple(len(ax) for ax in axes)
-        values = np.array(table["values"], dtype=float).reshape(shape, order="C")
-        return cls(axes, values, norm=table.get("norm", "l2"),
-                   kappa=table.get("kappa"), voff=table.get("voff"),
-                   knorm=table.get("knorm"), meta=table.get("meta"))
-
-    @classmethod
-    def from_function(cls, fn, dim: int, box: float, points: int,
-                      norm: str = "l2", kappa: float = None, voff: float = None,
-                      knorm: str = None, meta: dict = None) -> "GridEvaluator":
-        axes = _ball_axes(box, points, dim)
-        values = np.array([fn(w) for w in _grid(axes)]).reshape((points,) * dim)
-        return cls(axes, values, norm=norm, kappa=kappa, voff=voff,
-                   knorm=knorm, meta=meta)
-
-
-def tabulate_evaluator(evaluator, box: float, points: int) -> GridEvaluator:
-    """Sample any rate-cost evaluator onto a symmetric grid, keeping its
-    norm and certified lower bound so the table stays window-capable."""
-    kappa = voff = knorm = None
-    try:
-        kappa, voff, knorm = evaluator.coercivity()
-    except (SolverError, AttributeError):
-        pass
-    return GridEvaluator.from_function(
-        evaluator.value, evaluator.dim, box, points,
-        norm=getattr(evaluator, "norm", "l2"),
-        kappa=kappa, voff=voff, knorm=knorm)
-
-
 class AnalyticQuadraticBeta:
     """Exact minimal action rate of a constant-kinetic system with no
     potential: half the inverse-kinetic quadratic form."""
 
-    def __init__(self, kinetic_matrix, norm: str = "l2"):
+    norm = "l2"
+
+    def __init__(self, kinetic_matrix):
         a = np.atleast_2d(np.asarray(kinetic_matrix, dtype=float))
         self.b_matrix = np.linalg.inv(a)
-        self.norm = norm
         self._lam_min = float(np.linalg.eigvalsh(self.b_matrix)[0])
         self.dim = a.shape[0]
 
@@ -536,10 +418,11 @@ class AnalyticQuadraticBeta:
 class DirectBetaEvaluator:
     """Per-query graph beta with memoization; exact within solver tol."""
 
-    def __init__(self, graph, lagrangian: GraphLagrangian, norm: str = "l1"):
+    norm = "l1"
+
+    def __init__(self, graph, lagrangian: GraphLagrangian):
         self.graph = graph
         self.lagrangian = lagrangian
-        self.norm = norm
         self.dim = graph.cycle_rank
         self._cache = {}
         lmin = graph.min_nontree_length()
@@ -565,20 +448,15 @@ class LegendreDual:
 
     The supremum is seeded on a p-grid and polished by golden section
     (one dimension) or simplex descent; the source callable must be
-    finite on the search box and superlinear so the certified radius
-    argument of the caller applies.
+    finite on the search box, and the box must hold every maximizer the
+    caller asks for.
     """
 
     def __init__(self, source_fn, dim: int, p_box: float = 8.0,
-                 p_points: int = 65, norm: str = "l2", kappa: float = None,
-                 voff: float = None, knorm: str = None):
+                 p_points: int = 65):
         self.source_fn = source_fn
         self.dim = dim
         self.p_box = float(p_box)
-        self.norm = norm
-        self.kappa = kappa
-        self.voff = voff
-        self.knorm = knorm or norm
         self._nodes = _grid(_ball_axes(p_box, p_points, dim))
         self._source_at_nodes = np.array([source_fn(row) for row in self._nodes])
         self._cache = {}
@@ -610,14 +488,6 @@ class LegendreDual:
         self._cache[key] = out
         return out
 
-    def coercivity(self):
-        if self.kappa is None:
-            raise SolverError("evaluator has no certified lower bound")
-        return self.kappa, self.voff, self.knorm
-
-    def candidate_nodes(self, radius: float):
-        return _ball_nodes(_ball_axes(radius, 33, self.dim), radius, self.knorm)
-
 
 class MechanicalBeta1D:
     """Minimal action rate of a circle system via its energy profile.
@@ -630,11 +500,12 @@ class MechanicalBeta1D:
     beta(0) = -max V exactly.
     """
 
-    def __init__(self, model: TorusHamiltonian, norm: str = "l2"):
+    norm = "l2"
+
+    def __init__(self, model: TorusHamiltonian):
         if model.n != 1:
             raise ValueError("one-dimensional circle systems only")
         self.model = model
-        self.norm = norm
         _, self._vmax = model.potential_bounds(mesh=4096)
         _, amax = model.kinetic_eig_bounds()
         self._kappa = 1.0 / (2.0 * amax)
@@ -680,63 +551,6 @@ class MechanicalBeta1D:
 
 
 # ---------------------------------------------------------------------------
-# duality transform
-
-
-@dataclass
-class DualityReport:
-    evaluator: GridEvaluator
-    convexity_residual: float
-    convexity_ok: bool
-    truncation_ok: bool
-
-
-def alpha_beta_duality(source: GridEvaluator, out_box: float,
-                       out_points: int = 129, convexity_tol: float = 1e-6,
-                       details: bool = False):
-    """Discrete Legendre transform of a tabulated convex function.
-
-    The dual at p is the max of p.h - source(h) over source nodes; a
-    maximizer on the source boundary means the table was too small for
-    this p (flagged, not fixed).  Input convexity is checked by midpoint
-    residuals and flagged on violation, with the transform still taken.
-    """
-    dim = source.dim
-    resid = source.convexity_residual()
-    nodes = _grid(source.axes)
-    src_vals = source.values.ravel(order="C")
-    out_axes = _ball_axes(out_box, out_points, dim)
-    out_nodes = _grid(out_axes)
-
-    on_boundary = np.zeros(nodes.shape[0], dtype=bool)
-    for c in range(dim):
-        col = nodes[:, c]
-        lo, hi = source.axes[c][0], source.axes[c][-1]
-        on_boundary |= (np.abs(col - lo) < 1e-12) | (np.abs(col - hi) < 1e-12)
-
-    out_vals = np.empty(out_nodes.shape[0])
-    truncation_ok = True
-    chunk = 256
-    for start in range(0, out_nodes.shape[0], chunk):
-        block = out_nodes[start:start + chunk]
-        pair = block @ nodes.T - src_vals[None, :]
-        arg = np.argmax(pair, axis=1)
-        out_vals[start:start + chunk] = pair[np.arange(block.shape[0]), arg]
-        if np.any(on_boundary[arg]):
-            truncation_ok = False
-    shape = (out_points,) * dim
-    dual = GridEvaluator(out_axes, out_vals.reshape(shape, order="C"),
-                         norm=source.norm,
-                         meta={"dual_of": source.meta.get("name", "table"),
-                               "convexity_residual": resid,
-                               "truncation_ok": truncation_ok})
-    report = DualityReport(evaluator=dual, convexity_residual=resid,
-                           convexity_ok=resid < convexity_tol,
-                           truncation_ok=truncation_ok)
-    return report if details else dual
-
-
-# ---------------------------------------------------------------------------
 # subcover quantities
 
 
@@ -763,18 +577,8 @@ def beta_hat(sub: SubcoverMap, beta_eval, z, grid_points: int = 33) -> float:
     s_rad = float(np.linalg.norm(pinv, 2) * (radius_l2 + np.linalg.norm(h0)))
     s_rad = max(s_rad, 1e-6)
 
-    box = getattr(beta_eval, "box_radius", lambda: None)()
-    if box is not None:
-        need = norm_value(h0, knorm) + radius_bn
-        if box + 1e-9 < need:
-            raise SolverError("beta table too small for the quotient slice")
-
     def objective(s):
-        h = h0 + kern @ np.atleast_1d(s)
-        try:
-            return beta_eval.value(h)
-        except ValueError:
-            return math.inf
+        return beta_eval.value(h0 + kern @ np.atleast_1d(s))
 
     axis = np.linspace(-s_rad, s_rad, grid_points)
     combos = _grid([axis] * r)
@@ -805,7 +609,7 @@ class BetaHatEvaluator:
         self.sub = sub
         self.base = base_eval
         self.dim = sub.matrix.shape[0]
-        self.norm = getattr(base_eval, "norm", "l2")
+        self.norm = base_eval.norm
         self.grid_points = grid_points
         kappa, voff, knorm = base_eval.coercivity()
         mat = sub.matrix.astype(float)

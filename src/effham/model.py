@@ -161,13 +161,10 @@ class TorusHamiltonian:
         return self.kinetic_matrix(x) @ p
 
     def lagrangian(self, x, v) -> float:
+        """L(x, v) = max_p [p.v - H(x, p)], attained at p = A(x)^{-1} v."""
         v = np.atleast_1d(np.asarray(v, dtype=float))
         b = self.kinetic_inverse(x)
         return 0.5 * float(v @ b @ v) - self.v.value(x)
-
-    def lagrangian_grad_v(self, x, v) -> np.ndarray:
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        return self.kinetic_inverse(x) @ v
 
     def kinetic_eig_bounds(self, mesh: int = 64):
         """(min, max) eigenvalue of A(x) over a sampling grid."""
@@ -212,14 +209,6 @@ class GraphLagrangian:
 
     def shifted(self, c: float) -> "GraphLagrangian":
         return GraphLagrangian(self.graph, self.potentials + c)
-
-
-def legendre_transform(hamiltonian: TorusHamiltonian, x, v) -> float:
-    """L(x, v) = max_p [p.v - H(x, p)] for the quadratic torus family.
-
-    The maximizer is p = A(x)^{-1} v, giving the closed form directly.
-    """
-    return hamiltonian.lagrangian(x, v)
 
 
 def legendre_transform_numeric(h_of_p, v, p0=None, span: float = 10.0) -> float:

@@ -6,14 +6,18 @@ graph the deck group is Z^k with k the cycle rank; sheets are glued along
 the non-tree edges of a fixed spanning tree.
 
 Every cover carries a coordinate map ``g_map`` into R^k (integrated
-closed one-forms, normalized to vanish at the base point) and its scaled
-version ``f_eps = eps * g_map``.  Distances are geodesic in the lifted
-metric: exact Euclidean for tori, Dijkstra over a certified sheet window
-for graphs.
+closed one-forms, normalized to vanish at the base point); the rescaled
+problem at scale eps reads points through eps * g_map.  Distances
+(``distance``) are geodesic in the lifted metric: exact Euclidean for
+tori, Dijkstra over a certified sheet window for graphs.
 
 Surjections of the deck group onto Z^l ("subcover maps") are integer
-matrices validated through their Smith normal form; intermediate covers
-are represented by projected sheets and a translate-minimizing metric.
+matrices validated through their Smith normal form.  An intermediate
+cover has no metric or point type of its own here: it is solved on the
+maximal cover with the datum pulled back through the surjection
+(``homogenize``), and the map supplies what that needs, namely the right
+inverse that lifts quotient sheets (``match_point``), the pullback of
+momenta and the kernel lattice.
 """
 
 from __future__ import annotations
@@ -429,28 +433,6 @@ class GraphCover:
         raise WindowExhaustedError("cover distance window grew past its cap", radius)
 
 
-def g_map(cover, point: CoverPoint) -> np.ndarray:
-    """Deck coordinates of a cover point (zero at the base point)."""
-    return cover.g_map(point)
-
-
-def f_eps(cover, point: CoverPoint, eps: float) -> np.ndarray:
-    """Scaled coordinate map eps * G; the scale must be positive."""
-    if eps <= 0.0:
-        raise ValueError(f"scale eps must be positive, got {eps}")
-    return eps * cover.g_map(point)
-
-
-def cover_distance(cover, x: CoverPoint, y: CoverPoint, eps: float = None) -> float:
-    """Geodesic distance on the cover; with eps, the rescaled eps*d."""
-    d = cover.distance(x, y)
-    if eps is None:
-        return d
-    if eps <= 0.0:
-        raise ValueError(f"scale eps must be positive, got {eps}")
-    return eps * d
-
-
 def match_point(cover, h, eps: float, mesh: int = 64, sub=None):
     """Canonical-mesh cover point whose scaled image is nearest h.
 
@@ -586,14 +568,6 @@ class SubcoverMap:
         assert np.array_equal(mat @ self.right_inverse, np.eye(self.l, dtype=int))
         assert not self.kernel_basis.size or not np.any(mat @ self.kernel_basis)
 
-    def apply(self, h) -> np.ndarray:
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-        return self.matrix @ h
-
-    def apply_int(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z)).astype(int)
-        return self.matrix @ z
-
     def lift_sheet(self, q) -> np.ndarray:
         q = np.atleast_1d(np.asarray(q)).astype(int)
         return self.right_inverse @ q
@@ -611,103 +585,21 @@ class SubcoverMap:
         coeffs = _grid([np.arange(-radius, radius + 1)] * self.kernel_rank())
         return [self.kernel_basis @ c for c in coeffs]
 
-    def kernel_covering_constant(self, kind: str) -> float:
-        """B with: every real kernel vector is within B of the kernel lattice.
 
-        Exact (half the basis norm) in rank one; in higher rank, measured
-        on a fine fundamental-cell grid against nearby lattice points.
-        """
-        r = self.kernel_rank()
-        if r == 0:
-            return 0.0
-        ker = self.kernel_basis.astype(float)
-        if r == 1:
-            return 0.5 * norm_value(ker[:, 0], kind)
-        neighbors = _grid([np.arange(-1, 3)] * r)
-        worst = 0.0
-        for frac in _grid([np.linspace(0.0, 1.0, 17)] * r):
-            point = ker @ frac
-            best = min(norm_value(point - ker @ nb, kind) for nb in neighbors)
-            worst = max(worst, best)
-        return worst
-
-
-@dataclass(frozen=True)
-class QuotientPoint:
-    """Point of an intermediate cover: base locator plus projected sheet."""
-
-    base: object
-    sheet: tuple
-
-
-def subcover_project(sub: SubcoverMap, point: CoverPoint) -> QuotientPoint:
-    q = sub.apply_int(np.array(point.sheet, dtype=int))
-    return QuotientPoint(point.base, tuple(int(z) for z in q))
-
-
-def subcover_lift(cover, sub: SubcoverMap, qpoint: QuotientPoint) -> CoverPoint:
-    """A representative in the maximal cover (sheet via the right inverse)."""
-    sheet = sub.lift_sheet(np.array(qpoint.sheet, dtype=int))
-    return CoverPoint(qpoint.base, tuple(int(z) for z in sheet))
-
-
-def ghat_map(cover, sub: SubcoverMap, qpoint: QuotientPoint) -> np.ndarray:
-    """Deck coordinates on the intermediate cover; satisfies Ghat o proj = f o G."""
-    rep = subcover_lift(cover, sub, qpoint)
-    return sub.apply(cover.g_map(rep))
-
-
-def _sheet_displacement_lower_bound(cover, gap: float) -> float:
-    """Distance lower bound for points whose sheets differ by gap (inf-norm).
-
-    Every unit of sheet displacement costs at least one non-tree edge
-    traversal (graph) or one unit of Euclidean travel (torus); endpoint
-    attachments can absorb at most one unit each.
-    """
-    if cover.family == "graph":
-        return cover.graph.min_nontree_length() * max(0.0, gap - 2.0)
-    return max(0.0, gap - 1.0)
-
-
-def quotient_distance(cover, sub: SubcoverMap, qx: QuotientPoint, qy: QuotientPoint,
-                      eps: float = None) -> float:
-    """Geodesic distance on the intermediate cover.
-
-    Realized as the minimum of the maximal-cover distance over kernel
-    lattice translates of one representative.  The coefficient window
-    starts from the kernel covering constant plus the base diameter and
-    the incumbent is certified against a displacement lower bound for
-    every translate outside the window.
-    """
-    x = subcover_lift(cover, sub, qx)
-    y = subcover_lift(cover, sub, qy)
-    if sub.kernel_rank() == 0:
-        d = cover.distance(x, y)
-        return d if eps is None else eps * d
-
-    ker = sub.kernel_basis.astype(float)
-    # coefficient bound: |c|_inf <= pinv_norm * |z|_inf for z = ker @ c
-    pinv_norm = float(np.max(np.sum(np.abs(np.linalg.pinv(ker)), axis=1)))
-    b_const = sub.kernel_covering_constant(cover.norm)
-    sheet_gap0 = float(np.max(np.abs(np.array(y.sheet) - np.array(x.sheet))))
-    target = b_const + cover.base_diameter() + sheet_gap0 + 1.0
-    radius = int(np.ceil(target * pinv_norm)) + 1
-    for _ in range(10):
-        best = min(cover.distance(x, cover.translate(y, z))
-                   for z in sub.kernel_elements(radius))
-        # outside the coefficient box, |z|_inf >= (radius+1)/pinv_norm
-        min_gap = (radius + 1) / pinv_norm - sheet_gap0
-        if best <= _sheet_displacement_lower_bound(cover, min_gap):
-            return best if eps is None else eps * best
-        radius *= 2
-    raise WindowExhaustedError("quotient distance window grew past its cap", radius)
+# estimate_space_convergence: sampled cover points, their sheet box, the
+# orbit box K is fitted on, the probe ball and the canonical mesh whose
+# image it covers
+_SAMPLES = 120
+_SHEET_RADIUS = 2
+_ORBIT_RADIUS = 3
+_BALL_RADIUS = 1.0
+_IMAGE_MESH = 16
 
 
 @dataclass
 class SpaceConvergenceReport:
     """Measured metric comparison between rescaled covers and their limit."""
 
-    norm: str
     fitted_k: float
     epsilons: list
     a_eps: list
@@ -730,17 +622,18 @@ class SpaceConvergenceReport:
         return (top - min(slopes)) <= rel_tol * top
 
 
-def _sample_points(cover, n_samples: int, sheet_radius: int, rng):
+def _sample_points(cover, rng):
     pts = []
+    r = _SHEET_RADIUS
     if cover.family == "torus":
-        for _ in range(n_samples):
+        for _ in range(_SAMPLES):
             base = rng.random(cover.n)
-            sheet = rng.integers(-sheet_radius, sheet_radius + 1, size=cover.n)
+            sheet = rng.integers(-r, r + 1, size=cover.n)
             pts.append(cover.point(base, sheet))
     else:
         g = cover.graph
-        for _ in range(n_samples):
-            sheet = rng.integers(-sheet_radius, sheet_radius + 1, size=cover.deck_rank)
+        for _ in range(_SAMPLES):
+            sheet = rng.integers(-r, r + 1, size=cover.deck_rank)
             if rng.random() < 0.2:
                 pts.append(cover.vertex_point(int(rng.integers(g.n_vertices)), sheet))
             else:
@@ -754,29 +647,28 @@ def _grid_remainder(values: np.ndarray, spacing: float) -> np.ndarray:
     return np.abs(values - spacing * np.round(values / spacing))
 
 
-def _image_nearest(cover, eps: float, probe: np.ndarray, mesh: int,
-                   norm: str) -> float:
-    """Distance from a probe to the f_eps image of the canonical mesh.
+def _image_nearest(cover, eps: float, probe: np.ndarray) -> float:
+    """Distance from a probe to the eps * G image of the canonical mesh.
 
     The image is a union of product lattices (each coordinate is either an
     eps-integer or, on one non-tree edge at a time, an eps/mesh-grid
     value), so the nearest point reduces to coordinate-wise rounding.
     """
-    k = cover.deck_rank
+    norm = cover.norm
+    fine = _grid_remainder(probe, eps / _IMAGE_MESH)
     if cover.family == "torus":
         # every coordinate carries the fine grid simultaneously
-        return norm_value(_grid_remainder(probe, eps / mesh), norm)
+        return norm_value(fine, norm)
     coarse = _grid_remainder(probe, eps)
     best = norm_value(coarse, norm)
-    fine = _grid_remainder(probe, eps / mesh)
-    for j in range(k):
+    for j in range(cover.deck_rank):
         d = coarse.copy()
         d[j] = fine[j]
         best = min(best, norm_value(d, norm))
     return best
 
 
-def _orbit_k_fit(cover, norm: str, sheet_radius: int) -> float:
+def _orbit_k_fit(cover) -> float:
     """Two-sided distance/coordinate ratio on deck translates of the base.
 
     On the orbit of the base point the comparison is exactly
@@ -785,23 +677,23 @@ def _orbit_k_fit(cover, norm: str, sheet_radius: int) -> float:
     """
     x0 = cover.base_point()
     ratios = [1.0]
-    for z in _grid([np.arange(-sheet_radius, sheet_radius + 1)] * cover.deck_rank):
+    r = _ORBIT_RADIUS
+    for z in _grid([np.arange(-r, r + 1)] * cover.deck_rank):
         if not any(z):
             continue
         y = cover.translate(x0, z)
         d = cover.distance(x0, y)
-        gn = norm_value(cover.g_map(y) - cover.g_map(x0), norm)
+        gn = norm_value(cover.g_map(y) - cover.g_map(x0), cover.norm)
         if d > 1e-12 and gn > 1e-12:
             ratios.append(gn / d)
             ratios.append(d / gn)
     return max(ratios)
 
 
-def estimate_space_convergence(cover, epsilons, n_samples: int = 120,
-                               norm: str = None, sheet_radius: int = 2,
-                               seed: int = 0, ball_radius: float = 1.0,
-                               mesh: int = 16) -> SpaceConvergenceReport:
-    """Fit the metric comparison constants between (cover, eps*d) and R^k.
+def estimate_space_convergence(cover, epsilons,
+                               seed: int = 0) -> SpaceConvergenceReport:
+    """Fit the metric comparison constants between (cover, eps*d) and R^k,
+    with distances measured in the cover's norm.
 
     K is fitted on deck translates of the base point, where coordinate
     displacement and distance are exactly proportional.  A_eps is the
@@ -809,15 +701,11 @@ def estimate_space_convergence(cover, epsilons, n_samples: int = 120,
     over all sampled pairs per rung (the eps-rescaled residual, so it is
     proportional to eps by construction of the sample window), and the
     covering radius measures eps-density of the image of the canonical
-    mesh inside the fixed ball |h| <= ball_radius.
+    mesh inside the fixed ball |h| <= 1.
     """
-    if n_samples < 100:
-        raise ValueError("need at least 100 sample points")
-    norm = cover.norm if norm is None else norm
-    if norm not in _NORMS:
-        raise ValueError(f"unknown norm {norm!r}")
+    norm = cover.norm
     rng = np.random.default_rng(seed)
-    pts = _sample_points(cover, n_samples, sheet_radius, rng)
+    pts = _sample_points(cover, rng)
     gvals = [cover.g_map(p) for p in pts]
     pairs = []
     for i in range(len(pts)):
@@ -826,19 +714,17 @@ def estimate_space_convergence(cover, epsilons, n_samples: int = 120,
             gn = norm_value(gvals[i] - gvals[j], norm)
             if d > 1e-12:
                 pairs.append((d, gn))
-    fitted_k = _orbit_k_fit(cover, norm, max(3, sheet_radius))
+    fitted_k = _orbit_k_fit(cover)
 
     slack = max((d / fitted_k - gn for d, gn in pairs), default=0.0)
     a_eps = [eps * max(0.0, slack) for eps in epsilons]
 
-    probes = _ball_nodes([np.linspace(-ball_radius, ball_radius, 11)] * cover.deck_rank,
-                         ball_radius, norm)
-    covering = []
-    for eps in epsilons:
-        covering.append(max(_image_nearest(cover, eps, p, mesh, norm) for p in probes))
+    axis = np.linspace(-_BALL_RADIUS, _BALL_RADIUS, 11)
+    probes = _ball_nodes([axis] * cover.deck_rank, _BALL_RADIUS, norm)
+    covering = [max(_image_nearest(cover, eps, p) for p in probes)
+                for eps in epsilons]
 
     return SpaceConvergenceReport(
-        norm=norm,
         fitted_k=float(fitted_k),
         epsilons=[float(e) for e in epsilons],
         a_eps=[float(a) for a in a_eps],

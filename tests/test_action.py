@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, optimize
 
 from effham.action import (
     InitialDatum,
@@ -11,10 +12,9 @@ from effham.action import (
     lax_oleinik,
     minimal_action_graph,
     minimal_action_torus,
-    minimal_action_torus_rescaled,
 )
 from effham.mather import AnalyticQuadraticBeta, DirectBetaEvaluator
-from effham.topology import f_eps, norm_value
+from effham.topology import norm_value
 
 
 def test_free_straight_line_action(free1):
@@ -77,11 +77,14 @@ def test_search_radius_finite_and_monotone_in_slope(circle, free1):
     x = circle.point([0.25], [1])
     windows = [_window_solve(circle, free1, slope, x)[0]
                for slope in (0.0, 1.0, 3.0, 1000.0)]
-    offset = lax_oleinik(circle, free1, InitialDatum.affine([1.0], c=1000.0),
-                         x, 1.0, 0.5, mesh=16, details=True).window
-    for r in windows + [offset]:
+    offsets = [lax_oleinik(circle, free1, InitialDatum.affine([1.0], c=c),
+                           x, 1.0, 0.5, mesh=16, details=True).window
+               for c in (1000.0, -1000.0)]
+    for r in windows + offsets:
         assert math.isfinite(r)
     assert windows[0] < windows[1] < windows[2] < windows[3]
+    # a constant added to the datum moves no minimizer, so the window stays
+    assert offsets == [windows[1], windows[1]]
 
 
 def test_search_radius_rejects_bad_scale(circle, free1):
@@ -96,7 +99,7 @@ def test_lax_free_affine_is_exact(circle, free1):
     x = circle.point([0.25], [1])
     for eps in (0.5, 0.25):
         got = lax_oleinik(circle, free1, datum, x, 1.5, eps)
-        expect = 0.7 * f_eps(circle, x, eps)[0] + 0.1 - 0.5 * 0.7**2 * 1.5
+        expect = 0.7 * eps * circle.g_map(x)[0] + 0.1 - 0.5 * 0.7**2 * 1.5
         assert got == pytest.approx(expect, abs=1e-9)
 
 
@@ -118,7 +121,7 @@ def test_lax_cone_tip_matches_winding_enumeration(loop2_cover, loop2_free):
     brute = math.inf
     for n in range(-10, 11):
         start = loop2_cover.vertex_point(0, [n])
-        datum_part = datum.value(f_eps(loop2_cover, start, 0.5))
+        datum_part = datum.value(0.5 * loop2_cover.g_map(start))
         brute = min(brute, datum_part + 0.5 * minimal_action_graph(
             loop2_free, loop2_cover, start, tip, 1.0 / 0.5))
     assert got == pytest.approx(brute, abs=1e-9)
@@ -180,16 +183,39 @@ def test_action_semigroup_on_graph_midpoint_mesh(loop2_cover, loop2_free):
     assert split == pytest.approx(direct, abs=1e-9)
 
 
-def test_compressed_time_route_matches_direct(pendulum, free2):
-    cases = [
-        (pendulum, 0.25, [0.0], [0.3], 1.0),
-        (pendulum, 0.5, [0.1], [1.2], 2.0),
-        (free2, 0.25, [0.0, 0.0], [0.4, -0.3], 1.0),
-    ]
-    for model, eps, y, x, t in cases:
-        via_slow = minimal_action_torus_rescaled(model, eps, np.array(y), np.array(x), t)
-        direct = eps * minimal_action_torus(model, np.array(y), np.array(x), t / eps)
-        assert abs(via_slow - direct) <= 1e-9
+def _pendulum_running_action(y, x, horizon):
+    """Action of the monotone pendulum orbit (V = cos 2 pi s) from y to x.
+
+    At energy E > max V the speed is sqrt(2(E - V)), so the travel time
+    is the integral of ds / sqrt(2(E - V)) over [y, x] and the action of
+    L = v^2/2 - V is the integral of sqrt(2(E - V)) ds minus E * T; E is
+    the root of the travel time equation.
+    """
+    def speed(s, energy):
+        return math.sqrt(2.0 * (energy - math.cos(2.0 * math.pi * s)))
+
+    def travel(energy):
+        return integrate.quad(lambda s: 1.0 / speed(s, energy), y, x,
+                              limit=200, epsabs=1e-13, epsrel=1e-13)[0]
+
+    lo, hi = 1.5, 2.0
+    while travel(lo) < horizon:
+        lo = 1.0 + 0.5 * (lo - 1.0)
+    while travel(hi) > horizon:
+        hi *= 2.0
+    energy = optimize.brentq(lambda e: travel(e) - horizon, lo, hi,
+                             xtol=1e-14, rtol=8.9e-16)
+    length = integrate.quad(lambda s: speed(s, energy), y, x, limit=200,
+                            epsabs=1e-13, epsrel=1e-13)[0]
+    return length - energy * horizon
+
+
+@pytest.mark.parametrize("y, x, horizon", [(0.0, 3.0, 1.0), (0.1, 2.3, 1.0),
+                                           (0.0, 1.0, 0.5)])
+def test_torus_action_matches_pendulum_energy_quadrature(pendulum, y, x,
+                                                         horizon):
+    chain = minimal_action_torus(pendulum, [y], [x], horizon)
+    assert abs(chain - _pendulum_running_action(y, x, horizon)) <= 1e-5
 
 
 def test_hopf_affine_with_quadratic_rates(circle):

@@ -109,6 +109,10 @@ def _set(path, value):
      "experiment.points[0].t"),
     ("single_loop", _set("compute.mesh", 1), "compute.mesh"),
     ("single_loop", _set("compute.rate_rungs", 1), "compute.rate_rungs"),
+    ("single_loop", _set("datum", {"family": "quadratic", "matrix": [[-1.0]]}),
+     "datum.matrix"),
+    ("single_loop", _set("datum", {"family": "quadratic", "matrix": [["a"]]}),
+     "datum.matrix"),
 ])
 def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
                                                  mutate, field):

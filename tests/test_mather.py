@@ -7,9 +7,8 @@ from effham.mather import (
     AnalyticQuadraticBeta,
     BetaHatEvaluator,
     DirectBetaEvaluator,
-    GridEvaluator,
+    LegendreDual,
     MechanicalBeta1D,
-    alpha_beta_duality,
     alpha_graph,
     alpha_torus_minimax,
     alpha_torus_quadrature,
@@ -17,7 +16,6 @@ from effham.mather import (
     beta_hat,
     effective_hamiltonian_subcover,
     mean_action_check,
-    tabulate_evaluator,
 )
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
 from effham.topology import GraphCover, SubcoverMap, TorusCover, figure_eight
@@ -185,42 +183,35 @@ def test_beta_figure_eight_split_strategy(fig8, fig8_free):
     assert beta_graph(fig8, fig8_free, [1.5, -0.5]) == pytest.approx(2.0, abs=1e-9)
 
 
+def _half_square(w):
+    return 0.5 * float(np.dot(w, w))
+
+
 def test_quadratic_duality_on_grid():
-    src = GridEvaluator.from_function(lambda w: 0.5 * float(np.dot(w, w)), 1, 3.0, 193)
-    dual = alpha_beta_duality(src, 1.0, 41)
+    dual = LegendreDual(_half_square, 1, p_box=3.0, p_points=193)
     worst = max(abs(dual.value([p]) - 0.5 * p * p) for p in np.linspace(-1.0, 1.0, 41))
-    assert worst <= 1e-3
+    assert worst <= 1e-12
 
 
 def test_double_transform_recovers_convex_input():
-    src = GridEvaluator.from_function(lambda w: 0.5 * float(np.dot(w, w)), 1, 3.0, 193)
-    alpha_tab = alpha_beta_duality(src, 2.0, 129)
-    back = alpha_beta_duality(alpha_tab, 1.0, 41)
+    alpha = LegendreDual(_half_square, 1, p_box=3.0, p_points=193)
+    back = LegendreDual(alpha.value, 1, p_box=2.0, p_points=129)
     worst = max(abs(back.value([w]) - 0.5 * w * w) for w in np.linspace(-1.0, 1.0, 41))
-    assert worst <= 1e-3
-
-
-def test_duality_flags_nonconvex_source():
-    axis = np.linspace(-1.5, 1.5, 65)
-    bad = GridEvaluator([axis], 0.25 * axis**4 - 0.5 * axis**2)
-    report = alpha_beta_duality(bad, 1.0, 17, details=True)
-    assert not report.convexity_ok
-    assert report.convexity_residual > 1e-6
+    assert worst <= 1e-12
 
 
 def test_loop_rates_dualize_to_alpha(loop2, loop2_lag):
-    beta_eval = DirectBetaEvaluator(loop2, loop2_lag)
-    tab = tabulate_evaluator(beta_eval, 2.0, 129)
-    dual = alpha_beta_duality(tab, 1.5, 33)
+    # the conjugate of the circulation program against the cycle threshold
+    dual = LegendreDual(DirectBetaEvaluator(loop2, loop2_lag).value, 1,
+                        p_box=2.0, p_points=33)
     worst = max(abs(dual.value([p]) - alpha_graph(loop2, loop2_lag, [p]))
-                for p in np.linspace(-1.5, 1.5, 33))
-    assert worst <= 1e-3
+                for p in np.linspace(-1.5, 1.5, 9))
+    assert worst <= 1e-8
 
 
 def test_pendulum_beta_zero_via_quadrature_table(pendulum):
-    atab = GridEvaluator.from_function(
-        lambda p: alpha_torus_quadrature(pendulum, p), 1, 3.0, 33)
-    dual = alpha_beta_duality(atab, 1.0, 9)
+    dual = LegendreDual(lambda p: alpha_torus_quadrature(pendulum, p), 1,
+                        p_box=3.0, p_points=33)
     assert dual.value([0.0]) == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -267,7 +258,7 @@ def test_beta_hat_fiber_upper_bound(fig8, fig8_lag):
     for h1 in np.linspace(-1.5, 1.5, 5):
         for h2 in np.linspace(-1.5, 1.5, 5):
             direct = beta_graph(fig8, fig8_lag, [h1, h2])
-            projected = beta_hat(merge, beta_eval, merge.apply([h1, h2]))
+            projected = beta_hat(merge, beta_eval, merge.matrix @ [h1, h2])
             # the kernel scan is a grid, so allow its resolution on top
             assert projected <= direct + 1e-6
 
@@ -287,14 +278,15 @@ def test_effective_subcover_identity_and_pullback(fig8, fig8_lag):
 def test_subcover_rates_dualize_to_pullback_alpha(fig8, fig8_lag):
     sub = SubcoverMap([[1, 1]])
     bhat = BetaHatEvaluator(sub, DirectBetaEvaluator(fig8, fig8_lag), grid_points=15)
-    tab = tabulate_evaluator(bhat, 1.6, 33)
-    assert tab.convexity_residual() <= 1e-6
-    dual = alpha_beta_duality(tab, 0.8, 9)
+    rates = np.linspace(-1.6, 1.6, 33)
+    table = np.array([bhat.value([z]) for z in rates])
+    assert np.max(table[1:-1] - 0.5 * (table[:-2] + table[2:])) <= 1e-6
+    # the conjugate over the table's own nodes, against alpha pulled back
     worst = 0.0
     for q in np.linspace(-0.8, 0.8, 9):
         direct = effective_hamiltonian_subcover(
             sub, lambda pp: alpha_graph(fig8, fig8_lag, pp), [q])
-        worst = max(worst, abs(dual.value([q]) - direct))
+        worst = max(worst, abs(np.max(q * rates - table) - direct))
     assert worst <= 1e-3
 
 

@@ -8,7 +8,6 @@ from effham.model import (
     TrigPolynomial,
     double_legendre_residual,
     fenchel_young_residual,
-    legendre_transform,
     legendre_transform_numeric,
     verify_tonelli,
 )
@@ -19,7 +18,7 @@ FREE1 = TorusHamiltonian.free(1)
 
 
 def test_free_lagrangian_is_half_speed_squared(free1):
-    assert legendre_transform(free1, [0.2], [3.0]) == pytest.approx(4.5, abs=1e-12)
+    assert free1.lagrangian([0.2], [3.0]) == pytest.approx(4.5, abs=1e-12)
 
 
 def test_mechanical_lagrangian_subtracts_potential(pendulum):
@@ -27,7 +26,7 @@ def test_mechanical_lagrangian_subtracts_potential(pendulum):
     for x in (0.0, 0.3, 0.71):
         for v in (-1.5, 0.0, 2.0):
             expect = 0.5 * v * v - pendulum.v.value([x])
-            assert legendre_transform(pendulum, [x], [v]) == pytest.approx(expect, abs=1e-12)
+            assert pendulum.lagrangian([x], [v]) == pytest.approx(expect, abs=1e-12)
 
 
 def test_quartic_transform_matches_grid_scan():

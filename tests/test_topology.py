@@ -8,16 +8,10 @@ from effham.topology import (
     GraphCover,
     SubcoverMap,
     TorusCover,
-    cover_distance,
     estimate_space_convergence,
-    f_eps,
     figure_eight,
-    g_map,
-    ghat_map,
     norm_value,
-    quotient_distance,
     single_loop,
-    subcover_project,
 )
 
 TORUS2 = TorusCover(2)
@@ -46,33 +40,27 @@ def fig8_points():
 
 
 def test_winding_map_at_base_point(circle):
-    assert np.array_equal(g_map(circle, circle.base_point()), np.zeros(1))
+    assert np.array_equal(circle.g_map(circle.base_point()), np.zeros(1))
 
 
 def test_winding_map_reads_graph_sheet(fig8_cover):
-    got = g_map(fig8_cover, fig8_cover.vertex_point(0, [1, 2]))
+    got = fig8_cover.g_map(fig8_cover.vertex_point(0, [1, 2]))
     assert np.array_equal(got, np.array([1.0, 2.0]))
 
 
 def test_winding_map_torus_lift(torus2):
-    got = g_map(torus2, torus2.point([0.5, 0.75], [3, -2]))
+    got = torus2.g_map(torus2.point([0.5, 0.75], [3, -2]))
     assert np.allclose(got, [3.5, -1.25], atol=1e-15)
-
-
-def test_rescaled_map_scales_linearly(torus2):
-    pt = torus2.point([0.5, 0.75], [3, -2])
-    assert np.allclose(f_eps(torus2, pt, 0.5), [1.75, -0.625], atol=1e-15)
-    assert np.allclose(f_eps(torus2, pt, 0.1), [0.35, -0.125], atol=1e-15)
 
 
 def test_cover_distance_loop_counts_circuits(loop2_cover):
     a = loop2_cover.vertex_point(0)
     b = loop2_cover.vertex_point(0, [3])
-    assert cover_distance(loop2_cover, a, b) == pytest.approx(6.0, abs=1e-12)
+    assert loop2_cover.distance(a, b) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_cover_distance_torus(circle):
-    d = cover_distance(circle, circle.point([0.25]), circle.point([0.75], [4]))
+    d = circle.distance(circle.point([0.25]), circle.point([0.75], [4]))
     assert d == pytest.approx(4.5, abs=1e-12)
 
 
@@ -97,22 +85,22 @@ def brute_force_loop_distance(windings, lengths, max_steps=5):
 
 
 def test_cover_distance_figure_eight_matches_walk_enumeration(fig8_cover):
-    d = cover_distance(fig8_cover, fig8_cover.vertex_point(0),
-                       fig8_cover.vertex_point(0, [2, 1]))
+    d = fig8_cover.distance(fig8_cover.vertex_point(0),
+                            fig8_cover.vertex_point(0, [2, 1]))
     assert d == pytest.approx(3.0, abs=1e-12)
     assert d == pytest.approx(brute_force_loop_distance((2, 1), (1.0, 1.0)), abs=1e-12)
 
 
 def test_space_convergence_flat_torus_is_isometric(torus2):
     ladder = [2.0 ** (-j) for j in range(1, 6)]
-    report = estimate_space_convergence(torus2, ladder, n_samples=120, seed=0)
+    report = estimate_space_convergence(torus2, ladder, seed=0)
     assert report.fitted_k == 1.0
     assert all(a == 0.0 for a in report.a_eps)
 
 
 def test_space_convergence_figure_eight(fig8_cover):
     ladder = [2.0 ** (-j) for j in range(1, 6)]
-    report = estimate_space_convergence(fig8_cover, ladder, n_samples=120, seed=0)
+    report = estimate_space_convergence(fig8_cover, ladder, seed=0)
     assert report.fitted_k == pytest.approx(1.0, abs=1e-12)
     for eps, a in zip(report.epsilons, report.a_eps):
         assert 0.0 <= a <= eps * 1.0 + 1e-12
@@ -121,26 +109,8 @@ def test_space_convergence_figure_eight(fig8_cover):
 
 
 def test_space_convergence_loop_distance_inflation(loop2_cover):
-    report = estimate_space_convergence(loop2_cover, [0.5, 0.25], n_samples=120, seed=0)
+    report = estimate_space_convergence(loop2_cover, [0.5, 0.25], seed=0)
     assert report.fitted_k == pytest.approx(2.0, abs=1e-12)
-
-
-def test_subcover_projection_identity(fig8_cover):
-    ident = SubcoverMap([[1, 0], [0, 1]])
-    q = subcover_project(ident, fig8_cover.vertex_point(0, [4, -2]))
-    assert tuple(q.sheet) == (4, -2)
-
-
-def test_subcover_projection_row_sum():
-    row = SubcoverMap([[2, 1]])
-    q = subcover_project(row, FIG8.vertex_point(0, [0, 3]))
-    assert tuple(q.sheet) == (3,)
-
-
-def test_subcover_projection_drops_second_winding():
-    row = SubcoverMap([[1, 0]])
-    q = subcover_project(row, FIG8.vertex_point(0, [5, 7]))
-    assert tuple(q.sheet) == (5,)
 
 
 def test_subcover_rejects_non_surjective_matrix():
@@ -148,56 +118,17 @@ def test_subcover_rejects_non_surjective_matrix():
         SubcoverMap([[2, 0]])
 
 
-def test_quotient_distance_identity_equals_cover_distance(fig8_cover):
-    ident = SubcoverMap([[1, 0], [0, 1]])
-    qx = subcover_project(ident, fig8_cover.vertex_point(0))
-    qy = subcover_project(ident, fig8_cover.vertex_point(0, [2, 1]))
-    assert quotient_distance(fig8_cover, ident, qx, qy) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_quotient_distance_vanishes_on_collapsed_fiber(fig8_cover):
-    # (1,1) lies in the kernel of (1 -1), so both points share a fiber
-    row = SubcoverMap([[1, -1]])
-    qx = subcover_project(row, fig8_cover.vertex_point(0, [0, 0]))
-    qy = subcover_project(row, fig8_cover.vertex_point(0, [1, 1]))
-    assert quotient_distance(fig8_cover, row, qx, qy) == 0.0
-
-
-def test_quotient_distance_minimises_over_fiber(fig8_cover):
-    row = SubcoverMap([[2, -1]])
-    qx = subcover_project(row, fig8_cover.vertex_point(0, [0, 0]))
-    qy = subcover_project(row, fig8_cover.vertex_point(0, [1, 1]))
-    got = quotient_distance(fig8_cover, row, qx, qy)
-    # oracle: scan fiber representatives f(z) = 1 with small windings
-    best = np.inf
-    origin = fig8_cover.vertex_point(0, [0, 0])
-    for z1 in range(-3, 4):
-        for z2 in range(-3, 4):
-            if 2 * z1 - z2 == 1:
-                other = fig8_cover.vertex_point(0, [z1, z2])
-                best = min(best, cover_distance(fig8_cover, origin, other))
-    assert got == pytest.approx(best, abs=1e-12)
-    assert got == pytest.approx(1.0, abs=1e-12)
-
-
-def test_quotient_distance_full_rank_loop(loop2_cover):
-    row = SubcoverMap([[1]])
-    qx = subcover_project(row, loop2_cover.vertex_point(0))
-    qy = subcover_project(row, loop2_cover.vertex_point(0, [3]))
-    assert quotient_distance(loop2_cover, row, qx, qy) == pytest.approx(6.0, abs=1e-12)
-
-
 @given(pt=torus_points(), z=sheets2)
 def test_torus_winding_equivariance(pt, z):
-    lhs = g_map(TORUS2, TORUS2.translate(pt, z))
-    rhs = g_map(TORUS2, pt) + np.asarray(z)
+    lhs = TORUS2.g_map(TORUS2.translate(pt, z))
+    rhs = TORUS2.g_map(pt) + np.asarray(z)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 @given(pt=fig8_points(), z=sheets2)
 def test_graph_winding_equivariance(pt, z):
-    lhs = g_map(FIG8, FIG8.translate(pt, z))
-    rhs = g_map(FIG8, pt) + np.asarray(z)
+    lhs = FIG8.g_map(FIG8.translate(pt, z))
+    rhs = FIG8.g_map(pt) + np.asarray(z)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -225,23 +156,15 @@ def test_torus_distance_symmetry_and_triangle(x, y, w):
     assert dxy <= TORUS2.distance(x, w) + TORUS2.distance(w, y) + 1e-9
 
 
-@given(pt=fig8_points())
-def test_quotient_map_commutes_with_winding(pt):
-    row = SubcoverMap([[2, 1]])
-    lhs = ghat_map(FIG8, row, subcover_project(row, pt))
-    rhs = row.apply(g_map(FIG8, pt))
-    assert np.abs(lhs - rhs).max() <= 1e-12
-
-
 @settings(max_examples=40)
 @given(x=fig8_points(), y=fig8_points())
 def test_graph_winding_is_lipschitz(x, y):
-    gap = norm_value(g_map(FIG8, x) - g_map(FIG8, y), FIG8.norm)
+    gap = norm_value(FIG8.g_map(x) - FIG8.g_map(y), FIG8.norm)
     assert gap <= FIG8.g_lipschitz() * FIG8.distance(x, y) + 1e-9
 
 
 @settings(max_examples=40)
 @given(x=torus_points(), y=torus_points())
 def test_torus_winding_is_lipschitz(x, y):
-    gap = norm_value(g_map(TORUS2, x) - g_map(TORUS2, y), TORUS2.norm)
+    gap = norm_value(TORUS2.g_map(x) - TORUS2.g_map(y), TORUS2.norm)
     assert gap <= TORUS2.g_lipschitz() * TORUS2.distance(x, y) + 1e-9
