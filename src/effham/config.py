@@ -36,6 +36,8 @@ def _optional(tree, key: str, default=None):
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
+    if not np.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -149,11 +149,13 @@ class ExperimentReport:
     dual_limit_error: float = None
 
     def errors_by_eps(self) -> list:
+        """Largest abs_error per eps, coarsest eps first; a NaN error stays
+        NaN, so it reaches final_error and fails the report."""
         out = {}
         for row in self.rows:
-            out.setdefault(row.eps, 0.0)
-            out[row.eps] = max(out[row.eps], row.abs_error)
-        return sorted(out.items(), key=lambda kv: -kv[0])
+            out.setdefault(row.eps, []).append(row.abs_error)
+        return sorted(((e, float(np.max(v))) for e, v in out.items()),
+                      key=lambda kv: -kv[0])
 
     def to_tree(self) -> dict:
         return {

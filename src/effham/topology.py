@@ -9,7 +9,12 @@ Every cover carries a coordinate map ``g_map`` into R^k (integrated
 closed one-forms, normalized to vanish at the base point); the rescaled
 problem at scale eps reads points through eps * g_map.  Distances
 (``distance``) are geodesic in the lifted metric: exact Euclidean for
-tori, Dijkstra over a certified sheet window for graphs.
+tori.  For graphs they are read from one table per cover, built lazily:
+by deck invariance, d(x + z, y + z) = d(x, y), so the distances from each
+vertex on sheet 0 to every vertex of a sheet box |z|inf <= R answer every
+pair.  A value is certified exact when it is at most (R + 1) * lmin (a
+path leaving the box crosses R + 1 non-tree edges); otherwise R doubles
+and the table is rebuilt.
 
 Surjections of the deck group onto Z^l ("subcover maps") are integer
 matrices validated through their Smith normal form.  An intermediate
@@ -22,11 +27,12 @@ momenta and the kernel lattice.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import WindowExhaustedError
 
@@ -193,14 +199,6 @@ class MetricGraph:
             return 0.0
         return float(min(self.length(e) for e in self.nontree_edges))
 
-    def min_cycle_length(self) -> float:
-        """Shortest cycle through any non-tree edge."""
-        best = np.inf
-        for e in self.nontree_edges:
-            u, v, length = self.edges[e]
-            best = min(best, length + self.base_distance(u, v))
-        return best if np.isfinite(best) else 0.0
-
 
 def single_loop(length: float = 1.0) -> MetricGraph:
     return MetricGraph(1, [(0, 0, length)])
@@ -282,6 +280,8 @@ class GraphCover:
             raise ValueError(f"unknown norm {norm!r}")
         self.graph = graph
         self.norm = norm
+        self._table = None
+        self._radius = -1
 
     @property
     def deck_rank(self) -> int:
@@ -351,83 +351,71 @@ class GraphCover:
             (g.head(e), tuple(int(z) for z in head_sheet), g.length(e) - s, e),
         ]
 
-    def _sheet_box(self, anchors, radius: int):
-        sheets = np.array([a[1] for a in anchors], dtype=int)
-        lo = sheets.min(axis=0) - radius
-        hi = sheets.max(axis=0) + radius
-        return lo, hi
+    def _vertex_table(self, radius: int) -> np.ndarray:
+        """Cover distances D[u, w, *(z + radius)] from (u, sheet 0) to
+        (w, sheet z) for every sheet |z|inf <= radius, along paths that stay
+        in that sheet box.
 
-    def _dijkstra(self, sources, lo, hi, targets):
-        """Multi-source Dijkstra over (vertex, sheet) states inside a box.
-
-        Stops once every target state is settled; returns settled dists.
+        Built by one Dijkstra per base vertex over the box's (vertex,
+        sheet) states and kept until a query needs a larger box.  By deck
+        invariance the table answers every pair of vertex states whose
+        sheet difference lies in the box.
         """
+        if self._radius >= radius:
+            return self._table
         g = self.graph
-        dist = {}
-        todo = set(targets)
-        heap = []
-        for (v, sheet, offset, _) in sources:
-            state = (v, sheet)
-            if np.any(np.array(sheet) < lo) or np.any(np.array(sheet) > hi):
-                continue
-            if offset < dist.get(state, np.inf):
-                dist[state] = offset
-                heapq.heappush(heap, (offset, state))
-        settled = {}
-        while heap:
-            d, state = heapq.heappop(heap)
-            if state in settled:
-                continue
-            settled[state] = d
-            todo.discard(state)
-            if not todo:
-                break
-            v, sheet = state
-            sheet_arr = np.array(sheet, dtype=int)
-            for e, direction in g.incident[v]:
-                nxt_v = g.head(e) if direction == +1 else g.tail(e)
-                nxt_sheet = sheet_arr + direction * g.cocycles[e]
-                if np.any(nxt_sheet < lo) or np.any(nxt_sheet > hi):
-                    continue
-                nxt = (nxt_v, tuple(int(z) for z in nxt_sheet))
-                nd = d + g.length(e)
-                if nd < dist.get(nxt, np.inf):
-                    dist[nxt] = nd
-                    heapq.heappush(heap, (nd, nxt))
-        return settled
+        k = self.deck_rank
+        width = 2 * radius + 1
+        sheets = _grid([np.arange(-radius, radius + 1)] * k)
+        strides = width ** np.arange(k - 1, -1, -1)
+        n = sheets.shape[0]
+        rows, cols, weights = [], [], []
+        for e, (u, v, length) in enumerate(g.edges):
+            ahead = sheets + g.cocycles[e]
+            inside = np.all(np.abs(ahead) <= radius, axis=1)
+            rows.append(u * n + (sheets[inside] + radius) @ strides)
+            cols.append(v * n + (ahead[inside] + radius) @ strides)
+            weights.append(np.full(int(inside.sum()), length))
+        # no two edges join the same pair of states (a non-tree edge shifts
+        # the sheet by its own unit vector), so no weights are summed here
+        lifted = csr_matrix((np.concatenate(weights),
+                             (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(g.n_vertices * n,) * 2)
+        origin = int(np.full(k, radius) @ strides)
+        dist = dijkstra(lifted, directed=False,
+                        indices=np.arange(g.n_vertices) * n + origin)
+        self._table = dist.reshape((g.n_vertices,) * 2 + (width,) * k)
+        self._radius = radius
+        return self._table
 
     def distance(self, x: CoverPoint, y: CoverPoint) -> float:
-        if x == y:
-            return 0.0
-        g = self.graph
-        best_direct = np.inf
+        """Geodesic distance in the cover, read from the vertex table.
+
+        The distance is the direct path when both points lie on one edge
+        of one sheet, or else the cheapest offset + D + offset over the
+        endpoints through which the points are reached.  A path that leaves
+        the table's sheet box crosses at least radius + 1 non-tree edges,
+        so the value is exact once it is at most (radius + 1) * lmin;
+        otherwise the box doubles (cycle rank 0 has one sheet and is always
+        exact).  The first box is the query's own sheet span.
+        """
+        direct = np.inf
         if (x.base[0] == "e" and y.base[0] == "e"
                 and x.base[1] == y.base[1] and x.sheet == y.sheet):
-            best_direct = abs(x.base[2] - y.base[2])
-        src = self._attachments(y)
-        dst = self._attachments(x)
-        if self.deck_rank == 0:
-            lo = np.zeros(0, dtype=int)
-            settled = self._dijkstra(src, lo, lo, {(v, s) for v, s, _, _ in dst})
-            through = min((settled.get((v, s), np.inf) + off
-                           for v, s, off, _ in dst), default=np.inf)
-            return float(min(best_direct, through))
-
-        sheet_span = max(
-            int(np.max(np.abs(np.array(sy, dtype=int) - np.array(sx, dtype=int))))
-            for _, sy, _, _ in src for _, sx, _, _ in dst)
-        lmin = g.min_nontree_length()
-        min_cycle = max(g.min_cycle_length(), 1e-12)
-        radius = sheet_span + int(np.ceil(g.base_diameter() * self.deck_rank / min_cycle)) + 1
+            direct = abs(x.base[2] - y.base[2])
+        combos = [(vy, vx, oy, ox, [a - b for a, b in zip(sx, sy)])
+                  for vy, sy, oy, _ in self._attachments(y)
+                  for vx, sx, ox, _ in self._attachments(x)]
+        radius = max([1] + [abs(z) for *_, dz in combos for z in dz])
+        lmin = self.graph.min_nontree_length()
         for _ in range(10):
-            lo, hi = self._sheet_box(src + dst, radius)
-            settled = self._dijkstra(src, lo, hi, {(v, s) for v, s, _, _ in dst})
-            through = min((settled.get((v, s), np.inf) + off
-                           for v, s, off, _ in dst), default=np.inf)
-            d = min(best_direct, through)
-            # any competitor leaving the window crosses non-tree edges at
-            # least 2*radius times beyond what the window already allows
-            if d <= 2.0 * radius * lmin:
+            table = self._vertex_table(radius)
+            radius = self._radius
+            d = direct
+            for vy, vx, oy, ox, dz in combos:
+                key = (vy, vx) + tuple(z + radius for z in dz)
+                d = min(d, oy + table[key] + ox)
+            if not self.deck_rank or d <= (radius + 1) * lmin:
                 return float(d)
             radius *= 2
         raise WindowExhaustedError("cover distance window grew past its cap", radius)

@@ -113,6 +113,9 @@ def _set(path, value):
      "datum.matrix"),
     ("single_loop", _set("datum", {"family": "quadratic", "matrix": [["a"]]}),
      "datum.matrix"),
+    ("single_loop", _set("datum.constant", float("nan")), "datum.constant"),
+    ("single_loop", _set("experiment.ladder", [1.0, float("nan")]),
+     "experiment.ladder[1]"),
 ])
 def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
                                                  mutate, field):

@@ -4,6 +4,8 @@ import pytest
 from effham import homogenize
 from effham.action import InitialDatum
 from effham.homogenize import (
+    ExperimentReport,
+    ExperimentRow,
     Scenario,
     affine_datum_check,
     matching_bound,
@@ -51,6 +53,35 @@ def test_sandwich_violation_fails_the_report(circle, free1, monkeypatch):
     report = run_experiment(scenario, with_spaces=False)
     assert report.final_error < report.tolerance and report.monotone_ok
     assert not report.sandwich_ok
+    assert not report.passed
+
+
+def test_nan_error_reaches_final_error():
+    # max(0.0, nan) is 0.0, so folding rows with the builtin max would hide
+    # the NaN of the first row at eps 0.25
+    rows = [ExperimentRow(h=(0.0,), t=1.0, eps=eps, v_eps=0.0, u_limit=0.0,
+                          abs_error=err, match_error=0.0)
+            for eps, err in ((0.5, 0.1), (0.25, float("nan")), (0.25, 0.01))]
+    errs = ExperimentReport(scenario="nan", rows=rows).errors_by_eps()
+    assert [e for e, _ in errs] == [0.5, 0.25]
+    assert errs[0][1] == 0.1 and np.isnan(errs[1][1])
+
+
+def test_nan_cover_value_fails_the_report(circle, free1, monkeypatch):
+    solve = homogenize.lax_oleinik
+
+    def nan_value(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.value = float("nan")
+        return res
+
+    monkeypatch.setattr(homogenize, "lax_oleinik", nan_value)
+    scenario = Scenario(name="free-line", cover=circle, model=free1,
+                        datum=InitialDatum.affine([1.0], 0.25),
+                        eps_ladder=LADDER3, eval_points=(((1 / 3,), 1.0),),
+                        mesh=32, rate_rungs=3)
+    report = run_experiment(scenario, with_spaces=False)
+    assert np.isnan(report.final_error)
     assert not report.passed
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ from effham.topology import (
 
 TORUS2 = TorusCover(2)
 FIG8 = GraphCover(figure_eight(1.0, 1.0))
+FIG8_UNEQUAL = GraphCover(figure_eight(1.0, 0.37))
 LOOP2 = GraphCover(single_loop(2.0))
 
 sheets2 = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
@@ -84,6 +86,67 @@ def brute_force_loop_distance(windings, lengths, max_steps=5):
     return best
 
 
+def fig8_unequal_points():
+    def build(e, frac, z):
+        if e is None:
+            return FIG8_UNEQUAL.vertex_point(0, z)
+        return FIG8_UNEQUAL.edge_point(e, frac * FIG8_UNEQUAL.graph.length(e), z)
+    return st.builds(
+        build,
+        st.one_of(st.none(), st.integers(0, 1)),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _walk(windings, lengths):
+    return brute_force_loop_distance(windings, lengths, max_steps=6)
+
+
+def _walk_oracle(cover, x, y):
+    """Figure-eight distance from its walks: the direct path on a shared
+    edge, else an endpoint of each point's edge joined by the cheapest
+    walk between their sheets."""
+    lengths = tuple(cover.graph.lengths)
+
+    def ends(p):
+        if p.base[0] == "v":
+            return [(np.array(p.sheet), 0.0)]
+        _, e, s = p.base
+        return [(np.array(p.sheet), s),
+                (np.array(p.sheet) + cover.graph.cocycles[e], lengths[e] - s)]
+
+    best = np.inf
+    if (x.base[0] == "e" and y.base[0] == "e"
+            and x.base[1] == y.base[1] and x.sheet == y.sheet):
+        best = abs(x.base[2] - y.base[2])
+    for sx, ox in ends(x):
+        for sy, oy in ends(y):
+            best = min(best, ox + _walk(tuple(int(z) for z in sy - sx), lengths) + oy)
+    return best
+
+
+@settings(max_examples=60)
+@given(x=fig8_unequal_points(), y=fig8_unequal_points())
+def test_cover_distance_matches_walk_oracle_on_unequal_figure_eight(x, y):
+    assert FIG8_UNEQUAL.distance(x, y) == pytest.approx(
+        _walk_oracle(FIG8_UNEQUAL, x, y), abs=1e-12)
+
+
+def test_cover_distance_grows_its_table_for_a_far_pair():
+    fresh = GraphCover(figure_eight(1.0, 1.0))
+    grown = GraphCover(figure_eight(1.0, 1.0))
+    assert grown.distance(grown.vertex_point(0),
+                          grown.vertex_point(0, [40, -3])) == 43.0
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        e, f = (int(i) for i in rng.integers(0, 2, size=2))
+        x = fresh.edge_point(e, float(rng.random()), rng.integers(-2, 3, size=2))
+        y = fresh.edge_point(f, float(rng.random()), rng.integers(-2, 3, size=2))
+        assert grown.distance(x, y) == fresh.distance(x, y)
+
+
 def test_cover_distance_figure_eight_matches_walk_enumeration(fig8_cover):
     d = fig8_cover.distance(fig8_cover.vertex_point(0),
                             fig8_cover.vertex_point(0, [2, 1]))
@@ -106,6 +169,19 @@ def test_space_convergence_figure_eight(fig8_cover):
         assert 0.0 <= a <= eps * 1.0 + 1e-12
     assert report.a_slope_stable()
     assert report.covering_radius == sorted(report.covering_radius, reverse=True)
+
+
+def test_space_convergence_figure_eight_report_is_pinned():
+    # the exact report of a per-pair box Dijkstra, an independent route to
+    # the same distances
+    report = estimate_space_convergence(GraphCover(figure_eight(1.0, 1.0)),
+                                        [1, 0.5, 0.25, 0.125], seed=0)
+    assert report.fitted_k == 1.0
+    assert report.a_eps == [0.941375679606459, 0.4706878398032295,
+                            0.23534391990161474, 0.11767195995080737]
+    assert report.covering_radius == [0.42500000000000027, 0.21250000000000036,
+                                      0.10625000000000018, 0.05312500000000009]
+    assert report.n_pairs == 7127
 
 
 def test_space_convergence_loop_distance_inflation(loop2_cover):
