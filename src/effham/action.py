@@ -4,9 +4,11 @@ Three layers:
 
 * ``minimal_action_graph``/``minimal_action_torus``: the two-point
   action over a fixed horizon.  Graphs reduce exactly to finitely many
-  edge-traversal multisets, each priced by a closed-form time allocation
-  at a common energy; tori run a piecewise-linear trajectory descent with
-  analytic gradients and segment-doubling refinement.
+  edge-traversal multisets, kept per cover by their deck-invariant sheet
+  change and priced all at once by ``allocate_time``, the vectorised
+  shared-energy split that also gives graph beta in ``mather``; tori run
+  a piecewise-linear trajectory descent with analytic gradients and
+  segment-doubling refinement.
 * ``lax_oleinik``: the rescaled cover solution, an infimum of
   datum + eps * action over starting points, truncated to a certified
   window, seeded on a mesh and polished.
@@ -233,100 +235,113 @@ def datum_on_cover(cover, datum: InitialDatum, eps: float, bump=None):
 # graph actions: time allocation over traversal multisets
 
 
-def allocate_time(segments, total_time: float, rest_potential: float):
-    """Price a fixed multiset of (length, potential) runs over a horizon.
+# shared-energy Newton: a row has converged once its step is below this
+# share of sigma (the error after a step is at most 1.5 step^2 / sigma,
+# since |sigma * tau''| <= 3 tau'), and the cap past which a row is an error
+_SIGMA_RTOL = 1e-8
+_NEWTON_CAP = 100
 
-    All runs share one energy level E (the Lagrange multiplier of the
-    time constraint); resting pins E at -rest_potential and absorbs any
-    leftover horizon.  Returns (cost, energy, rest_time).
 
-    Internally the energy is handled as an offset s = E + min V above
-    the blow-up level, so brackets stay meaningful even when the root
-    sits within one ulp of the singular endpoint.
+def _travel(sig, lens, off2):
+    """(radicand 1 + 2 off sigma^2, lengths over its root, travel time) of
+    every row, with off2 twice the offsets."""
+    rad = off2 * (sig * sig)[:, None] + 1.0
+    per_sigma = lens / np.sqrt(rad)
+    return rad, per_sigma, per_sigma.sum(axis=1) * sig
+
+
+def allocate_time(lengths, potentials, total_time: float, rest):
+    """Price the shared-energy split of every row of run lengths at once.
+
+    Row i runs lengths[i, e] at potential potentials[e] (entries up to
+    1e-140 count as absent) within the horizon and may rest at rate
+    rest[i] for whatever time is left.  All runs of a row share one
+    energy level E, the Lagrange multiplier of the time constraint.  With
+    V0 the row's cheapest run potential, off_e = V_e - V0 and
+    sigma = 1/sqrt(2 (E + V0)), a run of length l takes
+    l * sigma / sqrt(1 + 2 off_e sigma^2) and costs
+    l * (sigma (V_e + off_e) + 1 / (2 sigma)) / sqrt(1 + 2 off_e sigma^2).
+
+    A rest rate below V0 pins E at -rest, which is the answer when the
+    runs then fit into the horizon.  Otherwise sigma is the root of
+    travel time = total_time.  Travel time is concave and increasing in
+    sigma and sigma0 = total_time / sum(l) sits left of the root, so
+    Newton's iterates rise monotonically to it.  Returns the costs (m,).
     """
     if total_time <= 0.0:
         raise ValueError("total_time must be positive")
-    segs = [(float(l), float(v)) for l, v in segments if l > 1e-140]
-    if not segs:
-        return rest_potential * total_time, -rest_potential, total_time
-    v_floor = min(v for _, v in segs)
-    v_rest = min(rest_potential, v_floor)
-    # per-segment gap above the cheapest potential; exact when equal
-    offs = [(l, v, max(0.0, v - v_floor)) for l, v in segs]
+    lens = np.atleast_2d(np.asarray(lengths, dtype=float))
+    pots = np.asarray(potentials, dtype=float)
+    rest = np.asarray(rest, dtype=float)
+    used = lens > 1e-140
+    lens = np.where(used, lens, 0.0)
+    moving = used.any(axis=1)
+    floor = np.where(moving, np.where(used, pots, np.inf).min(axis=1), 0.0)
+    off = np.where(used, pots - floor[:, None], 0.0)
+    off2 = off + off
+    v_rest = np.minimum(rest, floor)
 
-    def travel_time(s):
-        return sum(l / math.sqrt(2.0 * (off + s)) for l, _, off in offs)
+    gap = floor - v_rest
+    sig = 1.0 / np.sqrt(2.0 * np.where(gap > 0.0, gap, 0.5))
+    t_rest = _travel(sig, lens, off2)[2]
+    resting = moving & (gap > 0.0) & (t_rest <= total_time)
+    solve = np.flatnonzero(moving & ~resting)
+    if solve.size:
+        s_lens, s_off2 = lens[solve], off2[solve]
+        s_sig = total_time / s_lens.sum(axis=1)
+        for _ in range(_NEWTON_CAP):
+            rad, per_sigma, tau = _travel(s_sig, s_lens, s_off2)
+            step = (total_time - tau) / (per_sigma / rad).sum(axis=1)
+            # a step that rounding turns negative means the root is reached
+            s_sig += np.maximum(step, 0.0)
+            if (step <= _SIGMA_RTOL * s_sig).all():
+                break
+        else:
+            raise SolverError("time allocation did not converge")
+        sig[solve] = s_sig
 
-    def travel_cost(s):
-        out = 0.0
-        for l, v, off in offs:
-            u = off + s
-            out += l * (v + u) / math.sqrt(2.0 * u)
-        return out
-
-    s_rest = v_floor - v_rest
-    if s_rest > 0.0:
-        t_rest = travel_time(s_rest)
-        if t_rest <= total_time:
-            return (travel_cost(s_rest) + (total_time - t_rest) * v_rest,
-                    -v_rest, total_time - t_rest)
-
-    lo = 1.0
-    while travel_time(lo) < total_time:
-        lo /= 16.0
-        if lo < 1e-310:
-            raise SolverError("time allocation bracket underflowed")
-    hi = max(2.0 * lo, 1.0)
-    while travel_time(hi) > total_time:
-        hi *= 2.0
-        if hi > 1e18:
-            raise SolverError("time allocation bracket blew up")
-    # root can sit arbitrarily close to 0, so convergence must be relative;
-    # a bracket reaching down to 1e-310 takes over 1000 halvings to cross
-    s_star = optimize.brentq(lambda s: travel_time(s) - total_time, lo, hi,
-                             xtol=1e-300, rtol=8.9e-16, maxiter=2000)
-    return travel_cost(s_star), float(s_star - v_floor), 0.0
+    sig = sig[:, None]
+    run_cost = (lens * (sig * (pots + off) + 0.5 / sig)
+                / np.sqrt(off2 * (sig * sig) + 1.0)).sum(axis=1)
+    rest_cost = np.where(resting, (total_time - t_rest) * v_rest, 0.0)
+    return np.where(moving, run_cost + rest_cost, rest * total_time)
 
 
-def _tree_flow(graph, divergence: np.ndarray) -> dict:
-    """Unique flow on the spanning tree matching a divergence vector."""
-    parent = {0: None}
-    parent_edge = {}
+def _edge_flow(graph, nontree, source: int = 0, sink: int = 0) -> np.ndarray:
+    """Signed flow on every edge whose non-tree entries are ``nontree``
+    (in cocycle order) and whose net outflow is +1 at the source and -1
+    at the sink (nothing when they coincide); conservation fixes the
+    tree edges.
+
+    With source == sink this is the real circulation of homology rate
+    ``nontree``; otherwise it is the net traversal count of a walk from
+    source to sink that changes sheets by ``nontree``.
+    """
+    flow = np.zeros(len(graph.edges))
+    flow[graph.nontree_edges] = nontree
+    # outflow each vertex still has to send through the tree
+    carry = np.zeros(graph.n_vertices)
+    carry[source] += 1.0
+    carry[sink] -= 1.0
+    for e in graph.nontree_edges:
+        u, v, _ = graph.edges[e]
+        carry[u] -= flow[e]
+        carry[v] += flow[e]
+    parent_edge = {0: None}
     order = [0]
-    seen = {0}
     for u in order:
         for idx, direction in graph.incident[u]:
-            if not graph.tree_edge[idx]:
-                continue
             a, b, _ = graph.edges[idx]
             other = b if direction == +1 else a
-            if other not in seen:
-                seen.add(other)
-                parent[other] = u
+            if graph.tree_edge[idx] and other not in parent_edge:
                 parent_edge[other] = idx
                 order.append(other)
-    flows = {}
-    carry = {v: float(divergence[v]) for v in range(graph.n_vertices)}
-    for v in reversed(order):
-        if parent[v] is None:
-            continue
+    for v in reversed(order[1:]):
         e = parent_edge[v]
-        a, b, _ = graph.edges[e]
-        # flow out of the subtree rooted at v
-        flows[e] = carry[v] if a == v else -carry[v]
-        carry[parent[v]] += carry[v]
-    if abs(carry[0]) > 1e-9:
-        raise SolverError("tree flow divergence mismatch")
-    return flows
-
-
-def _edge_divergence(graph, edge_flows: dict) -> np.ndarray:
-    div = np.zeros(graph.n_vertices)
-    for e, m in edge_flows.items():
-        u, v, _ = graph.edges[e]
-        div[u] += m
-        div[v] -= m
-    return div
+        tail, head, _ = graph.edges[e]
+        flow[e] = carry[v] if tail == v else -carry[v]
+        carry[head if tail == v else tail] += carry[v]
+    return flow
 
 
 def _used_subgraph_connected(graph, counts, anchor: int) -> bool:
@@ -353,10 +368,40 @@ def _used_subgraph_connected(graph, counts, anchor: int) -> bool:
     return verts <= reached
 
 
-def _vertex_rest_rate(lagrangian: GraphLagrangian, v: int) -> float:
-    graph = lagrangian.graph
-    rates = [lagrangian.potentials[e] for e, _ in graph.incident[v]]
-    return min(rates)
+def _multisets(graph, va: int, vb: int, dz: tuple):
+    """Traversal multisets of walks from vertex va to vertex vb that change
+    sheets by dz, as (run lengths (n, |E|), visited vertices (n, |V|)).
+
+    Each is the net flow plus a bounded number of extra back-and-forth
+    pairs, kept when its edges form one connected walk through va.  By
+    deck invariance they depend on the sheets only through dz, so a cover
+    keeps one read-only build per key.
+    """
+    n_edges = len(graph.edges)
+    extra_cap = 3 if n_edges <= 4 else 2
+    m = _edge_flow(graph, dz, va, vb)
+    m_int = np.round(m).astype(int)
+    if np.max(np.abs(m - m_int)) > 1e-9:
+        raise SolverError("non-integral edge flow")
+    rows, visited = [], []
+    for extras in itertools.product(range(extra_cap + 1), repeat=n_edges):
+        if sum(extras) > extra_cap:
+            continue
+        counts = np.abs(m_int) + 2 * np.asarray(extras, dtype=int)
+        if not _used_subgraph_connected(graph, counts, va):
+            continue
+        if counts.sum() == 0 and va != vb:
+            continue
+        seen = np.zeros(graph.n_vertices, dtype=bool)
+        seen[[va, vb]] = True
+        for e in np.flatnonzero(counts):
+            seen[[graph.tail(e), graph.head(e)]] = True
+        rows.append(counts * graph.lengths)
+        visited.append(seen)
+    out = np.array(rows).reshape(-1, n_edges), np.array(visited)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
@@ -364,73 +409,47 @@ def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
     """Exact two-point action on a graph cover.
 
     The action of a path depends on its edge-traversal multiset only, so
-    the infimum is a finite minimum: net traversals are forced by the
-    sheet change (non-tree edges) and endpoint balance (tree edges), and
-    a bounded number of extra back-and-forth pairs covers detours to
-    cheaper ground.  Each multiset is priced by ``allocate_time`` with
-    resting allowed at the cheapest reachable potential.
+    the infimum is a finite minimum over the ``_multisets`` of every pair
+    of endpoints through which y and x are reached, with their partial
+    edges added to their own edge's run (same potential, so the same
+    travel time and cost), plus the direct path when both lie on one edge
+    of one sheet.  Each multiset may rest at the cheapest vertex it
+    visits; every run touches such a vertex, so no run potential is
+    cheaper.  All rows are priced by one ``allocate_time`` call.
     """
     graph = cover.graph
-    extra_cap = 3 if len(graph.edges) <= 4 else 2
     pots = lagrangian.potentials
-    best = math.inf
+    vertex_rate = np.array([min(pots[e] for e, _ in graph.incident[v])
+                            for v in range(graph.n_vertices)])
+    lengths, rests = [], []
 
     # direct within-edge candidate (never touches a vertex)
     if (y.base[0] == "e" and x.base[0] == "e" and y.base[1] == x.base[1]
             and y.sheet == x.sheet):
         e = y.base[1]
-        best, _, _ = allocate_time([(abs(x.base[2] - y.base[2]), pots[e])],
-                                   horizon, pots[e])
+        row = np.zeros((1, len(graph.edges)))
+        row[0, e] = abs(x.base[2] - y.base[2])
+        lengths.append(row)
+        rests.append([pots[e]])
 
-    r_ranges = [range(extra_cap + 1)] * len(graph.edges)
     for (va, za, off_y, e_y) in cover._attachments(y):
         for (vb, zb, off_x, e_x) in cover._attachments(x):
-            net = np.subtract(zb, za)
-            flows = {e: float(net[j]) for j, e in enumerate(graph.nontree_edges)}
-            target_div = np.zeros(graph.n_vertices)
-            target_div[va] += 1.0
-            target_div[vb] -= 1.0
-            residual = target_div - _edge_divergence(graph, flows)
-            flows.update(_tree_flow(graph, residual))
-            m = np.zeros(len(graph.edges))
-            for e, val in flows.items():
-                m[e] = val
-            m_int = np.round(m).astype(int)
-            if np.max(np.abs(m - m_int)) > 1e-9:
-                raise SolverError("non-integral edge flow")
-            partials = []
-            if off_y > 0.0:
-                partials.append((off_y, pots[e_y]))
-            if off_x > 0.0:
-                partials.append((off_x, pots[e_x]))
-            for extras in itertools.product(*r_ranges):
-                if sum(extras) > extra_cap:
-                    continue
-                counts = np.abs(m_int) + 2 * np.asarray(extras, dtype=int)
-                if not _used_subgraph_connected(graph, counts, va):
-                    continue
-                if counts.sum() == 0 and va != vb:
-                    continue
-                segments = list(partials)
-                rest_pool = []
-                for e, c in enumerate(counts):
-                    if c > 0:
-                        segments.append((c * graph.length(e), pots[e]))
-                        rest_pool.append(pots[e])
-                visited = {va, vb}
-                for e, c in enumerate(counts):
-                    if c > 0:
-                        visited.add(graph.tail(e))
-                        visited.add(graph.head(e))
-                rest_pool.extend(_vertex_rest_rate(lagrangian, v) for v in visited)
-                rest_pool.extend(v for _, v in partials)
-                rest = min(rest_pool)
-                cost, _, _ = allocate_time(segments, horizon, rest)
-                if cost < best:
-                    best = cost
-    if not math.isfinite(best):
+            dz = tuple(int(b - a) for a, b in zip(za, zb))
+            if (va, vb, dz) not in cover._multisets:
+                cover._multisets[va, vb, dz] = _multisets(graph, va, vb, dz)
+            runs, visited = cover._multisets[va, vb, dz]
+            runs = runs.copy()
+            if e_y is not None:
+                runs[:, e_y] += off_y
+            if e_x is not None:
+                runs[:, e_x] += off_x
+            lengths.append(runs)
+            rests.append(np.where(visited, vertex_rate, np.inf).min(axis=1))
+    costs = allocate_time(np.concatenate(lengths), pots, horizon,
+                          np.concatenate(rests))
+    if not costs.size:
         raise SolverError("no feasible traversal multiset found")
-    return best
+    return float(np.min(costs))
 
 
 # ---------------------------------------------------------------------------

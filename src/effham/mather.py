@@ -7,7 +7,8 @@ The convex pair at the heart of the limit problem:
   threshold bisection and on tori by a discretized minimax (with an
   exact quadrature route in one dimension).
 * ``beta_*``: the minimal average action over circulations with a
-  prescribed homology rate; convex dual of alpha.
+  prescribed homology rate; convex dual of alpha.  On graphs the rate
+  fixes its real circulation, so beta is one ``allocate_time`` row.
 * subcover variants (``beta_hat``, ``effective_hamiltonian_subcover``)
   and the long-horizon check that two-point action rates approach beta.
 
@@ -27,73 +28,10 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import logsumexp
 
-from .action import _golden_min, _reach, allocate_time, norm_ratio
+from .action import _edge_flow, _golden_min, _reach, allocate_time, norm_ratio
 from .errors import SolverError
 from .model import GraphLagrangian, TorusHamiltonian, _torus_grid
 from .topology import SubcoverMap, _ball_nodes, _grid, norm_value
-
-
-@dataclass(frozen=True)
-class DirectedCycle:
-    """Simple cycle as a dart sequence, with aggregates used by solvers."""
-
-    darts: tuple          # ((edge, direction), ...)
-    homology: tuple       # integer vector
-    length: float
-    edge_counts: tuple    # traversals per edge, direction-blind
-
-
-def simple_cycles(graph) -> list:
-    """All directed simple cycles, both orientations, at dart level.
-
-    Includes one-dart self-loop cycles and two-dart back-and-forth pairs
-    on a single edge, so nonnegative conservative flows decompose over
-    this set.
-    """
-    cycles = []
-    seen = set()
-    n = graph.n_vertices
-
-    def extend(start, current, path, visited):
-        for e, direction in graph.incident[current]:
-            u, v = graph.tail(e), graph.head(e)
-            nxt = v if direction == +1 else u
-            if nxt == start and path:
-                darts = tuple(path + [(e, direction)])
-                if darts not in seen:
-                    seen.add(darts)
-                    cycles.append(darts)
-                continue
-            if u == v:
-                # self-loop is a cycle on its own, handled by nxt == start
-                if not path:
-                    darts = ((e, direction),)
-                    if darts not in seen:
-                        seen.add(darts)
-                        cycles.append(darts)
-                continue
-            if nxt in visited or nxt < start:
-                continue
-            extend(start, nxt, path + [(e, direction)], visited | {nxt})
-
-    for v0 in range(n):
-        extend(v0, v0, [], {v0})
-
-    out = []
-    for darts in cycles:
-        hom = np.zeros(graph.cycle_rank, dtype=int)
-        counts = np.zeros(len(graph.edges), dtype=int)
-        length = 0.0
-        for e, direction in darts:
-            hom += direction * graph.cocycles[e]
-            counts[e] += 1
-            length += graph.length(e)
-        out.append(DirectedCycle(darts=darts,
-                                 homology=tuple(int(z) for z in hom),
-                                 length=length,
-                                 edge_counts=tuple(int(c) for c in counts)))
-    out.sort(key=lambda c: (len(c.darts), c.darts))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,88 +96,23 @@ def alpha_graph(graph, lagrangian: GraphLagrangian, p, tol: float = 1e-9) -> flo
 
 
 # ---------------------------------------------------------------------------
-# beta on graphs: circulation program over the cycle basis
-
-
-def _circulation_cost(graph, lagrangian, edge_rates, rest: float) -> float:
-    segments = [(edge_rates[e] * graph.length(e), lagrangian.potentials[e])
-                for e in range(len(graph.edges)) if edge_rates[e] > 1e-14]
-    return allocate_time(segments, 1.0, rest)[0]
+# beta on graphs: one allocation over the circulation of the rate
 
 
 def beta_graph(graph, lagrangian: GraphLagrangian, h) -> float:
     """Minimal average action rate among circulations of homology rate h.
 
-    Weights on directed simple cycles give every conservative flow; the
-    time split across edges is priced by the shared-energy allocation,
-    with resting allowed at the cheapest potential on the graph.
-    Coordinate descent over flow-preserving directions refines a linear
-    programming warm start; a sequential quadratic polish guards against
-    boundary stalls.
+    The rate fixes its real circulation f(h) (``_edge_flow``): the
+    non-tree edges carry h and conservation fixes the tree edges.  Any
+    other flow of rate h adds back-and-forth traversals, and the
+    shared-energy cost grows with every run length, so beta(h) is one
+    allocation of unit time over the runs |f_e(h)| * len_e, resting at
+    the cheapest potential on the graph (the network setting of
+    Siconolfi and Sorrentino, Anal. PDE 2018).
     """
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    cycles = simple_cycles(graph)
-    rest = lagrangian.min_potential()
-    k = graph.cycle_rank
-    if k == 0 or not cycles:
-        if norm_value(h, "linf") > 1e-12:
-            raise SolverError("nonzero homology rate on a tree")
-        return _circulation_cost(graph, lagrangian, np.zeros(len(graph.edges)),
-                                 rest)
-
-    z_mat = np.array([c.homology for c in cycles], dtype=float).T  # (k, nc)
-    count_mat = np.array([c.edge_counts for c in cycles], dtype=float).T  # (ne, nc)
-    nc = len(cycles)
-
-    def cost_of(w):
-        rates = count_mat @ np.maximum(w, 0.0)
-        return _circulation_cost(graph, lagrangian, rates, rest)
-
-    lp = optimize.linprog(c=np.array([c.length for c in cycles]),
-                          A_eq=z_mat, b_eq=h, bounds=[(0, None)] * nc,
-                          method="highs")
-    if not lp.success:
-        raise SolverError(f"no circulation with rate {h.tolist()}")
-    w = np.maximum(lp.x, 0.0)
-
-    from scipy.linalg import null_space
-    directions = [col for col in null_space(z_mat).T]
-    best = cost_of(w)
-    for _ in range(60):
-        improved = False
-        for d in directions:
-            # feasible step range keeping w >= 0
-            lo_t, hi_t = -math.inf, math.inf
-            for i in range(nc):
-                if d[i] > 1e-14:
-                    lo_t = max(lo_t, -w[i] / d[i])
-                elif d[i] < -1e-14:
-                    hi_t = min(hi_t, -w[i] / d[i])
-            if not (lo_t < hi_t):
-                continue
-            span = min(hi_t, 1e3) - max(lo_t, -1e3)
-            if span <= 1e-14:
-                continue
-            theta, cand = _golden_min(lambda s: cost_of(w + s * d),
-                                      max(lo_t, -1e3), min(hi_t, 1e3), 1e-11)
-            if cand < best - 1e-13:
-                w = np.maximum(w + theta * d, 0.0)
-                best = cand
-                improved = True
-        if not improved:
-            break
-
-    res = optimize.minimize(
-        cost_of, w, method="SLSQP",
-        bounds=[(0, None)] * nc,
-        constraints=[{"type": "eq", "fun": lambda ww: z_mat @ ww - h}],
-        options={"maxiter": 200, "ftol": 1e-14})
-    if res.success and res.fun < best - 1e-12:
-        feas = np.max(np.abs(z_mat @ res.x - h))
-        if feas < 1e-9:
-            w, best = np.maximum(res.x, 0.0), float(res.fun)
-
-    return best
+    runs = np.abs(_edge_flow(graph, np.asarray(h, dtype=float))) * graph.lengths
+    return float(allocate_time(runs, lagrangian.potentials, 1.0,
+                               lagrangian.min_potential())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +289,7 @@ class AnalyticQuadraticBeta:
 
 
 class DirectBetaEvaluator:
-    """Per-query graph beta with memoization; exact within solver tol."""
+    """Per-query graph beta with memoization; exact to rounding."""
 
     norm = "l1"
 

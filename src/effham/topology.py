@@ -11,10 +11,11 @@ problem at scale eps reads points through eps * g_map.  Distances
 (``distance``) are geodesic in the lifted metric: exact Euclidean for
 tori.  For graphs they are read from one table per cover, built lazily:
 by deck invariance, d(x + z, y + z) = d(x, y), so the distances from each
-vertex on sheet 0 to every vertex of a sheet box |z|inf <= R answer every
-pair.  A value is certified exact when it is at most (R + 1) * lmin (a
-path leaving the box crosses R + 1 non-tree edges); otherwise R doubles
-and the table is rebuilt.
+vertex on sheet 0 to every vertex of a sheet box |z_j| <= R_j answer
+every pair.  A value is certified exact when it is at most (R_j + 1) * l_j
+on every axis j, with l_j the length of the j-th non-tree edge (a path
+leaving the box crosses that edge R_j + 1 times for some j); otherwise
+the short axes grow and the table is rebuilt.
 
 Surjections of the deck group onto Z^l ("subcover maps") are integer
 matrices validated through their Smith normal form.  An intermediate
@@ -281,7 +282,10 @@ class GraphCover:
         self.graph = graph
         self.norm = norm
         self._table = None
-        self._radius = -1
+        self._radii = None
+        # traversal multisets by (start vertex, end vertex, sheet change),
+        # filled by action.minimal_action_graph
+        self._multisets = {}
 
     @property
     def deck_rank(self) -> int:
@@ -351,41 +355,44 @@ class GraphCover:
             (g.head(e), tuple(int(z) for z in head_sheet), g.length(e) - s, e),
         ]
 
-    def _vertex_table(self, radius: int) -> np.ndarray:
-        """Cover distances D[u, w, *(z + radius)] from (u, sheet 0) to
-        (w, sheet z) for every sheet |z|inf <= radius, along paths that stay
-        in that sheet box.
+    def _vertex_table(self, radii) -> np.ndarray:
+        """Cover distances D[u, w, *(z + radii)] from (u, sheet 0) to
+        (w, sheet z) for every sheet with |z_j| <= radii[j], along paths
+        that stay in that sheet box.
 
         Built by one Dijkstra per base vertex over the box's (vertex,
-        sheet) states and kept until a query needs a larger box.  By deck
-        invariance the table answers every pair of vertex states whose
-        sheet difference lies in the box.
+        sheet) states and kept, grown axis by axis, until a query needs a
+        wider box.  By deck invariance the table answers every pair of
+        vertex states whose sheet difference lies in the box.
         """
-        if self._radius >= radius:
-            return self._table
+        if self._radii is not None:
+            radii = tuple(max(r, old) for r, old in zip(radii, self._radii))
+            if radii == self._radii:
+                return self._table
         g = self.graph
-        k = self.deck_rank
-        width = 2 * radius + 1
-        sheets = _grid([np.arange(-radius, radius + 1)] * k)
-        strides = width ** np.arange(k - 1, -1, -1)
+        box = np.array(radii, dtype=int)
+        widths = 2 * box + 1
+        sheets = _grid([np.arange(-r, r + 1) for r in radii])
+        strides = np.array([int(np.prod(widths[j + 1:]))
+                            for j in range(self.deck_rank)], dtype=int)
         n = sheets.shape[0]
         rows, cols, weights = [], [], []
         for e, (u, v, length) in enumerate(g.edges):
             ahead = sheets + g.cocycles[e]
-            inside = np.all(np.abs(ahead) <= radius, axis=1)
-            rows.append(u * n + (sheets[inside] + radius) @ strides)
-            cols.append(v * n + (ahead[inside] + radius) @ strides)
+            inside = np.all(np.abs(ahead) <= box, axis=1)
+            rows.append(u * n + (sheets[inside] + box) @ strides)
+            cols.append(v * n + (ahead[inside] + box) @ strides)
             weights.append(np.full(int(inside.sum()), length))
         # no two edges join the same pair of states (a non-tree edge shifts
         # the sheet by its own unit vector), so no weights are summed here
         lifted = csr_matrix((np.concatenate(weights),
                              (np.concatenate(rows), np.concatenate(cols))),
                             shape=(g.n_vertices * n,) * 2)
-        origin = int(np.full(k, radius) @ strides)
+        origin = int(box @ strides)
         dist = dijkstra(lifted, directed=False,
                         indices=np.arange(g.n_vertices) * n + origin)
-        self._table = dist.reshape((g.n_vertices,) * 2 + (width,) * k)
-        self._radius = radius
+        self._table = dist.reshape((g.n_vertices,) * 2 + tuple(widths))
+        self._radii = radii
         return self._table
 
     def distance(self, x: CoverPoint, y: CoverPoint) -> float:
@@ -394,10 +401,12 @@ class GraphCover:
         The distance is the direct path when both points lie on one edge
         of one sheet, or else the cheapest offset + D + offset over the
         endpoints through which the points are reached.  A path that leaves
-        the table's sheet box crosses at least radius + 1 non-tree edges,
-        so the value is exact once it is at most (radius + 1) * lmin;
-        otherwise the box doubles (cycle rank 0 has one sheet and is always
-        exact).  The first box is the query's own sheet span.
+        the table's sheet box crosses the j-th non-tree edge at least
+        R_j + 1 times for some axis j, so the value is exact once it is at
+        most (R_j + 1) * l_j on every axis (cycle rank 0 has one sheet and
+        is always exact).  The first box is the query's own sheet span on
+        every axis; an axis that does not certify the value grows to
+        max(2 R_j, ceil(value / l_j) - 1), which certifies it.
         """
         direct = np.inf
         if (x.base[0] == "e" and y.base[0] == "e"
@@ -406,19 +415,23 @@ class GraphCover:
         combos = [(vy, vx, oy, ox, [a - b for a, b in zip(sx, sy)])
                   for vy, sy, oy, _ in self._attachments(y)
                   for vx, sx, ox, _ in self._attachments(x)]
-        radius = max([1] + [abs(z) for *_, dz in combos for z in dz])
-        lmin = self.graph.min_nontree_length()
+        span = max([1] + [abs(z) for *_, dz in combos for z in dz])
+        radii = (span,) * self.deck_rank
+        lengths = [self.graph.length(e) for e in self.graph.nontree_edges]
         for _ in range(10):
-            table = self._vertex_table(radius)
-            radius = self._radius
+            table = self._vertex_table(radii)
+            radii = self._radii
             d = direct
             for vy, vx, oy, ox, dz in combos:
-                key = (vy, vx) + tuple(z + radius for z in dz)
+                key = (vy, vx) + tuple(z + r for z, r in zip(dz, radii))
                 d = min(d, oy + table[key] + ox)
-            if not self.deck_rank or d <= (radius + 1) * lmin:
+            if all((r + 1) * l >= d for r, l in zip(radii, lengths)):
                 return float(d)
-            radius *= 2
-        raise WindowExhaustedError("cover distance window grew past its cap", radius)
+            radii = tuple(r if (r + 1) * l >= d
+                          else max(2 * r, math.ceil(d / l) - 1)
+                          for r, l in zip(radii, lengths))
+        raise WindowExhaustedError("cover distance window grew past its cap",
+                                   max(radii))
 
 
 def match_point(cover, h, eps: float, mesh: int = 64, sub=None):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy import optimize
 
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
 from effham.topology import GraphCover, MetricGraph, TorusCover, figure_eight, single_loop
@@ -11,6 +14,42 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("effham")
+
+
+def allocate_time_oracle(segments, total_time: float, rest: float) -> float:
+    """Scalar reference for ``action.allocate_time``: the shared-energy
+    cost of (length, potential) runs, by a bracketed ``brentq`` root of
+    travel time = horizon in the energy offset s = E + min V.
+
+    Resting at a rate below every run pins s at the gap when the runs
+    then fit into the horizon; runs up to 1e-140 long count as absent.
+    """
+    runs = [(float(l), float(v)) for l, v in segments if l > 1e-140]
+    if not runs:
+        return rest * total_time
+    v_floor = min(v for _, v in runs)
+    v_rest = min(rest, v_floor)
+
+    def travel_time(s):
+        return sum(l / math.sqrt(2.0 * (v - v_floor + s)) for l, v in runs)
+
+    def travel_cost(s):
+        return sum(l * (2.0 * v - v_floor + s) / math.sqrt(2.0 * (v - v_floor + s))
+                   for l, v in runs)
+
+    s_rest = v_floor - v_rest
+    if s_rest > 0.0 and travel_time(s_rest) <= total_time:
+        return travel_cost(s_rest) + (total_time - travel_time(s_rest)) * v_rest
+    lo = 1.0
+    while travel_time(lo) < total_time:
+        lo /= 16.0
+    hi = max(2.0 * lo, 1.0)
+    while travel_time(hi) > total_time:
+        hi *= 2.0
+    # the root can sit within an ulp of 0, so convergence is relative
+    s_star = optimize.brentq(lambda s: travel_time(s) - total_time, lo, hi,
+                             xtol=1e-300, rtol=8.9e-16, maxiter=2000)
+    return travel_cost(s_star)
 
 
 def make_pendulum() -> TorusHamiltonian:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,19 +9,63 @@ from scipy import integrate, optimize
 
 from effham.action import (
     InitialDatum,
+    allocate_time,
     hopf_lax,
     lax_oleinik,
     minimal_action_graph,
     minimal_action_torus,
 )
 from effham.mather import AnalyticQuadraticBeta, DirectBetaEvaluator
-from effham.topology import norm_value
+from effham.model import GraphLagrangian
+from effham.topology import GraphCover, MetricGraph, norm_value
+from tests.conftest import allocate_time_oracle
 
 
 def test_free_straight_line_action(free1):
     # constant-speed segment: (3/2)^2 / 2 * 2
     got = minimal_action_torus(free1, [0.0], [3.0], 2.0)
     assert got == pytest.approx(2.25, abs=1e-9)
+
+
+_RUN_LENGTHS = (1e-139, 1e-103, 1e-20, 1e-8, 1e-3, 0.1, 1.0, 3.0)
+_RUN_POTENTIALS = np.array([0.2, -0.1, 0.4])
+
+
+@pytest.mark.parametrize("horizon", [1e-3, 0.1, 1.0, 10.0, 1e3])
+@pytest.mark.parametrize("rest", [10.0, -0.5])
+def test_batched_allocation_matches_scalar_oracle(horizon, rest):
+    # every row of one to three runs over the length sweep, priced in one
+    # call; rest -0.5 is cheaper than every run, rest 10 never pays
+    rows = []
+    for k in (1, 2, 3):
+        for combo in itertools.product(_RUN_LENGTHS, repeat=k):
+            rows.append(list(combo) + [0.0] * (3 - k))
+    rows = np.array(rows)
+    got = allocate_time(rows, _RUN_POTENTIALS, horizon, np.full(len(rows), rest))
+    for row, cost in zip(rows, got):
+        expect = allocate_time_oracle(zip(row, _RUN_POTENTIALS), horizon, rest)
+        # the potential part of a cost is at most horizon * max |V|, so
+        # that is the size of the terms that cancel in a cost near zero
+        scale = abs(expect) + horizon * float(np.max(np.abs(_RUN_POTENTIALS)))
+        assert abs(cost - expect) <= 1e-13 * scale
+
+
+def test_detour_to_cheaper_ground_wins():
+    # a loop at vertex 0 and a path 0-1-2 whose edge (1, 2) is cheapest:
+    # staying at vertex 0 for the horizon costs 0.3 * 100 = 30, walking
+    # edge (0, 1) there and back to rest at vertex 1's rate -0.6 far less
+    graph = MetricGraph(3, [(0, 0, 1.0), (0, 1, 0.5), (1, 2, 0.4)])
+    lagrangian = GraphLagrangian(graph, [0.5, 0.3, -0.6])
+    cover = GraphCover(graph)
+    x = cover.vertex_point(0)
+    got = minimal_action_graph(lagrangian, cover, x, x, 100.0)
+    expect = allocate_time_oracle([(2 * 0.5, 0.3)], 100.0, -0.6)
+    assert got == pytest.approx(expect, rel=1e-12)
+    assert got < 0.0
+    # to vertex 2 the tree path is forced, and it ends on the cheap edge
+    got = minimal_action_graph(lagrangian, cover, x, cover.vertex_point(2), 100.0)
+    expect = allocate_time_oracle([(0.5, 0.3), (0.4, -0.6)], 100.0, -0.6)
+    assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_loop_two_circuits_matches_time_allocation(loop2_cover, loop2_lag):

@@ -18,8 +18,9 @@ from effham.mather import (
     mean_action_check,
 )
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
-from effham.topology import GraphCover, SubcoverMap, TorusCover, figure_eight
-from tests.conftest import make_pendulum
+from effham.topology import (GraphCover, MetricGraph, SubcoverMap, TorusCover,
+                             figure_eight)
+from tests.conftest import allocate_time_oracle, make_pendulum
 
 FIG8 = figure_eight(1.0, 1.0)
 FIG8_LAG = GraphLagrangian(FIG8, [0.3, -0.2])
@@ -163,6 +164,18 @@ def test_minimax_agrees_with_quadrature(pendulum, p_val):
 def test_beta_loop_closed_form(loop2, loop2_lag, h_val):
     got = beta_graph(loop2, loop2_lag, [h_val])
     assert got == pytest.approx(2.0 * h_val**2 + 0.5, abs=1e-9)
+
+
+def test_beta_keeps_a_low_rate_traversal():
+    # theta graph: edge 0 is the spanning tree, edges 1 and 2 carry the
+    # rate, and conservation at vertex 0 sends -(h1 + h2) through edge 0
+    theta = MetricGraph(2, [(0, 1, 1.0), (0, 1, 0.7), (0, 1, 1.3)])
+    lagrangian = GraphLagrangian(theta, [0.2, -0.1, 0.4])
+    h1, h2 = 0.5, 1e-8
+    expect = allocate_time_oracle(
+        [((h1 + h2) * 1.0, 0.2), (h1 * 0.7, -0.1), (h2 * 1.3, 0.4)], 1.0, -0.1)
+    assert beta_graph(theta, lagrangian, [h1, h2]) == pytest.approx(expect,
+                                                                  abs=1e-12)
 
 
 def test_beta_even(fig8, fig8_lag):

@@ -147,6 +147,15 @@ def test_cover_distance_grows_its_table_for_a_far_pair():
         assert grown.distance(x, y) == fresh.distance(x, y)
 
 
+def test_cover_distance_box_grows_per_axis():
+    # the far pair walks 40 long loops and 3 short ones; only the short
+    # loop's axis needs a wide box to certify 40.3
+    cover = GraphCover(figure_eight(1.0, 0.1))
+    d = cover.distance(cover.vertex_point(0), cover.vertex_point(0, [40, -3]))
+    assert d == pytest.approx(40.3, abs=1e-12)
+    assert cover._table.size <= 100_000
+
+
 def test_cover_distance_figure_eight_matches_walk_enumeration(fig8_cover):
     d = fig8_cover.distance(fig8_cover.vertex_point(0),
                             fig8_cover.vertex_point(0, [2, 1]))
