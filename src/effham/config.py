@@ -2,7 +2,9 @@
 
 A config file has six blocks: ``system``, ``cover``, ``datum``,
 ``experiment``, ``compute``, ``output``.  Validation failures carry the
-dotted path of the offending field so batch logs stay actionable.
+dotted path of the offending field so batch logs stay actionable.  The
+system's (alpha, beta) evaluator is picked at load, so a system the
+package has no exact pair for is rejected here too.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class ScenarioConfig:
     seed: int
     mesh: int
     rate_rungs: int
+    evaluator: object
     p_grid: dict = field(default_factory=dict)
     w_grid: dict = field(default_factory=dict)
     out_dir: str = "out"
@@ -88,7 +91,8 @@ class ScenarioConfig:
                         seed=self.seed)
 
     def beta_evaluator(self):
-        return default_beta_evaluator(self.cover, self.model)
+        """The system's (alpha, beta) evaluator, picked at load."""
+        return self.evaluator
 
 
 def _parse_trig(terms, n: int, path: str) -> TrigPolynomial:
@@ -271,6 +275,7 @@ def load_config(path: str) -> ScenarioConfig:
         cover, model = _build_graph(system, norm)
     else:
         raise ConfigError("system.family", f"unknown family {family!r}")
+    evaluator = default_beta_evaluator(cover, model)
 
     subcover = None
     sub_mat = _optional(cover_cfg, "subcover")
@@ -350,5 +355,6 @@ def load_config(path: str) -> ScenarioConfig:
         name=name, cover=cover, model=model, datum=datum, bump=bump,
         subcover=subcover, eps_ladder=ladder, eval_points=tuple(points),
         tolerance=tolerance, seed=seed, mesh=mesh, rate_rungs=rate_rungs,
+        evaluator=evaluator,
         p_grid=_grid_block("p_grid", 1.0), w_grid=_grid_block("w_grid", 1.0),
         out_dir=str(_optional(output, "dir", "out")))

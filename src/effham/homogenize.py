@@ -23,7 +23,7 @@ import numpy as np
 # unused minimal_action_graph: perfbench/test_perfbench.py expects the binding
 from .action import (InitialDatum, hopf_lax, lax_oleinik, minimal_action_graph,
                      norm_ratio)
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 from .mather import (AnalyticQuadraticBeta, BetaHatEvaluator,
                      DirectBetaEvaluator, LegendreDual, MechanicalBeta1D,
                      alpha_graph, effective_hamiltonian_subcover)
@@ -35,22 +35,26 @@ def _is_constant(trig) -> bool:
 
 
 def default_beta_evaluator(cover, model):
-    """Rate-cost evaluator matched to the scenario family.
+    """The exact (alpha, beta) pair of the scenario's system family.
 
-    Graphs get the exact per-query solver; one-dimensional torus systems
-    get the energy-parametrized closed form; constant-coefficient free
-    systems in any dimension get the analytic quadratic.
+    Graphs get the per-query graph solvers; constant-coefficient free
+    systems in any dimension get the two quadratic forms; other circle
+    systems get the energy quadrature.  Any other torus system has no
+    exact pair, and this test is the one that rejects it at config load
+    (ConfigError on the field that breaks the free form).
     """
     if cover.family == "graph":
         return DirectBetaEvaluator(cover.graph, model)
-    free_like = (_is_constant(model.v) and model.v.mean() == 0.0
-                 and all(_is_constant(a) for a in model.a_entries))
-    if free_like:
+    free_potential = _is_constant(model.v) and model.v.mean() == 0.0
+    constant_kinetic = all(_is_constant(a) for a in model.a_entries)
+    if free_potential and constant_kinetic:
         return AnalyticQuadraticBeta(model.kinetic_matrix(np.zeros(model.n)))
     if model.n == 1:
         return MechanicalBeta1D(model)
-    raise SolverError("no built-in rate evaluator for this system; "
-                      "pass beta_eval explicitly")
+    raise ConfigError("system.kinetic" if free_potential else "system.potential",
+                      "a two-dimensional torus needs a constant kinetic "
+                      "matrix and no potential: no exact (alpha, beta) pair "
+                      "is built in for other systems")
 
 
 def matching_bound(cover, eps: float, mesh: int) -> float:

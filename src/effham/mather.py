@@ -4,18 +4,22 @@ The convex pair at the heart of the limit problem:
 
 * ``alpha_*``: the effective Hamiltonian (critical energy as a function
   of a cohomology vector), computed on graphs by a negative-cycle
-  threshold bisection and on tori by a discretized minimax (with an
-  exact quadrature route in one dimension).
+  threshold bisection and on the circle by an energy quadrature.
 * ``beta_*``: the minimal average action over circulations with a
   prescribed homology rate; convex dual of alpha.  On graphs the rate
   fixes its real circulation, so beta is one ``allocate_time`` row.
 * subcover variants (``beta_hat``, ``effective_hamiltonian_subcover``)
   and the long-horizon check that two-point action rates approach beta.
 
-Evaluator objects bundle a value function with a certified quadratic
-lower bound (coercivity) so downstream solvers can truncate searches.
-``LegendreDual`` is the one Legendre transform: it takes the conjugate
-of any of them (or of alpha) point by point.
+Evaluator objects carry one exact (alpha, beta) pair of a system family:
+``value`` is beta, ``alpha`` its dual, and ``coercivity`` a certified
+quadratic lower bound on beta so downstream solvers can truncate
+searches.  Graphs pair ``alpha_graph`` with ``beta_graph``, free tori
+the two quadratic forms of A and its inverse, and the circle
+``alpha_torus_quadrature`` with the energy profile of
+``MechanicalBeta1D``.  ``LegendreDual`` is the one Legendre transform;
+the subcover dual check compares the pulled-back alpha with the
+conjugate of beta-hat through it.
 """
 
 from __future__ import annotations
@@ -26,11 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.special import logsumexp
 
 from .action import _edge_flow, _golden_min, _reach, allocate_time, norm_ratio
 from .errors import SolverError
-from .model import GraphLagrangian, TorusHamiltonian, _torus_grid
+from .model import GraphLagrangian, TorusHamiltonian
 from .topology import SubcoverMap, _ball_nodes, _grid, norm_value
 
 
@@ -116,103 +119,7 @@ def beta_graph(graph, lagrangian: GraphLagrangian, h) -> float:
 
 
 # ---------------------------------------------------------------------------
-# alpha on tori: discretized minimax
-
-
-@dataclass
-class MinimaxReport:
-    value: float
-    converged: bool
-    lower_bound: float
-    mesh: int
-    restarts: int
-
-
-def _minimax_fields(model: TorusHamiltonian, mesh: int):
-    pts = _torus_grid(model.n, mesh)
-    shape = (mesh,) * model.n
-    a_fields = tuple(a.value_many(pts).reshape(shape) for a in model.a_entries)
-    return a_fields, model.v.value_many(pts).reshape(shape)
-
-
-def _minimax_h_and_grad(model, a_fields, v_field, p, u, mesh):
-    half = 0.5 * mesh
-    if model.n == 1:
-        q = p[0] + (np.roll(u, -1) - np.roll(u, 1)) * half
-        hvals = 0.5 * a_fields[0] * q * q + v_field
-
-        def to_grad(weights):
-            g = weights * a_fields[0] * q
-            return (np.roll(g, 1) - np.roll(g, -1)) * half
-        return hvals, to_grad
-    a11, a12, a22 = a_fields
-    qx = p[0] + (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) * half
-    qy = p[1] + (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) * half
-    hvals = 0.5 * (a11 * qx * qx + 2.0 * a12 * qx * qy + a22 * qy * qy) + v_field
-
-    def to_grad(weights):
-        gx = weights * (a11 * qx + a12 * qy)
-        gy = weights * (a12 * qx + a22 * qy)
-        return ((np.roll(gx, 1, axis=0) - np.roll(gx, -1, axis=0))
-                + (np.roll(gy, 1, axis=1) - np.roll(gy, -1, axis=1))) * half
-    return hvals, to_grad
-
-
-def alpha_torus_minimax(model: TorusHamiltonian, p, mesh: int = 64,
-                        restarts: int = 8, seed: int = 0,
-                        temperatures=(10.0, 100.0, 1000.0),
-                        details: bool = False):
-    """min over periodic mesh corrections u of max over mesh of
-    H(x, p + Du), with centered-difference derivatives.
-
-    Smoothed-max descent over a temperature schedule, then a high
-    temperature polish; the reported value is the exact mesh maximum at
-    the best u found, an upper bound on the discrete minimax.
-    """
-    if mesh < 64:
-        raise ValueError(f"mesh must be at least 64, got {mesh}")
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    a_fields, v_field = _minimax_fields(model, mesh)
-    shape = v_field.shape
-    rng = np.random.default_rng(seed)
-
-    def exact_max(u):
-        hv, _ = _minimax_h_and_grad(model, a_fields, v_field, p, u, mesh)
-        return float(np.max(hv))
-
-    def smoothed(flat, temp):
-        u = flat.reshape(shape)
-        hv, to_grad = _minimax_h_and_grad(model, a_fields, v_field, p, u, mesh)
-        m = logsumexp(temp * hv.ravel())
-        weights = np.exp(temp * hv - m).reshape(shape)
-        return float(m / temp), to_grad(weights).ravel()
-
-    inits = [np.zeros(shape)]
-    for _ in range(restarts):
-        inits.append(0.05 * rng.standard_normal(shape))
-
-    best_val, best_ok = math.inf, False
-    for u0 in inits:
-        flat = u0.ravel().copy()
-        ok = True
-        for temp in tuple(temperatures) + (1e4,):
-            res = optimize.minimize(smoothed, flat, args=(temp,), jac=True,
-                                    method="L-BFGS-B",
-                                    options={"maxiter": 500, "ftol": 1e-14,
-                                             "gtol": 1e-10, "maxcor": 20})
-            flat = res.x
-            ok = ok and (res.status in (0, 1, 2))
-        val = exact_max(flat.reshape(shape))
-        if val < best_val:
-            best_val, best_ok = val, ok
-
-    lam_min, _ = model.kinetic_eig_bounds(mesh=max(64, mesh))
-    vmin, _ = model.potential_bounds(mesh=max(256, mesh))
-    lower = 0.5 * lam_min * float(p @ p) + vmin
-    report = MinimaxReport(value=float(best_val), converged=bool(best_ok),
-                           lower_bound=float(lower), mesh=mesh,
-                           restarts=restarts)
-    return report if details else report.value
+# alpha on the circle: energy quadrature
 
 
 def _rotation_integral(model: TorusHamiltonian, energy: float) -> float:
@@ -267,19 +174,24 @@ def _ball_axes(radius: float, per_axis: int, dim: int) -> list:
 
 class AnalyticQuadraticBeta:
     """Exact minimal action rate of a constant-kinetic system with no
-    potential: half the inverse-kinetic quadratic form."""
+    potential: half the inverse-kinetic quadratic form; alpha is half
+    the kinetic form."""
 
     norm = "l2"
 
     def __init__(self, kinetic_matrix):
-        a = np.atleast_2d(np.asarray(kinetic_matrix, dtype=float))
-        self.b_matrix = np.linalg.inv(a)
+        self.a_matrix = np.atleast_2d(np.asarray(kinetic_matrix, dtype=float))
+        self.b_matrix = np.linalg.inv(self.a_matrix)
         self._lam_min = float(np.linalg.eigvalsh(self.b_matrix)[0])
-        self.dim = a.shape[0]
+        self.dim = self.a_matrix.shape[0]
 
     def value(self, w) -> float:
         w = np.atleast_1d(np.asarray(w, dtype=float))
         return float(0.5 * w @ self.b_matrix @ w)
+
+    def alpha(self, p) -> float:
+        p = np.atleast_1d(np.asarray(p, dtype=float))
+        return float(0.5 * p @ self.a_matrix @ p)
 
     def coercivity(self):
         return 0.5 * self._lam_min, 0.0, "l2"
@@ -289,7 +201,8 @@ class AnalyticQuadraticBeta:
 
 
 class DirectBetaEvaluator:
-    """Per-query graph beta with memoization; exact to rounding."""
+    """Per-query graph beta with memoization, and graph alpha; exact to
+    rounding."""
 
     norm = "l1"
 
@@ -308,6 +221,9 @@ class DirectBetaEvaluator:
         if key not in self._cache:
             self._cache[key] = beta_graph(self.graph, self.lagrangian, w)
         return self._cache[key]
+
+    def alpha(self, p) -> float:
+        return alpha_graph(self.graph, self.lagrangian, p)
 
     def coercivity(self):
         return self._kappa, self._voff, "l1"
@@ -370,7 +286,8 @@ class MechanicalBeta1D:
     so a golden-section search over energy computes
     beta(w) = max_{E >= max V} [p(E)|w| - E] to quadrature accuracy; the
     endpoint E = max V covers the trapped branch and gives
-    beta(0) = -max V exactly.
+    beta(0) = -max V exactly.  alpha(p) is the energy whose rotation
+    integral p(E) is |p| (``alpha_torus_quadrature``).
     """
 
     norm = "l2"
@@ -415,6 +332,9 @@ class MechanicalBeta1D:
             out = max(-low, gain(lo))
         self._cache[key] = out
         return out
+
+    def alpha(self, p) -> float:
+        return alpha_torus_quadrature(self.model, p)
 
     def coercivity(self):
         return self._kappa, self._vmax, "l2"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from effham import cli
+from effham import cli, mather
 from effham.action import InitialDatum
 from effham.errors import SolverError
 from effham.homogenize import Scenario, run_experiment
@@ -116,6 +116,12 @@ def _set(path, value):
     ("single_loop", _set("datum.constant", float("nan")), "datum.constant"),
     ("single_loop", _set("experiment.ladder", [1.0, float("nan")]),
      "experiment.ladder[1]"),
+    ("free_torus_2d", _set("system.potential", [{"k": [1, 0], "cos": 0.5}]),
+     "system.potential"),
+    ("free_torus_2d", _set("system.kinetic", [
+        [{"k": [0, 0], "cos": 1.0}, {"k": [1, 0], "cos": 0.3}],
+        [{"k": [0, 0], "cos": 0.0}], [{"k": [0, 0], "cos": 1.0}]]),
+     "system.kinetic"),
 ])
 def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
                                                  mutate, field):
@@ -123,17 +129,21 @@ def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
     path = tmp_path / "case.yaml"
     path.write_text(changed if isinstance(changed, str)
                     else yaml.safe_dump(changed, sort_keys=False))
-    assert cli.run(str(path), "validate", out_dir=str(tmp_path)) == cli.EXIT_SCHEMA
-    (record,) = _records(capsys)
-    assert record["error"]["exit"] == cli.EXIT_SCHEMA
-    assert record["error"]["field"] == field
+    # every command loads the config first, so every command rejects it
+    for command in cli.COMMANDS:
+        code = cli.run(str(path), command, out_dir=str(tmp_path / "out"))
+        assert code == cli.EXIT_SCHEMA, command
+        (record,) = _records(capsys)
+        assert record["error"]["exit"] == cli.EXIT_SCHEMA
+        assert record["error"]["field"] == field
+    assert not (tmp_path / "out").exists()
 
 
 def test_solver_failure_exits_three(monkeypatch, capsys, tmp_path):
     def stalled(*args, **kwargs):
         raise SolverError("alpha bracket grew past its cap")
 
-    monkeypatch.setattr(cli, "alpha_graph", stalled)
+    monkeypatch.setattr(mather, "alpha_graph", stalled)
     path = os.path.join(ROOT, "scenarios", "single_loop.yaml")
     assert cli.run(path, "alpha", out_dir=str(tmp_path)) == cli.EXIT_SOLVER
     (record,) = _records(capsys)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from effham.homogenize import default_beta_evaluator
 from effham.mather import (
     AnalyticQuadraticBeta,
     BetaHatEvaluator,
@@ -10,7 +11,6 @@ from effham.mather import (
     LegendreDual,
     MechanicalBeta1D,
     alpha_graph,
-    alpha_torus_minimax,
     alpha_torus_quadrature,
     beta_graph,
     beta_hat,
@@ -118,29 +118,22 @@ def test_alpha_superlinear_slope_growth(fig8, fig8_lag):
     assert slopes[0] < slopes[1] < slopes[2]
 
 
-def test_minimax_free_torus(free2):
-    assert alpha_torus_minimax(free2, [0.5, 1.0]) == pytest.approx(0.625, abs=1e-9)
-    assert alpha_torus_minimax(free2, [1.0, 2.0]) == pytest.approx(2.5, abs=1e-9)
+def test_free_torus_alpha_is_half_the_kinetic_form(torus2, free2):
+    pair = default_beta_evaluator(torus2, free2)
+    assert isinstance(pair, AnalyticQuadraticBeta)
+    assert pair.alpha([0.5, 1.0]) == pytest.approx(0.625, abs=1e-12)
+    assert pair.alpha([1.0, 2.0]) == pytest.approx(2.5, abs=1e-12)
 
 
-def test_minimax_pendulum_rest_level(pendulum):
-    assert alpha_torus_minimax(pendulum, [0.0]) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_minimax_constant_potential():
+def test_quadrature_constant_potential():
     const = TorusHamiltonian.mechanical(TrigPolynomial.constant(1, 0.4))
-    assert alpha_torus_minimax(const, [0.0]) == pytest.approx(0.4, abs=1e-9)
+    assert alpha_torus_quadrature(const, [0.0]) == pytest.approx(0.4, abs=1e-9)
 
 
 @pytest.mark.parametrize("p_val", [0.5, 1.25, 2.0])
-def test_minimax_dominates_spatial_average(pendulum, p_val):
+def test_quadrature_dominates_spatial_average(pendulum, p_val):
     # with zero-mean potential the averaged Hamiltonian at slope p is p^2/2
-    assert alpha_torus_minimax(pendulum, [p_val], restarts=2) >= 0.5 * p_val**2 - 1e-9
-
-
-def test_minimax_rejects_coarse_mesh(pendulum):
-    with pytest.raises(ValueError):
-        alpha_torus_minimax(pendulum, [0.0], mesh=16)
+    assert alpha_torus_quadrature(pendulum, [p_val]) >= 0.5 * p_val**2 - 1e-9
 
 
 def test_quadrature_route_values(pendulum, free1):
@@ -151,13 +144,6 @@ def test_quadrature_route_values(pendulum, free1):
 def test_quadrature_route_is_one_dimensional(free2):
     with pytest.raises(ValueError):
         alpha_torus_quadrature(free2, [0.5, 0.5])
-
-
-@pytest.mark.parametrize("p_val", [2.5, 4.0])
-def test_minimax_agrees_with_quadrature(pendulum, p_val):
-    mm = alpha_torus_minimax(pendulum, [p_val])
-    qq = alpha_torus_quadrature(pendulum, p_val)
-    assert mm == pytest.approx(qq, abs=1e-3)
 
 
 @pytest.mark.parametrize("h_val", [-1.0, 0.0, 0.3, 1.7])
@@ -213,12 +199,25 @@ def test_double_transform_recovers_convex_input():
     assert worst <= 1e-12
 
 
-def test_loop_rates_dualize_to_alpha(loop2, loop2_lag):
-    # the conjugate of the circulation program against the cycle threshold
-    dual = LegendreDual(DirectBetaEvaluator(loop2, loop2_lag).value, 1,
-                        p_box=2.0, p_points=33)
-    worst = max(abs(dual.value([p]) - alpha_graph(loop2, loop2_lag, [p]))
-                for p in np.linspace(-1.5, 1.5, 9))
+@pytest.mark.parametrize("family, p_values", [
+    ("loop", [[p] for p in np.linspace(-1.5, 1.5, 9)]),
+    ("free2", [[0.5, -0.3], [1.0, 0.4], [-0.7, 0.9]]),
+    ("pendulum", [[0.0], [0.8], [1.7], [2.5], [4.0]]),
+], ids=["loop", "free2", "pendulum"])
+def test_rates_dualize_to_alpha(request, family, p_values):
+    # each family's alpha against the conjugate of its own beta; the
+    # kinetic matrix is not diagonal, so alpha built on its inverse fails
+    if family == "loop":
+        pair = DirectBetaEvaluator(request.getfixturevalue("loop2"),
+                                   request.getfixturevalue("loop2_lag"))
+        w_box = 2.0
+    elif family == "free2":
+        pair, w_box = AnalyticQuadraticBeta([[2.0, 0.5], [0.5, 1.0]]), 4.0
+    else:
+        pair, w_box = MechanicalBeta1D(make_pendulum()), 6.0
+    dual = LegendreDual(pair.value, len(p_values[0]), p_box=w_box,
+                        p_points=33)
+    worst = max(abs(dual.value(p) - pair.alpha(p)) for p in p_values)
     assert worst <= 1e-8
 
 

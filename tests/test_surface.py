@@ -12,9 +12,8 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "effham")
 
-ORACLES = {"alpha_torus_quadrature", "mean_action_check", "affine_datum_check",
-           "fenchel_young_residual", "double_legendre_residual", "single_loop",
-           "figure_eight"}
+ORACLES = {"mean_action_check", "affine_datum_check", "fenchel_young_residual",
+           "double_legendre_residual", "single_loop", "figure_eight"}
 
 
 def _sources():
