@@ -146,6 +146,26 @@ def test_quadrature_route_is_one_dimensional(free2):
         alpha_torus_quadrature(free2, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("p_val", [2.5, 4.0])
+def test_minimax_agrees_with_quadrature(pendulum, p_val):
+    # alpha(p) = min over zero-mean w of max_x H(x, p + w(x)); on the running
+    # branch the minimiser is the corrector whose momentum is sqrt(2(c - V))
+    c = alpha_torus_quadrature(pendulum, p_val)
+    x = np.arange(256) / 256.0
+    v = np.cos(2.0 * np.pi * x)
+    momentum = np.sqrt(2.0 * (c - v))
+    assert momentum.mean() == pytest.approx(p_val, abs=1e-9)
+    assert np.max(0.5 * momentum**2 + v) == pytest.approx(c, abs=1e-9)
+    # any other zero-mean corrector raises the maximum
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        k = rng.integers(1, 8)
+        a, b = rng.normal(scale=0.5, size=2)
+        w = a * np.cos(2.0 * np.pi * k * x) + b * np.sin(2.0 * np.pi * k * x)
+        assert np.max(0.5 * (momentum + w)**2 + v) >= c - 1e-9
+    assert 0.5 * p_val**2 + 1.0 >= c
+
+
 @pytest.mark.parametrize("h_val", [-1.0, 0.0, 0.3, 1.7])
 def test_beta_loop_closed_form(loop2, loop2_lag, h_val):
     got = beta_graph(loop2, loop2_lag, [h_val])
