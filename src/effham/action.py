@@ -31,7 +31,8 @@ from scipy import optimize
 
 from .errors import SolverError
 from .model import GraphLagrangian, TorusHamiltonian, TrigPolynomial, _torus_grid
-from .topology import CoverPoint, _grid, _norm_rows, dual_norm_value, norm_value
+from .topology import (CoverPoint, _edge_flow, _grid, _norm_rows, dual_norm_value,
+                       norm_value)
 
 # sup |v|_b / |v|_a over v != 0 in dimension k, as a function factory
 _RATIO = {
@@ -305,43 +306,6 @@ def allocate_time(lengths, potentials, total_time: float, rest):
                 / np.sqrt(off2 * (sig * sig) + 1.0)).sum(axis=1)
     rest_cost = np.where(resting, (total_time - t_rest) * v_rest, 0.0)
     return np.where(moving, run_cost + rest_cost, rest * total_time)
-
-
-def _edge_flow(graph, nontree, source: int = 0, sink: int = 0) -> np.ndarray:
-    """Signed flow on every edge whose non-tree entries are ``nontree``
-    (in cocycle order) and whose net outflow is +1 at the source and -1
-    at the sink (nothing when they coincide); conservation fixes the
-    tree edges.
-
-    With source == sink this is the real circulation of homology rate
-    ``nontree``; otherwise it is the net traversal count of a walk from
-    source to sink that changes sheets by ``nontree``.
-    """
-    flow = np.zeros(len(graph.edges))
-    flow[graph.nontree_edges] = nontree
-    # outflow each vertex still has to send through the tree
-    carry = np.zeros(graph.n_vertices)
-    carry[source] += 1.0
-    carry[sink] -= 1.0
-    for e in graph.nontree_edges:
-        u, v, _ = graph.edges[e]
-        carry[u] -= flow[e]
-        carry[v] += flow[e]
-    parent_edge = {0: None}
-    order = [0]
-    for u in order:
-        for idx, direction in graph.incident[u]:
-            a, b, _ = graph.edges[idx]
-            other = b if direction == +1 else a
-            if graph.tree_edge[idx] and other not in parent_edge:
-                parent_edge[other] = idx
-                order.append(other)
-    for v in reversed(order[1:]):
-        e = parent_edge[v]
-        tail, head, _ = graph.edges[e]
-        flow[e] = carry[v] if tail == v else -carry[v]
-        carry[head if tail == v else tail] += carry[v]
-    return flow
 
 
 def _used_subgraph_connected(graph, counts, anchor: int) -> bool:

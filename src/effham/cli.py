@@ -6,10 +6,14 @@ Six commands share one invocation shape::
 
 ``alpha``/``beta`` tabulate the effective Hamiltonian/Lagrangian on a
 grid, ``homogenize``/``subcover`` run ladder experiments and write their
-reports, ``spaces`` measures the rescaled-space convergence constants,
-``validate`` checks the config and model assumptions without writing
-anything.  ``alpha`` and ``beta`` read the two halves of the one exact
-pair that the config picked for its system family; a system with no
+reports, ``validate`` checks the config and model assumptions without
+writing anything.  ``spaces`` measures over sampled point pairs the gap
+between the cover distance and the stable norm of their homology
+displacement (the metric of the rescaled covers' limit), and per rung
+the covering radius of the scaled mesh image; it exits 1 when a gap
+leaves the certified band |gap| <= C or a covering radius exceeds the
+matching bound.  ``alpha`` and ``beta`` read the two halves of the one
+exact pair that the config picked for its system family; a system with no
 such pair is rejected at load.  ``homogenize`` accepts configs with
 ``cover.subcover`` and runs the ladder on that intermediate cover;
 ``subcover`` runs the same ladder plus the quotient consistency checks.
@@ -143,23 +147,21 @@ def _cmd_subcover(cfg: ScenarioConfig, out_dir: str) -> int:
 
 
 def _cmd_spaces(cfg: ScenarioConfig, out_dir: str) -> int:
-    sp = estimate_space_convergence(cfg.cover, cfg.eps_ladder, seed=cfg.seed)
-    header = ["epsilon", "a_eps", "covering_radius"]
-    rows = list(zip(cfg.eps_ladder, sp.a_eps, sp.covering_radius))
-    _write_text(os.path.join(out_dir, f"{cfg.name}_spaces.csv"),
-                _table_csv(header, rows))
-    passed = bool(sp.a_slope_stable())
+    sp = estimate_space_convergence(cfg.cover, cfg.eps_ladder, cfg.mesh,
+                                    seed=cfg.seed)
+    rows = list(zip(sp.epsilons, sp.covering_radius, sp.covering_bound))
+    _write_text(os.path.join(out_dir, f"{cfg.name}_spaces.csv"), _table_csv(
+        ["epsilon", "covering_radius", "covering_bound"], rows))
     _write_text(os.path.join(out_dir, f"{cfg.name}_spaces.json"), json.dumps(
-        {"scenario": cfg.name, "fitted_k": sp.fitted_k,
-         "a_eps": [float(v) for v in sp.a_eps],
-         "covering_radius": [float(v) for v in sp.covering_radius],
-         "a_slope": sp.a_slope(), "a_slope_stable": passed},
+        {"scenario": cfg.name, **dataclasses.asdict(sp), "passed": sp.passed},
         sort_keys=True, indent=2) + "\n")
-    _emit({"command": "spaces", "scenario": cfg.name, "passed": passed,
-           "fitted_k": sp.fitted_k})
-    if not passed:
+    _emit({"command": "spaces", "scenario": cfg.name, "passed": sp.passed,
+           "gap_low": sp.gap_low, "gap_high": sp.gap_high,
+           "gap_bound": sp.gap_bound})
+    if not sp.passed:
         _emit(_error_record("tolerance", EXIT_TOLERANCE,
-                            f"scenario {cfg.name}: distortion slope unstable"))
+                            f"scenario {cfg.name}: cover distance or mesh "
+                            "image outside its certified bound"))
         return EXIT_TOLERANCE
     return EXIT_OK
 

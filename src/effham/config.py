@@ -87,8 +87,7 @@ class ScenarioConfig:
                         datum=self.datum, eps_ladder=self.eps_ladder,
                         eval_points=self.eval_points, bump=self.bump,
                         subcover=self.subcover, mesh=self.mesh,
-                        rate_rungs=self.rate_rungs, tolerance=self.tolerance,
-                        seed=self.seed)
+                        rate_rungs=self.rate_rungs, tolerance=self.tolerance)
 
     def beta_evaluator(self):
         """The system's (alpha, beta) evaluator, picked at load."""

@@ -27,7 +27,9 @@ from .errors import ConfigError, SolverError
 from .mather import (AnalyticQuadraticBeta, BetaHatEvaluator,
                      DirectBetaEvaluator, LegendreDual, MechanicalBeta1D,
                      alpha_graph, effective_hamiltonian_subcover)
-from .topology import estimate_space_convergence, match_point, norm_value
+# unused estimate_space_convergence: perfbench/test_perfbench.py expects the binding
+from .topology import (estimate_space_convergence, match_point, matching_bound,
+                       norm_value)
 
 
 def _is_constant(trig) -> bool:
@@ -57,16 +59,6 @@ def default_beta_evaluator(cover, model):
                       "is built in for other systems")
 
 
-def matching_bound(cover, eps: float, mesh: int) -> float:
-    """Certified covering bound of the scaled mesh image around a target."""
-    if cover.family == "torus":
-        half = np.full(cover.n, 0.5 / mesh)
-        return eps * norm_value(half, cover.norm)
-    k = cover.deck_rank
-    step = max(cover.graph.lengths) / mesh
-    return eps * (0.5 * max(0, k - 1) + 0.5 * step)
-
-
 def _rest_commute_bound(cover, model) -> float:
     """Upper bound on the finite-horizon action undershoot constant: the
     cost of commuting across the base to the cheapest idling spot."""
@@ -94,7 +86,6 @@ class Scenario:
     mesh: int = 64
     rate_rungs: int = 4
     tolerance: float = None
-    seed: int = 0
 
     def __post_init__(self):
         ladder = tuple(float(e) for e in self.eps_ladder)
@@ -141,7 +132,6 @@ class ExperimentReport:
     rows: list = field(default_factory=list)
     rate_exponent: float = None
     rate_residual: float = None
-    space_summary: dict = field(default_factory=dict)
     monotone_ok: bool = False
     sandwich_ok: bool = False
     final_error: float = math.inf
@@ -170,7 +160,6 @@ class ExperimentReport:
                      for r in self.rows],
             "rate_exponent": self.rate_exponent,
             "rate_residual": self.rate_residual,
-            "space_summary": self.space_summary,
             "monotone_ok": self.monotone_ok,
             "sandwich_ok": self.sandwich_ok,
             "final_error": self.final_error,
@@ -233,8 +222,7 @@ def _check_sandwich(report: ExperimentReport, scenario: Scenario,
     return True
 
 
-def run_experiment(scenario: Scenario, beta_eval=None,
-                   with_spaces: bool = True) -> ExperimentReport:
+def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
     """Ladder sweep of the rescaled solution against its homogenized
     limit at matched points, with rate fit and report flags.
 
@@ -293,16 +281,6 @@ def run_experiment(scenario: Scenario, beta_eval=None,
     report.monotone_ok = _check_monotone(report, ladder)
     report.sandwich_ok = _check_sandwich(report, scenario,
                                          _rest_commute_bound(cover, model))
-
-    if with_spaces:
-        sp = estimate_space_convergence(cover, ladder, seed=scenario.seed)
-        report.space_summary = {
-            "fitted_k": sp.fitted_k,
-            "a_eps": list(sp.a_eps),
-            "a_slope": sp.a_slope(),
-            "a_slope_stable": sp.a_slope_stable(),
-            "covering_radius": list(sp.covering_radius),
-        }
 
     report.diagnostics = {
         "mesh": scenario.mesh,
@@ -408,7 +386,7 @@ def run_subcover_experiment(scenario: Scenario, beta_eval=None,
     cover, model = scenario.cover, scenario.model
     if beta_eval is None:
         beta_eval = default_beta_evaluator(cover, model)
-    report = run_experiment(scenario, beta_eval=beta_eval, with_spaces=False)
+    report = run_experiment(scenario, beta_eval=beta_eval)
     pulled = _PulledBackDatum(scenario.datum, sub.matrix)
     shifts = [z for z in sub.kernel_elements(1) if np.any(z)]
 

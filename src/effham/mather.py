@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, optimize
 
-from .action import _edge_flow, _golden_min, _reach, allocate_time, norm_ratio
+from .action import _golden_min, _reach, allocate_time, norm_ratio
 from .errors import SolverError
 from .model import GraphLagrangian, TorusHamiltonian
-from .topology import SubcoverMap, _ball_nodes, _grid, norm_value
+from .topology import SubcoverMap, _ball_nodes, _edge_flow, _grid, norm_value
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +201,7 @@ class AnalyticQuadraticBeta:
 
 
 class DirectBetaEvaluator:
-    """Per-query graph beta with memoization, and graph alpha; exact to
-    rounding."""
+    """Per-query graph beta and graph alpha; exact to rounding."""
 
     norm = "l1"
 
@@ -210,17 +209,12 @@ class DirectBetaEvaluator:
         self.graph = graph
         self.lagrangian = lagrangian
         self.dim = graph.cycle_rank
-        self._cache = {}
         lmin = graph.min_nontree_length()
         self._kappa = 0.5 * lmin * lmin
         self._voff = -lagrangian.min_potential()
 
     def value(self, w) -> float:
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        key = tuple(round(float(x), 12) for x in w)
-        if key not in self._cache:
-            self._cache[key] = beta_graph(self.graph, self.lagrangian, w)
-        return self._cache[key]
+        return beta_graph(self.graph, self.lagrangian, w)
 
     def alpha(self, p) -> float:
         return alpha_graph(self.graph, self.lagrangian, p)

@@ -3,7 +3,8 @@
 The covers used here are the maximal free abelian ones.  For a torus the
 cover is R^n with deck group Z^n acting by translation.  For a metric
 graph the deck group is Z^k with k the cycle rank; sheets are glued along
-the non-tree edges of a fixed spanning tree.
+the non-tree edges of a fixed spanning tree; ``_edge_flow`` is the real
+circulation f(h) of a rate h, read by beta, the action and the stable norm.
 
 Every cover carries a coordinate map ``g_map`` into R^k (integrated
 closed one-forms, normalized to vanish at the base point); the rescaled
@@ -16,6 +17,9 @@ every pair.  A value is certified exact when it is at most (R_j + 1) * l_j
 on every axis j, with l_j the length of the j-th non-tree edge (a path
 leaving the box crosses that edge R_j + 1 times for some j); otherwise
 the short axes grow and the table is rebuilt.
+
+``estimate_space_convergence`` checks |d(x, y) - ||G(y) - G(x)||_st| <= C,
+the stable-norm limit of the rescaled covers, with C proved from the base.
 
 Surjections of the deck group onto Z^l ("subcover maps") are integer
 matrices validated through their Smith normal form.  An intermediate
@@ -199,6 +203,43 @@ class MetricGraph:
         if not self.nontree_edges:
             return 0.0
         return float(min(self.length(e) for e in self.nontree_edges))
+
+
+def _edge_flow(graph, nontree, source: int = 0, sink: int = 0) -> np.ndarray:
+    """Signed flow on every edge whose non-tree entries are ``nontree``
+    (in cocycle order) and whose net outflow is +1 at the source and -1
+    at the sink (nothing when they coincide); conservation fixes the
+    tree edges.
+
+    With source == sink this is the real circulation of homology rate
+    ``nontree``; otherwise it is the net traversal count of a walk from
+    source to sink that changes sheets by ``nontree``.
+    """
+    flow = np.zeros(len(graph.edges))
+    flow[graph.nontree_edges] = nontree
+    # outflow each vertex still has to send through the tree
+    carry = np.zeros(graph.n_vertices)
+    carry[source] += 1.0
+    carry[sink] -= 1.0
+    for e in graph.nontree_edges:
+        u, v, _ = graph.edges[e]
+        carry[u] -= flow[e]
+        carry[v] += flow[e]
+    parent_edge = {0: None}
+    order = [0]
+    for u in order:
+        for idx, direction in graph.incident[u]:
+            a, b, _ = graph.edges[idx]
+            other = b if direction == +1 else a
+            if graph.tree_edge[idx] and other not in parent_edge:
+                parent_edge[other] = idx
+                order.append(other)
+    for v in reversed(order[1:]):
+        e = parent_edge[v]
+        tail, head, _ = graph.edges[e]
+        flow[e] = carry[v] if tail == v else -carry[v]
+        carry[head if tail == v else tail] += carry[v]
+    return flow
 
 
 def single_loop(length: float = 1.0) -> MetricGraph:
@@ -434,6 +475,21 @@ class GraphCover:
                                    max(radii))
 
 
+def matching_bound(cover, eps: float, mesh: int) -> float:
+    """Certified covering bound of the scaled mesh image around a target.
+
+    On a torus the image is the eps/mesh lattice.  On a graph a locator of
+    the j-th non-tree edge sits on the 1/mesh grid of G's j-th coordinate,
+    whatever the edge's length, and every other coordinate is an integer;
+    so a target is within eps/2 of the image on k - 1 coordinates and
+    eps/(2 mesh) on the last (an l1 bound, so also one in l2 and linf).
+    """
+    if cover.family == "torus":
+        half = np.full(cover.n, 0.5 / mesh)
+        return eps * norm_value(half, cover.norm)
+    return eps * (0.5 * max(0, cover.deck_rank - 1) + 0.5 / mesh)
+
+
 def match_point(cover, h, eps: float, mesh: int = 64, sub=None):
     """Canonical-mesh cover point whose scaled image is nearest h.
 
@@ -587,40 +643,33 @@ class SubcoverMap:
         return [self.kernel_basis @ c for c in coeffs]
 
 
-# estimate_space_convergence: sampled cover points, their sheet box, the
-# orbit box K is fitted on, the probe ball and the canonical mesh whose
-# image it covers
+# estimate_space_convergence: sampled cover points, their sheet box and
+# the probe ball whose scaled mesh image is measured
 _SAMPLES = 120
 _SHEET_RADIUS = 2
-_ORBIT_RADIUS = 3
 _BALL_RADIUS = 1.0
-_IMAGE_MESH = 16
 
 
 @dataclass
 class SpaceConvergenceReport:
-    """Measured metric comparison between rescaled covers and their limit."""
+    """The range of d(x, y) - ||G(y) - G(x)||_st over the sampled pairs
+    (0 included, the gap of a point with itself) against its certified
+    bound, and per rung the covering radius of the scaled mesh image
+    against ``matching_bound``."""
 
-    fitted_k: float
-    epsilons: list
-    a_eps: list
-    covering_radius: list
+    gap_low: float
+    gap_high: float
+    gap_bound: float
     n_pairs: int
+    epsilons: list
+    covering_radius: list
+    covering_bound: list
 
-    def a_slope(self) -> float:
-        """Fitted c in A_eps ~ c * eps (zero if all offsets vanish)."""
-        eps = np.array(self.epsilons)
-        a = np.array(self.a_eps)
-        denom = float(np.sum(eps * eps))
-        return float(np.sum(eps * a) / denom) if denom > 0 else 0.0
-
-    def a_slope_stable(self, rel_tol: float = 0.25) -> bool:
-        """True when the per-rung slopes A_eps/eps agree within rel_tol."""
-        slopes = [a / e for a, e in zip(self.a_eps, self.epsilons)]
-        top = max(slopes)
-        if top <= 1e-12:
-            return True
-        return (top - min(slopes)) <= rel_tol * top
+    @property
+    def passed(self) -> bool:
+        return (max(-self.gap_low, self.gap_high) <= self.gap_bound + 1e-12
+                and all(c <= b + 1e-12 for c, b in
+                        zip(self.covering_radius, self.covering_bound)))
 
 
 def _sample_points(cover, rng):
@@ -644,91 +693,98 @@ def _sample_points(cover, rng):
     return pts
 
 
-def _grid_remainder(values: np.ndarray, spacing: float) -> np.ndarray:
-    return np.abs(values - spacing * np.round(values / spacing))
-
-
-def _image_nearest(cover, eps: float, probe: np.ndarray) -> float:
-    """Distance from a probe to the eps * G image of the canonical mesh.
-
-    The image is a union of product lattices (each coordinate is either an
-    eps-integer or, on one non-tree edge at a time, an eps/mesh-grid
-    value), so the nearest point reduces to coordinate-wise rounding.
-    """
-    norm = cover.norm
-    fine = _grid_remainder(probe, eps / _IMAGE_MESH)
+def _stable_norm(cover, rows: np.ndarray) -> np.ndarray:
+    """Stable norm of every row: Euclidean on a torus; on a graph
+    sum_e l_e |f_e(h)|, read through the |E| x k matrix whose columns
+    are the circulations of the unit rates."""
     if cover.family == "torus":
-        # every coordinate carries the fine grid simultaneously
-        return norm_value(fine, norm)
-    coarse = _grid_remainder(probe, eps)
-    best = norm_value(coarse, norm)
-    for j in range(cover.deck_rank):
-        d = coarse.copy()
-        d[j] = fine[j]
-        best = min(best, norm_value(d, norm))
-    return best
+        return _norm_rows(rows, "l2")
+    g = cover.graph
+    flows = np.column_stack([_edge_flow(g, unit) for unit in np.eye(g.cycle_rank)])
+    return np.abs(rows @ flows.T) @ g.lengths
 
 
-def _orbit_k_fit(cover) -> float:
-    """Two-sided distance/coordinate ratio on deck translates of the base.
-
-    On the orbit of the base point the comparison is exactly
-    multiplicative (no boundary-layer offsets), which makes it the right
-    place to read off K; interior points contribute only to A_eps.
-    """
-    x0 = cover.base_point()
-    ratios = [1.0]
-    r = _ORBIT_RADIUS
-    for z in _grid([np.arange(-r, r + 1)] * cover.deck_rank):
-        if not any(z):
-            continue
-        y = cover.translate(x0, z)
-        d = cover.distance(x0, y)
-        gn = norm_value(cover.g_map(y) - cover.g_map(x0), cover.norm)
-        if d > 1e-12 and gn > 1e-12:
-            ratios.append(gn / d)
-            ratios.append(d / gn)
-    return max(ratios)
+def _gap_bound(cover) -> float:
+    """C of ``estimate_space_convergence``."""
+    if cover.family == "torus":
+        return 0.0
+    g = cover.graph
+    zero = np.zeros(g.cycle_rank)
+    tree_diameter = max(float(np.abs(_edge_flow(g, zero, u, v)) @ g.lengths)
+                        for u in range(g.n_vertices) for v in range(u, g.n_vertices))
+    tree_length = float(g.lengths[np.array(g.tree_edge, dtype=bool)].sum())
+    return tree_diameter + 2.0 * tree_length + 2.0 * float(g.lengths.max())
 
 
-def estimate_space_convergence(cover, epsilons,
+def _covering_radius(cover, eps: float, mesh: int, probes: np.ndarray) -> float:
+    """Largest distance from a probe to the eps * G image of the canonical
+    mesh.  The image is a union of product lattices (each coordinate an
+    eps-integer or, on one non-tree edge at a time, on the eps/mesh grid;
+    every coordinate on that grid on a torus), so the nearest point is
+    coordinate-wise rounding."""
+    def remainder(spacing):
+        return np.abs(probes - spacing * np.round(probes / spacing))
+
+    fine = remainder(eps / mesh)
+    if cover.family == "torus":
+        return float(_norm_rows(fine, cover.norm).max())
+    coarse = remainder(eps)
+    options = [coarse] + [np.where(np.arange(cover.deck_rank) == j, fine, coarse)
+                          for j in range(cover.deck_rank)]
+    return float(np.min([_norm_rows(o, cover.norm) for o in options], axis=0).max())
+
+
+def estimate_space_convergence(cover, epsilons, mesh: int,
                                seed: int = 0) -> SpaceConvergenceReport:
-    """Fit the metric comparison constants between (cover, eps*d) and R^k,
-    with distances measured in the cover's norm.
+    """Compare the cover metric with the limit of the rescaled covers,
+    homology with the stable norm (Burago, *Periodic metrics*, 1992;
+    Kotani and Sunada, Math. Z. 2006), and measure the mesh image.
 
-    K is fitted on deck translates of the base point, where coordinate
-    displacement and distance are exactly proportional.  A_eps is the
-    additive lower-side residual max(0, K^{-1} d_eps - |Delta F_eps|)
-    over all sampled pairs per rung (the eps-rescaled residual, so it is
-    proportional to eps by construction of the sample window), and the
-    covering radius measures eps-density of the image of the canonical
-    mesh inside the fixed ball |h| <= 1.
+    Each pair of distinct sampled points has gap = d(x, y) -
+    ||G(y) - G(x)||_st.  Both terms scale with eps, so |gap| <= C makes
+    (cover, eps d) an eps C-rough isometry of (R^k, ||.||_st) through
+    eps G.  On a torus d is the Euclidean norm of the lift difference and
+    G the lift, so C = 0.  On a graph ||h||_st = sum_e l_e |f_e(h)| for
+    the real circulation f(h) (``_edge_flow``), and C = D_T + 2 L_T +
+    2 l_max: spanning-tree diameter, tree length and longest edge.
+
+    Proof.  Read a path from x to y as a real edge chain S (traversals
+    count +-1, the partial edges at x and y their fractions), so
+    |S|_l = sum_e l_e |S_e| is at most its length.  G integrates the
+    cocycles, so the non-tree part of S is dG = G(y) - G(x), and
+    dS = mu_y - mu_x, with mu_p weighing the ends of p's edge by 1 - t
+    and t.  Hence S - f(dG) is the tree chain with that boundary; its
+    length is a transport cost along T, at most D_T, so
+    | |S|_l - ||dG||_st | <= D_T, and a geodesic gives gap >= -D_T.
+    Upper side: walk from x and y to the nearer ends a, b of their edges
+    (o_x, o_y <= l_max / 2), then along the integer flow
+    m = f(z_b - z_a) + (tree path a -> b) with every tree edge added once
+    each way.  That multigraph is connected with boundary b - a, so an
+    Euler trail from a to b lifts to a path of length |m|_l + 2 L_T
+    between the two sheets.  The path's chain S is m plus the partial
+    edges, so |m|_l <= |S|_l + o_x + o_y and gap <= D_T + 2 L_T + 2 l_max.
+
+    ``passed`` also needs the covering radius at ``mesh``, over a probe
+    grid of the ball |h| <= 1, within ``matching_bound`` on every rung.
     """
-    norm = cover.norm
     rng = np.random.default_rng(seed)
     pts = _sample_points(cover, rng)
-    gvals = [cover.g_map(p) for p in pts]
-    pairs = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = cover.distance(pts[i], pts[j])
-            gn = norm_value(gvals[i] - gvals[j], norm)
-            if d > 1e-12:
-                pairs.append((d, gn))
-    fitted_k = _orbit_k_fit(cover)
-
-    slack = max((d / fitted_k - gn for d, gn in pairs), default=0.0)
-    a_eps = [eps * max(0.0, slack) for eps in epsilons]
-
+    gvals = np.array([cover.g_map(p) for p in pts])
+    first, second = np.triu_indices(len(pts), k=1)
+    dist = np.array([cover.distance(pts[i], pts[j])
+                     for i, j in zip(first, second)])
+    distinct = dist > 1e-12
+    gap = dist[distinct] - _stable_norm(
+        cover, gvals[second[distinct]] - gvals[first[distinct]])
     axis = np.linspace(-_BALL_RADIUS, _BALL_RADIUS, 11)
-    probes = _ball_nodes([axis] * cover.deck_rank, _BALL_RADIUS, norm)
-    covering = [max(_image_nearest(cover, eps, p) for p in probes)
-                for eps in epsilons]
-
+    probes = _ball_nodes([axis] * cover.deck_rank, _BALL_RADIUS, cover.norm)
     return SpaceConvergenceReport(
-        fitted_k=float(fitted_k),
+        gap_low=float(gap.min(initial=0.0)),
+        gap_high=float(gap.max(initial=0.0)),
+        gap_bound=_gap_bound(cover),
+        n_pairs=int(distinct.sum()),
         epsilons=[float(e) for e in epsilons],
-        a_eps=[float(a) for a in a_eps],
-        covering_radius=[float(c) for c in covering],
-        n_pairs=len(pairs),
+        covering_radius=[_covering_radius(cover, eps, mesh, probes)
+                         for eps in epsilons],
+        covering_bound=[matching_bound(cover, eps, mesh) for eps in epsilons],
     )

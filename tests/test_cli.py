@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from effham import cli, mather
+from effham import cli, mather, topology
 from effham.action import InitialDatum
 from effham.errors import SolverError
 from effham.homogenize import Scenario, run_experiment
@@ -29,7 +29,8 @@ def _records(capsys) -> list:
     return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
 
 
-@pytest.mark.parametrize("stem", ["free_torus_1d", "single_loop"])
+@pytest.mark.parametrize("stem", ["free_torus_1d", "single_loop",
+                                  "figure_eight", "free_torus_2d"])
 def test_cheap_commands_write_their_artifacts(tmp_path, capsys, stem):
     path = os.path.join(ROOT, "scenarios", stem + ".yaml")
     name = _scenario_tree(stem)["name"]
@@ -44,6 +45,29 @@ def test_cheap_commands_write_their_artifacts(tmp_path, capsys, stem):
     assert [r["command"] for r in records] == ["validate", "alpha", "beta",
                                                "spaces"]
     assert all(r["passed"] for r in records)
+
+
+def test_spaces_fails_when_the_limit_norm_is_wrong(tmp_path, capsys,
+                                                  monkeypatch):
+    # on loops of lengths 1 and 0.37 the stable norm is |h1| + 0.37 |h2|;
+    # |.|_1 in its place drifts from the distance by 0.63 |dz2|
+    tree = _scenario_tree("figure_eight")
+    tree["system"]["edges"][1]["length"] = 0.37
+    path = _write(tmp_path, tree)
+
+    def spaces_report():
+        code = cli.run(path, "spaces", out_dir=str(tmp_path))
+        with open(tmp_path / "figure-eight_spaces.json") as fh:
+            return code, json.load(fh)
+
+    code, report = spaces_report()
+    assert code == cli.EXIT_OK and report["passed"] is True
+    monkeypatch.setattr(topology, "_stable_norm",
+                        lambda cover, rows: topology._norm_rows(rows, "l1"))
+    code, report = spaces_report()
+    assert code == cli.EXIT_TOLERANCE and report["passed"] is False
+    assert report["gap_low"] < -report["gap_bound"]
+    assert _records(capsys)[-1]["error"]["exit"] == cli.EXIT_TOLERANCE
 
 
 def _rejected(tmp_path, capsys, tree) -> dict:
@@ -171,9 +195,8 @@ def test_identity_subcover_experiment_matches_plain_run(loop2_cover, loop2_lag):
                   eps_ladder=(0.5, 0.25), eval_points=(((1 / 3,), 1.0),),
                   mesh=32, rate_rungs=2)
     quotient = run_experiment(
-        Scenario(name="loop", subcover=SubcoverMap([[1]]), **common),
-        with_spaces=False)
-    plain = run_experiment(Scenario(name="loop", **common), with_spaces=False)
+        Scenario(name="loop", subcover=SubcoverMap([[1]]), **common))
+    plain = run_experiment(Scenario(name="loop", **common))
     assert quotient.passed and plain.passed
     assert len(quotient.rows) == len(plain.rows) == 2
     for qrow, prow in zip(quotient.rows, plain.rows):

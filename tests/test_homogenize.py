@@ -50,7 +50,7 @@ def test_sandwich_violation_fails_the_report(circle, free1, monkeypatch):
                         datum=InitialDatum.affine([1.0], 0.25),
                         eps_ladder=LADDER3, eval_points=(((1 / 3,), 1.0),),
                         mesh=32, rate_rungs=3, tolerance=2.0)
-    report = run_experiment(scenario, with_spaces=False)
+    report = run_experiment(scenario)
     assert report.final_error < report.tolerance and report.monotone_ok
     assert not report.sandwich_ok
     assert not report.passed
@@ -80,7 +80,7 @@ def test_nan_cover_value_fails_the_report(circle, free1, monkeypatch):
                         datum=InitialDatum.affine([1.0], 0.25),
                         eps_ladder=LADDER3, eval_points=(((1 / 3,), 1.0),),
                         mesh=32, rate_rungs=3)
-    report = run_experiment(scenario, with_spaces=False)
+    report = run_experiment(scenario)
     assert np.isnan(report.final_error)
     assert not report.passed
 
@@ -158,8 +158,7 @@ def test_identity_subcover_reproduces_plain_run(loop2_cover, loop2_lag):
                   mesh=32, rate_rungs=2)
     quotient = run_subcover_experiment(
         Scenario(name="loop-ident", subcover=SubcoverMap([[1]]), **common))
-    plain = run_experiment(Scenario(name="loop-plain", **common),
-                           with_spaces=False)
+    plain = run_experiment(Scenario(name="loop-plain", **common))
     for qrow, prow in zip(quotient.rows, plain.rows):
         assert qrow.v_eps == pytest.approx(prow.v_eps, abs=1e-9)
     assert quotient.cover_kernel_invariance_error <= 1e-9

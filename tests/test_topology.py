@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from effham import topology
 from effham.topology import (
     GraphCover,
+    MetricGraph,
     SubcoverMap,
     TorusCover,
     estimate_space_convergence,
     figure_eight,
+    match_point,
+    matching_bound,
     norm_value,
     single_loop,
 )
@@ -165,37 +169,89 @@ def test_cover_distance_figure_eight_matches_walk_enumeration(fig8_cover):
 
 def test_space_convergence_flat_torus_is_isometric(torus2):
     ladder = [2.0 ** (-j) for j in range(1, 6)]
-    report = estimate_space_convergence(torus2, ladder, seed=0)
-    assert report.fitted_k == 1.0
-    assert all(a == 0.0 for a in report.a_eps)
+    report = estimate_space_convergence(torus2, ladder, 64, seed=0)
+    assert report.gap_bound == 0.0
+    assert abs(report.gap_low) <= 1e-12 and abs(report.gap_high) <= 1e-12
+    assert report.passed
 
 
 def test_space_convergence_figure_eight(fig8_cover):
     ladder = [2.0 ** (-j) for j in range(1, 6)]
-    report = estimate_space_convergence(fig8_cover, ladder, seed=0)
-    assert report.fitted_k == pytest.approx(1.0, abs=1e-12)
-    for eps, a in zip(report.epsilons, report.a_eps):
-        assert 0.0 <= a <= eps * 1.0 + 1e-12
-    assert report.a_slope_stable()
+    report = estimate_space_convergence(fig8_cover, ladder, 64, seed=0)
+    assert report.gap_bound == 2.0
+    assert -2.0 <= report.gap_low <= report.gap_high <= 2.0
+    assert report.passed
     assert report.covering_radius == sorted(report.covering_radius, reverse=True)
 
 
 def test_space_convergence_figure_eight_report_is_pinned():
-    # the exact report of a per-pair box Dijkstra, an independent route to
-    # the same distances
+    # the distances are the exact ones of a per-pair box Dijkstra, an
+    # independent route; on equal loops the stable norm is |.|_1
     report = estimate_space_convergence(GraphCover(figure_eight(1.0, 1.0)),
-                                        [1, 0.5, 0.25, 0.125], seed=0)
-    assert report.fitted_k == 1.0
-    assert report.a_eps == [0.941375679606459, 0.4706878398032295,
-                            0.23534391990161474, 0.11767195995080737]
+                                        [1, 0.5, 0.25, 0.125], 16, seed=0)
+    assert report.gap_high == pytest.approx(0.941375679606459, abs=1e-15)
+    assert -1e-12 <= report.gap_low <= 0.0
+    assert report.gap_bound == 2.0
     assert report.covering_radius == [0.42500000000000027, 0.21250000000000036,
                                       0.10625000000000018, 0.05312500000000009]
+    assert report.covering_bound == [0.53125, 0.265625, 0.1328125, 0.06640625]
     assert report.n_pairs == 7127
+    assert report.passed
 
 
 def test_space_convergence_loop_distance_inflation(loop2_cover):
-    report = estimate_space_convergence(loop2_cover, [0.5, 0.25], seed=0)
-    assert report.fitted_k == pytest.approx(2.0, abs=1e-12)
+    # the loop's cover is a line with G = arclength / 2, so the stable norm
+    # 2 |h| is the distance itself
+    report = estimate_space_convergence(loop2_cover, [0.5, 0.25], 64, seed=0)
+    assert abs(report.gap_low) <= 1e-12 and abs(report.gap_high) <= 1e-12
+    assert report.gap_bound == 4.0
+
+
+# (graph, C = tree diameter + 2 tree length + 2 longest edge)
+GAP_GRAPHS = [
+    (figure_eight(1.0, 1.0), 2.0),
+    (MetricGraph(2, [(0, 1, 1.0)] * 3), 5.0),
+    (MetricGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 0.7), (0, 0, 0.3)]), 7.1),
+    (MetricGraph(3, [(0, 1, 2.0), (1, 2, 1.5), (2, 2, 0.4)]), 14.5),
+    (MetricGraph(2, [(0, 1, 3.0), (0, 1, 0.2), (0, 1, 1.0)]), 15.0),
+]
+
+
+@pytest.mark.parametrize("graph, bound", GAP_GRAPHS)
+def test_stable_norm_gap_stays_within_its_bound(graph, bound):
+    report = estimate_space_convergence(GraphCover(graph), [1.0], 16, seed=7)
+    assert report.gap_bound == pytest.approx(bound, abs=1e-12)
+    assert report.gap_bound > max(-report.gap_low, report.gap_high) > 0.5
+    assert report.passed
+
+
+def test_stable_norm_is_exact_on_deck_translates():
+    # from the base point, walking the circulation of z costs exactly its
+    # stable norm on a rose; the 0.37 loop weighs its axis by 0.37
+    cover = GraphCover(figure_eight(1.0, 0.37))
+    zs = np.array([[3, -2], [0, 5], [-4, -1]])
+    want = [cover.distance(cover.base_point(), cover.vertex_point(0, z))
+            for z in zs]
+    np.testing.assert_allclose(topology._stable_norm(cover, zs), want,
+                               atol=1e-12)
+    assert want == pytest.approx([3.74, 1.85, 4.37], abs=1e-12)
+
+
+@pytest.mark.parametrize("graph", [single_loop(0.5), figure_eight(0.5, 0.37)])
+def test_match_point_error_within_matching_bound(graph):
+    # a non-tree edge's locators sit on the 1/mesh grid of G whatever the
+    # edge's length, so a short edge must not shrink the bound
+    cover = GraphCover(graph)
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for eps in (1.0, 0.25):
+        for _ in range(100):
+            h = rng.uniform(-1.0, 1.0, size=cover.deck_rank)
+            _, image = match_point(cover, h, eps, 8)
+            err = norm_value(image - h, cover.norm)
+            assert err <= matching_bound(cover, eps, 8) + 1e-12
+            worst = max(worst, err / matching_bound(cover, eps, 8))
+    assert worst > 0.8
 
 
 def test_subcover_rejects_non_surjective_matrix():
