@@ -31,20 +31,18 @@ from scipy import optimize
 
 from .errors import SolverError
 from .model import GraphLagrangian, TorusHamiltonian, TrigPolynomial, _torus_grid
-from .topology import (CoverPoint, _edge_flow, _grid, _norm_rows, dual_norm_value,
-                       norm_value)
+from .topology import (CoverPoint, _ball_axes, _ball_nodes, _edge_flow, _grid,
+                       _norm_rows, dual_norm_value, norm_value)
 
-# sup |v|_b / |v|_a over v != 0 in dimension k, as a function factory
+# sup |v|_b / |v|_a over v != 0 in dimension k, as a function factory;
+# a is a cover's measuring norm (l1 or l2), b any datum norm
 _RATIO = {
     ("l1", "l1"): lambda k: 1.0,
     ("l2", "l2"): lambda k: 1.0,
-    ("linf", "linf"): lambda k: 1.0,
     ("l1", "l2"): lambda k: 1.0,
     ("l1", "linf"): lambda k: 1.0,
     ("l2", "linf"): lambda k: 1.0,
     ("l2", "l1"): lambda k: math.sqrt(k),
-    ("linf", "l2"): lambda k: math.sqrt(k),
-    ("linf", "l1"): lambda k: float(k),
 }
 
 
@@ -718,12 +716,11 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
             continue
         lifts_c = (live[:, None, :] + offsets[None, :, :]).reshape(-1, n)
         diff = lifts_c - x_lift[None, :]
-        d2_c = np.sqrt(np.sum(diff * diff, axis=1))
-        d_c = d2_c if cover.norm == "l2" else _norm_rows(diff, cover.norm)
+        d_c = np.sqrt(np.sum(diff * diff, axis=1))
         f_c = (datum.value_many(eps * lifts_c)
                + eps * _bump_value_lift(bump, lifts_c))
         low_c = f_c + (eps * d_c) ** 2 / (2.0 * quad * t) - drift * t
-        up_c = f_c + (eps * d2_c) ** 2 / (2.0 * amin * t) - vmin * t
+        up_c = f_c + (eps * d_c) ** 2 / (2.0 * amin * t) - vmin * t
         j = int(np.argmin(up_c))
         if up_c[j] < incumbent:
             incumbent, best_g = float(up_c[j]), lifts_c[j]
@@ -967,27 +964,27 @@ def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
 def hopf_lax(beta_eval, datum: InitialDatum, h, t: float) -> float:
     """Limit solution u(h, t) = min_q datum(q) + t * beta((h - q)/t).
 
-    ``beta_eval`` must expose value(w), norm, coercivity() -> (kappa,
-    v_off, norm_kind) certifying beta(w) >= kappa*|w|^2 - v_off, and
-    candidate_nodes(radius) for seeding.  The q-window is certified from
-    the datum growth and that coercivity; a simplex polish refines the
-    best node.
+    ``beta_eval`` must expose value(w), its measuring norm ``norm`` (l1
+    or l2) and coercivity() -> (kappa, v_off) certifying
+    beta(w) >= kappa*|w|^2 - v_off in that norm.  The q-window is
+    certified from the datum growth and that coercivity, seeded on a grid
+    of 33 rates per axis over the ball of rates it allows, and a simplex
+    polish refines the best node.
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
     h = np.atleast_1d(np.asarray(h, dtype=float))
     norm = beta_eval.norm
     a_slope, b_const = datum.growth_constants(norm)
-    kappa, v_off, knorm = beta_eval.coercivity()
-    c1 = norm_ratio(knorm, norm, h.size)
+    kappa, v_off = beta_eval.coercivity()
 
     incumbent = datum.value(h) + t * beta_eval.value(np.zeros_like(h))
     best_q = h.copy()
 
     budget = incumbent + a_slope * norm_value(h, norm) + b_const + t * v_off
-    r_max = _reach(a_slope * c1 / (2.0 * kappa), max(0.0, budget) / (t * kappa))
+    r_max = _reach(a_slope / (2.0 * kappa), max(0.0, budget) / (t * kappa))
 
-    for w in beta_eval.candidate_nodes(r_max):
+    for w in _ball_nodes(_ball_axes(r_max, 33, h.size), r_max, norm):
         q = h - t * w
         val = datum.value(q) + t * beta_eval.value(w)
         if val < incumbent:

@@ -2,9 +2,14 @@
 
 A config file has six blocks: ``system``, ``cover``, ``datum``,
 ``experiment``, ``compute``, ``output``.  Validation failures carry the
-dotted path of the offending field so batch logs stay actionable.  The
-system's (alpha, beta) evaluator is picked at load, so a system the
-package has no exact pair for is rejected here too.
+dotted path of the offending field so batch logs stay actionable.
+
+Loading is the one place that decides what a run may be, so everything
+downstream can take it as given.  The system's (alpha, beta) evaluator is
+picked at load: a system the package has no exact pair for, or a torus
+system whose kinetic matrix is not positive definite (H not convex in
+the momentum), is rejected here.  Each cover family has one measuring
+norm (l1 on graphs, l2 on tori); ``cover.norm`` may only restate it.
 """
 
 from __future__ import annotations
@@ -114,7 +119,7 @@ def _parse_trig(terms, n: int, path: str) -> TrigPolynomial:
         raise ConfigError(path, str(exc)) from None
 
 
-def _build_torus(system: dict, norm: str):
+def _build_torus(system: dict):
     n = _as_int(_require(system, "dimension", "system"), "system.dimension")
     if n not in (1, 2):
         raise ConfigError("system.dimension", f"expected 1 or 2, got {n}")
@@ -136,10 +141,10 @@ def _build_torus(system: dict, norm: str):
             model = TorusHamiltonian(n, entries, v)
         except ValueError as exc:
             raise ConfigError("system.kinetic", str(exc)) from None
-    return TorusCover(n, norm=norm), model
+    return TorusCover(n), model
 
 
-def _build_graph(system: dict, norm: str):
+def _build_graph(system: dict):
     n_vertices = _as_int(_require(system, "vertices", "system"), "system.vertices")
     edges_cfg = _require(system, "edges", "system")
     if not isinstance(edges_cfg, (list, tuple)) or not edges_cfg:
@@ -171,7 +176,7 @@ def _build_graph(system: dict, norm: str):
         raise ConfigError("system.edges",
                           f"cycle rank {graph.cycle_rank} is above the "
                           "supported maximum of 2")
-    return GraphCover(graph, norm=norm), GraphLagrangian(graph, np.array(potentials))
+    return GraphCover(graph), GraphLagrangian(graph, np.array(potentials))
 
 
 def _build_datum(datum_cfg: dict, dim: int) -> InitialDatum:
@@ -267,13 +272,15 @@ def load_config(path: str) -> ScenarioConfig:
     family = _require(system, "family", "system")
     cover_cfg = tree.get("cover", {}) or {}
     if family == "torus":
-        norm = _as_norm(_optional(cover_cfg, "norm", "l2"), "cover.norm")
-        cover, model = _build_torus(system, norm)
+        cover, model = _build_torus(system)
     elif family == "graph":
-        norm = _as_norm(_optional(cover_cfg, "norm", "l1"), "cover.norm")
-        cover, model = _build_graph(system, norm)
+        cover, model = _build_graph(system)
     else:
         raise ConfigError("system.family", f"unknown family {family!r}")
+    norm = _optional(cover_cfg, "norm", cover.norm)
+    if norm != cover.norm:
+        raise ConfigError("cover.norm", f"a {family} cover measures in "
+                          f"{cover.norm}, got {norm!r}")
     evaluator = default_beta_evaluator(cover, model)
 
     subcover = None

@@ -12,14 +12,15 @@ The convex pair at the heart of the limit problem:
   and the long-horizon check that two-point action rates approach beta.
 
 Evaluator objects carry one exact (alpha, beta) pair of a system family:
-``value`` is beta, ``alpha`` its dual, and ``coercivity`` a certified
-quadratic lower bound on beta so downstream solvers can truncate
-searches.  Graphs pair ``alpha_graph`` with ``beta_graph``, free tori
-the two quadratic forms of A and its inverse, and the circle
-``alpha_torus_quadrature`` with the energy profile of
-``MechanicalBeta1D``.  ``LegendreDual`` is the one Legendre transform;
-the subcover dual check compares the pulled-back alpha with the
-conjugate of beta-hat through it.
+``value`` is beta, ``alpha`` its dual, ``norm`` the family's measuring
+norm (l1 on graphs, l2 on tori, as on the covers) and ``coercivity`` a
+certified quadratic lower bound (kappa, v_off) on beta in that norm, so
+downstream solvers can truncate searches.  Graphs pair ``alpha_graph``
+with ``beta_graph``, free tori the two quadratic forms of A and its
+inverse, and the circle ``alpha_torus_quadrature`` with the energy
+profile of ``MechanicalBeta1D``.  ``LegendreDual`` is the one Legendre
+transform; the subcover dual check compares the pulled-back alpha with
+the conjugate of beta-hat through it.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, optimize
 
-from .action import _golden_min, _reach, allocate_time, norm_ratio
+from .action import _golden_min, _reach, allocate_time
 from .errors import SolverError
 from .model import GraphLagrangian, TorusHamiltonian
-from .topology import SubcoverMap, _ball_nodes, _edge_flow, _grid, norm_value
+from .topology import SubcoverMap, _ball_axes, _edge_flow, _grid, norm_value
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +61,14 @@ def _has_negative_cycle(graph, dart_cost) -> bool:
     return True
 
 
-def alpha_graph(graph, lagrangian: GraphLagrangian, p, tol: float = 1e-9) -> float:
+def alpha_graph(graph, lagrangian: GraphLagrangian, p) -> float:
     """Effective Hamiltonian on a graph: smallest k with no closed walk
     of negative time-optimized cost.
 
     A full traversal of edge e at energy k costs len*sqrt(2(V+k)) minus
     the pairing of p with the signed cocycle; partial excursions only add
     nonnegative cost and no pairing, so the dart model is exact for
-    k >= -min V.
+    k >= -min V.  The threshold is bisected to 1e-9.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     vmin = lagrangian.min_potential()
@@ -89,7 +90,7 @@ def alpha_graph(graph, lagrangian: GraphLagrangian, p, tol: float = 1e-9) -> flo
         hi = lo + 2.0 * (hi - lo)
         if hi - lo > 1e12:
             raise SolverError("alpha bracket grew past its cap")
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         midk = 0.5 * (lo + hi)
         if _has_negative_cycle(graph, costs(midk)):
             lo = midk
@@ -139,13 +140,14 @@ def _rotation_integral(model: TorusHamiltonian, energy: float) -> float:
     return out
 
 
-def alpha_torus_quadrature(model: TorusHamiltonian, p, tol: float = 1e-10) -> float:
+def alpha_torus_quadrature(model: TorusHamiltonian, p) -> float:
     """Exact 1-D route: energy level whose rotation integral matches |p|.
 
     For H = A(x) p^2 / 2 + V(x) on the circle the corrector equation at
     energy E has a periodic solution iff the integral of
     sqrt(2(E - V)/A) equals |p| (running branch) or E = max V (trapped
-    branch below the threshold pairing).
+    branch below the threshold pairing).  The energy is bracketed to
+    1e-10.
     """
     if model.n != 1:
         raise ValueError("quadrature route is one-dimensional only")
@@ -159,17 +161,12 @@ def alpha_torus_quadrature(model: TorusHamiltonian, p, tol: float = 1e-10) -> fl
     while _rotation_integral(model, hi) < abs(p):
         hi = vmax + 2.0 * (hi - vmax)
     energy = optimize.brentq(lambda e: _rotation_integral(model, e) - abs(p),
-                             vmax, hi, xtol=tol, rtol=8.9e-16, maxiter=200)
+                             vmax, hi, xtol=1e-10, rtol=8.9e-16, maxiter=200)
     return float(energy)
 
 
 # ---------------------------------------------------------------------------
 # evaluators
-
-
-def _ball_axes(radius: float, per_axis: int, dim: int) -> list:
-    """Axes of the symmetric rate grid: per_axis points on [-radius, radius]."""
-    return [np.linspace(-radius, radius, per_axis)] * dim
 
 
 class AnalyticQuadraticBeta:
@@ -194,10 +191,7 @@ class AnalyticQuadraticBeta:
         return float(0.5 * p @ self.a_matrix @ p)
 
     def coercivity(self):
-        return 0.5 * self._lam_min, 0.0, "l2"
-
-    def candidate_nodes(self, radius: float):
-        return _ball_nodes(_ball_axes(radius, 33, self.dim), radius, "l2")
+        return 0.5 * self._lam_min, 0.0
 
 
 class DirectBetaEvaluator:
@@ -220,10 +214,7 @@ class DirectBetaEvaluator:
         return alpha_graph(self.graph, self.lagrangian, p)
 
     def coercivity(self):
-        return self._kappa, self._voff, "l1"
-
-    def candidate_nodes(self, radius: float):
-        return _ball_nodes(_ball_axes(radius, 25, self.dim), radius, "l1")
+        return self._kappa, self._voff
 
 
 class LegendreDual:
@@ -281,7 +272,9 @@ class MechanicalBeta1D:
     beta(w) = max_{E >= max V} [p(E)|w| - E] to quadrature accuracy; the
     endpoint E = max V covers the trapped branch and gives
     beta(0) = -max V exactly.  alpha(p) is the energy whose rotation
-    integral p(E) is |p| (``alpha_torus_quadrature``).
+    integral p(E) is |p| (``alpha_torus_quadrature``).  ``amin`` is the
+    smallest kinetic coefficient on the 64-point grid, which config load
+    requires to be positive.
     """
 
     norm = "l2"
@@ -291,8 +284,7 @@ class MechanicalBeta1D:
             raise ValueError("one-dimensional circle systems only")
         self.model = model
         _, self._vmax = model.potential_bounds(mesh=4096)
-        _, amax = model.kinetic_eig_bounds()
-        self._kappa = 1.0 / (2.0 * amax)
+        self.amin, self._amax = model.kinetic_eig_bounds()
         self._cache = {}
         self._rot_cache = {}
 
@@ -331,10 +323,7 @@ class MechanicalBeta1D:
         return alpha_torus_quadrature(self.model, p)
 
     def coercivity(self):
-        return self._kappa, self._vmax, "l2"
-
-    def candidate_nodes(self, radius: float):
-        return _ball_nodes(_ball_axes(radius, 33, 1), radius, "l2")
+        return 1.0 / (2.0 * self._amax), self._vmax
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +344,13 @@ def beta_hat(sub: SubcoverMap, beta_eval, z, grid_points: int = 33) -> float:
     if r == 0:
         return beta_eval.value(h0)
 
-    kappa, voff, knorm = beta_eval.coercivity()
+    kappa, voff = beta_eval.coercivity()
     v0 = beta_eval.value(h0)
-    radius_bn = _reach(0.0, (v0 + voff) / max(kappa, 1e-300))
-    k = h0.size
-    radius_l2 = radius_bn * norm_ratio(knorm, "l2", k)
+    # a ball in the evaluator's norm (l1 or l2) lies in the l2 ball of
+    # the same radius
+    radius = _reach(0.0, (v0 + voff) / max(kappa, 1e-300))
     pinv = np.linalg.pinv(kern)
-    s_rad = float(np.linalg.norm(pinv, 2) * (radius_l2 + np.linalg.norm(h0)))
+    s_rad = float(np.linalg.norm(pinv, 2) * (radius + np.linalg.norm(h0)))
     s_rad = max(s_rad, 1e-6)
 
     def objective(s):
@@ -398,16 +387,14 @@ class BetaHatEvaluator:
         self.dim = sub.matrix.shape[0]
         self.norm = base_eval.norm
         self.grid_points = grid_points
-        kappa, voff, knorm = base_eval.coercivity()
+        kappa, voff = base_eval.coercivity()
         mat = sub.matrix.astype(float)
-        if knorm == "l1":
+        if self.norm == "l1":
             op = float(np.max(np.sum(np.abs(mat), axis=0))) if mat.size else 0.0
-        elif knorm == "linf":
-            op = float(np.max(np.sum(np.abs(mat), axis=1))) if mat.size else 0.0
         else:
             op = float(np.linalg.norm(mat, 2))
         op = max(op, 1e-12)
-        self._coercivity = (kappa / (op * op), voff, knorm)
+        self._coercivity = (kappa / (op * op), voff)
         self._cache = {}
 
     def value(self, z) -> float:
@@ -420,10 +407,6 @@ class BetaHatEvaluator:
 
     def coercivity(self):
         return self._coercivity
-
-    def candidate_nodes(self, radius: float):
-        return _ball_nodes(_ball_axes(radius, 33, self.dim), radius,
-                           self._coercivity[2])
 
 
 def effective_hamiltonian_subcover(sub: SubcoverMap, alpha_fn, p) -> float:

@@ -4,9 +4,9 @@ Two concrete families are supported in production code:
 
 * ``TorusHamiltonian``: H(x, p) = (1/2) p . A(x) p + V(x) on the flat
   n-torus (n = 1 or 2), with A(x) a symmetric positive definite matrix of
-  trigonometric polynomials and V(x) a trigonometric polynomial.  The
-  Legendre-dual Lagrangian has the closed form
-  L(x, v) = (1/2) v . A(x)^{-1} v - V(x).
+  trigonometric polynomials (config load rejects any other) and V(x) a
+  trigonometric polynomial.  The Legendre-dual Lagrangian has the closed
+  form L(x, v) = (1/2) v . A(x)^{-1} v - V(x).
 
 * ``GraphLagrangian``: on a metric graph, L_e(v) = v^2 / 2 + V_e on each
   edge, where V_e is a per-edge action-rate offset.  The per-edge dual is
@@ -120,14 +120,6 @@ class TorusHamiltonian:
             raise ValueError(f"expected {expected} kinetic entries for n={self.n}")
 
     @classmethod
-    def free(cls, n: int) -> "TorusHamiltonian":
-        """H = |p|^2 / 2."""
-        ones = TrigPolynomial.constant(n, 1.0)
-        zero = TrigPolynomial.constant(n, 0.0)
-        entries = [ones] if n == 1 else [ones, zero, TrigPolynomial.constant(n, 1.0)]
-        return cls(n, entries, TrigPolynomial.constant(n, 0.0))
-
-    @classmethod
     def mechanical(cls, v: TrigPolynomial) -> "TorusHamiltonian":
         """H = |p|^2 / 2 + V(x)."""
         n = v.n
@@ -201,14 +193,8 @@ class GraphLagrangian:
             raise ValueError("one potential offset per edge required")
         self.potentials = pot
 
-    def edge_value(self, e: int, v: float) -> float:
-        return 0.5 * v * v + self.potentials[e]
-
     def min_potential(self) -> float:
         return float(self.potentials.min())
-
-    def shifted(self, c: float) -> "GraphLagrangian":
-        return GraphLagrangian(self.graph, self.potentials + c)
 
 
 def legendre_transform_numeric(h_of_p, v, p0=None, span: float = 10.0) -> float:
@@ -257,86 +243,3 @@ def _torus_grid(n: int, mesh: int) -> np.ndarray:
     """The periodic grid of mesh points per axis on [0, 1)^n."""
     return _grid([np.arange(mesh) / mesh] * n)
 
-
-@dataclass
-class RegularityReport:
-    """Outcome of the convexity/periodicity/superlinearity audit."""
-
-    convex_ok: bool
-    min_kinetic_eig: float
-    periodic_ok: bool
-    periodicity_residual: float
-    superlinear_ok: bool
-    superlinearity_margin: float
-    messages: list
-
-    @property
-    def ok(self) -> bool:
-        return self.convex_ok and self.periodic_ok and self.superlinear_ok
-
-
-def verify_tonelli(hamiltonian: TorusHamiltonian, mesh: int = 16,
-                   probe_radius: float = 1e3, probe_slope: float = 1e2) -> RegularityReport:
-    """Audit the standing assumptions on a torus Hamiltonian.
-
-    Findings are reported, not raised: callers decide whether a failed
-    audit is fatal.  The checks are sampled on a grid with at least
-    ``mesh`` points per dimension.
-
-    * convexity: min eigenvalue of A(x) over the grid must be positive;
-    * periodicity: |H(x + e_i, p) - H(x, p)| must vanish (exact up to
-      floating point for trigonometric coefficients);
-    * superlinearity: min_x min_dirs H(x, R d) / R at R = ``probe_radius``
-      must exceed ``probe_slope``.
-    """
-    mesh = max(int(mesh), 8)
-    grid = _torus_grid(hamiltonian.n, mesh)
-    messages = []
-
-    min_eig = np.inf
-    for x in grid:
-        w = np.linalg.eigvalsh(hamiltonian.kinetic_matrix(x))
-        min_eig = min(min_eig, float(w[0]))
-    convex_ok = min_eig > 0.0
-    if not convex_ok:
-        messages.append(f"kinetic matrix loses positive definiteness (min eig {min_eig:.6g})")
-
-    p_probe = np.full(hamiltonian.n, 0.7)
-    residual = 0.0
-    for x in grid[:: max(1, len(grid) // 32)]:
-        base = hamiltonian.value(x, p_probe)
-        for i in range(hamiltonian.n):
-            shifted = x.copy()
-            shifted[i] += 1.0
-            residual = max(residual, abs(hamiltonian.value(shifted, p_probe) - base))
-    periodic_ok = residual <= 1e-9
-    if not periodic_ok:
-        messages.append(f"periodicity residual {residual:.3g}")
-
-    dirs = [np.eye(hamiltonian.n)[i] for i in range(hamiltonian.n)]
-    dirs += [-d for d in dirs]
-    if hamiltonian.n == 2:
-        dirs.append(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    worst_ratio = np.inf
-    for x in grid[:: max(1, len(grid) // 16)]:
-        for d in dirs:
-            try:
-                ratio = hamiltonian.value(x, probe_radius * d) / probe_radius
-            except ModelValidityError:
-                ratio = -np.inf
-            worst_ratio = min(worst_ratio, ratio)
-    superlinear_ok = worst_ratio > probe_slope
-    if not superlinear_ok:
-        messages.append(
-            f"superlinearity probe ratio {worst_ratio:.6g} at |p|={probe_radius} "
-            f"does not clear slope {probe_slope}")
-
-    return RegularityReport(
-        convex_ok=convex_ok,
-        min_kinetic_eig=min_eig,
-        periodic_ok=periodic_ok,
-        periodicity_residual=residual,
-        superlinear_ok=superlinear_ok,
-        superlinearity_margin=worst_ratio - probe_slope,
-        messages=messages,
-    )

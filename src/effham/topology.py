@@ -41,8 +41,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import WindowExhaustedError
 
-_NORMS = ("l1", "l2", "linf")
-
 
 def norm_value(v, kind: str) -> float:
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -77,6 +75,11 @@ def _grid(axes) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _ball_axes(radius: float, per_axis: int, dim: int) -> list:
+    """Axes of the symmetric rate grid: per_axis points on [-radius, radius]."""
+    return [np.linspace(-radius, radius, per_axis)] * dim
+
+
 def _ball_nodes(axes, radius: float, kind: str) -> np.ndarray:
     """Rows of ``_grid(axes)`` inside the ``kind`` ball of the radius, in
     grid order (callers keep the first strict best)."""
@@ -85,13 +88,12 @@ def _ball_nodes(axes, radius: float, kind: str) -> np.ndarray:
 
 
 def dual_norm_value(v, kind: str) -> float:
+    """Dual of a cover's measuring norm (l1 or l2) at v."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if kind == "l1":
         return float(np.max(np.abs(v))) if v.size else 0.0
     if kind == "l2":
         return float(np.sqrt(np.sum(v * v)))
-    if kind == "linf":
-        return float(np.sum(np.abs(v)))
     raise ValueError(f"unknown norm {kind!r}")
 
 
@@ -251,17 +253,19 @@ def figure_eight(len_a: float = 1.0, len_b: float = 1.0) -> MetricGraph:
 
 
 class TorusCover:
-    """Maximal abelian cover of the flat n-torus: R^n over T^n."""
+    """Maximal abelian cover of the flat n-torus: R^n over T^n.
+
+    Rates and homology displacements are measured in the Euclidean norm,
+    the stable norm of the flat torus.
+    """
 
     family = "torus"
+    norm = "l2"
 
-    def __init__(self, n: int, norm: str = "l2"):
+    def __init__(self, n: int):
         if n not in (1, 2):
             raise ValueError("only 1- and 2-tori are supported")
-        if norm not in _NORMS:
-            raise ValueError(f"unknown norm {norm!r}")
         self.n = n
-        self.norm = norm
 
     @property
     def deck_rank(self) -> int:
@@ -298,9 +302,7 @@ class TorusCover:
         return norm_value(self.lift(x) - self.lift(y), "l2")
 
     def g_lipschitz(self) -> float:
-        """Bound on |G(x) - G(y)| (chosen norm) per unit of cover distance."""
-        if self.norm == "l1":
-            return float(np.sqrt(self.n))
+        """Bound on |G(x) - G(y)|_2 per unit of cover distance."""
         return 1.0
 
     def base_diameter(self) -> float:
@@ -312,16 +314,16 @@ class GraphCover:
 
     Points on the j-th non-tree edge interpolate the j-th deck coordinate
     linearly in arclength, so ``g_map`` is continuous and increments by
-    exactly the cocycle vector across a full traversal.
+    exactly the cocycle vector across a full traversal.  Rates and
+    homology displacements are measured in the l1 norm of deck
+    coordinates.
     """
 
     family = "graph"
+    norm = "l1"
 
-    def __init__(self, graph: MetricGraph, norm: str = "l1"):
-        if norm not in _NORMS:
-            raise ValueError(f"unknown norm {norm!r}")
+    def __init__(self, graph: MetricGraph):
         self.graph = graph
-        self.norm = norm
         self._table = None
         self._radii = None
         # traversal multisets by (start vertex, end vertex, sheet change),

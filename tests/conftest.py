@@ -58,12 +58,12 @@ def make_pendulum() -> TorusHamiltonian:
 
 @pytest.fixture(scope="session")
 def free1() -> TorusHamiltonian:
-    return TorusHamiltonian.free(1)
+    return TorusHamiltonian.mechanical(TrigPolynomial.constant(1, 0.0))
 
 
 @pytest.fixture(scope="session")
 def free2() -> TorusHamiltonian:
-    return TorusHamiltonian.free(2)
+    return TorusHamiltonian.mechanical(TrigPolynomial.constant(2, 0.0))
 
 
 @pytest.fixture(scope="session")

@@ -146,6 +146,18 @@ def _set(path, value):
         [{"k": [0, 0], "cos": 1.0}, {"k": [1, 0], "cos": 0.3}],
         [{"k": [0, 0], "cos": 0.0}], [{"k": [0, 0], "cos": 1.0}]]),
      "system.kinetic"),
+    # H must be convex in p: A(x) = sin(2 pi x) changes sign, and the
+    # constant A = [[1, 2], [2, 1]] has eigenvalue -1
+    pytest.param("free_torus_1d",
+                 _set("system.kinetic", [[{"k": [1], "sin": 1.0}]]),
+                 "system.kinetic", id="free_torus_1d-sign-changing-kinetic"),
+    pytest.param("free_torus_2d", _set("system.kinetic", [
+        [{"k": [0, 0], "cos": 1.0}], [{"k": [0, 0], "cos": 2.0}],
+        [{"k": [0, 0], "cos": 1.0}]]), "system.kinetic",
+        id="free_torus_2d-indefinite-kinetic"),
+    # graph rates are measured in l1 only
+    pytest.param("figure_eight", _set("cover", {"norm": "l2"}), "cover.norm",
+                 id="figure_eight-foreign-cover.norm"),
 ])
 def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
                                                  mutate, field):
@@ -161,6 +173,26 @@ def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
         assert record["error"]["exit"] == cli.EXIT_SCHEMA
         assert record["error"]["field"] == field
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stem, mutate", [
+    pytest.param(os.path.splitext(name)[0], lambda tree: tree, id=name)
+    for name in sorted(os.listdir(os.path.join(ROOT, "scenarios")))
+] + [
+    # a slow but convex system: A = 0.15 everywhere
+    pytest.param("free_torus_1d",
+                 _set("system.kinetic", [[{"k": [0], "cos": 0.15}]]),
+                 id="slow-kinetic"),
+    # restating the family's own norm is allowed
+    pytest.param("free_torus_2d", _set("cover", {"norm": "l2"}),
+                 id="own-norm"),
+])
+def test_validate_accepts_supported_systems(tmp_path, capsys, stem, mutate):
+    path = _write(tmp_path, mutate(_scenario_tree(stem)))
+    assert cli.run(path, "validate") == cli.EXIT_OK
+    (record,) = _records(capsys)
+    assert record["passed"] is True
+    assert record["checks"] == {"schema": True}
 
 
 def test_solver_failure_exits_three(monkeypatch, capsys, tmp_path):

@@ -144,7 +144,7 @@ def test_affine_check_pendulum_linear_in_scale(circle, pendulum):
     report = affine_datum_check(circle, pendulum, [0.0], 0.0, ladder,
                                 (((1 / 3,), 1.0),), alpha_value=1.0)
     assert report.passed
-    devs = report.deviations()
+    devs = [row.deviation for row in report.rows]
     for prev, nxt in zip(devs, devs[1:]):
         assert nxt == pytest.approx(prev / 2.0, rel=0.05)
     assert devs[-1] < 1e-2

@@ -94,7 +94,8 @@ def test_alpha_free_momentum_on_one_loop(fig8, fig8_free):
 def test_alpha_shift_covariance(fig8, fig8_lag):
     for p_val in ((0.3, 0.4), (1.1, -0.8)):
         base = alpha_graph(fig8, fig8_lag, list(p_val))
-        shifted = alpha_graph(fig8, fig8_lag.shifted(0.7), list(p_val))
+        shifted = alpha_graph(fig8, GraphLagrangian(fig8, fig8_lag.potentials + 0.7),
+                              list(p_val))
         assert shifted == pytest.approx(base - 0.7, abs=1e-12)
 
 

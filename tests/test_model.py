@@ -3,18 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from effham.model import (
-    GraphLagrangian,
     TorusHamiltonian,
     TrigPolynomial,
     double_legendre_residual,
     fenchel_young_residual,
     legendre_transform_numeric,
-    verify_tonelli,
 )
 from tests.conftest import make_pendulum
 
 PENDULUM = make_pendulum()
-FREE1 = TorusHamiltonian.free(1)
 
 
 def test_free_lagrangian_is_half_speed_squared(free1):
@@ -40,35 +37,6 @@ def test_quartic_transform_matches_grid_scan():
     grid = np.arange(-10.0, 10.0, 1e-4)
     brute = np.max(grid - 0.25 * grid**4)
     assert value == pytest.approx(brute, abs=1e-6)
-
-
-def test_tonelli_report_free(free1):
-    report = verify_tonelli(free1)
-    assert report.ok
-    assert report.min_kinetic_eig == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tonelli_report_pendulum(pendulum):
-    report = verify_tonelli(pendulum)
-    assert report.ok
-    assert report.min_kinetic_eig == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tonelli_rejects_sign_changing_kinetic_coefficient():
-    wobble = TorusHamiltonian(1, [TrigPolynomial(1, [([1], 0.0, 1.0)])],
-                              TrigPolynomial.constant(1, 0.0))
-    report = verify_tonelli(wobble)
-    assert not report.ok
-    assert not report.convex_ok
-
-
-def test_graph_lagrangian_shift():
-    from effham.topology import single_loop
-
-    lag = GraphLagrangian(single_loop(2.0), [0.5])
-    shifted = lag.shifted(0.25)
-    assert shifted.potentials[0] == pytest.approx(0.75, abs=1e-15)
-    assert shifted.edge_value(0, 1.0) == pytest.approx(lag.edge_value(0, 1.0) + 0.25, abs=1e-15)
 
 
 @given(
@@ -102,5 +70,5 @@ def test_double_legendre_recovers_hamiltonian(x, p):
 @given(p1=st.floats(min_value=-3.0, max_value=3.0),
        p2=st.floats(min_value=-3.0, max_value=3.0))
 def test_double_legendre_free_two_dim(p1, p2):
-    free2 = TorusHamiltonian.free(2)
+    free2 = TorusHamiltonian.mechanical(TrigPolynomial.constant(2, 0.0))
     assert double_legendre_residual(free2, [0.1, 0.7], [p1, p2]) <= 1e-8

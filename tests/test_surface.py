@@ -1,13 +1,16 @@
-"""Every public function and class of the package has a caller.
+"""Every public function, class and method of the package has a caller.
 
-A public top-level name of a module under src/effham must be read
-somewhere in src/effham or scripts/ outside its own definition, or be one
-of the named test oracles below, which exist to be cross-checked against
-the production routes.
+A public top-level name of a module under src/effham, and a public method
+of a public class defined there, must be read somewhere in src/effham or
+scripts/ outside its own definition, or be one of the named test oracles
+below (or a method of one), which exist to be cross-checked against the
+production routes.  Reads are matched by name, so a method that shares
+its name with something read elsewhere passes.
 """
 
 import ast
 import os
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "effham")
@@ -29,39 +32,50 @@ def _sources():
     return trees
 
 
-def _reads(node) -> set:
-    """Names read anywhere under a node, as bare names or attributes."""
-    out = set()
+def _reads(node) -> Counter:
+    """Names read anywhere under a node, as bare names or attributes,
+    with their counts."""
+    out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
     return out
 
 
+def _public(node) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_"))
+
+
 def _public_definitions(trees):
+    """(label, owner, node) of every public top-level definition and
+    every public method of a public class; owner is the class name."""
     for path, tree in trees.items():
         if os.path.dirname(path) != PACKAGE:
             continue
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                yield os.path.basename(path), node
+        module = os.path.basename(path)
+        for node in filter(_public, tree.body):
+            yield f"{module}: {node.name}", None, node
+            if isinstance(node, ast.ClassDef):
+                for method in filter(_public, node.body):
+                    yield (f"{module}: {node.name}.{method.name}", node.name,
+                           method)
 
 
 def test_every_public_name_has_a_caller():
     trees = _sources()
     definitions = list(_public_definitions(trees))
-    assert {module for module, _ in definitions} >= {
+    assert {label.split(":")[0] for label, _, _ in definitions} >= {
         "action.py", "cli.py", "config.py", "homogenize.py", "mather.py",
         "model.py", "topology.py"}
+    assert any(owner for _, owner, _ in definitions)
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
     unread = []
-    for module, node in definitions:
-        if node.name in ORACLES:
+    for label, owner, node in definitions:
+        if node.name in ORACLES or owner in ORACLES:
             continue
-        if not any(node.name in _reads(top)
-                   for tree in trees.values() for top in tree.body
-                   if top is not node):
-            unread.append(f"{module}: {node.name}")
+        if reads[node.name] <= _reads(node)[node.name]:
+            unread.append(label)
     assert unread == []
