@@ -10,8 +10,9 @@ Three layers:
   a piecewise-linear trajectory descent with analytic gradients and
   segment-doubling refinement.
 * ``lax_oleinik``: the rescaled cover solution, an infimum of
-  datum + eps * action over starting points, truncated to a certified
-  window, seeded on a mesh and polished.
+  f(eps * G(y)) + eps * action over starting points y (f the limit
+  datum, G the cover's coordinate map), truncated to a certified window,
+  seeded on a mesh and polished.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box.
 
@@ -30,59 +31,33 @@ import numpy as np
 from scipy import optimize
 
 from .errors import SolverError
-from .model import GraphLagrangian, TorusHamiltonian, TrigPolynomial, _torus_grid
+from .model import GraphLagrangian, TorusHamiltonian, _torus_grid
 from .topology import (CoverPoint, _ball_axes, _ball_nodes, _edge_flow, _grid,
                        _norm_rows, dual_norm_value, norm_value)
-
-# sup |v|_b / |v|_a over v != 0 in dimension k, as a function factory;
-# a is a cover's measuring norm (l1 or l2), b any datum norm
-_RATIO = {
-    ("l1", "l1"): lambda k: 1.0,
-    ("l2", "l2"): lambda k: 1.0,
-    ("l1", "l2"): lambda k: 1.0,
-    ("l1", "linf"): lambda k: 1.0,
-    ("l2", "linf"): lambda k: 1.0,
-    ("l2", "l1"): lambda k: math.sqrt(k),
-}
-
-
-def norm_ratio(from_kind: str, to_kind: str, dim: int) -> float:
-    """Smallest C with |v|_to <= C |v|_from for all v in R^dim."""
-    return _RATIO[(from_kind, to_kind)](dim)
 
 
 class InitialDatum:
     """Limit-space initial datum with linear-growth certificates.
 
-    Families: affine p.h + c; cone slope*|h - center| + c (slope >= 0);
-    quadratic h.Q.h/2 + p.h + c with Q positive semidefinite.  Growth
-    constants (A, B) certify f(h) >= -A|h| - B in a requested norm.  B
-    is -c and may be negative: the search windows add it to an incumbent
-    that already holds +c, so a constant added to the datum leaves them
-    where they are.
+    Families: affine p.h + c; cone slope*|h - center| + c (slope >= 0)
+    in its cover's measuring norm (l1 on graphs, l2 on tori); quadratic
+    h.Q.h/2 + p.h + c with Q positive semidefinite.  Growth constants
+    (A, B) certify f(h) >= -A|h| - B in a requested norm.  B is -c and
+    may be negative: the search windows add it to an incumbent that
+    already holds +c, so a constant added to the datum leaves them where
+    they are.
     """
 
     def __init__(self, kind, *, p=None, c=0.0, slope=0.0, center=None,
-                 q_matrix=None, cone_norm="l1", dim=None):
+                 q_matrix=None, cone_norm="l1"):
         self.kind = kind
         self.c = float(c)
-        self.dim = dim
         self.p = None if p is None else np.atleast_1d(np.asarray(p, dtype=float))
-        if self.p is not None:
-            self.dim = self.p.size
         self.q_matrix = None
         if q_matrix is not None:
             self.q_matrix = np.atleast_2d(np.asarray(q_matrix, dtype=float))
-            if self.dim is None:
-                self.dim = self.q_matrix.shape[0]
-        if center is not None:
-            self.center = np.atleast_1d(np.asarray(center, dtype=float))
-            if self.dim is None:
-                self.dim = self.center.size
-        else:
-            self.center = np.zeros(self.dim if self.dim is not None else 1)
-        if self.dim is None:
-            self.dim = self.center.size
+        self.center = (None if center is None
+                       else np.atleast_1d(np.asarray(center, dtype=float)))
         self.slope = float(slope)
         self.cone_norm = cone_norm
         if kind == "affine":
@@ -94,9 +69,8 @@ class InitialDatum:
         elif kind == "quadratic":
             if self.q_matrix is None:
                 raise ValueError("quadratic datum needs a matrix")
-            self.dim = self.q_matrix.shape[0]
             if self.p is None:
-                self.p = np.zeros(self.dim)
+                self.p = np.zeros(self.q_matrix.shape[0])
             w = np.linalg.eigvalsh(0.5 * (self.q_matrix + self.q_matrix.T))
             if w[0] < -1e-12:
                 raise ValueError("quadratic datum matrix must be positive semidefinite")
@@ -111,8 +85,9 @@ class InitialDatum:
     @staticmethod
     def cone(slope: float, center=None, c: float = 0.0, norm: str = "l1",
              dim: int = 1) -> "InitialDatum":
-        return InitialDatum("cone", slope=slope, center=center, c=c,
-                            cone_norm=norm, dim=dim)
+        return InitialDatum("cone", slope=slope,
+                            center=np.zeros(dim) if center is None else center,
+                            c=c, cone_norm=norm)
 
     @staticmethod
     def quadratic(q_matrix, p=None, c: float = 0.0) -> "InitialDatum":
@@ -136,19 +111,19 @@ class InitialDatum:
         return quad + hs @ self.p + self.c
 
     def gradient(self, h):
-        """Gradient where smooth; None for kinds without a usable one."""
+        """Gradient where smooth; zero at the tip of a cone."""
         h = np.atleast_1d(np.asarray(h, dtype=float))
         if self.kind == "affine":
             return self.p.copy()
         if self.kind == "quadratic":
             return self.q_matrix @ h + self.p
-        if self.cone_norm == "l2":
-            d = h - self.center
-            r = float(np.linalg.norm(d))
-            if r < 1e-12:
-                return np.zeros_like(d)
-            return self.slope * d / r
-        return None
+        d = h - self.center
+        if self.cone_norm == "l1":
+            return self.slope * np.sign(d)
+        r = float(np.linalg.norm(d))
+        if r < 1e-12:
+            return np.zeros_like(d)
+        return self.slope * d / r
 
     def growth_constants(self, norm: str):
         """(A, B) with f(h) >= -A|h|_norm - B for all h."""
@@ -158,76 +133,14 @@ class InitialDatum:
         return a, -self.c
 
     def lipschitz_bound(self, radius: float, norm: str) -> float:
-        """Lipschitz constant of f in |.|_norm over the ball of that radius."""
+        """Lipschitz constant of f in |.|_norm (the cover's, which a cone
+        measures in too) over the ball of that radius; |v|_2 <= |v|_1, so
+        the quadratic's l2 gradient bound holds in l1 as well."""
         if self.kind == "affine":
             return dual_norm_value(self.p, norm)
         if self.kind == "cone":
-            return self.slope * norm_ratio(norm, self.cone_norm, self.dim)
-        conv = norm_ratio(norm, "l2", self.dim)
-        grad2 = self._qmax * conv * radius + float(np.linalg.norm(self.p))
-        return grad2 * conv
-
-
-class TorusBump:
-    """Deck-invariant perturbation of the cover datum (torus base)."""
-
-    def __init__(self, trig: TrigPolynomial):
-        self.trig = trig
-
-    def value_at_lift(self, lift) -> float:
-        return float(self.trig.value(lift))
-
-    def value_many(self, lifts) -> np.ndarray:
-        return self.trig.value_many(lifts)
-
-    def gradient_at_lift(self, lift) -> np.ndarray:
-        return self.trig.gradient(lift)
-
-    def bound(self) -> float:
-        return self.trig.bound_abs()
-
-
-class EdgeBump:
-    """Deck-invariant perturbation on a graph: per-edge sine in arclength.
-
-    value on edge e at arclength s is amplitude_e * sin(2*pi*freq_e*s/len_e),
-    which vanishes at both endpoints, so the bump is continuous.
-    """
-
-    def __init__(self, graph, amplitudes, frequencies=None):
-        self.graph = graph
-        self.amplitudes = np.asarray(amplitudes, dtype=float)
-        if frequencies is None:
-            frequencies = np.ones(len(graph.edges), dtype=int)
-        self.frequencies = np.asarray(frequencies, dtype=int)
-
-    def value_at(self, base) -> float:
-        if base[0] == "v":
-            return 0.0
-        _, e, s = base
-        length = self.graph.length(e)
-        return float(self.amplitudes[e]
-                     * math.sin(2.0 * math.pi * self.frequencies[e] * s / length))
-
-    def bound(self) -> float:
-        return float(np.max(np.abs(self.amplitudes))) if self.amplitudes.size else 0.0
-
-
-def datum_on_cover(cover, datum: InitialDatum, eps: float, bump=None):
-    """Callable cover datum: datum(F_eps(point)) + eps * bump(point)."""
-    if eps <= 0.0:
-        raise ValueError(f"scale eps must be positive, got {eps}")
-
-    def value(point: CoverPoint) -> float:
-        out = datum.value(eps * cover.g_map(point))
-        if bump is not None:
-            if cover.family == "torus":
-                out += eps * bump.value_at_lift(cover.lift(point))
-            else:
-                out += eps * bump.value_at(point.base)
-        return out
-
-    return value
+            return self.slope
+        return self._qmax * radius + float(np.linalg.norm(self.p))
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +491,17 @@ def _family_constants(cover, lagrangian):
     return float(amax), float(vmax)
 
 
-def _lax_window(cover, datum, quad: float, drift: float, pb: float, hx,
-                t: float, incumbent: float) -> float:
+def _lax_window(cover, datum, quad: float, drift: float, hx, t: float,
+                incumbent: float) -> float:
     """Largest rescaled distance D from x at which a minimizer can sit.
 
     A start at distance D pays action at least D^2/(2*quad*t) - drift*t,
-    and the datum there (bump included) is at least
-    -A*(|hx| + K0*D) - B - pb, so beating the incumbent needs
-    D^2/(2*quad*t) <= A*K0*D + incumbent + A*|hx| + B + pb + drift*t.
+    and the datum there is at least -A*(|hx| + K0*D) - B, so beating the
+    incumbent needs
+    D^2/(2*quad*t) <= A*K0*D + incumbent + A*|hx| + B + drift*t.
     """
     a_slope, b_const = datum.growth_constants(cover.norm)
-    budget = (incumbent + a_slope * norm_value(hx, cover.norm) + b_const + pb
+    budget = (incumbent + a_slope * norm_value(hx, cover.norm) + b_const
               + drift * t)
     return _reach(quad * t * a_slope * cover.g_lipschitz(),
                   2.0 * quad * t * budget)
@@ -605,7 +518,6 @@ class LaxResult:
     window: float
     candidates: int
     evaluated: int
-    mesh: int
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -613,12 +525,6 @@ class LaxResult:
 # resolution, and the segment-doubling tolerance of those re-pricings
 _N_TOP = 6
 _ACTION_TOL = 1e-7
-
-
-def _bump_value_lift(bump, lifts: np.ndarray) -> np.ndarray:
-    if bump is None:
-        return np.zeros(lifts.shape[0])
-    return bump.value_many(lifts)
 
 
 def _shell_offsets(n: int, s: int) -> np.ndarray:
@@ -638,21 +544,19 @@ def _shell_offsets(n: int, s: int) -> np.ndarray:
     ]).astype(int)
 
 
-def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
+def _lax_torus(cover, model, datum, x, t, eps, mesh):
     horizon = t / eps
     x_lift = cover.lift(x)
     hx = eps * x_lift
     quad, drift = _family_constants(cover, model)
-    pb = eps * (bump.bound() if bump is not None else 0.0)
 
     stay, stay_nodes = minimal_action_torus(model, x_lift, x_lift, horizon,
                                             tol=_ACTION_TOL, details=True)
-    bump_x = eps * bump.value_at_lift(x_lift) if bump is not None else 0.0
-    incumbent = datum.value(hx) + bump_x + eps * stay
+    incumbent = datum.value(hx) + eps * stay
     best_nodes = stay_nodes
     best_g = x_lift.copy()
 
-    window = _lax_window(cover, datum, quad, drift, pb, hx, t, incumbent)
+    window = _lax_window(cover, datum, quad, drift, hx, t, incumbent)
 
     # candidate lifts: mesh fractions per translate cell, cells swept in
     # expanding shells around x; a straight-path upper bound tightens the
@@ -681,8 +585,7 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
     cd2 = np.sqrt(np.sum(cdiff * cdiff, axis=1))
     sel = cd2 <= reach + cell_diam
     if np.any(sel):
-        cf = (datum.value_many(eps * corners[sel])
-              + eps * _bump_value_lift(bump, corners[sel]))
+        cf = datum.value_many(eps * corners[sel])
         cup = cf + (eps * cd2[sel]) ** 2 / (2.0 * amin * t) - vmin * t
         j = int(np.argmin(cup))
         if cup[j] < incumbent:
@@ -706,7 +609,7 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
         gaps = np.maximum(np.maximum(ring - x_lift[None, :],
                                      x_lift[None, :] - (ring + 1.0)), 0.0)
         d_los = _norm_rows(gaps, cover.norm)
-        lb_cells = (f_hx - pb - lip * eps * (d_los + cell_diam)
+        lb_cells = (f_hx - lip * eps * (d_los + cell_diam)
                     + (eps * d_los) ** 2 / (2.0 * quad * t) - drift * t)
         if (float(np.min(lb_cells)) > incumbent + 1e-12
                 and eps * float(np.min(d_los)) > vertex_d):
@@ -717,8 +620,7 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
         lifts_c = (live[:, None, :] + offsets[None, :, :]).reshape(-1, n)
         diff = lifts_c - x_lift[None, :]
         d_c = np.sqrt(np.sum(diff * diff, axis=1))
-        f_c = (datum.value_many(eps * lifts_c)
-               + eps * _bump_value_lift(bump, lifts_c))
+        f_c = datum.value_many(eps * lifts_c)
         low_c = f_c + (eps * d_c) ** 2 / (2.0 * quad * t) - drift * t
         up_c = f_c + (eps * d_c) ** 2 / (2.0 * amin * t) - vmin * t
         j = int(np.argmin(up_c))
@@ -772,23 +674,16 @@ def _lax_torus(cover, model, datum, bump, x, t, eps, mesh):
             best_nodes = nodes
             best_g = lifts[idx]
 
-    polished = _joint_polish_torus(model, datum, bump, eps, t, best_nodes)
-    if polished is not None and polished[0] < incumbent:
+    polished = _joint_polish_torus(model, datum, eps, t, best_nodes)
+    if polished[0] < incumbent:
         incumbent, best_g = polished
     return LaxResult(value=float(incumbent), minimizer_g=np.asarray(best_g),
                      window=window, candidates=int(n_candidates),
-                     evaluated=evaluated, mesh=mesh)
+                     evaluated=evaluated)
 
 
-def _joint_polish_torus(model, datum, bump, eps, t, nodes):
-    """Descend over the start point and the chain together.
-
-    Only used when the datum has a gradient; the cone with a polyhedral
-    norm falls back to the mesh value.
-    """
-    probe = datum.gradient(np.zeros(model.n))
-    if probe is None:
-        return None
+def _joint_polish_torus(model, datum, eps, t, nodes):
+    """Descend over the start point and the chain together."""
     horizon = t / eps
     shape = nodes.shape
     cost = _TrajectoryCost(model, horizon, shape[0] - 1)
@@ -802,11 +697,7 @@ def _joint_polish_torus(model, datum, bump, eps, t, nodes):
         q0 = chain[0]
         val = datum.value(eps * q0) + eps * act
         full_grad = eps * grad
-        dgrad = datum.gradient(eps * q0)
-        full_grad[0] += eps * dgrad
-        if bump is not None:
-            val += eps * bump.value_at_lift(q0)
-            full_grad[0] += eps * bump.gradient_at_lift(q0)
+        full_grad[0] += eps * datum.gradient(eps * q0)
         return val, full_grad[:-1].ravel()
 
     res = optimize.minimize(fun, nodes[:-1].ravel(), jac=True, method="L-BFGS-B",
@@ -842,20 +733,18 @@ def _golden_min(fn, lo: float, hi: float, tol: float):
     return s, fn(s)
 
 
-def _lax_graph(cover, lagrangian, datum, bump, x, t, eps, mesh):
+def _lax_graph(cover, lagrangian, datum, x, t, eps, mesh):
     graph = cover.graph
     horizon = t / eps
     gx = cover.g_map(x)
     hx = eps * gx
     quad, drift = _family_constants(cover, lagrangian)
-    pb = eps * (bump.bound() if bump is not None else 0.0)
     k0 = cover.g_lipschitz()
 
-    cdatum = datum_on_cover(cover, datum, eps, bump)
-    incumbent = cdatum(x) + eps * minimal_action_graph(lagrangian, cover, x, x,
-                                                       horizon)
+    incumbent = datum.value(hx) + eps * minimal_action_graph(lagrangian, cover,
+                                                             x, x, horizon)
     best_point = x
-    window = _lax_window(cover, datum, quad, drift, pb, hx, t, incumbent)
+    window = _lax_window(cover, datum, quad, drift, hx, t, incumbent)
 
     lmin = max(graph.min_nontree_length(), 1e-12)
     sheet_reach = int(math.ceil(window / (eps * lmin))) + 2
@@ -870,8 +759,6 @@ def _lax_graph(cover, lagrangian, datum, bump, x, t, eps, mesh):
         g0 = cover.g_of_base(loc)
         rows = sheets + g0[None, :]
         f_rows = datum.value_many(eps * rows)
-        if bump is not None:
-            f_rows = f_rows + eps * bump.value_at(loc)
         d_lb = _norm_rows(rows - gx[None, :], cover.norm) / max(k0, 1e-12)
         sl = slice(i * n_sheets, (i + 1) * n_sheets)
         f_all[sl] = f_rows
@@ -924,8 +811,9 @@ def _lax_graph(cover, lagrangian, datum, bump, x, t, eps, mesh):
 
         def objective(s, e=e, sheet=sheet):
             point = cover.edge_point(e, min(max(s, 0.0), length), sheet)
-            return cdatum(point) + eps * minimal_action_graph(
-                lagrangian, cover, point, x, horizon)
+            return (datum.value(eps * cover.g_map(point))
+                    + eps * minimal_action_graph(lagrangian, cover, point, x,
+                                                 horizon))
 
         s_best, val = _golden_min(objective, 0.0, length, tol=1e-9 * max(1.0, length))
         if val < incumbent:
@@ -934,13 +822,14 @@ def _lax_graph(cover, lagrangian, datum, bump, x, t, eps, mesh):
 
     return LaxResult(value=float(incumbent), minimizer_g=cover.g_map(best_point),
                      window=window, candidates=int(lb_all.size),
-                     evaluated=evaluated, mesh=mesh)
+                     evaluated=evaluated)
 
 
 def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
-                eps: float, bump=None, mesh: int = 64, details: bool = False):
-    """Rescaled cover solution at (x, t): inf over starting points of
-    datum(F_eps(y)) [+ eps*bump(y)] + eps * action(y, x, t/eps).
+                eps: float, mesh: int = 64, details: bool = False):
+    """Rescaled cover solution at (x, t): inf over starting points y of
+    datum(eps * G(y)) + eps * action(y, x, t/eps), with G the cover's
+    coordinate map.
 
     Candidates live on a base mesh crossed with a sheet window certified
     by ``_lax_window``; survivors are priced exactly and the winner is
@@ -951,9 +840,9 @@ def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
     if eps <= 0.0:
         raise ValueError(f"scale eps must be positive, got {eps}")
     if cover.family == "graph":
-        result = _lax_graph(cover, lagrangian, datum, bump, x, t, eps, mesh)
+        result = _lax_graph(cover, lagrangian, datum, x, t, eps, mesh)
     else:
-        result = _lax_torus(cover, lagrangian, datum, bump, x, t, eps, mesh)
+        result = _lax_torus(cover, lagrangian, datum, x, t, eps, mesh)
     return result if details else result.value
 
 

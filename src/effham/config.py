@@ -7,9 +7,12 @@ dotted path of the offending field so batch logs stay actionable.
 Loading is the one place that decides what a run may be, so everything
 downstream can take it as given.  The system's (alpha, beta) evaluator is
 picked at load: a system the package has no exact pair for, or a torus
-system whose kinetic matrix is not positive definite (H not convex in
-the momentum), is rejected here.  Each cover family has one measuring
-norm (l1 on graphs, l2 on tori); ``cover.norm`` may only restate it.
+system whose kinetic matrix is not proved positive definite (H not
+convex in the momentum), is rejected here.  Each cover family has one
+measuring norm (l1 on graphs, l2 on tori); ``cover.norm`` may only
+restate it, and a cone datum measures in it, so ``datum.norm`` may only
+restate it too.  The cover datum is the limit datum read through the
+rescaled coordinate map, f(eps * G(x)); a ``datum.bump`` is rejected.
 """
 
 from __future__ import annotations
@@ -19,13 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .action import EdgeBump, InitialDatum, TorusBump
+from .action import InitialDatum
 from .errors import ConfigError
 from .homogenize import Scenario, default_beta_evaluator
 from .model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
 from .topology import GraphCover, MetricGraph, SubcoverMap, TorusCover
-
-_NORMS = ("l1", "l2", "linf")
 
 
 def _require(tree: dict, key: str, path: str):
@@ -60,12 +61,6 @@ def _as_vector(value, path: str) -> np.ndarray:
     return np.array([_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 
-def _as_norm(value, path: str) -> str:
-    if value not in _NORMS:
-        raise ConfigError(path, f"unknown norm {value!r}, expected one of {_NORMS}")
-    return value
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario description plus the constructed solver objects."""
@@ -74,7 +69,6 @@ class ScenarioConfig:
     cover: object
     model: object
     datum: InitialDatum
-    bump: object
     subcover: object
     eps_ladder: tuple
     eval_points: tuple
@@ -90,7 +84,7 @@ class ScenarioConfig:
     def scenario(self) -> Scenario:
         return Scenario(name=self.name, cover=self.cover, model=self.model,
                         datum=self.datum, eps_ladder=self.eps_ladder,
-                        eval_points=self.eval_points, bump=self.bump,
+                        eval_points=self.eval_points,
                         subcover=self.subcover, mesh=self.mesh,
                         rate_rungs=self.rate_rungs, tolerance=self.tolerance)
 
@@ -179,7 +173,7 @@ def _build_graph(system: dict):
     return GraphCover(graph), GraphLagrangian(graph, np.array(potentials))
 
 
-def _build_datum(datum_cfg: dict, dim: int) -> InitialDatum:
+def _build_datum(datum_cfg: dict, dim: int, norm: str) -> InitialDatum:
     family = _require(datum_cfg, "family", "datum")
     if family == "affine":
         p = _as_vector(_require(datum_cfg, "slope_vector", "datum"),
@@ -198,7 +192,9 @@ def _build_datum(datum_cfg: dict, dim: int) -> InitialDatum:
             center = _as_vector(center, "datum.center")
             if center.shape != (dim,):
                 raise ConfigError("datum.center", f"expected {dim} entries")
-        norm = _as_norm(datum_cfg.get("norm", "l1"), "datum.norm")
+        if datum_cfg.get("norm", norm) != norm:
+            raise ConfigError("datum.norm", f"a cone measures in its cover's "
+                              f"norm {norm}, got {datum_cfg['norm']!r}")
         return InitialDatum.cone(slope, center=center,
                                  c=_as_float(datum_cfg.get("constant", 0.0),
                                              "datum.constant"),
@@ -221,35 +217,6 @@ def _build_datum(datum_cfg: dict, dim: int) -> InitialDatum:
         except ValueError as exc:
             raise ConfigError("datum.matrix", str(exc)) from None
     raise ConfigError("datum.family", f"unknown family {family!r}")
-
-
-def _build_bump(bump_cfg, cover):
-    if bump_cfg is None:
-        return None
-    family = _require(bump_cfg, "family", "datum.bump")
-    if family == "trig":
-        if cover.family != "torus":
-            raise ConfigError("datum.bump.family", "'trig' requires a torus system")
-        return TorusBump(_parse_trig(_require(bump_cfg, "terms", "datum.bump"),
-                                     cover.n, "datum.bump.terms"))
-    if family == "edge":
-        if cover.family != "graph":
-            raise ConfigError("datum.bump.family", "'edge' requires a graph system")
-        amps = _as_vector(_require(bump_cfg, "amplitudes", "datum.bump"),
-                          "datum.bump.amplitudes")
-        n_edges = len(cover.graph.edges)
-        if amps.shape != (n_edges,):
-            raise ConfigError("datum.bump.amplitudes",
-                              f"expected {n_edges} entries")
-        freqs = bump_cfg.get("frequencies")
-        if freqs is not None:
-            freqs = [_as_int(v, f"datum.bump.frequencies[{i}]")
-                     for i, v in enumerate(freqs)]
-            if len(freqs) != n_edges:
-                raise ConfigError("datum.bump.frequencies",
-                                  f"expected {n_edges} entries")
-        return EdgeBump(cover.graph, amps, frequencies=freqs)
-    raise ConfigError("datum.bump.family", f"unknown family {family!r}")
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -300,12 +267,11 @@ def load_config(path: str) -> ScenarioConfig:
                               f"{subcover.k}")
 
     datum_cfg = _require(tree, "datum", "config")
+    if isinstance(datum_cfg, dict) and "bump" in datum_cfg:
+        raise ConfigError("datum.bump", "the cover datum is f(eps * G(x)); "
+                          "datum bumps are not supported")
     datum_dim = subcover.l if subcover is not None else cover.deck_rank
-    datum = _build_datum(datum_cfg, datum_dim)
-    bump = _build_bump(datum_cfg.get("bump"), cover)
-    if bump is not None and subcover is not None:
-        raise ConfigError("datum.bump",
-                          "not supported together with cover.subcover")
+    datum = _build_datum(datum_cfg, datum_dim, cover.norm)
 
     experiment = _require(tree, "experiment", "config")
     ladder_cfg = _require(experiment, "ladder", "experiment")
@@ -358,8 +324,8 @@ def load_config(path: str) -> ScenarioConfig:
     output = tree.get("output", {}) or {}
 
     return ScenarioConfig(
-        name=name, cover=cover, model=model, datum=datum, bump=bump,
-        subcover=subcover, eps_ladder=ladder, eval_points=tuple(points),
+        name=name, cover=cover, model=model, datum=datum, subcover=subcover,
+        eps_ladder=ladder, eval_points=tuple(points),
         tolerance=tolerance, seed=seed, mesh=mesh, rate_rungs=rate_rungs,
         evaluator=evaluator,
         p_grid=_grid_block("p_grid", 1.0), w_grid=_grid_block("w_grid", 1.0),

@@ -26,13 +26,10 @@ from .errors import ConfigError, SolverError
 from .mather import (AnalyticQuadraticBeta, BetaHatEvaluator,
                      DirectBetaEvaluator, LegendreDual, MechanicalBeta1D,
                      alpha_graph, effective_hamiltonian_subcover)
+from .model import _is_constant
 # unused estimate_space_convergence: perfbench/test_perfbench.py expects the binding
 from .topology import (estimate_space_convergence, match_point, matching_bound,
                        norm_value)
-
-
-def _is_constant(trig) -> bool:
-    return all(not np.any(k) for k, _, _ in trig.terms)
 
 
 def default_beta_evaluator(cover, model):
@@ -45,9 +42,10 @@ def default_beta_evaluator(cover, model):
     (ConfigError on the field that breaks the free form).
 
     It also rejects a torus system that is not convex in the momentum, a
-    kinetic matrix A(x) that is not positive definite: a constant A by
-    its smallest eigenvalue, a circle A(x) by its minimum over the
-    64-point grid that ``MechanicalBeta1D`` samples anyway.
+    kinetic matrix A(x) not proved positive definite: a constant A by its
+    smallest eigenvalue, a circle A(x) by the proved lower bound of
+    ``TorusHamiltonian.kinetic_eig_bounds`` that ``MechanicalBeta1D``
+    keeps as ``amin``.
     """
     if cover.family == "graph":
         return DirectBetaEvaluator(cover.graph, model)
@@ -96,7 +94,6 @@ class Scenario:
     datum: InitialDatum
     eps_ladder: tuple
     eval_points: tuple
-    bump: object = None
     subcover: object = None
     mesh: int = 64
     rate_rungs: int = 4
@@ -244,7 +241,7 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
     With ``scenario.subcover`` set, targets live on the intermediate
     cover: points are matched through the map, the cover solution prices
     the pulled-back datum, and the limit runs over beta-hat.  Only graph
-    covers without datum bumps take a subcover.
+    covers take a subcover.
     """
     cover, model = scenario.cover, scenario.model
     if beta_eval is None:
@@ -254,8 +251,6 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
     if sub is not None:
         if cover.family != "graph":
             raise ValueError("quotient experiments are defined on graph covers")
-        if scenario.bump is not None:
-            raise ValueError("quotient experiments do not take datum bumps")
         datum = _PulledBackDatum(scenario.datum, sub.matrix)
         limit_eval = BetaHatEvaluator(sub, beta_eval)
     report = ExperimentReport(scenario=scenario.name,
@@ -273,8 +268,7 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
                                        sub)
             try:
                 res = lax_oleinik(cover, model, datum, point, t, eps,
-                                  bump=scenario.bump, mesh=scenario.mesh,
-                                  details=True)
+                                  mesh=scenario.mesh, details=True)
             except SolverError as exc:
                 raise SolverError(
                     f"scenario {scenario.name}: h={h} t={t} eps={eps}: {exc}"
@@ -390,8 +384,7 @@ def run_subcover_experiment(scenario: Scenario, beta_eval=None,
     * ``dual_limit_error``: alpha at the pulled-back covector against the
       conjugate of the quotient rate function; bound 1e-3.
 
-    Raises ValueError without a subcover map, on torus covers and with
-    datum bumps.
+    Raises ValueError without a subcover map and on torus covers.
     """
     sub = scenario.subcover
     if sub is None:

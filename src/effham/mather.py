@@ -273,8 +273,8 @@ class MechanicalBeta1D:
     endpoint E = max V covers the trapped branch and gives
     beta(0) = -max V exactly.  alpha(p) is the energy whose rotation
     integral p(E) is |p| (``alpha_torus_quadrature``).  ``amin`` is the
-    smallest kinetic coefficient on the 64-point grid, which config load
-    requires to be positive.
+    proved lower bound of ``TorusHamiltonian.kinetic_eig_bounds`` on the
+    kinetic coefficient, which config load requires to be positive.
     """
 
     norm = "l2"

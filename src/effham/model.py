@@ -71,14 +71,6 @@ class TrigPolynomial:
             out += a * np.cos(phase) + b * np.sin(phase)
         return out
 
-    def gradient(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        g = np.zeros(self.n)
-        for k, a, b in self.terms:
-            phase = TWO_PI * float(np.dot(k, x))
-            g += TWO_PI * k * (-a * np.sin(phase) + b * np.cos(phase))
-        return g
-
     def gradient_many(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         g = np.zeros_like(xs)
@@ -86,10 +78,6 @@ class TrigPolynomial:
             phase = TWO_PI * (xs @ k)
             g += np.outer(TWO_PI * (-a * np.sin(phase) + b * np.cos(phase)), k)
         return g
-
-    def bound_abs(self) -> float:
-        """Certified bound on sup |value|: sum of coefficient magnitudes."""
-        return float(sum(abs(a) + abs(b) for _, a, b in self.terms))
 
     def mean(self) -> float:
         """Average over the torus (the zero-frequency cosine coefficient)."""
@@ -158,15 +146,28 @@ class TorusHamiltonian:
         b = self.kinetic_inverse(x)
         return 0.5 * float(v @ b @ v) - self.v.value(x)
 
-    def kinetic_eig_bounds(self, mesh: int = 64):
-        """(min, max) eigenvalue of A(x) over a sampling grid."""
-        grid = _torus_grid(self.n, mesh)
-        lo, hi = np.inf, -np.inf
-        for x in grid:
-            w = np.linalg.eigvalsh(self.kinetic_matrix(x))
-            lo = min(lo, w[0])
-            hi = max(hi, w[-1])
-        return lo, hi
+    def kinetic_eig_bounds(self):
+        """Proved (lower, upper) bounds on the eigenvalues of A(x) over the
+        torus.
+
+        On the circle: the extremes of A on N = 64 max(1, k_max) equispaced
+        samples, widened by M2 / (8 N^2) with M2 = sum (2 pi k)^2 (|a_k| +
+        |b_k|) >= sup |A''|, since a C^2 function stays within M2 h^2 / 8
+        of its chord between samples h apart.  In 2-D, A must be constant
+        (config load admits no other), so the eigenvalues of A(0) are exact.
+        """
+        if self.n == 2:
+            if not all(_is_constant(a) for a in self.a_entries):
+                raise ModelValidityError("a two-dimensional kinetic matrix "
+                                         "must be constant")
+            w = np.linalg.eigvalsh(self.kinetic_matrix(np.zeros(2)))
+            return w[0], w[-1]
+        terms = self.a_entries[0].terms
+        mesh = 64 * max(1, max(abs(int(k[0])) for k, _, _ in terms))
+        vals = self.a_entries[0].value_many(_torus_grid(1, mesh))
+        slack = sum((TWO_PI * k[0]) ** 2 * (abs(a) + abs(b))
+                    for k, a, b in terms) / (8.0 * mesh * mesh)
+        return vals.min() - slack, vals.max() + slack
 
     def potential_bounds(self, mesh: int = 256):
         grid = _torus_grid(self.n, mesh)
@@ -237,6 +238,10 @@ def double_legendre_residual(hamiltonian: TorusHamiltonian, x, p, span: float = 
 
     back = legendre_transform_numeric(l_of_v, p, p0=hamiltonian.grad_p(x, p), span=span)
     return abs(back - hamiltonian.value(x, p))
+
+
+def _is_constant(trig: TrigPolynomial) -> bool:
+    return all(not np.any(k) for k, _, _ in trig.terms)
 
 
 def _torus_grid(n: int, mesh: int) -> np.ndarray:

@@ -48,8 +48,6 @@ def norm_value(v, kind: str) -> float:
         return float(np.sum(np.abs(v)))
     if kind == "l2":
         return float(np.sqrt(np.sum(v * v)))
-    if kind == "linf":
-        return float(np.max(np.abs(v))) if v.size else 0.0
     raise ValueError(f"unknown norm {kind!r}")
 
 
@@ -59,9 +57,6 @@ def _norm_rows(rows: np.ndarray, kind: str) -> np.ndarray:
         return np.sum(np.abs(rows), axis=1)
     if kind == "l2":
         return np.sqrt(np.sum(rows * rows, axis=1))
-    if kind == "linf":
-        return (np.max(np.abs(rows), axis=1) if rows.shape[1]
-                else np.zeros(rows.shape[0]))
     raise ValueError(f"unknown norm {kind!r}")
 
 
@@ -484,7 +479,7 @@ def matching_bound(cover, eps: float, mesh: int) -> float:
     the j-th non-tree edge sits on the 1/mesh grid of G's j-th coordinate,
     whatever the edge's length, and every other coordinate is an integer;
     so a target is within eps/2 of the image on k - 1 coordinates and
-    eps/(2 mesh) on the last (an l1 bound, so also one in l2 and linf).
+    eps/(2 mesh) on the last (an l1 bound, so also one in l2).
     """
     if cover.family == "torus":
         half = np.full(cover.n, 0.5 / mesh)

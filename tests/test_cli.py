@@ -95,13 +95,6 @@ def test_rejects_subcover_on_torus(tmp_path, capsys):
     assert _rejected(tmp_path, capsys, tree)["field"] == "cover.subcover"
 
 
-def test_rejects_subcover_with_bump(tmp_path, capsys):
-    tree = _scenario_tree("single_loop")
-    tree["cover"] = {"subcover": [[1]]}
-    tree["datum"]["bump"] = {"family": "edge", "amplitudes": [0.1]}
-    assert _rejected(tmp_path, capsys, tree)["field"] == "datum.bump"
-
-
 def _set(path, value):
     """Mutation that sets one dotted path of a scenario tree (list indices
     as numbers)."""
@@ -114,6 +107,10 @@ def _set(path, value):
         node[int(last) if isinstance(node, list) else last] = value
         return tree
     return mutate
+
+
+def _both(first, second):
+    return lambda tree: second(first(tree))
 
 
 @pytest.mark.parametrize("stem, mutate, field", [
@@ -158,6 +155,29 @@ def _set(path, value):
     # graph rates are measured in l1 only
     pytest.param("figure_eight", _set("cover", {"norm": "l2"}), "cover.norm",
                  id="figure_eight-foreign-cover.norm"),
+    # the cover datum is f(eps * G(x)) on every cover, with or without a
+    # subcover: a bump is rejected, not ignored
+    pytest.param("figure_eight", _set("datum.bump", {
+        "family": "edge", "amplitudes": [0.1, 0.1]}), "datum.bump",
+        id="figure_eight-edge-bump"),
+    pytest.param("free_torus_1d", _set("datum.bump", {
+        "family": "trig", "terms": [{"k": [1], "cos": 0.1}]}), "datum.bump",
+        id="free_torus_1d-trig-bump"),
+    pytest.param("single_loop", _both(
+        _set("cover", {"subcover": [[1]]}),
+        _set("datum.bump", {"family": "edge", "amplitudes": [0.1]})),
+        "datum.bump", id="single_loop-subcover-edge-bump"),
+    # a cone measures in its cover's norm
+    pytest.param("figure_eight", _set("datum.norm", 'linf'), "datum.norm",
+                 id="figure_eight-linf-cone"),
+    pytest.param("free_torus_2d", _set("datum", {
+        "family": "cone", "slope": 0.5, "norm": "l1"}), "datum.norm",
+        id="free_torus_2d-l1-cone"),
+    # A = 1 + 2 cos(2 pi 64 x) has minimum -1 exactly where a 64-point
+    # grid does not look
+    pytest.param("free_torus_1d", _set("system.kinetic", [
+        [{"k": [0], "cos": 1.0}, {"k": [64], "cos": 2.0}]]), "system.kinetic",
+        id="free_torus_1d-aliased-kinetic"),
 ])
 def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
                                                  mutate, field):
@@ -186,6 +206,17 @@ def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
     # restating the family's own norm is allowed
     pytest.param("free_torus_2d", _set("cover", {"norm": "l2"}),
                  id="own-norm"),
+    # a torus cone is an l2 cone, stated or not
+    pytest.param("free_torus_2d", _set("datum", {
+        "family": "cone", "slope": 0.5, "norm": "l2"}), id="l2-cone"),
+    pytest.param("free_torus_2d", _set("datum", {"family": "cone",
+                                                 "slope": 0.5}),
+                 id="default-norm-cone"),
+    # A = 1 + 0.5 cos(2 pi 64 x) >= 0.5: the certificate's widening must
+    # not reject it
+    pytest.param("free_torus_1d", _set("system.kinetic", [
+        [{"k": [0], "cos": 1.0}, {"k": [64], "cos": 0.5}]]),
+        id="fast-positive-kinetic"),
 ])
 def test_validate_accepts_supported_systems(tmp_path, capsys, stem, mutate):
     path = _write(tmp_path, mutate(_scenario_tree(stem)))
