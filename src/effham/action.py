@@ -12,7 +12,10 @@ Three layers:
 * ``lax_oleinik``: the rescaled cover solution, an infimum of
   f(eps * G(y)) + eps * action over starting points y (f the limit
   datum, G the cover's coordinate map), truncated to a certified window,
-  seeded on a mesh and polished.
+  seeded on a mesh and polished.  On tori the mesh candidates are first
+  screened on coarse chains: blocks of them descend in lockstep by damped
+  Newton on the chain action's exact banded Hessian (``_screen_chains``),
+  and the lowest few are re-priced by the full descent.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box.
 
@@ -313,6 +316,9 @@ def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
             if (va, vb, dz) not in cover._multisets:
                 cover._multisets[va, vb, dz] = _multisets(graph, va, vb, dz)
             runs, visited = cover._multisets[va, vb, dz]
+            if not runs.shape[0]:
+                raise SolverError(f"no traversal multiset from vertex {va} to "
+                                  f"vertex {vb} with sheet change {dz}")
             runs = runs.copy()
             if e_y is not None:
                 runs[:, e_y] += off_y
@@ -322,8 +328,6 @@ def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
             rests.append(np.where(visited, vertex_rate, np.inf).min(axis=1))
     costs = allocate_time(np.concatenate(lengths), pots, horizon,
                           np.concatenate(rests))
-    if not costs.size:
-        raise SolverError("no feasible traversal multiset found")
     return float(np.min(costs))
 
 
@@ -348,30 +352,25 @@ class _TrajectoryCost:
         mid = 0.5 * (nodes[1:] + nodes[:-1])
         grad = np.zeros_like(nodes)
         if model.n == 1:
-            a = model.a_entries[0].value_many(mid)
+            a, da = model.a_entries[0].gradient_many(mid)
             vv = vel[:, 0]
             w = vv / a
             kin = 0.5 * vv * w
-            pot = model.v.value_many(mid)
+            pot, gv = model.v.gradient_many(mid)
             act = dt * float(np.sum(kin - pot))
-            da = model.a_entries[0].gradient_many(mid)[:, 0]
-            dmid = -0.5 * w * w * da - model.v.gradient_many(mid)[:, 0]
+            dmid = -0.5 * w * w * da[:, 0] - gv[:, 0]
             grad[1:, 0] += w + 0.5 * dt * dmid
             grad[:-1, 0] += -w + 0.5 * dt * dmid
             return act, grad
-        a11 = model.a_entries[0].value_many(mid)
-        a12 = model.a_entries[1].value_many(mid)
-        a22 = model.a_entries[2].value_many(mid)
+        a11, g11 = model.a_entries[0].gradient_many(mid)
+        a12, g12 = model.a_entries[1].gradient_many(mid)
+        a22, g22 = model.a_entries[2].gradient_many(mid)
         det = a11 * a22 - a12 * a12
         w1 = (a22 * vel[:, 0] - a12 * vel[:, 1]) / det
         w2 = (-a12 * vel[:, 0] + a11 * vel[:, 1]) / det
         kin = 0.5 * (w1 * vel[:, 0] + w2 * vel[:, 1])
-        pot = model.v.value_many(mid)
+        pot, gv = model.v.gradient_many(mid)
         act = dt * float(np.sum(kin - pot))
-        g11 = model.a_entries[0].gradient_many(mid)
-        g12 = model.a_entries[1].gradient_many(mid)
-        g22 = model.a_entries[2].gradient_many(mid)
-        gv = model.v.gradient_many(mid)
         # d(kin)/dx = -w . (dA/dx) . w / 2 with w = A^{-1} v
         dmid = -0.5 * (g11 * (w1 * w1)[:, None] + 2.0 * g12 * (w1 * w2)[:, None]
                        + g22 * (w2 * w2)[:, None]) - gv
@@ -381,24 +380,21 @@ class _TrajectoryCost:
         return act, grad
 
 
-def _chain_inits(y_lift: np.ndarray, x_lift: np.ndarray, n_segments: int,
-                 full: bool):
+def _chain_inits(y_lift: np.ndarray, x_lift: np.ndarray, n_segments: int):
     frac = np.linspace(0.0, 1.0, n_segments + 1)[:, None]
     straight = y_lift[None, :] + frac * (x_lift - y_lift)[None, :]
     inits = [straight]
-    if full:
-        hump = np.sin(math.pi * frac)
-        dim = y_lift.size
-        for axis in range(dim):
-            for amp in (0.35, -0.35):
-                bumped = straight.copy()
-                bumped[:, axis] += amp * hump[:, 0]
-                inits.append(bumped)
+    hump = np.sin(math.pi * frac)
+    for axis in range(y_lift.size):
+        for amp in (0.35, -0.35):
+            bumped = straight.copy()
+            bumped[:, axis] += amp * hump[:, 0]
+            inits.append(bumped)
     return inits
 
 
-def _solve_fixed_chain(cost: _TrajectoryCost, nodes0: np.ndarray,
-                       maxiter: int = 400):
+def _solve_fixed_chain(cost: _TrajectoryCost, nodes0: np.ndarray):
+    """L-BFGS descent over the inner nodes; (action, nodes, converged)."""
     shape = nodes0.shape
     fixed_first = nodes0[0].copy()
     fixed_last = nodes0[-1].copy()
@@ -413,15 +409,187 @@ def _solve_fixed_chain(cost: _TrajectoryCost, nodes0: np.ndarray,
 
     if shape[0] <= 2:
         act, _ = cost.action_grad(nodes0)
-        return act, nodes0
+        return act, nodes0, True
     res = optimize.minimize(fun, nodes0[1:-1].ravel(), jac=True, method="L-BFGS-B",
-                            options={"maxiter": maxiter, "ftol": 1e-15,
+                            options={"maxiter": 400, "ftol": 1e-15,
                                      "gtol": 1e-11})
     nodes = np.empty(shape)
     nodes[0] = fixed_first
     nodes[-1] = fixed_last
     nodes[1:-1] = res.x.reshape(shape[0] - 2, shape[1])
-    return float(res.fun), nodes
+    return float(res.fun), nodes, bool(res.success)
+
+
+def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray):
+    """Action (C,), gradient (C, N+1, n) and exact Hessian of C midpoint
+    chains q (C, N+1, n): its diagonal blocks (C, N+1, n, n) and the
+    blocks (C, N, n, n) that couple node i to node i+1.
+
+    Segment i costs L = d.B(m).d/(2 dt) - dt V(m) with d = q[i+1] - q[i],
+    m = (q[i] + q[i+1])/2 and B = A^{-1}: B = 1/a(x) on the circle, and a
+    constant in 2-D (``kinetic_eig_bounds``, which ``_lax_torus`` reads
+    first, rejects any other A).  As q[i+1] = m + d/2 and q[i] = m - d/2,
+    node i+1 takes L_d + L_m/2 and node i takes -L_d + L_m/2 of the
+    gradient; of the Hessian they take L_dd +- sym(L_dm) + L_mm/4, and
+    their coupling block is -L_dd - L_dm/2 + L_dm^T/2 + L_mm/4.  So the
+    Hessian is tridiagonal in 1-D and block-tridiagonal in 2-D.
+    """
+    chains, nodes, n = q.shape
+    d = q[:, 1:] - q[:, :-1]
+    flat = (0.5 * (q[:, 1:] + q[:, :-1])).reshape(-1, n)
+    pot, gv, hv = model.v.gradient_many(flat, hessian=True)
+    shape = (chains, nodes - 1)
+    l_m = -dt * gv.reshape(shape + (n,))
+    l_mm = -dt * hv.reshape(shape + (n, n))
+    if n == 1:
+        a, a1, a2 = model.a_entries[0].gradient_many(flat, hessian=True)
+        a, a1, a2 = a.reshape(shape), a1.reshape(shape), a2.reshape(shape)
+        phi, phi1 = 1.0 / a, -a1 / (a * a)
+        phi2 = (2.0 * a1 * a1 - a * a2) / (a * a * a)
+        dd = d[..., 0]
+        kin = 0.5 * dd * dd * phi / dt
+        l_d = (dd * phi / dt)[..., None]
+        l_m += (0.5 * dd * dd * phi1 / dt)[..., None]
+        l_dd = (phi / dt)[..., None, None]
+        l_dm = (dd * phi1 / dt)[..., None, None]
+        l_mm += (0.5 * dd * dd * phi2 / dt)[..., None, None]
+    else:
+        b = np.linalg.inv(model.kinetic_matrix(np.zeros(n))) / dt
+        l_d = d @ b
+        kin = 0.5 * np.sum(l_d * d, axis=-1)
+        l_dd = np.broadcast_to(b, shape + (n, n))
+        l_dm = np.zeros(shape + (n, n))
+    act = np.sum(kin - dt * pot.reshape(shape), axis=1)
+    grad = np.zeros(q.shape)
+    grad[:, 1:] += l_d + 0.5 * l_m
+    grad[:, :-1] += -l_d + 0.5 * l_m
+    l_md = np.swapaxes(l_dm, -1, -2)
+    sym = 0.5 * (l_dm + l_md)
+    diag = np.zeros(q.shape + (n,))
+    diag[:, 1:] += l_dd + sym + 0.25 * l_mm
+    diag[:, :-1] += l_dd - sym + 0.25 * l_mm
+    off = -l_dd + 0.5 * (l_md - l_dm) + 0.25 * l_mm
+    return act, grad, diag, off
+
+
+def _banded_ldl_solve(band, rhs):
+    """Solve C symmetric banded systems at once by LDL^T.
+
+    band[k][j] holds entry (j, j + k) of every system as a (C,) row, for
+    k up to the half bandwidth; rhs is (M, C).  Returns the solutions
+    (M, C) and the mask of systems whose pivots are all positive, that is
+    the positive definite ones; the others' solutions are meaningless.
+    """
+    width = len(band) - 1
+    size = rhs.shape[0]
+    low = np.zeros((width + 1,) + rhs.shape)    # low[k][j] = L[j + k, j]
+    scaled = np.zeros_like(low)                 # L[j + k, j] * pivot j
+    piv = np.empty_like(rhs)
+    z = np.empty_like(rhs)
+    ok = np.ones(rhs.shape[1], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(size):
+            dj = band[0][j].copy()
+            zj = rhs[j].copy()
+            for k in range(1, min(width, j) + 1):
+                dj -= low[k][j - k] * scaled[k][j - k]
+                zj -= low[k][j - k] * z[j - k]
+            ok &= dj > 0.0
+            piv[j], z[j] = dj, zj
+            for k in range(1, min(width, size - 1 - j) + 1):
+                s = band[k][j].copy()
+                for l in range(max(0, j + k - width), j):
+                    s -= low[j + k - l][l] * scaled[j - l][l]
+                scaled[k][j] = s
+                low[k][j] = s / dj
+        x = np.empty_like(rhs)
+        for j in range(size - 1, -1, -1):
+            xj = z[j] / piv[j]
+            for k in range(1, min(width, size - 1 - j) + 1):
+                xj -= low[k][j] * x[j + k]
+            x[j] = xj
+    return x, ok
+
+
+def _interior_band(diag, off):
+    """The Hessian on the inner nodes of chains, as ``_banded_ldl_solve``
+    bands over coordinates ordered node by node (half bandwidth 2n - 1)."""
+    chains, inner, n, _ = diag.shape
+    coupling = np.zeros_like(diag)
+    coupling[:, :-1] = off
+    rows = np.concatenate([diag, coupling], axis=-1)
+    band = []
+    for k in range(2 * n):
+        entry = np.zeros((chains, inner, n))
+        for a in range(min(n, 2 * n - k)):
+            entry[:, :, a] = rows[:, :, a, a + k]
+        band.append(entry.reshape(chains, -1).T)
+    return band
+
+
+# lockstep screen: chains per block, the inner-node gradient test, the
+# iteration cap, and the first Levenberg damping as a share of the
+# largest Hessian diagonal entry
+_SCREEN_BLOCK = 128
+_SCREEN_GTOL = 1e-11
+_SCREEN_CAP = 200
+_SCREEN_TAU = 1e-3
+
+
+def _screen_chains(model: TorusHamiltonian, horizon: float, chains):
+    """Minimal fixed-end midpoint actions over the horizon from C starting
+    chains (C, N+1, n), descended in lockstep by damped Newton; returns
+    (actions (C,), number of chains that hit the iteration cap).
+
+    One iteration factors H + mu I of all live chains by one batched
+    LDL^T and steps by the solution.  A chain with a non-positive pivot
+    only raises its damping mu; a step is kept when it lowers the action,
+    and mu follows the ratio of the actual to the predicted decrease
+    (Nielsen's rule).  A chain stops once its inner-node gradient is at
+    most _SCREEN_GTOL, or once a rejected step predicted a decrease below
+    rounding.
+    """
+    q = np.array(chains, dtype=float)
+    dt = horizon / (q.shape[1] - 1)
+    act, grad, diag, off = _chain_terms(model, dt, q)
+    mu = np.zeros(q.shape[0])
+    nu = np.full(q.shape[0], 2.0)
+    floor = _SCREEN_TAU * np.abs(np.diagonal(diag, axis1=-2, axis2=-1)).max(
+        axis=(1, 2))
+    live = np.flatnonzero(np.abs(grad[:, 1:-1]).max(axis=(1, 2)) > _SCREEN_GTOL)
+    for _ in range(_SCREEN_CAP):
+        if not live.size:
+            break
+        g_in = grad[live, 1:-1].reshape(live.size, -1)
+        band = _interior_band(diag[live, 1:-1], off[live, 1:-1])
+        band[0] = band[0] + mu[live]
+        step, ok = _banded_ldl_solve(band, -g_in.T)
+        raise_mu = ~ok
+        done = np.zeros(live.size, dtype=bool)
+        if ok.any():
+            sel = np.flatnonzero(ok)
+            idx = live[sel]
+            p = step[:, sel].T
+            trial = q[idx].copy()
+            trial[:, 1:-1] += p.reshape(trial[:, 1:-1].shape)
+            t_act, t_grad, t_diag, t_off = _chain_terms(model, dt, trial)
+            pred = 0.5 * np.sum(p * (mu[idx, None] * p - g_in[sel]), axis=1)
+            stalled = pred <= 1e-15 * np.maximum(1.0, np.abs(act[idx]))
+            gain = (act[idx] - t_act) / pred
+            keep = gain > 0.0
+            kept = idx[keep]
+            q[kept], act[kept], grad[kept] = trial[keep], t_act[keep], t_grad[keep]
+            diag[kept], off[kept] = t_diag[keep], t_off[keep]
+            mu[kept] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain[keep] - 1.0) ** 3)
+            nu[kept] = 2.0
+            raise_mu[sel[~keep]] = True
+            small = np.abs(t_grad[:, 1:-1]).max(axis=(1, 2)) <= _SCREEN_GTOL
+            done[sel] = np.where(keep, small, stalled)
+        bump = live[raise_mu]
+        mu[bump] = np.maximum(mu[bump] * nu[bump], floor[bump])
+        nu[bump] *= 2.0
+        live = live[~done]
+    return act, int(live.size)
 
 
 def _refine_nodes(nodes: np.ndarray) -> np.ndarray:
@@ -448,7 +616,14 @@ def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float
 
     Piecewise-linear chains with midpoint quadrature, L-BFGS descent from
     a straight line plus deterministic sinusoidal perturbations, and
-    segment doubling until the action change drops below tol.
+    segment doubling until the action change drops below tol or the
+    count reaches ``_MAX_SEGMENTS``.  The midpoint error is O(dt^2), so a
+    doubling moves the action by about a quarter of the previous move: at
+    the ``_ACTION_TOL`` = 1e-7 of ``_lax_torus`` every pendulum solve runs
+    to ``_MAX_SEGMENTS`` and returns that chain's discretisation error.
+    With ``details``, returns (action, nodes, number of L-BFGS runs that
+    ended unconverged).  ``_lax_torus`` screens its candidates without
+    this descent, by ``_screen_chains``, and calls it for the survivors.
     """
     y_lift = np.atleast_1d(np.asarray(y_lift, dtype=float))
     x_lift = np.atleast_1d(np.asarray(x_lift, dtype=float))
@@ -456,20 +631,25 @@ def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float
         raise ValueError("horizon must be positive")
     n = _auto_segments(horizon)
     best_val, best_nodes = math.inf, None
-    for init in _chain_inits(y_lift, x_lift, n, True):
-        val, nodes = _solve_fixed_chain(_TrajectoryCost(model, horizon, n), init)
+    unconverged = 0
+    for init in _chain_inits(y_lift, x_lift, n):
+        val, nodes, ok = _solve_fixed_chain(_TrajectoryCost(model, horizon, n),
+                                            init)
+        unconverged += not ok
         if val < best_val:
             best_val, best_nodes = val, nodes
     while n < _MAX_SEGMENTS:
         n *= 2
         refined = _refine_nodes(best_nodes)
-        val, nodes = _solve_fixed_chain(_TrajectoryCost(model, horizon, n), refined)
+        val, nodes, ok = _solve_fixed_chain(_TrajectoryCost(model, horizon, n),
+                                            refined)
+        unconverged += not ok
         improved = best_val - val
         best_val, best_nodes = val, nodes
         if abs(improved) < tol:
             break
     if details:
-        return best_val, best_nodes
+        return best_val, best_nodes, unconverged
     return best_val
 
 
@@ -550,8 +730,8 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     hx = eps * x_lift
     quad, drift = _family_constants(cover, model)
 
-    stay, stay_nodes = minimal_action_torus(model, x_lift, x_lift, horizon,
-                                            tol=_ACTION_TOL, details=True)
+    stay, stay_nodes, unconverged = minimal_action_torus(
+        model, x_lift, x_lift, horizon, tol=_ACTION_TOL, details=True)
     incumbent = datum.value(hx) + eps * stay
     best_nodes = stay_nodes
     best_g = x_lift.copy()
@@ -648,38 +828,61 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     order = np.argsort(lower, kind="stable")
     n_candidates = lifts.shape[0]
 
-    coarse_n = max(32, _auto_segments(horizon) // 4)
+    # coarse screen in blocks of candidates in ``order``, each solved in
+    # lockstep and then replayed in order against the running incumbent:
+    # the break, the count and the updates are those of a one-by-one sweep
+    frac = np.linspace(0.0, 1.0, max(32, _auto_segments(horizon) // 4) + 1)
     scored = []
-    evaluated = 0
-    for idx in order:
-        if lower[idx] > incumbent + 1e-12:
+    evaluated = capped = 0
+    start = 0
+    while start < order.size:
+        block = order[start:start + _SCREEN_BLOCK]
+        # a prefix of the block, since ``order`` sorts ``lower``
+        block = block[lower[block] <= incumbent + 1e-12]
+        moving = dist[block] >= 1e-12
+        vals = np.zeros(block.size)
+        if moving.any():
+            starts = lifts[block[moving]][:, None, :]
+            vals[moving], n_capped = _screen_chains(
+                model, horizon,
+                starts + frac[None, :, None] * (x_lift[None, None, :] - starts))
+            capped += n_capped
+        stop = block.size < _SCREEN_BLOCK
+        for idx, val, moves in zip(block, vals, moving):
+            if lower[idx] > incumbent + 1e-12:
+                stop = True
+                break
+            if not moves:
+                continue
+            total = f_vals[idx] + eps * val
+            evaluated += 1
+            scored.append((total, idx))
+            if total < incumbent:
+                incumbent, best_g = total, lifts[idx]
+        if stop:
             break
-        if dist[idx] < 1e-12:
-            continue
-        init = _chain_inits(lifts[idx], x_lift, coarse_n, False)[0]
-        val, nodes = _solve_fixed_chain(_TrajectoryCost(model, horizon, coarse_n),
-                                        init, maxiter=150)
-        total = f_vals[idx] + eps * val
-        evaluated += 1
-        scored.append((total, idx, nodes))
-        if total < incumbent:
-            incumbent, best_g = total, lifts[idx]
+        start += _SCREEN_BLOCK
     scored.sort(key=lambda z: z[0])
-    for total_c, idx, _ in scored[:_N_TOP]:
-        val, nodes = minimal_action_torus(model, lifts[idx], x_lift, horizon,
-                                          tol=_ACTION_TOL, details=True)
+    for _, idx in scored[:_N_TOP]:
+        val, nodes, n_bad = minimal_action_torus(
+            model, lifts[idx], x_lift, horizon, tol=_ACTION_TOL, details=True)
+        unconverged += n_bad
         total = f_vals[idx] + eps * val
         if total < incumbent:
             incumbent = total
             best_nodes = nodes
             best_g = lifts[idx]
 
-    polished = _joint_polish_torus(model, datum, eps, t, best_nodes)
-    if polished[0] < incumbent:
-        incumbent, best_g = polished
+    polished, polished_g, ok = _joint_polish_torus(model, datum, eps, t,
+                                                   best_nodes)
+    unconverged += not ok
+    if polished < incumbent:
+        incumbent, best_g = polished, polished_g
     return LaxResult(value=float(incumbent), minimizer_g=np.asarray(best_g),
                      window=window, candidates=int(n_candidates),
-                     evaluated=evaluated)
+                     evaluated=evaluated,
+                     diagnostics={"lbfgs_unconverged": int(unconverged),
+                                  "screen_capped": int(capped)})
 
 
 def _joint_polish_torus(model, datum, eps, t, nodes):
@@ -706,7 +909,7 @@ def _joint_polish_torus(model, datum, eps, t, nodes):
     chain = np.empty(shape)
     chain[-1] = fixed_last
     chain[:-1] = res.x.reshape(shape[0] - 1, shape[1])
-    return float(res.fun), chain[0]
+    return float(res.fun), chain[0], bool(res.success)
 
 
 def _golden_min(fn, lo: float, hi: float, tol: float):

@@ -22,8 +22,8 @@ Exit codes: 0 all checks passed, 1 a tolerance check failed, 2 the config
 was rejected (on every command alike: a malformed field, a system with no
 exact (alpha, beta) pair, a torus kinetic matrix not proved positive
 definite, a ``cover.norm`` or a cone's ``datum.norm`` other than the
-family's, or any ``datum.bump``), 3 a solver gave up, 4 an unexpected
-internal error (the traceback goes to stderr).
+family's, or a key the loader does not read), 3 a solver gave up, 4 an
+unexpected internal error (the traceback goes to stderr).
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ convex in the momentum), is rejected here.  Each cover family has one
 measuring norm (l1 on graphs, l2 on tori); ``cover.norm`` may only
 restate it, and a cone datum measures in it, so ``datum.norm`` may only
 restate it too.  The cover datum is the limit datum read through the
-rescaled coordinate map, f(eps * G(x)); a ``datum.bump`` is rejected.
+rescaled coordinate map, f(eps * G(x)).  A key that the loader does not
+read (for a datum, per family) is rejected on its dotted path, so a
+misspelt field, or a ``datum.bump``, cannot load as if it were absent.
 """
 
 from __future__ import annotations
@@ -39,6 +41,16 @@ def _optional(tree, key: str, default=None):
     if not isinstance(tree, dict):
         return default
     return tree.get(key, default)
+
+
+def _known_keys(tree, allowed, path: str) -> None:
+    """Reject a key of a mapping that the loader does not read."""
+    if isinstance(tree, dict):
+        for key in tree:
+            if key not in allowed:
+                raise ConfigError(f"{path}.{key}" if path else str(key),
+                                  f"unknown key; expected one of "
+                                  f"{', '.join(sorted(allowed))}")
 
 
 def _as_float(value, path: str) -> float:
@@ -101,6 +113,7 @@ def _parse_trig(terms, n: int, path: str) -> TrigPolynomial:
         tp = f"{path}[{i}]"
         if not isinstance(term, dict):
             raise ConfigError(tp, "expected a mapping with 'k' and 'cos'/'sin'")
+        _known_keys(term, ("k", "cos", "sin"), tp)
         k = _require(term, "k", tp)
         if not isinstance(k, (list, tuple)) or len(k) != n:
             raise ConfigError(f"{tp}.k", f"expected {n} integer frequencies")
@@ -114,6 +127,8 @@ def _parse_trig(terms, n: int, path: str) -> TrigPolynomial:
 
 
 def _build_torus(system: dict):
+    _known_keys(system, ("family", "dimension", "potential", "kinetic"),
+                "system")
     n = _as_int(_require(system, "dimension", "system"), "system.dimension")
     if n not in (1, 2):
         raise ConfigError("system.dimension", f"expected 1 or 2, got {n}")
@@ -139,6 +154,7 @@ def _build_torus(system: dict):
 
 
 def _build_graph(system: dict):
+    _known_keys(system, ("family", "vertices", "edges"), "system")
     n_vertices = _as_int(_require(system, "vertices", "system"), "system.vertices")
     edges_cfg = _require(system, "edges", "system")
     if not isinstance(edges_cfg, (list, tuple)) or not edges_cfg:
@@ -149,6 +165,7 @@ def _build_graph(system: dict):
         ep = f"system.edges[{i}]"
         if not isinstance(edge, dict):
             raise ConfigError(ep, "expected a mapping with u, v, length")
+        _known_keys(edge, ("u", "v", "length", "potential"), ep)
         u = _as_int(_require(edge, "u", ep), f"{ep}.u")
         v = _as_int(_require(edge, "v", ep), f"{ep}.v")
         length = _as_float(_require(edge, "length", ep), f"{ep}.length")
@@ -173,8 +190,16 @@ def _build_graph(system: dict):
     return GraphCover(graph), GraphLagrangian(graph, np.array(potentials))
 
 
+# the keys each datum family reads
+_DATUM_KEYS = {"affine": ("family", "slope_vector", "constant"),
+               "cone": ("family", "slope", "center", "norm", "constant"),
+               "quadratic": ("family", "matrix", "slope_vector", "constant")}
+
+
 def _build_datum(datum_cfg: dict, dim: int, norm: str) -> InitialDatum:
     family = _require(datum_cfg, "family", "datum")
+    if family in _DATUM_KEYS:
+        _known_keys(datum_cfg, _DATUM_KEYS[family], "datum")
     if family == "affine":
         p = _as_vector(_require(datum_cfg, "slope_vector", "datum"),
                        "datum.slope_vector")
@@ -230,6 +255,8 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError("config", f"malformed document: {exc}") from None
     if not isinstance(tree, dict):
         raise ConfigError("config", "top level must be a mapping")
+    _known_keys(tree, ("name", "system", "cover", "datum", "experiment",
+                       "compute", "output"), "")
 
     name = tree.get("name")
     if not isinstance(name, str) or not name:
@@ -238,6 +265,7 @@ def load_config(path: str) -> ScenarioConfig:
     system = _require(tree, "system", "config")
     family = _require(system, "family", "system")
     cover_cfg = tree.get("cover", {}) or {}
+    _known_keys(cover_cfg, ("norm", "subcover"), "cover")
     if family == "torus":
         cover, model = _build_torus(system)
     elif family == "graph":
@@ -267,13 +295,12 @@ def load_config(path: str) -> ScenarioConfig:
                               f"{subcover.k}")
 
     datum_cfg = _require(tree, "datum", "config")
-    if isinstance(datum_cfg, dict) and "bump" in datum_cfg:
-        raise ConfigError("datum.bump", "the cover datum is f(eps * G(x)); "
-                          "datum bumps are not supported")
     datum_dim = subcover.l if subcover is not None else cover.deck_rank
     datum = _build_datum(datum_cfg, datum_dim, cover.norm)
 
     experiment = _require(tree, "experiment", "config")
+    _known_keys(experiment, ("ladder", "points", "tolerance", "seed"),
+                "experiment")
     ladder_cfg = _require(experiment, "ladder", "experiment")
     if not isinstance(ladder_cfg, (list, tuple)) or not ladder_cfg:
         raise ConfigError("experiment.ladder", "expected a nonempty list")
@@ -289,6 +316,7 @@ def load_config(path: str) -> ScenarioConfig:
     points = []
     for i, pt in enumerate(points_cfg):
         pp = f"experiment.points[{i}]"
+        _known_keys(pt, ("h", "t"), pp)
         h = _as_vector(_require(pt, "h", pp), f"{pp}.h")
         if h.shape != (datum_dim,):
             raise ConfigError(f"{pp}.h", f"expected {datum_dim} coordinates")
@@ -304,6 +332,7 @@ def load_config(path: str) -> ScenarioConfig:
     seed = _as_int(_require(experiment, "seed", "experiment"), "experiment.seed")
 
     compute = tree.get("compute", {}) or {}
+    _known_keys(compute, ("mesh", "rate_rungs", "p_grid", "w_grid"), "compute")
     mesh = _as_int(_optional(compute, "mesh", 64), "compute.mesh")
     if mesh < 2:
         raise ConfigError("compute.mesh", f"must be at least 2, got {mesh}")
@@ -313,6 +342,7 @@ def load_config(path: str) -> ScenarioConfig:
 
     def _grid_block(key: str, default_radius: float) -> dict:
         block = _optional(compute, key, {}) or {}
+        _known_keys(block, ("radius", "points"), f"compute.{key}")
         radius = _as_float(_optional(block, "radius", default_radius),
                            f"compute.{key}.radius")
         n_points = _as_int(_optional(block, "points", 33), f"compute.{key}.points")
@@ -322,6 +352,7 @@ def load_config(path: str) -> ScenarioConfig:
         return {"radius": radius, "points": n_points}
 
     output = tree.get("output", {}) or {}
+    _known_keys(output, ("dir",), "output")
 
     return ScenarioConfig(
         name=name, cover=cover, model=model, datum=datum, subcover=subcover,

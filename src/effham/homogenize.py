@@ -262,6 +262,7 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
 
     windows = []
     evaluated = 0
+    counts = {}
     for eps in scenario.eps_ladder:
         for h, t in scenario.eval_points:
             point, image = match_point(cover, np.array(h), eps, scenario.mesh,
@@ -275,6 +276,8 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
                 ) from exc
             windows.append(res.window)
             evaluated += res.evaluated
+            for key, n in res.diagnostics.items():
+                counts[key] = counts.get(key, 0) + int(n)
             u_val = limits[(h, t)]
             report.rows.append(ExperimentRow(
                 h=h, t=t, eps=eps, v_eps=float(res.value),
@@ -295,6 +298,7 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
         "mesh": scenario.mesh,
         "max_window": max(windows) if windows else 0.0,
         "actions_evaluated": int(evaluated),
+        **counts,
     }
     report.passed = (report.final_error < report.tolerance
                      and report.monotone_ok and report.sandwich_ok)

@@ -50,6 +50,9 @@ class TrigPolynomial:
                 raise ValueError(f"frequency vector {k} must be integral for periodicity")
             norm_terms.append((np.round(kv).astype(int), float(a), float(b)))
         self.terms = norm_terms
+        # the terms for ``gradient_many``: float frequencies, None at zero
+        self._waves = [(k.astype(float) if k.any() else None, a, b)
+                       for k, a, b in norm_terms]
 
     @classmethod
     def constant(cls, n: int, value: float) -> "TrigPolynomial":
@@ -71,13 +74,30 @@ class TrigPolynomial:
             out += a * np.cos(phase) + b * np.sin(phase)
         return out
 
-    def gradient_many(self, xs):
+    def gradient_many(self, xs, hessian: bool = False):
+        """Values (m,) and gradients (m, n) at the rows of xs, and with
+        ``hessian`` the second derivatives (m, n, n) too, from one cos/sin
+        pair per nonzero-frequency term; a zero-frequency term adds its
+        cosine coefficient to the values and nothing else.  The values
+        equal ``value_many``'s bit for bit (same per-term order)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        out = np.zeros(xs.shape[0])
         g = np.zeros_like(xs)
-        for k, a, b in self.terms:
+        hess = np.zeros(xs.shape + (self.n,)) if hessian else None
+        for k, a, b in self._waves:
+            if k is None:
+                out += a
+                continue
             phase = TWO_PI * (xs @ k)
-            g += np.outer(TWO_PI * (-a * np.sin(phase) + b * np.cos(phase)), k)
-        return g
+            cos, sin = np.cos(phase), np.sin(phase)
+            term = a * cos + b * sin
+            out += term
+            g += (TWO_PI * (-a * sin + b * cos))[:, None] * k
+            if hessian:
+                hess -= (TWO_PI * TWO_PI * term)[:, None, None] * np.outer(k, k)
+        if hessian:
+            return out, g, hess
+        return out, g
 
     def mean(self) -> float:
         """Average over the torus (the zero-frequency cosine coefficient)."""

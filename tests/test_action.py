@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,17 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
+from effham import action
 from effham.action import (
     InitialDatum,
+    _chain_terms,
+    _screen_chains,
+    _TrajectoryCost,
     allocate_time,
     hopf_lax,
     lax_oleinik,
     minimal_action_graph,
     minimal_action_torus,
 )
+from effham.config import load_config
+from effham.errors import SolverError
 from effham.mather import AnalyticQuadraticBeta, DirectBetaEvaluator
-from effham.model import GraphLagrangian
-from effham.topology import GraphCover, MetricGraph, norm_value
+from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
+from effham.topology import GraphCover, MetricGraph, match_point, norm_value
 from tests.conftest import allocate_time_oracle
 
 
@@ -66,6 +73,20 @@ def test_detour_to_cheaper_ground_wins():
     got = minimal_action_graph(lagrangian, cover, x, cover.vertex_point(2), 100.0)
     expect = allocate_time_oracle([(0.5, 0.3), (0.4, -0.6)], 100.0, -0.6)
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_empty_multiset_key_is_a_solver_error():
+    # a unit loop at vertex 0 with a tail 0-1-2-3-4 whose last edge is the
+    # cheap one: from the tail's end back to it one sheet up, every walk
+    # runs the loop and the tail twice, more extra pairs than the capped
+    # enumeration admits, so no multiset survives for that key
+    graph = MetricGraph(5, [(0, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0),
+                            (2, 3, 1.0), (3, 4, 1.0)])
+    lagrangian = GraphLagrangian(graph, [0.0, 0.0, 0.0, 0.0, -2.0])
+    cover = GraphCover(graph)
+    with pytest.raises(SolverError, match="no traversal multiset"):
+        minimal_action_graph(lagrangian, cover, cover.vertex_point(4, [0]),
+                             cover.vertex_point(4, [1]), 40.0)
 
 
 def test_loop_two_circuits_matches_time_allocation(loop2_cover, loop2_lag):
@@ -331,3 +352,159 @@ def test_deck_translation_shifts_by_the_affine_pairing(loop2_cover, loop2_lag,
     v_z = lax_oleinik(loop2_cover, loop2_lag, datum,
                       loop2_cover.translate(x, [z]), 1.0, eps, mesh=16)
     assert v_z - v == pytest.approx(eps * slope * z, abs=1e-12)
+
+
+# the lockstep Newton screen of the torus Lax-Oleinik search
+
+_SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scenarios")
+
+
+def _chains(starts, end, n_segments, bump=0.0):
+    """Straight chains from each start to end, each coordinate bent by
+    bump * sin(pi s)."""
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    frac = np.linspace(0.0, 1.0, n_segments + 1)[None, :, None]
+    chains = starts[:, None, :] + frac * (np.asarray(end) - starts)[:, None, :]
+    return chains + bump * np.sin(np.pi * frac)
+
+
+def _lbfgs_screen(model, horizon, chain):
+    """The per-chain L-BFGS descent with the old screen's 150-iteration
+    cap, on the full-solve kernel."""
+    cost = _TrajectoryCost(model, horizon, chain.shape[0] - 1)
+
+    def fun(flat):
+        nodes = chain.copy()
+        nodes[1:-1] = flat.reshape(nodes[1:-1].shape)
+        act, grad = cost.action_grad(nodes)
+        return act, grad[1:-1].ravel()
+
+    res = optimize.minimize(fun, chain[1:-1].ravel(), jac=True,
+                            method="L-BFGS-B",
+                            options={"maxiter": 150, "ftol": 1e-15,
+                                     "gtol": 1e-11})
+    return float(res.fun)
+
+
+def _potential_2d(a_matrix):
+    cells = [TrigPolynomial.constant(2, v) for v in
+             (a_matrix[0][0], a_matrix[0][1], a_matrix[1][1])]
+    return TorusHamiltonian(2, cells, TrigPolynomial(
+        2, [([1, 0], 0.3, 0.0), ([1, 1], 0.0, 0.2), ([0, 0], 0.1, 0.0)]))
+
+
+@pytest.mark.parametrize("model_of", [
+    pytest.param(lambda: TorusHamiltonian(1, [TrigPolynomial(
+        1, [([0], 1.0, 0.0), ([1], 0.3, 0.1)])], TrigPolynomial(
+        1, [([2], 0.5, -0.2)])), id="circle-varying-kinetic"),
+    pytest.param(lambda: _potential_2d([[1.3, 0.4], [0.4, 0.8]]),
+                 id="torus2-constant-kinetic"),
+])
+def test_chain_terms_match_finite_differences(model_of):
+    model = model_of()
+    rng = np.random.default_rng(5)
+    q = _chains(rng.uniform(-1.0, 1.0, size=(3, model.n)), np.full(model.n, 0.4),
+                8, bump=0.2)
+    dt = 0.3
+    act, grad, diag, off = _chain_terms(model, dt, q)
+    for c in range(q.shape[0]):
+        want = _TrajectoryCost(model, 8 * dt, 8).action_grad(q[c])
+        assert act[c] == pytest.approx(want[0], abs=1e-12)
+        assert np.allclose(grad[c], want[1], atol=1e-12)
+    # Hessian blocks against central differences of the gradient
+    step = 1e-6
+    for i in (0, 3, 8):
+        for a in range(model.n):
+            up, down = q.copy(), q.copy()
+            up[:, i, a] += step
+            down[:, i, a] -= step
+            col = (_chain_terms(model, dt, up)[1]
+                   - _chain_terms(model, dt, down)[1]) / (2.0 * step)
+            assert np.allclose(diag[:, i, :, a], col[:, i], atol=1e-6)
+            if i > 0:
+                assert np.allclose(off[:, i - 1, :, a], col[:, i - 1], atol=1e-6)
+            if i < 8:
+                assert np.allclose(off[:, i, a, :], col[:, i + 1], atol=1e-6)
+
+
+@pytest.mark.parametrize("stem", ["free_torus_1d", "free_torus_2d",
+                                  "free_torus_2d-skew"])
+def test_screen_is_exact_on_free_systems(stem):
+    # the action of a free system is the quadratic Delta.A^{-1}.Delta/(2T)
+    # in the end points, so one undamped Newton step from any chain is exact
+    model = load_config(os.path.join(_SCENARIOS,
+                                     stem.split("-")[0] + ".yaml")).model
+    if stem.endswith("skew"):
+        model = TorusHamiltonian(2, [TrigPolynomial.constant(2, v)
+                                     for v in (1.3, 0.4, 0.8)],
+                                 TrigPolynomial.constant(2, 0.0))
+    a_inv = np.linalg.inv(model.kinetic_matrix(np.zeros(model.n)))
+    rng = np.random.default_rng(11)
+    starts = rng.uniform(-4.0, 4.0, size=(9, model.n))
+    end = np.full(model.n, 0.25)
+    horizon = 3.0
+    delta = starts - end
+    exact = 0.5 * np.einsum("ci,ij,cj->c", delta, a_inv, delta) / horizon
+    for bump in (0.0, 0.35):
+        got, capped = _screen_chains(model, horizon, _chains(starts, end, 32,
+                                                             bump))
+        assert capped == 0
+        assert np.max(np.abs(got - exact)) <= 1e-12
+
+
+def test_screen_matches_lbfgs_in_two_dimensions():
+    model = _potential_2d([[1.3, 0.4], [0.4, 0.8]])
+    starts = np.array([[0.1, 0.2], [-0.7, 0.9], [1.4, -0.3], [0.5, 0.45]])
+    chains = _chains(starts, np.array([0.3, -0.2]), 32)
+    got, capped = _screen_chains(model, 1.0, chains)
+    assert capped == 0
+    want = [_lbfgs_screen(model, 1.0, chain) for chain in chains]
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def _rung(monkeypatch, circle, pendulum, eps):
+    """One pendulum rung of the scenario (h = 1/3, t = 1, mesh 64), with
+    the chains of every screen call and the minimize options recorded."""
+    screened, options = [], []
+    screen, minimize = action._screen_chains, optimize.minimize
+
+    def record_screen(model, horizon, chains):
+        values, capped = screen(model, horizon, chains)
+        screened.append((chains, values))
+        return values, capped
+
+    def record_minimize(*args, **kwargs):
+        options.append(kwargs.get("options", {}))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(action, "_screen_chains", record_screen)
+    monkeypatch.setattr(action.optimize, "minimize", record_minimize)
+    point, _ = match_point(circle, np.array([1.0 / 3.0]), eps, 64)
+    res = lax_oleinik(circle, pendulum, InitialDatum.affine([0.0]), point,
+                      1.0, eps, mesh=64, details=True)
+    return res, screened, options
+
+
+def test_pendulum_rung_screens_without_lbfgs(monkeypatch, circle, pendulum):
+    # 202 is the count of the one-by-one L-BFGS screen that the lockstep
+    # screen replaced: a screen that evaluates more or fewer candidates,
+    # or falls back to L-BFGS, shows here
+    res, screened, options = _rung(monkeypatch, circle, pendulum, 0.25)
+    assert res.evaluated == 202
+    assert screened
+    assert options and all(o.get("maxiter") != 150 for o in options)
+    assert res.diagnostics == {"lbfgs_unconverged": 0, "screen_capped": 0}
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.0625])
+def test_screen_matches_lbfgs_on_the_pendulum(monkeypatch, circle, pendulum,
+                                              eps):
+    _, screened, _ = _rung(monkeypatch, circle, pendulum, eps)
+    chains = np.concatenate([c for c, _ in screened])
+    got = np.concatenate([v for _, v in screened])
+    want = np.array([_lbfgs_screen(pendulum, 1.0 / eps, chain)
+                     for chain in chains])
+    lowest = np.argsort(want, kind="stable")[:12]
+    assert np.max(np.abs(got[lowest] - want[lowest])) <= 1e-9
+    assert np.argmin(got) == np.argmin(want)

@@ -178,6 +178,38 @@ def _both(first, second):
     pytest.param("free_torus_1d", _set("system.kinetic", [
         [{"k": [0], "cos": 1.0}, {"k": [64], "cos": 2.0}]]), "system.kinetic",
         id="free_torus_1d-aliased-kinetic"),
+    # a key that load does not read is an error on its dotted path, in
+    # every block and per datum family
+    pytest.param("pendulum", _set("datum.slop", 3), "datum.slop",
+                 id="pendulum-misspelt-datum-key"),
+    pytest.param("free_torus_1d", _set("datum.slope", 0.5), "datum.slope",
+                 id="free_torus_1d-cone-key-on-affine"),
+    pytest.param("free_torus_1d", _set("datum.norm", "l2"), "datum.norm",
+                 id="free_torus_1d-norm-on-affine"),
+    pytest.param("figure_eight", _set("datum.slope_vector", [1.0, 0.0]),
+                 "datum.slope_vector", id="figure_eight-affine-key-on-cone"),
+    pytest.param("single_loop", _set("solver", {"mesh": 8}), "solver",
+                 id="single_loop-unknown-block"),
+    pytest.param("free_torus_1d", _set("system.dimensions", 1),
+                 "system.dimensions", id="free_torus_1d-torus-system-key"),
+    pytest.param("single_loop", _set("system.dimension", 1),
+                 "system.dimension", id="single_loop-torus-key-on-graph"),
+    pytest.param("single_loop", _set("system.edges.0.weight", 2.0),
+                 "system.edges[0].weight", id="single_loop-edge-key"),
+    pytest.param("pendulum", _set("system.potential.0.phase", 0.1),
+                 "system.potential[0].phase", id="pendulum-trig-term-key"),
+    pytest.param("single_loop", _set("cover", {"subcovers": [[1]]}),
+                 "cover.subcovers", id="single_loop-cover-key"),
+    pytest.param("single_loop", _set("experiment.tolerence", 0.1),
+                 "experiment.tolerence", id="single_loop-experiment-key"),
+    pytest.param("single_loop", _set("experiment.points.0.x", 0.1),
+                 "experiment.points[0].x", id="single_loop-point-key"),
+    pytest.param("single_loop", _set("compute.meshes", 8), "compute.meshes",
+                 id="single_loop-compute-key"),
+    pytest.param("single_loop", _set("compute.p_grid.size", 8),
+                 "compute.p_grid.size", id="single_loop-grid-key"),
+    pytest.param("single_loop", _set("output.directory", "x"),
+                 "output.directory", id="single_loop-output-key"),
 ])
 def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
                                                  mutate, field):
@@ -217,6 +249,17 @@ def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
     pytest.param("free_torus_1d", _set("system.kinetic", [
         [{"k": [0], "cos": 1.0}, {"k": [64], "cos": 0.5}]]),
         id="fast-positive-kinetic"),
+    # the experiment fields that the benchmark workloads override
+    pytest.param("pendulum", _both(_set("experiment.ladder", [1.0, 0.5]),
+                                   _set("experiment.tolerance", 0.05)),
+                 id="benchmark-overrides"),
+    # every key that a datum family reads, on one config
+    pytest.param("free_torus_2d", _set("datum", {
+        "family": "quadratic", "matrix": [[1.0, 0.0], [0.0, 2.0]],
+        "slope_vector": [0.5, 0.0], "constant": 0.1}), id="quadratic-keys"),
+    pytest.param("figure_eight", _set("datum", {
+        "family": "cone", "slope": 0.5, "center": [0.1, 0.0], "norm": "l1",
+        "constant": 0.1}), id="cone-keys"),
 ])
 def test_validate_accepts_supported_systems(tmp_path, capsys, stem, mutate):
     path = _write(tmp_path, mutate(_scenario_tree(stem)))

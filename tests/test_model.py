@@ -72,3 +72,37 @@ def test_double_legendre_recovers_hamiltonian(x, p):
 def test_double_legendre_free_two_dim(p1, p2):
     free2 = TorusHamiltonian.mechanical(TrigPolynomial.constant(2, 0.0))
     assert double_legendre_residual(free2, [0.1, 0.7], [p1, p2]) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fused_kernel_matches_the_per_term_sums(n):
+    # random terms with two zero-frequency ones among them: the fused
+    # kernel skips their trig, and must still add every term in order
+    rng = np.random.default_rng(40 + n)
+    terms = [(rng.integers(-3, 4, size=n), rng.normal(), rng.normal())
+             for _ in range(6)]
+    terms.insert(0, (np.zeros(n, dtype=int), 0.7, 0.3))
+    terms.insert(4, (np.zeros(n, dtype=int), -0.4, 0.0))
+    poly = TrigPolynomial(n, terms)
+    xs = rng.uniform(-2.0, 2.0, size=(50, n))
+    values, grads = np.zeros(50), np.zeros((50, n))
+    for k, a, b in poly.terms:
+        phase = 2.0 * np.pi * (xs @ k)
+        values += a * np.cos(phase) + b * np.sin(phase)
+        grads += np.outer(2.0 * np.pi * (-a * np.sin(phase)
+                                         + b * np.cos(phase)), k)
+    fused_v, fused_g = poly.gradient_many(xs)
+    assert np.array_equal(fused_v, values)
+    assert np.array_equal(fused_g, grads)
+    assert np.array_equal(poly.value_many(xs), values)
+    with_h = poly.gradient_many(xs, hessian=True)
+    assert np.array_equal(with_h[0], values)
+    assert np.array_equal(with_h[1], grads)
+    # the second derivatives against central differences of the gradient
+    step = 1e-6
+    for j in range(n):
+        shift = np.zeros(n)
+        shift[j] = step
+        diff = (poly.gradient_many(xs + shift)[1]
+                - poly.gradient_many(xs - shift)[1]) / (2.0 * step)
+        assert np.allclose(with_h[2][:, :, j], diff, rtol=1e-6, atol=1e-5)
