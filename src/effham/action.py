@@ -7,8 +7,10 @@ Three layers:
   edge-traversal multisets, kept per cover by their deck-invariant sheet
   change and priced all at once by ``allocate_time``, the vectorised
   shared-energy split that also gives graph beta in ``mather``; tori run
-  a piecewise-linear trajectory descent with analytic gradients and
-  segment-doubling refinement.
+  an L-BFGS descent of piecewise-linear chains with segment-doubling
+  refinement.  One kernel, ``_chain_terms``, prices every torus chain:
+  its midpoint action, its gradient and, for Newton, its exact banded
+  Hessian.
 * ``lax_oleinik``: the rescaled cover solution, an infimum of
   f(eps * G(y)) + eps * action over starting points y (f the limit
   datum, G the cover's coordinate map), truncated to a certified window,
@@ -222,60 +224,59 @@ def allocate_time(lengths, potentials, total_time: float, rest):
     return np.where(moving, run_cost + rest_cost, rest * total_time)
 
 
-def _used_subgraph_connected(graph, counts, anchor: int) -> bool:
-    used = [e for e, c in enumerate(counts) if c > 0]
-    if not used:
-        return True
-    verts = {anchor}
-    for e in used:
-        u, v, _ = graph.edges[e]
-        verts.add(u)
-        verts.add(v)
-    reached = {anchor}
+def _reached(graph, counts, anchor: int) -> np.ndarray:
+    """Mask of the vertices reached from anchor along edges with counts > 0."""
+    seen = np.zeros(graph.n_vertices, dtype=bool)
+    seen[anchor] = True
     frontier = [anchor]
     while frontier:
-        w = frontier.pop()
-        for idx, _ in graph.incident[w]:
-            if counts[idx] <= 0:
+        for e, _ in graph.incident[frontier.pop()]:
+            if not counts[e]:
                 continue
-            u, v, _ = graph.edges[idx]
-            for other in (u, v):
-                if other not in reached:
-                    reached.add(other)
+            for other in graph.edges[e][:2]:
+                if not seen[other]:
+                    seen[other] = True
                     frontier.append(other)
-    return verts <= reached
+    return seen
 
 
 def _multisets(graph, va: int, vb: int, dz: tuple):
     """Traversal multisets of walks from vertex va to vertex vb that change
     sheets by dz, as (run lengths (n, |E|), visited vertices (n, |V|)).
 
-    Each is the net flow plus a bounded number of extra back-and-forth
-    pairs, kept when its edges form one connected walk through va.  By
-    deck invariance they depend on the sheets only through dz, so a cover
-    keeps one read-only build per key.
+    Every such walk has the net flow m of ``_edge_flow`` and crosses edge
+    e |m_e| + 2 c_e times for some c_e >= 0.  The candidates are
+    |m| + 2c for c in {0, 1}^|E|, kept when their edges form one connected
+    walk through va, and they are exact by three facts:
+
+    * ``allocate_time``'s cost increases in every run length;
+    * a traversal multiset is a walk from va to vb when its support is
+      connected through va, since an extra pair is one traversal each way
+      and leaves the in/out balance of the net flow;
+    * the visited vertices, and so the rest rate, depend only on the
+      support.
+
+    So a count c_e >= 2 is beaten by min(c_e, 1): same support, so still
+    a walk with the same rest rate, and shorter runs.  The all-ones c uses
+    every edge of the connected graph, so every key has a multiset; and
+    when va != vb the net flow already runs a tree path, so no candidate
+    is empty.  By deck invariance the multisets depend on the sheets only
+    through dz, so a cover keeps one read-only build per key.
     """
     n_edges = len(graph.edges)
-    extra_cap = 3 if n_edges <= 4 else 2
     m = _edge_flow(graph, dz, va, vb)
     m_int = np.round(m).astype(int)
     if np.max(np.abs(m - m_int)) > 1e-9:
         raise SolverError("non-integral edge flow")
     rows, visited = [], []
-    for extras in itertools.product(range(extra_cap + 1), repeat=n_edges):
-        if sum(extras) > extra_cap:
-            continue
+    for extras in itertools.product((0, 1), repeat=n_edges):
         counts = np.abs(m_int) + 2 * np.asarray(extras, dtype=int)
-        if not _used_subgraph_connected(graph, counts, va):
-            continue
-        if counts.sum() == 0 and va != vb:
-            continue
-        seen = np.zeros(graph.n_vertices, dtype=bool)
-        seen[[va, vb]] = True
-        for e in np.flatnonzero(counts):
-            seen[[graph.tail(e), graph.head(e)]] = True
-        rows.append(counts * graph.lengths)
-        visited.append(seen)
+        # connected through va when every used edge is reached; vb is then
+        # reached too, on a used edge when va != vb
+        seen = _reached(graph, counts, va)
+        if seen[[graph.tail(e) for e in np.flatnonzero(counts)]].all():
+            rows.append(counts * graph.lengths)
+            visited.append(seen)
     out = np.array(rows).reshape(-1, n_edges), np.array(visited)
     for arr in out:
         arr.flags.writeable = False
@@ -293,7 +294,9 @@ def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
     travel time and cost), plus the direct path when both lie on one edge
     of one sheet.  Each multiset may rest at the cheapest vertex it
     visits; every run touches such a vertex, so no run potential is
-    cheaper.  All rows are priced by one ``allocate_time`` call.
+    cheaper.  All rows are priced by one ``allocate_time`` call; every
+    attachment key has a multiset (``_multisets``), so the minimum is
+    never over an empty set.
     """
     graph = cover.graph
     pots = lagrangian.potentials
@@ -316,9 +319,6 @@ def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
             if (va, vb, dz) not in cover._multisets:
                 cover._multisets[va, vb, dz] = _multisets(graph, va, vb, dz)
             runs, visited = cover._multisets[va, vb, dz]
-            if not runs.shape[0]:
-                raise SolverError(f"no traversal multiset from vertex {va} to "
-                                  f"vertex {vb} with sheet change {dz}")
             runs = runs.copy()
             if e_y is not None:
                 runs[:, e_y] += off_y
@@ -335,51 +335,6 @@ def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
 # torus actions: piecewise-linear trajectory descent
 
 
-class _TrajectoryCost:
-    """Midpoint-rule action of a node chain, with analytic gradient."""
-
-    def __init__(self, model: TorusHamiltonian, horizon: float, n_segments: int):
-        self.model = model
-        self.horizon = float(horizon)
-        self.n_segments = int(n_segments)
-        self.dt = self.horizon / self.n_segments
-
-    def action_grad(self, nodes: np.ndarray):
-        model = self.model
-        dt = self.dt
-        diffs = nodes[1:] - nodes[:-1]
-        vel = diffs / dt
-        mid = 0.5 * (nodes[1:] + nodes[:-1])
-        grad = np.zeros_like(nodes)
-        if model.n == 1:
-            a, da = model.a_entries[0].gradient_many(mid)
-            vv = vel[:, 0]
-            w = vv / a
-            kin = 0.5 * vv * w
-            pot, gv = model.v.gradient_many(mid)
-            act = dt * float(np.sum(kin - pot))
-            dmid = -0.5 * w * w * da[:, 0] - gv[:, 0]
-            grad[1:, 0] += w + 0.5 * dt * dmid
-            grad[:-1, 0] += -w + 0.5 * dt * dmid
-            return act, grad
-        a11, g11 = model.a_entries[0].gradient_many(mid)
-        a12, g12 = model.a_entries[1].gradient_many(mid)
-        a22, g22 = model.a_entries[2].gradient_many(mid)
-        det = a11 * a22 - a12 * a12
-        w1 = (a22 * vel[:, 0] - a12 * vel[:, 1]) / det
-        w2 = (-a12 * vel[:, 0] + a11 * vel[:, 1]) / det
-        kin = 0.5 * (w1 * vel[:, 0] + w2 * vel[:, 1])
-        pot, gv = model.v.gradient_many(mid)
-        act = dt * float(np.sum(kin - pot))
-        # d(kin)/dx = -w . (dA/dx) . w / 2 with w = A^{-1} v
-        dmid = -0.5 * (g11 * (w1 * w1)[:, None] + 2.0 * g12 * (w1 * w2)[:, None]
-                       + g22 * (w2 * w2)[:, None]) - gv
-        wvec = np.stack([w1, w2], axis=1)
-        grad[1:] += wvec + 0.5 * dt * dmid
-        grad[:-1] += -wvec + 0.5 * dt * dmid
-        return act, grad
-
-
 def _chain_inits(y_lift: np.ndarray, x_lift: np.ndarray, n_segments: int):
     frac = np.linspace(0.0, 1.0, n_segments + 1)[:, None]
     straight = y_lift[None, :] + frac * (x_lift - y_lift)[None, :]
@@ -393,76 +348,87 @@ def _chain_inits(y_lift: np.ndarray, x_lift: np.ndarray, n_segments: int):
     return inits
 
 
-def _solve_fixed_chain(cost: _TrajectoryCost, nodes0: np.ndarray):
+def _solve_fixed_chain(model: TorusHamiltonian, horizon: float,
+                       nodes0: np.ndarray):
     """L-BFGS descent over the inner nodes; (action, nodes, converged)."""
-    shape = nodes0.shape
-    fixed_first = nodes0[0].copy()
-    fixed_last = nodes0[-1].copy()
+    dt = horizon / (nodes0.shape[0] - 1)
+    nodes = nodes0[None].copy()
 
     def fun(flat):
-        nodes = np.empty(shape)
-        nodes[0] = fixed_first
-        nodes[-1] = fixed_last
-        nodes[1:-1] = flat.reshape(shape[0] - 2, shape[1])
-        act, grad = cost.action_grad(nodes)
-        return act, grad[1:-1].ravel()
+        nodes[0, 1:-1] = flat.reshape(nodes0[1:-1].shape)
+        act, grad = _chain_terms(model, dt, nodes, hessian=False)
+        return act[0], grad[0, 1:-1].ravel()
 
-    if shape[0] <= 2:
-        act, _ = cost.action_grad(nodes0)
-        return act, nodes0, True
     res = optimize.minimize(fun, nodes0[1:-1].ravel(), jac=True, method="L-BFGS-B",
                             options={"maxiter": 400, "ftol": 1e-15,
                                      "gtol": 1e-11})
-    nodes = np.empty(shape)
-    nodes[0] = fixed_first
-    nodes[-1] = fixed_last
-    nodes[1:-1] = res.x.reshape(shape[0] - 2, shape[1])
-    return float(res.fun), nodes, bool(res.success)
+    nodes[0, 1:-1] = res.x.reshape(nodes0[1:-1].shape)
+    return float(res.fun), nodes[0], bool(res.success)
 
 
-def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray):
-    """Action (C,), gradient (C, N+1, n) and exact Hessian of C midpoint
-    chains q (C, N+1, n): its diagonal blocks (C, N+1, n, n) and the
-    blocks (C, N, n, n) that couple node i to node i+1.
+def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray,
+                 hessian: bool = True):
+    """Action (C,) and gradient (C, N+1, n) of C midpoint chains q
+    (C, N+1, n), and with ``hessian`` the exact Hessian: its diagonal
+    blocks (C, N+1, n, n) and the blocks (C, N, n, n) that couple node i
+    to node i+1.  Every torus solve prices its chains here.
 
-    Segment i costs L = d.B(m).d/(2 dt) - dt V(m) with d = q[i+1] - q[i],
-    m = (q[i] + q[i+1])/2 and B = A^{-1}: B = 1/a(x) on the circle, and a
-    constant in 2-D (``kinetic_eig_bounds``, which ``_lax_torus`` reads
-    first, rejects any other A).  As q[i+1] = m + d/2 and q[i] = m - d/2,
-    node i+1 takes L_d + L_m/2 and node i takes -L_d + L_m/2 of the
-    gradient; of the Hessian they take L_dd +- sym(L_dm) + L_mm/4, and
-    their coupling block is -L_dd - L_dm/2 + L_dm^T/2 + L_mm/4.  So the
-    Hessian is tridiagonal in 1-D and block-tridiagonal in 2-D.
+    Segment i costs dt L(m, v) = dt (v.w/2 - V(m)) with v = d/dt,
+    d = q[i+1] - q[i], m = (q[i] + q[i+1])/2 and w = B(m) v, B = A^{-1}:
+    B = 1/a(x) on the circle, and a constant in 2-D (``kinetic_eig_bounds``,
+    which every caller reads first, rejects any other A).  As
+    q[i+1] = m + d/2 and q[i] = m - d/2, node i+1 takes w + dt L_m/2 and
+    node i takes -w + dt L_m/2 of the gradient, with
+    L_m = -(w.A'(m).w)/2 - V'(m).  For the Hessian write the segment as
+    L(d, m) = d.B(m).d/(2 dt) - dt V(m): nodes i+1 and i take
+    L_dd +- sym(L_dm) + L_mm/4, and their coupling block is
+    -L_dd - L_dm/2 + L_dm^T/2 + L_mm/4.  So the Hessian is tridiagonal in
+    1-D and block-tridiagonal in 2-D.
     """
     chains, nodes, n = q.shape
-    d = q[:, 1:] - q[:, :-1]
-    flat = (0.5 * (q[:, 1:] + q[:, :-1])).reshape(-1, n)
-    pot, gv, hv = model.v.gradient_many(flat, hessian=True)
     shape = (chains, nodes - 1)
-    l_m = -dt * gv.reshape(shape + (n,))
-    l_mm = -dt * hv.reshape(shape + (n, n))
+    d = q[:, 1:] - q[:, :-1]
+    vel = d / dt
+    flat = (0.5 * (q[:, 1:] + q[:, :-1])).reshape(-1, n)
+    v_terms = model.v.gradient_many(flat, hessian=hessian)
+    pot = v_terms[0].reshape(shape)
+    gv = v_terms[1].reshape(shape + (n,))
     if n == 1:
-        a, a1, a2 = model.a_entries[0].gradient_many(flat, hessian=True)
-        a, a1, a2 = a.reshape(shape), a1.reshape(shape), a2.reshape(shape)
+        a_terms = model.a_entries[0].gradient_many(flat, hessian=hessian)
+        a, a1 = a_terms[0].reshape(shape), a_terms[1].reshape(shape)
+        vv = vel[..., 0]
+        w = vv / a
+        kin = 0.5 * vv * w
+        dmid = -0.5 * w * w * a1 - gv[..., 0]
+    else:
+        a_mat = model.kinetic_matrix(np.zeros(n))
+        a11, a12, a22 = a_mat[0, 0], a_mat[0, 1], a_mat[1, 1]
+        det = a11 * a22 - a12 * a12
+        w = np.stack([(a22 * vel[..., 0] - a12 * vel[..., 1]) / det,
+                      (-a12 * vel[..., 0] + a11 * vel[..., 1]) / det], axis=-1)
+        kin = 0.5 * (w[..., 0] * vel[..., 0] + w[..., 1] * vel[..., 1])
+        dmid = -gv
+    act = dt * np.sum(kin - pot, axis=1)
+    grad = np.zeros(q.shape)
+    # the 1-D terms are (C, N) arrays, so they fill the only coordinate
+    g = grad[..., 0] if n == 1 else grad
+    side = 0.5 * dt * dmid
+    g[:, 1:] += w + side
+    g[:, :-1] += -w + side
+    if not hessian:
+        return act, grad
+    l_mm = -dt * v_terms[2].reshape(shape + (n, n))
+    if n == 1:
+        a2 = a_terms[2].reshape(shape)
         phi, phi1 = 1.0 / a, -a1 / (a * a)
         phi2 = (2.0 * a1 * a1 - a * a2) / (a * a * a)
         dd = d[..., 0]
-        kin = 0.5 * dd * dd * phi / dt
-        l_d = (dd * phi / dt)[..., None]
-        l_m += (0.5 * dd * dd * phi1 / dt)[..., None]
         l_dd = (phi / dt)[..., None, None]
         l_dm = (dd * phi1 / dt)[..., None, None]
         l_mm += (0.5 * dd * dd * phi2 / dt)[..., None, None]
     else:
-        b = np.linalg.inv(model.kinetic_matrix(np.zeros(n))) / dt
-        l_d = d @ b
-        kin = 0.5 * np.sum(l_d * d, axis=-1)
-        l_dd = np.broadcast_to(b, shape + (n, n))
+        l_dd = np.broadcast_to(np.linalg.inv(a_mat) / dt, shape + (n, n))
         l_dm = np.zeros(shape + (n, n))
-    act = np.sum(kin - dt * pot.reshape(shape), axis=1)
-    grad = np.zeros(q.shape)
-    grad[:, 1:] += l_d + 0.5 * l_m
-    grad[:, :-1] += -l_d + 0.5 * l_m
     l_md = np.swapaxes(l_dm, -1, -2)
     sym = 0.5 * (l_dm + l_md)
     diag = np.zeros(q.shape + (n,))
@@ -624,25 +590,26 @@ def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float
     With ``details``, returns (action, nodes, number of L-BFGS runs that
     ended unconverged).  ``_lax_torus`` screens its candidates without
     this descent, by ``_screen_chains``, and calls it for the survivors.
+    The chains are priced by ``_chain_terms``, so a 2-D A(x) that is not
+    constant raises ModelValidityError (``kinetic_eig_bounds``).
     """
     y_lift = np.atleast_1d(np.asarray(y_lift, dtype=float))
     x_lift = np.atleast_1d(np.asarray(x_lift, dtype=float))
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
+    model.kinetic_eig_bounds()
     n = _auto_segments(horizon)
     best_val, best_nodes = math.inf, None
     unconverged = 0
     for init in _chain_inits(y_lift, x_lift, n):
-        val, nodes, ok = _solve_fixed_chain(_TrajectoryCost(model, horizon, n),
-                                            init)
+        val, nodes, ok = _solve_fixed_chain(model, horizon, init)
         unconverged += not ok
         if val < best_val:
             best_val, best_nodes = val, nodes
     while n < _MAX_SEGMENTS:
         n *= 2
         refined = _refine_nodes(best_nodes)
-        val, nodes, ok = _solve_fixed_chain(_TrajectoryCost(model, horizon, n),
-                                            refined)
+        val, nodes, ok = _solve_fixed_chain(model, horizon, refined)
         unconverged += not ok
         improved = best_val - val
         best_val, best_nodes = val, nodes
@@ -887,29 +854,23 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
 
 def _joint_polish_torus(model, datum, eps, t, nodes):
     """Descend over the start point and the chain together."""
-    horizon = t / eps
-    shape = nodes.shape
-    cost = _TrajectoryCost(model, horizon, shape[0] - 1)
-    fixed_last = nodes[-1].copy()
+    dt = t / eps / (nodes.shape[0] - 1)
+    chain = nodes[None].copy()
 
     def fun(flat):
-        chain = np.empty(shape)
-        chain[-1] = fixed_last
-        chain[:-1] = flat.reshape(shape[0] - 1, shape[1])
-        act, grad = cost.action_grad(chain)
-        q0 = chain[0]
-        val = datum.value(eps * q0) + eps * act
-        full_grad = eps * grad
+        chain[0, :-1] = flat.reshape(nodes[:-1].shape)
+        act, grad = _chain_terms(model, dt, chain, hessian=False)
+        q0 = chain[0, 0]
+        val = datum.value(eps * q0) + eps * act[0]
+        full_grad = eps * grad[0]
         full_grad[0] += eps * datum.gradient(eps * q0)
         return val, full_grad[:-1].ravel()
 
     res = optimize.minimize(fun, nodes[:-1].ravel(), jac=True, method="L-BFGS-B",
                             options={"maxiter": 1500, "ftol": 1e-15,
                                      "gtol": 1e-11, "maxcor": 12})
-    chain = np.empty(shape)
-    chain[-1] = fixed_last
-    chain[:-1] = res.x.reshape(shape[0] - 1, shape[1])
-    return float(res.fun), chain[0], bool(res.success)
+    chain[0, :-1] = res.x.reshape(nodes[:-1].shape)
+    return float(res.fun), chain[0, 0], bool(res.success)
 
 
 def _golden_min(fn, lo: float, hi: float, tol: float):

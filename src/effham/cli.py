@@ -126,7 +126,8 @@ def _write_report(cfg: ScenarioConfig, report, command: str, out_dir: str) -> in
     _emit({"command": command, "scenario": cfg.name,
            "passed": bool(report.passed),
            "final_error": report.final_error,
-           "rate_exponent": report.rate_exponent})
+           "rate_exponent": report.rate_exponent,
+           "diagnostics": report.diagnostics})
     if not report.passed:
         _emit(_error_record("tolerance", EXIT_TOLERANCE,
                             f"scenario {cfg.name}: report pass flags not all true"))

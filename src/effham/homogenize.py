@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -163,28 +163,8 @@ class ExperimentReport:
         return sorted(((e, float(np.max(v))) for e, v in out.items()),
                       key=lambda kv: -kv[0])
 
-    def to_tree(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "rows": [{"h": list(r.h), "t": r.t, "eps": r.eps,
-                      "v_eps": r.v_eps, "u_limit": r.u_limit,
-                      "abs_error": r.abs_error, "match_error": r.match_error}
-                     for r in self.rows],
-            "rate_exponent": self.rate_exponent,
-            "rate_residual": self.rate_residual,
-            "monotone_ok": self.monotone_ok,
-            "sandwich_ok": self.sandwich_ok,
-            "final_error": self.final_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "diagnostics": self.diagnostics,
-            "cover_kernel_invariance_error": self.cover_kernel_invariance_error,
-            "kernel_invariance_error": self.kernel_invariance_error,
-            "dual_limit_error": self.dual_limit_error,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_tree(), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def csv_lines(self) -> list:
         k = len(self.rows[0].h) if self.rows else 1
@@ -386,7 +366,8 @@ def run_subcover_experiment(scenario: Scenario, beta_eval=None,
     * ``kernel_invariance_error``: the same symmetry of the lifted limit
       on homology space; bound 1e-8.
     * ``dual_limit_error``: alpha at the pulled-back covector against the
-      conjugate of the quotient rate function; bound 1e-3.
+      conjugate of the quotient rate function; bound 1e-8, above the 1e-9
+      bisection of ``alpha_graph`` that sets the measured 4.6e-10.
 
     Raises ValueError without a subcover map and on torus covers.
     """
@@ -443,5 +424,5 @@ def run_subcover_experiment(scenario: Scenario, beta_eval=None,
     report.passed = (report.passed
                      and report.cover_kernel_invariance_error <= cover_tol
                      and report.kernel_invariance_error <= 1e-8
-                     and report.dual_limit_error <= 1e-3)
+                     and report.dual_limit_error <= 1e-8)
     return report

@@ -8,8 +8,10 @@ The convex pair at the heart of the limit problem:
 * ``beta_*``: the minimal average action over circulations with a
   prescribed homology rate; convex dual of alpha.  On graphs the rate
   fixes its real circulation, so beta is one ``allocate_time`` row.
-* subcover variants (``beta_hat``, ``effective_hamiltonian_subcover``)
-  and the long-horizon check that two-point action rates approach beta.
+* the quotient pair of an intermediate cover: ``BetaHatEvaluator``, the
+  least graph beta over a fiber, computed exactly as an energy minimax,
+  and ``effective_hamiltonian_subcover``; and the long-horizon check
+  that two-point action rates approach beta.
 
 Evaluator objects carry one exact (alpha, beta) pair of a system family:
 ``value`` is beta, ``alpha`` its dual, ``norm`` the family's measuring
@@ -18,9 +20,10 @@ certified quadratic lower bound (kappa, v_off) on beta in that norm, so
 downstream solvers can truncate searches.  Graphs pair ``alpha_graph``
 with ``beta_graph``, free tori the two quadratic forms of A and its
 inverse, and the circle ``alpha_torus_quadrature`` with the energy
-profile of ``MechanicalBeta1D``.  ``LegendreDual`` is the one Legendre
-transform; the subcover dual check compares the pulled-back alpha with
-the conjugate of beta-hat through it.
+profile of ``MechanicalBeta1D``.  That profile and beta-hat's share one
+concave energy search, ``_concave_max``.  ``LegendreDual`` is the one
+Legendre transform; the subcover dual check compares the pulled-back
+alpha with the conjugate of beta-hat through it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, optimize
 
-from .action import _golden_min, _reach, allocate_time
+from .action import _golden_min, allocate_time
 from .errors import SolverError
 from .model import GraphLagrangian, TorusHamiltonian
 from .topology import SubcoverMap, _ball_axes, _edge_flow, _grid, norm_value
@@ -169,6 +172,23 @@ def alpha_torus_quadrature(model: TorusHamiltonian, p) -> float:
 # evaluators
 
 
+def _concave_max(gain, lo: float) -> float:
+    """Maximum over E >= lo of a concave gain(E) that falls eventually.
+
+    The bracket [lo, hi] doubles from hi = lo + 1 until gain is past its
+    peak at hi, then golden section closes it to 1e-12 * max(1, |hi|);
+    the endpoint lo is kept when the peak sits there.
+    """
+    hi = lo + 1.0
+    while gain(hi + 1e-6) > gain(hi):
+        hi = lo + 2.0 * (hi - lo)
+        if hi - lo > 1e9:
+            raise SolverError("energy bracket grew past its cap")
+    _, low = _golden_min(lambda energy: -gain(energy), lo, hi,
+                         1e-12 * max(1.0, abs(hi)))
+    return max(-low, gain(lo))
+
+
 class AnalyticQuadraticBeta:
     """Exact minimal action rate of a constant-kinetic system with no
     potential: half the inverse-kinetic quadratic form; alpha is half
@@ -233,13 +253,9 @@ class LegendreDual:
         self.p_box = float(p_box)
         self._nodes = _grid(_ball_axes(p_box, p_points, dim))
         self._source_at_nodes = np.array([source_fn(row) for row in self._nodes])
-        self._cache = {}
 
     def value(self, w) -> float:
         w = np.atleast_1d(np.asarray(w, dtype=float))
-        key = tuple(round(float(x), 12) for x in w)
-        if key in self._cache:
-            return self._cache[key]
         pairings = self._nodes @ w - self._source_at_nodes
         best_idx = int(np.argmax(pairings))
         best_p = self._nodes[best_idx]
@@ -252,15 +268,12 @@ class LegendreDual:
                 return -(pv * w[0] - self.source_fn(np.array([pv])))
 
             _, low = _golden_min(neg, lo, hi, 1e-11)
-            out = max(float(pairings[best_idx]), -low)
-        else:
-            res = optimize.minimize(
-                lambda pv: -(pv @ w - self.source_fn(pv)), best_p,
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000})
-            out = max(float(pairings[best_idx]), float(-res.fun))
-        self._cache[key] = out
-        return out
+            return max(float(pairings[best_idx]), -low)
+        res = optimize.minimize(
+            lambda pv: -(pv @ w - self.source_fn(pv)), best_p,
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000})
+        return max(float(pairings[best_idx]), float(-res.fun))
 
 
 class MechanicalBeta1D:
@@ -268,7 +281,7 @@ class MechanicalBeta1D:
 
     On the running branch the conjugate pairing p(E)|w| - E is concave in
     E (its derivative is |w| * period(E) - 1 with a decreasing period),
-    so a golden-section search over energy computes
+    so the concave search ``_concave_max`` over energy computes
     beta(w) = max_{E >= max V} [p(E)|w| - E] to quadrature accuracy; the
     endpoint E = max V covers the trapped branch and gives
     beta(0) = -max V exactly.  alpha(p) is the energy whose rotation
@@ -303,19 +316,9 @@ class MechanicalBeta1D:
         if speed < 1e-14:
             out = -self._vmax
         else:
-            def gain(energy):
-                return self._rotation(energy) * speed - energy
-
-            lo = self._vmax
-            hi = self._vmax + 1.0
-            # grow until the pairing is past its peak
-            while gain(hi + 1e-6) > gain(hi):
-                hi = self._vmax + 2.0 * (hi - self._vmax)
-                if hi - self._vmax > 1e9:
-                    raise SolverError("beta energy bracket grew past its cap")
-            _, low = _golden_min(lambda energy: -gain(energy), lo, hi,
-                                 1e-12 * max(1.0, abs(hi)))
-            out = max(-low, gain(lo))
+            out = _concave_max(
+                lambda energy: self._rotation(energy) * speed - energy,
+                self._vmax)
         self._cache[key] = out
         return out
 
@@ -330,80 +333,70 @@ class MechanicalBeta1D:
 # subcover quantities
 
 
-def beta_hat(sub: SubcoverMap, beta_eval, z, grid_points: int = 33) -> float:
-    """Minimal action rate on the quotient: min of beta over the affine
-    slice mapping to z, parametrized by the kernel basis.
-
-    Superlinearity of beta bounds the minimizer inside a computable ball
-    around the right-inverse representative, so the grid is certified.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    h0 = sub.right_inverse.astype(float) @ z
-    kern = sub.kernel_basis.astype(float)
-    r = kern.shape[1] if kern.size else 0
-    if r == 0:
-        return beta_eval.value(h0)
-
-    kappa, voff = beta_eval.coercivity()
-    v0 = beta_eval.value(h0)
-    # a ball in the evaluator's norm (l1 or l2) lies in the l2 ball of
-    # the same radius
-    radius = _reach(0.0, (v0 + voff) / max(kappa, 1e-300))
-    pinv = np.linalg.pinv(kern)
-    s_rad = float(np.linalg.norm(pinv, 2) * (radius + np.linalg.norm(h0)))
-    s_rad = max(s_rad, 1e-6)
-
-    def objective(s):
-        return beta_eval.value(h0 + kern @ np.atleast_1d(s))
-
-    axis = np.linspace(-s_rad, s_rad, grid_points)
-    combos = _grid([axis] * r)
-    vals = [objective(c) for c in combos]
-    i = int(np.argmin(vals))
-    if r == 1:
-        _, low = _golden_min(lambda s: objective(np.array([s])),
-                             axis[max(0, i - 1)], axis[min(len(axis) - 1, i + 1)],
-                             1e-10)
-    else:
-        res = optimize.minimize(objective, combos[i], method="Nelder-Mead",
-                                options={"xatol": 1e-9, "fatol": 1e-12,
-                                         "maxiter": 4000})
-        low = float(res.fun)
-    return float(min(vals[i], low))
-
-
 class BetaHatEvaluator:
-    """Quotient minimal action rate with the evaluator protocol.
+    """Quotient minimal action rate with the evaluator protocol, exact.
 
-    Each query minimizes the base beta over the fiber above z; results
-    are cached since quotient solvers revisit rates.  The certified
-    lower bound transfers with the operator norm of the surjection:
-    any h over z has |z| <= |f||h|, so beta_hat inherits kappa/|f|^2.
+    beta-hat(z) is the least graph beta over the fiber above z, the line
+    h0 + s k with h0 = right_inverse z and k the kernel vector (load caps
+    the cycle rank at 2 and a subcover has a row, so the kernel rank is 0,
+    where beta-hat is beta(h0), or 1; a larger rank raises ValueError).
+    With f = ``_edge_flow``, which is linear in the rate,
+
+        beta-hat(z) = max_{E >= -min V} [min_{s in S} F(s, E)] - E,
+        F(s, E) = sum_e l_e |f_e(h0) + s f_e(k)| sqrt(2 (E + V_e)),
+
+    S the kinks -f_e(h0)/f_e(k) over the edges with f_e(k) != 0.  Proof:
+
+    * F(s, E) - E is the energy dual of ``allocate_time``'s split: a run
+      of length l at energy E takes the action l sqrt(2 (E + V)) - E tau
+      over its time tau, and the maximum over E >= -min V (E = -min V is
+      resting on the cheapest edge) prices the unit horizon, so beta on
+      the fiber is max_E F(s, E) - E.
+    * F - E is convex in s (a positive sum of |affine|) and concave in E
+      (sqrt).  For every E its slope in s is sum_e l_e |f_e(k)| sqrt(...)
+      beyond the largest kink and minus that before the smallest, so
+      beta on the fiber is least on the hull of S, a compact interval, and
+      Sion's minimax theorem (Pacific J. Math. 8, 1958) swaps min and max.
+    * For a fixed E the bracket is piecewise linear in s with its kinks
+      in S, so its minimum over the hull is its minimum over S, exactly.
+    * What is left, a minimum of concave functions of E minus E, is
+      concave in one variable, and ``_concave_max`` finds its maximum.
+
+    The certified lower bound transfers with the l1 operator norm of the
+    surjection: any h over z has |z| <= |f||h|, so beta-hat inherits
+    kappa/|f|^2.
     """
 
-    def __init__(self, sub: SubcoverMap, base_eval, grid_points: int = 33):
+    norm = "l1"
+
+    def __init__(self, sub: SubcoverMap, base_eval):
+        if sub.kernel_rank() > 1:
+            raise ValueError(f"kernel rank {sub.kernel_rank()} > 1: a graph "
+                             "cover of cycle rank at most 2 has none")
         self.sub = sub
         self.base = base_eval
         self.dim = sub.matrix.shape[0]
-        self.norm = base_eval.norm
-        self.grid_points = grid_points
+        self._kernel_flow = (_edge_flow(base_eval.graph,
+                                        sub.kernel_basis[:, 0].astype(float))
+                             if sub.kernel_rank() else None)
         kappa, voff = base_eval.coercivity()
-        mat = sub.matrix.astype(float)
-        if self.norm == "l1":
-            op = float(np.max(np.sum(np.abs(mat), axis=0))) if mat.size else 0.0
-        else:
-            op = float(np.linalg.norm(mat, 2))
-        op = max(op, 1e-12)
+        op = max(float(np.max(np.sum(np.abs(sub.matrix), axis=0))), 1e-12)
         self._coercivity = (kappa / (op * op), voff)
-        self._cache = {}
 
     def value(self, z) -> float:
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        key = tuple(round(float(v), 12) for v in z)
-        if key not in self._cache:
-            self._cache[key] = beta_hat(self.sub, self.base, z,
-                                        grid_points=self.grid_points)
-        return self._cache[key]
+        h0 = self.sub.right_inverse.astype(float) @ z
+        if self._kernel_flow is None:
+            return self.base.value(h0)
+        graph, lag = self.base.graph, self.base.lagrangian
+        f0, fk = _edge_flow(graph, h0), self._kernel_flow
+        moving = fk != 0.0
+        kinks = -f0[moving] / fk[moving]
+        runs = np.abs(f0[None, :] + kinks[:, None] * fk[None, :]) * graph.lengths
+        pots = lag.potentials
+        return _concave_max(
+            lambda energy: float(np.min(runs @ np.sqrt(2.0 * (energy + pots))))
+            - energy, -lag.min_potential())
 
     def coercivity(self):
         return self._coercivity

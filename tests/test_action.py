@@ -13,7 +13,6 @@ from effham.action import (
     InitialDatum,
     _chain_terms,
     _screen_chains,
-    _TrajectoryCost,
     allocate_time,
     hopf_lax,
     lax_oleinik,
@@ -21,7 +20,7 @@ from effham.action import (
     minimal_action_torus,
 )
 from effham.config import load_config
-from effham.errors import SolverError
+from effham.errors import ModelValidityError
 from effham.mather import AnalyticQuadraticBeta, DirectBetaEvaluator
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
 from effham.topology import GraphCover, MetricGraph, match_point, norm_value
@@ -75,18 +74,55 @@ def test_detour_to_cheaper_ground_wins():
     assert got == pytest.approx(expect, rel=1e-12)
 
 
-def test_empty_multiset_key_is_a_solver_error():
+def _bounded_walk_action(graph, pots, net, va, vb, horizon, max_extra=6):
+    """Least action over the walks from va to vb with net edge flow
+    ``net`` and at most ``max_extra`` back-and-forth pairs, each priced
+    by the scalar allocation oracle; a walk may rest at the cheapest
+    edge at any vertex it visits."""
+    n_edges = len(graph.edges)
+    vertex_rate = [min(pots[e] for e, _ in graph.incident[v])
+                   for v in range(graph.n_vertices)]
+    best = math.inf
+    for extras in itertools.product(range(max_extra + 1), repeat=n_edges):
+        if sum(extras) > max_extra:
+            continue
+        counts = [abs(m) + 2 * c for m, c in zip(net, extras)]
+        reached, frontier = {va}, [va]
+        while frontier:
+            w = frontier.pop()
+            for e, _ in graph.incident[w]:
+                if counts[e]:
+                    for other in graph.edges[e][:2]:
+                        if other not in reached:
+                            reached.add(other)
+                            frontier.append(other)
+        touched = {va, vb} | {u for e, c in enumerate(counts) if c
+                              for u in graph.edges[e][:2]}
+        if not touched <= reached:
+            continue
+        runs = [(c * graph.length(e), pots[e]) for e, c in enumerate(counts)]
+        best = min(best, allocate_time_oracle(
+            runs, horizon, min(vertex_rate[v] for v in touched)))
+    return best
+
+
+@pytest.mark.parametrize("vertex, expect", [(0, -66.0), (4, -65.94520646498785)])
+def test_graph_action_beyond_two_extra_pairs(vertex, expect):
     # a unit loop at vertex 0 with a tail 0-1-2-3-4 whose last edge is the
-    # cheap one: from the tail's end back to it one sheet up, every walk
-    # runs the loop and the tail twice, more extra pairs than the capped
-    # enumeration admits, so no multiset survives for that key
+    # cheap one: one sheet up, the best walk runs the loop once and the
+    # whole tail there and back, four extra pairs, so an enumeration capped
+    # at two misses it (0.0125 from vertex 0, no multiset from vertex 4)
     graph = MetricGraph(5, [(0, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0),
                             (2, 3, 1.0), (3, 4, 1.0)])
-    lagrangian = GraphLagrangian(graph, [0.0, 0.0, 0.0, 0.0, -2.0])
+    pots = [0.0, 0.0, 0.0, 0.0, -2.0]
     cover = GraphCover(graph)
-    with pytest.raises(SolverError, match="no traversal multiset"):
-        minimal_action_graph(lagrangian, cover, cover.vertex_point(4, [0]),
-                             cover.vertex_point(4, [1]), 40.0)
+    got = minimal_action_graph(GraphLagrangian(graph, pots), cover,
+                               cover.vertex_point(vertex, [0]),
+                               cover.vertex_point(vertex, [1]), 40.0)
+    oracle = _bounded_walk_action(graph, pots, [1, 0, 0, 0, 0], vertex,
+                                  vertex, 40.0)
+    assert got == pytest.approx(oracle, rel=1e-12)
+    assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_loop_two_circuits_matches_time_allocation(loop2_cover, loop2_lag):
@@ -100,6 +136,15 @@ def test_loop_two_circuits_matches_time_allocation(loop2_cover, loop2_lag):
     taus = np.linspace(0.01, 1.0, 100)
     costs = dist**2 / (2.0 * taus) + 0.5 * taus + 0.5 * (1.0 - taus)
     assert got == pytest.approx(float(np.min(costs)), abs=1e-9)
+
+
+def test_torus_action_rejects_a_varying_two_dimensional_kinetic_matrix():
+    varying = TrigPolynomial(2, [([0, 0], 1.0, 0.0), ([1, 0], 0.2, 0.0)])
+    model = TorusHamiltonian(2, [varying, TrigPolynomial.constant(2, 0.0),
+                                 TrigPolynomial.constant(2, 1.0)],
+                             TrigPolynomial.constant(2, 0.0))
+    with pytest.raises(ModelValidityError, match="must be constant"):
+        minimal_action_torus(model, [0.0, 0.0], [0.5, 0.2], 1.0)
 
 
 def test_pendulum_resting_rate(pendulum):
@@ -372,13 +417,13 @@ def _chains(starts, end, n_segments, bump=0.0):
 def _lbfgs_screen(model, horizon, chain):
     """The per-chain L-BFGS descent with the old screen's 150-iteration
     cap, on the full-solve kernel."""
-    cost = _TrajectoryCost(model, horizon, chain.shape[0] - 1)
+    dt = horizon / (chain.shape[0] - 1)
 
     def fun(flat):
         nodes = chain.copy()
         nodes[1:-1] = flat.reshape(nodes[1:-1].shape)
-        act, grad = cost.action_grad(nodes)
-        return act, grad[1:-1].ravel()
+        act, grad = _chain_terms(model, dt, nodes[None], hessian=False)
+        return act[0], grad[0, 1:-1].ravel()
 
     res = optimize.minimize(fun, chain[1:-1].ravel(), jac=True,
                             method="L-BFGS-B",
@@ -407,13 +452,25 @@ def test_chain_terms_match_finite_differences(model_of):
     q = _chains(rng.uniform(-1.0, 1.0, size=(3, model.n)), np.full(model.n, 0.4),
                 8, bump=0.2)
     dt = 0.3
+
+    def midpoint_action(chain):
+        return sum(dt * model.lagrangian(0.5 * (a + b), (b - a) / dt)
+                   for a, b in zip(chain[:-1], chain[1:]))
+
     act, grad, diag, off = _chain_terms(model, dt, q)
-    for c in range(q.shape[0]):
-        want = _TrajectoryCost(model, 8 * dt, 8).action_grad(q[c])
-        assert act[c] == pytest.approx(want[0], abs=1e-12)
-        assert np.allclose(grad[c], want[1], atol=1e-12)
-    # Hessian blocks against central differences of the gradient
+    plain = _chain_terms(model, dt, q, hessian=False)
+    assert np.array_equal(plain[0], act) and np.array_equal(plain[1], grad)
     step = 1e-6
+    for c in range(q.shape[0]):
+        assert act[c] == pytest.approx(midpoint_action(q[c]), abs=1e-12)
+        # the gradient against central differences of the action
+        for i, a in itertools.product(range(q.shape[1]), range(model.n)):
+            up, down = q[c].copy(), q[c].copy()
+            up[i, a] += step
+            down[i, a] -= step
+            fd = (midpoint_action(up) - midpoint_action(down)) / (2.0 * step)
+            assert grad[c, i, a] == pytest.approx(fd, abs=1e-7)
+    # Hessian blocks against central differences of the gradient
     for i in (0, 3, 8):
         for a in range(model.n):
             up, down = q.copy(), q.copy()

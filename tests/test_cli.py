@@ -326,3 +326,17 @@ def test_homogenize_runs_on_subcover_config(tmp_path, capsys):
             trees.append(json.load(fh))
     np.testing.assert_array_equal([r["v_eps"] for r in trees[0]["rows"]],
                                   [r["v_eps"] for r in trees[1]["rows"]])
+
+
+def test_report_line_carries_the_solver_counts(tmp_path, capsys):
+    # the torus solver counts are on the JSON line, equal to the report's
+    tree = _scenario_tree("free_torus_1d")
+    tree["experiment"]["ladder"] = [1.0, 0.5]
+    tree["experiment"]["tolerance"] = 1.0
+    out = tmp_path / "out"
+    assert cli.run(_write(tmp_path, tree), "homogenize", out_dir=str(out)) == 0
+    (record,) = _records(capsys)
+    with open(out / "free-torus-1d_homogenize.json") as fh:
+        report = json.load(fh)
+    assert record["diagnostics"] == report["diagnostics"]
+    assert {"lbfgs_unconverged", "screen_capped"} <= set(record["diagnostics"])

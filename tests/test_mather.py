@@ -13,13 +13,13 @@ from effham.mather import (
     alpha_graph,
     alpha_torus_quadrature,
     beta_graph,
-    beta_hat,
     effective_hamiltonian_subcover,
     mean_action_check,
 )
+from effham.action import _golden_min, allocate_time
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
 from effham.topology import (GraphCover, MetricGraph, SubcoverMap, TorusCover,
-                             figure_eight)
+                             _edge_flow, figure_eight)
 from tests.conftest import allocate_time_oracle, make_pendulum
 
 FIG8 = figure_eight(1.0, 1.0)
@@ -260,15 +260,15 @@ def test_beta_hat_identity_is_beta(fig8, fig8_lag):
     beta_eval = DirectBetaEvaluator(fig8, fig8_lag)
     ident = SubcoverMap([[1, 0], [0, 1]])
     for z in ((0.4, -1.2), (1.0, 1.0)):
-        assert beta_hat(ident, beta_eval, list(z)) == pytest.approx(
-            beta_graph(fig8, fig8_lag, list(z)), abs=1e-12)
+        got = BetaHatEvaluator(ident, beta_eval).value(list(z))
+        assert got == pytest.approx(beta_graph(fig8, fig8_lag, list(z)), abs=1e-12)
 
 
 @pytest.mark.parametrize("z_val,expect", [(0.0, -0.2), (1.0, 0.8)])
 def test_beta_hat_projection_scans_dropped_rate(fig8, fig8_lag, z_val, expect):
     beta_eval = DirectBetaEvaluator(fig8, fig8_lag)
     proj = SubcoverMap([[1, 0]])
-    got = beta_hat(proj, beta_eval, [z_val])
+    got = BetaHatEvaluator(proj, beta_eval).value([z_val])
     assert got == pytest.approx(expect, abs=1e-9)
     oracle = min(beta_graph(fig8, fig8_lag, [z_val, w2])
                  for w2 in np.linspace(-2.0, 2.0, 201))
@@ -279,7 +279,7 @@ def test_beta_hat_projection_scans_dropped_rate(fig8, fig8_lag, z_val, expect):
 def test_beta_hat_symmetric_merge(fig8, fig8_free, z_val, expect):
     beta_eval = DirectBetaEvaluator(fig8, fig8_free)
     merge = SubcoverMap([[1, 1]])
-    got = beta_hat(merge, beta_eval, [z_val])
+    got = BetaHatEvaluator(merge, beta_eval).value([z_val])
     assert got == pytest.approx(expect, abs=1e-9)
     assert got == pytest.approx(beta_graph(fig8, fig8_free, [z_val / 2, z_val / 2]),
                                 abs=1e-9)
@@ -291,9 +291,65 @@ def test_beta_hat_fiber_upper_bound(fig8, fig8_lag):
     for h1 in np.linspace(-1.5, 1.5, 5):
         for h2 in np.linspace(-1.5, 1.5, 5):
             direct = beta_graph(fig8, fig8_lag, [h1, h2])
-            projected = beta_hat(merge, beta_eval, merge.matrix @ [h1, h2])
-            # the kernel scan is a grid, so allow its resolution on top
-            assert projected <= direct + 1e-6
+            projected = BetaHatEvaluator(merge, beta_eval).value(
+                merge.matrix @ [h1, h2])
+            assert projected <= direct + 1e-12
+
+
+def test_beta_hat_rejects_kernel_rank_two():
+    three_loops = MetricGraph(1, [(0, 0, 1.0), (0, 0, 0.8), (0, 0, 1.2)])
+    base = DirectBetaEvaluator(three_loops,
+                               GraphLagrangian(three_loops, [0.1, -0.2, 0.0]))
+    with pytest.raises(ValueError, match="kernel rank 2"):
+        BetaHatEvaluator(SubcoverMap([[1, 1, 1]]), base)
+
+
+_QUOTIENT_GRAPHS = {
+    "figure_eight": (figure_eight(1.0, 1.0), [0.3, -0.2]),
+    "figure_eight_asym": (figure_eight(1.0, 0.37), [0.3, -0.2]),
+    "figure_eight_free": (figure_eight(1.0, 1.0), [0.0, 0.0]),
+    "theta": (MetricGraph(2, [(0, 1, 1.0), (0, 1, 0.7), (0, 1, 1.3)]),
+              [0.1, -0.3, 0.25]),
+    "triangle_loop": (MetricGraph(3, [(0, 1, 1.0), (1, 2, 0.8), (2, 0, 1.1),
+                                      (0, 0, 0.6)]), [0.2, -0.1, 0.4, -0.35]),
+}
+_SURJECTIONS = ([[1, 1]], [[1, 0]], [[0, 1]], [[1, -1]], [[2, 1]], [[1, 2]],
+                [[3, 2]])
+
+
+def _fiber_scan(graph, lag, sub, z):
+    """Least beta over the fiber above z by the primal route: beta at 257
+    points across the fiber's kinks and at the kinks themselves, then a
+    golden-section polish between the best point's neighbours."""
+    h0 = sub.right_inverse.astype(float) @ np.atleast_1d(z)
+    k = sub.kernel_basis[:, 0].astype(float)
+    f0, fk = _edge_flow(graph, h0), _edge_flow(graph, k)
+    kinks = -f0[fk != 0.0] / fk[fk != 0.0]
+    pad = 1.0 + kinks.max() - kinks.min()
+    s = np.union1d(np.linspace(kinks.min() - pad, kinks.max() + pad, 257), kinks)
+    runs = np.abs(f0[None, :] + s[:, None] * fk[None, :]) * graph.lengths
+    vals = allocate_time(runs, lag.potentials, 1.0, lag.min_potential())
+    i = int(np.argmin(vals))
+    _, low = _golden_min(lambda si: beta_graph(graph, lag, h0 + si * k),
+                         s[max(i - 1, 0)], s[min(i + 1, s.size - 1)], 1e-11)
+    return min(float(vals[i]), low)
+
+
+@pytest.mark.parametrize("name", sorted(_QUOTIENT_GRAPHS))
+def test_beta_hat_minimax_matches_fiber_scan(name):
+    graph, pots = _QUOTIENT_GRAPHS[name]
+    lag = GraphLagrangian(graph, pots)
+    base = DirectBetaEvaluator(graph, lag)
+    worst_above = worst = 0.0
+    for matrix in _SURJECTIONS:
+        sub = SubcoverMap(matrix)
+        bhat = BetaHatEvaluator(sub, base)
+        for z in np.linspace(-2.0, 2.0, 33):
+            got, scan = bhat.value([z]), _fiber_scan(graph, lag, sub, z)
+            worst_above = max(worst_above, got - scan)
+            worst = max(worst, abs(got - scan))
+    assert worst_above <= 1e-12
+    assert worst <= 1e-9
 
 
 def test_effective_subcover_identity_and_pullback(fig8, fig8_lag):
@@ -310,7 +366,7 @@ def test_effective_subcover_identity_and_pullback(fig8, fig8_lag):
 
 def test_subcover_rates_dualize_to_pullback_alpha(fig8, fig8_lag):
     sub = SubcoverMap([[1, 1]])
-    bhat = BetaHatEvaluator(sub, DirectBetaEvaluator(fig8, fig8_lag), grid_points=15)
+    bhat = BetaHatEvaluator(sub, DirectBetaEvaluator(fig8, fig8_lag))
     rates = np.linspace(-1.6, 1.6, 33)
     table = np.array([bhat.value([z]) for z in rates])
     assert np.max(table[1:-1] - 0.5 * (table[:-2] + table[2:])) <= 1e-6
