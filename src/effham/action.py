@@ -1014,15 +1014,16 @@ def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
 # Hopf-Lax on homology space
 
 
-def hopf_lax(beta_eval, datum: InitialDatum, h, t: float) -> float:
-    """Limit solution u(h, t) = min_q datum(q) + t * beta((h - q)/t).
+def hopf_lax(beta_eval, datum: InitialDatum, h, t: float):
+    """Limit solution u(h, t) = min_q datum(q) + t * beta((h - q)/t),
+    returned as (u, converged) with the simplex polish's success flag.
 
     ``beta_eval`` must expose value(w), its measuring norm ``norm`` (l1
     or l2) and coercivity() -> (kappa, v_off) certifying
     beta(w) >= kappa*|w|^2 - v_off in that norm.  The q-window is
     certified from the datum growth and that coercivity, seeded on a grid
     of 33 rates per axis over the ball of rates it allows, and a simplex
-    polish refines the best node.
+    polish refines the best node; u is the better of the two.
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
@@ -1051,9 +1052,7 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float) -> float:
                             options={"xatol": 1e-10, "fatol": 1e-12,
                                      "maxiter": 4000, "maxfev": 8000,
                                      "initial_simplex": _simplex_start(best_q)})
-    if res.fun < incumbent:
-        incumbent = float(res.fun)
-    return float(incumbent)
+    return float(min(incumbent, res.fun)), bool(res.success)
 
 
 def _simplex_start(x0: np.ndarray) -> np.ndarray:

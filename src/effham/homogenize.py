@@ -236,9 +236,10 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
     report = ExperimentReport(scenario=scenario.name,
                               tolerance=scenario.pass_tolerance())
 
-    limits = {}
+    limits, unpolished = {}, 0
     for h, t in scenario.eval_points:
-        limits[(h, t)] = hopf_lax(limit_eval, scenario.datum, np.array(h), t)
+        limits[(h, t)], ok = hopf_lax(limit_eval, scenario.datum, np.array(h), t)
+        unpolished += not ok
 
     windows = []
     evaluated = 0
@@ -278,6 +279,7 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
         "mesh": scenario.mesh,
         "max_window": max(windows) if windows else 0.0,
         "actions_evaluated": int(evaluated),
+        "neldermead_unconverged": unpolished,
         **counts,
     }
     report.passed = (report.final_error < report.tolerance
@@ -396,9 +398,11 @@ def run_subcover_experiment(scenario: Scenario, beta_eval=None,
     ker_worst = 0.0
     for h, t in scenario.eval_points[:2]:
         q0 = sub.right_inverse.astype(float) @ np.array(h)
-        base_val = hopf_lax(beta_eval, pulled, q0, t)
+        base_val, ok = hopf_lax(beta_eval, pulled, q0, t)
+        report.diagnostics["neldermead_unconverged"] += not ok
         for z in shifts:
-            shifted = hopf_lax(beta_eval, pulled, q0 + z, t)
+            shifted, ok = hopf_lax(beta_eval, pulled, q0 + z, t)
+            report.diagnostics["neldermead_unconverged"] += not ok
             ker_worst = max(ker_worst, abs(shifted - base_val))
     report.kernel_invariance_error = float(ker_worst)
 

@@ -128,11 +128,11 @@ def beta_graph(graph, lagrangian: GraphLagrangian, h) -> float:
 
 def _rotation_integral(model: TorusHamiltonian, energy: float) -> float:
     """Integral over the circle of sqrt(2(E - V)/A): the momentum that a
-    running orbit at energy E carries per turn (zero where E < V)."""
+    running orbit at energy E carries per turn (zero where E < V).  The
+    integrand hands quad's float straight to ``TrigPolynomial.value``."""
 
     def integrand(x):
-        xa = np.array([x])
-        val = 2.0 * (energy - model.v.value(xa)) / model.a_entries[0].value(xa)
+        val = 2.0 * (energy - model.v.value(x)) / model.a_entries[0].value(x)
         return math.sqrt(max(0.0, val))
     with warnings.catch_warnings():
         # tolerance sits at the roundoff limit on purpose; the sqrt kink
@@ -281,9 +281,9 @@ class MechanicalBeta1D:
 
     On the running branch the conjugate pairing p(E)|w| - E is concave in
     E (its derivative is |w| * period(E) - 1 with a decreasing period),
-    so the concave search ``_concave_max`` over energy computes
-    beta(w) = max_{E >= max V} [p(E)|w| - E] to quadrature accuracy; the
-    endpoint E = max V covers the trapped branch and gives
+    so ``_concave_max`` computes beta(w) = max_{E >= max V} [p(E)|w| - E]
+    to quadrature accuracy, one cached scalar-kernel ``quad`` per energy;
+    the endpoint E = max V covers the trapped branch and gives
     beta(0) = -max V exactly.  alpha(p) is the energy whose rotation
     integral p(E) is |p| (``alpha_torus_quadrature``).  ``amin`` is the
     proved lower bound of ``TorusHamiltonian.kinetic_eig_bounds`` on the

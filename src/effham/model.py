@@ -19,6 +19,7 @@ cross-check the closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,17 +54,26 @@ class TrigPolynomial:
         # the terms for ``gradient_many``: float frequencies, None at zero
         self._waves = [(k.astype(float) if k.any() else None, a, b)
                        for k, a, b in norm_terms]
+        # the terms for ``value``: frequencies as a tuple of floats
+        self._scalar = [(tuple(float(kj) for kj in k), a, b)
+                        for k, a, b in norm_terms]
 
     @classmethod
     def constant(cls, n: int, value: float) -> "TrigPolynomial":
         return cls(n, [(np.zeros(n, dtype=int), value, 0.0)])
 
-    def value(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def value(self, x) -> float:
+        """Value at one point (a float, or a sequence of n floats) in
+        scalar Python arithmetic, in ``value_many``'s per-term order with
+        the phase TWO_PI * (k.x).  In 1-D the two agree bit for bit where
+        ``math`` and numpy share cos and sin; in 2-D numpy's matmul may
+        fuse the multiply-add of k.x, so they agree to rounding."""
+        xs = (x,) if isinstance(x, float) else [float(c) for c in np.ravel(x)]
         out = 0.0
-        for k, a, b in self.terms:
-            phase = TWO_PI * float(np.dot(k, x))
-            out += a * np.cos(phase) + b * np.sin(phase)
+        for k, a, b in self._scalar:
+            dot = k[0] * xs[0] if self.n == 1 else sum(map(float.__mul__, k, xs))
+            phase = TWO_PI * dot
+            out += a * math.cos(phase) + b * math.sin(phase)
         return out
 
     def value_many(self, xs):

@@ -292,9 +292,13 @@ class TorusCover:
         return self.lift(point)
 
     def distance(self, x: CoverPoint, y: CoverPoint) -> float:
-        # same summation path as norm_value so the Euclidean comparison
-        # residual of the flat cover vanishes bit-exactly
-        return norm_value(self.lift(x) - self.lift(y), "l2")
+        return float(self._pair_distances([x, y], [0], [1])[0])
+
+    def _pair_distances(self, points, first, second) -> np.ndarray:
+        """d(points[first[i]], points[second[i]]) for every i, each row
+        summed as ``norm_value`` sums, so the flat cover's gap is 0."""
+        lifts = np.array([self.lift(p) for p in points])
+        return _norm_rows(lifts[first] - lifts[second], "l2")
 
     def g_lipschitz(self) -> float:
         """Bound on |G(x) - G(y)|_2 per unit of cover distance."""
@@ -434,39 +438,53 @@ class GraphCover:
         return self._table
 
     def distance(self, x: CoverPoint, y: CoverPoint) -> float:
-        """Geodesic distance in the cover, read from the vertex table.
+        """Geodesic distance in the cover, read from the vertex table."""
+        return float(self._pair_distances([x, y], [0], [1])[0])
 
-        The distance is the direct path when both points lie on one edge
-        of one sheet, or else the cheapest offset + D + offset over the
+    def _pair_distances(self, points, first, second) -> np.ndarray:
+        """d(points[first[i]], points[second[i]]) for every i, in one batch:
+        the direct path when both points lie on one edge of one sheet, or
+        else the cheapest offset + D + offset over the (at most 2 x 2)
         endpoints through which the points are reached.  A path that leaves
         the table's sheet box crosses the j-th non-tree edge at least
-        R_j + 1 times for some axis j, so the value is exact once it is at
+        R_j + 1 times for some axis j, so a value is exact once it is at
         most (R_j + 1) * l_j on every axis (cycle rank 0 has one sheet and
-        is always exact).  The first box is the query's own sheet span on
-        every axis; an axis that does not certify the value grows to
-        max(2 R_j, ceil(value / l_j) - 1), which certifies it.
+        is always exact).  The first box is the batch's largest sheet span
+        on every axis; an axis that does not certify a value grows to
+        max(2 R_j, ceil(value / l_j) - 1), which certifies it, and the
+        uncertified pairs are read again.
         """
-        direct = np.inf
-        if (x.base[0] == "e" and y.base[0] == "e"
-                and x.base[1] == y.base[1] and x.sheet == y.sheet):
-            direct = abs(x.base[2] - y.base[2])
-        combos = [(vy, vx, oy, ox, [a - b for a, b in zip(sx, sy)])
-                  for vy, sy, oy, _ in self._attachments(y)
-                  for vx, sx, ox, _ in self._attachments(x)]
-        span = max([1] + [abs(z) for *_, dz in combos for z in dz])
-        radii = (span,) * self.deck_rank
-        lengths = [self.graph.length(e) for e in self.graph.nontree_edges]
+        # a vertex repeats its one attachment at an infinite offset
+        atts = [a + [a[0][:2] + (np.inf, None)] * (2 - len(a))
+                for a in map(self._attachments, points)]
+        verts, sheets, offsets = (np.array([[t[c] for t in a] for a in atts])
+                                  for c in range(3))
+        edges = np.array([-1 if a[0][3] is None else a[0][3] for a in atts])
+        first, second = np.asarray(first), np.asarray(second)
+        shared = ((edges[first] >= 0) & (edges[first] == edges[second])
+                  & np.all(sheets[first, 0] == sheets[second, 0], axis=1))
+        direct = np.where(shared, np.abs(offsets[first, 0] - offsets[second, 0]),
+                          np.inf)
+        # axes: pair, attachment of the second point, of the first
+        vy, vx = verts[second][:, :, None], verts[first][:, None, :]
+        oy, ox = offsets[second][:, :, None], offsets[first][:, None, :]
+        dz = sheets[first][:, None] - sheets[second][:, :, None]
+        radii = (int(np.abs(dz).max(initial=1)),) * self.deck_rank
+        lengths = self.graph.lengths[self.graph.nontree_edges]
+        dist, todo = direct.copy(), np.arange(len(first))
         for _ in range(10):
             table = self._vertex_table(radii)
             radii = self._radii
-            d = direct
-            for vy, vx, oy, ox, dz in combos:
-                key = (vy, vx) + tuple(z + r for z, r in zip(dz, radii))
-                d = min(d, oy + table[key] + ox)
-            if all((r + 1) * l >= d for r, l in zip(radii, lengths)):
-                return float(d)
-            radii = tuple(r if (r + 1) * l >= d
-                          else max(2 * r, math.ceil(d / l) - 1)
+            key = (vy[todo], vx[todo]) + tuple(np.moveaxis(dz[todo] + radii, -1, 0))
+            dist[todo] = np.minimum(direct[todo], (oy[todo] + table[key]
+                                                   + ox[todo]).min(axis=(1, 2)))
+            todo = todo[np.any((np.array(radii) + 1) * lengths < dist[todo, None],
+                               axis=1)]
+            if not todo.size:
+                return dist
+            worst = dist[todo].max()
+            radii = tuple(r if (r + 1) * l >= worst
+                          else max(2 * r, math.ceil(worst / l) - 1)
                           for r, l in zip(radii, lengths))
         raise WindowExhaustedError("cover distance window grew past its cap",
                                    max(radii))
@@ -737,13 +755,13 @@ def estimate_space_convergence(cover, epsilons, mesh: int,
     homology with the stable norm (Burago, *Periodic metrics*, 1992;
     Kotani and Sunada, Math. Z. 2006), and measure the mesh image.
 
-    Each pair of distinct sampled points has gap = d(x, y) -
-    ||G(y) - G(x)||_st.  Both terms scale with eps, so |gap| <= C makes
-    (cover, eps d) an eps C-rough isometry of (R^k, ||.||_st) through
-    eps G.  On a torus d is the Euclidean norm of the lift difference and
-    G the lift, so C = 0.  On a graph ||h||_st = sum_e l_e |f_e(h)| for
-    the real circulation f(h) (``_edge_flow``), and C = D_T + 2 L_T +
-    2 l_max: spanning-tree diameter, tree length and longest edge.
+    The sampled pairs are priced in one ``_pair_distances`` batch; each
+    distinct one has gap = d(x, y) - ||G(y) - G(x)||_st.  Both terms scale
+    with eps, so |gap| <= C makes (cover, eps d) an eps C-rough isometry of
+    (R^k, ||.||_st) through eps G.  On a torus d is the Euclidean norm of
+    the lift difference and G the lift, so C = 0.  On a graph ||h||_st =
+    sum_e l_e |f_e(h)| for the real circulation f(h) (``_edge_flow``), and
+    C = D_T + 2 L_T + 2 l_max: tree diameter, tree length, longest edge.
 
     Proof.  Read a path from x to y as a real edge chain S (traversals
     count +-1, the partial edges at x and y their fractions), so
@@ -768,8 +786,7 @@ def estimate_space_convergence(cover, epsilons, mesh: int,
     pts = _sample_points(cover, rng)
     gvals = np.array([cover.g_map(p) for p in pts])
     first, second = np.triu_indices(len(pts), k=1)
-    dist = np.array([cover.distance(pts[i], pts[j])
-                     for i, j in zip(first, second)])
+    dist = cover._pair_distances(pts, first, second)
     distinct = dist > 1e-12
     gap = dist[distinct] - _stable_norm(
         cover, gvals[second[distinct]] - gvals[first[distinct]])

@@ -331,26 +331,30 @@ def test_torus_action_matches_pendulum_energy_quadrature(pendulum, y, x,
 
 def test_hopf_affine_with_quadratic_rates(circle):
     beta = AnalyticQuadraticBeta(np.eye(1))
-    got = hopf_lax(beta, InitialDatum.affine([1.0]), [0.1], 1.0)
+    got, converged = hopf_lax(beta, InitialDatum.affine([1.0]), [0.1], 1.0)
+    assert converged
     assert got == pytest.approx(-0.4, abs=1e-12)
 
 
 def test_hopf_flat_datum_charges_rest_rate(loop2, loop2_lag):
     beta = DirectBetaEvaluator(loop2, loop2_lag)
-    got = hopf_lax(beta, InitialDatum.affine([0.0]), [0.0], 3.0)
+    got, converged = hopf_lax(beta, InitialDatum.affine([0.0]), [0.0], 3.0)
+    assert converged
     assert got == pytest.approx(1.5, abs=1e-9)
 
 
 def test_hopf_cone_outside_light_cone(circle):
     beta = AnalyticQuadraticBeta(np.eye(1))
-    got = hopf_lax(beta, InitialDatum.cone(1.0, dim=1, norm="l2"), [1.2], 1.0)
+    got, converged = hopf_lax(beta, InitialDatum.cone(1.0, dim=1, norm="l2"), [1.2], 1.0)
+    assert converged
     assert got == pytest.approx(0.7, abs=1e-9)
 
 
 def test_hopf_short_time_recovers_datum(circle):
     beta = AnalyticQuadraticBeta(np.eye(1))
     datum = InitialDatum.cone(1.0, dim=1, norm="l2")
-    got = hopf_lax(beta, datum, [0.4], 1e-3)
+    got, converged = hopf_lax(beta, datum, [0.4], 1e-3)
+    assert converged
     assert abs(got - datum.value([0.4])) <= 1e-2
 
 
@@ -379,8 +383,8 @@ def test_constant_shift_moves_both_solutions(loop2, loop2_cover, loop2_lag,
     v0 = lax_oleinik(loop2_cover, loop2_lag, base, x, 1.0, 0.5, mesh=16)
     v1 = lax_oleinik(loop2_cover, loop2_lag, moved, x, 1.0, 0.5, mesh=16)
     assert v1 - v0 == pytest.approx(shift, abs=1e-12)
-    u0 = hopf_lax(beta, base, [h], 1.0)
-    u1 = hopf_lax(beta, moved, [h], 1.0)
+    u0, _ = hopf_lax(beta, base, [h], 1.0)
+    u1, _ = hopf_lax(beta, moved, [h], 1.0)
     # the simplex polish stops at xatol 1e-10, so two searches over shifted
     # windows can end 1e-12 apart when the minimum sits on the cone's kink
     assert u1 - u0 == pytest.approx(shift, abs=1e-10)

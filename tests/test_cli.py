@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 
@@ -45,6 +46,46 @@ def test_cheap_commands_write_their_artifacts(tmp_path, capsys, stem):
     assert [r["command"] for r in records] == ["validate", "alpha", "beta",
                                                "spaces"]
     assert all(r["passed"] for r in records)
+
+
+# pendulum alpha at p = 0, 1/8, ..., 2 and beta at the same w; both tables
+# are even.  alpha is max V = 1 up to the critical p = 4 / pi.
+PENDULUM_ALPHA = [1.0] * 11 + [1.093947506345537, 1.2446376406333657,
+                               1.419906911429851, 1.6159061546191835,
+                               1.830867943805284, 2.0637954228622046]
+PENDULUM_BETA = [-1.0, -0.8408450569081046, -0.6816901138162093,
+                 -0.5225350697230547, -0.363371347873353, -0.2040883457992665,
+                 -0.04419469727515246, 0.1174473975807604, 0.28258669076752163,
+                 0.45328173224590174, 0.6315609544969361, 0.8192010333181095,
+                 1.0176457746454082, 1.228017473014733, 1.4511682501000551,
+                 1.6877388317667836, 1.9382104797819082]
+
+
+def test_pendulum_tables_are_pinned(tmp_path):
+    path = os.path.join(ROOT, "scenarios", "pendulum.yaml")
+    for command, half in (("alpha", PENDULUM_ALPHA), ("beta", PENDULUM_BETA)):
+        assert cli.run(path, command, out_dir=str(tmp_path)) == cli.EXIT_OK
+        with open(tmp_path / f"pendulum_{command}.json") as fh:
+            table = json.load(fh)[command]
+        np.testing.assert_allclose(table, half[:0:-1] + half, rtol=0.0,
+                                   atol=1e-13)
+
+
+def test_sweep_script_runs_the_cheap_commands(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "sweep_all", os.path.join(ROOT, "scripts", "sweep_all.py"))
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    code = sweep.main(["--scenario-dir", os.path.join(ROOT, "scenarios"),
+                       "--out-dir", str(tmp_path)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    ok = [line.split()[2:4] for line in lines if line.startswith("[     ok]")]
+    stems = sorted(name for name in os.listdir(os.path.join(ROOT, "scenarios"))
+                   if name.endswith(".yaml"))
+    assert len(stems) == 6
+    assert sorted(ok) == sorted([stem[:-5], command] for stem in stems
+                                for command in sweep.CHEAP)
 
 
 def test_spaces_fails_when_the_limit_norm_is_wrong(tmp_path, capsys,
@@ -339,4 +380,5 @@ def test_report_line_carries_the_solver_counts(tmp_path, capsys):
     with open(out / "free-torus-1d_homogenize.json") as fh:
         report = json.load(fh)
     assert record["diagnostics"] == report["diagnostics"]
-    assert {"lbfgs_unconverged", "screen_capped"} <= set(record["diagnostics"])
+    assert {"lbfgs_unconverged", "screen_capped",
+            "neldermead_unconverged"} <= set(record["diagnostics"])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import optimize
 
-from effham import homogenize
+from effham import action, homogenize
 from effham.action import InitialDatum
 from effham.homogenize import (
     ExperimentReport,
@@ -163,6 +164,34 @@ def test_identity_subcover_reproduces_plain_run(loop2_cover, loop2_lag):
         assert qrow.v_eps == pytest.approx(prow.v_eps, abs=1e-9)
     assert quotient.cover_kernel_invariance_error <= 1e-9
     assert quotient.dual_limit_error <= 1e-8
+
+
+def test_unconverged_hopf_lax_polish_is_counted(loop2_cover, loop2_lag,
+                                                monkeypatch):
+    common = dict(cover=loop2_cover, model=loop2_lag,
+                  datum=InitialDatum.affine([0.4]), eps_ladder=(0.5, 0.25),
+                  eval_points=(((1 / 3,), 1.0), ((-0.5,), 2.0)), mesh=32,
+                  rate_rungs=2)
+    plain = Scenario(name="loop-plain", **common)
+    quotient = Scenario(name="loop-ident", subcover=SubcoverMap([[1]]), **common)
+    before = [run_experiment(plain), run_subcover_experiment(quotient)]
+    minimize = optimize.minimize
+
+    def stalled(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        res.success = False
+        return res
+
+    # a graph cover solve calls no minimize; only the Hopf-Lax polish does
+    monkeypatch.setattr(action.optimize, "minimize", stalled)
+    after = [run_experiment(plain), run_subcover_experiment(quotient)]
+    # one polish per evaluation point, and in the subcover run one more per
+    # kernel-invariance point (the identity map has no nonzero shift)
+    assert [r.diagnostics["neldermead_unconverged"] for r in before] == [0, 0]
+    assert [r.diagnostics["neldermead_unconverged"] for r in after] == [2, 4]
+    for old, new in zip(before, after):
+        assert [(r.v_eps, r.u_limit) for r in new.rows] == \
+            [(r.v_eps, r.u_limit) for r in old.rows]
 
 
 def test_merged_loops_subcover_consistency(fig8_cover, fig8_lag, fig8):

@@ -106,3 +106,30 @@ def test_fused_kernel_matches_the_per_term_sums(n):
         diff = (poly.gradient_many(xs + shift)[1]
                 - poly.gradient_many(xs - shift)[1]) / (2.0 * step)
         assert np.allclose(with_h[2][:, :, j], diff, rtol=1e-6, atol=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_scalar_value_matches_value_many(n):
+    # frequencies in -7..7 with k = 3 among them, sin terms and a constant
+    rng = np.random.default_rng(60 + n)
+    terms = [(rng.integers(-7, 8, size=n), rng.normal(), rng.normal())
+             for _ in range(12)]
+    terms += [(np.full(n, 3), 0.8, -0.6), (np.zeros(n, dtype=int), 0.7, 0.0)]
+    poly = TrigPolynomial(n, terms)
+    xs = rng.uniform(-2.0, 2.0, size=(2000, n))
+    rows = poly.value_many(xs)
+    # in 1-D both sides round the same operations in the same order; in
+    # 2-D numpy's matmul may fuse k.x into one multiply-add, so with u the
+    # unit roundoff each side's phase is within 6 pi u sum_j |k_j x_j| of
+    # the exact one, each cos and sin within u, and each partial sum over
+    # the terms rounds once more on each side
+    u = np.finfo(float).eps / 2
+    freqs = np.array([k for k, _, _ in poly.terms])
+    weight = np.array([abs(a) + abs(b) for _, a, b in poly.terms])
+    bound = 0.0 if n == 1 else (
+        (12 * np.pi * u * (np.abs(xs) @ np.abs(freqs).T) + 4 * u) @ weight
+        + 2 * len(terms) * u * weight.sum())
+    inputs = [list, tuple, np.asarray] + ([lambda x: float(x[0])] if n == 1 else [])
+    for point in inputs:
+        got = np.array([poly.value(point(x)) for x in xs])
+        assert np.all(np.abs(got - rows) <= bound)

@@ -2,8 +2,10 @@
 
 A public top-level name of a module under src/effham, and a public method
 of a public class defined there, must be read somewhere in src/effham or
-scripts/ outside its own definition, or be one of the named test oracles
-below (or a method of one), which exist to be cross-checked against the
+scripts/ outside its own definition, or be named by a string in the
+benchmark's tracer (perfbench/spans.py wraps methods by name, such as the
+one-pair cover ``distance``), or be one of the named test oracles below
+(or a method of one), which exist to be cross-checked against the
 production routes.  Reads are matched by name, so a method that shares
 its name with something read elsewhere passes.
 """
@@ -44,6 +46,15 @@ def _reads(node) -> Counter:
     return out
 
 
+def _traced_names() -> set:
+    """The string constants of the benchmark's tracer, which names the
+    methods it wraps."""
+    with open(os.path.join(ROOT, "perfbench", "spans.py")) as fh:
+        tree = ast.parse(fh.read())
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
 def _public(node) -> bool:
     return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_"))
@@ -72,9 +83,10 @@ def test_every_public_name_has_a_caller():
         "model.py", "topology.py"}
     assert any(owner for _, owner, _ in definitions)
     reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    traced = _traced_names()
     unread = []
     for label, owner, node in definitions:
-        if node.name in ORACLES or owner in ORACLES:
+        if node.name in ORACLES or owner in ORACLES or node.name in traced:
             continue
         if reads[node.name] <= _reads(node)[node.name]:
             unread.append(label)

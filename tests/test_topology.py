@@ -160,6 +160,39 @@ def test_cover_distance_box_grows_per_axis():
     assert cover._table.size <= 100_000
 
 
+def test_pair_distances_match_walk_oracle_on_a_sample():
+    # the batch of estimate_space_convergence on 120 points whose sheets
+    # stay within the oracle's six steps of each other
+    rng = np.random.default_rng(11)
+    pts = [FIG8_UNEQUAL.vertex_point(0, rng.integers(-1, 2, size=2))
+           for _ in range(20)]
+    pts += [FIG8_UNEQUAL.edge_point(e, float(rng.random()) * FIG8_UNEQUAL.graph.length(e),
+                                    rng.integers(-1, 2, size=2))
+            for e in rng.integers(0, 2, size=100)]
+    first, second = np.triu_indices(len(pts), k=1)
+    got = FIG8_UNEQUAL._pair_distances(pts, first, second)
+    want = [_walk_oracle(FIG8_UNEQUAL, pts[i], pts[j]) for i, j in zip(first, second)]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_pair_distances_grow_the_box_for_the_far_pair_only():
+    cover = GraphCover(figure_eight(1.0, 0.1))
+    rng = np.random.default_rng(12)
+    near = [cover.edge_point(int(e), float(rng.random()) * cover.graph.length(int(e)),
+                             rng.integers(-1, 2, size=2))
+            for e in rng.integers(0, 2, size=8)]
+    pts = near + [cover.vertex_point(0), cover.vertex_point(0, [40, -3])]
+    first, second = np.triu_indices(len(near), k=1)
+    first, second = np.append(first, len(near)), np.append(second, len(near) + 1)
+    got = cover._pair_distances(pts, first, second)
+    # the first box spans 40 sheets on both axes, which certifies 40.3 on
+    # the long loop's axis only
+    assert cover._radii[0] == 40 and cover._radii[1] > 40
+    assert got[-1] == pytest.approx(40.3, abs=1e-12)
+    want = [_walk_oracle(cover, pts[i], pts[j]) for i, j in zip(first[:-1], second[:-1])]
+    np.testing.assert_allclose(got[:-1], want, rtol=0.0, atol=1e-12)
+
+
 def test_cover_distance_figure_eight_matches_walk_enumeration(fig8_cover):
     d = fig8_cover.distance(fig8_cover.vertex_point(0),
                             fig8_cover.vertex_point(0, [2, 1]))
