@@ -4,7 +4,10 @@
 Prints one line per (scenario, command) with the exit status and a final
 summary; exits nonzero if any run failed.  Heavy ladder experiments are
 only run when --full is given, otherwise the sweep sticks to the cheap
-commands (validate, alpha, beta, spaces).
+commands (validate, alpha, beta, spaces).  Run it from the repository
+root with the package on the path:
+
+    PYTHONPATH=src python scripts/sweep_all.py [--full]
 """
 
 import argparse

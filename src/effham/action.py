@@ -60,7 +60,10 @@ class InitialDatum:
         self.p = None if p is None else np.atleast_1d(np.asarray(p, dtype=float))
         self.q_matrix = None
         if q_matrix is not None:
-            self.q_matrix = np.atleast_2d(np.asarray(q_matrix, dtype=float))
+            # h.Q.h/2 reads only the symmetric part of Q, and the gradient
+            # is that part times h
+            q = np.atleast_2d(np.asarray(q_matrix, dtype=float))
+            self.q_matrix = 0.5 * (q + q.T)
         self.center = (None if center is None
                        else np.atleast_1d(np.asarray(center, dtype=float)))
         self.slope = float(slope)
@@ -76,7 +79,7 @@ class InitialDatum:
                 raise ValueError("quadratic datum needs a matrix")
             if self.p is None:
                 self.p = np.zeros(self.q_matrix.shape[0])
-            w = np.linalg.eigvalsh(0.5 * (self.q_matrix + self.q_matrix.T))
+            w = np.linalg.eigvalsh(self.q_matrix)
             if w[0] < -1e-12:
                 raise ValueError("quadratic datum matrix must be positive semidefinite")
             self._qmax = float(w[-1])
@@ -577,7 +580,7 @@ _MAX_SEGMENTS = 2048
 
 
 def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float,
-                         tol: float = 1e-6, details: bool = False):
+                         tol: float = 1e-6):
     """Two-point action on the R^n cover by trajectory descent.
 
     Piecewise-linear chains with midpoint quadrature, L-BFGS descent from
@@ -587,7 +590,7 @@ def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float
     doubling moves the action by about a quarter of the previous move: at
     the ``_ACTION_TOL`` = 1e-7 of ``_lax_torus`` every pendulum solve runs
     to ``_MAX_SEGMENTS`` and returns that chain's discretisation error.
-    With ``details``, returns (action, nodes, number of L-BFGS runs that
+    Returns (action, nodes of the best chain, number of L-BFGS runs that
     ended unconverged).  ``_lax_torus`` screens its candidates without
     this descent, by ``_screen_chains``, and calls it for the survivors.
     The chains are priced by ``_chain_terms``, so a 2-D A(x) that is not
@@ -615,9 +618,7 @@ def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float
         best_val, best_nodes = val, nodes
         if abs(improved) < tol:
             break
-    if details:
-        return best_val, best_nodes, unconverged
-    return best_val
+    return best_val, best_nodes, unconverged
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +699,7 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     quad, drift = _family_constants(cover, model)
 
     stay, stay_nodes, unconverged = minimal_action_torus(
-        model, x_lift, x_lift, horizon, tol=_ACTION_TOL, details=True)
+        model, x_lift, x_lift, horizon, tol=_ACTION_TOL)
     incumbent = datum.value(hx) + eps * stay
     best_nodes = stay_nodes
     best_g = x_lift.copy()
@@ -832,7 +833,7 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     scored.sort(key=lambda z: z[0])
     for _, idx in scored[:_N_TOP]:
         val, nodes, n_bad = minimal_action_torus(
-            model, lifts[idx], x_lift, horizon, tol=_ACTION_TOL, details=True)
+            model, lifts[idx], x_lift, horizon, tol=_ACTION_TOL)
         unconverged += n_bad
         total = f_vals[idx] + eps * val
         if total < incumbent:
@@ -990,24 +991,24 @@ def _lax_graph(cover, lagrangian, datum, x, t, eps, mesh):
 
 
 def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
-                eps: float, mesh: int = 64, details: bool = False):
+                eps: float, mesh: int = 64) -> LaxResult:
     """Rescaled cover solution at (x, t): inf over starting points y of
     datum(eps * G(y)) + eps * action(y, x, t/eps), with G the cover's
     coordinate map.
 
     Candidates live on a base mesh crossed with a sheet window certified
     by ``_lax_window``; survivors are priced exactly and the winner is
-    polished continuously.
+    polished continuously.  Returns a ``LaxResult``: the value, the
+    minimizer's G, the window, the candidate and evaluated counts, and
+    on tori the solver counts in ``diagnostics``.
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
     if eps <= 0.0:
         raise ValueError(f"scale eps must be positive, got {eps}")
     if cover.family == "graph":
-        result = _lax_graph(cover, lagrangian, datum, x, t, eps, mesh)
-    else:
-        result = _lax_torus(cover, lagrangian, datum, x, t, eps, mesh)
-    return result if details else result.value
+        return _lax_graph(cover, lagrangian, datum, x, t, eps, mesh)
+    return _lax_torus(cover, lagrangian, datum, x, t, eps, mesh)
 
 
 # ---------------------------------------------------------------------------

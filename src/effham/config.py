@@ -13,12 +13,14 @@ measuring norm (l1 on graphs, l2 on tori); ``cover.norm`` may only
 restate it, and a cone datum measures in it, so ``datum.norm`` may only
 restate it too.  The cover datum is the limit datum read through the
 rescaled coordinate map, f(eps * G(x)).  A key that the loader does not
-read (for a datum, per family) is rejected on its dotted path, so a
-misspelt field, or a ``datum.bump``, cannot load as if it were absent.
+read (for a datum, per family), and a block that is not a mapping, are
+rejected on their dotted path, so a misspelt field, a ``datum.bump`` or
+a ``compute: 5`` cannot load as if it were absent.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,20 +39,26 @@ def _require(tree: dict, key: str, path: str):
     return tree[key]
 
 
-def _optional(tree, key: str, default=None):
-    if not isinstance(tree, dict):
-        return default
-    return tree.get(key, default)
-
-
 def _known_keys(tree, allowed, path: str) -> None:
-    """Reject a key of a mapping that the loader does not read."""
-    if isinstance(tree, dict):
-        for key in tree:
-            if key not in allowed:
-                raise ConfigError(f"{path}.{key}" if path else str(key),
-                                  f"unknown key; expected one of "
-                                  f"{', '.join(sorted(allowed))}")
+    """Reject a block that is not a mapping, and a key of it that the
+    loader does not read."""
+    if not isinstance(tree, dict):
+        raise ConfigError(path, f"expected a mapping, got {tree!r}")
+    for key in tree:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}" if path else str(key),
+                              f"unknown key; expected one of "
+                              f"{', '.join(sorted(allowed))}")
+
+
+def _block(tree: dict, key: str, allowed, path: str) -> dict:
+    """The optional mapping tree[key] with its keys checked; {} when the
+    key is absent or null."""
+    block = tree.get(key)
+    if block is None:
+        return {}
+    _known_keys(block, allowed, path)
+    return block
 
 
 def _as_float(value, path: str) -> float:
@@ -87,7 +95,6 @@ class ScenarioConfig:
     tolerance: float
     seed: int
     mesh: int
-    rate_rungs: int
     evaluator: object
     p_grid: dict = field(default_factory=dict)
     w_grid: dict = field(default_factory=dict)
@@ -98,7 +105,7 @@ class ScenarioConfig:
                         datum=self.datum, eps_ladder=self.eps_ladder,
                         eval_points=self.eval_points,
                         subcover=self.subcover, mesh=self.mesh,
-                        rate_rungs=self.rate_rungs, tolerance=self.tolerance)
+                        tolerance=self.tolerance)
 
     def beta_evaluator(self):
         """The system's (alpha, beta) evaluator, picked at load."""
@@ -198,6 +205,8 @@ _DATUM_KEYS = {"affine": ("family", "slope_vector", "constant"),
 
 def _build_datum(datum_cfg: dict, dim: int, norm: str) -> InitialDatum:
     family = _require(datum_cfg, "family", "datum")
+    if not isinstance(family, str):
+        raise ConfigError("datum.family", f"expected a string, got {family!r}")
     if family in _DATUM_KEYS:
         _known_keys(datum_cfg, _DATUM_KEYS[family], "datum")
     if family == "affine":
@@ -261,25 +270,27 @@ def load_config(path: str) -> ScenarioConfig:
     name = tree.get("name")
     if not isinstance(name, str) or not name:
         raise ConfigError("name", "required nonempty string")
+    if os.sep in name or (os.altsep and os.altsep in name):
+        raise ConfigError("name", "a path separator is not allowed: the "
+                          "artifacts are named after it in one directory")
 
     system = _require(tree, "system", "config")
     family = _require(system, "family", "system")
-    cover_cfg = tree.get("cover", {}) or {}
-    _known_keys(cover_cfg, ("norm", "subcover"), "cover")
+    cover_cfg = _block(tree, "cover", ("norm", "subcover"), "cover")
     if family == "torus":
         cover, model = _build_torus(system)
     elif family == "graph":
         cover, model = _build_graph(system)
     else:
         raise ConfigError("system.family", f"unknown family {family!r}")
-    norm = _optional(cover_cfg, "norm", cover.norm)
+    norm = cover_cfg.get("norm", cover.norm)
     if norm != cover.norm:
         raise ConfigError("cover.norm", f"a {family} cover measures in "
                           f"{cover.norm}, got {norm!r}")
     evaluator = default_beta_evaluator(cover, model)
 
     subcover = None
-    sub_mat = _optional(cover_cfg, "subcover")
+    sub_mat = cover_cfg.get("subcover")
     if sub_mat is not None:
         if cover.family != "graph":
             raise ConfigError("cover.subcover",
@@ -330,34 +341,29 @@ def load_config(path: str) -> ScenarioConfig:
         if tolerance <= 0.0:
             raise ConfigError("experiment.tolerance", "must be positive")
     seed = _as_int(_require(experiment, "seed", "experiment"), "experiment.seed")
+    if seed < 0:
+        raise ConfigError("experiment.seed", f"must be nonnegative, got {seed}")
 
-    compute = tree.get("compute", {}) or {}
-    _known_keys(compute, ("mesh", "rate_rungs", "p_grid", "w_grid"), "compute")
-    mesh = _as_int(_optional(compute, "mesh", 64), "compute.mesh")
+    compute = _block(tree, "compute", ("mesh", "p_grid", "w_grid"), "compute")
+    mesh = _as_int(compute.get("mesh", 64), "compute.mesh")
     if mesh < 2:
         raise ConfigError("compute.mesh", f"must be at least 2, got {mesh}")
-    rate_rungs = _as_int(_optional(compute, "rate_rungs", 4), "compute.rate_rungs")
-    if rate_rungs < 2:
-        raise ConfigError("compute.rate_rungs", "must be at least 2")
 
     def _grid_block(key: str, default_radius: float) -> dict:
-        block = _optional(compute, key, {}) or {}
-        _known_keys(block, ("radius", "points"), f"compute.{key}")
-        radius = _as_float(_optional(block, "radius", default_radius),
+        block = _block(compute, key, ("radius", "points"), f"compute.{key}")
+        radius = _as_float(block.get("radius", default_radius),
                            f"compute.{key}.radius")
-        n_points = _as_int(_optional(block, "points", 33), f"compute.{key}.points")
+        n_points = _as_int(block.get("points", 33), f"compute.{key}.points")
         if radius <= 0.0 or n_points < 3:
             raise ConfigError(f"compute.{key}",
                               "radius must be positive and points at least 3")
         return {"radius": radius, "points": n_points}
 
-    output = tree.get("output", {}) or {}
-    _known_keys(output, ("dir",), "output")
+    output = _block(tree, "output", ("dir",), "output")
 
     return ScenarioConfig(
         name=name, cover=cover, model=model, datum=datum, subcover=subcover,
         eps_ladder=ladder, eval_points=tuple(points),
-        tolerance=tolerance, seed=seed, mesh=mesh, rate_rungs=rate_rungs,
-        evaluator=evaluator,
+        tolerance=tolerance, seed=seed, mesh=mesh, evaluator=evaluator,
         p_grid=_grid_block("p_grid", 1.0), w_grid=_grid_block("w_grid", 1.0),
-        out_dir=str(_optional(output, "dir", "out")))
+        out_dir=str(output.get("dir", "out")))

@@ -86,7 +86,13 @@ def _rest_commute_bound(cover, model) -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Immutable description of one convergence experiment."""
+    """Immutable description of one convergence experiment.
+
+    The fields are taken as given; ``load_config`` is the one validator.
+    The ladder is a strictly decreasing tuple of positive floats, and each
+    evaluation point a (target, time) pair: the target a float tuple with
+    one entry per deck (or subcover) dimension, the time positive.
+    """
 
     name: str
     cover: object
@@ -96,27 +102,7 @@ class Scenario:
     eval_points: tuple
     subcover: object = None
     mesh: int = 64
-    rate_rungs: int = 4
     tolerance: float = None
-
-    def __post_init__(self):
-        ladder = tuple(float(e) for e in self.eps_ladder)
-        if not ladder or any(e <= 0 for e in ladder):
-            raise ValueError("epsilon ladder must be positive")
-        if any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("epsilon ladder must be strictly decreasing")
-        points = []
-        k = self.cover.deck_rank
-        for h, t in self.eval_points:
-            hv = tuple(float(c) for c in np.atleast_1d(h))
-            if float(t) <= 0.0:
-                raise ValueError("evaluation times must be positive")
-            want = self.subcover.matrix.shape[0] if self.subcover is not None else k
-            if len(hv) != want:
-                raise ValueError(f"evaluation target {hv} has wrong dimension")
-            points.append((hv, float(t)))
-        object.__setattr__(self, "eps_ladder", ladder)
-        object.__setattr__(self, "eval_points", tuple(points))
 
     def pass_tolerance(self) -> float:
         if self.tolerance is not None:
@@ -179,9 +165,13 @@ class ExperimentReport:
         return lines
 
 
-def _fit_rate(errs_by_eps, n_rungs: int, noise_floor: float = 1e-12):
+# the rate exponent is fitted over this many finest rungs above noise
+_RATE_RUNGS = 4
+
+
+def _fit_rate(errs_by_eps, noise_floor: float = 1e-12):
     """Log-log least squares slope over the last rungs above noise."""
-    tail = [(e, v) for e, v in errs_by_eps if v > noise_floor][-n_rungs:]
+    tail = [(e, v) for e, v in errs_by_eps if v > noise_floor][-_RATE_RUNGS:]
     if len(tail) < 2:
         return None, None
     xs = np.log([e for e, _ in tail])
@@ -250,7 +240,7 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
                                        sub)
             try:
                 res = lax_oleinik(cover, model, datum, point, t, eps,
-                                  mesh=scenario.mesh, details=True)
+                                  mesh=scenario.mesh)
             except SolverError as exc:
                 raise SolverError(
                     f"scenario {scenario.name}: h={h} t={t} eps={eps}: {exc}"
@@ -268,8 +258,7 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
 
     ladder = scenario.eps_ladder
     errs = report.errors_by_eps()
-    report.rate_exponent, report.rate_residual = _fit_rate(
-        errs, scenario.rate_rungs)
+    report.rate_exponent, report.rate_residual = _fit_rate(errs)
     report.final_error = errs[-1][1] if errs else math.inf
     report.monotone_ok = _check_monotone(report, ladder)
     report.sandwich_ok = _check_sandwich(report, scenario,
@@ -285,50 +274,6 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
     report.passed = (report.final_error < report.tolerance
                      and report.monotone_ok and report.sandwich_ok)
     return report
-
-
-@dataclass
-class AffineCheckRow:
-    eps: float
-    deviation: float
-
-
-@dataclass
-class AffineCheckReport:
-    rows: list
-    fitted_c: float
-    alpha_value: float
-    passed: bool
-
-
-def affine_datum_check(cover, model, p, a: float, eps_ladder, eval_points,
-                       alpha_value: float, mesh: int = 64,
-                       headroom: float = 1.5) -> AffineCheckReport:
-    """Deviation of the rescaled solution from the affine closed form
-    a + p.F_eps(x_eps) - alpha(p) t, with a fitted linear-in-eps bound."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    datum = InitialDatum.affine(p, a)
-    ladder = sorted((float(e) for e in eps_ladder), reverse=True)
-    rows = []
-    for eps in ladder:
-        worst = 0.0
-        for h, t in eval_points:
-            point, image = match_point(cover, np.array(h, dtype=float), eps,
-                                       mesh)
-            v_eps = lax_oleinik(cover, model, datum, point, t, eps, mesh=mesh)
-            closed = a + float(p @ image) - alpha_value * t
-            worst = max(worst, abs(v_eps - closed))
-        rows.append(AffineCheckRow(eps=eps, deviation=float(worst)))
-    eps_arr = np.array([r.eps for r in rows])
-    dev_arr = np.array([r.deviation for r in rows])
-    denom = float(np.sum(eps_arr * eps_arr))
-    fitted_c = float(np.sum(eps_arr * dev_arr) / denom) if denom > 0 else 0.0
-    a_slope, _ = datum.growth_constants(cover.norm)
-    ok = all(r.deviation <= headroom * fitted_c * r.eps
-             + a_slope * matching_bound(cover, r.eps, mesh) + 1e-6
-             for r in rows)
-    return AffineCheckReport(rows=rows, fitted_c=fitted_c,
-                             alpha_value=float(alpha_value), passed=ok)
 
 
 class _PulledBackDatum:
@@ -390,7 +335,7 @@ def run_subcover_experiment(scenario: Scenario, beta_eval=None,
         point, _ = match_point(cover, np.array(h), eps, scenario.mesh, sub)
         for z in shifts:
             shifted = lax_oleinik(cover, model, pulled, cover.translate(point, z),
-                                  t, eps, mesh=scenario.mesh)
+                                  t, eps, mesh=scenario.mesh).value
             cover_worst = max(cover_worst, abs(shifted - row.v_eps))
     report.cover_kernel_invariance_error = float(cover_worst)
 

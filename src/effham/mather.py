@@ -10,8 +10,7 @@ The convex pair at the heart of the limit problem:
   fixes its real circulation, so beta is one ``allocate_time`` row.
 * the quotient pair of an intermediate cover: ``BetaHatEvaluator``, the
   least graph beta over a fiber, computed exactly as an energy minimax,
-  and ``effective_hamiltonian_subcover``; and the long-horizon check
-  that two-point action rates approach beta.
+  and ``effective_hamiltonian_subcover``.
 
 Evaluator objects carry one exact (alpha, beta) pair of a system family:
 ``value`` is beta, ``alpha`` its dual, ``norm`` the family's measuring
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, optimize
@@ -38,7 +36,7 @@ from scipy import integrate, optimize
 from .action import _golden_min, allocate_time
 from .errors import SolverError
 from .model import GraphLagrangian, TorusHamiltonian
-from .topology import SubcoverMap, _ball_axes, _edge_flow, _grid, norm_value
+from .topology import SubcoverMap, _ball_axes, _edge_flow, _grid
 
 
 # ---------------------------------------------------------------------------
@@ -406,105 +404,3 @@ def effective_hamiltonian_subcover(sub: SubcoverMap, alpha_fn, p) -> float:
     """Quotient effective Hamiltonian: alpha at the pulled-back covector."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
     return float(alpha_fn(sub.pullback(p)))
-
-
-# ---------------------------------------------------------------------------
-# long-horizon convergence of action rates
-
-
-@dataclass
-class MeanActionRow:
-    horizon: float
-    delta: float
-    worst_rate: tuple
-
-
-@dataclass
-class MeanActionReport:
-    rows: list = field(default_factory=list)
-    rate_bound: float = 0.0
-    tolerance: float = 0.05
-
-    def deltas(self):
-        return [r.delta for r in self.rows]
-
-    def passed(self, noise_floor: float = 1e-12) -> bool:
-        # exactly solvable systems bottom out at rounding noise, where
-        # the ordering of deltas is meaningless
-        d = self.deltas()
-        decreasing = all(d[i + 1] < d[i] or d[i + 1] < noise_floor
-                         for i in range(len(d) - 1))
-        return decreasing and d[-1] < self.tolerance
-
-
-def _rate_samples(cover, rate_bound: float, count: int, seed: int):
-    k = cover.deck_rank
-    rng = np.random.default_rng(seed)
-    # zero rate first: it exposes the cost of commuting from the anchor
-    # to wherever the system prefers to idle
-    samples = [np.zeros(k)]
-    for j in range(k):
-        unit = np.zeros(k)
-        unit[j] = 1.0
-        samples.append(0.75 * rate_bound * unit)
-        samples.append(-0.45 * rate_bound * unit)
-    while len(samples) < count:
-        w = rng.uniform(-1.0, 1.0, size=k)
-        nv = norm_value(w, cover.norm)
-        if nv < 1e-9:
-            continue
-        samples.append(w / nv * rate_bound * rng.uniform(0.2, 0.9))
-    return samples[:count]
-
-
-def mean_action_check(cover, lagrangian, beta_eval, rate_bound: float,
-                      horizons, n_samples: int = 4, seed: int = 0,
-                      mesh: int = 16, tolerance: float = 0.05) -> MeanActionReport:
-    """Long-horizon table: worst gap between two-point action rates and
-    beta at the realized rotation over sampled rate directions.
-
-    Directions are fixed across horizons; for each horizon the endpoint
-    is placed so the realized rotation (Delta G)/T stays within the rate
-    bound, and delta(T) is the max of |action/T - beta(rotation)|.
-    """
-    from .action import minimal_action_graph, minimal_action_torus
-    from .topology import match_point
-
-    horizons = sorted(float(t) for t in horizons)
-    if not all(t > 0 for t in horizons):
-        raise ValueError("horizons must be positive")
-    samples = _rate_samples(cover, rate_bound, n_samples, seed)
-    report = MeanActionReport(rows=[], rate_bound=rate_bound,
-                              tolerance=tolerance)
-    if cover.family == "graph":
-        # anchor mid-edge on the most expensive edge: pure circulations
-        # start free of charge at a vertex, so a vertex anchor would hide
-        # the finite-horizon boundary layer entirely
-        graph = cover.graph
-        e_star = int(np.argmax(lagrangian.potentials))
-        x0 = cover.edge_point(e_star, 0.5 * graph.lengths[e_star],
-                              np.zeros(graph.cycle_rank, dtype=int))
-    else:
-        x0 = cover.base_point()
-    gx = cover.g_map(x0)
-    for t_hor in horizons:
-        worst, worst_rate = -1.0, None
-        for w in samples:
-            target = gx + t_hor * np.asarray(w)
-            if cover.family == "torus":
-                y = cover.from_lift(target)
-                rate = w
-                act = minimal_action_torus(lagrangian, cover.lift(x0),
-                                           cover.lift(y), t_hor)
-            else:
-                y, image = match_point(cover, target, 1.0, mesh)
-                rate = (cover.g_map(y) - gx) / t_hor
-                if norm_value(rate, cover.norm) > rate_bound + 1e-9:
-                    continue
-                act = minimal_action_graph(lagrangian, cover, x0, y, t_hor)
-            gap = abs(act / t_hor - beta_eval.value(rate))
-            if gap > worst:
-                worst, worst_rate = gap, tuple(float(r) for r in np.atleast_1d(rate))
-        report.rows.append(MeanActionRow(horizon=t_hor, delta=float(worst),
-                                         worst_rate=worst_rate))
-    return report

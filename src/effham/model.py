@@ -12,9 +12,8 @@ Two concrete families are supported in production code:
   edge, where V_e is a per-edge action-rate offset.  The per-edge dual is
   H_e(p) = p^2 / 2 - V_e.
 
-Generic (non-quadratic) Hamiltonians are admitted only through the
-numeric fallback ``legendre_transform_numeric``, which test code uses to
-cross-check the closed forms.
+No other Hamiltonian is admitted: config load builds only these two
+families, and the solvers use the closed forms directly.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ModelValidityError
 from .topology import _grid
@@ -154,28 +152,6 @@ class TorusHamiltonian:
         a22 = self.a_entries[2].value(x)
         return np.array([[a11, a12], [a12, a22]])
 
-    def kinetic_inverse(self, x) -> np.ndarray:
-        a = self.kinetic_matrix(x)
-        det = np.linalg.det(a)
-        if det <= 0.0 or a[0, 0] <= 0.0:
-            raise ModelValidityError(f"kinetic matrix not positive definite at x={x}")
-        return np.linalg.inv(a)
-
-    def value(self, x, p) -> float:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        a = self.kinetic_matrix(x)
-        return 0.5 * float(p @ a @ p) + self.v.value(x)
-
-    def grad_p(self, x, p) -> np.ndarray:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        return self.kinetic_matrix(x) @ p
-
-    def lagrangian(self, x, v) -> float:
-        """L(x, v) = max_p [p.v - H(x, p)], attained at p = A(x)^{-1} v."""
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        b = self.kinetic_inverse(x)
-        return 0.5 * float(v @ b @ v) - self.v.value(x)
-
     def kinetic_eig_bounds(self):
         """Proved (lower, upper) bounds on the eigenvalues of A(x) over the
         torus.
@@ -226,48 +202,6 @@ class GraphLagrangian:
 
     def min_potential(self) -> float:
         return float(self.potentials.min())
-
-
-def legendre_transform_numeric(h_of_p, v, p0=None, span: float = 10.0) -> float:
-    """Generic concave maximization of p.v - H(p) for scalar or vector p.
-
-    Intended for test Hamiltonians without a closed form.  Seeds a
-    quasi-Newton polish from the best point of a coarse scan, so it only
-    needs H convex and superlinear on the scanned box.
-    """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    dim = v.size
-
-    def neg(p):
-        return h_of_p(p if dim > 1 else float(p[0])) - float(np.dot(p, v))
-
-    if p0 is None:
-        cands = _grid([np.linspace(-span, span, 201)] * dim)
-        vals = np.array([neg(c) for c in cands])
-        p0 = cands[int(np.argmin(vals))]
-    res = optimize.minimize(neg, np.atleast_1d(p0), method="Nelder-Mead",
-                            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
-    res2 = optimize.minimize(neg, res.x, method="Powell",
-                             options={"xtol": 1e-13, "ftol": 1e-15, "maxiter": 20000})
-    return -float(min(res.fun, res2.fun))
-
-
-def fenchel_young_residual(hamiltonian: TorusHamiltonian, x, v, p) -> float:
-    """max(0, p.v - H(x,p) - L(x,v)); nonpositive part of the inequality."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    gap = float(np.dot(p, v)) - hamiltonian.value(x, p) - hamiltonian.lagrangian(x, v)
-    return max(0.0, gap)
-
-
-def double_legendre_residual(hamiltonian: TorusHamiltonian, x, p, span: float = 40.0) -> float:
-    """|H(x,p) - max_v [p.v - L(x,v)]| via the numeric fallback."""
-
-    def l_of_v(v):
-        return hamiltonian.lagrangian(x, v)
-
-    back = legendre_transform_numeric(l_of_v, p, p0=hamiltonian.grad_p(x, p), span=span)
-    return abs(back - hamiltonian.value(x, p))
 
 
 def _is_constant(trig: TrigPolynomial) -> bool:

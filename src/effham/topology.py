@@ -239,14 +239,6 @@ def _edge_flow(graph, nontree, source: int = 0, sink: int = 0) -> np.ndarray:
     return flow
 
 
-def single_loop(length: float = 1.0) -> MetricGraph:
-    return MetricGraph(1, [(0, 0, length)])
-
-
-def figure_eight(len_a: float = 1.0, len_b: float = 1.0) -> MetricGraph:
-    return MetricGraph(1, [(0, 0, len_a), (0, 0, len_b)])
-
-
 class TorusCover:
     """Maximal abelian cover of the flat n-torus: R^n over T^n.
 
@@ -279,9 +271,6 @@ class TorusCover:
         coords = np.atleast_1d(np.asarray(coords, dtype=float))
         sheet = np.floor(coords).astype(int)
         return CoverPoint(tuple(coords - sheet), tuple(int(z) for z in sheet))
-
-    def base_point(self) -> CoverPoint:
-        return self.point(np.zeros(self.n))
 
     def translate(self, point: CoverPoint, z) -> CoverPoint:
         z = np.atleast_1d(np.asarray(z)).astype(int)
@@ -348,9 +337,6 @@ class GraphCover:
             head_sheet = np.asarray(sheet, dtype=int) + self.graph.cocycles[e]
             return self.vertex_point(self.graph.head(e), head_sheet)
         return CoverPoint(("e", int(e), float(s)), tuple(int(z) for z in sheet))
-
-    def base_point(self) -> CoverPoint:
-        return self.vertex_point(0)
 
     def translate(self, point: CoverPoint, z) -> CoverPoint:
         z = np.atleast_1d(np.asarray(z)).astype(int)

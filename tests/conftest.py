@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 from scipy import optimize
 
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
-from effham.topology import GraphCover, MetricGraph, TorusCover, figure_eight, single_loop
+from effham.topology import GraphCover, MetricGraph, TorusCover
 
 settings.register_profile(
     "effham",
@@ -50,6 +50,14 @@ def allocate_time_oracle(segments, total_time: float, rest: float) -> float:
     s_star = optimize.brentq(lambda s: travel_time(s) - total_time, lo, hi,
                              xtol=1e-300, rtol=8.9e-16, maxiter=2000)
     return travel_cost(s_star)
+
+
+def single_loop(length: float = 1.0) -> MetricGraph:
+    return MetricGraph(1, [(0, 0, length)])
+
+
+def figure_eight(len_a: float = 1.0, len_b: float = 1.0) -> MetricGraph:
+    return MetricGraph(1, [(0, 0, len_a), (0, 0, len_b)])
 
 
 def make_pendulum() -> TorusHamiltonian:

@@ -1,0 +1,227 @@
+"""Reference routes that the tests cross-check the package against.
+
+The package reads none of these.  Each recomputes by a separate route a
+quantity that the pipeline takes in closed form or produces itself: the
+Legendre pair of a torus Hamiltonian, the long-horizon action rates that
+beta averages, and the affine closed form of the rescaled solution.
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy import optimize
+
+from effham.action import (InitialDatum, lax_oleinik, minimal_action_graph,
+                           minimal_action_torus)
+from effham.topology import _grid, match_point, matching_bound, norm_value
+
+
+# ---------------------------------------------------------------------------
+# the Legendre pair of a torus Hamiltonian H(x, p) = p.A(x)p/2 + V(x)
+
+
+def hamiltonian(model, x, p) -> float:
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    a = model.kinetic_matrix(x)
+    return 0.5 * float(p @ a @ p) + model.v.value(x)
+
+
+def grad_p(model, x, p) -> np.ndarray:
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    return model.kinetic_matrix(x) @ p
+
+
+def lagrangian(model, x, v) -> float:
+    """L(x, v) = max_p [p.v - H(x, p)], attained at p = A(x)^{-1} v."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    b = np.linalg.inv(model.kinetic_matrix(x))
+    return 0.5 * float(v @ b @ v) - model.v.value(x)
+
+
+def legendre_transform_numeric(h_of_p, v, p0=None, span: float = 10.0) -> float:
+    """Generic concave maximization of p.v - H(p) for scalar or vector p.
+
+    Seeds a quasi-Newton polish from the best point of a coarse scan, so
+    it only needs H convex and superlinear on the scanned box.
+    """
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    dim = v.size
+
+    def neg(p):
+        return h_of_p(p if dim > 1 else float(p[0])) - float(np.dot(p, v))
+
+    if p0 is None:
+        cands = _grid([np.linspace(-span, span, 201)] * dim)
+        vals = np.array([neg(c) for c in cands])
+        p0 = cands[int(np.argmin(vals))]
+    res = optimize.minimize(neg, np.atleast_1d(p0), method="Nelder-Mead",
+                            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
+    res2 = optimize.minimize(neg, res.x, method="Powell",
+                             options={"xtol": 1e-13, "ftol": 1e-15, "maxiter": 20000})
+    return -float(min(res.fun, res2.fun))
+
+
+def fenchel_young_residual(model, x, v, p) -> float:
+    """max(0, p.v - H(x,p) - L(x,v)); nonpositive part of the inequality."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    gap = float(np.dot(p, v)) - hamiltonian(model, x, p) - lagrangian(model, x, v)
+    return max(0.0, gap)
+
+
+def double_legendre_residual(model, x, p, span: float = 40.0) -> float:
+    """|H(x,p) - max_v [p.v - L(x,v)]| via the numeric transform."""
+
+    def l_of_v(v):
+        return lagrangian(model, x, v)
+
+    back = legendre_transform_numeric(l_of_v, p, p0=grad_p(model, x, p), span=span)
+    return abs(back - hamiltonian(model, x, p))
+
+
+# ---------------------------------------------------------------------------
+# long-horizon convergence of action rates
+
+
+@dataclass
+class MeanActionRow:
+    horizon: float
+    delta: float
+    worst_rate: tuple
+
+
+@dataclass
+class MeanActionReport:
+    rows: list = field(default_factory=list)
+    rate_bound: float = 0.0
+    tolerance: float = 0.05
+
+    def deltas(self):
+        return [r.delta for r in self.rows]
+
+    def passed(self, noise_floor: float = 1e-12) -> bool:
+        # exactly solvable systems bottom out at rounding noise, where
+        # the ordering of deltas is meaningless
+        d = self.deltas()
+        decreasing = all(d[i + 1] < d[i] or d[i + 1] < noise_floor
+                         for i in range(len(d) - 1))
+        return decreasing and d[-1] < self.tolerance
+
+
+def _rate_samples(cover, rate_bound: float, count: int, seed: int):
+    k = cover.deck_rank
+    rng = np.random.default_rng(seed)
+    # zero rate first: it exposes the cost of commuting from the anchor
+    # to wherever the system prefers to idle
+    samples = [np.zeros(k)]
+    for j in range(k):
+        unit = np.zeros(k)
+        unit[j] = 1.0
+        samples.append(0.75 * rate_bound * unit)
+        samples.append(-0.45 * rate_bound * unit)
+    while len(samples) < count:
+        w = rng.uniform(-1.0, 1.0, size=k)
+        nv = norm_value(w, cover.norm)
+        if nv < 1e-9:
+            continue
+        samples.append(w / nv * rate_bound * rng.uniform(0.2, 0.9))
+    return samples[:count]
+
+
+def mean_action_check(cover, model, beta_eval, rate_bound: float,
+                      horizons, n_samples: int = 4, seed: int = 0,
+                      mesh: int = 16, tolerance: float = 0.05) -> MeanActionReport:
+    """Long-horizon table: worst gap between two-point action rates and
+    beta at the realized rotation over sampled rate directions.
+
+    Directions are fixed across horizons; for each horizon the endpoint
+    is placed so the realized rotation (Delta G)/T stays within the rate
+    bound, and delta(T) is the max of |action/T - beta(rotation)|.
+    """
+    horizons = sorted(float(t) for t in horizons)
+    if not all(t > 0 for t in horizons):
+        raise ValueError("horizons must be positive")
+    samples = _rate_samples(cover, rate_bound, n_samples, seed)
+    report = MeanActionReport(rows=[], rate_bound=rate_bound,
+                              tolerance=tolerance)
+    if cover.family == "graph":
+        # anchor mid-edge on the most expensive edge: pure circulations
+        # start free of charge at a vertex, so a vertex anchor would hide
+        # the finite-horizon boundary layer entirely
+        graph = cover.graph
+        e_star = int(np.argmax(model.potentials))
+        x0 = cover.edge_point(e_star, 0.5 * graph.lengths[e_star],
+                              np.zeros(graph.cycle_rank, dtype=int))
+    else:
+        x0 = cover.point(np.zeros(cover.n))
+    gx = cover.g_map(x0)
+    for t_hor in horizons:
+        worst, worst_rate = -1.0, None
+        for w in samples:
+            target = gx + t_hor * np.asarray(w)
+            if cover.family == "torus":
+                y = cover.from_lift(target)
+                rate = w
+                act = minimal_action_torus(model, cover.lift(x0),
+                                           cover.lift(y), t_hor)[0]
+            else:
+                y, image = match_point(cover, target, 1.0, mesh)
+                rate = (cover.g_map(y) - gx) / t_hor
+                if norm_value(rate, cover.norm) > rate_bound + 1e-9:
+                    continue
+                act = minimal_action_graph(model, cover, x0, y, t_hor)
+            gap = abs(act / t_hor - beta_eval.value(rate))
+            if gap > worst:
+                worst, worst_rate = gap, tuple(float(r) for r in np.atleast_1d(rate))
+        report.rows.append(MeanActionRow(horizon=t_hor, delta=float(worst),
+                                         worst_rate=worst_rate))
+    return report
+
+
+# ---------------------------------------------------------------------------
+# the affine closed form of the rescaled solution
+
+
+@dataclass
+class AffineCheckRow:
+    eps: float
+    deviation: float
+
+
+@dataclass
+class AffineCheckReport:
+    rows: list
+    fitted_c: float
+    alpha_value: float
+    passed: bool
+
+
+def affine_datum_check(cover, model, p, a: float, eps_ladder, eval_points,
+                       alpha_value: float, mesh: int = 64,
+                       headroom: float = 1.5) -> AffineCheckReport:
+    """Deviation of the rescaled solution from the affine closed form
+    a + p.F_eps(x_eps) - alpha(p) t, with a fitted linear-in-eps bound."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    datum = InitialDatum.affine(p, a)
+    ladder = sorted((float(e) for e in eps_ladder), reverse=True)
+    rows = []
+    for eps in ladder:
+        worst = 0.0
+        for h, t in eval_points:
+            point, image = match_point(cover, np.array(h, dtype=float), eps,
+                                       mesh)
+            v_eps = lax_oleinik(cover, model, datum, point, t, eps,
+                                mesh=mesh).value
+            closed = a + float(p @ image) - alpha_value * t
+            worst = max(worst, abs(v_eps - closed))
+        rows.append(AffineCheckRow(eps=eps, deviation=float(worst)))
+    eps_arr = np.array([r.eps for r in rows])
+    dev_arr = np.array([r.deviation for r in rows])
+    denom = float(np.sum(eps_arr * eps_arr))
+    fitted_c = float(np.sum(eps_arr * dev_arr) / denom) if denom > 0 else 0.0
+    a_slope, _ = datum.growth_constants(cover.norm)
+    ok = all(r.deviation <= headroom * fitted_c * r.eps
+             + a_slope * matching_bound(cover, r.eps, mesh) + 1e-6
+             for r in rows)
+    return AffineCheckReport(rows=rows, fitted_c=fitted_c,
+                             alpha_value=float(alpha_value), passed=ok)

@@ -25,11 +25,12 @@ from effham.mather import AnalyticQuadraticBeta, DirectBetaEvaluator
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
 from effham.topology import GraphCover, MetricGraph, match_point, norm_value
 from tests.conftest import allocate_time_oracle
+from tests.oracles import lagrangian
 
 
 def test_free_straight_line_action(free1):
     # constant-speed segment: (3/2)^2 / 2 * 2
-    got = minimal_action_torus(free1, [0.0], [3.0], 2.0)
+    got = minimal_action_torus(free1, [0.0], [3.0], 2.0)[0]
     assert got == pytest.approx(2.25, abs=1e-9)
 
 
@@ -149,7 +150,7 @@ def test_torus_action_rejects_a_varying_two_dimensional_kinetic_matrix():
 
 def test_pendulum_resting_rate(pendulum):
     # parking on the potential maximum gives running cost -1 forever
-    value = minimal_action_torus(pendulum, [0.0], [0.0], 32.0)
+    value = minimal_action_torus(pendulum, [0.0], [0.0], 32.0)[0]
     assert value / 32.0 == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -157,7 +158,7 @@ def _window_solve(cover, model, slope, x, eps=0.5, t=1.0):
     """(certified window, |Delta h| of the returned minimizer, K0) of one
     cover solve with an affine datum; |Delta h| <= K0 * eps * d."""
     res = lax_oleinik(cover, model, InitialDatum.affine([slope]), x, t, eps,
-                      mesh=16, details=True)
+                      mesh=16)
     moved = eps * norm_value(res.minimizer_g - cover.g_map(x), cover.norm)
     return res.window, moved, cover.g_lipschitz()
 
@@ -189,7 +190,7 @@ def test_search_radius_finite_and_monotone_in_slope(circle, free1):
     windows = [_window_solve(circle, free1, slope, x)[0]
                for slope in (0.0, 1.0, 3.0, 1000.0)]
     offsets = [lax_oleinik(circle, free1, InitialDatum.affine([1.0], c=c),
-                           x, 1.0, 0.5, mesh=16, details=True).window
+                           x, 1.0, 0.5, mesh=16).window
                for c in (1000.0, -1000.0)]
     for r in windows + offsets:
         assert math.isfinite(r)
@@ -202,31 +203,32 @@ def test_search_radius_rejects_bad_scale(circle, free1):
     # the window is measured in units of eps, so a zero scale is refused
     with pytest.raises(ValueError):
         lax_oleinik(circle, free1, InitialDatum.affine([0.0]),
-                    circle.base_point(), 1.0, 0.0, details=True)
+                    circle.point([0.0]), 1.0, 0.0)
 
 
 def test_lax_free_affine_is_exact(circle, free1):
     datum = InitialDatum.affine([0.7], c=0.1)
     x = circle.point([0.25], [1])
     for eps in (0.5, 0.25):
-        got = lax_oleinik(circle, free1, datum, x, 1.5, eps)
+        got = lax_oleinik(circle, free1, datum, x, 1.5, eps).value
         expect = 0.7 * eps * circle.g_map(x)[0] + 0.1 - 0.5 * 0.7**2 * 1.5
         assert got == pytest.approx(expect, abs=1e-9)
 
 
 def test_lax_constant_datum_zero_potential(circle, free1, loop2_cover, loop2_free):
     up = InitialDatum.affine([0.0], c=0.7)
-    got = lax_oleinik(loop2_cover, loop2_free, up, loop2_cover.edge_point(0, 0.3), 1.0, 0.5)
+    got = lax_oleinik(loop2_cover, loop2_free, up, loop2_cover.edge_point(0, 0.3), 1.0,
+                      0.5).value
     assert got == pytest.approx(0.7, abs=1e-12)
     down = InitialDatum.affine([0.0], c=-0.3)
-    got = lax_oleinik(circle, free1, down, circle.point([0.6]), 2.0, 0.25)
+    got = lax_oleinik(circle, free1, down, circle.point([0.6]), 2.0, 0.25).value
     assert got == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_lax_cone_tip_matches_winding_enumeration(loop2_cover, loop2_free):
     datum = InitialDatum.cone(1.0, dim=1)
     tip = loop2_cover.vertex_point(0)
-    got = lax_oleinik(loop2_cover, loop2_free, datum, tip, 1.0, 0.5)
+    got = lax_oleinik(loop2_cover, loop2_free, datum, tip, 1.0, 0.5).value
     assert got == pytest.approx(0.0, abs=1e-12)
 
     brute = math.inf
@@ -241,7 +243,8 @@ def test_lax_cone_tip_matches_winding_enumeration(loop2_cover, loop2_free):
 def test_lax_shifted_cone_picks_interior_start(loop2_cover, loop2_free):
     # minimizing 0.8*(2 - w/2) + w^2/2 over winding w gives w*=0.4, value 1.52
     datum = InitialDatum.cone(0.8, center=[2.0], dim=1)
-    got = lax_oleinik(loop2_cover, loop2_free, datum, loop2_cover.vertex_point(0), 1.0, 0.5)
+    got = lax_oleinik(loop2_cover, loop2_free, datum, loop2_cover.vertex_point(0), 1.0,
+                      0.5).value
     assert got == pytest.approx(1.52, abs=1e-9)
 
 
@@ -251,28 +254,28 @@ def test_lax_monotone_in_datum(loop2_cover, loop2_free):
     for t in (0.5, 1.0):
         for s in (0.0, 0.7):
             x = loop2_cover.edge_point(0, s)
-            lo = lax_oleinik(loop2_cover, loop2_free, lower, x, t, 0.5)
-            hi = lax_oleinik(loop2_cover, loop2_free, upper, x, t, 0.5)
+            lo = lax_oleinik(loop2_cover, loop2_free, lower, x, t, 0.5).value
+            hi = lax_oleinik(loop2_cover, loop2_free, upper, x, t, 0.5).value
             assert lo <= hi + 1e-12
 
 
 def test_lax_rejects_nonpositive_time_or_scale(circle, free1):
     datum = InitialDatum.affine([0.0])
     with pytest.raises(ValueError):
-        lax_oleinik(circle, free1, datum, circle.base_point(), 0.0, 0.5)
+        lax_oleinik(circle, free1, datum, circle.point([0.0]), 0.0, 0.5)
     with pytest.raises(ValueError):
-        lax_oleinik(circle, free1, datum, circle.base_point(), 1.0, -0.25)
+        lax_oleinik(circle, free1, datum, circle.point([0.0]), 1.0, -0.25)
 
 
 def test_action_semigroup_on_torus_midpoint_mesh(free1):
     start, end = [0.0], [3.0]
-    direct = minimal_action_torus(free1, start, end, 2.0)
+    direct = minimal_action_torus(free1, start, end, 2.0)[0]
     split = math.inf
     for k in range(4):
         for frac in (0.0, 0.25, 0.5, 0.75):
             mid = [k + frac]
-            first = minimal_action_torus(free1, start, mid, 1.0)
-            second = minimal_action_torus(free1, mid, end, 1.0)
+            first = minimal_action_torus(free1, start, mid, 1.0)[0]
+            second = minimal_action_torus(free1, mid, end, 1.0)[0]
             split = min(split, first + second)
     assert split >= direct - 1e-9
     assert split == pytest.approx(direct, abs=1e-9)
@@ -325,7 +328,7 @@ def _pendulum_running_action(y, x, horizon):
                                            (0.0, 1.0, 0.5)])
 def test_torus_action_matches_pendulum_energy_quadrature(pendulum, y, x,
                                                          horizon):
-    chain = minimal_action_torus(pendulum, [y], [x], horizon)
+    chain = minimal_action_torus(pendulum, [y], [x], horizon)[0]
     assert abs(chain - _pendulum_running_action(y, x, horizon)) <= 1e-5
 
 
@@ -380,8 +383,8 @@ def test_constant_shift_moves_both_solutions(loop2, loop2_cover, loop2_lag,
     beta = DirectBetaEvaluator(loop2, loop2_lag)
     base = InitialDatum.cone(abs(slope), center=[0.3], c=0.1, dim=1)
     moved = InitialDatum.cone(abs(slope), center=[0.3], c=0.1 + shift, dim=1)
-    v0 = lax_oleinik(loop2_cover, loop2_lag, base, x, 1.0, 0.5, mesh=16)
-    v1 = lax_oleinik(loop2_cover, loop2_lag, moved, x, 1.0, 0.5, mesh=16)
+    v0 = lax_oleinik(loop2_cover, loop2_lag, base, x, 1.0, 0.5, mesh=16).value
+    v1 = lax_oleinik(loop2_cover, loop2_lag, moved, x, 1.0, 0.5, mesh=16).value
     assert v1 - v0 == pytest.approx(shift, abs=1e-12)
     u0, _ = hopf_lax(beta, base, [h], 1.0)
     u1, _ = hopf_lax(beta, moved, [h], 1.0)
@@ -397,10 +400,26 @@ def test_deck_translation_shifts_by_the_affine_pairing(loop2_cover, loop2_lag,
     eps = 0.5
     datum = InitialDatum.affine([slope], c=0.2)
     x = loop2_cover.edge_point(0, s)
-    v = lax_oleinik(loop2_cover, loop2_lag, datum, x, 1.0, eps, mesh=16)
+    v = lax_oleinik(loop2_cover, loop2_lag, datum, x, 1.0, eps, mesh=16).value
     v_z = lax_oleinik(loop2_cover, loop2_lag, datum,
-                      loop2_cover.translate(x, [z]), 1.0, eps, mesh=16)
+                      loop2_cover.translate(x, [z]), 1.0, eps, mesh=16).value
     assert v_z - v == pytest.approx(eps * slope * z, abs=1e-12)
+
+
+@pytest.mark.parametrize("datum", [
+    InitialDatum.affine([0.7, -0.2], c=0.1),
+    InitialDatum.cone(0.8, center=[0.1, 0.2], norm="l1", dim=2),
+    InitialDatum.cone(0.8, center=[0.1, 0.2], norm="l2", dim=2),
+    # f reads only the symmetric part of a non-symmetric Q
+    InitialDatum.quadratic([[1.0, 2.0], [0.0, 1.0]], p=[0.5, -0.3]),
+], ids=["affine", "l1-cone", "l2-cone", "skew-quadratic"])
+def test_datum_gradient_matches_central_differences(datum):
+    step = 1e-6
+    for h in (np.array([0.3, -0.7]), np.array([-1.2, 0.4])):
+        diff = [(datum.value(h + step * e) - datum.value(h - step * e))
+                / (2.0 * step) for e in np.eye(2)]
+        np.testing.assert_allclose(datum.gradient(h), diff, rtol=0.0,
+                                   atol=1e-8)
 
 
 # the lockstep Newton screen of the torus Lax-Oleinik search
@@ -458,7 +477,7 @@ def test_chain_terms_match_finite_differences(model_of):
     dt = 0.3
 
     def midpoint_action(chain):
-        return sum(dt * model.lagrangian(0.5 * (a + b), (b - a) / dt)
+        return sum(dt * lagrangian(model, 0.5 * (a + b), (b - a) / dt)
                    for a, b in zip(chain[:-1], chain[1:]))
 
     act, grad, diag, off = _chain_terms(model, dt, q)
@@ -543,7 +562,7 @@ def _rung(monkeypatch, circle, pendulum, eps):
     monkeypatch.setattr(action.optimize, "minimize", record_minimize)
     point, _ = match_point(circle, np.array([1.0 / 3.0]), eps, 64)
     res = lax_oleinik(circle, pendulum, InitialDatum.affine([0.0]), point,
-                      1.0, eps, mesh=64, details=True)
+                      1.0, eps, mesh=64)
     return res, screened, options
 
 

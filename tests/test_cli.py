@@ -169,6 +169,9 @@ def _both(first, second):
      "experiment.ladder"),
     ("single_loop", _set("experiment.points.0.t", 0.0),
      "experiment.points[0].t"),
+    ("single_loop", _set("experiment.points.0.h", [0.1, 0.2]),
+     "experiment.points[0].h"),
+    ("single_loop", _set("experiment.seed", -1), "experiment.seed"),
     ("single_loop", _set("compute.mesh", 1), "compute.mesh"),
     ("single_loop", _set("compute.rate_rungs", 1), "compute.rate_rungs"),
     ("single_loop", _set("datum", {"family": "quadratic", "matrix": [[-1.0]]}),
@@ -251,6 +254,20 @@ def _both(first, second):
                  "compute.p_grid.size", id="single_loop-grid-key"),
     pytest.param("single_loop", _set("output.directory", "x"),
                  "output.directory", id="single_loop-output-key"),
+    # a block that is not a mapping is rejected, not read as absent
+    pytest.param("single_loop", _set("cover", 5), "cover",
+                 id="single_loop-cover-not-a-mapping"),
+    pytest.param("single_loop", _set("compute", 5), "compute",
+                 id="single_loop-compute-not-a-mapping"),
+    pytest.param("single_loop", _set("compute.p_grid", 5), "compute.p_grid",
+                 id="single_loop-grid-not-a-mapping"),
+    pytest.param("single_loop", _set("output", 5), "output",
+                 id="single_loop-output-not-a-mapping"),
+    pytest.param("single_loop", _set("datum.family", ["affine"]),
+                 "datum.family", id="single_loop-datum-family-not-a-string"),
+    # the artifacts are named after the scenario in one flat directory
+    pytest.param("single_loop", _set("name", "a/b"), "name",
+                 id="single_loop-name-with-a-separator"),
 ])
 def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
                                                  mutate, field):
@@ -340,7 +357,7 @@ def test_identity_subcover_experiment_matches_plain_run(loop2_cover, loop2_lag):
     common = dict(cover=loop2_cover, model=loop2_lag,
                   datum=InitialDatum.affine([0.4]),
                   eps_ladder=(0.5, 0.25), eval_points=(((1 / 3,), 1.0),),
-                  mesh=32, rate_rungs=2)
+                  mesh=32)
     quotient = run_experiment(
         Scenario(name="loop", subcover=SubcoverMap([[1]]), **common))
     plain = run_experiment(Scenario(name="loop", **common))

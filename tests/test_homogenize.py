@@ -8,7 +8,6 @@ from effham.homogenize import (
     ExperimentReport,
     ExperimentRow,
     Scenario,
-    affine_datum_check,
     matching_bound,
     run_experiment,
     run_subcover_experiment,
@@ -16,6 +15,7 @@ from effham.homogenize import (
 from effham.mather import alpha_graph
 from effham.model import TorusHamiltonian, TrigPolynomial
 from effham.topology import SubcoverMap
+from tests.oracles import affine_datum_check
 
 
 LADDER3 = (1.0, 0.5, 0.25)
@@ -26,7 +26,7 @@ def test_free_experiment_error_equals_matching(circle, free1):
                         datum=InitialDatum.affine([1.0], 0.25),
                         eps_ladder=LADDER3,
                         eval_points=(((1 / 3,), 1.0), ((-2 / 3,), 0.5)),
-                        mesh=32, rate_rungs=3)
+                        mesh=32)
     report = run_experiment(scenario)
     assert report.passed
     assert report.monotone_ok and report.sandwich_ok
@@ -50,7 +50,7 @@ def test_sandwich_violation_fails_the_report(circle, free1, monkeypatch):
     scenario = Scenario(name="free-line", cover=circle, model=free1,
                         datum=InitialDatum.affine([1.0], 0.25),
                         eps_ladder=LADDER3, eval_points=(((1 / 3,), 1.0),),
-                        mesh=32, rate_rungs=3, tolerance=2.0)
+                        mesh=32, tolerance=2.0)
     report = run_experiment(scenario)
     assert report.final_error < report.tolerance and report.monotone_ok
     assert not report.sandwich_ok
@@ -80,7 +80,7 @@ def test_nan_cover_value_fails_the_report(circle, free1, monkeypatch):
     scenario = Scenario(name="free-line", cover=circle, model=free1,
                         datum=InitialDatum.affine([1.0], 0.25),
                         eps_ladder=LADDER3, eval_points=(((1 / 3,), 1.0),),
-                        mesh=32, rate_rungs=3)
+                        mesh=32)
     report = run_experiment(scenario)
     assert np.isnan(report.final_error)
     assert not report.passed
@@ -91,7 +91,7 @@ def test_experiment_reruns_are_identical(circle, free1):
                         datum=InitialDatum.affine([1.0], 0.25),
                         eps_ladder=LADDER3,
                         eval_points=(((1 / 3,), 1.0),),
-                        mesh=32, rate_rungs=3)
+                        mesh=32)
     first = run_experiment(scenario)
     again = run_experiment(scenario)
     assert first.to_json() == again.to_json()
@@ -102,7 +102,7 @@ def test_pendulum_experiment_error_decreases(circle, pendulum):
                         datum=InitialDatum.affine([0.0]),
                         eps_ladder=LADDER3,
                         eval_points=(((1 / 3,), 1.0),),
-                        mesh=32, rate_rungs=3)
+                        mesh=32)
     report = run_experiment(scenario)
     assert report.monotone_ok
     errs = [v for _, v in report.errors_by_eps()]
@@ -116,7 +116,7 @@ def test_figure_eight_cone_experiment(fig8_cover, fig8_lag):
                         datum=InitialDatum.cone(0.6, norm="l1", dim=2),
                         eps_ladder=LADDER3,
                         eval_points=(((1 / 3, -1 / 3), 1.0),),
-                        mesh=32, rate_rungs=3)
+                        mesh=32)
     report = run_experiment(scenario)
     assert report.monotone_ok
     errs = [v for _, v in report.errors_by_eps()]
@@ -156,7 +156,7 @@ def test_identity_subcover_reproduces_plain_run(loop2_cover, loop2_lag):
     common = dict(cover=loop2_cover, model=loop2_lag,
                   datum=InitialDatum.affine([0.4]),
                   eps_ladder=(0.5, 0.25), eval_points=(((1 / 3,), 1.0),),
-                  mesh=32, rate_rungs=2)
+                  mesh=32)
     quotient = run_subcover_experiment(
         Scenario(name="loop-ident", subcover=SubcoverMap([[1]]), **common))
     plain = run_experiment(Scenario(name="loop-plain", **common))
@@ -170,8 +170,7 @@ def test_unconverged_hopf_lax_polish_is_counted(loop2_cover, loop2_lag,
                                                 monkeypatch):
     common = dict(cover=loop2_cover, model=loop2_lag,
                   datum=InitialDatum.affine([0.4]), eps_ladder=(0.5, 0.25),
-                  eval_points=(((1 / 3,), 1.0), ((-0.5,), 2.0)), mesh=32,
-                  rate_rungs=2)
+                  eval_points=(((1 / 3,), 1.0), ((-0.5,), 2.0)), mesh=32)
     plain = Scenario(name="loop-plain", **common)
     quotient = Scenario(name="loop-ident", subcover=SubcoverMap([[1]]), **common)
     before = [run_experiment(plain), run_subcover_experiment(quotient)]
@@ -198,7 +197,7 @@ def test_merged_loops_subcover_consistency(fig8_cover, fig8_lag, fig8):
     scenario = Scenario(name="fig8-merge", cover=fig8_cover, model=fig8_lag,
                         datum=InitialDatum.affine([0.5], 0.1),
                         eps_ladder=(1.0, 0.5), eval_points=(((0.8,), 1.0),),
-                        mesh=32, rate_rungs=2, subcover=SubcoverMap([[1, 1]]))
+                        mesh=32, subcover=SubcoverMap([[1, 1]]))
     report = run_subcover_experiment(scenario, p_grid=[np.array([0.4])])
 
     # the quotient limit of an affine datum is affine with the pulled-back level
@@ -210,20 +209,3 @@ def test_merged_loops_subcover_consistency(fig8_cover, fig8_lag, fig8):
     assert report.kernel_invariance_error <= 1e-8
     assert report.dual_limit_error <= 1e-8
 
-
-def test_scenario_rejects_bad_ladder(circle, free1):
-    with pytest.raises(ValueError):
-        Scenario(name="bad", cover=circle, model=free1,
-                 datum=InitialDatum.affine([0.0]),
-                 eps_ladder=(0.25, 0.5), eval_points=(((0.0,), 1.0),))
-    with pytest.raises(ValueError):
-        Scenario(name="bad", cover=circle, model=free1,
-                 datum=InitialDatum.affine([0.0]),
-                 eps_ladder=(0.5, 0.25), eval_points=(((0.0,), 0.0),))
-
-
-def test_scenario_rejects_mismatched_target(circle, free1):
-    with pytest.raises(ValueError):
-        Scenario(name="bad", cover=circle, model=free1,
-                 datum=InitialDatum.affine([0.0]),
-                 eps_ladder=(0.5,), eval_points=(((0.0, 0.0), 1.0),))

@@ -14,13 +14,13 @@ from effham.mather import (
     alpha_torus_quadrature,
     beta_graph,
     effective_hamiltonian_subcover,
-    mean_action_check,
 )
 from effham.action import _golden_min, allocate_time
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
 from effham.topology import (GraphCover, MetricGraph, SubcoverMap, TorusCover,
-                             _edge_flow, figure_eight)
-from tests.conftest import allocate_time_oracle, make_pendulum
+                             _edge_flow)
+from tests.conftest import allocate_time_oracle, figure_eight, make_pendulum
+from tests.oracles import mean_action_check
 
 FIG8 = figure_eight(1.0, 1.0)
 FIG8_LAG = GraphLagrangian(FIG8, [0.3, -0.2])

@@ -12,12 +12,11 @@ from effham.topology import (
     SubcoverMap,
     TorusCover,
     estimate_space_convergence,
-    figure_eight,
     match_point,
     matching_bound,
     norm_value,
-    single_loop,
 )
+from tests.conftest import figure_eight, single_loop
 
 TORUS2 = TorusCover(2)
 FIG8 = GraphCover(figure_eight(1.0, 1.0))
@@ -46,7 +45,7 @@ def fig8_points():
 
 
 def test_winding_map_at_base_point(circle):
-    assert np.array_equal(circle.g_map(circle.base_point()), np.zeros(1))
+    assert np.array_equal(circle.g_map(circle.point([0.0])), np.zeros(1))
 
 
 def test_winding_map_reads_graph_sheet(fig8_cover):
@@ -263,7 +262,7 @@ def test_stable_norm_is_exact_on_deck_translates():
     # stable norm on a rose; the 0.37 loop weighs its axis by 0.37
     cover = GraphCover(figure_eight(1.0, 0.37))
     zs = np.array([[3, -2], [0, 5], [-4, -1]])
-    want = [cover.distance(cover.base_point(), cover.vertex_point(0, z))
+    want = [cover.distance(cover.vertex_point(0), cover.vertex_point(0, z))
             for z in zs]
     np.testing.assert_allclose(topology._stable_norm(cover, zs), want,
                                atol=1e-12)
