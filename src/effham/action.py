@@ -6,18 +6,21 @@ Three layers:
   action over a fixed horizon.  Graphs reduce exactly to finitely many
   edge-traversal multisets, kept per cover by their deck-invariant sheet
   change and priced all at once by ``allocate_time``, the vectorised
-  shared-energy split that also gives graph beta in ``mather``; tori run
-  an L-BFGS descent of piecewise-linear chains with segment-doubling
+  shared-energy split that also gives graph beta in ``mather``; tori
+  descend piecewise-linear midpoint chains with segment-doubling
   refinement.  One kernel, ``_chain_terms``, prices every torus chain:
-  its midpoint action, its gradient and, for Newton, its exact banded
-  Hessian.
+  its midpoint action, its gradient and its exact banded Hessian.  One
+  descent, ``_descend``, minimises every torus chain: damped Newton on
+  that Hessian, factored by LAPACK's banded Cholesky, over a batch of
+  chains in lockstep.
 * ``lax_oleinik``: the rescaled cover solution, an infimum of
   f(eps * G(y)) + eps * action over starting points y (f the limit
   datum, G the cover's coordinate map), truncated to a certified window,
   seeded on a mesh and polished.  On tori the mesh candidates are first
-  screened on coarse chains: blocks of them descend in lockstep by damped
-  Newton on the chain action's exact banded Hessian (``_screen_chains``),
-  and the lowest few are re-priced by the full descent.
+  screened on coarse chains, in blocks that ``_descend`` runs in lockstep;
+  the lowest few are re-priced by ``minimal_action_torus``, and the
+  winner's chain descends once more with its start node free (the joint
+  polish).  Only ``hopf_lax`` calls ``scipy.optimize``.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box.
 
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
+from scipy import linalg, optimize
 
 from .errors import SolverError
 from .model import GraphLagrangian, TorusHamiltonian, _torus_grid
@@ -132,6 +135,21 @@ class InitialDatum:
         if r < 1e-12:
             return np.zeros_like(d)
         return self.slope * d / r
+
+    def hessian(self, h):
+        """Hessian where smooth; zero at the tip of a cone.  An l2 cone
+        curves across its rays, slope (I - u u^T) / r with u = (h - center)/r;
+        an affine datum and an l1 cone have none."""
+        h = np.atleast_1d(np.asarray(h, dtype=float))
+        if self.kind == "quadratic":
+            return self.q_matrix.copy()
+        out = np.zeros((h.size, h.size))
+        if self.kind == "cone" and self.cone_norm == "l2":
+            d = h - self.center
+            r = float(np.linalg.norm(d))
+            if r >= 1e-12:
+                out = self.slope * (np.eye(h.size) - np.outer(d, d) / (r * r)) / r
+        return out
 
     def growth_constants(self, norm: str):
         """(A, B) with f(h) >= -A|h|_norm - B for all h."""
@@ -351,30 +369,11 @@ def _chain_inits(y_lift: np.ndarray, x_lift: np.ndarray, n_segments: int):
     return inits
 
 
-def _solve_fixed_chain(model: TorusHamiltonian, horizon: float,
-                       nodes0: np.ndarray):
-    """L-BFGS descent over the inner nodes; (action, nodes, converged)."""
-    dt = horizon / (nodes0.shape[0] - 1)
-    nodes = nodes0[None].copy()
-
-    def fun(flat):
-        nodes[0, 1:-1] = flat.reshape(nodes0[1:-1].shape)
-        act, grad = _chain_terms(model, dt, nodes, hessian=False)
-        return act[0], grad[0, 1:-1].ravel()
-
-    res = optimize.minimize(fun, nodes0[1:-1].ravel(), jac=True, method="L-BFGS-B",
-                            options={"maxiter": 400, "ftol": 1e-15,
-                                     "gtol": 1e-11})
-    nodes[0, 1:-1] = res.x.reshape(nodes0[1:-1].shape)
-    return float(res.fun), nodes[0], bool(res.success)
-
-
-def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray,
-                 hessian: bool = True):
-    """Action (C,) and gradient (C, N+1, n) of C midpoint chains q
-    (C, N+1, n), and with ``hessian`` the exact Hessian: its diagonal
-    blocks (C, N+1, n, n) and the blocks (C, N, n, n) that couple node i
-    to node i+1.  Every torus solve prices its chains here.
+def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray):
+    """Action (C,), gradient (C, N+1, n) and exact Hessian of C midpoint
+    chains q (C, N+1, n): the Hessian's diagonal blocks (C, N+1, n, n)
+    and the blocks (C, N, n, n) that couple node i to node i+1.  Every
+    torus solve prices its chains here.
 
     Segment i costs dt L(m, v) = dt (v.w/2 - V(m)) with v = d/dt,
     d = q[i+1] - q[i], m = (q[i] + q[i+1])/2 and w = B(m) v, B = A^{-1}:
@@ -393,11 +392,11 @@ def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray,
     d = q[:, 1:] - q[:, :-1]
     vel = d / dt
     flat = (0.5 * (q[:, 1:] + q[:, :-1])).reshape(-1, n)
-    v_terms = model.v.gradient_many(flat, hessian=hessian)
+    v_terms = model.v.gradient_many(flat)
     pot = v_terms[0].reshape(shape)
     gv = v_terms[1].reshape(shape + (n,))
     if n == 1:
-        a_terms = model.a_entries[0].gradient_many(flat, hessian=hessian)
+        a_terms = model.a_entries[0].gradient_many(flat)
         a, a1 = a_terms[0].reshape(shape), a_terms[1].reshape(shape)
         vv = vel[..., 0]
         w = vv / a
@@ -418,8 +417,6 @@ def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray,
     side = 0.5 * dt * dmid
     g[:, 1:] += w + side
     g[:, :-1] += -w + side
-    if not hessian:
-        return act, grad
     l_mm = -dt * v_terms[2].reshape(shape + (n, n))
     if n == 1:
         a2 = a_terms[2].reshape(shape)
@@ -441,124 +438,117 @@ def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray,
     return act, grad, diag, off
 
 
-def _banded_ldl_solve(band, rhs):
-    """Solve C symmetric banded systems at once by LDL^T.
-
-    band[k][j] holds entry (j, j + k) of every system as a (C,) row, for
-    k up to the half bandwidth; rhs is (M, C).  Returns the solutions
-    (M, C) and the mask of systems whose pivots are all positive, that is
-    the positive definite ones; the others' solutions are meaningless.
-    """
-    width = len(band) - 1
-    size = rhs.shape[0]
-    low = np.zeros((width + 1,) + rhs.shape)    # low[k][j] = L[j + k, j]
-    scaled = np.zeros_like(low)                 # L[j + k, j] * pivot j
-    piv = np.empty_like(rhs)
-    z = np.empty_like(rhs)
-    ok = np.ones(rhs.shape[1], dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(size):
-            dj = band[0][j].copy()
-            zj = rhs[j].copy()
-            for k in range(1, min(width, j) + 1):
-                dj -= low[k][j - k] * scaled[k][j - k]
-                zj -= low[k][j - k] * z[j - k]
-            ok &= dj > 0.0
-            piv[j], z[j] = dj, zj
-            for k in range(1, min(width, size - 1 - j) + 1):
-                s = band[k][j].copy()
-                for l in range(max(0, j + k - width), j):
-                    s -= low[j + k - l][l] * scaled[j - l][l]
-                scaled[k][j] = s
-                low[k][j] = s / dj
-        x = np.empty_like(rhs)
-        for j in range(size - 1, -1, -1):
-            xj = z[j] / piv[j]
-            for k in range(1, min(width, size - 1 - j) + 1):
-                xj -= low[k][j] * x[j + k]
-            x[j] = xj
-    return x, ok
+def _band(diag, off):
+    """Upper band storage ab[u + i - j, j] = H[i, j] (i <= j, u = 2n - 1),
+    the layout of ``scipy.linalg.solveh_banded``, of C block-tridiagonal
+    Hessians with diagonal blocks diag (C, M, n, n) and blocks off
+    (C, M - 1, n, n) coupling node i to node i + 1, coordinates ordered
+    node by node."""
+    chains, m, n, _ = diag.shape
+    u = 2 * n - 1
+    ab = np.zeros((chains, u + 1, m, n))
+    for a in range(n):
+        for b in range(n):
+            if a <= b:
+                ab[:, u - b + a, :, b] = diag[:, :, a, b]
+            ab[:, u - n - b + a, 1:, b] = off[:, :, a, b]
+    return ab.reshape(chains, u + 1, m * n)
 
 
-def _interior_band(diag, off):
-    """The Hessian on the inner nodes of chains, as ``_banded_ldl_solve``
-    bands over coordinates ordered node by node (half bandwidth 2n - 1)."""
-    chains, inner, n, _ = diag.shape
-    coupling = np.zeros_like(diag)
-    coupling[:, :-1] = off
-    rows = np.concatenate([diag, coupling], axis=-1)
-    band = []
-    for k in range(2 * n):
-        entry = np.zeros((chains, inner, n))
-        for a in range(min(n, 2 * n - k)):
-            entry[:, :, a] = rows[:, :, a, a + k]
-        band.append(entry.reshape(chains, -1).T)
-    return band
+def _objective(model, dt, q, start):
+    """Value (C,), gradient and Hessian blocks (``_chain_terms``' layout)
+    of C chains q: the chain action, or with start = (datum, eps) the
+    joint value datum(eps q0) + eps * action."""
+    act, grad, diag, off = _chain_terms(model, dt, q)
+    if start is None:
+        return act, grad, diag, off
+    datum, eps = start
+    h0 = eps * q[:, 0]
+    grad, diag, off = eps * grad, eps * diag, eps * off
+    grad[:, 0] += eps * np.array([datum.gradient(h) for h in h0])
+    diag[:, 0] += eps * eps * np.array([datum.hessian(h) for h in h0])
+    return datum.value_many(h0) + eps * act, grad, diag, off
 
 
-# lockstep screen: chains per block, the inner-node gradient test, the
-# iteration cap, and the first Levenberg damping as a share of the
+# chain descent: chains per screening block, the free-node gradient test,
+# the iteration cap, and the first Levenberg damping as a share of the
 # largest Hessian diagonal entry
 _SCREEN_BLOCK = 128
-_SCREEN_GTOL = 1e-11
-_SCREEN_CAP = 200
-_SCREEN_TAU = 1e-3
+_DESCENT_GTOL = 1e-11
+_DESCENT_CAP = 2000
+_DESCENT_TAU = 1e-3
 
 
-def _screen_chains(model: TorusHamiltonian, horizon: float, chains):
-    """Minimal fixed-end midpoint actions over the horizon from C starting
-    chains (C, N+1, n), descended in lockstep by damped Newton; returns
-    (actions (C,), number of chains that hit the iteration cap).
+def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
+    """Minimal midpoint values over the horizon from C starting chains
+    (C, N+1, n), descended in lockstep by damped Newton; returns (values
+    (C,), descended chains, mask of the chains that hit the iteration cap).
 
-    One iteration factors H + mu I of all live chains by one batched
-    LDL^T and steps by the solution.  A chain with a non-positive pivot
-    only raises its damping mu; a step is kept when it lowers the action,
-    and mu follows the ratio of the actual to the predicted decrease
-    (Nielsen's rule).  A chain stops once its inner-node gradient is at
-    most _SCREEN_GTOL, or once a rejected step predicted a decrease below
+    Without ``start`` both end nodes are fixed and the value is the chain
+    action.  With start = (datum, eps) the first node is free as well and
+    the value is datum(eps q0) + eps * action, the joint polish of
+    ``_lax_torus``; its Hessian adds eps^2 ``InitialDatum.hessian`` at q0.
+
+    One iteration factors H + mu I of each live chain by LAPACK's banded
+    Cholesky (``solveh_banded``) and steps by the solution.  A chain whose
+    factorisation fails, H + mu I not being positive definite, only raises
+    its damping mu; a step is kept when it lowers the value, and mu
+    follows the ratio of the actual to the predicted decrease (Nielsen's
+    rule).  A chain stops once its free-node gradient is at most
+    _DESCENT_GTOL, or once a rejected step predicted a decrease below
     rounding.
     """
     q = np.array(chains, dtype=float)
     dt = horizon / (q.shape[1] - 1)
-    act, grad, diag, off = _chain_terms(model, dt, q)
+    free = slice(1 if start is None else 0, -1)
+    val, grad, diag, off = _objective(model, dt, q, start)
     mu = np.zeros(q.shape[0])
     nu = np.full(q.shape[0], 2.0)
-    floor = _SCREEN_TAU * np.abs(np.diagonal(diag, axis1=-2, axis2=-1)).max(
-        axis=(1, 2))
-    live = np.flatnonzero(np.abs(grad[:, 1:-1]).max(axis=(1, 2)) > _SCREEN_GTOL)
-    for _ in range(_SCREEN_CAP):
+    floor = _DESCENT_TAU * np.abs(np.diagonal(diag[:, free], axis1=-2,
+                                              axis2=-1)).max(axis=(1, 2))
+    live = np.flatnonzero(np.abs(grad[:, free]).max(axis=(1, 2)) > _DESCENT_GTOL)
+    for _ in range(_DESCENT_CAP):
         if not live.size:
             break
-        g_in = grad[live, 1:-1].reshape(live.size, -1)
-        band = _interior_band(diag[live, 1:-1], off[live, 1:-1])
-        band[0] = band[0] + mu[live]
-        step, ok = _banded_ldl_solve(band, -g_in.T)
+        g_in = grad[live, free].reshape(live.size, -1)
+        ab = _band(diag[live, free], off[live, free])
+        ab[:, -1] += mu[live, None]
+        step = np.zeros_like(g_in)
+        ok = np.ones(live.size, dtype=bool)
+        for c in range(live.size):
+            try:
+                step[c] = linalg.solveh_banded(ab[c], -g_in[c],
+                                               check_finite=False)
+            except linalg.LinAlgError:
+                ok[c] = False
         raise_mu = ~ok
         done = np.zeros(live.size, dtype=bool)
         if ok.any():
             sel = np.flatnonzero(ok)
             idx = live[sel]
-            p = step[:, sel].T
+            p = step[sel]
             trial = q[idx].copy()
-            trial[:, 1:-1] += p.reshape(trial[:, 1:-1].shape)
-            t_act, t_grad, t_diag, t_off = _chain_terms(model, dt, trial)
+            trial[:, free] += p.reshape(trial[:, free].shape)
+            t_val, t_grad, t_diag, t_off = _objective(model, dt, trial, start)
             pred = 0.5 * np.sum(p * (mu[idx, None] * p - g_in[sel]), axis=1)
-            stalled = pred <= 1e-15 * np.maximum(1.0, np.abs(act[idx]))
-            gain = (act[idx] - t_act) / pred
+            stalled = pred <= 1e-15 * np.maximum(1.0, np.abs(val[idx]))
+            gain = (val[idx] - t_val) / pred
             keep = gain > 0.0
             kept = idx[keep]
-            q[kept], act[kept], grad[kept] = trial[keep], t_act[keep], t_grad[keep]
+            q[kept], val[kept], grad[kept] = trial[keep], t_val[keep], t_grad[keep]
             diag[kept], off[kept] = t_diag[keep], t_off[keep]
             mu[kept] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain[keep] - 1.0) ** 3)
             nu[kept] = 2.0
             raise_mu[sel[~keep]] = True
-            small = np.abs(t_grad[:, 1:-1]).max(axis=(1, 2)) <= _SCREEN_GTOL
+            small = np.abs(t_grad[:, free]).max(axis=(1, 2)) <= _DESCENT_GTOL
             done[sel] = np.where(keep, small, stalled)
         bump = live[raise_mu]
         mu[bump] = np.maximum(mu[bump] * nu[bump], floor[bump])
         nu[bump] *= 2.0
         live = live[~done]
-    return act, int(live.size)
+    capped = np.zeros(q.shape[0], dtype=bool)
+    capped[live] = True
+    return val, q, capped
 
 
 def _refine_nodes(nodes: np.ndarray) -> np.ndarray:
@@ -575,26 +565,27 @@ def _auto_segments(horizon: float) -> int:
     return int(min(1024, max(64, 16 * math.ceil(horizon))))
 
 
-# segment doubling stops here even if the action is still moving
+# segment doubling stops once the action moves by less than _ACTION_TOL,
+# or at _MAX_SEGMENTS even if the action is still moving
+_ACTION_TOL = 1e-7
 _MAX_SEGMENTS = 2048
 
 
-def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float,
-                         tol: float = 1e-6):
+def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float):
     """Two-point action on the R^n cover by trajectory descent.
 
-    Piecewise-linear chains with midpoint quadrature, L-BFGS descent from
-    a straight line plus deterministic sinusoidal perturbations, and
-    segment doubling until the action change drops below tol or the
-    count reaches ``_MAX_SEGMENTS``.  The midpoint error is O(dt^2), so a
-    doubling moves the action by about a quarter of the previous move: at
-    the ``_ACTION_TOL`` = 1e-7 of ``_lax_torus`` every pendulum solve runs
-    to ``_MAX_SEGMENTS`` and returns that chain's discretisation error.
-    Returns (action, nodes of the best chain, number of L-BFGS runs that
-    ended unconverged).  ``_lax_torus`` screens its candidates without
-    this descent, by ``_screen_chains``, and calls it for the survivors.
-    The chains are priced by ``_chain_terms``, so a 2-D A(x) that is not
-    constant raises ModelValidityError (``kinetic_eig_bounds``).
+    Piecewise-linear chains with midpoint quadrature, ``_descend`` from a
+    straight line plus deterministic sinusoidal perturbations as one
+    batch, then segment doubling of the best chain until the action
+    changes by less than ``_ACTION_TOL`` or the count reaches
+    ``_MAX_SEGMENTS``.  The midpoint error is O(dt^2), so a doubling moves
+    the action by about a quarter of the previous move, and every pendulum
+    solve runs to ``_MAX_SEGMENTS`` and returns that chain's
+    discretisation error.  Returns (action, nodes of the best chain,
+    number of capped descents whose value is read: the best starting chain
+    and each doubling).  The chains are priced by ``_chain_terms``, so a
+    2-D A(x) that is not constant raises ModelValidityError
+    (``kinetic_eig_bounds``).
     """
     y_lift = np.atleast_1d(np.asarray(y_lift, dtype=float))
     x_lift = np.atleast_1d(np.asarray(x_lift, dtype=float))
@@ -602,23 +593,19 @@ def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float
         raise ValueError("horizon must be positive")
     model.kinetic_eig_bounds()
     n = _auto_segments(horizon)
-    best_val, best_nodes = math.inf, None
-    unconverged = 0
-    for init in _chain_inits(y_lift, x_lift, n):
-        val, nodes, ok = _solve_fixed_chain(model, horizon, init)
-        unconverged += not ok
-        if val < best_val:
-            best_val, best_nodes = val, nodes
+    vals, chains, capped = _descend(model, horizon, _chain_inits(y_lift, x_lift, n))
+    j = int(np.argmin(vals))
+    best_val, best_nodes, n_capped = float(vals[j]), chains[j], int(capped[j])
     while n < _MAX_SEGMENTS:
         n *= 2
-        refined = _refine_nodes(best_nodes)
-        val, nodes, ok = _solve_fixed_chain(model, horizon, refined)
-        unconverged += not ok
-        improved = best_val - val
-        best_val, best_nodes = val, nodes
-        if abs(improved) < tol:
+        vals, chains, capped = _descend(model, horizon,
+                                        _refine_nodes(best_nodes)[None])
+        n_capped += int(capped[0])
+        improved = best_val - vals[0]
+        best_val, best_nodes = float(vals[0]), chains[0]
+        if abs(improved) < _ACTION_TOL:
             break
-    return best_val, best_nodes, unconverged
+    return best_val, best_nodes, n_capped
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +656,8 @@ class LaxResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-# torus Lax-Oleinik: coarse screening survivors re-priced at full
-# resolution, and the segment-doubling tolerance of those re-pricings
+# torus Lax-Oleinik: coarse screening survivors re-priced at full resolution
 _N_TOP = 6
-_ACTION_TOL = 1e-7
 
 
 def _shell_offsets(n: int, s: int) -> np.ndarray:
@@ -698,8 +683,8 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     hx = eps * x_lift
     quad, drift = _family_constants(cover, model)
 
-    stay, stay_nodes, unconverged = minimal_action_torus(
-        model, x_lift, x_lift, horizon, tol=_ACTION_TOL)
+    stay, stay_nodes, capped = minimal_action_torus(model, x_lift, x_lift,
+                                                    horizon)
     incumbent = datum.value(hx) + eps * stay
     best_nodes = stay_nodes
     best_g = x_lift.copy()
@@ -801,7 +786,7 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     # the break, the count and the updates are those of a one-by-one sweep
     frac = np.linspace(0.0, 1.0, max(32, _auto_segments(horizon) // 4) + 1)
     scored = []
-    evaluated = capped = 0
+    evaluated = 0
     start = 0
     while start < order.size:
         block = order[start:start + _SCREEN_BLOCK]
@@ -811,10 +796,10 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
         vals = np.zeros(block.size)
         if moving.any():
             starts = lifts[block[moving]][:, None, :]
-            vals[moving], n_capped = _screen_chains(
+            vals[moving], _, hit = _descend(
                 model, horizon,
                 starts + frac[None, :, None] * (x_lift[None, None, :] - starts))
-            capped += n_capped
+            capped += int(hit.sum())
         stop = block.size < _SCREEN_BLOCK
         for idx, val, moves in zip(block, vals, moving):
             if lower[idx] > incumbent + 1e-12:
@@ -832,46 +817,25 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
         start += _SCREEN_BLOCK
     scored.sort(key=lambda z: z[0])
     for _, idx in scored[:_N_TOP]:
-        val, nodes, n_bad = minimal_action_torus(
-            model, lifts[idx], x_lift, horizon, tol=_ACTION_TOL)
-        unconverged += n_bad
+        val, nodes, n_capped = minimal_action_torus(model, lifts[idx], x_lift,
+                                                    horizon)
+        capped += n_capped
         total = f_vals[idx] + eps * val
         if total < incumbent:
             incumbent = total
             best_nodes = nodes
             best_g = lifts[idx]
 
-    polished, polished_g, ok = _joint_polish_torus(model, datum, eps, t,
-                                                   best_nodes)
-    unconverged += not ok
-    if polished < incumbent:
-        incumbent, best_g = polished, polished_g
+    # joint polish: the start node descends with the chain
+    polished, chains, hit = _descend(model, horizon, best_nodes[None],
+                                     start=(datum, eps))
+    capped += int(hit[0])
+    if polished[0] < incumbent:
+        incumbent, best_g = float(polished[0]), chains[0, 0]
     return LaxResult(value=float(incumbent), minimizer_g=np.asarray(best_g),
                      window=window, candidates=int(n_candidates),
                      evaluated=evaluated,
-                     diagnostics={"lbfgs_unconverged": int(unconverged),
-                                  "screen_capped": int(capped)})
-
-
-def _joint_polish_torus(model, datum, eps, t, nodes):
-    """Descend over the start point and the chain together."""
-    dt = t / eps / (nodes.shape[0] - 1)
-    chain = nodes[None].copy()
-
-    def fun(flat):
-        chain[0, :-1] = flat.reshape(nodes[:-1].shape)
-        act, grad = _chain_terms(model, dt, chain, hessian=False)
-        q0 = chain[0, 0]
-        val = datum.value(eps * q0) + eps * act[0]
-        full_grad = eps * grad[0]
-        full_grad[0] += eps * datum.gradient(eps * q0)
-        return val, full_grad[:-1].ravel()
-
-    res = optimize.minimize(fun, nodes[:-1].ravel(), jac=True, method="L-BFGS-B",
-                            options={"maxiter": 1500, "ftol": 1e-15,
-                                     "gtol": 1e-11, "maxcor": 12})
-    chain[0, :-1] = res.x.reshape(nodes[:-1].shape)
-    return float(res.fun), chain[0, 0], bool(res.success)
+                     diagnostics={"newton_capped": int(capped)})
 
 
 def _golden_min(fn, lo: float, hi: float, tol: float):

@@ -360,10 +360,14 @@ def load_config(path: str) -> ScenarioConfig:
         return {"radius": radius, "points": n_points}
 
     output = _block(tree, "output", ("dir",), "output")
+    out_dir = output.get("dir", "out")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError("output.dir", f"expected a nonempty string, got "
+                          f"{out_dir!r}")
 
     return ScenarioConfig(
         name=name, cover=cover, model=model, datum=datum, subcover=subcover,
         eps_ladder=ladder, eval_points=tuple(points),
         tolerance=tolerance, seed=seed, mesh=mesh, evaluator=evaluator,
         p_grid=_grid_block("p_grid", 1.0), w_grid=_grid_block("w_grid", 1.0),
-        out_dir=str(output.get("dir", "out")))
+        out_dir=out_dir)

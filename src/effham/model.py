@@ -82,16 +82,16 @@ class TrigPolynomial:
             out += a * np.cos(phase) + b * np.sin(phase)
         return out
 
-    def gradient_many(self, xs, hessian: bool = False):
-        """Values (m,) and gradients (m, n) at the rows of xs, and with
-        ``hessian`` the second derivatives (m, n, n) too, from one cos/sin
-        pair per nonzero-frequency term; a zero-frequency term adds its
-        cosine coefficient to the values and nothing else.  The values
-        equal ``value_many``'s bit for bit (same per-term order)."""
+    def gradient_many(self, xs):
+        """Values (m,), gradients (m, n) and second derivatives (m, n, n)
+        at the rows of xs, from one cos/sin pair per nonzero-frequency
+        term; a zero-frequency term adds its cosine coefficient to the
+        values and nothing else.  The values equal ``value_many``'s bit for
+        bit (same per-term order)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         out = np.zeros(xs.shape[0])
         g = np.zeros_like(xs)
-        hess = np.zeros(xs.shape + (self.n,)) if hessian else None
+        hess = np.zeros(xs.shape + (self.n,))
         for k, a, b in self._waves:
             if k is None:
                 out += a
@@ -101,11 +101,8 @@ class TrigPolynomial:
             term = a * cos + b * sin
             out += term
             g += (TWO_PI * (-a * sin + b * cos))[:, None] * k
-            if hessian:
-                hess -= (TWO_PI * TWO_PI * term)[:, None, None] * np.outer(k, k)
-        if hessian:
-            return out, g, hess
-        return out, g
+            hess -= (TWO_PI * TWO_PI * term)[:, None, None] * np.outer(k, k)
+        return out, g, hess
 
     def mean(self) -> float:
         """Average over the torus (the zero-frequency cosine coefficient)."""

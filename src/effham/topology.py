@@ -145,21 +145,24 @@ class MetricGraph:
                 self.incident[u].append((idx, -1))
 
     def _build_tree(self):
-        seen = [False] * self.n_vertices
-        seen[0] = True
-        queue = [0]
+        """The breadth-first spanning tree: ``tree_order`` lists the
+        vertices in the order the search reaches them, and
+        ``tree_parent[v]`` is the edge it reaches v by (None at the root)."""
+        parent = [None] * self.n_vertices
+        order = [0]
         in_tree = [False] * len(self.edges)
-        while queue:
-            u = queue.pop(0)
+        for u in order:
             for idx, direction in self.incident[u]:
                 a, b, _ = self.edges[idx]
                 other = b if (direction == +1) else a
-                if not seen[other]:
-                    seen[other] = True
+                if other != 0 and parent[other] is None:
+                    parent[other] = idx
                     in_tree[idx] = True
-                    queue.append(other)
-        if not all(seen):
+                    order.append(other)
+        if len(order) < self.n_vertices:
             raise ValueError("graph is not connected")
+        self.tree_parent = parent
+        self.tree_order = order
         self.tree_edge = in_tree
         nontree = [i for i, t in enumerate(in_tree) if not t]
         self.nontree_edges = nontree
@@ -222,17 +225,9 @@ def _edge_flow(graph, nontree, source: int = 0, sink: int = 0) -> np.ndarray:
         u, v, _ = graph.edges[e]
         carry[u] -= flow[e]
         carry[v] += flow[e]
-    parent_edge = {0: None}
-    order = [0]
-    for u in order:
-        for idx, direction in graph.incident[u]:
-            a, b, _ = graph.edges[idx]
-            other = b if direction == +1 else a
-            if graph.tree_edge[idx] and other not in parent_edge:
-                parent_edge[other] = idx
-                order.append(other)
-    for v in reversed(order[1:]):
-        e = parent_edge[v]
+    # leaves first: each vertex passes its carry on to its tree parent
+    for v in reversed(graph.tree_order[1:]):
+        e = graph.tree_parent[v]
         tail, head, _ = graph.edges[e]
         flow[e] = carry[v] if tail == v else -carry[v]
         carry[head if tail == v else tail] += carry[v]

@@ -11,8 +11,9 @@ from scipy import integrate, optimize
 from effham import action
 from effham.action import (
     InitialDatum,
+    _auto_segments,
     _chain_terms,
-    _screen_chains,
+    _descend,
     allocate_time,
     hopf_lax,
     lax_oleinik,
@@ -152,6 +153,15 @@ def test_pendulum_resting_rate(pendulum):
     # parking on the potential maximum gives running cost -1 forever
     value = minimal_action_torus(pendulum, [0.0], [0.0], 32.0)[0]
     assert value / 32.0 == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_long_pendulum_descent_ends_uncapped(pendulum):
+    # the chains cross nine cells near the separatrix, through a long flat
+    # valley that damped Newton needs over a thousand steps to cross; a
+    # descent cut at 200 steps ends near -52.2349
+    value, _, capped = minimal_action_torus(pendulum, [0.1], [9.3], 64.0)
+    assert capped == 0
+    assert value < -52.29
 
 
 def _window_solve(cover, model, slope, x, eps=0.5, t=1.0):
@@ -422,6 +432,22 @@ def test_datum_gradient_matches_central_differences(datum):
                                    atol=1e-8)
 
 
+@pytest.mark.parametrize("datum", [
+    InitialDatum.affine([0.7, -0.2], c=0.1),
+    # off its tip, where the l2 cone curves across its rays
+    InitialDatum.cone(0.8, center=[0.1, 0.2], norm="l2", dim=2),
+    InitialDatum.quadratic([[1.0, 2.0], [0.0, 1.0]], p=[0.5, -0.3]),
+], ids=["affine", "l2-cone", "skew-quadratic"])
+def test_datum_hessian_matches_central_differences(datum):
+    step = 1e-6
+    for h in (np.array([0.3, -0.7]), np.array([-1.2, 0.4])):
+        diff = np.array([(datum.gradient(h + step * e)
+                          - datum.gradient(h - step * e)) / (2.0 * step)
+                         for e in np.eye(2)])
+        np.testing.assert_allclose(datum.hessian(h), diff, rtol=0.0,
+                                   atol=1e-8)
+
+
 # the lockstep Newton screen of the torus Lax-Oleinik search
 
 _SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(
@@ -445,7 +471,7 @@ def _lbfgs_screen(model, horizon, chain):
     def fun(flat):
         nodes = chain.copy()
         nodes[1:-1] = flat.reshape(nodes[1:-1].shape)
-        act, grad = _chain_terms(model, dt, nodes[None], hessian=False)
+        act, grad = _chain_terms(model, dt, nodes[None])[:2]
         return act[0], grad[0, 1:-1].ravel()
 
     res = optimize.minimize(fun, chain[1:-1].ravel(), jac=True,
@@ -481,8 +507,6 @@ def test_chain_terms_match_finite_differences(model_of):
                    for a, b in zip(chain[:-1], chain[1:]))
 
     act, grad, diag, off = _chain_terms(model, dt, q)
-    plain = _chain_terms(model, dt, q, hessian=False)
-    assert np.array_equal(plain[0], act) and np.array_equal(plain[1], grad)
     step = 1e-6
     for c in range(q.shape[0]):
         assert act[c] == pytest.approx(midpoint_action(q[c]), abs=1e-12)
@@ -527,9 +551,8 @@ def test_screen_is_exact_on_free_systems(stem):
     delta = starts - end
     exact = 0.5 * np.einsum("ci,ij,cj->c", delta, a_inv, delta) / horizon
     for bump in (0.0, 0.35):
-        got, capped = _screen_chains(model, horizon, _chains(starts, end, 32,
-                                                             bump))
-        assert capped == 0
+        got, _, capped = _descend(model, horizon, _chains(starts, end, 32, bump))
+        assert not capped.any()
         assert np.max(np.abs(got - exact)) <= 1e-12
 
 
@@ -537,28 +560,45 @@ def test_screen_matches_lbfgs_in_two_dimensions():
     model = _potential_2d([[1.3, 0.4], [0.4, 0.8]])
     starts = np.array([[0.1, 0.2], [-0.7, 0.9], [1.4, -0.3], [0.5, 0.45]])
     chains = _chains(starts, np.array([0.3, -0.2]), 32)
-    got, capped = _screen_chains(model, 1.0, chains)
-    assert capped == 0
+    got, _, capped = _descend(model, 1.0, chains)
+    assert not capped.any()
     want = [_lbfgs_screen(model, 1.0, chain) for chain in chains]
     assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_free_ladder_has_no_capped_descent():
+    # the joint polish of a free system under an affine datum is an exact
+    # quadratic, which damped Newton ends
+    scenario = load_config(os.path.join(_SCENARIOS,
+                                        "free_torus_1d.yaml")).scenario()
+    assert len(scenario.eps_ladder) == 7
+    for eps in scenario.eps_ladder:
+        for h, t in scenario.eval_points:
+            point, _ = match_point(scenario.cover, np.array(h), eps,
+                                   scenario.mesh)
+            res = lax_oleinik(scenario.cover, scenario.model, scenario.datum,
+                              point, t, eps, mesh=scenario.mesh)
+            assert res.diagnostics == {"newton_capped": 0}
 
 
 def _rung(monkeypatch, circle, pendulum, eps):
     """One pendulum rung of the scenario (h = 1/3, t = 1, mesh 64), with
     the chains of every screen call and the minimize options recorded."""
     screened, options = [], []
-    screen, minimize = action._screen_chains, optimize.minimize
+    descend, minimize = action._descend, optimize.minimize
 
-    def record_screen(model, horizon, chains):
-        values, capped = screen(model, horizon, chains)
-        screened.append((chains, values))
-        return values, capped
+    def record_screen(model, horizon, chains, start=None):
+        out = descend(model, horizon, chains, start)
+        # the screen's chains are coarser than every full solve's
+        if np.shape(chains)[1] - 1 < _auto_segments(horizon):
+            screened.append((chains, out[0]))
+        return out
 
     def record_minimize(*args, **kwargs):
         options.append(kwargs.get("options", {}))
         return minimize(*args, **kwargs)
 
-    monkeypatch.setattr(action, "_screen_chains", record_screen)
+    monkeypatch.setattr(action, "_descend", record_screen)
     monkeypatch.setattr(action.optimize, "minimize", record_minimize)
     point, _ = match_point(circle, np.array([1.0 / 3.0]), eps, 64)
     res = lax_oleinik(circle, pendulum, InitialDatum.affine([0.0]), point,
@@ -568,13 +608,14 @@ def _rung(monkeypatch, circle, pendulum, eps):
 
 def test_pendulum_rung_screens_without_lbfgs(monkeypatch, circle, pendulum):
     # 202 is the count of the one-by-one L-BFGS screen that the lockstep
-    # screen replaced: a screen that evaluates more or fewer candidates,
-    # or falls back to L-BFGS, shows here
+    # screen replaced: a screen that evaluates more or fewer candidates
+    # shows here, and every torus chain descends by Newton, so no solve
+    # calls minimize
     res, screened, options = _rung(monkeypatch, circle, pendulum, 0.25)
     assert res.evaluated == 202
     assert screened
-    assert options and all(o.get("maxiter") != 150 for o in options)
-    assert res.diagnostics == {"lbfgs_unconverged": 0, "screen_capped": 0}
+    assert options == []
+    assert res.diagnostics == {"newton_capped": 0}
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.0625])
@@ -588,3 +629,42 @@ def test_screen_matches_lbfgs_on_the_pendulum(monkeypatch, circle, pendulum,
     lowest = np.argsort(want, kind="stable")[:12]
     assert np.max(np.abs(got[lowest] - want[lowest])) <= 1e-9
     assert np.argmin(got) == np.argmin(want)
+
+
+def _lbfgs_polish(model, datum, eps, horizon, nodes):
+    """The joint polish by L-BFGS that the Newton descent replaced, with
+    its 1,500-iteration cap: the start node and the inner nodes descend
+    on datum(eps q0) + eps * action."""
+    dt = horizon / (nodes.shape[0] - 1)
+
+    def fun(flat):
+        chain = nodes.copy()
+        chain[:-1] = flat.reshape(nodes[:-1].shape)
+        act, grad = _chain_terms(model, dt, chain[None])[:2]
+        full = eps * grad[0]
+        full[0] += eps * datum.gradient(eps * chain[0])
+        return datum.value(eps * chain[0]) + eps * act[0], full[:-1].ravel()
+
+    res = optimize.minimize(fun, nodes[:-1].ravel(), jac=True,
+                            method="L-BFGS-B",
+                            options={"maxiter": 1500, "ftol": 1e-15,
+                                     "gtol": 1e-11, "maxcor": 12})
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("datum", [
+    InitialDatum.affine([0.6], c=0.1),
+    InitialDatum.quadratic([[2.0]], p=[0.3]),
+    # its tip stays far from every start the polish reaches
+    InitialDatum.cone(0.8, center=[2.0], norm="l2", dim=1),
+], ids=["affine", "quadratic", "l2-cone"])
+def test_newton_polish_ends_no_higher_than_lbfgs(pendulum, datum):
+    eps, horizon = 0.25, 4.0
+    _, nodes, _ = _descend(pendulum, horizon, _chains([[-0.4]], [1.0 / 3.0], 64))
+    got, polished, capped = _descend(pendulum, horizon, nodes,
+                                     start=(datum, eps))
+    assert not capped.any()
+    # the end node stays, and the start node moved off the chain's
+    assert polished[0, -1] == nodes[0, -1]
+    assert polished[0, 0] != nodes[0, 0]
+    assert got[0] <= _lbfgs_polish(pendulum, datum, eps, horizon, nodes[0]) + 1e-12

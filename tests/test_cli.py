@@ -265,6 +265,8 @@ def _both(first, second):
                  id="single_loop-output-not-a-mapping"),
     pytest.param("single_loop", _set("datum.family", ["affine"]),
                  "datum.family", id="single_loop-datum-family-not-a-string"),
+    pytest.param("single_loop", _set("output.dir", ["x", 1]), "output.dir",
+                 id="single_loop-output-dir-not-a-string"),
     # the artifacts are named after the scenario in one flat directory
     pytest.param("single_loop", _set("name", "a/b"), "name",
                  id="single_loop-name-with-a-separator"),
@@ -397,5 +399,5 @@ def test_report_line_carries_the_solver_counts(tmp_path, capsys):
     with open(out / "free-torus-1d_homogenize.json") as fh:
         report = json.load(fh)
     assert record["diagnostics"] == report["diagnostics"]
-    assert {"lbfgs_unconverged", "screen_capped",
+    assert {"newton_capped",
             "neldermead_unconverged"} <= set(record["diagnostics"])

@@ -91,13 +91,10 @@ def test_fused_kernel_matches_the_per_term_sums(n):
         values += a * np.cos(phase) + b * np.sin(phase)
         grads += np.outer(2.0 * np.pi * (-a * np.sin(phase)
                                          + b * np.cos(phase)), k)
-    fused_v, fused_g = poly.gradient_many(xs)
+    fused_v, fused_g, fused_h = poly.gradient_many(xs)
     assert np.array_equal(fused_v, values)
     assert np.array_equal(fused_g, grads)
     assert np.array_equal(poly.value_many(xs), values)
-    with_h = poly.gradient_many(xs, hessian=True)
-    assert np.array_equal(with_h[0], values)
-    assert np.array_equal(with_h[1], grads)
     # the second derivatives against central differences of the gradient
     step = 1e-6
     for j in range(n):
@@ -105,7 +102,7 @@ def test_fused_kernel_matches_the_per_term_sums(n):
         shift[j] = step
         diff = (poly.gradient_many(xs + shift)[1]
                 - poly.gradient_many(xs - shift)[1]) / (2.0 * step)
-        assert np.allclose(with_h[2][:, :, j], diff, rtol=1e-6, atol=1e-5)
+        assert np.allclose(fused_h[:, :, j], diff, rtol=1e-6, atol=1e-5)
 
 
 @pytest.mark.parametrize("n", [1, 2])
