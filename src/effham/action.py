@@ -5,22 +5,25 @@ Three layers:
 * ``minimal_action_graph``/``minimal_action_torus``: the two-point
   action over a fixed horizon.  Graphs reduce exactly to finitely many
   edge-traversal multisets, kept per cover by their deck-invariant sheet
-  change and priced all at once by ``allocate_time``, the vectorised
-  shared-energy split that also gives graph beta in ``mather``; tori
-  descend piecewise-linear midpoint chains with segment-doubling
-  refinement.  One kernel, ``_chain_terms``, prices every torus chain:
-  its midpoint action, its gradient and its exact banded Hessian.  One
-  descent, ``_descend``, minimises every torus chain: damped Newton on
-  that Hessian, factored by LAPACK's banded Cholesky, over a batch of
-  chains in lockstep.
+  change; ``_graph_actions`` prices those of many starts at once by
+  ``allocate_time``, the vectorised shared-energy split that also gives
+  graph beta in ``mather``, and ``minimal_action_graph`` is its one-start
+  case.  Tori descend piecewise-linear midpoint chains with
+  segment-doubling refinement.  One kernel, ``_chain_terms``, prices
+  every torus chain: its midpoint action, its gradient and its exact
+  banded Hessian.  One descent, ``_descend``, minimises every torus
+  chain: damped Newton on that Hessian, factored by LAPACK's banded
+  Cholesky, over a batch of chains in lockstep.
 * ``lax_oleinik``: the rescaled cover solution, an infimum of
   f(eps * G(y)) + eps * action over starting points y (f the limit
-  datum, G the cover's coordinate map), truncated to a certified window,
-  seeded on a mesh and polished.  On tori the mesh candidates are first
-  screened on coarse chains, in blocks that ``_descend`` runs in lockstep;
-  the lowest few are re-priced by ``minimal_action_torus``, and the
-  winner's chain descends once more with its start node free (the joint
-  polish).  Only ``hopf_lax`` calls ``scipy.optimize``.
+  datum, G the cover's coordinate map), truncated to a certified window.
+  One sweep, ``_sweep``, takes the mesh candidates in lower-bound order
+  and prices them in blocks: on graphs exactly, one ``_graph_actions``
+  call a block; on tori on coarse chains that ``_descend`` runs in
+  lockstep, the lowest few then re-priced by ``minimal_action_torus``.
+  The winner is polished: along its edges on graphs, and on tori by one
+  more descent with its start node free (the joint polish).  Only
+  ``hopf_lax`` calls ``scipy.optimize``.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box.
 
@@ -204,7 +207,9 @@ def allocate_time(lengths, potentials, total_time: float, rest):
     runs then fit into the horizon.  Otherwise sigma is the root of
     travel time = total_time.  Travel time is concave and increasing in
     sigma and sigma0 = total_time / sum(l) sits left of the root, so
-    Newton's iterates rise monotonically to it.  Returns the costs (m,).
+    Newton's iterates rise monotonically to it.  Each row stops on its own
+    step test, so its cost does not depend on the rest of the batch.
+    Returns the costs (m,).
     """
     if total_time <= 0.0:
         raise ValueError("total_time must be positive")
@@ -227,12 +232,14 @@ def allocate_time(lengths, potentials, total_time: float, rest):
     if solve.size:
         s_lens, s_off2 = lens[solve], off2[solve]
         s_sig = total_time / s_lens.sum(axis=1)
+        live = np.arange(solve.size)
         for _ in range(_NEWTON_CAP):
-            rad, per_sigma, tau = _travel(s_sig, s_lens, s_off2)
+            rad, per_sigma, tau = _travel(s_sig[live], s_lens[live], s_off2[live])
             step = (total_time - tau) / (per_sigma / rad).sum(axis=1)
             # a step that rounding turns negative means the root is reached
-            s_sig += np.maximum(step, 0.0)
-            if (step <= _SIGMA_RTOL * s_sig).all():
+            s_sig[live] += np.maximum(step, 0.0)
+            live = live[~(step <= _SIGMA_RTOL * s_sig[live])]
+            if not live.size:
                 break
         else:
             raise SolverError("time allocation did not converge")
@@ -304,9 +311,10 @@ def _multisets(graph, va: int, vb: int, dz: tuple):
     return out
 
 
-def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
-                         x: CoverPoint, horizon: float) -> float:
-    """Exact two-point action on a graph cover.
+def _graph_actions(lagrangian: GraphLagrangian, cover, starts, x: CoverPoint,
+                   horizon: float) -> np.ndarray:
+    """Exact two-point actions on a graph cover from C starts y to x, the
+    starts given by their ``GraphCover._attachments``.
 
     The action of a path depends on its edge-traversal multiset only, so
     the infimum is a finite minimum over the ``_multisets`` of every pair
@@ -315,41 +323,56 @@ def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
     travel time and cost), plus the direct path when both lie on one edge
     of one sheet.  Each multiset may rest at the cheapest vertex it
     visits; every run touches such a vertex, so no run potential is
-    cheaper.  All rows are priced by one ``allocate_time`` call; every
-    attachment key has a multiset (``_multisets``), so the minimum is
-    never over an empty set.
+    cheaper.  The endpoint pairs of all starts are grouped by multiset
+    key, whose rows and rest rates are gathered in one take; every row is
+    priced by one ``allocate_time`` call, and every key has a multiset, so
+    no start's minimum is over an empty set.
     """
     graph = cover.graph
     pots = lagrangian.potentials
-    vertex_rate = np.array([min(pots[e] for e, _ in graph.incident[v])
-                            for v in range(graph.n_vertices)])
-    lengths, rests = [], []
+    vertex_rate = np.array([min(pots[e] for e, _ in inc) for inc in graph.incident])
+    verts, sheets, offs, edges = starts
+    x_verts, x_sheets, x_offs, x_edge = (a[0] for a in cover._attachments([x]))
+    # endpoint pairs (start, its attachment, x's), starts in order
+    c, i, j = np.nonzero(np.isfinite(offs)[:, :, None] & np.isfinite(x_offs))
+    keys = np.column_stack([verts[c, i], x_verts[j], x_sheets[j] - sheets[c, i]])
+    index = {}
+    inv = np.array([index.setdefault(tuple(k), len(index))
+                    for k in keys.astype(int).tolist()])
+    for key in index:
+        if key not in cover._multisets:
+            cover._multisets[key] = _multisets(graph, key[0], key[1], key[2:])
+    runs, visited = zip(*map(cover._multisets.get, index))
+    key_first = np.cumsum([0] + [len(r) for r in runs])
+    rows = np.diff(key_first)[inv]
+    first = np.cumsum(rows) - rows
+    # stacked row r of pair p is row r - first[p] of its key's multisets
+    take = np.arange(rows.sum()) + np.repeat(key_first[inv] - first, rows)
+    pair = np.repeat(np.arange(inv.size), rows)
+    lengths = np.concatenate(runs)[take]
+    # a vertex's offset 0 lands on any column unchanged
+    lengths[np.arange(take.size), np.maximum(edges[c], 0)[pair]] += offs[c, i][pair]
+    lengths[np.arange(take.size), max(x_edge, 0)] += x_offs[j][pair]
+    rests = np.where(np.concatenate(visited), vertex_rate, np.inf).min(axis=1)[take]
+    # direct rows within one edge of one sheet (never touch a vertex)
+    direct = np.flatnonzero((edges >= 0) & (edges == x_edge)
+                            & np.all(sheets[:, 0] == x_sheets[0], axis=1))
+    inside = np.zeros((direct.size, len(graph.edges)))
+    inside[np.arange(direct.size), edges[direct]] = np.abs(x_offs[0] - offs[direct, 0])
+    costs = allocate_time(np.concatenate([lengths, inside]), pots, horizon,
+                          np.concatenate([rests, pots[edges[direct]]]))
+    out = np.minimum.reduceat(costs[:take.size],
+                              first[np.searchsorted(c, np.arange(len(verts)))])
+    out[direct] = np.minimum(out[direct], costs[take.size:])
+    return out
 
-    # direct within-edge candidate (never touches a vertex)
-    if (y.base[0] == "e" and x.base[0] == "e" and y.base[1] == x.base[1]
-            and y.sheet == x.sheet):
-        e = y.base[1]
-        row = np.zeros((1, len(graph.edges)))
-        row[0, e] = abs(x.base[2] - y.base[2])
-        lengths.append(row)
-        rests.append([pots[e]])
 
-    for (va, za, off_y, e_y) in cover._attachments(y):
-        for (vb, zb, off_x, e_x) in cover._attachments(x):
-            dz = tuple(int(b - a) for a, b in zip(za, zb))
-            if (va, vb, dz) not in cover._multisets:
-                cover._multisets[va, vb, dz] = _multisets(graph, va, vb, dz)
-            runs, visited = cover._multisets[va, vb, dz]
-            runs = runs.copy()
-            if e_y is not None:
-                runs[:, e_y] += off_y
-            if e_x is not None:
-                runs[:, e_x] += off_x
-            lengths.append(runs)
-            rests.append(np.where(visited, vertex_rate, np.inf).min(axis=1))
-    costs = allocate_time(np.concatenate(lengths), pots, horizon,
-                          np.concatenate(rests))
-    return float(np.min(costs))
+def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
+                         x: CoverPoint, horizon: float) -> float:
+    """Exact two-point action on a graph cover: ``_graph_actions`` for the
+    one start y."""
+    return float(_graph_actions(lagrangian, cover, cover._attachments([y]),
+                                x, horizon)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +493,8 @@ def _objective(model, dt, q, start):
     return datum.value_many(h0) + eps * act, grad, diag, off
 
 
-# chain descent: chains per screening block, the free-node gradient test,
-# the iteration cap, and the first Levenberg damping as a share of the
-# largest Hessian diagonal entry
-_SCREEN_BLOCK = 128
+# chain descent: the free-node gradient test, the iteration cap, and the
+# first Levenberg damping as a share of the largest Hessian diagonal entry
 _DESCENT_GTOL = 1e-11
 _DESCENT_CAP = 2000
 _DESCENT_TAU = 1e-3
@@ -656,8 +677,34 @@ class LaxResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-# torus Lax-Oleinik: coarse screening survivors re-priced at full resolution
+# candidates priced at once by a sweep, and the torus screen's survivors
+# re-priced at full resolution
+_SCREEN_BLOCK = 128
 _N_TOP = 6
+
+
+def _sweep(order, lower, incumbent, price):
+    """Screened sweep of the candidates in ``order`` (ascending ``lower``
+    bounds) against a running incumbent.  ``price(block)`` prices up to
+    _SCREEN_BLOCK of them at once, NaN for one skipped uncounted, and the
+    block is replayed in order, so the break, the count and the updates
+    are those of a one-by-one sweep.  Returns (incumbent, best candidate
+    or None, (total, candidate) of each priced one in sweep order)."""
+    best, scored = None, []
+    for start in range(0, order.size, _SCREEN_BLOCK):
+        # a prefix of the block, since ``order`` sorts ``lower``
+        block = order[start:start + _SCREEN_BLOCK]
+        block = block[lower[block] <= incumbent + 1e-12]
+        for idx, total in zip(block, price(block) if block.size else ()):
+            if lower[idx] > incumbent + 1e-12:
+                return incumbent, best, scored
+            if not np.isnan(total):
+                scored.append((total, idx))
+                if total < incumbent:
+                    incumbent, best = total, idx
+        if block.size < _SCREEN_BLOCK:
+            break
+    return incumbent, best, scored
 
 
 def _shell_offsets(n: int, s: int) -> np.ndarray:
@@ -724,18 +771,14 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
         if cup[j] < incumbent:
             incumbent, best_g = float(cup[j]), corners[sel][j]
 
-    parts = {"lift": [], "f": [], "dist": [], "low": []}
-    stored = 0
+    # kept candidates as parts (lifts, datum values, distances, lower
+    # bounds), merged into one and cut at the incumbent when they grow large
+    parts = [(np.zeros((0, n)),) + (np.zeros(0),) * 3]
 
-    def _compact(limit: float):
-        nonlocal stored
-        for name in parts:
-            parts[name] = [np.concatenate(parts[name])] if parts[name] else []
-        if parts["low"]:
-            keep = parts["low"][0] <= limit + 1e-9
-            for name in parts:
-                parts[name] = [parts[name][0][keep]]
-            stored = int(np.count_nonzero(keep))
+    def _merge(limit: float):
+        merged = [np.concatenate(c) for c in zip(*parts)]
+        keep = merged[3] <= limit + 1e-9
+        return [tuple(c[keep] for c in merged)]
 
     for s in range(max_shell + 1):
         ring = center[None, :] + _shell_offsets(n, s)
@@ -762,59 +805,32 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
         keep = (low_c <= incumbent + 1e-9) & (d_c <= reach + 1e-12)
         if not np.any(keep):
             continue
-        parts["lift"].append(lifts_c[keep])
-        parts["f"].append(f_c[keep])
-        parts["dist"].append(d_c[keep])
-        parts["low"].append(low_c[keep])
-        stored += int(np.count_nonzero(keep))
-        if stored > 2_000_000:
-            _compact(incumbent)
-    _compact(incumbent)
-    if parts["lift"]:
-        lifts = parts["lift"][0]
-        f_vals = parts["f"][0]
-        dist = parts["dist"][0]
-        lower = parts["low"][0]
-    else:
-        lifts = np.zeros((0, n))
-        f_vals = dist = lower = np.zeros(0)
-    order = np.argsort(lower, kind="stable")
+        parts.append((lifts_c[keep], f_c[keep], d_c[keep], low_c[keep]))
+        if sum(part[3].size for part in parts) > 2_000_000:
+            parts = _merge(incumbent)
+    lifts, f_vals, dist, lower = _merge(incumbent)[0]
     n_candidates = lifts.shape[0]
 
-    # coarse screen in blocks of candidates in ``order``, each solved in
-    # lockstep and then replayed in order against the running incumbent:
-    # the break, the count and the updates are those of a one-by-one sweep
+    # coarse screen: a block's straight chains descend in lockstep, and a
+    # start at x itself is skipped
     frac = np.linspace(0.0, 1.0, max(32, _auto_segments(horizon) // 4) + 1)
-    scored = []
-    evaluated = 0
-    start = 0
-    while start < order.size:
-        block = order[start:start + _SCREEN_BLOCK]
-        # a prefix of the block, since ``order`` sorts ``lower``
-        block = block[lower[block] <= incumbent + 1e-12]
+
+    def price(block):
+        nonlocal capped
         moving = dist[block] >= 1e-12
-        vals = np.zeros(block.size)
+        vals = np.full(block.size, np.nan)
         if moving.any():
             starts = lifts[block[moving]][:, None, :]
             vals[moving], _, hit = _descend(
                 model, horizon,
                 starts + frac[None, :, None] * (x_lift[None, None, :] - starts))
             capped += int(hit.sum())
-        stop = block.size < _SCREEN_BLOCK
-        for idx, val, moves in zip(block, vals, moving):
-            if lower[idx] > incumbent + 1e-12:
-                stop = True
-                break
-            if not moves:
-                continue
-            total = f_vals[idx] + eps * val
-            evaluated += 1
-            scored.append((total, idx))
-            if total < incumbent:
-                incumbent, best_g = total, lifts[idx]
-        if stop:
-            break
-        start += _SCREEN_BLOCK
+        return f_vals[block] + eps * vals
+
+    incumbent, best, scored = _sweep(np.argsort(lower, kind="stable"), lower,
+                                     incumbent, price)
+    if best is not None:
+        best_g = lifts[best]
     scored.sort(key=lambda z: z[0])
     for _, idx in scored[:_N_TOP]:
         val, nodes, n_capped = minimal_action_torus(model, lifts[idx], x_lift,
@@ -834,7 +850,7 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
         incumbent, best_g = float(polished[0]), chains[0, 0]
     return LaxResult(value=float(incumbent), minimizer_g=np.asarray(best_g),
                      window=window, candidates=int(n_candidates),
-                     evaluated=evaluated,
+                     evaluated=len(scored),
                      diagnostics={"newton_capped": int(capped)})
 
 
@@ -882,60 +898,45 @@ def _lax_graph(cover, lagrangian, datum, x, t, eps, mesh):
 
     base_locs = cover.base_mesh(mesh)
     n_sheets = sheets.shape[0]
-    lb_all = np.empty(len(base_locs) * n_sheets)
-    f_all = np.empty_like(lb_all)
-    for i, loc in enumerate(base_locs):
-        g0 = cover.g_of_base(loc)
-        rows = sheets + g0[None, :]
-        f_rows = datum.value_many(eps * rows)
+    f_all, lb_all = [], []
+    for loc in base_locs:
+        rows = sheets + cover.g_of_base(loc)[None, :]
+        f_all.append(datum.value_many(eps * rows))
         d_lb = _norm_rows(rows - gx[None, :], cover.norm) / max(k0, 1e-12)
-        sl = slice(i * n_sheets, (i + 1) * n_sheets)
-        f_all[sl] = f_rows
-        lb_all[sl] = f_rows + (eps * d_lb) ** 2 / (2.0 * quad * t) - drift * t
-    order = np.argsort(lb_all, kind="stable")
+        lb_all.append(f_all[-1] + (eps * d_lb) ** 2 / (2.0 * quad * t) - drift * t)
+    f_all, lb_all = np.concatenate(f_all), np.concatenate(lb_all)
+    # a start is (base locator, sheet); the locators' attachments on sheet
+    # 0 shift with the sheet, and a start at x itself is skipped
+    verts, shifts, offs, edges = cover._attachments(
+        [CoverPoint(loc, (0,) * cover.deck_rank) for loc in base_locs])
+    at_x = np.array([loc == x.base for loc in base_locs])
 
-    evaluated = 0
-    best_desc = None
-    for flat in order:
-        if lb_all[flat] > incumbent + 1e-12:
-            break
-        loc = base_locs[flat // n_sheets]
-        sheet = tuple(int(z) for z in sheets[flat % n_sheets])
-        if loc[0] == "v":
-            point = cover.vertex_point(loc[1], np.array(sheet, dtype=int))
-        else:
-            point = cover.edge_point(loc[1], loc[2], np.array(sheet, dtype=int))
-        if point == x:
-            continue
-        total = f_all[flat] + eps * minimal_action_graph(lagrangian, cover,
-                                                         point, x, horizon)
-        evaluated += 1
-        if total < incumbent:
-            incumbent = total
-            best_point = point
-            best_desc = (loc, sheet)
+    def price(block):
+        b, z = np.divmod(block, n_sheets)
+        starts = (verts[b], shifts[b] + sheets[z][:, None], offs[b], edges[b])
+        acts = _graph_actions(lagrangian, cover, starts, x, horizon)
+        acts[at_x[b] & np.all(sheets[z] == x.sheet, axis=1)] = np.nan
+        return f_all[block] + eps * acts
 
-    # continuous polish along the best candidate's edge (or incident edges)
-    polish_domains = []
-    if best_desc is not None and best_desc[0][0] == "e":
-        e = best_desc[0][1]
-        polish_domains.append((e, np.array(best_desc[1], dtype=int)))
-    elif best_point.base[0] == "e":
-        polish_domains.append((best_point.base[1],
-                               np.array(best_point.sheet, dtype=int)))
+    incumbent, best, scored = _sweep(np.argsort(lb_all, kind="stable"), lb_all,
+                                     incumbent, price)
+    if best is not None:
+        b, z = divmod(int(best), n_sheets)
+        best_point = CoverPoint(base_locs[b], tuple(int(s) for s in sheets[z]))
+
+    # continuous polish along the best start's edge, or along the edges at
+    # its vertex.  A mesh locator on an edge sits at length * j / mesh with
+    # 0 < j < mesh, strictly inside the edge, so the best start is that
+    # edge's point.  A vertex lists an edge once per direction, and the two
+    # directions of a loop, a non-tree edge, differ in sheet by its nonzero
+    # cocycle; so no (edge, sheet) repeats.
+    if best_point.base[0] == "e":
+        polish_domains = [(best_point.base[1], np.array(best_point.sheet))]
     else:
-        v = best_point.base[1]
-        for e, direction in graph.incident[v]:
-            sheet = np.array(best_point.sheet, dtype=int)
-            if direction == -1:
-                sheet = sheet - graph.cocycles[e]
-            polish_domains.append((e, sheet))
-    seen = set()
+        polish_domains = [(e, np.array(best_point.sheet)
+                           - (direction == -1) * graph.cocycles[e])
+                          for e, direction in graph.incident[best_point.base[1]]]
     for e, sheet in polish_domains:
-        key = (e, tuple(int(z) for z in sheet))
-        if key in seen:
-            continue
-        seen.add(key)
         length = graph.length(e)
 
         def objective(s, e=e, sheet=sheet):
@@ -951,7 +952,7 @@ def _lax_graph(cover, lagrangian, datum, x, t, eps, mesh):
 
     return LaxResult(value=float(incumbent), minimizer_g=cover.g_map(best_point),
                      window=window, candidates=int(lb_all.size),
-                     evaluated=evaluated)
+                     evaluated=len(scored))
 
 
 def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
@@ -961,7 +962,8 @@ def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
     coordinate map.
 
     Candidates live on a base mesh crossed with a sheet window certified
-    by ``_lax_window``; survivors are priced exactly and the winner is
+    by ``_lax_window``; ``_sweep`` prices them in blocks, in lower-bound
+    order until the bound passes the incumbent, and the winner is
     polished continuously.  Returns a ``LaxResult``: the value, the
     minimizer's G, the window, the candidate and evaluated counts, and
     on tori the solver counts in ``diagnostics``.

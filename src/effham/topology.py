@@ -310,7 +310,7 @@ class GraphCover:
         self._table = None
         self._radii = None
         # traversal multisets by (start vertex, end vertex, sheet change),
-        # filled by action.minimal_action_graph
+        # filled by action._graph_actions
         self._multisets = {}
 
     @property
@@ -364,19 +364,22 @@ class GraphCover:
                 locs.append(("e", e, length * j / m))
         return locs
 
-    def _attachments(self, point: CoverPoint):
-        """(vertex, sheet tuple, offset, edge) through which the point is
-        reached: the point itself at a vertex (edge None), else both ends
-        of its edge."""
-        if point.base[0] == "v":
-            return [(point.base[1], point.sheet, 0.0, None)]
-        _, e, s = point.base
-        g = self.graph
-        head_sheet = np.add(point.sheet, g.cocycles[e])
-        return [
-            (g.tail(e), point.sheet, s, e),
-            (g.head(e), tuple(int(z) for z in head_sheet), g.length(e) - s, e),
-        ]
+    def _attachments(self, points):
+        """Vertices (P, 2), sheets (P, 2, k) and offsets (P, 2) through
+        which each point is reached, and its edge (P,): an edge point
+        through both ends of its edge, a vertex point through itself at
+        offset 0 (edge -1), repeated at an infinite offset."""
+        g, rows = self.graph, []
+        for p in points:
+            if p.base[0] == "v":
+                rows.append(((p.base[1],) * 2, (p.sheet,) * 2, (0.0, np.inf), -1))
+            else:
+                _, e, s = p.base
+                rows.append(((g.tail(e), g.head(e)),
+                             (p.sheet, np.add(p.sheet, g.cocycles[e])),
+                             (s, g.length(e) - s), e))
+        verts, sheets, offsets, edges = map(np.array, zip(*rows))
+        return verts, sheets.astype(int), offsets, edges
 
     def _vertex_table(self, radii) -> np.ndarray:
         """Cover distances D[u, w, *(z + radii)] from (u, sheet 0) to
@@ -435,12 +438,7 @@ class GraphCover:
         max(2 R_j, ceil(value / l_j) - 1), which certifies it, and the
         uncertified pairs are read again.
         """
-        # a vertex repeats its one attachment at an infinite offset
-        atts = [a + [a[0][:2] + (np.inf, None)] * (2 - len(a))
-                for a in map(self._attachments, points)]
-        verts, sheets, offsets = (np.array([[t[c] for t in a] for a in atts])
-                                  for c in range(3))
-        edges = np.array([-1 if a[0][3] is None else a[0][3] for a in atts])
+        verts, sheets, offsets, edges = self._attachments(points)
         first, second = np.asarray(first), np.asarray(second)
         shared = ((edges[first] >= 0) & (edges[first] == edges[second])
                   & np.all(sheets[first, 0] == sheets[second, 0], axis=1))

@@ -58,6 +58,20 @@ def test_batched_allocation_matches_scalar_oracle(horizon, rest):
         assert abs(cost - expect) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("horizon", [0.5, 4.0, 64.0])
+def test_row_cost_does_not_depend_on_its_batch(horizon):
+    # every row stops on its own Newton test, so a row priced alone and
+    # priced among 199 others gives the same bits
+    rng = np.random.default_rng(11)
+    pots = rng.uniform(-1.0, 1.0, 4)
+    rows = rng.uniform(0.0, 3.0, (200, 4)) * (rng.random((200, 4)) < 0.7)
+    rests = rng.uniform(-1.5, 1.5, 200)
+    batch = allocate_time(rows, pots, horizon, rests)
+    alone = [allocate_time(row[None], pots, horizon, [rest])[0]
+             for row, rest in zip(rows, rests)]
+    assert np.array_equal(batch, alone)
+
+
 def test_detour_to_cheaper_ground_wins():
     # a loop at vertex 0 and a path 0-1-2 whose edge (1, 2) is cheapest:
     # staying at vertex 0 for the horizon costs 0.3 * 100 = 30, walking
@@ -138,6 +152,68 @@ def test_loop_two_circuits_matches_time_allocation(loop2_cover, loop2_lag):
     taus = np.linspace(0.01, 1.0, 100)
     costs = dist**2 / (2.0 * taus) + 0.5 * taus + 0.5 * (1.0 - taus)
     assert got == pytest.approx(float(np.min(costs)), abs=1e-9)
+
+
+def _pair_by_pair_action(lag, cover, y, x, horizon):
+    """The two-point action priced pair by pair: one ``allocate_time``
+    call for the multisets of each (attachment of y, attachment of x),
+    and one for the direct path on a shared edge and sheet."""
+    graph, pots = cover.graph, lag.potentials
+    rate = np.array([min(pots[e] for e, _ in inc) for inc in graph.incident])
+    costs = []
+    if (y.base[0] == x.base[0] == "e" and y.base[1] == x.base[1]
+            and y.sheet == x.sheet):
+        row = np.zeros((1, len(graph.edges)))
+        row[0, y.base[1]] = abs(x.base[2] - y.base[2])
+        costs.extend(allocate_time(row, pots, horizon, [pots[y.base[1]]]))
+    (yv, ys, yo, ye), (xv, xs, xo, xe) = (
+        [a[0] for a in cover._attachments([p])] for p in (y, x))
+    for a in np.flatnonzero(np.isfinite(yo)):
+        for b in np.flatnonzero(np.isfinite(xo)):
+            runs, visited = action._multisets(
+                graph, int(yv[a]), int(xv[b]), tuple(int(z) for z in xs[b] - ys[a]))
+            runs = runs.copy()
+            if ye >= 0:
+                runs[:, ye] += yo[a]
+            if xe >= 0:
+                runs[:, xe] += xo[b]
+            rests = np.where(visited, rate, np.inf).min(axis=1)
+            costs.extend(allocate_time(runs, pots, horizon, rests))
+    return min(costs)
+
+
+@pytest.mark.parametrize("graph, pots", [
+    (MetricGraph(1, [(0, 0, 1.0), (0, 0, 1.0)]), [0.3, -0.2]),
+    (MetricGraph(3, [(0, 1, 1.0), (1, 2, 0.7), (2, 0, 0.9), (1, 1, 0.6)]),
+     [0.4, -0.3, 0.1, 0.2]),
+], ids=["figure-eight", "three-vertices"])
+def test_graph_block_pricer_matches_the_one_pair_action(graph, pots):
+    lag, cover = GraphLagrangian(graph, pots), GraphCover(graph)
+    rng = np.random.default_rng(5)
+    k = graph.cycle_rank
+
+    def random_point(sheet):
+        if rng.random() < 0.3:
+            return cover.vertex_point(int(rng.integers(graph.n_vertices)), sheet)
+        e = int(rng.integers(len(graph.edges)))
+        return cover.edge_point(e, rng.uniform(0.01, 0.99) * graph.length(e),
+                                sheet)
+
+    for x in (cover.vertex_point(0, np.zeros(k, dtype=int)),
+              cover.edge_point(0, 0.4 * graph.length(0), np.ones(k, dtype=int))):
+        starts = [random_point(rng.integers(-2, 3, k)) for _ in range(40)]
+        # starts on x's edge and sheet also take the direct row
+        starts += [cover.edge_point(0, s * graph.length(0), x.sheet)
+                   for s in (0.1, 0.4, 0.9)]
+        for horizon in (0.5, 6.0):
+            block = action._graph_actions(lag, cover, cover._attachments(starts),
+                                          x, horizon)
+            alone = [minimal_action_graph(lag, cover, y, x, horizon)
+                     for y in starts]
+            pairwise = [_pair_by_pair_action(lag, cover, y, x, horizon)
+                        for y in starts]
+            assert np.array_equal(block, alone)
+            assert np.array_equal(block, pairwise)
 
 
 def test_torus_action_rejects_a_varying_two_dimensional_kinetic_matrix():
@@ -629,6 +705,30 @@ def test_screen_matches_lbfgs_on_the_pendulum(monkeypatch, circle, pendulum,
     lowest = np.argsort(want, kind="stable")[:12]
     assert np.max(np.abs(got[lowest] - want[lowest])) <= 1e-9
     assert np.argmin(got) == np.argmin(want)
+
+
+@pytest.mark.parametrize("family, eps, count", [
+    ("graph", 0.5, 169), ("graph", 0.25, 159), ("graph", 0.125, 963),
+    ("torus", 0.25, 202)])
+def test_shared_sweep_is_the_one_by_one_sweep(monkeypatch, fig8_cover, fig8_lag,
+                                              circle, pendulum, family, eps,
+                                              count):
+    # the figure_eight and pendulum scenarios at h = (1/3, -1/3) and 1/3,
+    # t = 1; the counts are those of the one-by-one sweeps both replaced
+    if family == "graph":
+        cover, model, h = fig8_cover, fig8_lag, [1.0 / 3.0, -1.0 / 3.0]
+        datum = InitialDatum.cone(0.8, norm="l1", dim=2)
+    else:
+        cover, model, h = circle, pendulum, [1.0 / 3.0]
+        datum = InitialDatum.affine([0.0])
+    point, _ = match_point(cover, np.array(h), eps, 64)
+    blocked = lax_oleinik(cover, model, datum, point, 1.0, eps, mesh=64)
+    monkeypatch.setattr(action, "_SCREEN_BLOCK", 1)
+    single = lax_oleinik(cover, model, datum, point, 1.0, eps, mesh=64)
+    assert blocked.evaluated == single.evaluated == count
+    assert blocked.candidates == single.candidates
+    assert blocked.value == single.value
+    assert np.array_equal(blocked.minimizer_g, single.minimizer_g)
 
 
 def _lbfgs_polish(model, datum, eps, horizon, nodes):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -86,6 +87,16 @@ def test_sweep_script_runs_the_cheap_commands(tmp_path, capsys):
     assert len(stems) == 6
     assert sorted(ok) == sorted([stem[:-5], command] for stem in stems
                                 for command in sweep.CHEAP)
+    # it ends with the digest of each artifact written, sorted by path:
+    # alpha, beta and spaces each write a csv and a json
+    digests = [line.split("  ") for line in lines[-36:]]
+    assert [path for _, path in digests] == sorted(
+        os.path.relpath(os.path.join(root, name), tmp_path)
+        for root, _, names in os.walk(tmp_path) for name in names)
+    for digest, path in digests:
+        with open(tmp_path / path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
+    assert lines[-37].endswith("0 failing runs")
 
 
 def test_spaces_fails_when_the_limit_norm_is_wrong(tmp_path, capsys,
