@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Sweep every scenario in scenarios/ through validate + its main command.
 
-Prints one line per (scenario, command) with the exit status and a
-summary, then ends with one ``sha256  path`` line per artifact the sweep
-wrote, sorted, the path relative to the output directory; exits nonzero
-if any run failed.  Heavy ladder experiments are only run when --full is
-given, otherwise the sweep sticks to the cheap commands (validate, alpha,
-beta, spaces).  Run it from the repository root with the package on the
-path:
+Prints one line per (scenario, command) with the exit status, the time
+and the process's peak resident memory so far in MB (a run that raises
+the peak set it), then ends with one ``sha256  path`` line per artifact
+the sweep wrote, sorted, the path relative to the output directory;
+exits nonzero if any run failed.  Heavy ladder experiments are only
+run when --full is given, otherwise the sweep sticks to the cheap
+commands (validate, alpha, beta, spaces).  Run it from the repository
+root with the package on the path:
 
     PYTHONPATH=src python scripts/sweep_all.py [--full] [--out-dir DIR]
 
@@ -21,6 +22,7 @@ import argparse
 import glob
 import hashlib
 import os
+import resource
 import sys
 import time
 
@@ -66,7 +68,10 @@ def main(argv=None) -> int:
             written.update(p for p, stamp in _stamps(out_dir).items()
                            if before.get(p) != stamp)
             status = "ok" if code == 0 else f"exit {code}"
-            print(f"[{status:>7}] {name:<24} {command:<10} {elapsed:8.2f}s")
+            # ru_maxrss is in kilobytes on Linux
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            print(f"[{status:>7}] {name:<24} {command:<10} {elapsed:8.2f}s"
+                  f" {peak_mb:8.1f} MB")
             failures += code != 0
     print(f"{len(configs)} configs swept, {failures} failing runs")
     for artifact in sorted(os.path.relpath(p, args.out_dir) for p in written):

@@ -17,10 +17,12 @@ Three layers:
 * ``lax_oleinik``: the rescaled cover solution, an infimum of
   f(eps * G(y)) + eps * action over starting points y (f the limit
   datum, G the cover's coordinate map), truncated to a certified window.
-  One sweep, ``_sweep``, takes the mesh candidates in lower-bound order
-  and prices them in blocks: on graphs exactly, one ``_graph_actions``
-  call a block; on tori on coarse chains that ``_descend`` runs in
-  lockstep, the lowest few then re-priced by ``minimal_action_torus``.
+  One sweep, ``_sweep``, prices items in lower-bound order, in blocks,
+  until the bound passes the incumbent: on graphs the mesh candidates,
+  exactly, one ``_graph_actions`` call a block; on tori the translate
+  cells at their least straight-path cost, which keep the mesh lifts no
+  cell bound rules out, then those on coarse chains that ``_descend``
+  runs in lockstep, the lowest few re-priced by ``minimal_action_torus``.
   The winner is polished: along its edges on graphs, and on tori by one
   more descent with its start node free (the joint polish).  Only
   ``hopf_lax`` calls ``scipy.optimize``.
@@ -39,7 +41,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, optimize
 
 from .errors import SolverError
 from .model import GraphLagrangian, TorusHamiltonian, _torus_grid
@@ -519,6 +520,7 @@ def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
     _DESCENT_GTOL, or once a rejected step predicted a decrease below
     rounding.
     """
+    from scipy import linalg
     q = np.array(chains, dtype=float)
     dt = horizon / (q.shape[1] - 1)
     free = slice(1 if start is None else 0, -1)
@@ -707,24 +709,24 @@ def _sweep(order, lower, incumbent, price):
     return incumbent, best, scored
 
 
-def _shell_offsets(n: int, s: int) -> np.ndarray:
-    """Integer offsets with sup-norm exactly s, as an (m, n) array, for
-    n in {1, 2}; ``_lax_torus`` breaks ties by this order."""
-    if s == 0:
-        return np.zeros((1, n), dtype=int)
-    if n == 1:
-        return np.array([[-s], [s]], dtype=int)
-    edge = np.arange(-s, s + 1)
-    inner = np.arange(-s + 1, s)
-    return np.concatenate([
-        np.stack([np.full(edge.size, -s), edge], axis=1),
-        np.stack([np.full(edge.size, s), edge], axis=1),
-        np.stack([inner, np.full(inner.size, -s)], axis=1),
-        np.stack([inner, np.full(inner.size, s)], axis=1),
-    ]).astype(int)
-
-
 def _lax_torus(cover, model, datum, x, t, eps, mesh):
+    """Torus cover solution: the stay at x, ``_sweep`` over translate cells,
+    ``_sweep`` over the mesh lifts they keep, and the polish.
+
+    A lift y at d = |y - x| costs at least low(y) = f(eps*y)
+    + (eps*d)^2/(2*quad*t) - drift*t and at most up(y), the same with amin
+    and vmin (a straight path).  A cell C = z + [0, 1]^n of the box
+    |z - floor(x)|_inf <= ceil(reach) + 2 at distance d_los <= reach from
+    x is priced at its least up, in the order of cell_low(C) = f(eps*c)
+    - lip*eps*|1|/2 + (eps*d_los)^2/(2*quad*t) - drift*t, c its centre
+    and |1| its diameter.  cell_low(C) <= low(y) <= up(y) for every lift
+    y of C: |y - c| <= |1|/2, d >= d_los, lip is the datum's Lipschitz
+    bound on the radius |hx| + window + eps*|1|, which holds eps*y and
+    eps*c as d <= reach + |1|, amin <= quad and vmin <= drift.  So the
+    sweep's break, at the first cell whose bound passes the incumbent,
+    drops no lift with low below it.  The candidates are the lifts with
+    low within 1e-9 of the final incumbent and d <= reach.
+    """
     horizon = t / eps
     x_lift = cover.lift(x)
     hx = eps * x_lift
@@ -738,77 +740,50 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
 
     window = _lax_window(cover, datum, quad, drift, hx, t, incumbent)
 
-    # candidate lifts: mesh fractions per translate cell, cells swept in
-    # expanding shells around x; a straight-path upper bound tightens the
-    # incumbent during the sweep so only the competitive band of cells is
-    # ever materialized (the naive product grid is quadratically larger)
     reach = window / eps
     amin, _ = model.kinetic_eig_bounds()
     vmin, _ = model.potential_bounds()
-    f_hx = datum.value(hx)
-    lip = datum.lipschitz_bound(norm_value(hx, cover.norm) + window + 1.0,
-                                cover.norm)
     n = model.n
     offsets = _torus_grid(n, mesh)
     cell_diam = norm_value(np.ones(n), cover.norm)
-    center = np.floor(x_lift).astype(int)
-    max_shell = int(math.ceil(reach)) + 2
-    vertex_d = lip * quad * t
+    lip = datum.lipschitz_bound(norm_value(hx, cover.norm) + window
+                                + eps * cell_diam, cover.norm)
+    box = math.ceil(reach) + 2
+    cells = np.floor(x_lift).astype(int) + _grid([np.arange(-box, box + 1)] * n)
+    gaps = np.maximum(np.maximum(cells - x_lift, x_lift - (cells + 1.0)), 0.0)
+    d_los = _norm_rows(gaps, cover.norm)
+    cells, d_los = cells[d_los <= reach], d_los[d_los <= reach]
+    cell_low = (datum.value_many(eps * (cells + 0.5))
+                - lip * eps * cell_diam / 2.0
+                + (eps * d_los) ** 2 / (2.0 * quad * t) - drift * t)
 
-    # corner pre-sweep: price one straight path per translate cell so the
-    # incumbent is near-optimal before any cell is materialized; corners are
-    # themselves candidates, so every bound stays achievable (and best_g
-    # follows each bound that lowers the incumbent)
-    span = np.arange(-max_shell, max_shell + 1)
-    corners = (center[None, :] + _grid([span] * n)).astype(float)
-    cdiff = corners - x_lift[None, :]
-    cd2 = np.sqrt(np.sum(cdiff * cdiff, axis=1))
-    sel = cd2 <= reach + cell_diam
-    if np.any(sel):
-        cf = datum.value_many(eps * corners[sel])
-        cup = cf + (eps * cd2[sel]) ** 2 / (2.0 * amin * t) - vmin * t
-        j = int(np.argmin(cup))
-        if cup[j] < incumbent:
-            incumbent, best_g = float(cup[j]), corners[sel][j]
-
-    # kept candidates as parts (lifts, datum values, distances, lower
-    # bounds), merged into one and cut at the incumbent when they grow large
+    # kept lifts as parts (lifts, datum values, distances, lower bounds),
+    # cut at the least up so far; each cell's mesh offset of least up
     parts = [(np.zeros((0, n)),) + (np.zeros(0),) * 3]
+    cell_best = np.zeros(cells.shape[0], dtype=int)
+    least = incumbent
 
-    def _merge(limit: float):
-        merged = [np.concatenate(c) for c in zip(*parts)]
-        keep = merged[3] <= limit + 1e-9
-        return [tuple(c[keep] for c in merged)]
-
-    for s in range(max_shell + 1):
-        ring = center[None, :] + _shell_offsets(n, s)
-        gaps = np.maximum(np.maximum(ring - x_lift[None, :],
-                                     x_lift[None, :] - (ring + 1.0)), 0.0)
-        d_los = _norm_rows(gaps, cover.norm)
-        lb_cells = (f_hx - lip * eps * (d_los + cell_diam)
-                    + (eps * d_los) ** 2 / (2.0 * quad * t) - drift * t)
-        if (float(np.min(lb_cells)) > incumbent + 1e-12
-                and eps * float(np.min(d_los)) > vertex_d):
-            break
-        live = ring[lb_cells <= incumbent + 1e-12]
-        if live.shape[0] == 0:
-            continue
-        lifts_c = (live[:, None, :] + offsets[None, :, :]).reshape(-1, n)
-        diff = lifts_c - x_lift[None, :]
-        d_c = np.sqrt(np.sum(diff * diff, axis=1))
-        f_c = datum.value_many(eps * lifts_c)
+    def price_cells(block):
+        nonlocal least
+        lifts = (cells[block][:, None, :] + offsets[None, :, :]).reshape(-1, n)
+        d_c = _norm_rows(lifts - x_lift[None, :], cover.norm)
+        f_c = datum.value_many(eps * lifts)
         low_c = f_c + (eps * d_c) ** 2 / (2.0 * quad * t) - drift * t
-        up_c = f_c + (eps * d_c) ** 2 / (2.0 * amin * t) - vmin * t
-        j = int(np.argmin(up_c))
-        if up_c[j] < incumbent:
-            incumbent, best_g = float(up_c[j]), lifts_c[j]
-        keep = (low_c <= incumbent + 1e-9) & (d_c <= reach + 1e-12)
-        if not np.any(keep):
-            continue
-        parts.append((lifts_c[keep], f_c[keep], d_c[keep], low_c[keep]))
-        if sum(part[3].size for part in parts) > 2_000_000:
-            parts = _merge(incumbent)
-    lifts, f_vals, dist, lower = _merge(incumbent)[0]
+        up_c = (f_c + (eps * d_c) ** 2 / (2.0 * amin * t)
+                - vmin * t).reshape(block.size, -1)
+        cell_best[block] = np.argmin(up_c, axis=1)
+        up_c = up_c.min(axis=1)
+        least = min(least, float(up_c.min()))
+        keep = (low_c <= least + 1e-9) & (d_c <= reach + 1e-12)
+        parts.append((lifts[keep], f_c[keep], d_c[keep], low_c[keep]))
+        return up_c
+
+    incumbent, best, _ = _sweep(np.argsort(cell_low, kind="stable"), cell_low,
+                                incumbent, price_cells)
+    if best is not None:
+        best_g = cells[best] + offsets[cell_best[best]]
+    merged = [np.concatenate(c) for c in zip(*parts)]
+    lifts, f_vals, dist, lower = (c[merged[3] <= incumbent + 1e-9] for c in merged)
     n_candidates = lifts.shape[0]
 
     # coarse screen: a block's straight chains descend in lockstep, and a
@@ -962,7 +937,8 @@ def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
     coordinate map.
 
     Candidates live on a base mesh crossed with a sheet window certified
-    by ``_lax_window``; ``_sweep`` prices them in blocks, in lower-bound
+    by ``_lax_window``, on tori those that a bound from each translate
+    cell's centre keeps; ``_sweep`` prices them in blocks, in lower-bound
     order until the bound passes the incumbent, and the winner is
     polished continuously.  Returns a ``LaxResult``: the value, the
     minimizer's G, the window, the candidate and evaluated counts, and
@@ -992,6 +968,7 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float):
     of 33 rates per axis over the ball of rates it allows, and a simplex
     polish refines the best node; u is the better of the two.
     """
+    from scipy import optimize
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
     h = np.atleast_1d(np.asarray(h, dtype=float))

@@ -31,7 +31,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .action import _golden_min, allocate_time
 from .errors import SolverError
@@ -128,6 +127,7 @@ def _rotation_integral(model: TorusHamiltonian, energy: float) -> float:
     """Integral over the circle of sqrt(2(E - V)/A): the momentum that a
     running orbit at energy E carries per turn (zero where E < V).  The
     integrand hands quad's float straight to ``TrigPolynomial.value``."""
+    from scipy import integrate
 
     def integrand(x):
         val = 2.0 * (energy - model.v.value(x)) / model.a_entries[0].value(x)
@@ -150,6 +150,7 @@ def alpha_torus_quadrature(model: TorusHamiltonian, p) -> float:
     branch below the threshold pairing).  The energy is bracketed to
     1e-10.
     """
+    from scipy import optimize
     if model.n != 1:
         raise ValueError("quadrature route is one-dimensional only")
     p = float(np.atleast_1d(np.asarray(p, dtype=float))[0])
@@ -267,6 +268,7 @@ class LegendreDual:
 
             _, low = _golden_min(neg, lo, hi, 1e-11)
             return max(float(pairings[best_idx]), -low)
+        from scipy import optimize
         res = optimize.minimize(
             lambda pv: -(pv @ w - self.source_fn(pv)), best_p,
             method="Nelder-Mead",

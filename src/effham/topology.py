@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import WindowExhaustedError
 
@@ -395,6 +393,8 @@ class GraphCover:
             radii = tuple(max(r, old) for r, old in zip(radii, self._radii))
             if radii == self._radii:
                 return self._table
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
         g = self.graph
         box = np.array(radii, dtype=int)
         widths = 2 * box + 1
@@ -487,20 +487,21 @@ def matching_bound(cover, eps: float, mesh: int) -> float:
 def match_point(cover, h, eps: float, mesh: int = 64, sub=None):
     """Canonical-mesh cover point whose scaled image is nearest h.
 
-    Returns (point, image).  Ties are broken toward the lexicographically
-    smaller sheet (then earlier mesh locator) so reruns are reproducible.
-    With a ``SubcoverMap`` (graph covers only), h lives on the quotient:
-    images are projected through the map, the search runs over quotient
-    sheets around each locator's own offset, and the winning sheet is
-    lifted through the right inverse.
+    Returns (point, image).  On a graph every mesh locator is tried on
+    the 5^k sheets around the nearest one as one array, and one
+    ``np.lexsort`` keeps the least (distance quantized to 1e-12, sheet,
+    locator order), so reruns are reproducible.  With a ``SubcoverMap``
+    (graph covers only), h lives on the quotient: images are projected
+    through the map, the sheets are quotient sheets around each locator's
+    own offset, and the winning sheet is lifted through the right inverse.
     """
     if eps <= 0.0:
         raise ValueError(f"scale eps must be positive, got {eps}")
     h = np.atleast_1d(np.asarray(h, dtype=float))
+    target = h / eps
     if cover.family == "torus":
         if sub is not None:
             raise ValueError("subcover matching is defined on graph covers")
-        target = h / eps
         coords = np.empty_like(target)
         for c, val in enumerate(target):
             lower = math.floor(val * mesh) / mesh
@@ -508,27 +509,22 @@ def match_point(cover, h, eps: float, mesh: int = 64, sub=None):
             coords[c] = lower if (val - lower) <= (upper - val) + 1e-15 else upper
         point = cover.from_lift(coords)
         return point, eps * cover.g_map(point)
-    target = h / eps
-    fmat = None if sub is None else sub.matrix.astype(float)
-
-    def window(center):
-        return _grid([np.arange(c - 2, c + 3) for c in center])
-
-    sheets = window(np.round(target).astype(int)) if sub is None else None
-    best = None
-    for loc_idx, loc in enumerate(cover.base_mesh(mesh)):
-        g0 = cover.g_of_base(loc)
-        if sub is not None:
-            g0 = fmat @ g0
-            sheets = window(np.round(target - g0).astype(int))
-        for row in sheets:
-            image = eps * (row + g0)
-            d = norm_value(image - h, cover.norm)
-            # quantized distance first, then sheet, then locator order
-            key = (int(round(d / 1e-12)), tuple(int(z) for z in row), loc_idx)
-            if best is None or key < best[0]:
-                best = (key, loc, row)
-    _, loc, row = best
+    locs = cover.base_mesh(mesh)
+    g0 = np.array([cover.g_of_base(loc) for loc in locs])
+    if sub is None:
+        centres = np.broadcast_to(np.round(target), (len(locs), h.size))
+    else:
+        fmat = sub.matrix.astype(float)
+        g0 = g0 @ fmat.T
+        centres = np.round(target - g0)
+    window = _grid([np.arange(-2, 3)] * h.size)
+    sheets = (centres.astype(int)[:, None, :] + window[None, :, :]).reshape(-1, h.size)
+    g0 = np.repeat(g0, window.shape[0], axis=0)
+    dist = _norm_rows(eps * (sheets + g0) - h[None, :], cover.norm)
+    # quantized distance first, then sheet, then locator order
+    win = int(np.lexsort((np.arange(sheets.shape[0]), *sheets.T[::-1],
+                          np.rint(dist / 1e-12)))[0])
+    loc, row = locs[win // window.shape[0]], sheets[win]
     sheet = row if sub is None else sub.lift_sheet(row)
     if loc[0] == "v":
         point = cover.vertex_point(loc[1], sheet)

@@ -3,9 +3,12 @@
 The package reads none of these.  Each recomputes by a separate route a
 quantity that the pipeline takes in closed form or produces itself: the
 Legendre pair of a torus Hamiltonian, the long-horizon action rates that
-beta averages, and the affine closed form of the rescaled solution.
+beta averages, the affine closed form of the rescaled solution, the
+candidate count of the torus search, and the mesh point that
+``match_point`` picks on a graph.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +16,7 @@ from scipy import optimize
 
 from effham.action import (InitialDatum, lax_oleinik, minimal_action_graph,
                            minimal_action_torus)
+from effham.model import _torus_grid
 from effham.topology import _grid, match_point, matching_bound, norm_value
 
 
@@ -225,3 +229,66 @@ def affine_datum_check(cover, model, p, a: float, eps_ladder, eval_points,
              for r in rows)
     return AffineCheckReport(rows=rows, fitted_c=fitted_c,
                              alpha_value=float(alpha_value), passed=ok)
+
+
+# ---------------------------------------------------------------------------
+# the torus candidate search and graph mesh matching by brute force
+
+
+def torus_candidate_count(cover, model, datum, x, t: float, eps: float,
+                          mesh: int, window: float) -> int:
+    """Candidates of the torus Lax-Oleinik search over every mesh lift y
+    of the box |z - floor(x)|_inf <= ceil(window/eps) + 2 of translate
+    cells, with no cell bound.  The incumbent is the smaller of the stay
+    value f(eps x) + eps * action(x, x) and the least straight-path bound
+    f(eps y) + (eps d)^2/(2 amin t) - vmin t (d = |y - x|); a lift counts
+    when its lower bound f(eps y) + (eps d)^2/(2 amax t) - vmax t is
+    within 1e-9 of the incumbent and d <= window/eps."""
+    x_lift = cover.lift(x)
+    horizon, reach = t / eps, window / eps
+    amin, amax = model.kinetic_eig_bounds()
+    vmin, vmax = model.potential_bounds()
+    box = math.ceil(reach) + 2
+    cells = np.floor(x_lift).astype(int) + _grid(
+        [np.arange(-box, box + 1)] * model.n)
+    lifts = (cells[:, None, :]
+             + _torus_grid(model.n, mesh)[None, :, :]).reshape(-1, model.n)
+    d = np.sqrt(np.sum((lifts - x_lift) ** 2, axis=1))
+    f = datum.value_many(eps * lifts)
+    stay = datum.value(eps * x_lift) + eps * minimal_action_torus(
+        model, x_lift, x_lift, horizon)[0]
+    incumbent = min(stay, float(np.min(
+        f + (eps * d) ** 2 / (2.0 * amin * t) - vmin * t)))
+    low = f + (eps * d) ** 2 / (2.0 * amax * t) - vmax * t
+    return int(np.sum((low <= incumbent + 1e-9) & (d <= reach + 1e-12)))
+
+
+def match_point_loop(cover, h, eps: float, mesh: int, sub=None):
+    """(locator, sheet) of the graph mesh point whose scaled image is
+    nearest h, by a loop over the locators and the 5^k sheets around each
+    one's nearest sheet, keeping the least (distance quantized to 1e-12,
+    sheet, locator order); with a ``SubcoverMap`` h lives on the quotient
+    and the winning quotient sheet is lifted through the right inverse."""
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    target = h / eps
+    fmat = None if sub is None else sub.matrix.astype(float)
+
+    def window(center):
+        return _grid([np.arange(c - 2, c + 3) for c in center])
+
+    sheets = window(np.round(target).astype(int)) if sub is None else None
+    best = None
+    for loc_idx, loc in enumerate(cover.base_mesh(mesh)):
+        g0 = cover.g_of_base(loc)
+        if sub is not None:
+            g0 = fmat @ g0
+            sheets = window(np.round(target - g0).astype(int))
+        # graph covers measure in l1
+        dist = np.abs(eps * (sheets + g0) - h).sum(axis=1)
+        for row, d in zip(sheets.tolist(), dist.tolist()):
+            key = (round(d / 1e-12), tuple(row), loc_idx)
+            if best is None or key < best[0]:
+                best = (key, loc, row)
+    _, loc, row = best
+    sheet = row if sub is None else sub.lift_sheet(np.array(row))
+    return loc, tuple(int(z) for z in sheet)

@@ -26,7 +26,7 @@ from effham.mather import AnalyticQuadraticBeta, DirectBetaEvaluator
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
 from effham.topology import GraphCover, MetricGraph, match_point, norm_value
 from tests.conftest import allocate_time_oracle
-from tests.oracles import lagrangian
+from tests.oracles import lagrangian, torus_candidate_count
 
 
 def test_free_straight_line_action(free1):
@@ -675,7 +675,7 @@ def _rung(monkeypatch, circle, pendulum, eps):
         return minimize(*args, **kwargs)
 
     monkeypatch.setattr(action, "_descend", record_screen)
-    monkeypatch.setattr(action.optimize, "minimize", record_minimize)
+    monkeypatch.setattr(optimize, "minimize", record_minimize)
     point, _ = match_point(circle, np.array([1.0 / 3.0]), eps, 64)
     res = lax_oleinik(circle, pendulum, InitialDatum.affine([0.0]), point,
                       1.0, eps, mesh=64)
@@ -729,6 +729,32 @@ def test_shared_sweep_is_the_one_by_one_sweep(monkeypatch, fig8_cover, fig8_lag,
     assert blocked.candidates == single.candidates
     assert blocked.value == single.value
     assert np.array_equal(blocked.minimizer_g, single.minimizer_g)
+
+
+@pytest.mark.parametrize("system, eps, counts", [
+    ("pendulum", 1.0, (143, 100)), ("pendulum", 0.5, (201, 142)),
+    ("pendulum", 0.25, (285, 202)), ("torus2", 1.0, (179, 98)),
+    ("torus2", 0.5, (590, 423)), ("torus2", 0.25, (1097, 718))])
+def test_cell_sweep_drops_no_candidate(circle, torus2, pendulum, system, eps,
+                                       counts):
+    # (candidates, evaluated) are those of the shell sweep that the cell
+    # sweep replaced: the pendulum scenario at h = 1/3, and a 2-D potential
+    # under a quadratic datum at h = (0.3, -0.2) on mesh 8, both at t = 1
+    if system == "pendulum":
+        cover, model, h, mesh = circle, pendulum, [1.0 / 3.0], 64
+        datum = InitialDatum.affine([0.0])
+    else:
+        cover, model, h, mesh = (torus2, _potential_2d([[1.3, 0.4], [0.4, 0.8]]),
+                                 [0.3, -0.2], 8)
+        datum = InitialDatum.quadratic([[1.0, 0.3], [0.3, 0.5]], p=[0.4, -0.2],
+                                       c=0.1)
+    point, _ = match_point(cover, np.array(h), eps, mesh)
+    res = lax_oleinik(cover, model, datum, point, 1.0, eps, mesh=mesh)
+    assert (res.candidates, res.evaluated) == counts
+    if eps >= 0.5:
+        # every mesh lift of the box, with no cell bound
+        assert res.candidates == torus_candidate_count(
+            cover, model, datum, point, 1.0, eps, mesh, res.window)
 
 
 def _lbfgs_polish(model, datum, eps, horizon, nodes):

@@ -2,6 +2,8 @@ import hashlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +72,28 @@ def test_pendulum_tables_are_pinned(tmp_path):
             table = json.load(fh)[command]
         np.testing.assert_allclose(table, half[:0:-1] + half, rtol=0.0,
                                    atol=1e-13)
+
+
+def test_validate_and_graph_tables_load_no_scipy(tmp_path):
+    # scipy is imported where a solver runs, so validating every shipped
+    # config and tabulating figure_eight's alpha and beta never load it
+    script = (
+        "import glob, os, sys\n"
+        "from effham.cli import run\n"
+        "root, out = sys.argv[1:]\n"
+        "for path in sorted(glob.glob(os.path.join(root, 'scenarios', '*.yaml'))):\n"
+        "    assert run(path, 'validate', out_dir=out) == 0, path\n"
+        "fig8 = os.path.join(root, 'scenarios', 'figure_eight.yaml')\n"
+        "for command in ('alpha', 'beta'):\n"
+        "    assert run(fig8, command, out_dir=out) == 0, command\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", script, ROOT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_sweep_script_runs_the_cheap_commands(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from effham import action, homogenize
+from effham import homogenize
 from effham.action import InitialDatum
 from effham.homogenize import (
     ExperimentReport,
@@ -182,7 +182,7 @@ def test_unconverged_hopf_lax_polish_is_counted(loop2_cover, loop2_lag,
         return res
 
     # a graph cover solve calls no minimize; only the Hopf-Lax polish does
-    monkeypatch.setattr(action.optimize, "minimize", stalled)
+    monkeypatch.setattr(optimize, "minimize", stalled)
     after = [run_experiment(plain), run_subcover_experiment(quotient)]
     # one polish per evaluation point, and in the subcover run one more per
     # kernel-invariance point (the identity map has no nonzero shift)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from effham.topology import (
     matching_bound,
     norm_value,
 )
+from effham.config import load_config
 from tests.conftest import figure_eight, single_loop
+from tests.oracles import match_point_loop
 
 TORUS2 = TorusCover(2)
 FIG8 = GraphCover(figure_eight(1.0, 1.0))
@@ -284,6 +287,27 @@ def test_match_point_error_within_matching_bound(graph):
             assert err <= matching_bound(cover, eps, 8) + 1e-12
             worst = max(worst, err / matching_bound(cover, eps, 8))
     assert worst > 0.8
+
+
+@pytest.mark.parametrize("stem", ["figure_eight", "single_loop",
+                                  "figure_eight_subcover"])
+def test_match_point_is_the_locator_loop(stem):
+    # grid targets sit on ties between sheets and locators; the random ones
+    # do not
+    scenario = load_config(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "scenarios", stem + ".yaml")).scenario()
+    cover, sub = scenario.cover, scenario.subcover
+    rank = cover.deck_rank if sub is None else sub.matrix.shape[0]
+    steps = (-1.0, -0.5, 0.0, 0.25, 1.0 / 3.0, 0.5, 0.75)
+    rng = np.random.default_rng(17)
+    targets = [np.array(h) for h in itertools.product(steps, repeat=rank)]
+    targets += list(rng.uniform(-1.5, 1.5, size=(8, rank)))
+    for eps, mesh in itertools.product((1.0, 0.5, 0.125, 1.0 / 64), (4, 64)):
+        for h in targets:
+            point, _ = match_point(cover, h, eps, mesh, sub=sub)
+            assert (point.base, point.sheet) == match_point_loop(
+                cover, h, eps, mesh, sub=sub)
 
 
 def test_subcover_rejects_non_surjective_matrix():
