@@ -12,8 +12,8 @@ Three layers:
   segment-doubling refinement.  One kernel, ``_chain_terms``, prices
   every torus chain: its midpoint action, its gradient and its exact
   banded Hessian.  One descent, ``_descend``, minimises every torus
-  chain: damped Newton on that Hessian, factored by LAPACK's banded
-  Cholesky, over a batch of chains in lockstep.
+  chain: damped Newton on that Hessian, factored by LAPACK (tridiagonal
+  L D L^T in 1-D, banded Cholesky in 2-D), over chains in lockstep.
 * ``lax_oleinik``: the rescaled cover solution, an infimum of
   f(eps * G(y)) + eps * action over starting points y (f the limit
   datum, G the cover's coordinate map), truncated to a certified window.
@@ -464,10 +464,10 @@ def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray):
 
 def _band(diag, off):
     """Upper band storage ab[u + i - j, j] = H[i, j] (i <= j, u = 2n - 1),
-    the layout of ``scipy.linalg.solveh_banded``, of C block-tridiagonal
-    Hessians with diagonal blocks diag (C, M, n, n) and blocks off
-    (C, M - 1, n, n) coupling node i to node i + 1, coordinates ordered
-    node by node."""
+    the layout of LAPACK's ``pbsv``, of C block-tridiagonal 2-D Hessians
+    with diagonal blocks diag (C, M, n, n) and blocks off (C, M - 1, n, n)
+    coupling node i to node i + 1, coordinates ordered node by node.  1-D
+    chains pass their two diagonals to ``ptsv`` instead."""
     chains, m, n, _ = diag.shape
     u = 2 * n - 1
     ab = np.zeros((chains, u + 1, m, n))
@@ -477,6 +477,32 @@ def _band(diag, off):
                 ab[:, u - b + a, :, b] = diag[:, :, a, b]
             ab[:, u - n - b + a, 1:, b] = off[:, :, a, b]
     return ab.reshape(chains, u + 1, m * n)
+
+
+def _damped_steps(diag, off, mu, grad):
+    """Steps -(H + mu I)^{-1} g of C chains (blocks as in ``_band``, g
+    (C, M n)) and the mask of those whose H + mu I is positive definite.
+
+    LAPACK factors each chain: ``ptsv`` the tridiagonal 1-D Hessian as
+    L D L^T, ``pbsv`` the 2-D band by Cholesky.  scipy's Hermitian banded
+    solve picks the same routines, so the steps are its steps to the bit;
+    ``pbsv`` on a 1-D band is not, and moves v_eps in the last bits.
+    """
+    from scipy.linalg.lapack import dpbsv, dptsv
+    step, info = -grad, np.zeros(len(grad), dtype=int)
+    if diag.shape[-1] == 1:
+        d, e = diag[..., 0, 0] + mu[:, None], off[..., 0, 0]
+        for c in range(len(step)):
+            _, _, step[c], info[c] = dptsv(d[c], e[c], step[c],
+                                           overwrite_d=1, overwrite_b=1)
+    else:
+        ab = _band(diag, off)
+        ab[:, -1] += mu[:, None]
+        for c in range(len(step)):
+            _, step[c], info[c] = dpbsv(ab[c], step[c], overwrite_b=1)
+    if info.min() < 0:
+        raise ValueError(f"LAPACK rejected argument {-info.min()}")
+    return step, info == 0
 
 
 def _objective(model, dt, q, start):
@@ -511,16 +537,15 @@ def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
     the value is datum(eps q0) + eps * action, the joint polish of
     ``_lax_torus``; its Hessian adds eps^2 ``InitialDatum.hessian`` at q0.
 
-    One iteration factors H + mu I of each live chain by LAPACK's banded
-    Cholesky (``solveh_banded``) and steps by the solution.  A chain whose
-    factorisation fails, H + mu I not being positive definite, only raises
-    its damping mu; a step is kept when it lowers the value, and mu
-    follows the ratio of the actual to the predicted decrease (Nielsen's
-    rule).  A chain stops once its free-node gradient is at most
-    _DESCENT_GTOL, or once a rejected step predicted a decrease below
-    rounding.
+    One iteration factors H + mu I of each live chain by LAPACK
+    (``_damped_steps``: tridiagonal L D L^T in 1-D, banded Cholesky in
+    2-D) and steps by the solution.  A chain whose factorisation fails,
+    H + mu I not being positive definite, only raises its damping mu; a
+    step is kept when it lowers the value, and mu follows the ratio of the
+    actual to the predicted decrease (Nielsen's rule).  A chain stops once
+    its free-node gradient is at most _DESCENT_GTOL, or once a rejected
+    step predicted a decrease below rounding.
     """
-    from scipy import linalg
     q = np.array(chains, dtype=float)
     dt = horizon / (q.shape[1] - 1)
     free = slice(1 if start is None else 0, -1)
@@ -534,16 +559,8 @@ def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
         if not live.size:
             break
         g_in = grad[live, free].reshape(live.size, -1)
-        ab = _band(diag[live, free], off[live, free])
-        ab[:, -1] += mu[live, None]
-        step = np.zeros_like(g_in)
-        ok = np.ones(live.size, dtype=bool)
-        for c in range(live.size):
-            try:
-                step[c] = linalg.solveh_banded(ab[c], -g_in[c],
-                                               check_finite=False)
-            except linalg.LinAlgError:
-                ok[c] = False
+        step, ok = _damped_steps(diag[live, free], off[live, free], mu[live],
+                                 g_in)
         raise_mu = ~ok
         done = np.zeros(live.size, dtype=bool)
         if ok.any():

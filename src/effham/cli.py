@@ -18,7 +18,8 @@ such pair is rejected at load.  ``homogenize`` accepts configs with
 ``cover.subcover`` and runs the ladder on that intermediate cover;
 ``subcover`` runs the same ladder plus the quotient consistency checks.
 
-Exit codes: 0 all checks passed, 1 a tolerance check failed, 2 the config
+Exit codes: 0 all checks passed, 1 a tolerance check failed or a
+minimiser stopped unconverged (``passed`` is false), 2 the config
 was rejected (on every command alike: a malformed field, a system with no
 exact (alpha, beta) pair, a torus kinetic matrix not proved positive
 definite, a ``cover.norm`` or a cone's ``datum.norm`` other than the

@@ -272,7 +272,8 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
         **counts,
     }
     report.passed = (report.final_error < report.tolerance
-                     and report.monotone_ok and report.sandwich_ok)
+                     and report.monotone_ok and report.sandwich_ok
+                     and not counts.get("newton_capped", 0) and not unpolished)
     return report
 
 
@@ -371,6 +372,7 @@ def run_subcover_experiment(scenario: Scenario, beta_eval=None,
     cover_tol = 1e-9 + matching_bound(cover, scenario.eps_ladder[-1],
                                       scenario.mesh)
     report.passed = (report.passed
+                     and not report.diagnostics["neldermead_unconverged"]
                      and report.cover_kernel_invariance_error <= cover_tol
                      and report.kernel_invariance_error <= 1e-8
                      and report.dual_limit_error <= 1e-8)

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize
+from scipy import integrate, linalg, optimize
 
 from effham import action
 from effham.action import (
     InitialDatum,
     _auto_segments,
+    _band,
     _chain_terms,
+    _damped_steps,
     _descend,
     allocate_time,
     hopf_lax,
@@ -557,6 +559,12 @@ def _lbfgs_screen(model, horizon, chain):
     return float(res.fun)
 
 
+def _circle_varying_kinetic():
+    return TorusHamiltonian(1, [TrigPolynomial(
+        1, [([0], 1.0, 0.0), ([1], 0.3, 0.1)])], TrigPolynomial(
+        1, [([2], 0.5, -0.2)]))
+
+
 def _potential_2d(a_matrix):
     cells = [TrigPolynomial.constant(2, v) for v in
              (a_matrix[0][0], a_matrix[0][1], a_matrix[1][1])]
@@ -565,9 +573,7 @@ def _potential_2d(a_matrix):
 
 
 @pytest.mark.parametrize("model_of", [
-    pytest.param(lambda: TorusHamiltonian(1, [TrigPolynomial(
-        1, [([0], 1.0, 0.0), ([1], 0.3, 0.1)])], TrigPolynomial(
-        1, [([2], 0.5, -0.2)])), id="circle-varying-kinetic"),
+    pytest.param(_circle_varying_kinetic, id="circle-varying-kinetic"),
     pytest.param(lambda: _potential_2d([[1.3, 0.4], [0.4, 0.8]]),
                  id="torus2-constant-kinetic"),
 ])
@@ -606,6 +612,39 @@ def test_chain_terms_match_finite_differences(model_of):
                 assert np.allclose(off[:, i - 1, :, a], col[:, i - 1], atol=1e-6)
             if i < 8:
                 assert np.allclose(off[:, i, a, :], col[:, i + 1], atol=1e-6)
+
+
+@pytest.mark.parametrize("model_of, dt", [
+    pytest.param(_circle_varying_kinetic, 0.05, id="circle-varying-kinetic"),
+    pytest.param(lambda: _potential_2d([[1.3, 0.4], [0.4, 0.8]]), 0.1,
+                 id="torus2-constant-kinetic"),
+])
+def test_damped_steps_are_the_banded_solve(model_of, dt):
+    # the direct LAPACK steps against scipy's checked banded solve, at no
+    # damping, where some Hessians are indefinite, and at the descent's floor
+    model = model_of()
+    rng = np.random.default_rng(3)
+    q = _chains(rng.uniform(-1.5, 1.5, size=(60, model.n)), np.full(model.n, 0.4),
+                12, bump=0.3)
+    _, grad, diag, off = _chain_terms(model, dt, q)
+    diag, off = diag[:, 1:-1], off[:, 1:-1]
+    g = grad[:, 1:-1].reshape(len(q), -1)
+    floor = action._DESCENT_TAU * np.abs(
+        np.diagonal(diag, axis1=-2, axis2=-1)).max(axis=(1, 2))
+    for mu in (np.zeros(len(q)), floor):
+        step, ok = _damped_steps(diag, off, mu, g)
+        ab = _band(diag, off)
+        ab[:, -1] += mu[:, None]
+        failed = []
+        for c in range(len(q)):
+            try:
+                want = linalg.solveh_banded(ab[c], -g[c], check_finite=False)
+            except linalg.LinAlgError:
+                failed.append(c)
+                continue
+            assert np.array_equal(step[c], want)
+        assert np.array_equal(np.flatnonzero(~ok), failed)
+        assert 0 < len(failed) < len(q)
 
 
 @pytest.mark.parametrize("stem", ["free_torus_1d", "free_torus_2d",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from effham import cli, mather, topology
+from effham import action, cli, mather, topology
 from effham.action import InitialDatum
 from effham.errors import SolverError
 from effham.homogenize import Scenario, run_experiment
@@ -436,3 +436,25 @@ def test_report_line_carries_the_solver_counts(tmp_path, capsys):
     assert record["diagnostics"] == report["diagnostics"]
     assert {"newton_capped",
             "neldermead_unconverged"} <= set(record["diagnostics"])
+
+
+def test_capped_descent_fails_the_run(tmp_path, capsys, monkeypatch):
+    # one pendulum rung passes, and with one Newton iteration per descent
+    # its chains stop unconverged, which fails the report and exits 1
+    tree = _scenario_tree("pendulum")
+    tree["experiment"]["ladder"] = [1.0]
+    tree["experiment"]["tolerance"] = 1.0
+    path = _write(tmp_path, tree)
+    reports = []
+    for cap in (action._DESCENT_CAP, 1):
+        monkeypatch.setattr(action, "_DESCENT_CAP", cap)
+        out = tmp_path / f"cap{cap}"
+        code = cli.run(path, "homogenize", out_dir=str(out))
+        with open(out / "pendulum_homogenize.json") as fh:
+            reports.append((code, json.load(fh)))
+    (code, report), (capped_code, capped) = reports
+    assert code == cli.EXIT_OK and report["passed"]
+    assert report["diagnostics"]["newton_capped"] == 0
+    assert capped_code == cli.EXIT_TOLERANCE and not capped["passed"]
+    assert capped["diagnostics"]["newton_capped"] > 0
+    assert _records(capsys)[-1]["error"]["kind"] == "tolerance"

@@ -188,6 +188,9 @@ def test_unconverged_hopf_lax_polish_is_counted(loop2_cover, loop2_lag,
     # kernel-invariance point (the identity map has no nonzero shift)
     assert [r.diagnostics["neldermead_unconverged"] for r in before] == [0, 0]
     assert [r.diagnostics["neldermead_unconverged"] for r in after] == [2, 4]
+    # the same values, read from an unconverged polish, fail both runs
+    assert [r.passed for r in before] == [True, True]
+    assert [r.passed for r in after] == [False, False]
     for old, new in zip(before, after):
         assert [(r.v_eps, r.u_limit) for r in new.rows] == \
             [(r.v_eps, r.u_limit) for r in old.rows]
