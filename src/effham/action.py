@@ -11,9 +11,12 @@ Three layers:
   case.  Tori descend piecewise-linear midpoint chains with
   segment-doubling refinement.  One kernel, ``_chain_terms``, prices
   every torus chain: its midpoint action, its gradient and its exact
-  banded Hessian.  One descent, ``_descend``, minimises every torus
-  chain: damped Newton on that Hessian, factored by LAPACK (tridiagonal
-  L D L^T in 1-D, banded Cholesky in 2-D), over chains in lockstep.
+  banded Hessian, as (C, N) arrays in 1-D.  One descent, ``_descend``,
+  minimises every torus chain: damped Newton on that Hessian over chains
+  in lockstep, dropping each chain as it stops.  An iteration factors
+  the live chains stacked into one system in one LAPACK call
+  (tridiagonal L D L^T in 1-D, banded Cholesky in 2-D), which restarts
+  after a chain whose damped Hessian is not positive definite.
 * ``lax_oleinik``: the rescaled cover solution, an infimum of
   f(eps * G(y)) + eps * action over starting points y (f the limit
   datum, G the cover's coordinate map), truncated to a certified window.
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .model import GraphLagrangian, TorusHamiltonian, _torus_grid
+from .model import GraphLagrangian, TorusHamiltonian, _is_constant, _torus_grid
 from .topology import (CoverPoint, _ball_axes, _ball_nodes, _edge_flow, _grid,
                        _norm_rows, dual_norm_value, norm_value)
 
@@ -393,11 +396,13 @@ def _chain_inits(y_lift: np.ndarray, x_lift: np.ndarray, n_segments: int):
     return inits
 
 
-def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray):
+def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray,
+                 a_const=None):
     """Action (C,), gradient (C, N+1, n) and exact Hessian of C midpoint
     chains q (C, N+1, n): the Hessian's diagonal blocks (C, N+1, n, n)
     and the blocks (C, N, n, n) that couple node i to node i+1.  Every
-    torus solve prices its chains here.
+    torus solve prices its chains here; ``a_const`` is A when it is
+    constant (``_descend`` reads it once), else None.
 
     Segment i costs dt L(m, v) = dt (v.w/2 - V(m)) with v = d/dt,
     d = q[i+1] - q[i], m = (q[i] + q[i+1])/2 and w = B(m) v, B = A^{-1}:
@@ -409,31 +414,45 @@ def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray):
     L(d, m) = d.B(m).d/(2 dt) - dt V(m): nodes i+1 and i take
     L_dd +- sym(L_dm) + L_mm/4, and their coupling block is
     -L_dd - L_dm/2 + L_dm^T/2 + L_mm/4.  So the Hessian is tridiagonal in
-    1-D and block-tridiagonal in 2-D.
+    1-D and block-tridiagonal in 2-D.  L_dm is 1 x 1 in 1-D and zero in
+    2-D, so sym(L_dm) = L_dm and the rest of the coupling is an exact 0:
+    the 1-D terms are (C, N) arrays, returned as (..., 1, 1) views.
     """
     chains, nodes, n = q.shape
     shape = (chains, nodes - 1)
     d = q[:, 1:] - q[:, :-1]
     vel = d / dt
     flat = (0.5 * (q[:, 1:] + q[:, :-1])).reshape(-1, n)
-    v_terms = model.v.gradient_many(flat)
-    pot = v_terms[0].reshape(shape)
-    gv = v_terms[1].reshape(shape + (n,))
+    pot, gv, l_mm = model.v.gradient_many(flat)
+    pot = pot.reshape(shape)
+    gv = gv.reshape(shape + (n,))
+    l_mm = -dt * l_mm.reshape(shape + (n, n))
     if n == 1:
-        a_terms = model.a_entries[0].gradient_many(flat)
-        a, a1 = a_terms[0].reshape(shape), a_terms[1].reshape(shape)
-        vv = vel[..., 0]
-        w = vv / a
+        vv, dd, gv, l_mm = vel[..., 0], d[..., 0], gv[..., 0], l_mm[..., 0, 0]
+        if a_const is None:
+            a, a1, a2 = (t.reshape(shape) for t in
+                         model.a_entries[0].gradient_many(flat))
+            w = vv / a
+            dmid = -0.5 * w * w * a1 - gv
+            phi, phi1 = 1.0 / a, -a1 / (a * a)
+            phi2 = (2.0 * a1 * a1 - a * a2) / (a * a * a)
+            l_dd, l_dm = phi / dt, dd * phi1 / dt
+            l_mm += 0.5 * dd * dd * phi2 / dt
+        else:
+            # a' = a'' = 0: every term dropped here is an exact +-0
+            w = vv / a_const[0, 0]
+            dmid = -gv
+            l_dd, l_dm = 1.0 / a_const[0, 0] / dt, 0.0
         kin = 0.5 * vv * w
-        dmid = -0.5 * w * w * a1 - gv[..., 0]
     else:
-        a_mat = model.kinetic_matrix(np.zeros(n))
+        a_mat = model.kinetic_matrix(np.zeros(n)) if a_const is None else a_const
         a11, a12, a22 = a_mat[0, 0], a_mat[0, 1], a_mat[1, 1]
         det = a11 * a22 - a12 * a12
         w = np.stack([(a22 * vel[..., 0] - a12 * vel[..., 1]) / det,
                       (-a12 * vel[..., 0] + a11 * vel[..., 1]) / det], axis=-1)
         kin = 0.5 * (w[..., 0] * vel[..., 0] + w[..., 1] * vel[..., 1])
         dmid = -gv
+        l_dd, l_dm = np.linalg.inv(a_mat) / dt, 0.0
     act = dt * np.sum(kin - pot, axis=1)
     grad = np.zeros(q.shape)
     # the 1-D terms are (C, N) arrays, so they fill the only coordinate
@@ -441,24 +460,14 @@ def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray):
     side = 0.5 * dt * dmid
     g[:, 1:] += w + side
     g[:, :-1] += -w + side
-    l_mm = -dt * v_terms[2].reshape(shape + (n, n))
+    quarter = 0.25 * l_mm
+    diag = np.zeros(q.shape[:2] if n == 1 else q.shape + (n,))
+    diag[:, 1:] += l_dd + l_dm + quarter
+    diag[:, :-1] += l_dd - l_dm + quarter
+    # -L_dd + (L_dm^T - L_dm)/2 + L_mm/4, the middle term an exact +0
+    off = -l_dd + 0.0 + quarter
     if n == 1:
-        a2 = a_terms[2].reshape(shape)
-        phi, phi1 = 1.0 / a, -a1 / (a * a)
-        phi2 = (2.0 * a1 * a1 - a * a2) / (a * a * a)
-        dd = d[..., 0]
-        l_dd = (phi / dt)[..., None, None]
-        l_dm = (dd * phi1 / dt)[..., None, None]
-        l_mm += (0.5 * dd * dd * phi2 / dt)[..., None, None]
-    else:
-        l_dd = np.broadcast_to(np.linalg.inv(a_mat) / dt, shape + (n, n))
-        l_dm = np.zeros(shape + (n, n))
-    l_md = np.swapaxes(l_dm, -1, -2)
-    sym = 0.5 * (l_dm + l_md)
-    diag = np.zeros(q.shape + (n,))
-    diag[:, 1:] += l_dd + sym + 0.25 * l_mm
-    diag[:, :-1] += l_dd - sym + 0.25 * l_mm
-    off = -l_dd + 0.5 * (l_md - l_dm) + 0.25 * l_mm
+        return act, grad, diag[..., None, None], off[..., None, None]
     return act, grad, diag, off
 
 
@@ -466,50 +475,76 @@ def _band(diag, off):
     """Upper band storage ab[u + i - j, j] = H[i, j] (i <= j, u = 2n - 1),
     the layout of LAPACK's ``pbsv``, of C block-tridiagonal 2-D Hessians
     with diagonal blocks diag (C, M, n, n) and blocks off (C, M - 1, n, n)
-    coupling node i to node i + 1, coordinates ordered node by node.  1-D
-    chains pass their two diagonals to ``ptsv`` instead."""
+    coupling node i to node i + 1, coordinates ordered node by node: one
+    Fortran-ordered (u + 1, C M n) band, chain after chain, with no
+    coupling between chains.  1-D chains pass their two diagonals to
+    ``ptsv`` instead."""
     chains, m, n, _ = diag.shape
     u = 2 * n - 1
-    ab = np.zeros((chains, u + 1, m, n))
+    ab = np.zeros((chains, m, n, u + 1))
     for a in range(n):
         for b in range(n):
             if a <= b:
-                ab[:, u - b + a, :, b] = diag[:, :, a, b]
-            ab[:, u - n - b + a, 1:, b] = off[:, :, a, b]
-    return ab.reshape(chains, u + 1, m * n)
+                ab[:, :, b, u - b + a] = diag[:, :, a, b]
+            ab[:, 1:, b, u - n - b + a] = off[:, :, a, b]
+    return ab.reshape(-1, u + 1).T
 
 
 def _damped_steps(diag, off, mu, grad):
     """Steps -(H + mu I)^{-1} g of C chains (blocks as in ``_band``, g
     (C, M n)) and the mask of those whose H + mu I is positive definite.
 
-    LAPACK factors each chain: ``ptsv`` the tridiagonal 1-D Hessian as
-    L D L^T, ``pbsv`` the 2-D band by Cholesky.  scipy's Hermitian banded
-    solve picks the same routines, so the steps are its steps to the bit;
-    ``pbsv`` on a 1-D band is not, and moves v_eps in the last bits.
+    All chains go to LAPACK as one system, block diagonal by chain:
+    ``ptsv`` factors the stacked tridiagonal 1-D Hessians as L D L^T,
+    ``pbsv`` the stacked 2-D band by Cholesky.  A coupling between chains
+    is 0, so every pivot, and every step, is that of the chain's own
+    system, bit for bit; scipy's Hermitian banded solve picks the same
+    routines per chain.  A pivot that is not positive stops the call in
+    some chain c: the chains before it are factored, so ``pttrs``/``pbtrs``
+    solves them on that prefix of the factors, c is marked, and the call
+    restarts on the chain after c.
     """
-    from scipy.linalg.lapack import dpbsv, dptsv
-    step, info = -grad, np.zeros(len(grad), dtype=int)
-    if diag.shape[-1] == 1:
-        d, e = diag[..., 0, 0] + mu[:, None], off[..., 0, 0]
-        for c in range(len(step)):
-            _, _, step[c], info[c] = dptsv(d[c], e[c], step[c],
-                                           overwrite_d=1, overwrite_b=1)
+    from scipy.linalg.lapack import dpbsv, dpbtrs, dptsv, dpttrs
+    chains, m, n, _ = diag.shape
+    size = m * n
+    b = -grad.ravel()
+    if n == 1:
+        d = (diag[..., 0, 0] + mu[:, None]).ravel()
+        e = np.zeros((chains, m))
+        e[:, :-1] = off[..., 0, 0]
+        e = e.ravel()[:-1]
     else:
         ab = _band(diag, off)
-        ab[:, -1] += mu[:, None]
-        for c in range(len(step)):
-            _, step[c], info[c] = dpbsv(ab[c], step[c], overwrite_b=1)
-    if info.min() < 0:
-        raise ValueError(f"LAPACK rejected argument {-info.min()}")
-    return step, info == 0
+        ab[-1] += np.repeat(mu, size)
+    ok = np.ones(chains, dtype=bool)
+    lo = 0
+    while lo < b.size:
+        if n == 1:
+            fd, fe, x, info = dptsv(d[lo:], e[lo:], b[lo:], overwrite_d=1,
+                                    overwrite_e=1, overwrite_b=1)
+        else:
+            fab, x, info = dpbsv(ab[:, lo:], b[lo:], overwrite_ab=1,
+                                 overwrite_b=1)
+        if info < 0:
+            raise ValueError(f"LAPACK rejected argument {-info}")
+        if info == 0:
+            b[lo:] = x
+            break
+        # the chains in rows lo:lo + k are factored, and the next one failed
+        k = (lo + info - 1) // size * size - lo
+        if k:
+            b[lo:lo + k] = (dpttrs(fd[:k], fe[:k - 1], b[lo:lo + k])[0] if n == 1
+                            else dpbtrs(fab[:, :k], b[lo:lo + k])[0])
+        ok[(lo + k) // size] = False
+        lo += k + size
+    return b.reshape(chains, size), ok
 
 
-def _objective(model, dt, q, start):
+def _objective(model, dt, q, start, a_const):
     """Value (C,), gradient and Hessian blocks (``_chain_terms``' layout)
     of C chains q: the chain action, or with start = (datum, eps) the
     joint value datum(eps q0) + eps * action."""
-    act, grad, diag, off = _chain_terms(model, dt, q)
+    act, grad, diag, off = _chain_terms(model, dt, q, a_const)
     if start is None:
         return act, grad, diag, off
     datum, eps = start
@@ -537,58 +572,70 @@ def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
     the value is datum(eps q0) + eps * action, the joint polish of
     ``_lax_torus``; its Hessian adds eps^2 ``InitialDatum.hessian`` at q0.
 
-    One iteration factors H + mu I of each live chain by LAPACK
+    One iteration factors H + mu I of every live chain in one LAPACK call
     (``_damped_steps``: tridiagonal L D L^T in 1-D, banded Cholesky in
     2-D) and steps by the solution.  A chain whose factorisation fails,
     H + mu I not being positive definite, only raises its damping mu; a
     step is kept when it lowers the value, and mu follows the ratio of the
     actual to the predicted decrease (Nielsen's rule).  A chain stops once
     its free-node gradient is at most _DESCENT_GTOL, or once a rejected
-    step predicted a decrease below rounding.
+    step predicted a decrease below rounding, and is then written out and
+    dropped: the state holds the live chains only, so every chain's
+    iterates are those it has alone.  A constant A is read once.
     """
     q = np.array(chains, dtype=float)
     dt = horizon / (q.shape[1] - 1)
     free = slice(1 if start is None else 0, -1)
-    val, grad, diag, off = _objective(model, dt, q, start)
-    mu = np.zeros(q.shape[0])
-    nu = np.full(q.shape[0], 2.0)
+    a_const = (model.kinetic_matrix(np.zeros(model.n))
+               if all(map(_is_constant, model.a_entries)) else None)
+    val, grad, diag, off = _objective(model, dt, q, start, a_const)
+    out_val, out_q = val, q
+    capped = np.zeros(q.shape[0], dtype=bool)
     floor = _DESCENT_TAU * np.abs(np.diagonal(diag[:, free], axis1=-2,
                                               axis2=-1)).max(axis=(1, 2))
-    live = np.flatnonzero(np.abs(grad[:, free]).max(axis=(1, 2)) > _DESCENT_GTOL)
+    live = np.abs(grad[:, free]).max(axis=(1, 2)) > _DESCENT_GTOL
+    ids = np.flatnonzero(live)
+    q, val, grad, diag, off, floor = (x[live] for x in
+                                      (q, val, grad, diag, off, floor))
+    mu, nu = np.zeros(ids.size), np.full(ids.size, 2.0)
     for _ in range(_DESCENT_CAP):
-        if not live.size:
+        if not ids.size:
             break
-        g_in = grad[live, free].reshape(live.size, -1)
-        step, ok = _damped_steps(diag[live, free], off[live, free], mu[live],
-                                 g_in)
-        raise_mu = ~ok
-        done = np.zeros(live.size, dtype=bool)
+        g = grad[:, free].reshape(ids.size, -1)
+        step, ok = _damped_steps(diag[:, free], off[:, free], mu, g)
+        kept, done = np.zeros(ids.size, dtype=bool), np.zeros(ids.size, dtype=bool)
         if ok.any():
-            sel = np.flatnonzero(ok)
-            idx = live[sel]
+            # the chains that factored: all of them as a slice, or an index
+            sel = slice(None) if ok.all() else np.flatnonzero(ok)
             p = step[sel]
-            trial = q[idx].copy()
+            trial = q[sel].copy()
             trial[:, free] += p.reshape(trial[:, free].shape)
-            t_val, t_grad, t_diag, t_off = _objective(model, dt, trial, start)
-            pred = 0.5 * np.sum(p * (mu[idx, None] * p - g_in[sel]), axis=1)
-            stalled = pred <= 1e-15 * np.maximum(1.0, np.abs(val[idx]))
-            gain = (val[idx] - t_val) / pred
+            t_val, t_grad, t_diag, t_off = _objective(model, dt, trial, start,
+                                                      a_const)
+            pred = 0.5 * (p * (mu[sel, None] * p - g[sel])).sum(axis=1)
+            stalled = pred <= 1e-15 * np.maximum(1.0, np.abs(val[sel]))
+            gain = (val[sel] - t_val) / pred
             keep = gain > 0.0
-            kept = idx[keep]
-            q[kept], val[kept], grad[kept] = trial[keep], t_val[keep], t_grad[keep]
-            diag[kept], off[kept] = t_diag[keep], t_off[keep]
+            small = np.abs(t_grad[:, free]).max(axis=(1, 2)) <= _DESCENT_GTOL
+            kept[sel], done[sel] = keep, np.where(keep, small, stalled)
+            if kept.all():
+                q, val, grad, diag, off = trial, t_val, t_grad, t_diag, t_off
+            else:
+                q[kept], val[kept], grad[kept] = trial[keep], t_val[keep], t_grad[keep]
+                diag[kept], off[kept] = t_diag[keep], t_off[keep]
             mu[kept] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain[keep] - 1.0) ** 3)
             nu[kept] = 2.0
-            raise_mu[sel[~keep]] = True
-            small = np.abs(t_grad[:, free]).max(axis=(1, 2)) <= _DESCENT_GTOL
-            done[sel] = np.where(keep, small, stalled)
-        bump = live[raise_mu]
-        mu[bump] = np.maximum(mu[bump] * nu[bump], floor[bump])
-        nu[bump] *= 2.0
-        live = live[~done]
-    capped = np.zeros(q.shape[0], dtype=bool)
-    capped[live] = True
-    return val, q, capped
+        if not kept.all():
+            bump = ~kept
+            mu[bump] = np.maximum(mu[bump] * nu[bump], floor[bump])
+            nu[bump] *= 2.0
+        if done.any():
+            out_val[ids[done]], out_q[ids[done]] = val[done], q[done]
+            rest = ~done
+            ids, q, val, grad, diag, off, mu, nu, floor = (
+                x[rest] for x in (ids, q, val, grad, diag, off, mu, nu, floor))
+    out_val[ids], out_q[ids], capped[ids] = val, q, True
+    return out_val, out_q, capped
 
 
 def _refine_nodes(nodes: np.ndarray) -> np.ndarray:

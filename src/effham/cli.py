@@ -131,7 +131,8 @@ def _write_report(cfg: ScenarioConfig, report, command: str, out_dir: str) -> in
            "diagnostics": report.diagnostics})
     if not report.passed:
         _emit(_error_record("tolerance", EXIT_TOLERANCE,
-                            f"scenario {cfg.name}: report pass flags not all true"))
+                            f"scenario {cfg.name}: failed checks: "
+                            + ", ".join(report.failed)))
         return EXIT_TOLERANCE
     return EXIT_OK
 

@@ -139,6 +139,9 @@ class ExperimentReport:
     cover_kernel_invariance_error: float = None
     kernel_invariance_error: float = None
     dual_limit_error: float = None
+    # names of the checks that failed ``passed``; not a field, so the
+    # report files leave it out
+    failed = ()
 
     def errors_by_eps(self) -> list:
         """Largest abs_error per eps, coarsest eps first; a NaN error stays
@@ -271,9 +274,12 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
         "neldermead_unconverged": unpolished,
         **counts,
     }
-    report.passed = (report.final_error < report.tolerance
-                     and report.monotone_ok and report.sandwich_ok
-                     and not counts.get("newton_capped", 0) and not unpolished)
+    checks = {"final_error < tolerance": report.final_error < report.tolerance,
+              "monotone_ok": report.monotone_ok, "sandwich_ok": report.sandwich_ok,
+              "newton_capped": not counts.get("newton_capped", 0),
+              "neldermead_unconverged": not unpolished}
+    report.failed = [name for name, ok in checks.items() if not ok]
+    report.passed = not report.failed
     return report
 
 
@@ -371,9 +377,14 @@ def run_subcover_experiment(scenario: Scenario, beta_eval=None,
     report.diagnostics["kernel_rank"] = sub.kernel_rank()
     cover_tol = 1e-9 + matching_bound(cover, scenario.eps_ladder[-1],
                                       scenario.mesh)
-    report.passed = (report.passed
-                     and not report.diagnostics["neldermead_unconverged"]
-                     and report.cover_kernel_invariance_error <= cover_tol
-                     and report.kernel_invariance_error <= 1e-8
-                     and report.dual_limit_error <= 1e-8)
+    checks = {"neldermead_unconverged":
+              not report.diagnostics["neldermead_unconverged"],
+              "cover_kernel_invariance_error <= cover_tol":
+              report.cover_kernel_invariance_error <= cover_tol,
+              "kernel_invariance_error <= 1e-8":
+              report.kernel_invariance_error <= 1e-8,
+              "dual_limit_error <= 1e-8": report.dual_limit_error <= 1e-8}
+    report.failed += [name for name, ok in checks.items()
+                      if not ok and name not in report.failed]
+    report.passed = not report.failed
     return report

@@ -49,8 +49,10 @@ class TrigPolynomial:
                 raise ValueError(f"frequency vector {k} must be integral for periodicity")
             norm_terms.append((np.round(kv).astype(int), float(a), float(b)))
         self.terms = norm_terms
-        # the terms for ``gradient_many``: float frequencies, None at zero
-        self._waves = [(k.astype(float) if k.any() else None, a, b)
+        # the terms for ``gradient_many``: float frequencies and their
+        # outer products k k^T, None at zero
+        self._waves = [(k.astype(float), np.outer(k, k).astype(float), a, b)
+                       if k.any() else (None, None, a, b)
                        for k, a, b in norm_terms]
         # the terms for ``value``: frequencies as a tuple of floats
         self._scalar = [(tuple(float(kj) for kj in k), a, b)
@@ -92,7 +94,7 @@ class TrigPolynomial:
         out = np.zeros(xs.shape[0])
         g = np.zeros_like(xs)
         hess = np.zeros(xs.shape + (self.n,))
-        for k, a, b in self._waves:
+        for k, kk, a, b in self._waves:
             if k is None:
                 out += a
                 continue
@@ -101,7 +103,7 @@ class TrigPolynomial:
             term = a * cos + b * sin
             out += term
             g += (TWO_PI * (-a * sin + b * cos))[:, None] * k
-            hess -= (TWO_PI * TWO_PI * term)[:, None, None] * np.outer(k, k)
+            hess -= (TWO_PI * TWO_PI * term)[:, None, None] * kk
         return out, g, hess
 
     def mean(self) -> float:

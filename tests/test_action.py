@@ -27,7 +27,7 @@ from effham.errors import ModelValidityError
 from effham.mather import AnalyticQuadraticBeta, DirectBetaEvaluator
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
 from effham.topology import GraphCover, MetricGraph, match_point, norm_value
-from tests.conftest import allocate_time_oracle
+from tests.conftest import allocate_time_oracle, make_pendulum
 from tests.oracles import lagrangian, torus_candidate_count
 
 
@@ -620,31 +620,78 @@ def test_chain_terms_match_finite_differences(model_of):
                  id="torus2-constant-kinetic"),
 ])
 def test_damped_steps_are_the_banded_solve(model_of, dt):
-    # the direct LAPACK steps against scipy's checked banded solve, at no
-    # damping, where some Hessians are indefinite, and at the descent's floor
+    # the stacked LAPACK steps against scipy's checked banded solve of each
+    # chain alone, at no damping, where some Hessians are indefinite, and
+    # at the descent's floor; the batches put failed chains first, in the
+    # middle, last, next to each other and in most of the batch
     model = model_of()
     rng = np.random.default_rng(3)
-    q = _chains(rng.uniform(-1.5, 1.5, size=(60, model.n)), np.full(model.n, 0.4),
+    q = _chains(rng.uniform(-1.5, 1.5, size=(128, model.n)), np.full(model.n, 0.4),
                 12, bump=0.3)
     _, grad, diag, off = _chain_terms(model, dt, q)
     diag, off = diag[:, 1:-1], off[:, 1:-1]
     g = grad[:, 1:-1].reshape(len(q), -1)
+    size = g.shape[1]
+    ab = _band(diag, off)
     floor = action._DESCENT_TAU * np.abs(
         np.diagonal(diag, axis1=-2, axis2=-1)).max(axis=(1, 2))
     for mu in (np.zeros(len(q)), floor):
-        step, ok = _damped_steps(diag, off, mu, g)
-        ab = _band(diag, off)
-        ab[:, -1] += mu[:, None]
-        failed = []
+        want = []
         for c in range(len(q)):
+            band = ab[:, c * size:(c + 1) * size].copy()
+            band[-1] += mu[c]
             try:
-                want = linalg.solveh_banded(ab[c], -g[c], check_finite=False)
+                want.append(linalg.solveh_banded(band, -g[c], check_finite=False))
             except linalg.LinAlgError:
-                failed.append(c)
-                continue
-            assert np.array_equal(step[c], want)
-        assert np.array_equal(np.flatnonzero(~ok), failed)
-        assert 0 < len(failed) < len(q)
+                want.append(None)
+        bad = [c for c in range(len(q)) if want[c] is None]
+        good = [c for c in range(len(q)) if want[c] is not None]
+        assert len(bad) >= 8 and len(good) >= 8
+        for batch in (list(range(len(q))), bad[:1], good[:1], bad[:1] + good[:5],
+                      good[:3] + bad[:1] + good[3:6], good[:5] + bad[:1],
+                      good[:2] + bad[:3] + good[2:4], bad[:8] + good[:1]):
+            step, ok = _damped_steps(diag[batch], off[batch], mu[batch], g[batch])
+            assert [c for c, k in zip(batch, ok) if not k] == \
+                [c for c in batch if want[c] is None]
+            for c, row in zip(batch, step):
+                if want[c] is not None:
+                    assert np.array_equal(row, want[c])
+
+
+def _free_2d_skew():
+    return TorusHamiltonian(2, [TrigPolynomial.constant(2, v)
+                                for v in (1.3, 0.4, 0.8)],
+                            TrigPolynomial.constant(2, 0.0))
+
+
+@pytest.mark.parametrize("model_of, horizon, batch", [
+    # the stay chains at 1/3 over T = 16, whose +0.35 hump crawls through a
+    # flat valley long after the others stop, and two chains from elsewhere
+    pytest.param(make_pendulum, 16.0, lambda: np.concatenate(
+        [action._chain_inits(np.array([1.0 / 3.0]), np.array([1.0 / 3.0]), 256),
+         _chains([[-0.4], [1.1]], [1.0 / 3.0], 256, bump=0.2)]), id="pendulum"),
+    pytest.param(_circle_varying_kinetic, 4.0, lambda: _chains(
+        [[-1.2], [-0.3], [0.5], [1.6]], [0.4], 64, bump=0.3),
+        id="circle-varying-kinetic"),
+    pytest.param(lambda: _potential_2d([[1.3, 0.4], [0.4, 0.8]]), 2.0,
+                 lambda: _chains([[0.1, 0.2], [-0.7, 0.9], [1.4, -0.3],
+                                  [0.5, 0.45]], [0.3, -0.2], 32, bump=0.2),
+                 id="torus2-potential"),
+    pytest.param(_free_2d_skew, 3.0, lambda: _chains(
+        [[-2.0, 1.0], [0.5, 3.0], [1.0, -1.5]], [0.25, 0.25], 32, bump=0.35),
+        id="torus2-free"),
+])
+def test_batched_descent_is_each_chain_alone(model_of, horizon, batch):
+    # a chain's iterates do not depend on the chains it descends with: the
+    # batch drops chains as they stop and stacks the rest into one solve
+    model, chains = model_of(), batch()
+    vals, nodes, capped = _descend(model, horizon, chains)
+    for c in range(len(chains)):
+        val, alone, hit = _descend(model, horizon, chains[c:c + 1])
+        assert np.array_equal(vals[c:c + 1], val)
+        assert np.array_equal(nodes[c:c + 1], alone)
+        assert np.array_equal(capped[c:c + 1], hit)
+    assert not capped.any()
 
 
 @pytest.mark.parametrize("stem", ["free_torus_1d", "free_torus_2d",
@@ -655,9 +702,7 @@ def test_screen_is_exact_on_free_systems(stem):
     model = load_config(os.path.join(_SCENARIOS,
                                      stem.split("-")[0] + ".yaml")).model
     if stem.endswith("skew"):
-        model = TorusHamiltonian(2, [TrigPolynomial.constant(2, v)
-                                     for v in (1.3, 0.4, 0.8)],
-                                 TrigPolynomial.constant(2, 0.0))
+        model = _free_2d_skew()
     a_inv = np.linalg.inv(model.kinetic_matrix(np.zeros(model.n)))
     rng = np.random.default_rng(11)
     starts = rng.uniform(-4.0, 4.0, size=(9, model.n))

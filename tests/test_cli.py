@@ -457,4 +457,7 @@ def test_capped_descent_fails_the_run(tmp_path, capsys, monkeypatch):
     assert report["diagnostics"]["newton_capped"] == 0
     assert capped_code == cli.EXIT_TOLERANCE and not capped["passed"]
     assert capped["diagnostics"]["newton_capped"] > 0
-    assert _records(capsys)[-1]["error"]["kind"] == "tolerance"
+    error = _records(capsys)[-1]["error"]
+    assert error["kind"] == "tolerance"
+    # the record names the check that failed, and only that one
+    assert error["message"].endswith("failed checks: newton_capped")
