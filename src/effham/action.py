@@ -26,11 +26,13 @@ Three layers:
   cells at their least straight-path cost, which keep the mesh lifts no
   cell bound rules out, then those on coarse chains that ``_descend``
   runs in lockstep, the lowest few re-priced by ``minimal_action_torus``.
-  The winner is polished: along its edges on graphs, and on tori by one
-  more descent with its start node free (the joint polish).  Only
-  ``hopf_lax`` calls ``scipy.optimize``.
+  The winner is polished: on graphs by a golden-section search along
+  each of its edges, the searches in lockstep at one ``_graph_actions``
+  call a step; on tori by one more descent with its start node free (the
+  joint polish).  Only ``hopf_lax`` calls ``scipy.optimize``.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
-  against t * beta((h - q)/t) over a certified compact box.
+  against t * beta((h - q)/t) over a certified compact box, its seed grid
+  priced by one ``value_many`` call.
 
 Both searches are cut off by the same quadratic-growth certificate
 (``_reach``): a start too far away pays more action than the datum can
@@ -893,28 +895,35 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
                      diagnostics={"newton_capped": int(capped)})
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float):
-    """Golden-section search for the minimum of a unimodal fn on [lo, hi].
-
-    Stops once the bracket is at most tol wide; returns (s, fn(s)) at
-    the bracket midpoint.
-    """
+def _golden_min(fn, lo, hi, tol):
+    """Golden-section searches for the minima of K unimodal functions on
+    [lo[k], hi[k]] in lockstep: ``fn(idx, s)`` prices one probe s[j] of each
+    live search idx[j] at once (two lists) and returns their values in
+    order.  Search k stops once its bracket is at most tol[k] wide; returns
+    the midpoints s and fn(s), one per search.  Each search steps its own
+    bracket in float64 scalars, so its probes and result are those it has
+    alone, bit for bit; a scalar search is the case K = 1."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    s = 0.5 * (a + b)
-    return s, fn(s)
+    a, b, tol = (x.tolist() for x in np.broadcast_arrays(
+        *(np.array(v, dtype=float, ndmin=1) for v in (lo, hi, tol))))
+    live = list(range(len(a)))
+    c = [b[k] - phi * (b[k] - a[k]) for k in live]
+    d = [a[k] + phi * (b[k] - a[k]) for k in live]
+    fc, fd = list(fn(live, c)), list(fn(live, d))
+    while live := [k for k in live if (b[k] - a[k]) > tol[k]]:
+        left = [fc[k] < fd[k] for k in live]
+        for k, lt in zip(live, left):
+            if lt:
+                b[k], d[k], fd[k] = d[k], c[k], fc[k]
+                c[k] = b[k] - phi * (b[k] - a[k])
+            else:
+                a[k], c[k], fc[k] = c[k], d[k], fd[k]
+                d[k] = a[k] + phi * (b[k] - a[k])
+        probes = [c[k] if lt else d[k] for k, lt in zip(live, left)]
+        for k, lt, val in zip(live, left, fn(live, probes)):
+            (fc if lt else fd)[k] = val
+    s = [0.5 * (ak + bk) for ak, bk in zip(a, b)]
+    return s, list(fn(list(range(len(s))), s))
 
 
 def _lax_graph(cover, lagrangian, datum, x, t, eps, mesh):
@@ -975,19 +984,20 @@ def _lax_graph(cover, lagrangian, datum, x, t, eps, mesh):
         polish_domains = [(e, np.array(best_point.sheet)
                            - (direction == -1) * graph.cocycles[e])
                           for e, direction in graph.incident[best_point.base[1]]]
-    for e, sheet in polish_domains:
-        length = graph.length(e)
+    lengths = np.array([graph.length(e) for e, _ in polish_domains])
 
-        def objective(s, e=e, sheet=sheet):
-            point = cover.edge_point(e, min(max(s, 0.0), length), sheet)
-            return (datum.value(eps * cover.g_map(point))
-                    + eps * minimal_action_graph(lagrangian, cover, point, x,
-                                                 horizon))
+    def objective(idx, s):
+        points = [cover.edge_point(polish_domains[k][0], min(max(sk, 0.0), lengths[k]),
+                                   polish_domains[k][1]) for k, sk in zip(idx, s)]
+        acts = _graph_actions(lagrangian, cover, cover._attachments(points), x, horizon)
+        return np.array([datum.value(eps * cover.g_map(p)) for p in points]) + eps * acts
 
-        s_best, val = _golden_min(objective, 0.0, length, tol=1e-9 * max(1.0, length))
+    # one lockstep search per edge; the incumbent then updates in edge order
+    s_best, vals = _golden_min(objective, 0.0, lengths, 1e-9 * np.maximum(1.0, lengths))
+    for (e, sheet), s, val in zip(polish_domains, s_best, vals):
         if val < incumbent:
             incumbent = val
-            best_point = cover.edge_point(e, s_best, sheet)
+            best_point = cover.edge_point(e, s, sheet)
 
     return LaxResult(value=float(incumbent), minimizer_g=cover.g_map(best_point),
                      window=window, candidates=int(lb_all.size),
@@ -1025,12 +1035,13 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float):
     """Limit solution u(h, t) = min_q datum(q) + t * beta((h - q)/t),
     returned as (u, converged) with the simplex polish's success flag.
 
-    ``beta_eval`` must expose value(w), its measuring norm ``norm`` (l1
-    or l2) and coercivity() -> (kappa, v_off) certifying
-    beta(w) >= kappa*|w|^2 - v_off in that norm.  The q-window is
-    certified from the datum growth and that coercivity, seeded on a grid
-    of 33 rates per axis over the ball of rates it allows, and a simplex
-    polish refines the best node; u is the better of the two.
+    ``beta_eval`` must expose value(w), value_many(ws) over rows of rates,
+    its measuring norm ``norm`` (l1 or l2) and coercivity() ->
+    (kappa, v_off) certifying beta(w) >= kappa*|w|^2 - v_off in that
+    norm.  The q-window is certified from the datum growth and that
+    coercivity, seeded on a grid of 33 rates per axis over the ball of
+    rates it allows (one value_many call, replayed in grid order), and a
+    simplex polish refines the best node; u is the better of the two.
     """
     from scipy import optimize
     if t <= 0.0:
@@ -1046,17 +1057,16 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float):
     budget = incumbent + a_slope * norm_value(h, norm) + b_const + t * v_off
     r_max = _reach(a_slope / (2.0 * kappa), max(0.0, budget) / (t * kappa))
 
-    for w in _ball_nodes(_ball_axes(r_max, 33, h.size), r_max, norm):
+    nodes = _ball_nodes(_ball_axes(r_max, 33, h.size), r_max, norm)
+    for w, beta in zip(nodes, beta_eval.value_many(nodes)):
         q = h - t * w
-        val = datum.value(q) + t * beta_eval.value(w)
+        val = datum.value(q) + t * beta
         if val < incumbent:
             incumbent = val
             best_q = q
 
-    def objective(q):
-        return datum.value(q) + t * beta_eval.value((h - q) / t)
-
-    res = optimize.minimize(objective, best_q, method="Nelder-Mead",
+    res = optimize.minimize(lambda q: datum.value(q) + t * beta_eval.value((h - q) / t),
+                            best_q, method="Nelder-Mead",
                             options={"xatol": 1e-10, "fatol": 1e-12,
                                      "maxiter": 4000, "maxfev": 8000,
                                      "initial_simplex": _simplex_start(best_q)})

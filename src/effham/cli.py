@@ -103,7 +103,7 @@ def _cmd_beta(cfg: ScenarioConfig, out_dir: str) -> int:
     beta = cfg.beta_evaluator()
     radius, n_points = cfg.w_grid["radius"], cfg.w_grid["points"]
     nodes = _grid(_ball_axes(radius, n_points, dim))
-    values = [float(beta.value(w)) for w in nodes]
+    values = [float(v) for v in beta.value_many(nodes)]
     header = [f"w{i + 1}" for i in range(dim)] + ["beta"]
     rows = [list(w) + [v] for w, v in zip(nodes, values)]
     _write_text(os.path.join(out_dir, f"{cfg.name}_beta.csv"),

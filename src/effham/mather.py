@@ -13,7 +13,8 @@ The convex pair at the heart of the limit problem:
   and ``effective_hamiltonian_subcover``.
 
 Evaluator objects carry one exact (alpha, beta) pair of a system family:
-``value`` is beta, ``alpha`` its dual, ``norm`` the family's measuring
+``value`` is beta, ``value_many`` beta at every row of rates (one batched
+``beta_graph`` on graphs), ``alpha`` its dual, ``norm`` the family's measuring
 norm (l1 on graphs, l2 on tori, as on the covers) and ``coercivity`` a
 certified quadratic lower bound (kappa, v_off) on beta in that norm, so
 downstream solvers can truncate searches.  Graphs pair ``alpha_graph``
@@ -103,8 +104,9 @@ def alpha_graph(graph, lagrangian: GraphLagrangian, p) -> float:
 # beta on graphs: one allocation over the circulation of the rate
 
 
-def beta_graph(graph, lagrangian: GraphLagrangian, h) -> float:
-    """Minimal average action rate among circulations of homology rate h.
+def beta_graph(graph, lagrangian: GraphLagrangian, rates) -> np.ndarray:
+    """Minimal average action rate among circulations of homology rate h,
+    for every row h of ``rates`` (m, k) (one rate counts as one row).
 
     The rate fixes its real circulation f(h) (``_edge_flow``): the
     non-tree edges carry h and conservation fixes the tree edges.  Any
@@ -112,11 +114,13 @@ def beta_graph(graph, lagrangian: GraphLagrangian, h) -> float:
     shared-energy cost grows with every run length, so beta(h) is one
     allocation of unit time over the runs |f_e(h)| * len_e, resting at
     the cheapest potential on the graph (the network setting of
-    Siconolfi and Sorrentino, Anal. PDE 2018).
+    Siconolfi and Sorrentino, Anal. PDE 2018).  All rows go to one
+    ``allocate_time`` call, which stops each row on its own test, so a
+    row's beta does not depend on the batch.  Returns (m,).
     """
-    runs = np.abs(_edge_flow(graph, np.asarray(h, dtype=float))) * graph.lengths
-    return float(allocate_time(runs, lagrangian.potentials, 1.0,
-                               lagrangian.min_potential())[0])
+    runs = np.abs(_edge_flow(graph, np.atleast_2d(rates))) * graph.lengths
+    return allocate_time(runs, lagrangian.potentials, 1.0,
+                         lagrangian.min_potential())
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +187,19 @@ def _concave_max(gain, lo: float) -> float:
         hi = lo + 2.0 * (hi - lo)
         if hi - lo > 1e9:
             raise SolverError("energy bracket grew past its cap")
-    _, low = _golden_min(lambda energy: -gain(energy), lo, hi,
-                         1e-12 * max(1.0, abs(hi)))
+    _, (low,) = _golden_min(lambda _, e: [-gain(e[0])], lo, hi,
+                            1e-12 * max(1.0, abs(hi)))
     return max(-low, gain(lo))
 
 
-class AnalyticQuadraticBeta:
+class _RowByRow:
+    """``value_many`` of an evaluator that prices one rate at a time."""
+
+    def value_many(self, ws) -> np.ndarray:
+        return np.array([self.value(w) for w in ws], dtype=float)
+
+
+class AnalyticQuadraticBeta(_RowByRow):
     """Exact minimal action rate of a constant-kinetic system with no
     potential: half the inverse-kinetic quadratic form; alpha is half
     the kinetic form."""
@@ -227,7 +238,10 @@ class DirectBetaEvaluator:
         self._voff = -lagrangian.min_potential()
 
     def value(self, w) -> float:
-        return beta_graph(self.graph, self.lagrangian, w)
+        return float(self.value_many(np.atleast_2d(w))[0])
+
+    def value_many(self, ws) -> np.ndarray:
+        return beta_graph(self.graph, self.lagrangian, ws)
 
     def alpha(self, p) -> float:
         return alpha_graph(self.graph, self.lagrangian, p)
@@ -263,10 +277,9 @@ class LegendreDual:
             lo = max(-self.p_box, best_p[0] - step)
             hi = min(self.p_box, best_p[0] + step)
 
-            def neg(pv):
-                return -(pv * w[0] - self.source_fn(np.array([pv])))
-
-            _, low = _golden_min(neg, lo, hi, 1e-11)
+            _, (low,) = _golden_min(
+                lambda _, pv: [-(pv[0] * w[0] - self.source_fn(np.array(pv)))],
+                lo, hi, 1e-11)
             return max(float(pairings[best_idx]), -low)
         from scipy import optimize
         res = optimize.minimize(
@@ -276,7 +289,7 @@ class LegendreDual:
         return max(float(pairings[best_idx]), float(-res.fun))
 
 
-class MechanicalBeta1D:
+class MechanicalBeta1D(_RowByRow):
     """Minimal action rate of a circle system via its energy profile.
 
     On the running branch the conjugate pairing p(E)|w| - E is concave in
@@ -333,7 +346,7 @@ class MechanicalBeta1D:
 # subcover quantities
 
 
-class BetaHatEvaluator:
+class BetaHatEvaluator(_RowByRow):
     """Quotient minimal action rate with the evaluator protocol, exact.
 
     beta-hat(z) is the least graph beta over the fiber above z, the line

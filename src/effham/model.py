@@ -86,13 +86,13 @@ class TrigPolynomial:
 
     def gradient_many(self, xs):
         """Values (m,), gradients (m, n) and second derivatives (m, n, n)
-        at the rows of xs, from one cos/sin pair per nonzero-frequency
-        term; a zero-frequency term adds its cosine coefficient to the
-        values and nothing else.  The values equal ``value_many``'s bit for
-        bit (same per-term order)."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        out = np.zeros(xs.shape[0])
-        g = np.zeros_like(xs)
+        at the rows of xs (m, n), from one cos/sin pair per nonzero-frequency
+        term; a zero-frequency term adds its cosine coefficient to the values
+        and nothing else.  The products of a zero coefficient are skipped:
+        they are exact +-0 and the sums start at +0, so the bytes are those
+        of the full sum, and the values are ``value_many``'s bit for bit."""
+        xs = np.asarray(xs, dtype=float)
+        out, g = np.zeros(len(xs)), np.zeros(xs.shape)
         hess = np.zeros(xs.shape + (self.n,))
         for k, kk, a, b in self._waves:
             if k is None:
@@ -100,9 +100,14 @@ class TrigPolynomial:
                 continue
             phase = TWO_PI * (xs @ k)
             cos, sin = np.cos(phase), np.sin(phase)
-            term = a * cos + b * sin
+            if b == 0.0:
+                term, slope = a * cos, -a * sin
+            elif a == 0.0:
+                term, slope = b * sin, b * cos
+            else:
+                term, slope = a * cos + b * sin, -a * sin + b * cos
             out += term
-            g += (TWO_PI * (-a * sin + b * cos))[:, None] * k
+            g += (TWO_PI * slope)[:, None] * k
             hess -= (TWO_PI * TWO_PI * term)[:, None, None] * kk
         return out, g, hess
 

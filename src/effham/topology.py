@@ -211,12 +211,14 @@ def _edge_flow(graph, nontree, source: int = 0, sink: int = 0) -> np.ndarray:
 
     With source == sink this is the real circulation of homology rate
     ``nontree``; otherwise it is the net traversal count of a walk from
-    source to sink that changes sheets by ``nontree``.
+    source to sink that changes sheets by ``nontree``.  Rows of an (m, k)
+    ``nontree`` are m rates, and their flows are the rows of (m, |E|).
     """
-    flow = np.zeros(len(graph.edges))
+    nontree = np.asarray(nontree, dtype=float).T
+    flow = np.zeros((len(graph.edges),) + nontree.shape[1:])
     flow[graph.nontree_edges] = nontree
     # outflow each vertex still has to send through the tree
-    carry = np.zeros(graph.n_vertices)
+    carry = np.zeros((graph.n_vertices,) + nontree.shape[1:])
     carry[source] += 1.0
     carry[sink] -= 1.0
     for e in graph.nontree_edges:
@@ -229,7 +231,7 @@ def _edge_flow(graph, nontree, source: int = 0, sink: int = 0) -> np.ndarray:
         tail, head, _ = graph.edges[e]
         flow[e] = carry[v] if tail == v else -carry[v]
         carry[head if tail == v else tail] += carry[v]
-    return flow
+    return np.ascontiguousarray(flow.T)
 
 
 class TorusCover:

@@ -4,8 +4,9 @@ The package reads none of these.  Each recomputes by a separate route a
 quantity that the pipeline takes in closed form or produces itself: the
 Legendre pair of a torus Hamiltonian, the long-horizon action rates that
 beta averages, the affine closed form of the rescaled solution, the
-candidate count of the torus search, and the mesh point that
-``match_point`` picks on a graph.
+candidate count of the torus search, the mesh point that ``match_point``
+picks on a graph, one golden-section search at a time, and a
+trigonometric polynomial's derivatives term by term.
 """
 
 import math
@@ -292,3 +293,52 @@ def match_point_loop(cover, h, eps: float, mesh: int, sub=None):
     _, loc, row = best
     sheet = row if sub is None else sub.lift_sheet(np.array(row))
     return loc, tuple(int(z) for z in sheet)
+
+
+# ---------------------------------------------------------------------------
+# one golden-section search at a time, and trig derivatives term by term
+
+
+def golden_min_scalar(fn, lo: float, hi: float, tol: float):
+    """Golden-section search for the minimum of a unimodal fn on [lo, hi],
+    one probe per call: the search that ``action._golden_min`` runs for
+    each of its brackets in lockstep.  Stops once the bracket is at most
+    tol wide; returns (s, fn(s)) at the bracket midpoint."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fn(d)
+    s = 0.5 * (a + b)
+    return s, fn(s)
+
+
+def trig_derivatives(poly, xs):
+    """Values, gradients and second derivatives of a ``TrigPolynomial``
+    at the rows of xs, every term's a and b products taken even when the
+    coefficient is 0, accumulated from +0 term by term."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    out, g = np.zeros(xs.shape[0]), np.zeros_like(xs)
+    hess = np.zeros(xs.shape + (poly.n,))
+    two_pi = 2.0 * np.pi
+    for k, a, b in poly.terms:
+        if not k.any():
+            out += a
+            continue
+        kf = k.astype(float)
+        phase = two_pi * (xs @ kf)
+        cos, sin = np.cos(phase), np.sin(phase)
+        term = a * cos + b * sin
+        out += term
+        g += (two_pi * (-a * sin + b * cos))[:, None] * kf
+        hess -= (two_pi * two_pi * term)[:, None, None] * np.outer(kf, kf)
+    return out, g, hess

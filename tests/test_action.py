@@ -28,7 +28,7 @@ from effham.mather import AnalyticQuadraticBeta, DirectBetaEvaluator
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
 from effham.topology import GraphCover, MetricGraph, match_point, norm_value
 from tests.conftest import allocate_time_oracle, make_pendulum
-from tests.oracles import lagrangian, torus_candidate_count
+from tests.oracles import golden_min_scalar, lagrangian, torus_candidate_count
 
 
 def test_free_straight_line_action(free1):
@@ -878,3 +878,95 @@ def test_newton_polish_ends_no_higher_than_lbfgs(pendulum, datum):
     assert polished[0, -1] == nodes[0, -1]
     assert polished[0, 0] != nodes[0, 0]
     assert got[0] <= _lbfgs_polish(pendulum, datum, eps, horizon, nodes[0]) + 1e-12
+
+
+def _golden_one_by_one(fn, lo, hi, tol):
+    """``action._golden_min``'s searches run one at a time by the scalar
+    reference, each probe priced alone."""
+    lo, hi, tol = np.broadcast_arrays(lo, hi, tol)
+    out = [golden_min_scalar(lambda s, k=k: fn([k], [s])[0], lo[k], hi[k], tol[k])
+           for k in range(lo.size)]
+    return [s for s, _ in out], [v for _, v in out]
+
+
+def test_lockstep_golden_is_each_search_alone():
+    # unimodal functions with their minima inside, at an end, and on a
+    # flat stretch (ties take the right-hand step); the widths and
+    # tolerances stop the searches at different steps, one at the first
+    fns = [lambda s: (s - 0.3) ** 2,
+           lambda s: abs(s + 0.25) + 0.1 * s,
+           lambda s: math.exp(s) - 3.0 * s,
+           lambda s: -s,
+           lambda s: max(abs(s) - 0.5, 0.0),
+           lambda s: math.cos(s)]
+    lo = [0.0, -1.0, 0.0, 0.0, -3.0, 2.0]
+    hi = [1.0, 1.0, 2.0, 1e-3, 3.0, 4.0]
+    tol = [1e-9, 1e-3, 1e-12, 1e-9, 0.5, 10.0]
+    for keep in ([0], [2], list(range(len(fns)))):
+        probes = {k: [] for k in keep}
+
+        def lockstep(idx, s):
+            assert list(idx) == sorted(set(idx))
+            for k, sk in zip(idx, s):
+                probes[keep[k]].append(sk)
+            return np.array([fns[keep[k]](sk) for k, sk in zip(idx, s)])
+
+        got_s, got_v = action._golden_min(lockstep, [lo[k] for k in keep],
+                                          [hi[k] for k in keep],
+                                          [tol[k] for k in keep])
+        for j, k in enumerate(keep):
+            alone = []
+            s, v = golden_min_scalar(lambda sk: alone.append(sk) or fns[k](sk),
+                                     lo[k], hi[k], tol[k])
+            assert probes[k] == alone
+            assert (got_s[j], got_v[j]) == (s, v)
+        counts = sorted(len(p) for p in probes.values())
+        assert len(keep) == 1 or counts[0] == 3 < counts[-1]
+
+
+def _theta_case(name):
+    theta = MetricGraph(2, [(0, 1, 1.0), (0, 1, 0.7), (0, 1, 1.3)])
+    cover = GraphCover(theta)
+    zero = np.zeros(2, dtype=int)
+    x = (cover.edge_point(2, 0.45, zero) if name == "inside-an-edge"
+         else cover.vertex_point(0, zero))
+    eps = 1.0 if name == "inside-an-edge" else 0.5
+    return (cover, GraphLagrangian(theta, [0.1, -0.3, 0.25]),
+            InitialDatum.affine([0.3, -0.2]), [(x, 1.0, eps)])
+
+
+def _figure_eight_rungs():
+    scenario = load_config(os.path.join(_SCENARIOS, "figure_eight.yaml")).scenario()
+    calls = [(match_point(scenario.cover, np.array(h), eps, scenario.mesh)[0], t, eps)
+             for eps in scenario.eps_ladder for h, t in scenario.eval_points]
+    return scenario.cover, scenario.model, scenario.datum, calls
+
+
+@pytest.mark.parametrize("case", ["figure-eight-rungs", "inside-an-edge",
+                                  "degree-3-vertex"])
+def test_graph_polish_is_each_edge_alone(monkeypatch, case):
+    # the lockstep polish against the searches run one by one: each
+    # search's midpoint and value, and the result, bit for bit
+    cover, lag, datum, calls = (_figure_eight_rungs() if case == "figure-eight-rungs"
+                                else _theta_case(case))
+    lockstep, sizes = action._golden_min, []
+
+    def recorded(fn, lo, hi, tol):
+        s, v = lockstep(fn, lo, hi, tol)
+        alone = _golden_one_by_one(fn, lo, hi, tol)
+        assert np.array([s, v]).tobytes() == np.array(alone).tobytes()
+        sizes.append(len(s))
+        return s, v
+
+    for x, t, eps in calls:
+        monkeypatch.setattr(action, "_golden_min", recorded)
+        got = lax_oleinik(cover, lag, datum, x, t, eps, mesh=64)
+        monkeypatch.setattr(action, "_golden_min", _golden_one_by_one)
+        ref = lax_oleinik(cover, lag, datum, x, t, eps, mesh=64)
+        assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes()
+        assert got.minimizer_g.tobytes() == ref.minimizer_g.tobytes()
+    expect = {"figure-eight-rungs": {1, 4}, "inside-an-edge": {1},
+              "degree-3-vertex": {3}}[case]
+    assert set(sizes) <= expect and len(sizes) == len(calls)
+    if case == "figure-eight-rungs":
+        assert len(calls) == 7 and 4 in sizes

@@ -330,8 +330,8 @@ def _fiber_scan(graph, lag, sub, z):
     runs = np.abs(f0[None, :] + s[:, None] * fk[None, :]) * graph.lengths
     vals = allocate_time(runs, lag.potentials, 1.0, lag.min_potential())
     i = int(np.argmin(vals))
-    _, low = _golden_min(lambda si: beta_graph(graph, lag, h0 + si * k),
-                         s[max(i - 1, 0)], s[min(i + 1, s.size - 1)], 1e-11)
+    _, (low,) = _golden_min(lambda _, si: beta_graph(graph, lag, h0 + si[0] * k),
+                            s[max(i - 1, 0)], s[min(i + 1, s.size - 1)], 1e-11)
     return min(float(vals[i]), low)
 
 
@@ -401,3 +401,33 @@ def test_mean_action_pendulum_boundary_layer_decays(circle, pendulum):
     deltas = [row.delta for row in report.rows]
     assert deltas[0] > deltas[1]
     assert report.passed()
+
+
+def _evaluator(name):
+    theta = MetricGraph(2, [(0, 1, 1.0), (0, 1, 0.7), (0, 1, 1.3)])
+    if name == "direct-figure-eight":
+        return DirectBetaEvaluator(FIG8, FIG8_LAG), 2
+    if name == "direct-theta":
+        return DirectBetaEvaluator(theta, GraphLagrangian(theta, [0.1, -0.3, 0.25])), 2
+    if name == "analytic-quadratic":
+        return AnalyticQuadraticBeta([[1.3, 0.4], [0.4, 0.8]]), 2
+    if name == "mechanical-circle":
+        return MechanicalBeta1D(make_pendulum()), 1
+    rows = [[1, 1]] if name == "beta-hat-kernel" else [[1, 0], [0, 1]]
+    return BetaHatEvaluator(SubcoverMap(rows), DirectBetaEvaluator(FIG8, FIG8_LAG)), \
+        len(rows)
+
+
+@pytest.mark.parametrize("name", ["direct-figure-eight", "direct-theta",
+                                  "analytic-quadratic", "mechanical-circle",
+                                  "beta-hat-kernel", "beta-hat-identity"])
+def test_value_many_is_value_row_by_row(name):
+    # fresh evaluators for the two routes, so no cached rate is shared
+    batched, dim = _evaluator(name)
+    single, _ = _evaluator(name)
+    rng = np.random.default_rng(23)
+    ws = np.vstack([np.zeros(dim), rng.uniform(-1.5, 1.5, size=(24, dim)),
+                    np.eye(dim), -np.eye(dim)])
+    many = batched.value_many(ws)
+    assert many.shape == (len(ws),)
+    assert many.tobytes() == np.array([single.value(w) for w in ws]).tobytes()

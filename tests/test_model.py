@@ -9,6 +9,7 @@ from tests.oracles import (
     fenchel_young_residual,
     lagrangian,
     legendre_transform_numeric,
+    trig_derivatives,
 )
 
 PENDULUM = make_pendulum()
@@ -130,3 +131,33 @@ def test_scalar_value_matches_value_many(n):
     for point in inputs:
         got = np.array([poly.value(point(x)) for x in xs])
         assert np.all(np.abs(got - rows) <= bound)
+
+
+# positive coefficients: at a zero phase every term of a cos-only gradient
+# is -0, so only a sum that starts at +0 reads +0 there
+_WAVES = {
+    "cos-only": lambda k: [(k, 1.0, 0.0), (2 * k, 0.35, 0.0)],
+    "sin-only": lambda k: [(k, 0.0, 0.8), (2 * k, 0.0, 0.45)],
+    "mixed": lambda k: [(k, 1.0, 0.0), (2 * k, 0.0, -0.45), (3 * k, 0.3, 0.6),
+                        (k, 0.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WAVES))
+@pytest.mark.parametrize("n", [1, 2])
+def test_gradient_many_skips_zero_coefficients_bytewise(n, kind):
+    # random points, the origin and points where a wave's phase is exactly
+    # 0 (sin = +0, so the skipped products are the signed zeros)
+    k = np.array([1]) if n == 1 else np.array([1, -1])
+    terms = _WAVES[kind](k) + [(np.zeros(n, dtype=int), 0.25, 0.0)]
+    if n == 2:
+        terms.append((np.array([0, 2]), 0.0 if kind == "sin-only" else 0.5,
+                      0.0 if kind == "cos-only" else -0.2))
+    poly = TrigPolynomial(n, terms)
+    rng = np.random.default_rng(70 + n)
+    xs = np.vstack([rng.uniform(-2.0, 2.0, size=(64, n)), np.zeros((1, n)),
+                    np.repeat(rng.uniform(-1.0, 1.0, size=(8, 1)), n, axis=1),
+                    np.full((2, n), 0.5)])
+    for got, expect in zip(poly.gradient_many(xs), trig_derivatives(poly, xs)):
+        assert got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
