@@ -19,17 +19,17 @@ Three layers:
   after a chain whose damped Hessian is not positive definite.
 * ``lax_oleinik``: the rescaled cover solution, an infimum of
   f(eps * G(y)) + eps * action over starting points y (f the limit
-  datum, G the cover's coordinate map), truncated to a certified window.
-  One sweep, ``_sweep``, prices items in lower-bound order, in blocks,
-  until the bound passes the incumbent: on graphs the mesh candidates,
-  exactly, one ``_graph_actions`` call a block; on tori the translate
-  cells at their least straight-path cost, which keep the mesh lifts no
-  cell bound rules out, then those on coarse chains that ``_descend``
-  runs in lockstep, the lowest few re-priced by ``minimal_action_torus``.
-  The winner is polished: on graphs by a golden-section search along
-  each of its edges, the searches in lockstep at one ``_graph_actions``
-  call a step; on tori by one more descent with its start node free (the
-  joint polish).  Only ``hopf_lax`` calls ``scipy.optimize``.
+  datum, G the cover's coordinate map) in the translate cells of G that
+  ``_search_cells`` certifies.  One sweep, ``_sweep``, prices items in
+  lower-bound order, in blocks, until the bound passes the incumbent: on
+  graphs the cells' mesh starts, exactly, one ``_graph_actions`` call a
+  block; on tori the cells at their least straight-path cost, which keep
+  the mesh lifts no cell bound rules out, then those on coarse chains
+  that ``_descend`` runs in lockstep, the lowest few re-priced by
+  ``minimal_action_torus``.  The winner is polished: on graphs by
+  golden-section searches along its edges, in lockstep; on tori by one
+  more descent with its start node free.  Only ``hopf_lax`` calls
+  ``scipy.optimize``.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box, its seed grid
   priced by one ``value_many`` call.
@@ -715,20 +715,45 @@ def _family_constants(cover, lagrangian):
     return float(amax), float(vmax)
 
 
-def _lax_window(cover, datum, quad: float, drift: float, hx, t: float,
-                incumbent: float) -> float:
-    """Largest rescaled distance D from x at which a minimizer can sit.
+def _search_cells(cover, datum, quad: float, drift: float, g, t: float,
+                  eps: float, incumbent: float):
+    """Certified region of a Lax-Oleinik search at a point with G image g:
+    (window, cells (m, k), cell_low (m,)).
 
-    A start at distance D pays action at least D^2/(2*quad*t) - drift*t,
-    and the datum there is at least -A*(|hx| + K0*D) - B, so beating the
-    incumbent needs
-    D^2/(2*quad*t) <= A*K0*D + incumbent + A*|hx| + B + drift*t.
+    A start y at cover distance d costs at least low(y) = f(eps G(y))
+    + (eps d)^2/(2*quad*t) - drift*t, and |G(y) - g| <= k0*d with k0 =
+    ``g_lipschitz`` (1 on a torus).  As f >= -A*(|eps g| + k0*eps*d) - B,
+    low(y) passes the incumbent beyond the window D, the root of
+    D^2/(2*quad*t) = A*k0*D + incumbent + A*|eps g| + B + drift*t, so G(y)
+    is within reach = k0*D/eps of g.  A cell C = z + [0, 1]^k of the box
+    |z - floor(g)|_inf <= ceil(reach) + 2 at distance d_los <= reach from g
+    has cell_low(C) = f(eps*c) - lip*eps*|1|/2 + (eps*d_los/k0)^2/(2*quad*t)
+    - drift*t <= low(y) for each y with G(y) in C: |G(y) - c| <= |1|/2 (c
+    the centre, |1| the diameter), d >= d_los/k0, and lip is the datum's
+    Lipschitz bound on the radius |eps g| + k0*D + eps*|1|, which holds
+    eps*G(y) and eps*c.  Only cells with cell_low within 1e-12 of the
+    incumbent are kept, in box order: a sweep whose incumbent only falls
+    never reaches the others.
     """
+    k0 = cover.g_lipschitz()
+    h_norm = norm_value(eps * g, cover.norm)
     a_slope, b_const = datum.growth_constants(cover.norm)
-    budget = (incumbent + a_slope * norm_value(hx, cover.norm) + b_const
-              + drift * t)
-    return _reach(quad * t * a_slope * cover.g_lipschitz(),
-                  2.0 * quad * t * budget)
+    budget = incumbent + a_slope * h_norm + b_const + drift * t
+    window = _reach(quad * t * a_slope * k0, 2.0 * quad * t * budget)
+    reach = k0 * window / eps
+    cell_diam = norm_value(np.ones(g.size), cover.norm)
+    lip = datum.lipschitz_bound(h_norm + k0 * window + eps * cell_diam,
+                                cover.norm)
+    box = math.ceil(reach) + 2
+    cells = np.floor(g).astype(int) + _grid([np.arange(-box, box + 1)] * g.size)
+    gaps = np.maximum(np.maximum(cells - g, g - (cells + 1.0)), 0.0)
+    d_los = _norm_rows(gaps, cover.norm)
+    cells, d_los = cells[d_los <= reach], d_los[d_los <= reach]
+    cell_low = (datum.value_many(eps * (cells + 0.5))
+                - lip * eps * cell_diam / 2.0
+                + (eps * d_los / k0) ** 2 / (2.0 * quad * t) - drift * t)
+    keep = cell_low <= incumbent + 1e-12
+    return window, cells[keep], cell_low[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -776,52 +801,28 @@ def _sweep(order, lower, incumbent, price):
 
 
 def _lax_torus(cover, model, datum, x, t, eps, mesh):
-    """Torus cover solution: the stay at x, ``_sweep`` over translate cells,
-    ``_sweep`` over the mesh lifts they keep, and the polish.
-
-    A lift y at d = |y - x| costs at least low(y) = f(eps*y)
-    + (eps*d)^2/(2*quad*t) - drift*t and at most up(y), the same with amin
-    and vmin (a straight path).  A cell C = z + [0, 1]^n of the box
-    |z - floor(x)|_inf <= ceil(reach) + 2 at distance d_los <= reach from
-    x is priced at its least up, in the order of cell_low(C) = f(eps*c)
-    - lip*eps*|1|/2 + (eps*d_los)^2/(2*quad*t) - drift*t, c its centre
-    and |1| its diameter.  cell_low(C) <= low(y) <= up(y) for every lift
-    y of C: |y - c| <= |1|/2, d >= d_los, lip is the datum's Lipschitz
-    bound on the radius |hx| + window + eps*|1|, which holds eps*y and
-    eps*c as d <= reach + |1|, amin <= quad and vmin <= drift.  So the
-    sweep's break, at the first cell whose bound passes the incumbent,
-    drops no lift with low below it.  The candidates are the lifts with
-    low within 1e-9 of the final incumbent and d <= reach.
-    """
+    """Torus cover solution: the stay at x, ``_sweep`` over the cells of
+    ``_search_cells`` at the least straight-path cost f(eps*y) + (eps*d)^2
+    /(2*amin*t) - vmin*t of their mesh lifts y (d = |y - x|), ``_sweep`` over
+    the lifts they keep, and the polish.  A lift's low (quad = amax, drift =
+    vmax) is at least its cell's cell_low; a candidate has d <= window/eps."""
     horizon = t / eps
     x_lift = cover.lift(x)
-    hx = eps * x_lift
     quad, drift = _family_constants(cover, model)
 
     stay, stay_nodes, capped = minimal_action_torus(model, x_lift, x_lift,
                                                     horizon)
-    incumbent = datum.value(hx) + eps * stay
+    incumbent = datum.value(eps * x_lift) + eps * stay
     best_nodes = stay_nodes
     best_g = x_lift.copy()
 
-    window = _lax_window(cover, datum, quad, drift, hx, t, incumbent)
-
+    window, cells, cell_low = _search_cells(cover, datum, quad, drift, x_lift,
+                                            t, eps, incumbent)
     reach = window / eps
     amin, _ = model.kinetic_eig_bounds()
     vmin, _ = model.potential_bounds()
     n = model.n
     offsets = _torus_grid(n, mesh)
-    cell_diam = norm_value(np.ones(n), cover.norm)
-    lip = datum.lipschitz_bound(norm_value(hx, cover.norm) + window
-                                + eps * cell_diam, cover.norm)
-    box = math.ceil(reach) + 2
-    cells = np.floor(x_lift).astype(int) + _grid([np.arange(-box, box + 1)] * n)
-    gaps = np.maximum(np.maximum(cells - x_lift, x_lift - (cells + 1.0)), 0.0)
-    d_los = _norm_rows(gaps, cover.norm)
-    cells, d_los = cells[d_los <= reach], d_los[d_los <= reach]
-    cell_low = (datum.value_many(eps * (cells + 0.5))
-                - lip * eps * cell_diam / 2.0
-                + (eps * d_los) ** 2 / (2.0 * quad * t) - drift * t)
 
     # kept lifts as parts (lifts, datum values, distances, lower bounds),
     # cut at the least up so far; each cell's mesh offset of least up
@@ -927,50 +928,46 @@ def _golden_min(fn, lo, hi, tol):
 
 
 def _lax_graph(cover, lagrangian, datum, x, t, eps, mesh):
+    """Graph cover solution: the stay at x, ``_sweep`` over the starts
+    (locator, sheet) on the sheets of ``_search_cells``, and the polish.  A
+    locator's G on sheet 0 lies in [0, 1)^k, so sheet z holds cell z."""
     graph = cover.graph
     horizon = t / eps
     gx = cover.g_map(x)
-    hx = eps * gx
     quad, drift = _family_constants(cover, lagrangian)
-    k0 = cover.g_lipschitz()
 
-    incumbent = datum.value(hx) + eps * minimal_action_graph(lagrangian, cover,
-                                                             x, x, horizon)
+    incumbent = datum.value(eps * gx) + eps * minimal_action_graph(
+        lagrangian, cover, x, x, horizon)
     best_point = x
-    window = _lax_window(cover, datum, quad, drift, hx, t, incumbent)
+    window, sheets, _ = _search_cells(cover, datum, quad, drift, gx, t, eps,
+                                      incumbent)
 
-    lmin = max(graph.min_nontree_length(), 1e-12)
-    sheet_reach = int(math.ceil(window / (eps * lmin))) + 2
-    sheets = _grid([np.arange(z - sheet_reach, z + sheet_reach + 1)
-                    for z in x.sheet])
-
-    base_locs = cover.base_mesh(mesh)
-    n_sheets = sheets.shape[0]
-    f_all, lb_all = [], []
-    for loc in base_locs:
-        rows = sheets + cover.g_of_base(loc)[None, :]
-        f_all.append(datum.value_many(eps * rows))
-        d_lb = _norm_rows(rows - gx[None, :], cover.norm) / max(k0, 1e-12)
-        lb_all.append(f_all[-1] + (eps * d_lb) ** 2 / (2.0 * quad * t) - drift * t)
-    f_all, lb_all = np.concatenate(f_all), np.concatenate(lb_all)
-    # a start is (base locator, sheet); the locators' attachments on sheet
-    # 0 shift with the sheet, and a start at x itself is skipped
+    base_locs, images = cover.base_mesh(mesh)
+    rows = np.repeat(images, len(sheets), axis=0) + np.tile(sheets, (len(images), 1))
+    f_vals = datum.value_many(eps * rows)
+    d_lb = _norm_rows(rows - gx[None, :], cover.norm) / cover.g_lipschitz()
+    lower = f_vals + (eps * d_lb) ** 2 / (2.0 * quad * t) - drift * t
+    kept = np.flatnonzero(lower <= incumbent + 1e-9)
+    f_vals, lower = f_vals[kept], lower[kept]
+    loc_of, sheet_of = np.divmod(kept, sheets.shape[0])
+    # a locator's attachments on sheet 0 shift with the sheet, and a start
+    # at x itself is skipped
     verts, shifts, offs, edges = cover._attachments(
         [CoverPoint(loc, (0,) * cover.deck_rank) for loc in base_locs])
     at_x = np.array([loc == x.base for loc in base_locs])
 
     def price(block):
-        b, z = np.divmod(block, n_sheets)
-        starts = (verts[b], shifts[b] + sheets[z][:, None], offs[b], edges[b])
+        b, z = loc_of[block], sheets[sheet_of[block]]
+        starts = (verts[b], shifts[b] + z[:, None], offs[b], edges[b])
         acts = _graph_actions(lagrangian, cover, starts, x, horizon)
-        acts[at_x[b] & np.all(sheets[z] == x.sheet, axis=1)] = np.nan
-        return f_all[block] + eps * acts
+        acts[at_x[b] & np.all(z == x.sheet, axis=1)] = np.nan
+        return f_vals[block] + eps * acts
 
-    incumbent, best, scored = _sweep(np.argsort(lb_all, kind="stable"), lb_all,
+    incumbent, best, scored = _sweep(np.argsort(lower, kind="stable"), lower,
                                      incumbent, price)
     if best is not None:
-        b, z = divmod(int(best), n_sheets)
-        best_point = CoverPoint(base_locs[b], tuple(int(s) for s in sheets[z]))
+        best_point = CoverPoint(base_locs[loc_of[best]],
+                                tuple(int(s) for s in sheets[sheet_of[best]]))
 
     # continuous polish along the best start's edge, or along the edges at
     # its vertex.  A mesh locator on an edge sits at length * j / mesh with
@@ -1000,7 +997,7 @@ def _lax_graph(cover, lagrangian, datum, x, t, eps, mesh):
             best_point = cover.edge_point(e, s, sheet)
 
     return LaxResult(value=float(incumbent), minimizer_g=cover.g_map(best_point),
-                     window=window, candidates=int(lb_all.size),
+                     window=window, candidates=int(kept.size),
                      evaluated=len(scored))
 
 
@@ -1010,13 +1007,13 @@ def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
     datum(eps * G(y)) + eps * action(y, x, t/eps), with G the cover's
     coordinate map.
 
-    Candidates live on a base mesh crossed with a sheet window certified
-    by ``_lax_window``, on tori those that a bound from each translate
-    cell's centre keeps; ``_sweep`` prices them in blocks, in lower-bound
-    order until the bound passes the incumbent, and the winner is
-    polished continuously.  Returns a ``LaxResult``: the value, the
-    minimizer's G, the window, the candidate and evaluated counts, and
-    on tori the solver counts in ``diagnostics``.
+    Starts live on a base mesh crossed with the translate cells that
+    ``_search_cells`` certifies.  The candidates, the starts whose lower
+    bound is within 1e-9 of the incumbent their sweep starts from, are
+    priced by ``_sweep`` in lower-bound order until the bound passes the
+    incumbent, and the winner is polished continuously.  Returns a
+    ``LaxResult``: the value, the minimizer's G, the window, the counts of
+    candidates and evaluated starts, and tori's solver ``diagnostics``.
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")

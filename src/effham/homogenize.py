@@ -224,7 +224,7 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
     if sub is not None:
         if cover.family != "graph":
             raise ValueError("quotient experiments are defined on graph covers")
-        datum = _PulledBackDatum(scenario.datum, sub.matrix)
+        datum = _PulledBackDatum(scenario.datum, sub)
         limit_eval = BetaHatEvaluator(sub, beta_eval)
     report = ExperimentReport(scenario=scenario.name,
                               tolerance=scenario.pass_tolerance())
@@ -287,9 +287,10 @@ class _PulledBackDatum:
     """Initial datum precomposed with the deck-lattice surjection, so full
     cover machinery can price quotient data without modification."""
 
-    def __init__(self, base: InitialDatum, matrix):
+    def __init__(self, base: InitialDatum, sub):
         self.base = base
-        self.matrix = np.asarray(matrix, dtype=float)
+        self.matrix = sub.matrix.astype(float)
+        self.col = sub.op_norm
 
     def value(self, h) -> float:
         h = np.atleast_1d(np.asarray(h, dtype=float))
@@ -299,12 +300,14 @@ class _PulledBackDatum:
         return self.base.value_many(np.asarray(hs, dtype=float) @ self.matrix.T)
 
     def growth_constants(self, norm_kind: str):
-        # subcovers live on graph covers, so norm_kind is l1 and the
-        # surjection stretches l1 lengths by at most its largest column sum
+        # subcovers live on graph covers, so norm_kind is l1, and the
+        # surjection stretches l1 lengths by at most col
         a, b = self.base.growth_constants("l1")
-        col = (float(np.max(np.sum(np.abs(self.matrix), axis=0)))
-               if self.matrix.size else 0.0)
-        return a * col, b
+        return a * self.col, b
+
+    def lipschitz_bound(self, radius: float, norm_kind: str) -> float:
+        # |M h|_1 <= col |h|_1 keeps M h in the ball of radius col * radius
+        return self.col * self.base.lipschitz_bound(self.col * radius, "l1")
 
 
 def run_subcover_experiment(scenario: Scenario, beta_eval=None,
@@ -332,7 +335,7 @@ def run_subcover_experiment(scenario: Scenario, beta_eval=None,
     if beta_eval is None:
         beta_eval = default_beta_evaluator(cover, model)
     report = run_experiment(scenario, beta_eval=beta_eval)
-    pulled = _PulledBackDatum(scenario.datum, sub.matrix)
+    pulled = _PulledBackDatum(scenario.datum, sub)
     shifts = [z for z in sub.kernel_elements(1) if np.any(z)]
 
     # kernel invariance of the cover solution on the first rung

@@ -393,7 +393,7 @@ class BetaHatEvaluator(_RowByRow):
                                         sub.kernel_basis[:, 0].astype(float))
                              if sub.kernel_rank() else None)
         kappa, voff = base_eval.coercivity()
-        op = max(float(np.max(np.sum(np.abs(sub.matrix), axis=0))), 1e-12)
+        op = max(sub.op_norm, 1e-12)
         self._coercivity = (kappa / (op * op), voff)
 
     def value(self, z) -> float:

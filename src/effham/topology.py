@@ -344,25 +344,25 @@ class GraphCover:
             g = g + (s / self.graph.length(e)) * self.graph.cocycles[e]
         return g
 
-    def g_of_base(self, base) -> np.ndarray:
-        if base[0] == "v":
-            return np.zeros(self.deck_rank)
-        _, e, s = base
-        return (s / self.graph.length(e)) * np.asarray(self.graph.cocycles[e], dtype=float)
-
     def g_lipschitz(self) -> float:
+        # G is constant on the cover of a tree, so any bound holds there
         rates = [1.0 / self.graph.length(e) for e in self.graph.nontree_edges]
-        return max(rates) if rates else 0.0
+        return max(rates) if rates else 1.0
 
     def base_diameter(self) -> float:
         return self.graph.base_diameter()
 
     def base_mesh(self, m: int):
-        locs = [("v", v) for v in range(self.graph.n_vertices)]
-        for e, (_, _, length) in enumerate(self.graph.edges):
-            for j in range(1, m):
-                locs.append(("e", e, length * j / m))
-        return locs
+        """Mesh locators, the vertices then m - 1 inner points per edge, and
+        their G images (L, k) on sheet 0, ``g_map``'s s / length * cocycle."""
+        g = self.graph
+        locs = [("v", v) for v in range(g.n_vertices)]
+        images = [np.zeros((g.n_vertices, self.deck_rank))]
+        for e, (_, _, length) in enumerate(g.edges):
+            arcs = [length * j / m for j in range(1, m)]
+            locs += [("e", e, s) for s in arcs]
+            images.append(np.outer(np.array(arcs) / length, g.cocycles[e]))
+        return locs, np.concatenate(images)
 
     def _attachments(self, points):
         """Vertices (P, 2), sheets (P, 2, k) and offsets (P, 2) through
@@ -511,8 +511,7 @@ def match_point(cover, h, eps: float, mesh: int = 64, sub=None):
             coords[c] = lower if (val - lower) <= (upper - val) + 1e-15 else upper
         point = cover.from_lift(coords)
         return point, eps * cover.g_map(point)
-    locs = cover.base_mesh(mesh)
-    g0 = np.array([cover.g_of_base(loc) for loc in locs])
+    locs, g0 = cover.base_mesh(mesh)
     if sub is None:
         centres = np.broadcast_to(np.round(target), (len(locs), h.size))
     else:
@@ -616,6 +615,7 @@ class SubcoverMap:
         self.kernel_basis = v[:, self.l:].copy()
         assert np.array_equal(mat @ self.right_inverse, np.eye(self.l, dtype=int))
         assert not self.kernel_basis.size or not np.any(mat @ self.kernel_basis)
+        self.op_norm = float(np.abs(mat).sum(axis=0).max())  # l1 operator norm
 
     def lift_sheet(self, q) -> np.ndarray:
         q = np.atleast_1d(np.asarray(q)).astype(int)

@@ -4,9 +4,10 @@ The package reads none of these.  Each recomputes by a separate route a
 quantity that the pipeline takes in closed form or produces itself: the
 Legendre pair of a torus Hamiltonian, the long-horizon action rates that
 beta averages, the affine closed form of the rescaled solution, the
-candidate count of the torus search, the mesh point that ``match_point``
-picks on a graph, one golden-section search at a time, and a
-trigonometric polynomial's derivatives term by term.
+candidate count of the torus search, the graph search over its whole
+sheet box, the mesh point that ``match_point`` picks on a graph, one
+golden-section search at a time, and a trigonometric polynomial's
+derivatives term by term.
 """
 
 import math
@@ -15,10 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from effham.action import (InitialDatum, lax_oleinik, minimal_action_graph,
+from effham.action import (InitialDatum, LaxResult, _golden_min, _graph_actions,
+                           _sweep, lax_oleinik, minimal_action_graph,
                            minimal_action_torus)
 from effham.model import _torus_grid
-from effham.topology import _grid, match_point, matching_bound, norm_value
+from effham.topology import (CoverPoint, _grid, _norm_rows, match_point,
+                             matching_bound, norm_value)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +267,88 @@ def torus_candidate_count(cover, model, datum, x, t: float, eps: float,
     return int(np.sum((low <= incumbent + 1e-9) & (d <= reach + 1e-12)))
 
 
+def lax_graph_full_table(cover, lagrangian, datum, x, t: float, eps: float,
+                         mesh: int) -> LaxResult:
+    """The graph Lax-Oleinik search with no cell bound: the datum value and
+    lower bound f(eps G) + (eps |G - G(x)|_1 / k0)^2/(2t) + min(V) t of
+    every (locator, sheet) row of the box |z - x.sheet|_inf <=
+    ceil(window/(eps lmin)) + 2, lmin the shortest non-tree edge and the
+    rows locator-major, swept in the order of one stable argsort of all of
+    them from the stay value, then the golden-section polish along the
+    winner's edges.  The candidates are the rows whose lower bound is
+    within 1e-9 of the stay value."""
+    graph = cover.graph
+    horizon = t / eps
+    gx = cover.g_map(x)
+    hx = eps * gx
+    quad, drift = 1.0, -lagrangian.min_potential()
+    k0 = cover.g_lipschitz()
+
+    incumbent = datum.value(hx) + eps * minimal_action_graph(lagrangian, cover,
+                                                             x, x, horizon)
+    stay, best_point = incumbent, x
+    a_slope, b_const = datum.growth_constants(cover.norm)
+    budget = incumbent + a_slope * norm_value(hx, cover.norm) + b_const + drift * t
+    lin = quad * t * a_slope * k0
+    window = lin + math.sqrt(max(0.0, lin * lin + 2.0 * quad * t * budget))
+
+    lmin = max(graph.min_nontree_length(), 1e-12)
+    sheet_reach = int(math.ceil(window / (eps * lmin))) + 2
+    sheets = _grid([np.arange(z - sheet_reach, z + sheet_reach + 1)
+                    for z in x.sheet])
+    base_locs, images = cover.base_mesh(mesh)
+    n_sheets = sheets.shape[0]
+    f_all, lb_all = [], []
+    for g0 in images:
+        rows = sheets + g0[None, :]
+        f_all.append(datum.value_many(eps * rows))
+        d_lb = _norm_rows(rows - gx[None, :], cover.norm) / max(k0, 1e-12)
+        lb_all.append(f_all[-1] + (eps * d_lb) ** 2 / (2.0 * quad * t) - drift * t)
+    f_all, lb_all = np.concatenate(f_all), np.concatenate(lb_all)
+    verts, shifts, offs, edges = cover._attachments(
+        [CoverPoint(loc, (0,) * cover.deck_rank) for loc in base_locs])
+    at_x = np.array([loc == x.base for loc in base_locs])
+
+    def price(block):
+        b, z = np.divmod(block, n_sheets)
+        starts = (verts[b], shifts[b] + sheets[z][:, None], offs[b], edges[b])
+        acts = _graph_actions(lagrangian, cover, starts, x, horizon)
+        acts[at_x[b] & np.all(sheets[z] == x.sheet, axis=1)] = np.nan
+        return f_all[block] + eps * acts
+
+    incumbent, best, scored = _sweep(np.argsort(lb_all, kind="stable"), lb_all,
+                                     incumbent, price)
+    if best is not None:
+        b, z = divmod(int(best), n_sheets)
+        best_point = CoverPoint(base_locs[b], tuple(int(s) for s in sheets[z]))
+
+    if best_point.base[0] == "e":
+        domains = [(best_point.base[1], np.array(best_point.sheet))]
+    else:
+        domains = [(e, np.array(best_point.sheet)
+                    - (direction == -1) * graph.cocycles[e])
+                   for e, direction in graph.incident[best_point.base[1]]]
+    lengths = np.array([graph.length(e) for e, _ in domains])
+
+    def objective(idx, s):
+        points = [cover.edge_point(domains[k][0], min(max(sk, 0.0), lengths[k]),
+                                   domains[k][1]) for k, sk in zip(idx, s)]
+        acts = _graph_actions(lagrangian, cover, cover._attachments(points), x,
+                              horizon)
+        return np.array([datum.value(eps * cover.g_map(p)) for p in points]) + eps * acts
+
+    s_best, vals = _golden_min(objective, 0.0, lengths,
+                               1e-9 * np.maximum(1.0, lengths))
+    for (e, sheet), s, val in zip(domains, s_best, vals):
+        if val < incumbent:
+            incumbent = val
+            best_point = cover.edge_point(e, s, sheet)
+    return LaxResult(value=float(incumbent), minimizer_g=cover.g_map(best_point),
+                     window=window,
+                     candidates=int(np.sum(lb_all <= stay + 1e-9)),
+                     evaluated=len(scored))
+
+
 def match_point_loop(cover, h, eps: float, mesh: int, sub=None):
     """(locator, sheet) of the graph mesh point whose scaled image is
     nearest h, by a loop over the locators and the 5^k sheets around each
@@ -279,8 +364,8 @@ def match_point_loop(cover, h, eps: float, mesh: int, sub=None):
 
     sheets = window(np.round(target).astype(int)) if sub is None else None
     best = None
-    for loc_idx, loc in enumerate(cover.base_mesh(mesh)):
-        g0 = cover.g_of_base(loc)
+    locs, images = cover.base_mesh(mesh)
+    for loc_idx, (loc, g0) in enumerate(zip(locs, images)):
         if sub is not None:
             g0 = fmat @ g0
             sheets = window(np.round(target - g0).astype(int))

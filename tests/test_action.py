@@ -24,11 +24,14 @@ from effham.action import (
 )
 from effham.config import load_config
 from effham.errors import ModelValidityError
+from effham.homogenize import _PulledBackDatum
 from effham.mather import AnalyticQuadraticBeta, DirectBetaEvaluator
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
 from effham.topology import GraphCover, MetricGraph, match_point, norm_value
-from tests.conftest import allocate_time_oracle, make_pendulum
-from tests.oracles import golden_min_scalar, lagrangian, torus_candidate_count
+from tests.conftest import (allocate_time_oracle, figure_eight, make_pendulum,
+                            single_loop)
+from tests.oracles import (golden_min_scalar, lagrangian, lax_graph_full_table,
+                           torus_candidate_count)
 
 
 def test_free_straight_line_action(free1):
@@ -818,25 +821,34 @@ def test_shared_sweep_is_the_one_by_one_sweep(monkeypatch, fig8_cover, fig8_lag,
 @pytest.mark.parametrize("system, eps, counts", [
     ("pendulum", 1.0, (143, 100)), ("pendulum", 0.5, (201, 142)),
     ("pendulum", 0.25, (285, 202)), ("torus2", 1.0, (179, 98)),
-    ("torus2", 0.5, (590, 423)), ("torus2", 0.25, (1097, 718))])
-def test_cell_sweep_drops_no_candidate(circle, torus2, pendulum, system, eps,
-                                       counts):
-    # (candidates, evaluated) are those of the shell sweep that the cell
-    # sweep replaced: the pendulum scenario at h = 1/3, and a 2-D potential
-    # under a quadratic datum at h = (0.3, -0.2) on mesh 8, both at t = 1
+    ("torus2", 0.5, (590, 423)), ("torus2", 0.25, (1097, 718)),
+    ("figure-eight", 0.5, (552, 169)), ("figure-eight", 0.125, (4219, 963))])
+def test_cell_sweep_drops_no_candidate(circle, torus2, pendulum, fig8_cover,
+                                       fig8_lag, system, eps, counts):
+    # (candidates, evaluated): on tori those of the shell sweep that the
+    # cell sweep replaced, for the pendulum scenario at h = 1/3 and a 2-D
+    # potential under a quadratic datum at h = (0.3, -0.2) on mesh 8; on
+    # the figure_eight scenario at h = (1/3, -1/3) the starts of the cells
+    # within 1e-9 of the stay value; all at t = 1
     if system == "pendulum":
         cover, model, h, mesh = circle, pendulum, [1.0 / 3.0], 64
         datum = InitialDatum.affine([0.0])
-    else:
+    elif system == "torus2":
         cover, model, h, mesh = (torus2, _potential_2d([[1.3, 0.4], [0.4, 0.8]]),
                                  [0.3, -0.2], 8)
         datum = InitialDatum.quadratic([[1.0, 0.3], [0.3, 0.5]], p=[0.4, -0.2],
                                        c=0.1)
+    else:
+        cover, model, h, mesh = fig8_cover, fig8_lag, [1.0 / 3.0, -1.0 / 3.0], 64
+        datum = InitialDatum.cone(0.8, norm="l1", dim=2)
     point, _ = match_point(cover, np.array(h), eps, mesh)
     res = lax_oleinik(cover, model, datum, point, 1.0, eps, mesh=mesh)
     assert (res.candidates, res.evaluated) == counts
-    if eps >= 0.5:
-        # every mesh lift of the box, with no cell bound
+    # every mesh start of the box, with no cell bound
+    if system == "figure-eight":
+        assert res.candidates == lax_graph_full_table(
+            cover, model, datum, point, 1.0, eps, mesh).candidates
+    elif eps >= 0.5:
         assert res.candidates == torus_candidate_count(
             cover, model, datum, point, 1.0, eps, mesh, res.window)
 
@@ -970,3 +982,53 @@ def test_graph_polish_is_each_edge_alone(monkeypatch, case):
     assert set(sizes) <= expect and len(sizes) == len(calls)
     if case == "figure-eight-rungs":
         assert len(calls) == 7 and 4 in sizes
+
+
+_GRAPHS = {"figure-eight-1.7-0.6": (figure_eight(1.7, 0.6), [0.3, -0.2]),
+           "theta": (MetricGraph(2, [(0, 1, 1.0), (0, 1, 0.7), (0, 1, 1.3)]),
+                     [0.1, -0.3, 0.25]),
+           "loop-2": (single_loop(2.0), [0.2])}
+
+
+def _graph_search_case(case):
+    """(cover, lagrangian, datum, calls (x, t, eps)) of one graph search
+    case: a scenario's ladder, or a graph with non-tree lengths other
+    than 1 under one datum family at a vertex and inside an edge."""
+    if case == "figure-eight-rungs":
+        return _figure_eight_rungs()
+    if case == "figure-eight-subcover":
+        scenario = load_config(os.path.join(
+            _SCENARIOS, "figure_eight_subcover.yaml")).scenario()
+        cover, sub = scenario.cover, scenario.subcover
+        calls = [(match_point(cover, np.array(h), eps, scenario.mesh, sub)[0], t, eps)
+                 for eps in scenario.eps_ladder for h, t in scenario.eval_points]
+        return (cover, scenario.model, _PulledBackDatum(scenario.datum, sub),
+                calls)
+    name, family = case.rsplit("-", 1)
+    graph, pots = _GRAPHS[name]
+    cover, k = GraphCover(graph), graph.cycle_rank
+    datum = {"cone": InitialDatum.cone(0.8, center=[0.1] * k, norm="l1", dim=k),
+             "affine": InitialDatum.affine([0.3, -0.2][:k], c=0.1),
+             "quadratic": InitialDatum.quadratic(np.diag([1.0, 0.5][:k]),
+                                                 p=[0.2, 0.1][:k])}[family]
+    last = len(graph.edges) - 1
+    points = [cover.vertex_point(0),
+              cover.edge_point(last, 0.37 * graph.length(last), [1] * k)]
+    return (cover, GraphLagrangian(graph, pots), datum,
+            [(x, 1.0, eps) for x in points for eps in (0.5, 0.25)])
+
+
+@pytest.mark.parametrize("case", ["figure-eight-rungs", "figure-eight-subcover"]
+                         + [f"{g}-{d}" for g in _GRAPHS
+                            for d in ("cone", "affine", "quadratic")])
+def test_graph_search_is_the_full_table(case):
+    # the rows of the certified cells against every row of the sheet box:
+    # the same value, minimizer and counts, bit for bit
+    cover, lag, datum, calls = _graph_search_case(case)
+    for x, t, eps in calls:
+        got = lax_oleinik(cover, lag, datum, x, t, eps, mesh=64)
+        ref = lax_graph_full_table(cover, lag, datum, x, t, eps, 64)
+        assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes()
+        assert got.minimizer_g.tobytes() == ref.minimizer_g.tobytes()
+        assert got.evaluated == ref.evaluated
+        assert got.candidates == ref.candidates

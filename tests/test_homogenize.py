@@ -212,3 +212,28 @@ def test_merged_loops_subcover_consistency(fig8_cover, fig8_lag, fig8):
     assert report.kernel_invariance_error <= 1e-8
     assert report.dual_limit_error <= 1e-8
 
+
+@pytest.mark.parametrize("matrix", [[[1, 1]], [[1, 2]]])
+@pytest.mark.parametrize("datum", [
+    InitialDatum.affine([0.7], c=0.1),
+    InitialDatum.cone(0.8, center=[0.3], norm="l1", dim=1),
+    InitialDatum.quadratic([[2.0]], p=[0.3]),
+], ids=["affine", "cone", "quadratic"])
+def test_pulled_back_lipschitz_bound_holds(matrix, datum):
+    # |f(M h) - f(M h')| <= L |h - h'|_1 on random pairs inside the radius
+    pulled = homogenize._PulledBackDatum(datum, SubcoverMap(matrix))
+    rng = np.random.default_rng(3)
+    for radius in (0.5, 2.0, 7.0):
+        bound = pulled.lipschitz_bound(radius, "l1")
+        pairs = rng.uniform(-1.0, 1.0, size=(400, 2, 2))
+        pairs *= radius * rng.uniform(0.0, 1.0, size=(400, 2, 1)) / np.abs(
+            pairs).sum(axis=2, keepdims=True)
+        # and the steepest pairs: along one axis, at the edge of the ball
+        edge = radius * np.array([[[s, 0.0], [0.99 * s, 0.0]] for s in (1, -1)]
+                                 + [[[0.0, s], [0.0, 0.99 * s]] for s in (1, -1)])
+        h, g = np.concatenate([pairs, edge]).transpose(1, 0, 2)
+        gap = np.abs(pulled.value_many(h) - pulled.value_many(g))
+        assert np.all(gap <= bound * np.abs(h - g).sum(axis=1) + 1e-12)
+        # the affine bound is attained: M^T p has l1-dual norm col * |p|
+        if datum.kind == "affine":
+            assert bound == pytest.approx(0.7 * np.abs(matrix).sum(axis=0).max())
