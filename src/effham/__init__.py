@@ -9,14 +9,13 @@ names below are the package-level entry points; everything else is
 imported from its module.
 """
 
-from .errors import (ConfigError, EffhamError, ModelValidityError,
-                     SolverError, WindowExhaustedError)
+from .errors import ConfigError, EffhamError, ModelValidityError, SolverError
 from .action import hopf_lax, lax_oleinik
 from .homogenize import Scenario, run_experiment, run_subcover_experiment
 from .config import load_config
 
 __all__ = [
     "ConfigError", "EffhamError", "ModelValidityError", "Scenario",
-    "SolverError", "WindowExhaustedError", "hopf_lax", "lax_oleinik",
-    "load_config", "run_experiment", "run_subcover_experiment",
+    "SolverError", "hopf_lax", "lax_oleinik", "load_config",
+    "run_experiment", "run_subcover_experiment",
 ]

@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .model import GraphLagrangian, TorusHamiltonian, _is_constant, _torus_grid
+from .model import (GraphLagrangian, TorusHamiltonian, _is_constant,
+                    _proved_range, _torus_grid)
 from .topology import (CoverPoint, _ball_axes, _ball_nodes, _edge_flow, _grid,
                        _norm_rows, dual_norm_value, norm_value)
 
@@ -711,7 +712,7 @@ def _family_constants(cover, lagrangian):
     if cover.family == "graph":
         return 1.0, -lagrangian.min_potential()
     _, amax = lagrangian.kinetic_eig_bounds()
-    _, vmax = lagrangian.potential_bounds()
+    _, vmax = _proved_range(lagrangian.v)
     return float(amax), float(vmax)
 
 
@@ -820,7 +821,7 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
                                             t, eps, incumbent)
     reach = window / eps
     amin, _ = model.kinetic_eig_bounds()
-    vmin, _ = model.potential_bounds()
+    vmin, _ = _proved_range(model.v)
     n = model.n
     offsets = _torus_grid(n, mesh)
 

@@ -56,8 +56,8 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _emit(record: dict, stream=None) -> None:
-    (stream or sys.stdout).write(json.dumps(record, sort_keys=True) + "\n")
+def _emit(record: dict) -> None:
+    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _error_record(kind: str, exit_code: int, message: str, field=None) -> dict:

@@ -29,14 +29,3 @@ class ModelValidityError(EffhamError):
 
 class SolverError(EffhamError):
     """An iterative solver failed to converge or exhausted its budget."""
-
-
-class WindowExhaustedError(SolverError):
-    """A lattice search window was grown to its cap without a certificate.
-
-    Carries the last window radius tried so reports can include it.
-    """
-
-    def __init__(self, message, radius=None):
-        self.radius = radius
-        super().__init__(message if radius is None else f"{message} (last window radius {radius})")

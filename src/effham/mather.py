@@ -10,7 +10,7 @@ The convex pair at the heart of the limit problem:
   fixes its real circulation, so beta is one ``allocate_time`` row.
 * the quotient pair of an intermediate cover: ``BetaHatEvaluator``, the
   least graph beta over a fiber, computed exactly as an energy minimax,
-  and ``effective_hamiltonian_subcover``.
+  and its dual, alpha at the pulled-back covector ``sub.pullback(p)``.
 
 Evaluator objects carry one exact (alpha, beta) pair of a system family:
 ``value`` is beta, ``value_many`` beta at every row of rates (one batched
@@ -158,7 +158,7 @@ def alpha_torus_quadrature(model: TorusHamiltonian, p) -> float:
     if model.n != 1:
         raise ValueError("quadrature route is one-dimensional only")
     p = float(np.atleast_1d(np.asarray(p, dtype=float))[0])
-    _, vmax = model.potential_bounds(mesh=4096)
+    vmax = model.sampled_max_potential()
 
     p_crit = _rotation_integral(model, vmax)
     if abs(p) <= p_crit + 1e-14:
@@ -210,7 +210,6 @@ class AnalyticQuadraticBeta(_RowByRow):
         self.a_matrix = np.atleast_2d(np.asarray(kinetic_matrix, dtype=float))
         self.b_matrix = np.linalg.inv(self.a_matrix)
         self._lam_min = float(np.linalg.eigvalsh(self.b_matrix)[0])
-        self.dim = self.a_matrix.shape[0]
 
     def value(self, w) -> float:
         w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -232,7 +231,6 @@ class DirectBetaEvaluator:
     def __init__(self, graph, lagrangian: GraphLagrangian):
         self.graph = graph
         self.lagrangian = lagrangian
-        self.dim = graph.cycle_rank
         lmin = graph.min_nontree_length()
         self._kappa = 0.5 * lmin * lmin
         self._voff = -lagrangian.min_potential()
@@ -309,7 +307,7 @@ class MechanicalBeta1D(_RowByRow):
         if model.n != 1:
             raise ValueError("one-dimensional circle systems only")
         self.model = model
-        _, self._vmax = model.potential_bounds(mesh=4096)
+        self._vmax = model.sampled_max_potential()
         self.amin, self._amax = model.kinetic_eig_bounds()
         self._cache = {}
         self._rot_cache = {}
@@ -388,7 +386,6 @@ class BetaHatEvaluator(_RowByRow):
                              "cover of cycle rank at most 2 has none")
         self.sub = sub
         self.base = base_eval
-        self.dim = sub.matrix.shape[0]
         self._kernel_flow = (_edge_flow(base_eval.graph,
                                         sub.kernel_basis[:, 0].astype(float))
                              if sub.kernel_rank() else None)
@@ -414,8 +411,3 @@ class BetaHatEvaluator(_RowByRow):
     def coercivity(self):
         return self._coercivity
 
-
-def effective_hamiltonian_subcover(sub: SubcoverMap, alpha_fn, p) -> float:
-    """Quotient effective Hamiltonian: alpha at the pulled-back covector."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    return float(alpha_fn(sub.pullback(p)))

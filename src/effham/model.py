@@ -77,12 +77,8 @@ class TrigPolynomial:
         return out
 
     def value_many(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        out = np.zeros(xs.shape[0])
-        for k, a, b in self.terms:
-            phase = TWO_PI * (xs @ k)
-            out += a * np.cos(phase) + b * np.sin(phase)
-        return out
+        """Values at the rows of xs (m, n): ``gradient_many``'s."""
+        return self.gradient_many(np.atleast_2d(xs))[0]
 
     def gradient_many(self, xs):
         """Values (m,), gradients (m, n) and second derivatives (m, n, n)
@@ -90,7 +86,7 @@ class TrigPolynomial:
         term; a zero-frequency term adds its cosine coefficient to the values
         and nothing else.  The products of a zero coefficient are skipped:
         they are exact +-0 and the sums start at +0, so the bytes are those
-        of the full sum, and the values are ``value_many``'s bit for bit."""
+        of the full sum.  ``value_many`` returns these values."""
         xs = np.asarray(xs, dtype=float)
         out, g = np.zeros(len(xs)), np.zeros(xs.shape)
         hess = np.zeros(xs.shape + (self.n,))
@@ -160,11 +156,10 @@ class TorusHamiltonian:
         """Proved (lower, upper) bounds on the eigenvalues of A(x) over the
         torus.
 
-        On the circle: the extremes of A on N = 64 max(1, k_max) equispaced
-        samples, widened by M2 / (8 N^2) with M2 = sum (2 pi k)^2 (|a_k| +
-        |b_k|) >= sup |A''|, since a C^2 function stays within M2 h^2 / 8
-        of its chord between samples h apart.  In 2-D, A must be constant
-        (config load admits no other), so the eigenvalues of A(0) are exact.
+        On the circle: ``_proved_range`` of A, the extremes of A on N =
+        64 max(1, k_max) equispaced samples widened by M2 / (8 N^2).  In
+        2-D, A must be constant (config load admits no other), so the
+        eigenvalues of A(0) are exact.
         """
         if self.n == 2:
             if not all(_is_constant(a) for a in self.a_entries):
@@ -172,17 +167,14 @@ class TorusHamiltonian:
                                          "must be constant")
             w = np.linalg.eigvalsh(self.kinetic_matrix(np.zeros(2)))
             return w[0], w[-1]
-        terms = self.a_entries[0].terms
-        mesh = 64 * max(1, max(abs(int(k[0])) for k, _, _ in terms))
-        vals = self.a_entries[0].value_many(_torus_grid(1, mesh))
-        slack = sum((TWO_PI * k[0]) ** 2 * (abs(a) + abs(b))
-                    for k, a, b in terms) / (8.0 * mesh * mesh)
-        return vals.min() - slack, vals.max() + slack
+        kmax = max(abs(int(k[0])) for k, _, _ in self.a_entries[0].terms)
+        return _proved_range(self.a_entries[0], 64 * max(1, kmax))
 
-    def potential_bounds(self, mesh: int = 256):
-        grid = _torus_grid(self.n, mesh)
-        vals = self.v.value_many(grid)
-        return float(vals.min()), float(vals.max())
+    def sampled_max_potential(self) -> float:
+        """Circle only: the largest V on 4096 equispaced samples, the value
+        of max V that the circle's beta and alpha rest on, not a bound
+        (``_proved_range`` bounds V)."""
+        return float(self.v.value_many(_torus_grid(1, 4096)).max())
 
 
 @dataclass
@@ -210,6 +202,21 @@ class GraphLagrangian:
 
 def _is_constant(trig: TrigPolynomial) -> bool:
     return all(not np.any(k) for k, _, _ in trig.terms)
+
+
+def _proved_range(trig: TrigPolynomial, mesh: int = 256):
+    """Proved (lower, upper) bounds on f over the torus: its extremes on
+    the periodic grid of ``mesh`` points per axis, widened by n M2 h^2 / 8
+    with h = 1/mesh and M2 = sum (2 pi |k|)^2 (|a_k| + |b_k|) >= sup |D^2 f|.
+    The gradient vanishes at an extremum, and a grid point within
+    sqrt(n) h / 2 of it is within M2 n h^2 / 8 of the extreme value by
+    Taylor's theorem.  In 1-D this is the chord bound: a C^2 function stays
+    within M2 h^2 / 8 of its chord between samples h apart."""
+    vals = trig.value_many(_torus_grid(trig.n, mesh))
+    m2 = sum((TWO_PI * float(np.linalg.norm(k))) ** 2 * (abs(a) + abs(b))
+             for k, a, b in trig.terms)
+    slack = trig.n * m2 / (8.0 * mesh * mesh)
+    return vals.min() - slack, vals.max() + slack
 
 
 def _torus_grid(n: int, mesh: int) -> np.ndarray:

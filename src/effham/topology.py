@@ -22,12 +22,12 @@ the short axes grow and the table is rebuilt.
 the stable-norm limit of the rescaled covers, with C proved from the base.
 
 Surjections of the deck group onto Z^l ("subcover maps") are integer
-matrices validated through their Smith normal form.  An intermediate
-cover has no metric or point type of its own here: it is solved on the
-maximal cover with the datum pulled back through the surjection
-(``homogenize``), and the map supplies what that needs, namely the right
-inverse that lifts quotient sheets (``match_point``), the pullback of
-momenta and the kernel lattice.
+matrices validated by an exact column reduction, whose pivots multiply to
+the gcd of the l x l minors.  An intermediate cover has no metric or point
+type of its own here: it is solved on the maximal cover with the datum
+pulled back through the surjection (``homogenize``), and the map supplies
+what that needs, namely the right inverse that lifts quotient sheets
+(``match_point``), the pullback of momenta and the kernel lattice.
 """
 
 from __future__ import annotations
@@ -37,16 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WindowExhaustedError
+from .errors import SolverError
 
 
 def norm_value(v, kind: str) -> float:
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if kind == "l1":
-        return float(np.sum(np.abs(v)))
-    if kind == "l2":
-        return float(np.sqrt(np.sum(v * v)))
-    raise ValueError(f"unknown norm {kind!r}")
+    return float(_norm_rows(np.atleast_2d(np.asarray(v, dtype=float)), kind)[0])
 
 
 def _norm_rows(rows: np.ndarray, kind: str) -> np.ndarray:
@@ -82,12 +77,9 @@ def _ball_nodes(axes, radius: float, kind: str) -> np.ndarray:
 
 def dual_norm_value(v, kind: str) -> float:
     """Dual of a cover's measuring norm (l1 or l2) at v."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
     if kind == "l1":
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    if kind == "l2":
-        return float(np.sqrt(np.sum(v * v)))
-    raise ValueError(f"unknown norm {kind!r}")
+        return float(np.max(np.abs(v), initial=0.0))
+    return norm_value(v, kind)
 
 
 @dataclass(frozen=True)
@@ -333,9 +325,8 @@ class GraphCover:
             return self.vertex_point(self.graph.head(e), head_sheet)
         return CoverPoint(("e", int(e), float(s)), tuple(int(z) for z in sheet))
 
-    def translate(self, point: CoverPoint, z) -> CoverPoint:
-        z = np.atleast_1d(np.asarray(z)).astype(int)
-        return CoverPoint(point.base, tuple(int(a + b) for a, b in zip(point.sheet, z)))
+    # a deck translation shifts the sheet on either cover
+    translate = TorusCover.translate
 
     def g_map(self, point: CoverPoint) -> np.ndarray:
         g = point.sheet_array()
@@ -467,8 +458,8 @@ class GraphCover:
             radii = tuple(r if (r + 1) * l >= worst
                           else max(2 * r, math.ceil(worst / l) - 1)
                           for r, l in zip(radii, lengths))
-        raise WindowExhaustedError("cover distance window grew past its cap",
-                                   max(radii))
+        raise SolverError(f"cover distance window grew past its cap (last "
+                          f"window radius {max(radii)})")
 
 
 def matching_bound(cover, eps: float, mesh: int) -> float:
@@ -526,7 +517,7 @@ def match_point(cover, h, eps: float, mesh: int = 64, sub=None):
     win = int(np.lexsort((np.arange(sheets.shape[0]), *sheets.T[::-1],
                           np.rint(dist / 1e-12)))[0])
     loc, row = locs[win // window.shape[0]], sheets[win]
-    sheet = row if sub is None else sub.lift_sheet(row)
+    sheet = row if sub is None else sub.right_inverse @ row
     if loc[0] == "v":
         point = cover.vertex_point(loc[1], sheet)
     else:
@@ -535,66 +526,45 @@ def match_point(cover, h, eps: float, mesh: int = 64, sub=None):
     return point, eps * (g if sub is None else fmat @ g)
 
 
-def _smith_normal_form(mat: np.ndarray):
-    """U @ mat @ V = S diagonal, with U, V unimodular integer matrices."""
-    a = np.array(mat, dtype=object)
-    rows, cols = a.shape
-    u = np.eye(rows, dtype=object)
-    v = np.eye(cols, dtype=object)
+def _column_reduction(mat: np.ndarray):
+    """(V, g): g the gcd of the l x l minors of the integer matrix M, and
+    when g = 1, V unimodular with M @ V = [I | 0].
 
-    def swap_rows(i, j):
-        a[[i, j], :] = a[[j, i], :]
-        u[[i, j], :] = u[[j, i], :]
-
-    def swap_cols(i, j):
-        a[:, [i, j]] = a[:, [j, i]]
-        v[:, [i, j]] = v[:, [j, i]]
-
-    def add_row(src, dst, factor):
-        a[dst, :] += factor * a[src, :]
-        u[dst, :] += factor * u[src, :]
-
-    def add_col(src, dst, factor):
-        a[:, dst] += factor * a[:, src]
-        v[:, dst] += factor * v[:, src]
-
-    t = 0
-    while t < min(rows, cols):
-        sub = [(abs(a[i, j]), i, j) for i in range(t, rows) for j in range(t, cols)
-               if a[i, j] != 0]
-        if not sub:
-            break
-        _, pi, pj = min(sub)
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        reduced = True
-        while reduced:
-            reduced = False
-            for i in range(t + 1, rows):
-                if a[i, t] != 0:
-                    add_row(t, i, -(a[i, t] // a[t, t]))
-                    if a[i, t] != 0:
-                        swap_rows(t, i)
-                        reduced = True
-            for j in range(t + 1, cols):
-                if a[t, j] != 0:
-                    add_col(t, j, -(a[t, j] // a[t, t]))
-                    if a[t, j] != 0:
-                        swap_cols(t, j)
-                        reduced = True
-        if a[t, t] < 0:
-            a[t, :] *= -1
-            u[t, :] *= -1
-        t += 1
-    return (np.array(u, dtype=int), np.array(a, dtype=int), np.array(v, dtype=int))
+    Exact column operations, row by row: Euclid on row i from column i on
+    (the least nonzero |entry| moves to column i, first on ties, and its
+    floor quotients leave the later columns), so M @ V is lower triangular
+    with the pivots on its diagonal; a pivot of +-1 is made 1 and cleared
+    from the earlier columns.  The l x l minors of M and M @ V share their
+    gcd, and the only one of M @ V that can be nonzero is the product of
+    the pivots.
+    """
+    rows, cols = mat.shape
+    # column operations on [M; I] act on M @ V and on V at once
+    w = np.vstack([mat, np.eye(cols, dtype=int)]).astype(object)
+    product = 1
+    for i in range(rows):
+        while any(w[i, i + 1:]):
+            j = min((c for c in range(i, cols) if w[i, c]),
+                    key=lambda c: abs(w[i, c]))
+            w[:, [i, j]] = w[:, [j, i]]
+            for c in range(i + 1, cols):
+                w[:, c] -= (w[i, c] // w[i, i]) * w[:, i]
+        pivot = w[i, i]
+        product *= pivot
+        if abs(pivot) == 1:
+            w[:, i] *= pivot
+            for c in range(i):
+                w[:, c] -= w[i, c] * w[:, i]
+    return np.array(w[rows:], dtype=int), abs(int(product))
 
 
 class SubcoverMap:
     """Surjection of the deck group Z^k onto Z^l, given as an integer matrix.
 
-    Surjectivity is certified through the Smith normal form: all l
-    invariant factors must equal one.  The decomposition also yields an
-    integer right inverse (for lifting quotient sheets) and a basis of
+    Surjectivity is certified by ``_column_reduction``, M @ V = [I | 0]
+    with V unimodular: M is onto iff the product of its pivots, the gcd of
+    the l x l minors of M, is one.  V yields an integer right inverse
+    R = V[:, :l] (for lifting quotient sheets) and a basis K = V[:, l:] of
     the kernel lattice (for translate windows).
     """
 
@@ -604,22 +574,16 @@ class SubcoverMap:
         self.l, self.k = mat.shape
         if self.l > self.k:
             raise ValueError("cannot surject onto a group of higher rank")
-        u, s, v = _smith_normal_form(mat)
-        factors = [int(s[i, i]) for i in range(self.l)]
-        if any(f != 1 for f in factors):
+        v, gcd = _column_reduction(mat)
+        if gcd != 1:
             raise ValueError(
-                f"matrix is not surjective onto Z^{self.l}: invariant factors {factors}")
-        embed = np.zeros((self.k, self.l), dtype=int)
-        embed[: self.l, : self.l] = np.eye(self.l, dtype=int)
-        self.right_inverse = v @ embed @ u
-        self.kernel_basis = v[:, self.l:].copy()
+                f"matrix is not surjective onto Z^{self.l}: the gcd of its "
+                f"{self.l}x{self.l} minors is {gcd}")
+        self.right_inverse = v[:, :self.l]
+        self.kernel_basis = v[:, self.l:]
         assert np.array_equal(mat @ self.right_inverse, np.eye(self.l, dtype=int))
         assert not self.kernel_basis.size or not np.any(mat @ self.kernel_basis)
         self.op_norm = float(np.abs(mat).sum(axis=0).max())  # l1 operator norm
-
-    def lift_sheet(self, q) -> np.ndarray:
-        q = np.atleast_1d(np.asarray(q)).astype(int)
-        return self.right_inverse @ q
 
     def pullback(self, p) -> np.ndarray:
         """Adjoint action on momenta/cohomology: f^T p."""

@@ -19,7 +19,7 @@ from scipy import optimize
 from effham.action import (InitialDatum, LaxResult, _golden_min, _graph_actions,
                            _sweep, lax_oleinik, minimal_action_graph,
                            minimal_action_torus)
-from effham.model import _torus_grid
+from effham.model import _proved_range, _torus_grid
 from effham.topology import (CoverPoint, _grid, _norm_rows, match_point,
                              matching_bound, norm_value)
 
@@ -247,11 +247,13 @@ def torus_candidate_count(cover, model, datum, x, t: float, eps: float,
     value f(eps x) + eps * action(x, x) and the least straight-path bound
     f(eps y) + (eps d)^2/(2 amin t) - vmin t (d = |y - x|); a lift counts
     when its lower bound f(eps y) + (eps d)^2/(2 amax t) - vmax t is
-    within 1e-9 of the incumbent and d <= window/eps."""
+    within 1e-9 of the incumbent and d <= window/eps.  amin, amax, vmin and
+    vmax are the proved bounds of ``kinetic_eig_bounds`` and
+    ``_proved_range``, as in the search."""
     x_lift = cover.lift(x)
     horizon, reach = t / eps, window / eps
     amin, amax = model.kinetic_eig_bounds()
-    vmin, vmax = model.potential_bounds()
+    vmin, vmax = _proved_range(model.v)
     box = math.ceil(reach) + 2
     cells = np.floor(x_lift).astype(int) + _grid(
         [np.arange(-box, box + 1)] * model.n)
@@ -376,7 +378,7 @@ def match_point_loop(cover, h, eps: float, mesh: int, sub=None):
             if best is None or key < best[0]:
                 best = (key, loc, row)
     _, loc, row = best
-    sheet = row if sub is None else sub.lift_sheet(np.array(row))
+    sheet = row if sub is None else sub.right_inverse @ np.array(row)
     return loc, tuple(int(z) for z in sheet)
 
 

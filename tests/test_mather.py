@@ -13,7 +13,6 @@ from effham.mather import (
     alpha_graph,
     alpha_torus_quadrature,
     beta_graph,
-    effective_hamiltonian_subcover,
 )
 from effham.action import _golden_min, allocate_time
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
@@ -357,11 +356,9 @@ def test_effective_subcover_identity_and_pullback(fig8, fig8_lag):
         return alpha_graph(fig8, fig8_lag, p)
 
     ident = SubcoverMap([[1, 0], [0, 1]])
-    assert effective_hamiltonian_subcover(ident, alpha_fn, [0.7, -0.2]) == \
-        alpha_fn([0.7, -0.2])
+    assert alpha_fn(ident.pullback([0.7, -0.2])) == alpha_fn([0.7, -0.2])
     merge = SubcoverMap([[1, 1]])
-    assert effective_hamiltonian_subcover(merge, alpha_fn, [0.6]) == \
-        alpha_fn([0.6, 0.6])
+    assert alpha_fn(merge.pullback([0.6])) == alpha_fn([0.6, 0.6])
 
 
 def test_subcover_rates_dualize_to_pullback_alpha(fig8, fig8_lag):
@@ -373,8 +370,7 @@ def test_subcover_rates_dualize_to_pullback_alpha(fig8, fig8_lag):
     # the conjugate over the table's own nodes, against alpha pulled back
     worst = 0.0
     for q in np.linspace(-0.8, 0.8, 9):
-        direct = effective_hamiltonian_subcover(
-            sub, lambda pp: alpha_graph(fig8, fig8_lag, pp), [q])
+        direct = alpha_graph(fig8, fig8_lag, sub.pullback([q]))
         worst = max(worst, abs(np.max(q * rates - table) - direct))
     assert worst <= 1e-3
 

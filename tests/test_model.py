@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from effham.model import TorusHamiltonian, TrigPolynomial
+from effham.action import _family_constants
+from effham.model import TorusHamiltonian, TrigPolynomial, _proved_range
+from effham.topology import TorusCover
 from tests.conftest import make_pendulum
 from tests.oracles import (
     double_legendre_residual,
@@ -161,3 +163,25 @@ def test_gradient_many_skips_zero_coefficients_bytewise(n, kind):
     for got, expect in zip(poly.gradient_many(xs), trig_derivatives(poly, xs)):
         assert got.shape == expect.shape
         assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_proved_range_encloses_off_grid_extremes(n):
+    # cos 2 pi x + 0.3 sin 2 pi x peaks at sqrt(1.09), off every grid point,
+    # and in 2-D the same wave along each axis peaks at twice that
+    waves = [(np.eye(n, dtype=int)[j], 1.0, 0.3) for j in range(n)]
+    poly = TrigPolynomial(n, waves)
+    peak = n * 1.044030650891055
+    lo, hi = _proved_range(poly)
+    grid = np.stack(np.meshgrid(*[np.arange(256) / 256] * n, indexing="ij"),
+                    axis=-1).reshape(-1, n)
+    sampled = poly.value_many(grid)
+    assert sampled.max() < peak - 1e-6 and sampled.min() > -peak + 1e-6
+    # the sampled extremes widened by n M2 h^2 / 8 with M2 = n (2 pi)^2 1.3
+    slack = n * n * (2.0 * np.pi) ** 2 * 1.3 / (8.0 * 256 ** 2)
+    assert (lo, hi) == pytest.approx((sampled.min() - slack,
+                                      sampled.max() + slack), abs=1e-15)
+    assert lo <= -peak and peak <= hi
+    # the search's drift is that bound, not the sampled maximum
+    _, drift = _family_constants(TorusCover(n), TorusHamiltonian.mechanical(poly))
+    assert drift == hi

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import os
 
 import numpy as np
@@ -313,6 +314,61 @@ def test_match_point_is_the_locator_loop(stem):
 def test_subcover_rejects_non_surjective_matrix():
     with pytest.raises(ValueError):
         SubcoverMap([[2, 0]])
+
+
+def _int_det(rows) -> int:
+    """Exact determinant of a square integer matrix by cofactors."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j]
+               * _int_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+@st.composite
+def _integer_maps(draw):
+    k = draw(st.integers(1, 3))
+    l = draw(st.integers(1, k))
+    return [[draw(st.integers(-4, 4)) for _ in range(k)] for _ in range(l)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_integer_maps())
+def test_subcover_accepts_exactly_the_unimodular_maps(rows):
+    # onto Z^l iff the l x l minors have gcd 1; then R is a right inverse,
+    # K spans the kernel and [R K] is unimodular
+    l, k = len(rows), len(rows[0])
+    gcd = 0
+    for cols in itertools.combinations(range(k), l):
+        gcd = math.gcd(gcd, _int_det([[r[c] for c in cols] for r in rows]))
+    if gcd != 1:
+        with pytest.raises(ValueError, match=f"minors is {gcd}"):
+            SubcoverMap(rows)
+        return
+    sub = SubcoverMap(rows)
+    mat = np.array(rows)
+    assert np.array_equal(mat @ sub.right_inverse, np.eye(l, dtype=int))
+    assert sub.kernel_basis.shape == (k, k - l)
+    assert not np.any(mat @ sub.kernel_basis)
+    basis = np.hstack([sub.right_inverse, sub.kernel_basis])
+    assert abs(_int_det(basis.tolist())) == 1
+
+
+@pytest.mark.parametrize("rows, right_inverse, kernel", [
+    ([[1, 1]], [[1], [0]], [[-1], [1]]),
+    ([[1, 2]], [[1], [0]], [[-2], [1]]),
+    ([[2, 3]], [[-1], [1]], [[3], [-2]]),
+    ([[0, 1]], [[0], [1]], [[1], [0]]),
+    ([[1, -1]], [[1], [0]], [[1], [1]]),
+    ([[2, 1], [1, 1]], [[1, -1], [-1, 2]], np.zeros((2, 0), dtype=int)),
+])
+def test_subcover_right_inverse_and_kernel_are_pinned(rows, right_inverse,
+                                                      kernel):
+    # match_point lifts quotient sheets through R and the kernel checks
+    # translate by K, so another valid choice would move subcover artifacts
+    sub = SubcoverMap(rows)
+    assert np.array_equal(sub.right_inverse, right_inverse)
+    assert np.array_equal(sub.kernel_basis, kernel)
 
 
 @given(pt=torus_points(), z=sheets2)
