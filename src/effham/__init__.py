@@ -11,11 +11,11 @@ imported from its module.
 
 from .errors import ConfigError, EffhamError, ModelValidityError, SolverError
 from .action import hopf_lax, lax_oleinik
-from .homogenize import Scenario, run_experiment, run_subcover_experiment
+from .homogenize import Scenario, run_experiment
 from .config import load_config
 
 __all__ = [
     "ConfigError", "EffhamError", "ModelValidityError", "Scenario",
     "SolverError", "hopf_lax", "lax_oleinik", "load_config",
-    "run_experiment", "run_subcover_experiment",
+    "run_experiment",
 ]

@@ -1,12 +1,12 @@
 """Batch front end: scenario configs in, result tables out.
 
-Six commands share one invocation shape::
+Five commands share one invocation shape::
 
     python -m effham.cli --config scenario.yaml --command homogenize
 
 ``alpha``/``beta`` tabulate the effective Hamiltonian/Lagrangian on a
-grid, ``homogenize``/``subcover`` run ladder experiments and write their
-reports, ``validate`` only loads the config (the load is every check on
+grid, ``homogenize`` runs the ladder experiment and writes its report,
+``validate`` only loads the config (the load is every check on
 the model) and writes nothing.  ``spaces`` measures over sampled point
 pairs the gap between the cover distance and the stable norm of their
 homology displacement (the metric of the rescaled covers' limit), and per
@@ -14,13 +14,13 @@ rung the covering radius of the scaled mesh image; it exits 1 when a gap
 leaves the certified band |gap| <= C or a covering radius exceeds the
 matching bound.  ``alpha`` and ``beta`` read the two halves of the one
 exact pair that the config picked for its system family; a system with no
-such pair is rejected at load.  ``homogenize`` accepts configs with
-``cover.subcover`` and runs the ladder on that intermediate cover;
-``subcover`` runs the same ladder plus the quotient consistency checks.
+such pair is rejected at load.  On a config with ``cover.subcover``,
+``homogenize`` runs the ladder on that intermediate cover, and the
+quotient consistency checks of the same run gate ``passed``.
 
-Exit codes: 0 all checks passed, 1 a tolerance check failed or a
-minimiser stopped unconverged (``passed`` is false), 2 the config
-was rejected (on every command alike: a malformed field, a system with no
+Exit codes: 0 all checks passed, 1 a tolerance check failed or a minimiser
+stopped unconverged (``passed`` is false), 2 an unknown command or a
+rejected config (on every command alike: a malformed field, a system with no
 exact (alpha, beta) pair, a torus kinetic matrix not proved positive
 definite, a ``cover.norm`` or a cone's ``datum.norm`` other than the
 family's, or a key the loader does not read), 3 a solver gave up, 4 an
@@ -38,7 +38,7 @@ import traceback
 
 from .config import ScenarioConfig, load_config
 from .errors import ConfigError, ModelValidityError, SolverError
-from .homogenize import run_experiment, run_subcover_experiment
+from .homogenize import run_experiment
 # unused alpha_graph: perfbench/test_perfbench.py expects the binding
 from .mather import alpha_graph
 from .topology import _ball_axes, _grid, estimate_space_convergence
@@ -49,7 +49,7 @@ EXIT_SCHEMA = 2
 EXIT_SOLVER = 3
 EXIT_INTERNAL = 4
 
-COMMANDS = ("alpha", "beta", "homogenize", "subcover", "spaces", "validate")
+COMMANDS = ("alpha", "beta", "homogenize", "spaces", "validate")
 
 
 def _fmt(x: float) -> str:
@@ -142,15 +142,6 @@ def _cmd_homogenize(cfg: ScenarioConfig, out_dir: str) -> int:
     return _write_report(cfg, report, "homogenize", out_dir)
 
 
-def _cmd_subcover(cfg: ScenarioConfig, out_dir: str) -> int:
-    if cfg.subcover is None:
-        raise ConfigError("cover.subcover",
-                          "required for the subcover command")
-    report = run_subcover_experiment(cfg.scenario(),
-                                     beta_eval=cfg.beta_evaluator())
-    return _write_report(cfg, report, "subcover", out_dir)
-
-
 def _cmd_spaces(cfg: ScenarioConfig, out_dir: str) -> int:
     sp = estimate_space_convergence(cfg.cover, cfg.eps_ladder, cfg.mesh,
                                     seed=cfg.seed)
@@ -194,8 +185,6 @@ def run(config_path: str, command: str, out_dir=None) -> int:
             return _cmd_beta(cfg, target)
         if command == "homogenize":
             return _cmd_homogenize(cfg, target)
-        if command == "subcover":
-            return _cmd_subcover(cfg, target)
         return _cmd_spaces(cfg, target)
     except ConfigError as exc:
         _emit(_error_record("schema", EXIT_SCHEMA, exc.message, field=exc.path))

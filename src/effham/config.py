@@ -194,6 +194,11 @@ def _build_graph(system: dict):
         raise ConfigError("system.edges",
                           f"cycle rank {graph.cycle_rank} is above the "
                           "supported maximum of 2")
+    if len(graph.edges) > 12:
+        # action._multisets prices 2^|E| traversal multisets per endpoint
+        # pair: a 3-rung ladder takes 51 s at 12 edges and 115 s at 13
+        raise ConfigError("system.edges", f"{len(graph.edges)} edges are "
+                          "above the supported maximum of 12")
     return GraphCover(graph), GraphLagrangian(graph, np.array(potentials))
 
 

@@ -9,7 +9,8 @@ Every abelian cover runs through the same pipeline.  The maximal cover is
 the identity case; an intermediate cover, the quotient of the maximal one
 by the kernel of a surjection Z^k -> Z^l (``Scenario.subcover``), is
 solved on the maximal cover with the datum pulled back through the
-surjection and limited by the quotient rate function beta-hat.
+surjection and limited by the quotient rate function beta-hat, and three
+quotient checks of the same run gate ``passed`` with the rest.
 """
 
 from __future__ import annotations
@@ -213,8 +214,8 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
 
     With ``scenario.subcover`` set, targets live on the intermediate
     cover: points are matched through the map, the cover solution prices
-    the pulled-back datum, and the limit runs over beta-hat.  Only graph
-    covers take a subcover.
+    the pulled-back datum, the limit runs over beta-hat, and the checks
+    of ``_quotient_checks`` gate too.  Only graph covers take a subcover.
     """
     cover, model = scenario.cover, scenario.model
     if beta_eval is None:
@@ -237,10 +238,12 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
     windows = []
     evaluated = 0
     counts = {}
+    points = []
     for eps in scenario.eps_ladder:
         for h, t in scenario.eval_points:
             point, image = match_point(cover, np.array(h), eps, scenario.mesh,
                                        sub)
+            points.append(point)
             try:
                 res = lax_oleinik(cover, model, datum, point, t, eps,
                                   mesh=scenario.mesh)
@@ -259,11 +262,10 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
                 match_error=float(norm_value(image - np.array(h),
                                              cover.norm))))
 
-    ladder = scenario.eps_ladder
     errs = report.errors_by_eps()
     report.rate_exponent, report.rate_residual = _fit_rate(errs)
     report.final_error = errs[-1][1] if errs else math.inf
-    report.monotone_ok = _check_monotone(report, ladder)
+    report.monotone_ok = _check_monotone(report, scenario.eps_ladder)
     report.sandwich_ok = _check_sandwich(report, scenario,
                                          _rest_commute_bound(cover, model))
 
@@ -274,10 +276,14 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
         "neldermead_unconverged": unpolished,
         **counts,
     }
+    quotient = {} if sub is None else _quotient_checks(
+        scenario, report, datum, limit_eval, points)
     checks = {"final_error < tolerance": report.final_error < report.tolerance,
               "monotone_ok": report.monotone_ok, "sandwich_ok": report.sandwich_ok,
               "newton_capped": not counts.get("newton_capped", 0),
-              "neldermead_unconverged": not unpolished}
+              "neldermead_unconverged":
+              not report.diagnostics["neldermead_unconverged"],
+              **quotient}
     report.failed = [name for name, ok in checks.items() if not ok]
     report.passed = not report.failed
     return report
@@ -310,10 +316,11 @@ class _PulledBackDatum:
         return self.col * self.base.lipschitz_bound(self.col * radius, "l1")
 
 
-def run_subcover_experiment(scenario: Scenario, beta_eval=None,
-                            p_grid=None) -> ExperimentReport:
-    """The ladder experiment of an intermediate cover plus three checks
-    that gate ``passed``.
+def _quotient_checks(scenario: Scenario, report: ExperimentReport, pulled,
+                     bhat, points) -> dict:
+    """The three checks of an intermediate cover, name to pass flag, on
+    the ladder's ``points`` (first rung first); fills their report fields,
+    ``kernel_rank`` and the unconverged polish count.
 
     * ``cover_kernel_invariance_error``: the pulled-back datum and the
       action are both invariant under the kernel of the surjection, so on
@@ -325,24 +332,14 @@ def run_subcover_experiment(scenario: Scenario, beta_eval=None,
     * ``dual_limit_error``: alpha at the pulled-back covector against the
       conjugate of the quotient rate function; bound 1e-8, above the 1e-9
       bisection of ``alpha_graph`` that sets the measured 4.6e-10.
-
-    Raises ValueError without a subcover map and on torus covers.
     """
-    sub = scenario.subcover
-    if sub is None:
-        raise ValueError("scenario has no subcover map")
-    cover, model = scenario.cover, scenario.model
-    if beta_eval is None:
-        beta_eval = default_beta_evaluator(cover, model)
-    report = run_experiment(scenario, beta_eval=beta_eval)
-    pulled = _PulledBackDatum(scenario.datum, sub)
+    sub, cover, model = scenario.subcover, scenario.cover, scenario.model
     shifts = [z for z in sub.kernel_elements(1) if np.any(z)]
 
     # kernel invariance of the cover solution on the first rung
     eps = scenario.eps_ladder[0]
     cover_worst = 0.0
-    for (h, t), row in zip(scenario.eval_points, report.rows):
-        point, _ = match_point(cover, np.array(h), eps, scenario.mesh, sub)
+    for (_, t), point, row in zip(scenario.eval_points, points, report.rows):
         for z in shifts:
             shifted = lax_oleinik(cover, model, pulled, cover.translate(point, z),
                                   t, eps, mesh=scenario.mesh).value
@@ -353,40 +350,29 @@ def run_subcover_experiment(scenario: Scenario, beta_eval=None,
     ker_worst = 0.0
     for h, t in scenario.eval_points[:2]:
         q0 = sub.right_inverse.astype(float) @ np.array(h)
-        base_val, ok = hopf_lax(beta_eval, pulled, q0, t)
+        base_val, ok = hopf_lax(bhat.base, pulled, q0, t)
         report.diagnostics["neldermead_unconverged"] += not ok
         for z in shifts:
-            shifted, ok = hopf_lax(beta_eval, pulled, q0 + z, t)
+            shifted, ok = hopf_lax(bhat.base, pulled, q0 + z, t)
             report.diagnostics["neldermead_unconverged"] += not ok
             ker_worst = max(ker_worst, abs(shifted - base_val))
     report.kernel_invariance_error = float(ker_worst)
 
     # dual route: alpha at the pulled-back covector vs the conjugate of
-    # the quotient rate function
-    if p_grid is None:
-        p_grid = [np.full(sub.matrix.shape[0], v)
-                  for v in np.linspace(-1.0, 1.0, 9)]
-    bhat = BetaHatEvaluator(sub, beta_eval)
-    dual_src = LegendreDual(bhat.value, sub.matrix.shape[0], p_box=6.0,
-                            p_points=49)
+    # the quotient rate function, on a 9-point diagonal p-grid
+    dim = sub.matrix.shape[0]
+    dual_src = LegendreDual(bhat.value, dim, p_box=6.0, p_points=49)
     dual_worst = 0.0
-    for p in p_grid:
+    for p in np.repeat(np.linspace(-1.0, 1.0, 9)[:, None], dim, axis=1):
         lhs = alpha_graph(cover.graph, model, sub.pullback(p))
-        rhs = dual_src.value(np.atleast_1d(p))
-        dual_worst = max(dual_worst, abs(lhs - rhs))
+        dual_worst = max(dual_worst, abs(lhs - dual_src.value(p)))
     report.dual_limit_error = float(dual_worst)
 
     report.diagnostics["kernel_rank"] = sub.kernel_rank()
     cover_tol = 1e-9 + matching_bound(cover, scenario.eps_ladder[-1],
                                       scenario.mesh)
-    checks = {"neldermead_unconverged":
-              not report.diagnostics["neldermead_unconverged"],
-              "cover_kernel_invariance_error <= cover_tol":
-              report.cover_kernel_invariance_error <= cover_tol,
-              "kernel_invariance_error <= 1e-8":
-              report.kernel_invariance_error <= 1e-8,
-              "dual_limit_error <= 1e-8": report.dual_limit_error <= 1e-8}
-    report.failed += [name for name, ok in checks.items()
-                      if not ok and name not in report.failed]
-    report.passed = not report.failed
-    return report
+    return {"cover_kernel_invariance_error <= cover_tol":
+            report.cover_kernel_invariance_error <= cover_tol,
+            "kernel_invariance_error <= 1e-8":
+            report.kernel_invariance_error <= 1e-8,
+            "dual_limit_error <= 1e-8": report.dual_limit_error <= 1e-8}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from effham import action, cli, mather, topology
+from effham import action, cli, homogenize, mather, topology
 from effham.action import InitialDatum
 from effham.errors import SolverError
 from effham.homogenize import Scenario, run_experiment
@@ -246,6 +246,13 @@ def _both(first, second):
         _set("cover", {"subcover": [[1]]}),
         _set("datum.bump", {"family": "edge", "amplitudes": [0.1]})),
         "datum.bump", id="single_loop-subcover-edge-bump"),
+    # two loops and an 11-edge path: cycle rank 2, but 13 edges, past what
+    # the 2^|E| multiset enumeration of the cover action serves
+    pytest.param("figure_eight", _set("system", {
+        "family": "graph", "vertices": 12,
+        "edges": [{"u": 0, "v": 0, "length": 1.0}] * 2
+        + [{"u": i, "v": i + 1, "length": 1.0} for i in range(11)]}),
+        "system.edges", id="figure_eight-thirteen-edges"),
     # a cone measures in its cover's norm
     pytest.param("figure_eight", _set("datum.norm", 'linf'), "datum.norm",
                  id="figure_eight-linf-cone"),
@@ -421,6 +428,47 @@ def test_homogenize_runs_on_subcover_config(tmp_path, capsys):
             trees.append(json.load(fh))
     np.testing.assert_array_equal([r["v_eps"] for r in trees[0]["rows"]],
                                   [r["v_eps"] for r in trees[1]["rows"]])
+    # the one run fills the quotient checks on a subcover config only
+    checks = ("cover_kernel_invariance_error", "kernel_invariance_error",
+              "dual_limit_error")
+    plain, sub = trees
+    assert all(plain[name] is None for name in checks)
+    assert all(isinstance(sub[name], float) for name in checks)
+    assert "kernel_rank" not in plain["diagnostics"]
+    assert sub["diagnostics"]["kernel_rank"] == 0
+
+
+def test_failed_quotient_check_fails_homogenize(tmp_path, capsys,
+                                                monkeypatch):
+    # alpha raised by 1e-7 leaves the ladder alone and breaks only the
+    # duality of alpha with beta-hat
+    alpha_graph = homogenize.alpha_graph
+    monkeypatch.setattr(homogenize, "alpha_graph",
+                        lambda *args: alpha_graph(*args) + 1e-7)
+    tree = _scenario_tree("single_loop")
+    tree["experiment"]["ladder"] = [1.0, 0.5]
+    tree["experiment"]["tolerance"] = 1.0
+    tree["cover"] = {"subcover": [[1]]}
+    out = tmp_path / "out"
+    code = cli.run(_write(tmp_path, tree), "homogenize", out_dir=str(out))
+    assert code == cli.EXIT_TOLERANCE
+    with open(out / "single-loop_homogenize.json") as fh:
+        report = json.load(fh)
+    assert not report["passed"]
+    assert report["dual_limit_error"] > 1e-8
+    error = _records(capsys)[-1]["error"]
+    assert error["message"].endswith("failed checks: dual_limit_error <= 1e-8")
+
+
+def test_unknown_command_exits_two_and_writes_nothing(tmp_path, capsys):
+    # the quotient checks run inside homogenize; there is no subcover command
+    path = os.path.join(ROOT, "scenarios", "figure_eight_subcover.yaml")
+    out = tmp_path / "out"
+    assert cli.run(path, "subcover", out_dir=str(out)) == cli.EXIT_SCHEMA
+    (record,) = _records(capsys)
+    assert record["error"]["exit"] == cli.EXIT_SCHEMA
+    assert record["error"]["field"] == "--command"
+    assert not out.exists()
 
 
 def test_report_line_carries_the_solver_counts(tmp_path, capsys):

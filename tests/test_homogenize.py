@@ -10,7 +10,6 @@ from effham.homogenize import (
     Scenario,
     matching_bound,
     run_experiment,
-    run_subcover_experiment,
 )
 from effham.mather import alpha_graph
 from effham.model import TorusHamiltonian, TrigPolynomial
@@ -157,7 +156,7 @@ def test_identity_subcover_reproduces_plain_run(loop2_cover, loop2_lag):
                   datum=InitialDatum.affine([0.4]),
                   eps_ladder=(0.5, 0.25), eval_points=(((1 / 3,), 1.0),),
                   mesh=32)
-    quotient = run_subcover_experiment(
+    quotient = run_experiment(
         Scenario(name="loop-ident", subcover=SubcoverMap([[1]]), **common))
     plain = run_experiment(Scenario(name="loop-plain", **common))
     for qrow, prow in zip(quotient.rows, plain.rows):
@@ -173,7 +172,7 @@ def test_unconverged_hopf_lax_polish_is_counted(loop2_cover, loop2_lag,
                   eval_points=(((1 / 3,), 1.0), ((-0.5,), 2.0)), mesh=32)
     plain = Scenario(name="loop-plain", **common)
     quotient = Scenario(name="loop-ident", subcover=SubcoverMap([[1]]), **common)
-    before = [run_experiment(plain), run_subcover_experiment(quotient)]
+    before = [run_experiment(plain), run_experiment(quotient)]
     minimize = optimize.minimize
 
     def stalled(*args, **kwargs):
@@ -183,7 +182,7 @@ def test_unconverged_hopf_lax_polish_is_counted(loop2_cover, loop2_lag,
 
     # a graph cover solve calls no minimize; only the Hopf-Lax polish does
     monkeypatch.setattr(optimize, "minimize", stalled)
-    after = [run_experiment(plain), run_subcover_experiment(quotient)]
+    after = [run_experiment(plain), run_experiment(quotient)]
     # one polish per evaluation point, and in the subcover run one more per
     # kernel-invariance point (the identity map has no nonzero shift)
     assert [r.diagnostics["neldermead_unconverged"] for r in before] == [0, 0]
@@ -201,7 +200,7 @@ def test_merged_loops_subcover_consistency(fig8_cover, fig8_lag, fig8):
                         datum=InitialDatum.affine([0.5], 0.1),
                         eps_ladder=(1.0, 0.5), eval_points=(((0.8,), 1.0),),
                         mesh=32, subcover=SubcoverMap([[1, 1]]))
-    report = run_subcover_experiment(scenario, p_grid=[np.array([0.4])])
+    report = run_experiment(scenario)
 
     # the quotient limit of an affine datum is affine with the pulled-back level
     closed = 0.1 + 0.5 * 0.8 - alpha_graph(fig8, fig8_lag, [0.5, 0.5]) * 1.0
