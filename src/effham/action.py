@@ -25,10 +25,11 @@ Three layers:
   graphs the cells' mesh starts, exactly, one ``_graph_actions`` call a
   block; on tori the cells at their least straight-path cost, which keep
   the mesh lifts no cell bound rules out, then those on coarse chains
-  that ``_descend`` runs in lockstep, the lowest few re-priced by
-  ``minimal_action_torus``.  The winner is polished: on graphs by
-  golden-section searches along its edges, in lockstep; on tori by one
-  more descent with its start node free.  Only ``hopf_lax`` calls
+  that ``_descend`` runs in lockstep, the lowest few re-priced at full
+  resolution by one ``_minimal_actions_torus`` call, which solves them
+  in lockstep.  The winner is polished: on graphs by golden-section
+  searches along its edges, in lockstep; on tori by one more descent
+  with its start node free.  Only ``hopf_lax`` calls
   ``scipy.optimize``.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box, its seed grid
@@ -661,6 +662,40 @@ _ACTION_TOL = 1e-7
 _MAX_SEGMENTS = 2048
 
 
+def _minimal_actions_torus(model: TorusHamiltonian, pairs, horizon: float):
+    """``minimal_action_torus`` of K pairs (y_lift, x_lift) over one
+    horizon, in lockstep: one ``_descend`` over the starting chains of
+    every pair, then one per doubling level over the pairs still moving,
+    each of which stops on its own test.  The pairs share the horizon, so
+    at each level they share the chain length, and ``_descend`` gives each
+    chain the iterates it has alone: every result is that pair's lone
+    solve, bit for bit.  Checks the horizon and A once per batch; returns
+    one (action, nodes, capped count) per pair, [] for no pair."""
+    if horizon <= 0.0:
+        raise ValueError("horizon must be positive")
+    model.kinetic_eig_bounds()
+    if not pairs:
+        return []
+    n = _auto_segments(horizon)
+    starts = [_chain_inits(*(np.atleast_1d(np.asarray(p, dtype=float))
+                             for p in pair), n) for pair in pairs]
+    vals, chains, capped = _descend(model, horizon, sum(starts, []))
+    per = len(starts[0])
+    firsts = per * np.arange(len(pairs)) + np.argmin(vals.reshape(-1, per), axis=1)
+    best = [(float(vals[j]), chains[j], int(capped[j])) for j in firsts]
+    moving = list(range(len(pairs)))
+    while n < _MAX_SEGMENTS and moving:
+        n *= 2
+        vals, chains, capped = _descend(model, horizon, [_refine_nodes(best[k][1])
+                                                         for k in moving])
+        still = [k for k, val in zip(moving, vals)
+                 if not abs(best[k][0] - val) < _ACTION_TOL]
+        for k, val, nodes, hit in zip(moving, vals, chains, capped):
+            best[k] = (float(val), nodes, best[k][2] + int(hit))
+        moving = still
+    return best
+
+
 def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float):
     """Two-point action on the R^n cover by trajectory descent.
 
@@ -675,27 +710,10 @@ def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float
     number of capped descents whose value is read: the best starting chain
     and each doubling).  The chains are priced by ``_chain_terms``, so a
     2-D A(x) that is not constant raises ModelValidityError
-    (``kinetic_eig_bounds``).
+    (``kinetic_eig_bounds``).  This is the one-pair case of
+    ``_minimal_actions_torus``, which solves many pairs in lockstep.
     """
-    y_lift = np.atleast_1d(np.asarray(y_lift, dtype=float))
-    x_lift = np.atleast_1d(np.asarray(x_lift, dtype=float))
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    model.kinetic_eig_bounds()
-    n = _auto_segments(horizon)
-    vals, chains, capped = _descend(model, horizon, _chain_inits(y_lift, x_lift, n))
-    j = int(np.argmin(vals))
-    best_val, best_nodes, n_capped = float(vals[j]), chains[j], int(capped[j])
-    while n < _MAX_SEGMENTS:
-        n *= 2
-        vals, chains, capped = _descend(model, horizon,
-                                        _refine_nodes(best_nodes)[None])
-        n_capped += int(capped[0])
-        improved = best_val - vals[0]
-        best_val, best_nodes = float(vals[0]), chains[0]
-        if abs(improved) < _ACTION_TOL:
-            break
-    return best_val, best_nodes, n_capped
+    return _minimal_actions_torus(model, [(y_lift, x_lift)], horizon)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -705,15 +723,6 @@ def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float
 def _reach(lin: float, c: float) -> float:
     """Largest r with r^2 - 2*lin*r - c <= 0 (zero when there is none)."""
     return lin + math.sqrt(max(0.0, lin * lin + c))
-
-
-def _family_constants(cover, lagrangian):
-    """(quad, drift): action >= d^2/(2*quad*T) - drift*T."""
-    if cover.family == "graph":
-        return 1.0, -lagrangian.min_potential()
-    _, amax = lagrangian.kinetic_eig_bounds()
-    _, vmax = _proved_range(lagrangian.v)
-    return float(amax), float(vmax)
 
 
 def _search_cells(cover, datum, quad: float, drift: float, g, t: float,
@@ -806,10 +815,15 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     ``_search_cells`` at the least straight-path cost f(eps*y) + (eps*d)^2
     /(2*amin*t) - vmin*t of their mesh lifts y (d = |y - x|), ``_sweep`` over
     the lifts they keep, and the polish.  A lift's low (quad = amax, drift =
-    vmax) is at least its cell's cell_low; a candidate has d <= window/eps."""
+    vmax) is at least its cell's cell_low; a candidate has d <= window/eps.
+    The screen's six best are re-priced by one ``_minimal_actions_torus``
+    call and replayed in screen order.  amin, amax, vmin and vmax are each
+    read once."""
     horizon = t / eps
     x_lift = cover.lift(x)
-    quad, drift = _family_constants(cover, model)
+    amin, amax = model.kinetic_eig_bounds()
+    vmin, vmax = _proved_range(model.v)
+    quad, drift = float(amax), float(vmax)
 
     stay, stay_nodes, capped = minimal_action_torus(model, x_lift, x_lift,
                                                     horizon)
@@ -820,8 +834,6 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     window, cells, cell_low = _search_cells(cover, datum, quad, drift, x_lift,
                                             t, eps, incumbent)
     reach = window / eps
-    amin, _ = model.kinetic_eig_bounds()
-    vmin, _ = _proved_range(model.v)
     n = model.n
     offsets = _torus_grid(n, mesh)
 
@@ -875,9 +887,10 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     if best is not None:
         best_g = lifts[best]
     scored.sort(key=lambda z: z[0])
-    for _, idx in scored[:_N_TOP]:
-        val, nodes, n_capped = minimal_action_torus(model, lifts[idx], x_lift,
-                                                    horizon)
+    top = [idx for _, idx in scored[:_N_TOP]]
+    solves = _minimal_actions_torus(model, [(lifts[idx], x_lift) for idx in top],
+                                    horizon) if top else []
+    for idx, (val, nodes, n_capped) in zip(top, solves):
         capped += n_capped
         total = f_vals[idx] + eps * val
         if total < incumbent:
@@ -935,7 +948,8 @@ def _lax_graph(cover, lagrangian, datum, x, t, eps, mesh):
     graph = cover.graph
     horizon = t / eps
     gx = cover.g_map(x)
-    quad, drift = _family_constants(cover, lagrangian)
+    # action >= d^2/(2*quad*T) - drift*T, as L = v^2/2 + V_e on every edge
+    quad, drift = 1.0, -lagrangian.min_potential()
 
     incumbent = datum.value(eps * gx) + eps * minimal_action_graph(
         lagrangian, cover, x, x, horizon)

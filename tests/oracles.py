@@ -6,8 +6,8 @@ Legendre pair of a torus Hamiltonian, the long-horizon action rates that
 beta averages, the affine closed form of the rescaled solution, the
 candidate count of the torus search, the graph search over its whole
 sheet box, the mesh point that ``match_point`` picks on a graph, one
-golden-section search at a time, and a trigonometric polynomial's
-derivatives term by term.
+golden-section search at a time, one torus two-point action at a time,
+and a trigonometric polynomial's derivatives term by term.
 """
 
 import math
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
+from effham import action
 from effham.action import (InitialDatum, LaxResult, _golden_min, _graph_actions,
                            _sweep, lax_oleinik, minimal_action_graph,
                            minimal_action_torus)
@@ -383,7 +384,8 @@ def match_point_loop(cover, h, eps: float, mesh: int, sub=None):
 
 
 # ---------------------------------------------------------------------------
-# one golden-section search at a time, and trig derivatives term by term
+# one golden-section search or torus action at a time, and trig derivatives
+# term by term
 
 
 def golden_min_scalar(fn, lo: float, hi: float, tol: float):
@@ -407,6 +409,35 @@ def golden_min_scalar(fn, lo: float, hi: float, tol: float):
             fd = fn(d)
     s = 0.5 * (a + b)
     return s, fn(s)
+
+
+def minimal_action_torus_alone(model, y_lift, x_lift, horizon: float):
+    """One torus two-point action on its own: the descent of its starting
+    chains, then one single-chain descent per doubling of the best chain
+    until the action moves by less than ``_ACTION_TOL`` or the count
+    reaches ``_MAX_SEGMENTS``.  ``action._minimal_actions_torus`` runs this
+    for each of its pairs in lockstep; returns (action, nodes, capped
+    count) as it does."""
+    y_lift = np.atleast_1d(np.asarray(y_lift, dtype=float))
+    x_lift = np.atleast_1d(np.asarray(x_lift, dtype=float))
+    if horizon <= 0.0:
+        raise ValueError("horizon must be positive")
+    model.kinetic_eig_bounds()
+    n = action._auto_segments(horizon)
+    vals, chains, capped = action._descend(
+        model, horizon, action._chain_inits(y_lift, x_lift, n))
+    j = int(np.argmin(vals))
+    best_val, best_nodes, n_capped = float(vals[j]), chains[j], int(capped[j])
+    while n < action._MAX_SEGMENTS:
+        n *= 2
+        vals, chains, capped = action._descend(
+            model, horizon, action._refine_nodes(best_nodes)[None])
+        n_capped += int(capped[0])
+        improved = best_val - vals[0]
+        best_val, best_nodes = float(vals[0]), chains[0]
+        if abs(improved) < action._ACTION_TOL:
+            break
+    return best_val, best_nodes, n_capped
 
 
 def trig_derivatives(poly, xs):

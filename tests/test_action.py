@@ -31,7 +31,7 @@ from effham.topology import GraphCover, MetricGraph, match_point, norm_value
 from tests.conftest import (allocate_time_oracle, figure_eight, make_pendulum,
                             single_loop)
 from tests.oracles import (golden_min_scalar, lagrangian, lax_graph_full_table,
-                           torus_candidate_count)
+                           minimal_action_torus_alone, torus_candidate_count)
 
 
 def test_free_straight_line_action(free1):
@@ -695,6 +695,85 @@ def test_batched_descent_is_each_chain_alone(model_of, horizon, batch):
         assert np.array_equal(nodes[c:c + 1], alone)
         assert np.array_equal(capped[c:c + 1], hit)
     assert not capped.any()
+
+
+# the rest at the top of the pendulum's V stops doubling at 128 segments
+# over T = 1 and at 512 over T = 16; the other pendulum pairs run to 2,048
+_THIRD = 1.0 / 3.0
+
+
+@pytest.mark.parametrize("model_of, horizon, pairs", [
+    pytest.param(make_pendulum, 1.0, [([0.2], [3.7]), ([0.0], [0.0]),
+                                      ([-0.4], [_THIRD])], id="pendulum-T1"),
+    pytest.param(make_pendulum, 16.0, [([_THIRD], [_THIRD]), ([0.2], [3.7]),
+                                       ([0.0], [0.0]), ([-0.4], [_THIRD])],
+                 id="pendulum-T16"),
+    pytest.param(lambda: _potential_2d([[1.3, 0.4], [0.4, 0.8]]), 2.0,
+                 [([0.1, 0.2], [0.3, -0.2]), ([-0.7, 0.9], [0.3, -0.2]),
+                  ([1.4, -0.3], [0.3, -0.2])], id="torus2-potential"),
+    pytest.param(make_pendulum, 16.0, [([_THIRD], [_THIRD])], id="one-pair"),
+    pytest.param(make_pendulum, 16.0, [], id="no-pair"),
+])
+def test_batched_torus_actions_are_each_pair_alone(monkeypatch, model_of,
+                                                   horizon, pairs):
+    # one starting descent over every pair's chains, then one descent per
+    # doubling level over the pairs still moving
+    model, sizes, descend = model_of(), [], action._descend
+
+    def record(model, horizon, chains, start=None):
+        sizes.append(len(chains))
+        return descend(model, horizon, chains, start)
+
+    monkeypatch.setattr(action, "_descend", record)
+    got = action._minimal_actions_torus(model, pairs, horizon)
+    monkeypatch.undo()
+    assert len(got) == len(pairs)
+    if not pairs:
+        assert got == [] and sizes == []
+        return
+    assert sizes[0] == (2 * model.n + 1) * len(pairs)
+    assert sizes[1:] == sorted(sizes[1:], reverse=True)
+    for (val, nodes, capped), (y, x) in zip(got, pairs):
+        want = minimal_action_torus_alone(model, y, x, horizon)
+        assert np.array_equal(val, want[0])
+        assert np.array_equal(nodes, want[1])
+        assert np.array_equal(capped, want[2])
+    if model.n == 1 and len(pairs) > 1:
+        # the pairs stop doubling at different levels
+        assert len({len(nodes) for _, nodes, _ in got}) > 1
+
+
+@pytest.mark.parametrize("eps, start", [(0.25, 1.0), (0.0625, 5.0)])
+def test_torus_rung_is_the_one_by_one_rung(monkeypatch, circle, pendulum, eps,
+                                           start):
+    # a pendulum rung of the scenario (h = 1/3, t = 1, mesh 64) with its
+    # full solves batched, and with each one solved alone.  Both runs go
+    # through the same replay, so a replay that pairs a solve with the
+    # wrong start shows only in the start they pick: pinned, a lift of the
+    # top of V
+    point, _ = match_point(circle, np.array([1.0 / 3.0]), eps, 64)
+
+    def rung():
+        return lax_oleinik(circle, pendulum, InitialDatum.affine([0.0]), point,
+                           1.0, eps, mesh=64)
+
+    batched, batches = rung(), []
+
+    def one_by_one(model, pairs, horizon):
+        batches.append(len(pairs))
+        return [minimal_action_torus_alone(model, y, x, horizon)
+                for y, x in pairs]
+
+    monkeypatch.setattr(action, "_minimal_actions_torus", one_by_one)
+    alone = rung()
+    # the stay solve, then the screen's six best
+    assert batches == [1, 6]
+    assert batched.value == alone.value
+    assert batched.minimizer_g.tobytes() == alone.minimizer_g.tobytes()
+    assert (batched.window, batched.candidates, batched.evaluated) == \
+        (alone.window, alone.candidates, alone.evaluated)
+    assert batched.diagnostics == alone.diagnostics
+    assert batched.minimizer_g.tolist() == [start]
 
 
 @pytest.mark.parametrize("stem", ["free_torus_1d", "free_torus_2d",

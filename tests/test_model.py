@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from effham.action import _family_constants
+from effham import action
+from effham.action import InitialDatum, lax_oleinik
 from effham.model import TorusHamiltonian, TrigPolynomial, _proved_range
 from effham.topology import TorusCover
 from tests.conftest import make_pendulum
@@ -166,7 +167,7 @@ def test_gradient_many_skips_zero_coefficients_bytewise(n, kind):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_proved_range_encloses_off_grid_extremes(n):
+def test_proved_range_encloses_off_grid_extremes(n, monkeypatch):
     # cos 2 pi x + 0.3 sin 2 pi x peaks at sqrt(1.09), off every grid point,
     # and in 2-D the same wave along each axis peaks at twice that
     waves = [(np.eye(n, dtype=int)[j], 1.0, 0.3) for j in range(n)]
@@ -183,5 +184,15 @@ def test_proved_range_encloses_off_grid_extremes(n):
                                       sampled.max() + slack), abs=1e-15)
     assert lo <= -peak and peak <= hi
     # the search's drift is that bound, not the sampled maximum
-    _, drift = _family_constants(TorusCover(n), TorusHamiltonian.mechanical(poly))
-    assert drift == hi
+    drifts, search = [], action._search_cells
+
+    def record(cover, datum, quad, drift, *rest):
+        drifts.append(drift)
+        return search(cover, datum, quad, drift, *rest)
+
+    monkeypatch.setattr(action, "_search_cells", record)
+    cover = TorusCover(n)
+    lax_oleinik(cover, TorusHamiltonian.mechanical(poly),
+                InitialDatum.affine(np.zeros(n)), cover.point(np.zeros(n)),
+                1.0, 1.0, mesh=4)
+    assert drifts == [hi]
