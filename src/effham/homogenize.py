@@ -45,8 +45,8 @@ def default_beta_evaluator(cover, model):
     It also rejects a torus system that is not convex in the momentum, a
     kinetic matrix A(x) not proved positive definite: a constant A by its
     smallest eigenvalue, a circle A(x) by the proved lower bound of
-    ``TorusHamiltonian.kinetic_eig_bounds`` that ``MechanicalBeta1D``
-    keeps as ``amin``.
+    ``TorusHamiltonian.kinetic_eig_bounds``, before ``MechanicalBeta1D``
+    stores 2/A at its quadrature nodes.
     """
     if cover.family == "graph":
         return DirectBetaEvaluator(cover.graph, model)
@@ -57,9 +57,8 @@ def default_beta_evaluator(cover, model):
         _require_convex(np.linalg.eigvalsh(a_matrix)[0])
         return AnalyticQuadraticBeta(a_matrix)
     if model.n == 1:
-        evaluator = MechanicalBeta1D(model)
-        _require_convex(evaluator.amin)
-        return evaluator
+        _require_convex(model.kinetic_eig_bounds()[0])
+        return MechanicalBeta1D(model)
     raise ConfigError("system.kinetic" if free_potential else "system.potential",
                       "a two-dimensional torus needs a constant kinetic "
                       "matrix and no potential: no exact (alpha, beta) pair "

@@ -4,7 +4,9 @@ The convex pair at the heart of the limit problem:
 
 * ``alpha_*``: the effective Hamiltonian (critical energy as a function
   of a cohomology vector), computed on graphs by a negative-cycle
-  threshold bisection and on the circle by an energy quadrature.
+  threshold bisection and on the circle by bisecting the rotation
+  integral, a tanh-sinh rule built once per model; one bisection serves
+  both.
 * ``beta_*``: the minimal average action over circulations with a
   prescribed homology rate; convex dual of alpha.  On graphs the rate
   fixes its real circulation, so beta is one ``allocate_time`` row.
@@ -20,16 +22,15 @@ certified quadratic lower bound (kappa, v_off) on beta in that norm, so
 downstream solvers can truncate searches.  Graphs pair ``alpha_graph``
 with ``beta_graph``, free tori the two quadratic forms of A and its
 inverse, and the circle ``alpha_torus_quadrature`` with the energy
-profile of ``MechanicalBeta1D``.  That profile and beta-hat's share one
-concave energy search, ``_concave_max``.  ``LegendreDual`` is the one
-Legendre transform; the subcover dual check compares the pulled-back
-alpha with the conjugate of beta-hat through it.
+profile of ``MechanicalBeta1D``, both on one ``_RotationRule``.  That
+profile and beta-hat's share one concave energy search, ``_concave_max``.
+``LegendreDual`` is the one Legendre transform; the subcover dual check
+compares the pulled-back alpha with the conjugate of beta-hat through it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -62,6 +63,22 @@ def _has_negative_cycle(graph, dart_cost) -> bool:
     return True
 
 
+def _bisect_threshold(below, lo: float, tol: float) -> float:
+    """Midpoint of a bracket on the level where a test that holds at lo
+    starts to fail: hi = lo + 1 doubles its distance from lo until the test
+    fails there (past 1e12 a SolverError), then the bracket halves until it
+    is at most tol wide or its midpoint equals an end."""
+    hi = lo + 1.0
+    while below(hi):
+        hi = lo + 2.0 * (hi - lo)
+        if hi - lo > 1e12:
+            raise SolverError("alpha bracket grew past its cap")
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def alpha_graph(graph, lagrangian: GraphLagrangian, p) -> float:
     """Effective Hamiltonian on a graph: smallest k with no closed walk
     of negative time-optimized cost.
@@ -86,18 +103,8 @@ def alpha_graph(graph, lagrangian: GraphLagrangian, p) -> float:
 
     if not _has_negative_cycle(graph, costs(lo)):
         return -vmin
-    hi = lo + 1.0
-    while _has_negative_cycle(graph, costs(hi)):
-        hi = lo + 2.0 * (hi - lo)
-        if hi - lo > 1e12:
-            raise SolverError("alpha bracket grew past its cap")
-    while hi - lo > 1e-9:
-        midk = 0.5 * (lo + hi)
-        if _has_negative_cycle(graph, costs(midk)):
-            lo = midk
-        else:
-            hi = midk
-    return 0.5 * (lo + hi)
+    return _bisect_threshold(lambda k: _has_negative_cycle(graph, costs(k)),
+                             lo, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -124,51 +131,71 @@ def beta_graph(graph, lagrangian: GraphLagrangian, rates) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# alpha on the circle: energy quadrature
+# alpha on the circle: one tanh-sinh rule for the rotation integral
+
+# Takahasi-Mori tanh-sinh nodes on [-1, 1] and their weights, step 1/16 over
+# |t| <= 4 (Publ. RIMS 9, 1974): 129 nodes per arc
+_TS_T = np.arange(-64, 65) / 16.0
+_TS_U = 0.5 * np.pi * np.sinh(_TS_T)
+_TS_X = np.tanh(_TS_U)
+_TS_W = 0.5 * np.pi * np.cosh(_TS_T) / np.cosh(_TS_U) ** 2 / 16.0
 
 
-def _rotation_integral(model: TorusHamiltonian, energy: float) -> float:
-    """Integral over the circle of sqrt(2(E - V)/A): the momentum that a
-    running orbit at energy E carries per turn (zero where E < V).  The
-    integrand hands quad's float straight to ``TrigPolynomial.value``."""
-    from scipy import integrate
+class _RotationRule:
+    """p(E) = integral over the circle of sqrt(2(E - V)/A): the momentum
+    that a running orbit at energy E carries per turn (zero where E < V).
 
-    def integrand(x):
-        val = 2.0 * (energy - model.v.value(x)) / model.a_entries[0].value(x)
-        return math.sqrt(max(0.0, val))
-    with warnings.catch_warnings():
-        # tolerance sits at the roundoff limit on purpose; the sqrt kink
-        # at turning points trips a spurious warning
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out, _ = integrate.quad(integrand, 0.0, 1.0, limit=200,
-                                epsabs=1e-13, epsrel=1e-13)
-    return out
+    The breaks are the local maxima of V on 4096 samples, each Newton-
+    polished on V' and kept polished only where that raises V (a constant V
+    has one break, at 0); ``vmax`` is the largest V at a break.  For
+    E >= vmax the integrand is analytic inside every arc between breaks and
+    its sqrt kinks sit at their ends, so one tanh-sinh rule per arc, with V
+    and 2/A stored at the nodes, makes p(E) one dot product.
+    """
+
+    def __init__(self, model: TorusHamiltonian):
+        v = model.v
+        xs = np.arange(4096) / 4096.0
+        vals = v.value_many(xs[:, None])
+        peak = (vals > np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+        xs, vals = (xs[peak], vals[peak]) if peak.any() else (xs[:1], vals[:1])
+        for _ in range(4):
+            _, g, hess = v.gradient_many(xs[:, None])
+            curv = np.where(hess[:, 0, 0] < 0.0, hess[:, 0, 0], -np.inf)
+            new = xs - g[:, 0] / curv
+            polished = v.value_many(new[:, None])
+            xs = np.where(polished > vals, new, xs)
+            vals = np.maximum(vals, polished)
+        self.vmax = float(vals.max())
+        ends = np.append(np.sort(xs), np.min(xs) + 1.0)
+        half = 0.5 * np.diff(ends)[:, None]
+        nodes = (ends[:-1, None] + half * (1.0 + _TS_X)).ravel()
+        self._weights = (half * _TS_W).ravel()
+        self._v = v.value_many(nodes[:, None])
+        self._twice_inv_a = 2.0 / model.a_entries[0].value_many(nodes[:, None])
+
+    def __call__(self, energy: float) -> float:
+        kinetic = np.maximum(0.0, (energy - self._v) * self._twice_inv_a)
+        return float(self._weights @ np.sqrt(kinetic))
 
 
-def alpha_torus_quadrature(model: TorusHamiltonian, p) -> float:
+def alpha_torus_quadrature(model: TorusHamiltonian, p, rule=None) -> float:
     """Exact 1-D route: energy level whose rotation integral matches |p|.
 
     For H = A(x) p^2 / 2 + V(x) on the circle the corrector equation at
     energy E has a periodic solution iff the integral of
     sqrt(2(E - V)/A) equals |p| (running branch) or E = max V (trapped
-    branch below the threshold pairing).  The energy is bracketed to
-    1e-10.
+    branch below the threshold pairing).  The energy is bisected on the
+    model's ``_RotationRule`` (``rule``, built here when None) until the
+    bracket's ends are adjacent floats.
     """
-    from scipy import optimize
     if model.n != 1:
         raise ValueError("quadrature route is one-dimensional only")
-    p = float(np.atleast_1d(np.asarray(p, dtype=float))[0])
-    vmax = model.sampled_max_potential()
-
-    p_crit = _rotation_integral(model, vmax)
-    if abs(p) <= p_crit + 1e-14:
-        return float(vmax)
-    hi = vmax + 1.0
-    while _rotation_integral(model, hi) < abs(p):
-        hi = vmax + 2.0 * (hi - vmax)
-    energy = optimize.brentq(lambda e: _rotation_integral(model, e) - abs(p),
-                             vmax, hi, xtol=1e-10, rtol=8.9e-16, maxiter=200)
-    return float(energy)
+    rule = rule or _RotationRule(model)
+    p = abs(float(np.atleast_1d(np.asarray(p, dtype=float))[0]))
+    if p <= rule(rule.vmax) + 1e-14:
+        return rule.vmax
+    return _bisect_threshold(lambda energy: rule(energy) < p, rule.vmax, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +320,12 @@ class MechanicalBeta1D(_RowByRow):
     On the running branch the conjugate pairing p(E)|w| - E is concave in
     E (its derivative is |w| * period(E) - 1 with a decreasing period),
     so ``_concave_max`` computes beta(w) = max_{E >= max V} [p(E)|w| - E]
-    to quadrature accuracy, one cached scalar-kernel ``quad`` per energy;
-    the endpoint E = max V covers the trapped branch and gives
-    beta(0) = -max V exactly.  alpha(p) is the energy whose rotation
-    integral p(E) is |p| (``alpha_torus_quadrature``).  ``amin`` is the
-    proved lower bound of ``TorusHamiltonian.kinetic_eig_bounds`` on the
-    kinetic coefficient, which config load requires to be positive.
+    to quadrature accuracy, one cached dot product of the model's
+    ``_RotationRule`` per energy; the endpoint E = max V (the rule's
+    ``vmax``) covers the trapped branch and gives beta(0) = -max V exactly.
+    alpha(p) is the energy whose p(E) is |p| (``alpha_torus_quadrature``):
+    alpha and beta share the rule, not their searches.  A(x) > 0, as config
+    load requires.
     """
 
     norm = "l2"
@@ -307,15 +334,15 @@ class MechanicalBeta1D(_RowByRow):
         if model.n != 1:
             raise ValueError("one-dimensional circle systems only")
         self.model = model
-        self._vmax = model.sampled_max_potential()
-        self.amin, self._amax = model.kinetic_eig_bounds()
+        self._rule = _RotationRule(model)
+        _, self._amax = model.kinetic_eig_bounds()
         self._cache = {}
         self._rot_cache = {}
 
     def _rotation(self, energy: float) -> float:
         key = round(energy, 14)
         if key not in self._rot_cache:
-            self._rot_cache[key] = _rotation_integral(self.model, energy)
+            self._rot_cache[key] = self._rule(energy)
         return self._rot_cache[key]
 
     def value(self, w) -> float:
@@ -325,19 +352,19 @@ class MechanicalBeta1D(_RowByRow):
         if key in self._cache:
             return self._cache[key]
         if speed < 1e-14:
-            out = -self._vmax
+            out = -self._rule.vmax
         else:
             out = _concave_max(
                 lambda energy: self._rotation(energy) * speed - energy,
-                self._vmax)
+                self._rule.vmax)
         self._cache[key] = out
         return out
 
     def alpha(self, p) -> float:
-        return alpha_torus_quadrature(self.model, p)
+        return alpha_torus_quadrature(self.model, p, self._rule)
 
     def coercivity(self):
-        return 1.0 / (2.0 * self._amax), self._vmax
+        return 1.0 / (2.0 * self._amax), self._rule.vmax
 
 
 # ---------------------------------------------------------------------------

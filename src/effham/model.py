@@ -170,12 +170,6 @@ class TorusHamiltonian:
         kmax = max(abs(int(k[0])) for k, _, _ in self.a_entries[0].terms)
         return _proved_range(self.a_entries[0], 64 * max(1, kmax))
 
-    def sampled_max_potential(self) -> float:
-        """Circle only: the largest V on 4096 equispaced samples, the value
-        of max V that the circle's beta and alpha rest on, not a bound
-        (``_proved_range`` bounds V)."""
-        return float(self.v.value_many(_torus_grid(1, 4096)).max())
-
 
 @dataclass
 class GraphLagrangian:

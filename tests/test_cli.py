@@ -52,11 +52,15 @@ def test_cheap_commands_write_their_artifacts(tmp_path, capsys, stem):
 
 
 # pendulum alpha at p = 0, 1/8, ..., 2 and beta at the same w; both tables
-# are even.  alpha is max V = 1 up to the critical p = 4 / pi.
-PENDULUM_ALPHA = [1.0] * 11 + [1.093947506345537, 1.2446376406333657,
+# are even.  alpha is max V = 1 up to the critical p = 4 / pi.  Every entry
+# is within 2.2e-15 of the closed form: the rotation integral of V = cos 2 pi x
+# is p(E) = (2/pi) sqrt(2E + 2) E(2/(E + 1)), E the complete elliptic
+# integral of the second kind in parameter form, alpha(p) solves p(E) = |p|
+# and beta(w) = max_E p(E)|w| - E (40-digit mpmath).
+PENDULUM_ALPHA = [1.0] * 11 + [1.0939475063336446, 1.2446376406284063,
                                1.419906911429851, 1.6159061546191835,
-                               1.830867943805284, 2.0637954228622046]
-PENDULUM_BETA = [-1.0, -0.8408450569081046, -0.6816901138162093,
+                               1.8308679438038404, 2.0637954228622046]
+PENDULUM_BETA = [-1.0, -0.8408450569081046, -0.68169011380072475,
                  -0.5225350697230547, -0.363371347873353, -0.2040883457992665,
                  -0.04419469727515246, 0.1174473975807604, 0.28258669076752163,
                  0.45328173224590174, 0.6315609544969361, 0.8192010333181095,
@@ -74,18 +78,17 @@ def test_pendulum_tables_are_pinned(tmp_path):
                                    atol=1e-13)
 
 
-def test_validate_and_graph_tables_load_no_scipy(tmp_path):
+def test_validate_and_tables_load_no_scipy(tmp_path):
     # scipy is imported where a solver runs, so validating every shipped
-    # config and tabulating figure_eight's alpha and beta never load it
+    # config and tabulating its alpha and beta never load it: graph alpha
+    # and circle alpha bisect, circle beta sums one tanh-sinh rule
     script = (
         "import glob, os, sys\n"
         "from effham.cli import run\n"
         "root, out = sys.argv[1:]\n"
         "for path in sorted(glob.glob(os.path.join(root, 'scenarios', '*.yaml'))):\n"
-        "    assert run(path, 'validate', out_dir=out) == 0, path\n"
-        "fig8 = os.path.join(root, 'scenarios', 'figure_eight.yaml')\n"
-        "for command in ('alpha', 'beta'):\n"
-        "    assert run(fig8, command, out_dir=out) == 0, command\n"
+        "    for command in ('validate', 'alpha', 'beta'):\n"
+        "        assert run(path, command, out_dir=out) == 0, (path, command)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,7 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 from scipy.optimize import brentq
+from scipy.special import ellipe
 
 from effham.homogenize import default_beta_evaluator
 from effham.mather import (
@@ -10,6 +15,7 @@ from effham.mather import (
     DirectBetaEvaluator,
     LegendreDual,
     MechanicalBeta1D,
+    _RotationRule,
     alpha_graph,
     alpha_torus_quadrature,
     beta_graph,
@@ -144,6 +150,62 @@ def test_quadrature_route_values(pendulum, free1):
 def test_quadrature_route_is_one_dimensional(free2):
     with pytest.raises(ValueError):
         alpha_torus_quadrature(free2, [0.5, 0.5])
+
+
+# V = cos 2 pi x + 0.3 sin 4 pi x, A = 1 + 0.3 cos 2 pi x: the maximum of V
+# lies 5.8e-8 above its best sample on the 4096-point grid
+TILTED_V = TrigPolynomial(1, [([1], 1.0, 0.0), ([2], 0.0, 0.3)])
+TILTED = TorusHamiltonian(1, [TrigPolynomial(1, [([0], 1.0, 0.0),
+                                                 ([1], 0.3, 0.0)])], TILTED_V)
+
+
+def _tilted_maxima():
+    """The local maxima of TILTED_V: brentq on the sign changes of V'."""
+    def slope(x):
+        return TILTED_V.gradient_many([[x]])[1][0, 0]
+    grid = np.linspace(0.0, 1.0, 65)
+    return [brentq(slope, a, b, xtol=1e-15) for a, b in zip(grid[:-1], grid[1:])
+            if slope(a) > 0.0 > slope(b)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rotation_rule_is_the_elliptic_closed_form(k):
+    # for V = cos 2 pi k x and A = 1 the rotation integral is
+    # (2/pi) sqrt(2E + 2) E(2/(E + 1)) for every k, E the complete elliptic
+    # integral of the second kind in parameter form
+    rule = _RotationRule(TorusHamiltonian.mechanical(
+        TrigPolynomial(1, [([k], 1.0, 0.0)])))
+    assert rule.vmax == 1.0
+    for energy in 1.0 + np.concatenate([[0.0], np.logspace(-15, 1, 161)]):
+        exact = (2.0 / np.pi * math.sqrt(2.0 * energy + 2.0)
+                 * ellipe(2.0 / (energy + 1.0)))
+        assert abs(rule(energy) - exact) <= 1e-13, energy
+
+
+def test_rotation_rule_matches_quad_with_varying_kinetic():
+    # a step of 1e-4 above max V the integrand is smooth enough that quad,
+    # told where the maxima are, converges without a warning
+    maxima = _tilted_maxima()
+    rule = _RotationRule(TILTED)
+    a11 = TILTED.a_entries[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for energy in rule.vmax + np.logspace(-4, 1, 16):
+            ref, _ = integrate.quad(
+                lambda x: math.sqrt(max(0.0, 2.0 * (energy - TILTED_V.value(x))
+                                        / a11.value(x))),
+                0.0, 1.0, points=maxima, limit=200, epsabs=1e-13, epsrel=1e-13)
+            assert abs(rule(energy) - ref) <= 1e-13, energy
+
+
+def test_circle_floor_is_the_polished_max():
+    vmax = max(TILTED_V.value(x) for x in _tilted_maxima())
+    sampled = TILTED_V.value_many((np.arange(4096) / 4096.0)[:, None]).max()
+    assert vmax - sampled > 5e-8
+    pair = MechanicalBeta1D(TILTED)
+    assert pair.alpha(0.0) == -pair.value(0.0)
+    assert pair.alpha(0.0) == pytest.approx(vmax, abs=1e-15)
+    assert alpha_torus_quadrature(TILTED, 0.0) == pair.alpha(0.0)
 
 
 @pytest.mark.parametrize("p_val", [2.5, 4.0])
