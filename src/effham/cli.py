@@ -81,10 +81,9 @@ def _table_csv(header, rows) -> str:
 
 def _cmd_alpha(cfg: ScenarioConfig, out_dir: str) -> int:
     dim = cfg.cover.deck_rank
-    alpha = cfg.beta_evaluator().alpha
     radius, n_points = cfg.p_grid["radius"], cfg.p_grid["points"]
     nodes = _grid(_ball_axes(radius, n_points, dim))
-    values = [float(alpha(p)) for p in nodes]
+    values = [float(v) for v in cfg.beta_evaluator().alpha_many(nodes)]
     header = [f"p{i + 1}" for i in range(dim)] + ["alpha"]
     rows = [list(p) + [v] for p, v in zip(nodes, values)]
     _write_text(os.path.join(out_dir, f"{cfg.name}_alpha.csv"),

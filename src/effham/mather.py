@@ -3,25 +3,24 @@
 The convex pair at the heart of the limit problem:
 
 * ``alpha_*``: the effective Hamiltonian (critical energy as a function
-  of a cohomology vector), computed on graphs by a negative-cycle
-  threshold bisection and on the circle by bisecting the rotation
-  integral, a tanh-sinh rule built once per model; one bisection serves
-  both.
+  of a cohomology vector): on graphs the largest root over the cycle
+  classes, on the circle the inverse of the rotation integral (a tanh-sinh
+  rule built once per model); one lockstep bisection serves both.
 * ``beta_*``: the minimal average action over circulations with a
   prescribed homology rate; convex dual of alpha.  On graphs the rate
   fixes its real circulation, so beta is one ``allocate_time`` row.
 * the quotient pair of an intermediate cover: ``BetaHatEvaluator``, the
   least graph beta over a fiber, computed exactly as an energy minimax,
-  and its dual, alpha at the pulled-back covector ``sub.pullback(p)``.
+  and its dual, alpha at the pulled-back covectors ``sub.pullback(ps)``.
 
 Evaluator objects carry one exact (alpha, beta) pair of a system family:
 ``value`` is beta, ``value_many`` beta at every row of rates (one batched
-``beta_graph`` on graphs), ``alpha`` its dual, ``norm`` the family's measuring
-norm (l1 on graphs, l2 on tori, as on the covers) and ``coercivity`` a
-certified quadratic lower bound (kappa, v_off) on beta in that norm, so
-downstream solvers can truncate searches.  Graphs pair ``alpha_graph``
-with ``beta_graph``, free tori the two quadratic forms of A and its
-inverse, and the circle ``alpha_torus_quadrature`` with the energy
+``beta_graph`` on graphs), ``alpha_many`` alpha at every row of p, ``norm``
+the family's measuring norm (l1 on graphs, l2 on tori, as on the covers)
+and ``coercivity`` a certified quadratic lower bound (kappa, v_off) on beta
+in that norm, so downstream solvers can truncate searches.  Graphs pair
+``alpha_graph`` with ``beta_graph``, free tori the two quadratic forms of A
+and its inverse, and the circle ``alpha_torus_quadrature`` with the energy
 profile of ``MechanicalBeta1D``, both on one ``_RotationRule``.  That
 profile and beta-hat's share one concave energy search, ``_concave_max``.
 ``LegendreDual`` is the one Legendre transform; the subcover dual check
@@ -29,8 +28,6 @@ compares the pulled-back alpha with the conjugate of beta-hat through it.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -41,70 +38,68 @@ from .topology import SubcoverMap, _ball_axes, _edge_flow, _grid
 
 
 # ---------------------------------------------------------------------------
-# alpha on graphs: negative-cycle threshold
+# alpha on graphs: the largest root over the cycle classes
 
 
-def _has_negative_cycle(graph, dart_cost) -> bool:
-    n = graph.n_vertices
-    dist = [0.0] * n
-    darts = []
-    for e in range(len(graph.edges)):
-        u, v, _ = graph.edges[e]
-        darts.append((u, v, dart_cost[(e, +1)]))
-        darts.append((v, u, dart_cost[(e, -1)]))
-    for _ in range(n):
-        changed = False
-        for u, v, c in darts:
-            if dist[u] + c < dist[v] - 1e-15:
-                dist[v] = dist[u] + c
-                changed = True
-        if not changed:
-            return False
-    return True
-
-
-def _bisect_threshold(below, lo: float, tol: float) -> float:
-    """Midpoint of a bracket on the level where a test that holds at lo
-    starts to fail: hi = lo + 1 doubles its distance from lo until the test
-    fails there (past 1e12 a SolverError), then the bracket halves until it
-    is at most tol wide or its midpoint equals an end."""
+def _bisect_threshold(below, lo, tol: float) -> np.ndarray:
+    """Midpoints of brackets around where a test ``below`` that holds at the
+    levels lo starts to fail, each entry in lockstep as it would step alone:
+    hi = lo + 1 doubles its gap to lo until the test fails (past 1e12 a
+    SolverError), then the bracket halves to tol wide or adjacent floats."""
+    lo = np.array(lo, dtype=float)
     hi = lo + 1.0
-    while below(hi):
-        hi = lo + 2.0 * (hi - lo)
-        if hi - lo > 1e12:
+    while (grow := below(hi)).any():
+        hi = np.where(grow, lo + 2.0 * (hi - lo), hi)
+        if np.any(hi - lo > 1e12):
             raise SolverError("alpha bracket grew past its cap")
-    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+    mid = 0.5 * (lo + hi)
+    while (live := (hi - lo > tol) & (lo < mid) & (mid < hi)).any():
+        fails = below(mid)
+        lo, hi = np.where(live & fails, mid, lo), np.where(live & ~fails, mid, hi)
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if below(mid) else (lo, mid)
-    return 0.5 * (lo + hi)
+    return mid
 
 
-def alpha_graph(graph, lagrangian: GraphLagrangian, p) -> float:
-    """Effective Hamiltonian on a graph: smallest k with no closed walk
-    of negative time-optimized cost.
+def _cycle_classes(rank: int) -> np.ndarray:
+    """{-1, 0, 1}^rank but 0, one per sign pair: the grid rows after 0."""
+    return _grid([np.array([-1.0, 0.0, 1.0])] * rank)[3 ** rank // 2 + 1:]
 
-    A full traversal of edge e at energy k costs len*sqrt(2(V+k)) minus
-    the pairing of p with the signed cocycle; partial excursions only add
-    nonnegative cost and no pairing, so the dart model is exact for
-    k >= -min V.  The threshold is bisected to 1e-9.
+
+def alpha_graph(graph, lagrangian: GraphLagrangian, ps) -> np.ndarray:
+    """Effective Hamiltonian on a graph at every row p of ``ps`` (m, k) (one
+    covector counts as one row): the least level k >= -min V with no closed
+    walk of negative cost.  Returns (m,).
+
+    At level k a traversal of edge e costs l_e sqrt(2(V_e + k)) minus the
+    pairing of p with its signed cocycle; partial excursions add
+    nonnegative cost and no pairing.  A closed walk's darts split
+    conformally into simple cycles whose costs add (flow decomposition:
+    Ahuja, Magnanti and Orlin, *Network Flows*, 1993, ch. 3).  A simple
+    cycle crosses each non-tree edge at most once, so its class h lies in
+    {-1, 0, 1}^k and it costs S_h(k) - <p, h>, with f = ``_edge_flow`` and
+    S_h(k) = sum_e l_e |f_e(h)| sqrt(2(V_e + k)); any other class splits
+    too, so its test S_h >= |<p, h>| follows from its pieces'.  So alpha(p)
+    is the least k >= -min V with S_h(k) >= |<p, h>| for every class h up
+    to sign (at most four: load caps the cycle rank at 2), the finite form
+    of the min-max of Siconolfi and Sorrentino (Anal. PDE 2018).  Each S_h
+    increases, so rows failing at -min V bisect in lockstep to adjacent
+    floats.
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    vmin = lagrangian.min_potential()
-    lo = -vmin + 1e-12
+    ps = np.atleast_2d(np.asarray(ps, dtype=float))
+    classes = _cycle_classes(ps.shape[1])
+    weights = np.abs(_edge_flow(graph, classes)) * graph.lengths
+    pairings = np.abs(ps @ classes.T)
+    pots = lagrangian.potentials
 
-    def costs(k):
-        out = {}
-        for e in range(len(graph.edges)):
-            base = graph.length(e) * math.sqrt(max(0.0, 2.0 * (lagrangian.potentials[e] + k)))
-            pair = float(p @ graph.cocycles[e])
-            out[(e, +1)] = base - pair
-            out[(e, -1)] = base + pair
-        return out
+    def below(levels, pair):
+        speeds = np.sqrt(2.0 * np.maximum(0.0, pots + levels[:, None]))
+        return np.any((speeds[:, None, :] * weights).sum(axis=2) < pair, axis=1)
 
-    if not _has_negative_cycle(graph, costs(lo)):
-        return -vmin
-    return _bisect_threshold(lambda k: _has_negative_cycle(graph, costs(k)),
-                             lo, 1e-9)
+    out = np.full(len(ps), -lagrangian.min_potential())
+    fails = below(out, pairings)
+    out[fails] = _bisect_threshold(lambda k: below(k, pairings[fails]),
+                                   out[fails], 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +145,7 @@ class _RotationRule:
     has one break, at 0); ``vmax`` is the largest V at a break.  For
     E >= vmax the integrand is analytic inside every arc between breaks and
     its sqrt kinks sit at their ends, so one tanh-sinh rule per arc, with V
-    and 2/A stored at the nodes, makes p(E) one dot product.
+    and 2/A stored at the nodes, makes p(E) one dot product per energy.
     """
 
     def __init__(self, model: TorusHamiltonian):
@@ -174,28 +169,31 @@ class _RotationRule:
         self._v = v.value_many(nodes[:, None])
         self._twice_inv_a = 2.0 / model.a_entries[0].value_many(nodes[:, None])
 
-    def __call__(self, energy: float) -> float:
-        kinetic = np.maximum(0.0, (energy - self._v) * self._twice_inv_a)
-        return float(self._weights @ np.sqrt(kinetic))
+    def __call__(self, energy):
+        kinetic = np.maximum(0.0, (np.asarray(energy)[..., None] - self._v)
+                             * self._twice_inv_a)
+        return np.sqrt(kinetic) @ self._weights
 
 
-def alpha_torus_quadrature(model: TorusHamiltonian, p, rule=None) -> float:
-    """Exact 1-D route: energy level whose rotation integral matches |p|.
+def alpha_torus_quadrature(model: TorusHamiltonian, ps, rule=None) -> np.ndarray:
+    """Exact 1-D route: the energy level whose rotation integral matches
+    |p|, at every entry p of ``ps`` (a float or rows of one covector).
 
     For H = A(x) p^2 / 2 + V(x) on the circle the corrector equation at
-    energy E has a periodic solution iff the integral of
-    sqrt(2(E - V)/A) equals |p| (running branch) or E = max V (trapped
-    branch below the threshold pairing).  The energy is bisected on the
-    model's ``_RotationRule`` (``rule``, built here when None) until the
-    bracket's ends are adjacent floats.
+    energy E has a periodic solution iff the integral of sqrt(2(E - V)/A)
+    equals |p| (running branch) or E = max V (trapped branch below the
+    threshold pairing).  Running energies are bisected in lockstep to
+    adjacent floats on ``rule`` (the model's ``_RotationRule`` when None).
     """
     if model.n != 1:
         raise ValueError("quadrature route is one-dimensional only")
     rule = rule or _RotationRule(model)
-    p = abs(float(np.atleast_1d(np.asarray(p, dtype=float))[0]))
-    if p <= rule(rule.vmax) + 1e-14:
-        return rule.vmax
-    return _bisect_threshold(lambda energy: rule(energy) < p, rule.vmax, 0.0)
+    p = np.abs(np.asarray(ps, dtype=float).reshape(-1))
+    out = np.full(p.shape, rule.vmax)
+    running = p > rule(rule.vmax) + 1e-14
+    out[running] = _bisect_threshold(lambda energy: rule(energy) < p[running],
+                                     out[running], 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +240,8 @@ class AnalyticQuadraticBeta(_RowByRow):
         w = np.atleast_1d(np.asarray(w, dtype=float))
         return float(0.5 * w @ self.b_matrix @ w)
 
-    def alpha(self, p) -> float:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        return float(0.5 * p @ self.a_matrix @ p)
+    def alpha_many(self, ps) -> np.ndarray:
+        return np.array([0.5 * p @ self.a_matrix @ p for p in np.atleast_2d(ps)])
 
     def coercivity(self):
         return 0.5 * self._lam_min, 0.0
@@ -268,8 +265,8 @@ class DirectBetaEvaluator:
     def value_many(self, ws) -> np.ndarray:
         return beta_graph(self.graph, self.lagrangian, ws)
 
-    def alpha(self, p) -> float:
-        return alpha_graph(self.graph, self.lagrangian, p)
+    def alpha_many(self, ps) -> np.ndarray:
+        return alpha_graph(self.graph, self.lagrangian, ps)
 
     def coercivity(self):
         return self._kappa, self._voff
@@ -360,8 +357,8 @@ class MechanicalBeta1D(_RowByRow):
         self._cache[key] = out
         return out
 
-    def alpha(self, p) -> float:
-        return alpha_torus_quadrature(self.model, p, self._rule)
+    def alpha_many(self, ps) -> np.ndarray:
+        return alpha_torus_quadrature(self.model, ps, self._rule)
 
     def coercivity(self):
         return 1.0 / (2.0 * self._amax), self._rule.vmax

@@ -585,10 +585,9 @@ class SubcoverMap:
         assert not self.kernel_basis.size or not np.any(mat @ self.kernel_basis)
         self.op_norm = float(np.abs(mat).sum(axis=0).max())  # l1 operator norm
 
-    def pullback(self, p) -> np.ndarray:
-        """Adjoint action on momenta/cohomology: f^T p."""
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        return self.matrix.T @ p
+    def pullback(self, ps) -> np.ndarray:
+        """Adjoint action on momenta/cohomology: f^T p per row p, (m, k)."""
+        return np.atleast_2d(np.asarray(ps, dtype=float)) @ self.matrix
 
     def kernel_rank(self) -> int:
         return self.k - self.l

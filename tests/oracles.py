@@ -5,9 +5,10 @@ quantity that the pipeline takes in closed form or produces itself: the
 Legendre pair of a torus Hamiltonian, the long-horizon action rates that
 beta averages, the affine closed form of the rescaled solution, the
 candidate count of the torus search, the graph search over its whole
-sheet box, the mesh point that ``match_point`` picks on a graph, one
-golden-section search at a time, one torus two-point action at a time,
-and a trigonometric polynomial's derivatives term by term.
+sheet box, the mesh point that ``match_point`` picks on a graph, graph
+alpha by a Bellman-Ford negative-cycle test, one golden-section search
+and one threshold bisection at a time, one torus two-point action at a
+time, and a trigonometric polynomial's derivatives term by term.
 """
 
 import math
@@ -20,6 +21,7 @@ from effham import action
 from effham.action import (InitialDatum, LaxResult, _golden_min, _graph_actions,
                            _sweep, lax_oleinik, minimal_action_graph,
                            minimal_action_torus)
+from effham.errors import SolverError
 from effham.model import _proved_range, _torus_grid
 from effham.topology import (CoverPoint, _grid, _norm_rows, match_point,
                              matching_bound, norm_value)
@@ -384,8 +386,57 @@ def match_point_loop(cover, h, eps: float, mesh: int, sub=None):
 
 
 # ---------------------------------------------------------------------------
-# one golden-section search or torus action at a time, and trig derivatives
-# term by term
+# graph alpha by a negative-cycle test
+
+
+def _has_negative_cycle(graph, dart_cost) -> bool:
+    """Bellman-Ford from a zero potential at every vertex: True when some
+    closed walk of darts has negative total cost."""
+    n = graph.n_vertices
+    dist = [0.0] * n
+    darts = []
+    for e in range(len(graph.edges)):
+        u, v, _ = graph.edges[e]
+        darts.append((u, v, dart_cost[(e, +1)]))
+        darts.append((v, u, dart_cost[(e, -1)]))
+    for _ in range(n):
+        changed = False
+        for u, v, c in darts:
+            if dist[u] + c < dist[v] - 1e-15:
+                dist[v] = dist[u] + c
+                changed = True
+        if not changed:
+            return False
+    return True
+
+
+def alpha_graph_bellman_ford(graph, lagrangian, p) -> float:
+    """Graph alpha at one covector p: the smallest level k with no closed
+    walk of negative dart cost l_e sqrt(2(V_e + k)) -+ <p, cocycle_e>,
+    bisected to 1e-9 from just above -min V."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    vmin = lagrangian.min_potential()
+    lo = -vmin + 1e-12
+
+    def costs(k):
+        out = {}
+        for e in range(len(graph.edges)):
+            base = graph.length(e) * math.sqrt(
+                max(0.0, 2.0 * (lagrangian.potentials[e] + k)))
+            pair = float(p @ graph.cocycles[e])
+            out[(e, +1)] = base - pair
+            out[(e, -1)] = base + pair
+        return out
+
+    if not _has_negative_cycle(graph, costs(lo)):
+        return -vmin
+    return bisect_threshold_scalar(
+        lambda k: _has_negative_cycle(graph, costs(k)), lo, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one golden-section search, threshold bisection or torus action at a time,
+# and trig derivatives term by term
 
 
 def golden_min_scalar(fn, lo: float, hi: float, tol: float):
@@ -409,6 +460,24 @@ def golden_min_scalar(fn, lo: float, hi: float, tol: float):
             fd = fn(d)
     s = 0.5 * (a + b)
     return s, fn(s)
+
+
+def bisect_threshold_scalar(below, lo: float, tol: float) -> float:
+    """Midpoint of a bracket on the level where a test that holds at lo
+    starts to fail, one probe per call: the search that
+    ``mather._bisect_threshold`` runs for each of its levels in lockstep.
+    hi = lo + 1 doubles its distance from lo until the test fails there
+    (past 1e12 a SolverError), then the bracket halves until it is at most
+    tol wide or its midpoint equals an end."""
+    hi = lo + 1.0
+    while below(hi):
+        hi = lo + 2.0 * (hi - lo)
+        if hi - lo > 1e12:
+            raise SolverError("alpha bracket grew past its cap")
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def minimal_action_torus_alone(model, y_lift, x_lift, horizon: float):

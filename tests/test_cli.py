@@ -441,13 +441,12 @@ def test_homogenize_runs_on_subcover_config(tmp_path, capsys):
     assert sub["diagnostics"]["kernel_rank"] == 0
 
 
-def test_failed_quotient_check_fails_homogenize(tmp_path, capsys,
-                                                monkeypatch):
-    # alpha raised by 1e-7 leaves the ladder alone and breaks only the
-    # duality of alpha with beta-hat
+def _homogenize_with_alpha_raised(tmp_path, capsys, monkeypatch, shift):
+    """A short single-loop subcover ladder with alpha raised by shift;
+    returns its report and its last JSON line."""
     alpha_graph = homogenize.alpha_graph
     monkeypatch.setattr(homogenize, "alpha_graph",
-                        lambda *args: alpha_graph(*args) + 1e-7)
+                        lambda *args: alpha_graph(*args) + shift)
     tree = _scenario_tree("single_loop")
     tree["experiment"]["ladder"] = [1.0, 0.5]
     tree["experiment"]["tolerance"] = 1.0
@@ -456,11 +455,31 @@ def test_failed_quotient_check_fails_homogenize(tmp_path, capsys,
     code = cli.run(_write(tmp_path, tree), "homogenize", out_dir=str(out))
     assert code == cli.EXIT_TOLERANCE
     with open(out / "single-loop_homogenize.json") as fh:
-        report = json.load(fh)
+        return json.load(fh), _records(capsys)[-1]
+
+
+def test_failed_quotient_check_fails_homogenize(tmp_path, capsys,
+                                                monkeypatch):
+    # alpha raised by 1e-7 leaves the ladder alone and breaks only the
+    # duality of alpha with beta-hat
+    report, record = _homogenize_with_alpha_raised(tmp_path, capsys,
+                                                   monkeypatch, 1e-7)
     assert not report["passed"]
-    assert report["dual_limit_error"] > 1e-8
-    error = _records(capsys)[-1]["error"]
-    assert error["message"].endswith("failed checks: dual_limit_error <= 1e-8")
+    assert report["dual_limit_error"] > 1e-12
+    assert record["error"]["message"].endswith(
+        "failed checks: dual_limit_error <= 1e-12")
+
+
+def test_alpha_raised_below_a_bisection_floor_fails_homogenize(
+        tmp_path, capsys, monkeypatch):
+    # 1e-10 passes a 1e-8 gate; only the 1e-12 gate, which alpha exact to
+    # rounding allows, catches it
+    report, record = _homogenize_with_alpha_raised(tmp_path, capsys,
+                                                   monkeypatch, 1e-10)
+    assert not report["passed"]
+    assert report["dual_limit_error"] == pytest.approx(1e-10, rel=1e-3)
+    assert record["error"]["message"].endswith(
+        "failed checks: dual_limit_error <= 1e-12")
 
 
 def test_unknown_command_exits_two_and_writes_nothing(tmp_path, capsys):

@@ -162,7 +162,7 @@ def test_identity_subcover_reproduces_plain_run(loop2_cover, loop2_lag):
     for qrow, prow in zip(quotient.rows, plain.rows):
         assert qrow.v_eps == pytest.approx(prow.v_eps, abs=1e-9)
     assert quotient.cover_kernel_invariance_error <= 1e-9
-    assert quotient.dual_limit_error <= 1e-8
+    assert quotient.dual_limit_error <= 1e-12
 
 
 def test_unconverged_hopf_lax_polish_is_counted(loop2_cover, loop2_lag,
@@ -209,7 +209,7 @@ def test_merged_loops_subcover_consistency(fig8_cover, fig8_lag, fig8):
     assert report.cover_kernel_invariance_error <= 1e-9 + matching_bound(
         fig8_cover, scenario.eps_ladder[-1], scenario.mesh)
     assert report.kernel_invariance_error <= 1e-8
-    assert report.dual_limit_error <= 1e-8
+    assert report.dual_limit_error <= 1e-12
 
 
 @pytest.mark.parametrize("matrix", [[[1, 1]], [[1, 2]]])

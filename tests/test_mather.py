@@ -8,6 +8,8 @@ from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import ellipe
 
+from effham import mather
+from effham.errors import SolverError
 from effham.homogenize import default_beta_evaluator
 from effham.mather import (
     AnalyticQuadraticBeta,
@@ -25,7 +27,8 @@ from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
 from effham.topology import (GraphCover, MetricGraph, SubcoverMap, TorusCover,
                              _edge_flow)
 from tests.conftest import allocate_time_oracle, figure_eight, make_pendulum
-from tests.oracles import mean_action_check
+from tests.oracles import (alpha_graph_bellman_ford, bisect_threshold_scalar,
+                           mean_action_check)
 
 FIG8 = figure_eight(1.0, 1.0)
 FIG8_LAG = GraphLagrangian(FIG8, [0.3, -0.2])
@@ -71,11 +74,11 @@ for sa in (1, -1):
 @pytest.mark.parametrize("p_val", [-1.5, 0.0, 0.4, 2.3])
 def test_alpha_loop_closed_form(loop2, loop2_lag, p_val):
     got = alpha_graph(loop2, loop2_lag, [p_val])
-    assert got == pytest.approx(p_val**2 / 8.0 - 0.5, abs=2e-9)
+    assert got == pytest.approx(p_val**2 / 8.0 - 0.5, abs=1e-12)
     oracle = cycle_threshold_alpha(
         [([(0, 2.0)], np.array([1.0])), ([(0, 2.0)], np.array([-1.0]))],
         [0.5], [p_val])
-    assert got == pytest.approx(oracle, abs=2e-9)
+    assert got == pytest.approx(oracle, abs=1e-12)
 
 
 @pytest.mark.parametrize("p_val", [(0.0, 0.0), (0.7, -0.3), (1.2, 0.9),
@@ -83,7 +86,7 @@ def test_alpha_loop_closed_form(loop2, loop2_lag, p_val):
 def test_alpha_figure_eight_matches_cycle_enumeration(fig8, fig8_lag, p_val):
     got = alpha_graph(fig8, fig8_lag, list(p_val))
     oracle = cycle_threshold_alpha(FIG8_CYCLES, [0.3, -0.2], list(p_val))
-    assert got == pytest.approx(oracle, abs=2e-9)
+    assert got == pytest.approx(oracle, abs=1e-12)
 
 
 def test_alpha_rest_level(fig8, fig8_lag, loop2, loop2_lag):
@@ -124,11 +127,39 @@ def test_alpha_superlinear_slope_growth(fig8, fig8_lag):
     assert slopes[0] < slopes[1] < slopes[2]
 
 
+def _cubic_below(targets):
+    return lambda levels: levels * (1.0 + levels * levels) < targets
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_lockstep_bisection_is_each_level_alone(tol):
+    # roots of k^3 + k = target within one step of lo (no doubling) and far
+    # past it (the bracket doubles up to nine times)
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(-2.0, 2.0, size=40)
+    roots = lo + np.concatenate([rng.uniform(0.0, 1.0, 20),
+                                 rng.uniform(1.0, 500.0, 20)])
+    targets = roots * (1.0 + roots * roots)
+    got = mather._bisect_threshold(_cubic_below(targets), lo, tol)
+    alone = [bisect_threshold_scalar(_cubic_below(t), l, tol)
+             for t, l in zip(targets, lo)]
+    assert got.tobytes() == np.array(alone).tobytes()
+
+
+def test_lockstep_bisection_raises_past_its_cap():
+    # one level whose test never fails stops the whole batch
+    targets = np.array([2.0, np.inf])
+    with pytest.raises(SolverError, match="cap"):
+        mather._bisect_threshold(_cubic_below(targets), np.zeros(2), 0.0)
+    with pytest.raises(SolverError, match="cap"):
+        bisect_threshold_scalar(_cubic_below(np.inf), 0.0, 0.0)
+
+
 def test_free_torus_alpha_is_half_the_kinetic_form(torus2, free2):
     pair = default_beta_evaluator(torus2, free2)
     assert isinstance(pair, AnalyticQuadraticBeta)
-    assert pair.alpha([0.5, 1.0]) == pytest.approx(0.625, abs=1e-12)
-    assert pair.alpha([1.0, 2.0]) == pytest.approx(2.5, abs=1e-12)
+    assert pair.alpha_many([[0.5, 1.0], [1.0, 2.0]]) == pytest.approx(
+        [0.625, 2.5], abs=1e-12)
 
 
 def test_quadrature_constant_potential():
@@ -203,9 +234,10 @@ def test_circle_floor_is_the_polished_max():
     sampled = TILTED_V.value_many((np.arange(4096) / 4096.0)[:, None]).max()
     assert vmax - sampled > 5e-8
     pair = MechanicalBeta1D(TILTED)
-    assert pair.alpha(0.0) == -pair.value(0.0)
-    assert pair.alpha(0.0) == pytest.approx(vmax, abs=1e-15)
-    assert alpha_torus_quadrature(TILTED, 0.0) == pair.alpha(0.0)
+    (alpha0,) = pair.alpha_many([0.0])
+    assert alpha0 == -pair.value(0.0)
+    assert alpha0 == pytest.approx(vmax, abs=1e-15)
+    assert alpha_torus_quadrature(TILTED, 0.0) == alpha0
 
 
 @pytest.mark.parametrize("p_val", [2.5, 4.0])
@@ -299,12 +331,13 @@ def test_rates_dualize_to_alpha(request, family, p_values):
         pair, w_box = MechanicalBeta1D(make_pendulum()), 6.0
     dual = LegendreDual(pair.value, len(p_values[0]), p_box=w_box,
                         p_points=33)
-    worst = max(abs(dual.value(p) - pair.alpha(p)) for p in p_values)
+    worst = np.max(np.abs([dual.value(p) for p in p_values]
+                          - pair.alpha_many(p_values)))
     assert worst <= 1e-8
 
 
 def test_pendulum_beta_zero_via_quadrature_table(pendulum):
-    dual = LegendreDual(lambda p: alpha_torus_quadrature(pendulum, p), 1,
+    dual = LegendreDual(lambda p: alpha_torus_quadrature(pendulum, p)[0], 1,
                         p_box=3.0, p_points=33)
     assert dual.value([0.0]) == pytest.approx(-1.0, abs=1e-12)
 
@@ -411,6 +444,36 @@ def test_beta_hat_minimax_matches_fiber_scan(name):
             worst = max(worst, abs(got - scan))
     assert worst_above <= 1e-12
     assert worst <= 1e-9
+
+
+_ALPHA_GRAPHS = dict(_QUOTIENT_GRAPHS,
+                     single_loop=(MetricGraph(1, [(0, 0, 2.0)]), [0.5]))
+
+
+def _alpha_miss(name) -> float:
+    """Largest distance of ``alpha_graph`` from the Bellman-Ford route at
+    200 random covectors in [-3, 3]^k."""
+    graph, pots = _ALPHA_GRAPHS[name]
+    lag = GraphLagrangian(graph, pots)
+    ps = np.random.default_rng(5).uniform(-3.0, 3.0,
+                                          size=(200, graph.cycle_rank))
+    ref = [alpha_graph_bellman_ford(graph, lag, p) for p in ps]
+    return float(np.max(np.abs(alpha_graph(graph, lag, ps) - ref)))
+
+
+@pytest.mark.parametrize("name", sorted(_ALPHA_GRAPHS))
+def test_alpha_graph_matches_bellman_ford(name):
+    # the reference bisects to 1e-9, so it is off by up to half of that
+    assert _alpha_miss(name) <= 5e-10
+
+
+def test_basis_classes_alone_miss_the_theta_cycle(monkeypatch):
+    # theta's third cycle runs through both non-tree edges (class (1, -1));
+    # figure-eight's cycles of class (1, +-1) split into its two loops at
+    # the one vertex, so there the basis classes suffice
+    monkeypatch.setattr(mather, "_cycle_classes", lambda rank: np.eye(rank))
+    assert _alpha_miss("theta") > 1.0
+    assert _alpha_miss("figure_eight") <= 5e-10
 
 
 def test_effective_subcover_identity_and_pullback(fig8, fig8_lag):
