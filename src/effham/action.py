@@ -29,8 +29,8 @@ Three layers:
   resolution by one ``_minimal_actions_torus`` call, which solves them
   in lockstep.  The winner is polished: on graphs by golden-section
   searches along its edges, in lockstep; on tori by one more descent
-  with its start node free.  Only ``hopf_lax`` calls
-  ``scipy.optimize``.
+  with its start node free.  In this module only ``hopf_lax`` calls
+  ``scipy.optimize``; ``mather.LegendreDual`` calls it too, in 2-D.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box, its seed grid
   priced by one ``value_many`` call.
@@ -42,7 +42,6 @@ give back.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -260,30 +259,13 @@ def allocate_time(lengths, potentials, total_time: float, rest):
     return np.where(moving, run_cost + rest_cost, rest * total_time)
 
 
-def _reached(graph, counts, anchor: int) -> np.ndarray:
-    """Mask of the vertices reached from anchor along edges with counts > 0."""
-    seen = np.zeros(graph.n_vertices, dtype=bool)
-    seen[anchor] = True
-    frontier = [anchor]
-    while frontier:
-        for e, _ in graph.incident[frontier.pop()]:
-            if not counts[e]:
-                continue
-            for other in graph.edges[e][:2]:
-                if not seen[other]:
-                    seen[other] = True
-                    frontier.append(other)
-    return seen
-
-
 def _multisets(graph, va: int, vb: int, dz: tuple):
     """Traversal multisets of walks from vertex va to vertex vb that change
     sheets by dz, as (run lengths (n, |E|), visited vertices (n, |V|)).
 
     Every such walk has the net flow m of ``_edge_flow`` and crosses edge
     e |m_e| + 2 c_e times for some c_e >= 0.  The candidates are
-    |m| + 2c for c in {0, 1}^|E|, kept when their edges form one connected
-    walk through va, and they are exact by three facts:
+    |m| + 2c for c in {0, 1}^|E|, and they are exact by three facts:
 
     * ``allocate_time``'s cost increases in every run length;
     * a traversal multiset is a walk from va to vb when its support is
@@ -293,27 +275,50 @@ def _multisets(graph, va: int, vb: int, dz: tuple):
       support.
 
     So a count c_e >= 2 is beaten by min(c_e, 1): same support, so still
-    a walk with the same rest rate, and shorter runs.  The all-ones c uses
-    every edge of the connected graph, so every key has a multiset; and
-    when va != vb the net flow already runs a tree path, so no candidate
-    is empty.  By deck invariance the multisets depend on the sheets only
-    through dz, so a cover keeps one read-only build per key.
+    a walk with the same rest rate, and shorter runs.  Likewise a walk c
+    is beaten by any walk c' < c that visits the same vertices, and one
+    pair test finds every such c: c less any one pair in c - c' still
+    holds the support of c', which is connected through va and spans
+    those vertices, and adds only edges between them, so it is a walk
+    visiting them too.  The rows kept are the walks from which no one
+    extra pair can be dropped with the same vertices still reached from
+    va (the smaller row is then a walk, since c's edges join only those
+    vertices); every row dropped is beaten by a kept one, so the least
+    cost survives.  The all-ones c uses every edge of the connected
+    graph, so every key has a multiset; and when va != vb the net flow
+    already runs a tree path, so no row is empty.  By deck invariance the
+    multisets depend on the sheets only through dz, so a cover keeps one
+    read-only build per key.
     """
     n_edges = len(graph.edges)
     m = _edge_flow(graph, dz, va, vb)
     m_int = np.round(m).astype(int)
     if np.max(np.abs(m - m_int)) > 1e-9:
         raise SolverError("non-integral edge flow")
-    rows, visited = [], []
-    for extras in itertools.product((0, 1), repeat=n_edges):
-        counts = np.abs(m_int) + 2 * np.asarray(extras, dtype=int)
-        # connected through va when every used edge is reached; vb is then
-        # reached too, on a used edge when va != vb
-        seen = _reached(graph, counts, va)
-        if seen[[graph.tail(e) for e in np.flatnonzero(counts)]].all():
-            rows.append(counts * graph.lengths)
-            visited.append(seen)
-    out = np.array(rows).reshape(-1, n_edges), np.array(visited)
+    # extras in nested-loop order, first edge slowest: clearing bit e of
+    # row i gives row i - 2^(|E| - 1 - e)
+    extras = _grid([np.arange(2)] * n_edges)
+    counts = np.abs(m_int) + 2 * extras
+    used = counts > 0
+    ends = np.zeros((n_edges, graph.n_vertices), dtype=int)
+    for e, (u, v, _) in enumerate(graph.edges):
+        ends[e, [u, v]] = 1
+    seen = np.zeros((len(counts), graph.n_vertices), dtype=bool)
+    seen[:, va] = True
+    for _ in range(graph.n_vertices - 1):
+        grown = seen | ((used & (seen @ ends.T > 0)) @ ends > 0)
+        if np.array_equal(grown, seen):
+            break
+        seen = grown
+    # connected through va when every used edge is reached; vb is then
+    # reached too, on a used edge when va != vb
+    walk = ~(used & (seen @ ends.T == 0)).any(axis=1)
+    # each row's visited vertices as the bits of one integer
+    visits = seen @ (1 << np.arange(graph.n_vertices))
+    less = np.arange(len(counts))[:, None] - 2 ** np.arange(n_edges)[::-1]
+    beaten = (extras == 1) & (visits[less] == visits[:, None])
+    keep = walk & ~beaten.any(axis=1)
+    out = counts[keep] * graph.lengths, seen[keep]
     for arr in out:
         arr.flags.writeable = False
     return out

@@ -79,41 +79,31 @@ def _table_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_alpha(cfg: ScenarioConfig, out_dir: str) -> int:
-    dim = cfg.cover.deck_rank
-    radius, n_points = cfg.p_grid["radius"], cfg.p_grid["points"]
-    nodes = _grid(_ball_axes(radius, n_points, dim))
-    values = [float(v) for v in cfg.beta_evaluator().alpha_many(nodes)]
-    header = [f"p{i + 1}" for i in range(dim)] + ["alpha"]
-    rows = [list(p) + [v] for p, v in zip(nodes, values)]
-    _write_text(os.path.join(out_dir, f"{cfg.name}_alpha.csv"),
-                _table_csv(header, rows))
-    _write_text(os.path.join(out_dir, f"{cfg.name}_alpha.json"), json.dumps(
-        {"scenario": cfg.name, "grid_radius": radius, "points": n_points,
-         "nodes": [list(map(float, p)) for p in nodes], "alpha": values},
-        sort_keys=True, indent=2) + "\n")
-    _emit({"command": "alpha", "scenario": cfg.name, "rows": len(values),
-           "passed": True})
-    return EXIT_OK
-
-
-def _cmd_beta(cfg: ScenarioConfig, out_dir: str) -> int:
-    dim = cfg.cover.deck_rank
+def _cmd_table(cfg: ScenarioConfig, command: str, out_dir: str) -> int:
+    """Tabulate alpha on the config's p grid or beta on its w grid."""
     beta = cfg.beta_evaluator()
-    radius, n_points = cfg.w_grid["radius"], cfg.w_grid["points"]
+    if command == "alpha":
+        grid, axis, evaluate = cfg.p_grid, "p", beta.alpha_many
+    else:
+        grid, axis, evaluate = cfg.w_grid, "w", beta.value_many
+    dim = cfg.cover.deck_rank
+    radius, n_points = grid["radius"], grid["points"]
     nodes = _grid(_ball_axes(radius, n_points, dim))
-    values = [float(v) for v in beta.value_many(nodes)]
-    header = [f"w{i + 1}" for i in range(dim)] + ["beta"]
-    rows = [list(w) + [v] for w, v in zip(nodes, values)]
-    _write_text(os.path.join(out_dir, f"{cfg.name}_beta.csv"),
+    values = [float(v) for v in evaluate(nodes)]
+    header = [f"{axis}{i + 1}" for i in range(dim)] + [command]
+    rows = [list(node) + [v] for node, v in zip(nodes, values)]
+    _write_text(os.path.join(out_dir, f"{cfg.name}_{command}.csv"),
                 _table_csv(header, rows))
-    kappa, voff = beta.coercivity()
-    _write_text(os.path.join(out_dir, f"{cfg.name}_beta.json"), json.dumps(
-        {"scenario": cfg.name, "grid_radius": radius, "points": n_points,
-         "coercivity": {"kappa": kappa, "offset": voff, "norm": beta.norm},
-         "nodes": [list(map(float, w)) for w in nodes], "beta": values},
-        sort_keys=True, indent=2) + "\n")
-    _emit({"command": "beta", "scenario": cfg.name, "rows": len(values),
+    record = {"scenario": cfg.name, "grid_radius": radius, "points": n_points,
+              "nodes": [list(map(float, node)) for node in nodes],
+              command: values}
+    if command == "beta":
+        kappa, voff = beta.coercivity()
+        record["coercivity"] = {"kappa": kappa, "offset": voff,
+                                "norm": beta.norm}
+    _write_text(os.path.join(out_dir, f"{cfg.name}_{command}.json"),
+                json.dumps(record, sort_keys=True, indent=2) + "\n")
+    _emit({"command": command, "scenario": cfg.name, "rows": len(values),
            "passed": True})
     return EXIT_OK
 
@@ -178,10 +168,8 @@ def run(config_path: str, command: str, out_dir=None) -> int:
         target = out_dir if out_dir is not None else cfg.out_dir
         if command == "validate":
             return _cmd_validate(cfg)
-        if command == "alpha":
-            return _cmd_alpha(cfg, target)
-        if command == "beta":
-            return _cmd_beta(cfg, target)
+        if command in ("alpha", "beta"):
+            return _cmd_table(cfg, command, target)
         if command == "homogenize":
             return _cmd_homogenize(cfg, target)
         return _cmd_spaces(cfg, target)

@@ -276,9 +276,9 @@ class LegendreDual:
     """Continuous dual evaluator: value(w) = sup_p (p.w - source(p)).
 
     The supremum is seeded on a p-grid and polished by golden section
-    (one dimension) or simplex descent; the source callable must be
-    finite on the search box, and the box must hold every maximizer the
-    caller asks for.
+    (one dimension) or simplex descent, which raises SolverError when it
+    does not converge; the source callable must be finite on the search
+    box, and the box must hold every maximizer the caller asks for.
     """
 
     def __init__(self, source_fn, dim: int, p_box: float = 8.0,
@@ -308,6 +308,9 @@ class LegendreDual:
             lambda pv: -(pv @ w - self.source_fn(pv)), best_p,
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000})
+        if not res.success:
+            raise SolverError("Legendre dual polish did not converge: "
+                              + res.message)
         return max(float(pairings[best_idx]), float(-res.fun))
 
 
@@ -337,24 +340,22 @@ class MechanicalBeta1D(_RowByRow):
         self._rot_cache = {}
 
     def _rotation(self, energy: float) -> float:
-        key = round(energy, 14)
-        if key not in self._rot_cache:
-            self._rot_cache[key] = self._rule(energy)
-        return self._rot_cache[key]
+        if energy not in self._rot_cache:
+            self._rot_cache[energy] = self._rule(energy)
+        return self._rot_cache[energy]
 
     def value(self, w) -> float:
         w = float(np.atleast_1d(np.asarray(w, dtype=float))[0])
         speed = abs(w)
-        key = round(speed, 13)
-        if key in self._cache:
-            return self._cache[key]
+        if speed in self._cache:
+            return self._cache[speed]
         if speed < 1e-14:
             out = -self._rule.vmax
         else:
             out = _concave_max(
                 lambda energy: self._rotation(energy) * speed - energy,
                 self._rule.vmax)
-        self._cache[key] = out
+        self._cache[speed] = out
         return out
 
     def alpha_many(self, ps) -> np.ndarray:

@@ -5,12 +5,14 @@ quantity that the pipeline takes in closed form or produces itself: the
 Legendre pair of a torus Hamiltonian, the long-horizon action rates that
 beta averages, the affine closed form of the rescaled solution, the
 candidate count of the torus search, the graph search over its whole
-sheet box, the mesh point that ``match_point`` picks on a graph, graph
-alpha by a Bellman-Ford negative-cycle test, one golden-section search
-and one threshold bisection at a time, one torus two-point action at a
-time, and a trigonometric polynomial's derivatives term by term.
+sheet box, the mesh point that ``match_point`` picks on a graph, every
+candidate traversal multiset of a graph action, graph alpha by a
+Bellman-Ford negative-cycle test, one golden-section search and one
+threshold bisection at a time, one torus two-point action at a time, and
+a trigonometric polynomial's derivatives term by term.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,8 +25,8 @@ from effham.action import (InitialDatum, LaxResult, _golden_min, _graph_actions,
                            minimal_action_torus)
 from effham.errors import SolverError
 from effham.model import _proved_range, _torus_grid
-from effham.topology import (CoverPoint, _grid, _norm_rows, match_point,
-                             matching_bound, norm_value)
+from effham.topology import (CoverPoint, _edge_flow, _grid, _norm_rows,
+                             match_point, matching_bound, norm_value)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +385,48 @@ def match_point_loop(cover, h, eps: float, mesh: int, sub=None):
     _, loc, row = best
     sheet = row if sub is None else sub.right_inverse @ np.array(row)
     return loc, tuple(int(z) for z in sheet)
+
+
+# ---------------------------------------------------------------------------
+# every candidate traversal multiset, each walked by its own search
+
+
+def _reached(graph, counts, anchor: int) -> np.ndarray:
+    """Mask of the vertices reached from anchor along edges with counts > 0."""
+    seen = np.zeros(graph.n_vertices, dtype=bool)
+    seen[anchor] = True
+    frontier = [anchor]
+    while frontier:
+        for e, _ in graph.incident[frontier.pop()]:
+            if not counts[e]:
+                continue
+            for other in graph.edges[e][:2]:
+                if not seen[other]:
+                    seen[other] = True
+                    frontier.append(other)
+    return seen
+
+
+def multisets_unpruned(graph, va: int, vb: int, dz: tuple):
+    """Every walk among the candidates |m| + 2c, c in {0, 1}^|E|, of
+    ``action._multisets``, in ``itertools.product`` order of c, dominated
+    rows included, as (run lengths (n, |E|), visited vertices (n, |V|)):
+    one breadth-first search per candidate."""
+    n_edges = len(graph.edges)
+    m = _edge_flow(graph, dz, va, vb)
+    m_int = np.round(m).astype(int)
+    if np.max(np.abs(m - m_int)) > 1e-9:
+        raise SolverError("non-integral edge flow")
+    rows, visited = [], []
+    for extras in itertools.product((0, 1), repeat=n_edges):
+        counts = np.abs(m_int) + 2 * np.asarray(extras, dtype=int)
+        # connected through va when every used edge is reached; vb is then
+        # reached too, on a used edge when va != vb
+        seen = _reached(graph, counts, va)
+        if seen[[graph.tail(e) for e in np.flatnonzero(counts)]].all():
+            rows.append(counts * graph.lengths)
+            visited.append(seen)
+    return np.array(rows).reshape(-1, n_edges), np.array(visited)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from effham.topology import GraphCover, MetricGraph, match_point, norm_value
 from tests.conftest import (allocate_time_oracle, figure_eight, make_pendulum,
                             single_loop)
 from tests.oracles import (golden_min_scalar, lagrangian, lax_graph_full_table,
-                           minimal_action_torus_alone, torus_candidate_count)
+                           minimal_action_torus_alone, multisets_unpruned,
+                           torus_candidate_count)
 
 
 def test_free_straight_line_action(free1):
@@ -219,6 +220,41 @@ def test_graph_block_pricer_matches_the_one_pair_action(graph, pots):
                         for y in starts]
             assert np.array_equal(block, alone)
             assert np.array_equal(block, pairwise)
+
+
+def _random_graph(rng) -> MetricGraph:
+    """A connected graph of cycle rank <= 2 with 1 to 8 edges: a random
+    tree plus up to two random edges (loops and parallels allowed), the
+    edges shuffled."""
+    while True:
+        n_vertices, rank = int(rng.integers(1, 8)), int(rng.integers(0, 3))
+        if 1 <= n_vertices - 1 + rank <= 8:
+            break
+    edges = [(int(rng.integers(v)), v) for v in range(1, n_vertices)]
+    edges += [tuple(int(u) for u in rng.integers(n_vertices, size=2))
+              for _ in range(rank)]
+    return MetricGraph(n_vertices, [(*edges[i], rng.uniform(0.2, 2.0))
+                                    for i in rng.permutation(len(edges))])
+
+
+def test_kept_multisets_price_as_every_walk():
+    # the dominated rows that _multisets drops never hold the least cost
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        graph = _random_graph(rng)
+        pots = rng.uniform(-1.0, 1.0, len(graph.edges))
+        rate = np.array([min(pots[e] for e, _ in inc) for inc in graph.incident])
+        va, vb = (int(v) for v in rng.integers(graph.n_vertices, size=2))
+        dz = tuple(int(z) for z in rng.integers(-2, 3, graph.cycle_rank))
+        kept = action._multisets(graph, va, vb, dz)
+        every = multisets_unpruned(graph, va, vb, dz)
+        rows = {(tuple(r), tuple(v)) for r, v in zip(*every)}
+        assert all((tuple(r), tuple(v)) in rows for r, v in zip(*kept))
+        for horizon in 10.0 ** rng.uniform(-2.0, 2.0, 3):
+            least = [allocate_time(runs, pots, horizon,
+                                   np.where(visited, rate, np.inf).min(axis=1)).min()
+                     for runs, visited in (kept, every)]
+            assert least[0] == least[1]
 
 
 def test_torus_action_rejects_a_varying_two_dimensional_kinetic_matrix():

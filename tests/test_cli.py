@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from scipy import optimize
 
 from effham import action, cli, homogenize, mather, topology
 from effham.action import InitialDatum
@@ -385,6 +386,27 @@ def test_solver_failure_exits_three(monkeypatch, capsys, tmp_path):
     assert record["error"]["kind"] == "solver"
     assert record["error"]["exit"] == cli.EXIT_SOLVER
     assert "bracket" in record["error"]["message"]
+
+
+def test_unconverged_legendre_polish_exits_three(monkeypatch, capsys,
+                                                 tmp_path):
+    # a two-dimensional subcover polishes its dual check by simplex descent
+    minimize = optimize.minimize
+
+    def stalled(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        res.success = False
+        return res
+
+    monkeypatch.setattr(optimize, "minimize", stalled)
+    tree = _scenario_tree("figure_eight")
+    tree["experiment"]["ladder"] = [1.0, 0.5]
+    tree["cover"] = {"subcover": [[1, 0], [0, 1]]}
+    path = _write(tmp_path, tree)
+    assert cli.run(path, "homogenize", out_dir=str(tmp_path)) == cli.EXIT_SOLVER
+    record = _records(capsys)[-1]
+    assert record["error"]["kind"] == "solver"
+    assert "Legendre dual polish" in record["error"]["message"]
 
 
 def test_stray_exception_becomes_internal_error(monkeypatch, capsys):

@@ -350,6 +350,16 @@ def test_mechanical_beta_matches_quadrature_dual(pendulum):
     assert mb.value([1.3]) == pytest.approx(sup, abs=2e-3)
 
 
+@pytest.mark.parametrize("speed", [0.3, 0.5, 0.9, 1.7])
+def test_mechanical_beta_does_not_depend_on_earlier_queries(pendulum, speed):
+    # rates 4e-14 apart share one rounded cache key: the later one would
+    # read the earlier one's value
+    near = speed + 4e-14
+    warm = MechanicalBeta1D(pendulum)
+    warm.value([speed])
+    assert warm.value([near]) == MechanicalBeta1D(pendulum).value([near])
+
+
 def test_beta_hat_identity_is_beta(fig8, fig8_lag):
     beta_eval = DirectBetaEvaluator(fig8, fig8_lag)
     ident = SubcoverMap([[1, 0], [0, 1]])
