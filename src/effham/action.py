@@ -989,18 +989,21 @@ def _lax_graph(cover, lagrangian, datum, x, t, eps, mesh):
         best_point = CoverPoint(base_locs[loc_of[best]],
                                 tuple(int(s) for s in sheets[sheet_of[best]]))
 
-    # continuous polish along the best start's edge, or along the edges at
-    # its vertex.  A mesh locator on an edge sits at length * j / mesh with
-    # 0 < j < mesh, strictly inside the edge, so the best start is that
-    # edge's point.  A vertex lists an edge once per direction, and the two
-    # directions of a loop, a non-tree edge, differ in sheet by its nonzero
-    # cocycle; so no (edge, sheet) repeats.
+    # continuous polish along the edges at the best start's vertex, or at
+    # both ends of its edge: a start within rounding of an end would
+    # otherwise miss a minimiser across that vertex.  A vertex lists an
+    # edge once per direction, and the two directions of a loop, a
+    # non-tree edge, differ in sheet by its nonzero cocycle; the start's
+    # own edge, reached from both of its ends, is kept once.
+    z0 = np.array(best_point.sheet)
     if best_point.base[0] == "e":
-        polish_domains = [(best_point.base[1], np.array(best_point.sheet))]
+        e = best_point.base[1]
+        ends = [(graph.tail(e), z0), (graph.head(e), z0 + graph.cocycles[e])]
     else:
-        polish_domains = [(e, np.array(best_point.sheet)
-                           - (direction == -1) * graph.cocycles[e])
-                          for e, direction in graph.incident[best_point.base[1]]]
+        ends = [(best_point.base[1], z0)]
+    polish_domains = [(e, np.array(z)) for e, z in dict.fromkeys(
+        (e, tuple(z - (direction == -1) * graph.cocycles[e]))
+        for v, z in ends for e, direction in graph.incident[v])]
     lengths = np.array([graph.length(e) for e, _ in polish_domains])
 
     def objective(idx, s):

@@ -7,10 +7,11 @@ Five commands share one invocation shape::
 ``alpha``/``beta`` tabulate the effective Hamiltonian/Lagrangian on a
 grid, ``homogenize`` runs the ladder experiment and writes its report,
 ``validate`` only loads the config (the load is every check on
-the model) and writes nothing.  ``spaces`` measures over sampled point
-pairs the gap between the cover distance and the stable norm of their
-homology displacement (the metric of the rescaled covers' limit), and per
-rung the covering radius of the scaled mesh image; it exits 1 when a gap
+the model) and writes nothing.  ``spaces`` measures over point pairs
+sampled on a graph cover the gap between the cover distance and the
+stable norm of their homology displacement (the metric of the rescaled
+covers' limit; on a flat torus the two coincide), and per rung the
+covering radius of the scaled mesh image; it exits 1 when a gap
 leaves the certified band |gap| <= C or a covering radius exceeds the
 matching bound.  ``alpha`` and ``beta`` read the two halves of the one
 exact pair that the config picked for its system family; a system with no
@@ -116,7 +117,6 @@ def _write_report(cfg: ScenarioConfig, report, command: str, out_dir: str) -> in
     _emit({"command": command, "scenario": cfg.name,
            "passed": bool(report.passed),
            "final_error": report.final_error,
-           "rate_exponent": report.rate_exponent,
            "diagnostics": report.diagnostics})
     if not report.passed:
         _emit(_error_record("tolerance", EXIT_TOLERANCE,

@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 # unused minimal_action_graph: perfbench/test_perfbench.py expects the binding
-from .action import InitialDatum, hopf_lax, lax_oleinik, minimal_action_graph
+from .action import (InitialDatum, _reach, hopf_lax, lax_oleinik,
+                     minimal_action_graph)
 from .errors import ConfigError, SolverError
 from .mather import (AnalyticQuadraticBeta, BetaHatEvaluator,
                      DirectBetaEvaluator, LegendreDual, MechanicalBeta1D,
@@ -128,8 +129,6 @@ class ExperimentRow:
 class ExperimentReport:
     scenario: str
     rows: list = field(default_factory=list)
-    rate_exponent: float = None
-    rate_residual: float = None
     monotone_ok: bool = False
     sandwich_ok: bool = False
     final_error: float = math.inf
@@ -137,7 +136,7 @@ class ExperimentReport:
     passed: bool = False
     diagnostics: dict = field(default_factory=dict)
     cover_kernel_invariance_error: float = None
-    kernel_invariance_error: float = None
+    lifted_limit_error: float = None
     dual_limit_error: float = None
     # names of the checks that failed ``passed``; not a field, so the
     # report files leave it out
@@ -168,22 +167,6 @@ class ExperimentReport:
         return lines
 
 
-# the rate exponent is fitted over this many finest rungs above noise
-_RATE_RUNGS = 4
-
-
-def _fit_rate(errs_by_eps):
-    """Log-log least squares slope over the last rungs above 1e-12 noise."""
-    tail = [(e, v) for e, v in errs_by_eps if v > 1e-12][-_RATE_RUNGS:]
-    if len(tail) < 2:
-        return None, None
-    xs = np.log([e for e, _ in tail])
-    ys = np.log([v for _, v in tail])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    return float(slope), resid
-
-
 def _check_monotone(report: ExperimentReport, ladder) -> bool:
     by_point = {}
     for row in report.rows:
@@ -209,7 +192,7 @@ def _check_sandwich(report: ExperimentReport, scenario: Scenario,
 
 def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
     """Ladder sweep of the rescaled solution against its homogenized
-    limit at matched points, with rate fit and report flags.
+    limit at matched points, with report flags.
 
     With ``scenario.subcover`` set, targets live on the intermediate
     cover: points are matched through the map, the cover solution prices
@@ -262,7 +245,6 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
                                              cover.norm))))
 
     errs = report.errors_by_eps()
-    report.rate_exponent, report.rate_residual = _fit_rate(errs)
     report.final_error = errs[-1][1] if errs else math.inf
     report.monotone_ok = _check_monotone(report, scenario.eps_ladder)
     report.sandwich_ok = _check_sandwich(report, scenario,
@@ -319,18 +301,26 @@ def _quotient_checks(scenario: Scenario, report: ExperimentReport, pulled,
                      bhat, points) -> dict:
     """The three checks of an intermediate cover, name to pass flag, on
     the ladder's ``points`` (first rung first); fills their report fields,
-    ``kernel_rank`` and the unconverged polish count.
+    ``kernel_rank`` and the unconverged polish count.  Each compares two
+    independent routes to one quantity.
 
     * ``cover_kernel_invariance_error``: the pulled-back datum and the
       action are both invariant under the kernel of the surjection, so on
       the first rung v_eps(x + z) must equal v_eps(x) for every kernel
       element z with coefficients in {-1, 0, 1}; bound 1e-9 plus the
       matching bound of the last rung.
-    * ``kernel_invariance_error``: the same symmetry of the lifted limit
-      on homology space; bound 1e-8.
+    * ``lifted_limit_error``: the quotient is a quotient of the maximal
+      cover, so its limit at h is the maximal cover's limit of the
+      pulled-back datum at any lift of h.  At every evaluation point the
+      Hopf-Lax limit over beta at R h (R the right inverse) is compared
+      with the first rung's ``u_limit``, the limit over beta-hat; bound
+      1e-8.  This validates beta-hat against beta.
     * ``dual_limit_error``: alpha at the pulled-back covector against the
       conjugate of the quotient rate function; bound 1e-12, as both routes
-      are exact to rounding.
+      are exact to rounding.  The conjugate's box holds every maximiser:
+      for |p|_inf <= 1, p.z - beta-hat(z) >= -beta-hat(0) and beta-hat(z)
+      >= kappa |z|^2 - v_off give |z|_1 <= ``_reach(1/(2 kappa),
+      (v_off + beta-hat(0))/kappa)``.
     """
     sub, cover, model = scenario.subcover, scenario.cover, scenario.model
     shifts = [z for z in sub.kernel_elements(1) if np.any(z)]
@@ -345,21 +335,20 @@ def _quotient_checks(scenario: Scenario, report: ExperimentReport, pulled,
             cover_worst = max(cover_worst, abs(shifted - row.v_eps))
     report.cover_kernel_invariance_error = float(cover_worst)
 
-    # kernel invariance of the lifted limit on homology space
-    ker_worst = 0.0
-    for h, t in scenario.eval_points[:2]:
-        q0 = sub.right_inverse.astype(float) @ np.array(h)
-        base_val, ok = hopf_lax(bhat.base, pulled, q0, t)
+    # the maximal cover's limit of the pulled-back datum at a lift of h
+    lifted_worst = 0.0
+    for (h, t), row in zip(scenario.eval_points, report.rows):
+        lifted, ok = hopf_lax(bhat.base, pulled,
+                              sub.right_inverse.astype(float) @ np.array(h), t)
         report.diagnostics["neldermead_unconverged"] += not ok
-        for z in shifts:
-            shifted, ok = hopf_lax(bhat.base, pulled, q0 + z, t)
-            report.diagnostics["neldermead_unconverged"] += not ok
-            ker_worst = max(ker_worst, abs(shifted - base_val))
-    report.kernel_invariance_error = float(ker_worst)
+        lifted_worst = max(lifted_worst, abs(lifted - row.u_limit))
+    report.lifted_limit_error = float(lifted_worst)
 
     # dual route: pulled-back alpha vs conjugate beta-hat, 9 diagonal p rows
     dim = sub.matrix.shape[0]
-    dual_src = LegendreDual(bhat.value, dim, p_box=6.0, p_points=49)
+    kappa, v_off = bhat.coercivity()
+    box = _reach(0.5 / kappa, (v_off + bhat.value(np.zeros(dim))) / kappa)
+    dual_src = LegendreDual(bhat.value, dim, p_box=box, p_points=49)
     ps = np.repeat(np.linspace(-1.0, 1.0, 9)[:, None], dim, axis=1)
     lhs = alpha_graph(cover.graph, model, sub.pullback(ps))
     report.dual_limit_error = float(max(abs(a - dual_src.value(p))
@@ -370,6 +359,5 @@ def _quotient_checks(scenario: Scenario, report: ExperimentReport, pulled,
                                       scenario.mesh)
     return {"cover_kernel_invariance_error <= cover_tol":
             report.cover_kernel_invariance_error <= cover_tol,
-            "kernel_invariance_error <= 1e-8":
-            report.kernel_invariance_error <= 1e-8,
+            "lifted_limit_error <= 1e-8": report.lifted_limit_error <= 1e-8,
             "dual_limit_error <= 1e-12": report.dual_limit_error <= 1e-12}

@@ -18,8 +18,11 @@ on every axis j, with l_j the length of the j-th non-tree edge (a path
 leaving the box crosses that edge R_j + 1 times for some j); otherwise
 the short axes grow and the table is rebuilt.
 
-``estimate_space_convergence`` checks |d(x, y) - ||G(y) - G(x)||_st| <= C,
-the stable-norm limit of the rescaled covers, with C proved from the base.
+``estimate_space_convergence`` checks on a graph cover that
+|d(x, y) - ||G(y) - G(x)||_st| <= C, the stable-norm limit of the rescaled
+covers, with C proved from the base.  On a flat torus both terms are the
+Euclidean norm of one lift difference, so the gap is 0 by construction
+and only the mesh image is measured.
 
 Surjections of the deck group onto Z^l ("subcover maps") are integer
 matrices validated by an exact column reduction, whose pivots multiply to
@@ -268,13 +271,7 @@ class TorusCover:
         return self.lift(point)
 
     def distance(self, x: CoverPoint, y: CoverPoint) -> float:
-        return float(self._pair_distances([x, y], [0], [1])[0])
-
-    def _pair_distances(self, points, first, second) -> np.ndarray:
-        """d(points[first[i]], points[second[i]]) for every i, each row
-        summed as ``norm_value`` sums, so the flat cover's gap is 0."""
-        lifts = np.array([self.lift(p) for p in points])
-        return _norm_rows(lifts[first] - lifts[second], "l2")
+        return norm_value(self.lift(x) - self.lift(y), "l2")
 
     def g_lipschitz(self) -> float:
         """Bound on |G(x) - G(y)|_2 per unit of cover distance."""
@@ -609,8 +606,8 @@ _BALL_RADIUS = 1.0
 class SpaceConvergenceReport:
     """The range of d(x, y) - ||G(y) - G(x)||_st over the sampled pairs
     (0 included, the gap of a point with itself) against its certified
-    bound, and per rung the covering radius of the scaled mesh image
-    against ``matching_bound``."""
+    bound, on a torus 0 against 0 over no pairs, and per rung the
+    covering radius of the scaled mesh image against ``matching_bound``."""
 
     gap_low: float
     gap_high: float
@@ -630,39 +627,29 @@ class SpaceConvergenceReport:
 def _sample_points(cover, rng):
     pts = []
     r = _SHEET_RADIUS
-    if cover.family == "torus":
-        for _ in range(_SAMPLES):
-            base = rng.random(cover.n)
-            sheet = rng.integers(-r, r + 1, size=cover.n)
-            pts.append(cover.point(base, sheet))
-    else:
-        g = cover.graph
-        for _ in range(_SAMPLES):
-            sheet = rng.integers(-r, r + 1, size=cover.deck_rank)
-            if rng.random() < 0.2:
-                pts.append(cover.vertex_point(int(rng.integers(g.n_vertices)), sheet))
-            else:
-                e = int(rng.integers(len(g.edges)))
-                s = float(rng.random()) * g.length(e)
-                pts.append(cover.edge_point(e, s, sheet))
+    g = cover.graph
+    for _ in range(_SAMPLES):
+        sheet = rng.integers(-r, r + 1, size=cover.deck_rank)
+        if rng.random() < 0.2:
+            pts.append(cover.vertex_point(int(rng.integers(g.n_vertices)), sheet))
+        else:
+            e = int(rng.integers(len(g.edges)))
+            s = float(rng.random()) * g.length(e)
+            pts.append(cover.edge_point(e, s, sheet))
     return pts
 
 
 def _stable_norm(cover, rows: np.ndarray) -> np.ndarray:
-    """Stable norm of every row: Euclidean on a torus; on a graph
-    sum_e l_e |f_e(h)|, read through the |E| x k matrix whose columns
-    are the circulations of the unit rates."""
-    if cover.family == "torus":
-        return _norm_rows(rows, "l2")
+    """Stable norm of every row on a graph cover, sum_e l_e |f_e(h)|,
+    read through the |E| x k matrix whose columns are the circulations
+    of the unit rates."""
     g = cover.graph
     flows = np.column_stack([_edge_flow(g, unit) for unit in np.eye(g.cycle_rank)])
     return np.abs(rows @ flows.T) @ g.lengths
 
 
 def _gap_bound(cover) -> float:
-    """C of ``estimate_space_convergence``."""
-    if cover.family == "torus":
-        return 0.0
+    """C of ``estimate_space_convergence`` on a graph cover."""
     g = cover.graph
     zero = np.zeros(g.cycle_rank)
     tree_diameter = max(float(np.abs(_edge_flow(g, zero, u, v)) @ g.lengths)
@@ -695,13 +682,16 @@ def estimate_space_convergence(cover, epsilons, mesh: int,
     homology with the stable norm (Burago, *Periodic metrics*, 1992;
     Kotani and Sunada, Math. Z. 2006), and measure the mesh image.
 
-    The sampled pairs are priced in one ``_pair_distances`` batch; each
-    distinct one has gap = d(x, y) - ||G(y) - G(x)||_st.  Both terms scale
-    with eps, so |gap| <= C makes (cover, eps d) an eps C-rough isometry of
-    (R^k, ||.||_st) through eps G.  On a torus d is the Euclidean norm of
-    the lift difference and G the lift, so C = 0.  On a graph ||h||_st =
-    sum_e l_e |f_e(h)| for the real circulation f(h) (``_edge_flow``), and
-    C = D_T + 2 L_T + 2 l_max: tree diameter, tree length, longest edge.
+    On a graph cover the sampled pairs are priced in one
+    ``_pair_distances`` batch; each distinct one has gap = d(x, y) -
+    ||G(y) - G(x)||_st.  Both terms scale with eps, so |gap| <= C makes
+    (cover, eps d) an eps C-rough isometry of (R^k, ||.||_st) through
+    eps G.  Here ||h||_st = sum_e l_e |f_e(h)| for the real circulation
+    f(h) (``_edge_flow``), and C = D_T + 2 L_T + 2 l_max: tree diameter,
+    tree length, longest edge.  On a torus d is the Euclidean norm of the
+    lift difference and G the lift, so the gap is 0 for every pair and
+    could not fail: no pairs are sampled, and the report carries 0 for
+    the gaps, their bound and ``n_pairs``.
 
     Proof.  Read a path from x to y as a real edge chain S (traversals
     count +-1, the partial edges at x and y their fractions), so
@@ -722,21 +712,23 @@ def estimate_space_convergence(cover, epsilons, mesh: int,
     ``passed`` also needs the covering radius at ``mesh``, over a probe
     grid of the ball |h| <= 1, within ``matching_bound`` on every rung.
     """
-    rng = np.random.default_rng(seed)
-    pts = _sample_points(cover, rng)
-    gvals = np.array([cover.g_map(p) for p in pts])
-    first, second = np.triu_indices(len(pts), k=1)
-    dist = cover._pair_distances(pts, first, second)
-    distinct = dist > 1e-12
-    gap = dist[distinct] - _stable_norm(
-        cover, gvals[second[distinct]] - gvals[first[distinct]])
+    gap, gap_bound = np.zeros(0), 0.0
+    if cover.family == "graph":
+        pts = _sample_points(cover, np.random.default_rng(seed))
+        gvals = np.array([cover.g_map(p) for p in pts])
+        first, second = np.triu_indices(len(pts), k=1)
+        dist = cover._pair_distances(pts, first, second)
+        distinct = dist > 1e-12
+        gap = dist[distinct] - _stable_norm(
+            cover, gvals[second[distinct]] - gvals[first[distinct]])
+        gap_bound = _gap_bound(cover)
     axis = np.linspace(-_BALL_RADIUS, _BALL_RADIUS, 11)
     probes = _ball_nodes([axis] * cover.deck_rank, _BALL_RADIUS, cover.norm)
     return SpaceConvergenceReport(
         gap_low=float(gap.min(initial=0.0)),
         gap_high=float(gap.max(initial=0.0)),
-        gap_bound=_gap_bound(cover),
-        n_pairs=int(distinct.sum()),
+        gap_bound=gap_bound,
+        n_pairs=int(gap.size),
         epsilons=[float(e) for e in epsilons],
         covering_radius=[_covering_radius(cover, eps, mesh, probes)
                          for eps in epsilons],

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, linalg, optimize
 
@@ -522,6 +522,8 @@ def test_constant_shift_moves_both_solutions(loop2, loop2_cover, loop2_lag,
 
 @settings(max_examples=12)
 @given(z=st.integers(-3, 3), s=_ARCS, slope=_SLOPES)
+# a start within rounding of a vertex: its minimiser lies across that vertex
+@example(z=-1, s=1.14071320004837e-15, slope=0.0546875)
 def test_deck_translation_shifts_by_the_affine_pairing(loop2_cover, loop2_lag,
                                                        z, s, slope):
     eps = 0.5
@@ -1092,11 +1094,14 @@ def test_graph_polish_is_each_edge_alone(monkeypatch, case):
         ref = lax_oleinik(cover, lag, datum, x, t, eps, mesh=64)
         assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes()
         assert got.minimizer_g.tobytes() == ref.minimizer_g.tobytes()
-    expect = {"figure-eight-rungs": {1, 4}, "inside-an-edge": {1},
-              "degree-3-vertex": {3}}[case]
-    assert set(sizes) <= expect and len(sizes) == len(calls)
+    # every best start of the figure-eight ladder is the vertex, with its
+    # two loops in both directions; a theta edge start reaches the three
+    # edges at each end, its own edge once
+    expect = {"figure-eight-rungs": 4, "inside-an-edge": 5,
+              "degree-3-vertex": 3}[case]
+    assert sizes == [expect] * len(calls)
     if case == "figure-eight-rungs":
-        assert len(calls) == 7 and 4 in sizes
+        assert len(calls) == 7
 
 
 _GRAPHS = {"figure-eight-1.7-0.6": (figure_eight(1.7, 0.6), [0.3, -0.2]),

@@ -82,7 +82,8 @@ def test_pendulum_tables_are_pinned(tmp_path):
 def test_validate_and_tables_load_no_scipy(tmp_path):
     # scipy is imported where a solver runs, so validating every shipped
     # config and tabulating its alpha and beta never load it: graph alpha
-    # and circle alpha bisect, circle beta sums one tanh-sinh rule
+    # and circle alpha bisect, circle beta sums one tanh-sinh rule.  Nor
+    # does spaces on a torus, which prices no cover distance
     script = (
         "import glob, os, sys\n"
         "from effham.cli import run\n"
@@ -90,6 +91,9 @@ def test_validate_and_tables_load_no_scipy(tmp_path):
         "for path in sorted(glob.glob(os.path.join(root, 'scenarios', '*.yaml'))):\n"
         "    for command in ('validate', 'alpha', 'beta'):\n"
         "        assert run(path, command, out_dir=out) == 0, (path, command)\n"
+        "for stem in ('free_torus_1d', 'free_torus_2d', 'pendulum'):\n"
+        "    path = os.path.join(root, 'scenarios', stem + '.yaml')\n"
+        "    assert run(path, 'spaces', out_dir=out) == 0, path\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -454,7 +458,7 @@ def test_homogenize_runs_on_subcover_config(tmp_path, capsys):
     np.testing.assert_array_equal([r["v_eps"] for r in trees[0]["rows"]],
                                   [r["v_eps"] for r in trees[1]["rows"]])
     # the one run fills the quotient checks on a subcover config only
-    checks = ("cover_kernel_invariance_error", "kernel_invariance_error",
+    checks = ("cover_kernel_invariance_error", "lifted_limit_error",
               "dual_limit_error")
     plain, sub = trees
     assert all(plain[name] is None for name in checks)

@@ -11,7 +11,7 @@ from effham.homogenize import (
     matching_bound,
     run_experiment,
 )
-from effham.mather import alpha_graph
+from effham.mather import BetaHatEvaluator, alpha_graph
 from effham.model import TorusHamiltonian, TrigPolynomial
 from effham.topology import SubcoverMap
 from tests.oracles import affine_datum_check
@@ -31,7 +31,6 @@ def test_free_experiment_error_equals_matching(circle, free1):
     assert report.monotone_ok and report.sandwich_ok
     for row in report.rows:
         assert row.abs_error == pytest.approx(row.match_error, abs=1e-12)
-    assert report.rate_exponent == pytest.approx(1.0, abs=1e-6)
 
 
 def test_sandwich_violation_fails_the_report(circle, free1, monkeypatch):
@@ -184,7 +183,7 @@ def test_unconverged_hopf_lax_polish_is_counted(loop2_cover, loop2_lag,
     monkeypatch.setattr(optimize, "minimize", stalled)
     after = [run_experiment(plain), run_experiment(quotient)]
     # one polish per evaluation point, and in the subcover run one more per
-    # kernel-invariance point (the identity map has no nonzero shift)
+    # evaluation point for the lifted limit
     assert [r.diagnostics["neldermead_unconverged"] for r in before] == [0, 0]
     assert [r.diagnostics["neldermead_unconverged"] for r in after] == [2, 4]
     # the same values, read from an unconverged polish, fail both runs
@@ -196,20 +195,43 @@ def test_unconverged_hopf_lax_polish_is_counted(loop2_cover, loop2_lag,
 
 
 def test_merged_loops_subcover_consistency(fig8_cover, fig8_lag, fig8):
+    # on [[2, 3]] the conjugate of beta-hat peaks outside the box |z| <= 6
+    for matrix in ([1, 1], [2, 3]):
+        scenario = Scenario(name="fig8-merge", cover=fig8_cover, model=fig8_lag,
+                            datum=InitialDatum.affine([0.5], 0.1),
+                            eps_ladder=(1.0, 0.5), eval_points=(((0.8,), 1.0),),
+                            mesh=32, subcover=SubcoverMap([matrix]))
+        report = run_experiment(scenario)
+
+        # the quotient limit of an affine datum is affine with the
+        # pulled-back level
+        closed = 0.1 + 0.5 * 0.8 - alpha_graph(fig8, fig8_lag,
+                                               0.5 * np.array(matrix)) * 1.0
+        for row in report.rows:
+            assert row.u_limit == pytest.approx(closed, abs=1e-6)
+        assert report.cover_kernel_invariance_error <= 1e-9 + matching_bound(
+            fig8_cover, scenario.eps_ladder[-1], scenario.mesh)
+        assert report.lifted_limit_error <= 1e-8
+        assert report.dual_limit_error <= 1e-12
+
+
+@pytest.mark.parametrize("wrong", [lambda b: 1.01 * b, lambda b: b + 1e-6],
+                         ids=["scaled", "raised"])
+def test_lifted_limit_catches_a_wrong_beta_hat(fig8_cover, fig8_lag,
+                                               monkeypatch, wrong):
+    # the lifted limit over beta at R h is one route, the limit over
+    # beta-hat the other; a beta-hat off by 1e-6 moves only the second
+    value = BetaHatEvaluator.value
+    monkeypatch.setattr(BetaHatEvaluator, "value",
+                        lambda self, z: wrong(value(self, z)))
     scenario = Scenario(name="fig8-merge", cover=fig8_cover, model=fig8_lag,
-                        datum=InitialDatum.affine([0.5], 0.1),
-                        eps_ladder=(1.0, 0.5), eval_points=(((0.8,), 1.0),),
+                        datum=InitialDatum.cone(0.6, norm="l1", dim=1),
+                        eps_ladder=(1.0,),
+                        eval_points=(((1 / 3,), 1.0), ((-2 / 3,), 0.5)),
                         mesh=32, subcover=SubcoverMap([[1, 1]]))
     report = run_experiment(scenario)
-
-    # the quotient limit of an affine datum is affine with the pulled-back level
-    closed = 0.1 + 0.5 * 0.8 - alpha_graph(fig8, fig8_lag, [0.5, 0.5]) * 1.0
-    for row in report.rows:
-        assert row.u_limit == pytest.approx(closed, abs=1e-6)
-    assert report.cover_kernel_invariance_error <= 1e-9 + matching_bound(
-        fig8_cover, scenario.eps_ladder[-1], scenario.mesh)
-    assert report.kernel_invariance_error <= 1e-8
-    assert report.dual_limit_error <= 1e-12
+    assert report.lifted_limit_error > 1e-8
+    assert "lifted_limit_error <= 1e-8" in report.failed
 
 
 @pytest.mark.parametrize("matrix", [[[1, 1]], [[1, 2]]])
