@@ -29,11 +29,11 @@ Three layers:
   resolution by one ``_minimal_actions_torus`` call, which solves them
   in lockstep.  The winner is polished: on graphs by golden-section
   searches along its edges, in lockstep; on tori by one more descent
-  with its start node free.  In this module only ``hopf_lax`` calls
-  ``scipy.optimize``; ``mather.LegendreDual`` calls it too, in 2-D.
+  with its start node free.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box, its seed grid
-  priced by one ``value_many`` call.
+  priced by one ``value_many`` call and its best node polished by
+  ``_nelder_mead``, which ``mather.LegendreDual`` shares in 2-D.
 
 Both searches are cut off by the same quadratic-growth certificate
 (``_reach``): a start too far away pays more action than the datum can
@@ -1060,10 +1060,9 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float):
     (kappa, v_off) certifying beta(w) >= kappa*|w|^2 - v_off in that
     norm.  The q-window is certified from the datum growth and that
     coercivity, seeded on a grid of 33 rates per axis over the ball of
-    rates it allows (one value_many call, replayed in grid order), and a
-    simplex polish refines the best node; u is the better of the two.
+    rates it allows (one value_many call, replayed in grid order), and
+    ``_nelder_mead`` polishes the best node; u is the better of the two.
     """
-    from scipy import optimize
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
     h = np.atleast_1d(np.asarray(h, dtype=float))
@@ -1082,23 +1081,67 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float):
         q = h - t * w
         val = datum.value(q) + t * beta
         if val < incumbent:
-            incumbent = val
-            best_q = q
+            incumbent, best_q = val, q
 
-    res = optimize.minimize(lambda q: datum.value(q) + t * beta_eval.value((h - q) / t),
-                            best_q, method="Nelder-Mead",
-                            options={"xatol": 1e-10, "fatol": 1e-12,
-                                     "maxiter": 4000, "maxfev": 8000,
-                                     "initial_simplex": _simplex_start(best_q)})
-    return float(min(incumbent, res.fun)), bool(res.success)
+    _, fun, status, _ = _nelder_mead(
+        lambda q: datum.value(q) + t * beta_eval.value((h - q) / t),
+        _simplex_start(best_q), 1e-10, 1e-12, 4000, 8000)
+    return float(min(incumbent, fun)), status == 0
 
 
-def _simplex_start(x0: np.ndarray) -> np.ndarray:
-    """scipy's default Nelder-Mead start (each coordinate in turn moved by
-    5%, or set to 0.00025 at zero) with no move below 0.00025.  A 5% move
-    of a tiny nonzero coordinate is already under xatol, and the polish
-    would stop where it started."""
+def _simplex_start(x0: np.ndarray, floor: float = 0.005) -> np.ndarray:
+    """Each coordinate in turn moved by 5%, or by 0.00025 at zero or below
+    ``floor`` (0: scipy's default start).  ``hopf_lax`` keeps 0.005: a 5%
+    move of a tiny coordinate falls under xatol and ends the polish."""
     sim = np.tile(x0, (x0.size + 1, 1))
     for k, q in enumerate(x0):
-        sim[k + 1, k] = (1 + 0.05) * q if abs(q) >= 0.005 else q + 0.00025
+        sim[k + 1, k] = (1 + 0.05) * q if q != 0 and abs(q) >= floor else q + 0.00025
     return sim
+
+
+def _nelder_mead(fn, sim, xatol: float, fatol: float, maxiter: int,
+                 maxfev: float = math.inf):
+    """Minimise ``fn`` from the simplex ``sim`` (N + 1 rows) as scipy 1.17's
+    ``_minimize_neldermead`` does without bounds, step for step, down to
+    its reorders and its cut before a call past maxfev.  Returns (x, fun,
+    status, nfev), status 0 converged, 1 hit maxfev, 2 hit maxiter."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(sim, dtype=float)
+    fsim, nfev, it = np.full(len(sim), np.inf), int(min(len(sim), maxfev)), 1
+    fsim[:nfev] = [fn(x.copy()) for x in sim[:nfev]]
+    ind = np.argsort(fsim)  # scipy reorders twice after the start
+    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    while True:
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        if (nfev >= maxfev or it >= maxiter
+                or np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / (len(sim) - 1)
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr, nfev = fn(xr.copy()), nfev + 1
+        if fsim[0] <= fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev >= maxfev:  # the step's next call would pass the cap
+            continue
+        elif fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe, nfev = fn(xe.copy()), nfev + 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        else:
+            out = fxr < fsim[-1]  # outside contraction, else inside
+            xc = ((1 + psi * rho) * xbar - psi * rho * sim[-1] if out
+                  else (1 - psi) * xbar + psi * sim[-1])
+            fxc, nfev = fn(xc.copy()), nfev + 1
+            if (fxc <= fxr) if out else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, len(sim)):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    if nfev >= maxfev:
+                        break
+                    fsim[j], nfev = fn(sim[j].copy()), nfev + 1
+        it += 1
+    status = 1 if nfev >= maxfev else 2 if it >= maxiter else 0
+    return sim[0], np.min(fsim), status, nfev

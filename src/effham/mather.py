@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .action import _golden_min, allocate_time
+from .action import _golden_min, _nelder_mead, _simplex_start, allocate_time
 from .errors import SolverError
 from .model import GraphLagrangian, TorusHamiltonian
 from .topology import SubcoverMap, _ball_axes, _edge_flow, _grid
@@ -276,9 +276,10 @@ class LegendreDual:
     """Continuous dual evaluator: value(w) = sup_p (p.w - source(p)).
 
     The supremum is seeded on a p-grid and polished by golden section
-    (one dimension) or simplex descent, which raises SolverError when it
-    does not converge; the source callable must be finite on the search
-    box, and the box must hold every maximizer the caller asks for.
+    (one dimension) or by ``action._nelder_mead`` from scipy's default
+    start, with no cap on evaluations, which raises SolverError when it
+    stops at its iteration cap; the source callable must be finite on the
+    search box, and the box must hold every maximizer the caller asks for.
     """
 
     def __init__(self, source_fn, dim: int, p_box: float = 8.0,
@@ -298,20 +299,16 @@ class LegendreDual:
             step = self._nodes[1, 0] - self._nodes[0, 0]
             lo = max(-self.p_box, best_p[0] - step)
             hi = min(self.p_box, best_p[0] + step)
-
             _, (low,) = _golden_min(
                 lambda _, pv: [-(pv[0] * w[0] - self.source_fn(np.array(pv)))],
                 lo, hi, 1e-11)
             return max(float(pairings[best_idx]), -low)
-        from scipy import optimize
-        res = optimize.minimize(
-            lambda pv: -(pv @ w - self.source_fn(pv)), best_p,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000})
-        if not res.success:
-            raise SolverError("Legendre dual polish did not converge: "
-                              + res.message)
-        return max(float(pairings[best_idx]), float(-res.fun))
+        _, fun, status, _ = _nelder_mead(
+            lambda pv: -(pv @ w - self.source_fn(pv)),
+            _simplex_start(best_p, floor=0.0), 1e-10, 1e-13, 2000)
+        if status:
+            raise SolverError("Legendre dual polish did not converge in 2000 steps")
+        return max(float(pairings[best_idx]), float(-fun))
 
 
 class MechanicalBeta1D(_RowByRow):

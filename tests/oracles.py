@@ -7,9 +7,10 @@ beta averages, the affine closed form of the rescaled solution, the
 candidate count of the torus search, the graph search over its whole
 sheet box, the mesh point that ``match_point`` picks on a graph, every
 candidate traversal multiset of a graph action, graph alpha by a
-Bellman-Ford negative-cycle test, one golden-section search and one
-threshold bisection at a time, one torus two-point action at a time, and
-a trigonometric polynomial's derivatives term by term.
+Bellman-Ford negative-cycle test and by every short closed walk, one
+golden-section search and one threshold bisection at a time, one torus
+two-point action at a time, a trigonometric polynomial's derivatives term
+by term, and the Nelder-Mead polish by scipy's own routine.
 """
 
 import itertools
@@ -478,6 +479,54 @@ def alpha_graph_bellman_ford(graph, lagrangian, p) -> float:
         lambda k: _has_negative_cycle(graph, costs(k)), lo, 1e-9)
 
 
+def _closed_walks(graph, max_darts: int):
+    """Every closed walk of 1 to max_darts darts, as (its traversal count
+    per edge, its homology class), one entry per distinct pair."""
+    darts = [(e, sign) for e in range(len(graph.edges)) for sign in (1, -1)]
+    found = set()
+    stack = [(v, v, (0,) * len(graph.edges), (0,) * graph.cycle_rank, 0)
+             for v in range(graph.n_vertices)]
+    while stack:
+        start, at, counts, cls, size = stack.pop()
+        if size and at == start:
+            found.add((counts, cls))
+        if size == max_darts:
+            continue
+        for e, sign in darts:
+            u, v, _ = graph.edges[e]
+            if (u if sign > 0 else v) != at:
+                continue
+            step = list(counts)
+            step[e] += 1
+            cls_step = tuple(c + sign * int(k)
+                             for c, k in zip(cls, graph.cocycles[e]))
+            stack.append((start, v if sign > 0 else u, tuple(step), cls_step,
+                          size + 1))
+    return sorted(found)
+
+
+def alpha_graph_walks(graph, lagrangian, p) -> float:
+    """Graph alpha at one covector p by brute force over every closed walk
+    of at most |E| darts: per walk the least level k >= -min V at which
+    sum over its darts of l_e sqrt(2(V_e + k)) reaches <p, [walk]>,
+    bisected to adjacent floats; alpha is the largest.  Every simple cycle
+    has at most |E| darts."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    pots = np.asarray(lagrangian.potentials, dtype=float)
+    floor = -lagrangian.min_potential()
+    best = floor
+    for counts, cls in _closed_walks(graph, len(graph.edges)):
+        weights = np.asarray(counts) * graph.lengths
+        pairing = float(p @ np.asarray(cls, dtype=float))
+
+        def short(k):
+            return float(weights @ np.sqrt(2.0 * np.maximum(0.0, pots + k))) < pairing
+
+        if short(floor):
+            best = max(best, bisect_threshold_scalar(short, floor, 0.0))
+    return best
+
+
 # ---------------------------------------------------------------------------
 # one golden-section search, threshold bisection or torus action at a time,
 # and trig derivatives term by term
@@ -573,3 +622,22 @@ def trig_derivatives(poly, xs):
         g += (two_pi * (-a * sin + b * cos))[:, None] * kf
         hess -= (two_pi * two_pi * term)[:, None, None] * np.outer(kf, kf)
     return out, g, hess
+
+
+# ---------------------------------------------------------------------------
+# the Nelder-Mead polish by scipy's own routine
+
+
+def nelder_mead_scipy(fn, x0, sim, xatol: float, fatol: float, maxiter: int,
+                      maxfev=math.inf):
+    """``action._nelder_mead`` as scipy's ``minimize(method="Nelder-Mead")``
+    runs it: from the simplex ``sim``, or from scipy's default start around
+    x0 when sim is None; an infinite maxfev is left unset, as scipy's
+    default cap then is.  Returns (x, fun, status, nfev)."""
+    options = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter}
+    if sim is not None:
+        options["initial_simplex"] = sim
+    if maxfev != math.inf:
+        options["maxfev"] = maxfev
+    res = optimize.minimize(fn, x0, method="Nelder-Mead", options=options)
+    return res.x, res.fun, res.status, res.nfev

@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import math
 import os
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, linalg, optimize
 
-from effham import action
+from effham import action, mather
 from effham.action import (
     InitialDatum,
     _auto_segments,
@@ -16,6 +18,8 @@ from effham.action import (
     _chain_terms,
     _damped_steps,
     _descend,
+    _nelder_mead,
+    _simplex_start,
     allocate_time,
     hopf_lax,
     lax_oleinik,
@@ -25,14 +29,16 @@ from effham.action import (
 from effham.config import load_config
 from effham.errors import ModelValidityError
 from effham.homogenize import _PulledBackDatum
-from effham.mather import AnalyticQuadraticBeta, DirectBetaEvaluator
+from effham.mather import (AnalyticQuadraticBeta, BetaHatEvaluator,
+                           DirectBetaEvaluator, LegendreDual)
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
-from effham.topology import GraphCover, MetricGraph, match_point, norm_value
+from effham.topology import (GraphCover, MetricGraph, SubcoverMap, match_point,
+                             norm_value)
 from tests.conftest import (allocate_time_oracle, figure_eight, make_pendulum,
                             single_loop)
 from tests.oracles import (golden_min_scalar, lagrangian, lax_graph_full_table,
                            minimal_action_torus_alone, multisets_unpruned,
-                           torus_candidate_count)
+                           nelder_mead_scipy, torus_candidate_count)
 
 
 def test_free_straight_line_action(free1):
@@ -486,6 +492,115 @@ def test_hopf_short_time_recovers_datum(circle):
     got, converged = hopf_lax(beta, datum, [0.4], 1e-3)
     assert converged
     assert abs(got - datum.value([0.4])) <= 1e-2
+
+
+def _convex_objective(rng, dim: int):
+    """A seeded convex function of dim variables: a quadratic plus an l1
+    cone with its kinks off the quadratic's minimum, on one draw in three
+    floored at 0.5, whose equal values leave ties for the reorders."""
+    a = rng.normal(size=(dim, dim))
+    hess = a @ a.T + 0.1 * np.eye(dim)
+    centre, kink = rng.normal(size=dim), rng.normal(size=dim)
+    weight, flat = rng.uniform(0.0, 2.0), rng.integers(3) == 0
+
+    def fn(x):
+        quad = 0.5 * float((x - centre) @ hess @ (x - centre))
+        val = quad + weight * float(np.abs(x - kink).sum())
+        return max(val, 0.5) if flat else val
+    return fn
+
+
+def _scipy_polish(default_start: bool):
+    """``_nelder_mead``'s signature over scipy's routine; with
+    default_start scipy builds its own start around the simplex's first
+    vertex, as the LegendreDual call before the in-house polish did."""
+    def polish(fn, sim, *args):
+        return nelder_mead_scipy(fn, sim[0], None if default_start else sim,
+                                 *args)
+    return polish
+
+
+def _polish_runs(polish, seed: int = 7, draws: int = 60):
+    """Both polishes of the package on seeded convex objectives in 1-D and
+    2-D, each run by ``polish(default_start)``: hopf_lax's (its start,
+    xatol 1e-10, fatol 1e-12, maxiter 4000, maxfev 8000) and
+    LegendreDual's (scipy's default start, fatol 1e-13, maxiter 2000, no
+    call cap), each also cut short by a small maxfev or maxiter.  Yields
+    (case, (x, fun, status, nfev))."""
+    rng = np.random.default_rng(seed)
+    for draw in range(draws):
+        dim = 1 + draw % 2
+        fn = _convex_objective(rng, dim)
+        x0 = rng.normal(size=dim) * 10.0 ** rng.integers(-4, 2)
+        if draw % 5 == 0:
+            x0[0] = 0.0
+        cut_fev, cut_iter = int(rng.integers(dim + 1, 40)), int(rng.integers(1, 30))
+        for case, default, args in [
+                ("hopf", False, (1e-10, 1e-12, 4000, 8000)),
+                ("legendre", True, (1e-10, 1e-13, 2000)),
+                ("maxfev", False, (1e-10, 1e-12, 4000, cut_fev)),
+                ("maxiter", True, (1e-10, 1e-13, cut_iter))]:
+            sim = _simplex_start(x0, floor=0.0 if default else 0.005)
+            yield case, polish(default)(fn, sim, *args)
+
+
+def _polish_misses(polish) -> int:
+    """Runs of ``polish`` that differ from scipy's in a byte of the point
+    or value, in the status or in the evaluation count."""
+    misses = 0
+    for (_, got), (_, ref) in zip(_polish_runs(polish),
+                                  _polish_runs(_scipy_polish)):
+        misses += not (got[0].tobytes() == ref[0].tobytes()
+                       and np.float64(got[1]).tobytes() == np.float64(ref[1]).tobytes()
+                       and got[2:] == ref[2:])
+    return misses
+
+
+def test_nelder_mead_is_scipys_step_for_step():
+    assert _polish_misses(lambda default: _nelder_mead) == 0
+    # every stopping rule is reached: converged, maxfev and maxiter
+    statuses = {(case, res[2])
+                for case, res in _polish_runs(lambda default: _nelder_mead)}
+    assert {("hopf", 0), ("legendre", 0), ("maxfev", 1), ("maxiter", 2)} <= statuses
+
+
+@pytest.mark.parametrize("old, new", [
+    # an expansion of 2.5 instead of 2
+    ("rho, chi, psi, sigma = 1, 2, 0.5, 0.5", "rho, chi, psi, sigma = 1, 2.5, 0.5, 0.5"),
+    # no reorder after a step
+    ("""    while True:
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+""", "    while True:\n"),
+    # a step that runs one call past the cap
+    ("elif nfev >= maxfev:", "elif nfev > maxfev:")],
+    ids=["expansion-2.5", "no-step-reorder", "call-past-cap"])
+def test_nelder_mead_oracle_catches_a_mutant(old, new):
+    source = textwrap.dedent(inspect.getsource(_nelder_mead))
+    assert old in source
+    namespace = dict(vars(action))
+    exec(source.replace(old, new), namespace)
+    assert _polish_misses(lambda default: namespace["_nelder_mead"]) > 0
+
+
+def test_both_polishes_return_scipys_bytes(monkeypatch, fig8, fig8_lag):
+    beta = DirectBetaEvaluator(fig8, fig8_lag)
+    datum = InitialDatum.cone(0.7, center=[0.2, -0.1], norm="l1", dim=2)
+    hs = [[0.3, -0.4], [0.0, 0.0], [1.1, 0.25]]
+    bhat = BetaHatEvaluator(SubcoverMap([[1, 0], [0, 1]]), beta)
+    dual = LegendreDual(bhat.value, 2, p_box=3.0, p_points=17)
+    ps = [[0.4, -0.2], [-0.7, 0.9], [0.0, 0.0]]
+
+    def values():
+        return ([hopf_lax(beta, datum, h, 1.5) for h in hs],
+                [dual.value(p) for p in ps])
+
+    got = values()
+    monkeypatch.setattr(action, "_nelder_mead", _scipy_polish(False))
+    monkeypatch.setattr(mather, "_nelder_mead", _scipy_polish(True))
+    ref = values()
+    assert np.array(got[0]).tobytes() == np.array(ref[0]).tobytes()
+    assert np.array(got[1]).tobytes() == np.array(ref[1]).tobytes()
 
 
 def test_actions_reject_nonpositive_horizon(free1, loop2_cover, loop2_free):

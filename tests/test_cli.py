@@ -8,7 +8,6 @@ import sys
 import numpy as np
 import pytest
 import yaml
-from scipy import optimize
 
 from effham import action, cli, homogenize, mather, topology
 from effham.action import InitialDatum
@@ -102,6 +101,47 @@ def test_validate_and_tables_load_no_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_homogenize_loads_no_scipy_on_graphs_and_only_linalg_on_tori(tmp_path):
+    # the Hopf-Lax polish is the package's own Nelder-Mead, and a graph
+    # ladder solves nothing else with scipy; a torus ladder factors its
+    # chain steps through scipy.linalg's LAPACK and loads no other
+    # subpackage.  Each ladder is cut to two rungs with a loose tolerance,
+    # so every run passes quickly
+    script = (
+        "import glob, os, sys, yaml\n"
+        "from effham.cli import run\n"
+        "root, out = sys.argv[1:]\n"
+        "def subpackages():\n"
+        "    return sorted(m for m in sys.modules if m.count('.') == 1\n"
+        "                  and m.startswith('scipy.') and not m[6:].startswith('_')\n"
+        "                  and hasattr(sys.modules[m], '__path__'))\n"
+        "paths = {}\n"
+        "for path in sorted(glob.glob(os.path.join(root, 'scenarios', '*.yaml'))):\n"
+        "    with open(path) as fh:\n"
+        "        tree = yaml.safe_load(fh)\n"
+        "    tree['experiment'].update(ladder=tree['experiment']['ladder'][:2],\n"
+        "                              tolerance=1.0)\n"
+        "    cut = os.path.join(out, os.path.basename(path))\n"
+        "    with open(cut, 'w') as fh:\n"
+        "        yaml.safe_dump(tree, fh)\n"
+        "    paths.setdefault(tree['system']['family'], []).append(cut)\n"
+        "for family in ('graph', 'torus'):\n"
+        "    for path in paths[family]:\n"
+        "        assert run(path, 'homogenize', out_dir=out) == 0, path\n"
+        "    print(family, len(paths[family]),\n"
+        "          sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "          if family == 'graph' else subpackages())\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", script, ROOT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stdout.splitlines()
+             if not line.startswith("{")]
+    assert lines == ["graph 3 []", "torus 3 ['scipy.linalg']"]
 
 
 def test_sweep_script_runs_the_cheap_commands(tmp_path, capsys):
@@ -395,14 +435,14 @@ def test_solver_failure_exits_three(monkeypatch, capsys, tmp_path):
 def test_unconverged_legendre_polish_exits_three(monkeypatch, capsys,
                                                  tmp_path):
     # a two-dimensional subcover polishes its dual check by simplex descent
-    minimize = optimize.minimize
+    polish = action._nelder_mead
 
     def stalled(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        res.success = False
-        return res
+        x, fun, _, nfev = polish(*args, **kwargs)
+        return x, fun, 2, nfev
 
-    monkeypatch.setattr(optimize, "minimize", stalled)
+    monkeypatch.setattr(action, "_nelder_mead", stalled)
+    monkeypatch.setattr(mather, "_nelder_mead", stalled)
     tree = _scenario_tree("figure_eight")
     tree["experiment"]["ladder"] = [1.0, 0.5]
     tree["cover"] = {"subcover": [[1, 0], [0, 1]]}

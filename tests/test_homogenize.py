@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from scipy import optimize
 
-from effham import homogenize
+from effham import action, homogenize
 from effham.action import InitialDatum
 from effham.homogenize import (
     ExperimentReport,
@@ -172,15 +171,14 @@ def test_unconverged_hopf_lax_polish_is_counted(loop2_cover, loop2_lag,
     plain = Scenario(name="loop-plain", **common)
     quotient = Scenario(name="loop-ident", subcover=SubcoverMap([[1]]), **common)
     before = [run_experiment(plain), run_experiment(quotient)]
-    minimize = optimize.minimize
+    polish = action._nelder_mead
 
     def stalled(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        res.success = False
-        return res
+        x, fun, _, nfev = polish(*args, **kwargs)
+        return x, fun, 2, nfev
 
-    # a graph cover solve calls no minimize; only the Hopf-Lax polish does
-    monkeypatch.setattr(optimize, "minimize", stalled)
+    # a graph cover solve runs no Nelder-Mead; only the Hopf-Lax polish does
+    monkeypatch.setattr(action, "_nelder_mead", stalled)
     after = [run_experiment(plain), run_experiment(quotient)]
     # one polish per evaluation point, and in the subcover run one more per
     # evaluation point for the lifted limit

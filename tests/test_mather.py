@@ -27,8 +27,8 @@ from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
 from effham.topology import (GraphCover, MetricGraph, SubcoverMap, TorusCover,
                              _edge_flow)
 from tests.conftest import allocate_time_oracle, figure_eight, make_pendulum
-from tests.oracles import (alpha_graph_bellman_ford, bisect_threshold_scalar,
-                           mean_action_check)
+from tests.oracles import (alpha_graph_bellman_ford, alpha_graph_walks,
+                           bisect_threshold_scalar, mean_action_check)
 
 FIG8 = figure_eight(1.0, 1.0)
 FIG8_LAG = GraphLagrangian(FIG8, [0.3, -0.2])
@@ -475,6 +475,18 @@ def _alpha_miss(name) -> float:
 def test_alpha_graph_matches_bellman_ford(name):
     # the reference bisects to 1e-9, so it is off by up to half of that
     assert _alpha_miss(name) <= 5e-10
+
+
+@pytest.mark.parametrize("name", ["figure_eight", "theta", "triangle_loop"])
+def test_alpha_graph_is_the_largest_root_over_short_closed_walks(name):
+    # both routes bisect to adjacent floats, so they meet to rounding
+    graph, pots = _ALPHA_GRAPHS[name]
+    lag = GraphLagrangian(graph, pots)
+    ps = np.random.default_rng(13).uniform(-3.0, 3.0,
+                                           size=(40, graph.cycle_rank))
+    ref = [alpha_graph_walks(graph, lag, p) for p in ps]
+    np.testing.assert_allclose(alpha_graph(graph, lag, ps), ref, rtol=0.0,
+                               atol=1e-12)
 
 
 def test_basis_classes_alone_miss_the_theta_cycle(monkeypatch):
