@@ -16,6 +16,11 @@ Two sweeps are compared artifact by artifact with one diff of their
 digest lines:
 
     diff <(grep -E '^[0-9a-f]{64}  ' a.log) <(grep -E '^[0-9a-f]{64}  ' b.log)
+
+and their output trees, with the largest move of each differing artifact's
+numbers, by
+
+    python scripts/compare_sweeps.py OLD_OUT_DIR NEW_OUT_DIR
 """
 
 import argparse

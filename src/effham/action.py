@@ -48,8 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .model import (GraphLagrangian, TorusHamiltonian, _is_constant,
-                    _proved_range, _torus_grid)
+from .model import GraphLagrangian, TorusHamiltonian, _proved_range, _torus_grid
 from .topology import (CoverPoint, _ball_axes, _ball_nodes, _edge_flow, _grid,
                        _norm_rows, dual_norm_value, norm_value)
 
@@ -115,21 +114,21 @@ class InitialDatum:
         return InitialDatum("quadratic", q_matrix=q_matrix, p=p, c=c)
 
     def value(self, h) -> float:
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-        if self.kind == "affine":
-            return float(self.p @ h) + self.c
-        if self.kind == "cone":
-            return self.slope * norm_value(h - self.center, self.cone_norm) + self.c
-        return float(0.5 * h @ self.q_matrix @ h + self.p @ h) + self.c
+        return float(self.value_many(np.atleast_2d(h))[0])
 
     def value_many(self, hs: np.ndarray) -> np.ndarray:
+        """Values at the rows of hs (m, n), each row alone (p.h column by
+        column, h.Q.h by ``np.vecdot``); ``value`` is the one-row case."""
         hs = np.atleast_2d(np.asarray(hs, dtype=float))
-        if self.kind == "affine":
-            return hs @ self.p + self.c
         if self.kind == "cone":
             return self.slope * _norm_rows(hs - self.center, self.cone_norm) + self.c
-        quad = 0.5 * np.einsum("mi,ij,mj->m", hs, self.q_matrix, hs)
-        return quad + hs @ self.p + self.c
+        lin = hs[:, 0] * self.p[0]
+        for j in range(1, hs.shape[1]):
+            lin += hs[:, j] * self.p[j]
+        if self.kind == "affine":
+            return lin + self.c
+        return (0.5 * np.vecdot(hs, np.vecdot(hs[:, None, :], self.q_matrix))
+                + lin + self.c)
 
     def gradient(self, h):
         """Gradient where smooth; zero at the tip of a cone."""
@@ -410,8 +409,8 @@ def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray,
     """Action (C,), gradient (C, N+1, n) and exact Hessian of C midpoint
     chains q (C, N+1, n): the Hessian's diagonal blocks (C, N+1, n, n)
     and the blocks (C, N, n, n) that couple node i to node i+1.  Every
-    torus solve prices its chains here; ``a_const`` is A when it is
-    constant (``_descend`` reads it once), else None.
+    torus solve prices its chains here; ``a_const`` is
+    ``model.constant_kinetic()`` (``_descend`` reads it once).
 
     Segment i costs dt L(m, v) = dt (v.w/2 - V(m)) with v = d/dt,
     d = q[i+1] - q[i], m = (q[i] + q[i+1])/2 and w = B(m) v, B = A^{-1}:
@@ -454,14 +453,13 @@ def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray,
             l_dd, l_dm = 1.0 / a_const[0, 0] / dt, 0.0
         kin = 0.5 * vv * w
     else:
-        a_mat = model.kinetic_matrix(np.zeros(n)) if a_const is None else a_const
-        a11, a12, a22 = a_mat[0, 0], a_mat[0, 1], a_mat[1, 1]
+        a11, a12, a22 = a_const[0, 0], a_const[0, 1], a_const[1, 1]
         det = a11 * a22 - a12 * a12
         w = np.stack([(a22 * vel[..., 0] - a12 * vel[..., 1]) / det,
                       (-a12 * vel[..., 0] + a11 * vel[..., 1]) / det], axis=-1)
         kin = 0.5 * (w[..., 0] * vel[..., 0] + w[..., 1] * vel[..., 1])
         dmid = -gv
-        l_dd, l_dm = np.linalg.inv(a_mat) / dt, 0.0
+        l_dd, l_dm = np.linalg.inv(a_const) / dt, 0.0
     act = dt * np.sum(kin - pot, axis=1)
     grad = np.zeros(q.shape)
     # the 1-D terms are (C, N) arrays, so they fill the only coordinate
@@ -595,8 +593,7 @@ def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
     q = np.array(chains, dtype=float)
     dt = horizon / (q.shape[1] - 1)
     free = slice(1 if start is None else 0, -1)
-    a_const = (model.kinetic_matrix(np.zeros(model.n))
-               if all(map(_is_constant, model.a_entries)) else None)
+    a_const = model.constant_kinetic()
     val, grad, diag, off = _objective(model, dt, q, start, a_const)
     out_val, out_q = val, q
     capped = np.zeros(q.shape[0], dtype=bool)
@@ -1010,7 +1007,7 @@ def _lax_graph(cover, lagrangian, datum, x, t, eps, mesh):
         points = [cover.edge_point(polish_domains[k][0], min(max(sk, 0.0), lengths[k]),
                                    polish_domains[k][1]) for k, sk in zip(idx, s)]
         acts = _graph_actions(lagrangian, cover, cover._attachments(points), x, horizon)
-        return np.array([datum.value(eps * cover.g_map(p)) for p in points]) + eps * acts
+        return datum.value_many(eps * np.array([cover.g_map(p) for p in points])) + eps * acts
 
     # one lockstep search per edge; the incumbent then updates in edge order
     s_best, vals = _golden_min(objective, 0.0, lengths, 1e-9 * np.maximum(1.0, lengths))
@@ -1055,13 +1052,13 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float):
     """Limit solution u(h, t) = min_q datum(q) + t * beta((h - q)/t),
     returned as (u, converged) with the simplex polish's success flag.
 
-    ``beta_eval`` must expose value(w), value_many(ws) over rows of rates,
-    its measuring norm ``norm`` (l1 or l2) and coercivity() ->
-    (kappa, v_off) certifying beta(w) >= kappa*|w|^2 - v_off in that
-    norm.  The q-window is certified from the datum growth and that
-    coercivity, seeded on a grid of 33 rates per axis over the ball of
-    rates it allows (one value_many call, replayed in grid order), and
-    ``_nelder_mead`` polishes the best node; u is the better of the two.
+    ``beta_eval`` must expose value_many(ws) over rows of rates, value(w)
+    its one-row case, its norm ``norm`` (l1 or l2) and coercivity() ->
+    (kappa, v_off) certifying beta(w) >= kappa*|w|^2 - v_off in it.  The
+    q-window is certified from the datum growth and that coercivity, seeded
+    on a grid of 33 rates per axis over the ball of rates it allows (one
+    value_many call each for the datum and beta, the first strict best
+    kept), and ``_nelder_mead`` polishes the best node; u is the better.
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
@@ -1077,11 +1074,11 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float):
     r_max = _reach(a_slope / (2.0 * kappa), max(0.0, budget) / (t * kappa))
 
     nodes = _ball_nodes(_ball_axes(r_max, 33, h.size), r_max, norm)
-    for w, beta in zip(nodes, beta_eval.value_many(nodes)):
-        q = h - t * w
-        val = datum.value(q) + t * beta
-        if val < incumbent:
-            incumbent, best_q = val, q
+    seeds = h - t * nodes
+    vals = datum.value_many(seeds) + t * beta_eval.value_many(nodes)
+    best = int(np.argmin(vals))
+    if vals[best] < incumbent:
+        incumbent, best_q = float(vals[best]), seeds[best]
 
     _, fun, status, _ = _nelder_mead(
         lambda q: datum.value(q) + t * beta_eval.value((h - q) / t),

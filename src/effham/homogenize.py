@@ -52,9 +52,8 @@ def default_beta_evaluator(cover, model):
     if cover.family == "graph":
         return DirectBetaEvaluator(cover.graph, model)
     free_potential = _is_constant(model.v) and model.v.mean() == 0.0
-    constant_kinetic = all(_is_constant(a) for a in model.a_entries)
-    if free_potential and constant_kinetic:
-        a_matrix = model.kinetic_matrix(np.zeros(model.n))
+    a_matrix = model.constant_kinetic()
+    if free_potential and a_matrix is not None:
         _require_convex(np.linalg.eigvalsh(a_matrix)[0])
         return AnalyticQuadraticBeta(a_matrix)
     if model.n == 1:
@@ -280,11 +279,11 @@ class _PulledBackDatum:
         self.col = sub.op_norm
 
     def value(self, h) -> float:
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-        return self.base.value(self.matrix @ h)
+        return float(self.value_many(np.atleast_2d(h))[0])
 
     def value_many(self, hs: np.ndarray) -> np.ndarray:
-        return self.base.value_many(np.asarray(hs, dtype=float) @ self.matrix.T)
+        rows = np.asarray(hs, dtype=float)[:, None, :]
+        return self.base.value_many(np.vecdot(rows, self.matrix))  # M h a row
 
     def growth_constants(self, norm_kind: str):
         # subcovers live on graph covers, so norm_kind is l1, and the

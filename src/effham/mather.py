@@ -14,15 +14,15 @@ The convex pair at the heart of the limit problem:
   and its dual, alpha at the pulled-back covectors ``sub.pullback(ps)``.
 
 Evaluator objects carry one exact (alpha, beta) pair of a system family:
-``value`` is beta, ``value_many`` beta at every row of rates (one batched
-``beta_graph`` on graphs), ``alpha_many`` alpha at every row of p, ``norm``
-the family's measuring norm (l1 on graphs, l2 on tori, as on the covers)
+``value_many`` is beta at every row of rates, each as alone, ``value`` its
+one-row case, ``alpha_many`` alpha at every row of p, ``norm`` the
+family's measuring norm (l1 on graphs, l2 on tori, as on the covers)
 and ``coercivity`` a certified quadratic lower bound (kappa, v_off) on beta
 in that norm, so downstream solvers can truncate searches.  Graphs pair
 ``alpha_graph`` with ``beta_graph``, free tori the two quadratic forms of A
 and its inverse, and the circle ``alpha_torus_quadrature`` with the energy
 profile of ``MechanicalBeta1D``, both on one ``_RotationRule``.  That
-profile and beta-hat's share one concave energy search, ``_concave_max``.
+profile and beta-hat's run their rows in one lockstep ``_concave_max``.
 ``LegendreDual`` is the one Legendre transform; the subcover dual check
 compares the pulled-back alpha with the conjugate of beta-hat through it.
 """
@@ -145,7 +145,8 @@ class _RotationRule:
     has one break, at 0); ``vmax`` is the largest V at a break.  For
     E >= vmax the integrand is analytic inside every arc between breaks and
     its sqrt kinks sit at their ends, so one tanh-sinh rule per arc, with V
-    and 2/A stored at the nodes, makes p(E) one dot product per energy.
+    and 2/A stored at the nodes, makes p(E) one dot product per energy, on
+    its own row (``np.vecdot``), so a batch rounds each energy as alone.
     """
 
     def __init__(self, model: TorusHamiltonian):
@@ -172,7 +173,7 @@ class _RotationRule:
     def __call__(self, energy):
         kinetic = np.maximum(0.0, (np.asarray(energy)[..., None] - self._v)
                              * self._twice_inv_a)
-        return np.sqrt(kinetic) @ self._weights
+        return np.vecdot(np.sqrt(kinetic), self._weights)
 
 
 def alpha_torus_quadrature(model: TorusHamiltonian, ps, rule=None) -> np.ndarray:
@@ -200,34 +201,31 @@ def alpha_torus_quadrature(model: TorusHamiltonian, ps, rule=None) -> np.ndarray
 # evaluators
 
 
-def _concave_max(gain, lo: float) -> float:
-    """Maximum over E >= lo of a concave gain(E) that falls eventually.
-
-    The bracket [lo, hi] doubles from hi = lo + 1 until gain is past its
-    peak at hi, then golden section closes it to 1e-12 * max(1, |hi|);
-    the endpoint lo is kept when the peak sits there.
-    """
+def _concave_max(gain, lo) -> np.ndarray:
+    """Maxima over E >= lo[k] of K concave gains that fall eventually, in
+    lockstep: ``gain(idx, energies)`` prices gains idx (a list, or the
+    slice of them all) at an array of energies, one each.  Bracket k,
+    [lo, hi], doubles from hi = lo + 1 until gain k is past its peak at hi
+    (under ``np.where``, as in ``_bisect_threshold``), then one
+    ``_golden_min`` closes every bracket to 1e-12 * max(1, |hi|); lo is kept
+    where the peak sits there.  Each entry steps as it would alone."""
+    lo, every = np.array(lo, dtype=float), slice(None)
     hi = lo + 1.0
-    while gain(hi + 1e-6) > gain(hi):
-        hi = lo + 2.0 * (hi - lo)
-        if hi - lo > 1e9:
+    while (grow := gain(every, hi + 1e-6) > gain(every, hi)).any():
+        hi = np.where(grow, lo + 2.0 * (hi - lo), hi)
+        if np.any(hi - lo > 1e9):
             raise SolverError("energy bracket grew past its cap")
-    _, (low,) = _golden_min(lambda _, e: [-gain(e[0])], lo, hi,
-                            1e-12 * max(1.0, abs(hi)))
-    return max(-low, gain(lo))
+    _, low = _golden_min(lambda idx, e: (-gain(
+        idx if len(idx) < lo.size else every, np.array(e))).tolist(),
+        lo, hi, 1e-12 * np.maximum(1.0, np.abs(hi)))
+    return np.maximum(-np.array(low), gain(every, lo))
 
 
-class _RowByRow:
-    """``value_many`` of an evaluator that prices one rate at a time."""
-
-    def value_many(self, ws) -> np.ndarray:
-        return np.array([self.value(w) for w in ws], dtype=float)
-
-
-class AnalyticQuadraticBeta(_RowByRow):
+class AnalyticQuadraticBeta:
     """Exact minimal action rate of a constant-kinetic system with no
     potential: half the inverse-kinetic quadratic form; alpha is half
-    the kinetic form."""
+    the kinetic form, each priced row by row (a batched product would
+    round a row by the batch)."""
 
     norm = "l2"
 
@@ -237,8 +235,10 @@ class AnalyticQuadraticBeta(_RowByRow):
         self._lam_min = float(np.linalg.eigvalsh(self.b_matrix)[0])
 
     def value(self, w) -> float:
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        return float(0.5 * w @ self.b_matrix @ w)
+        return float(self.value_many(np.atleast_2d(w))[0])
+
+    def value_many(self, ws) -> np.ndarray:
+        return np.array([0.5 * w @ self.b_matrix @ w for w in np.atleast_2d(ws)])
 
     def alpha_many(self, ps) -> np.ndarray:
         return np.array([0.5 * p @ self.a_matrix @ p for p in np.atleast_2d(ps)])
@@ -311,15 +311,15 @@ class LegendreDual:
         return max(float(pairings[best_idx]), float(-fun))
 
 
-class MechanicalBeta1D(_RowByRow):
+class MechanicalBeta1D:
     """Minimal action rate of a circle system via its energy profile.
 
     On the running branch the conjugate pairing p(E)|w| - E is concave in
     E (its derivative is |w| * period(E) - 1 with a decreasing period),
     so ``_concave_max`` computes beta(w) = max_{E >= max V} [p(E)|w| - E]
-    to quadrature accuracy, one cached dot product of the model's
-    ``_RotationRule`` per energy; the endpoint E = max V (the rule's
-    ``vmax``) covers the trapped branch and gives beta(0) = -max V exactly.
+    to quadrature accuracy, every row in lockstep on the model's
+    ``_RotationRule``; the endpoint E = max V (the rule's ``vmax``) covers
+    the trapped branch, and a speed below 1e-14 reads beta(0) = -max V.
     alpha(p) is the energy whose p(E) is |p| (``alpha_torus_quadrature``):
     alpha and beta share the rule, not their searches.  A(x) > 0, as config
     load requires.
@@ -333,26 +333,16 @@ class MechanicalBeta1D(_RowByRow):
         self.model = model
         self._rule = _RotationRule(model)
         _, self._amax = model.kinetic_eig_bounds()
-        self._cache = {}
-        self._rot_cache = {}
-
-    def _rotation(self, energy: float) -> float:
-        if energy not in self._rot_cache:
-            self._rot_cache[energy] = self._rule(energy)
-        return self._rot_cache[energy]
 
     def value(self, w) -> float:
-        w = float(np.atleast_1d(np.asarray(w, dtype=float))[0])
-        speed = abs(w)
-        if speed in self._cache:
-            return self._cache[speed]
-        if speed < 1e-14:
-            out = -self._rule.vmax
-        else:
-            out = _concave_max(
-                lambda energy: self._rotation(energy) * speed - energy,
-                self._rule.vmax)
-        self._cache[speed] = out
+        return float(self.value_many(np.atleast_2d(w))[0])
+
+    def value_many(self, ws) -> np.ndarray:
+        speeds = np.abs(np.asarray(ws, dtype=float)[:, 0])
+        out = np.full(speeds.shape, -self._rule.vmax)
+        fast = speeds[run := speeds >= 1e-14]
+        out[run] = _concave_max(lambda idx, e: self._rule(e) * fast[idx] - e,
+                                np.full(fast.size, self._rule.vmax))
         return out
 
     def alpha_many(self, ps) -> np.ndarray:
@@ -366,7 +356,7 @@ class MechanicalBeta1D(_RowByRow):
 # subcover quantities
 
 
-class BetaHatEvaluator(_RowByRow):
+class BetaHatEvaluator:
     """Quotient minimal action rate with the evaluator protocol, exact.
 
     beta-hat(z) is the least graph beta over the fiber above z, the line
@@ -393,7 +383,8 @@ class BetaHatEvaluator(_RowByRow):
     * For a fixed E the bracket is piecewise linear in s with its kinks
       in S, so its minimum over the hull is its minimum over S, exactly.
     * What is left, a minimum of concave functions of E minus E, is
-      concave in one variable, and ``_concave_max`` finds its maximum.
+      concave in one variable: ``_concave_max`` finds its maximum for
+      every row of ``value_many`` in lockstep, over its stacked kink runs.
 
     The certified lower bound transfers with the l1 operator norm of the
     surjection: any h over z has |z| <= |f||h|, so beta-hat inherits
@@ -416,19 +407,25 @@ class BetaHatEvaluator(_RowByRow):
         self._coercivity = (kappa / (op * op), voff)
 
     def value(self, z) -> float:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        h0 = self.sub.right_inverse.astype(float) @ z
+        return float(self.value_many(np.atleast_2d(z))[0])
+
+    def value_many(self, zs) -> np.ndarray:
+        zs = np.atleast_2d(np.asarray(zs, dtype=float))
+        h0 = np.vecdot(zs[:, None, :], self.sub.right_inverse)  # R z a row
         if self._kernel_flow is None:
-            return self.base.value(h0)
+            return self.base.value_many(h0)
         graph, lag = self.base.graph, self.base.lagrangian
         f0, fk = _edge_flow(graph, h0), self._kernel_flow
         moving = fk != 0.0
-        kinks = -f0[moving] / fk[moving]
-        runs = np.abs(f0[None, :] + kinks[:, None] * fk[None, :]) * graph.lengths
-        pots = lag.potentials
-        return _concave_max(
-            lambda energy: float(np.min(runs @ np.sqrt(2.0 * (energy + pots))))
-            - energy, -lag.min_potential())
+        kinks = -f0[:, moving] / fk[moving]
+        # runs (K, kinks, edges), priced by one matrix-vector product a row
+        runs = np.abs(f0[:, None, :] + kinks[:, :, None] * fk) * graph.lengths
+
+        def gain(idx, e):
+            speeds = np.sqrt(2.0 * (e[:, None] + lag.potentials))[:, :, None]
+            return (runs[idx] @ speeds).min(axis=(1, 2)) - e
+
+        return _concave_max(gain, np.full(len(zs), -lag.min_potential()))
 
     def coercivity(self):
         return self._coercivity

@@ -18,7 +18,6 @@ families, and the solvers use the closed forms directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,7 @@ class TrigPolynomial:
     ``terms`` is a list of ``(k, a, b)`` with integer frequency vector k,
     contributing ``a cos(2 pi k.x) + b sin(2 pi k.x)``.  Values and
     gradients are exact, which keeps periodicity residuals at zero up to
-    floating point.
+    floating point.  Values are priced at rows of points, by ``gradient_many``.
     """
 
     def __init__(self, n: int, terms):
@@ -54,27 +53,10 @@ class TrigPolynomial:
         self._waves = [(k.astype(float), np.outer(k, k).astype(float), a, b)
                        if k.any() else (None, None, a, b)
                        for k, a, b in norm_terms]
-        # the terms for ``value``: frequencies as a tuple of floats
-        self._scalar = [(tuple(float(kj) for kj in k), a, b)
-                        for k, a, b in norm_terms]
 
     @classmethod
     def constant(cls, n: int, value: float) -> "TrigPolynomial":
         return cls(n, [(np.zeros(n, dtype=int), value, 0.0)])
-
-    def value(self, x) -> float:
-        """Value at one point (a float, or a sequence of n floats) in
-        scalar Python arithmetic, in ``value_many``'s per-term order with
-        the phase TWO_PI * (k.x).  In 1-D the two agree bit for bit where
-        ``math`` and numpy share cos and sin; in 2-D numpy's matmul may
-        fuse the multiply-add of k.x, so they agree to rounding."""
-        xs = (x,) if isinstance(x, float) else [float(c) for c in np.ravel(x)]
-        out = 0.0
-        for k, a, b in self._scalar:
-            dot = k[0] * xs[0] if self.n == 1 else sum(map(float.__mul__, k, xs))
-            phase = TWO_PI * dot
-            out += a * math.cos(phase) + b * math.sin(phase)
-        return out
 
     def value_many(self, xs):
         """Values at the rows of xs (m, n): ``gradient_many``'s."""
@@ -121,7 +103,8 @@ class TorusHamiltonian:
     """Quadratic-in-momentum Hamiltonian on the flat torus.
 
     ``a_entries`` stores the upper triangle of A(x) as TrigPolynomials in
-    row-major order: [A11] for n=1, [A11, A12, A22] for n=2.
+    row-major order: [A11] for n=1, [A11, A12, A22] for n=2, each priced at
+    rows of points; ``constant_kinetic`` alone decides whether A is constant.
     """
 
     n: int
@@ -144,13 +127,13 @@ class TorusHamiltonian:
         entries = [ones] if n == 1 else [ones, zero, TrigPolynomial.constant(n, 1.0)]
         return cls(n, entries, v)
 
-    def kinetic_matrix(self, x) -> np.ndarray:
-        if self.n == 1:
-            return np.array([[self.a_entries[0].value(x)]])
-        a11 = self.a_entries[0].value(x)
-        a12 = self.a_entries[1].value(x)
-        a22 = self.a_entries[2].value(x)
-        return np.array([[a11, a12], [a12, a22]])
+    def constant_kinetic(self):
+        """A as an (n, n) matrix of its entries' means when every entry is
+        constant, else None."""
+        if all(map(_is_constant, self.a_entries)):
+            a = [entry.mean() for entry in self.a_entries]
+            return np.array([a[:1]] if self.n == 1 else [a[:2], a[1:]])
+        return None
 
     def kinetic_eig_bounds(self):
         """Proved (lower, upper) bounds on the eigenvalues of A(x) over the
@@ -159,13 +142,13 @@ class TorusHamiltonian:
         On the circle: ``_proved_range`` of A, the extremes of A on N =
         64 max(1, k_max) equispaced samples widened by M2 / (8 N^2).  In
         2-D, A must be constant (config load admits no other), so the
-        eigenvalues of A(0) are exact.
+        eigenvalues of ``constant_kinetic`` are exact.
         """
         if self.n == 2:
-            if not all(_is_constant(a) for a in self.a_entries):
+            if (a_matrix := self.constant_kinetic()) is None:
                 raise ModelValidityError("a two-dimensional kinetic matrix "
                                          "must be constant")
-            w = np.linalg.eigvalsh(self.kinetic_matrix(np.zeros(2)))
+            w = np.linalg.eigvalsh(a_matrix)
             return w[0], w[-1]
         kmax = max(abs(int(k[0])) for k, _, _ in self.a_entries[0].terms)
         return _proved_range(self.a_entries[0], 64 * max(1, kmax))

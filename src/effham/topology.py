@@ -248,12 +248,6 @@ class TorusCover:
     def deck_rank(self) -> int:
         return self.n
 
-    def point(self, base, sheet=None) -> CoverPoint:
-        base = np.atleast_1d(np.asarray(base, dtype=float))
-        if sheet is None:
-            sheet = np.zeros(self.n, dtype=int)
-        return CoverPoint(tuple(float(b) for b in base), tuple(int(z) for z in np.atleast_1d(sheet)))
-
     def lift(self, point: CoverPoint) -> np.ndarray:
         return np.array(point.base, dtype=float) + point.sheet_array()
 

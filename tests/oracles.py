@@ -34,22 +34,33 @@ from effham.topology import (CoverPoint, _edge_flow, _grid, _norm_rows,
 # the Legendre pair of a torus Hamiltonian H(x, p) = p.A(x)p/2 + V(x)
 
 
+def _at(trig, x) -> float:
+    """A trigonometric polynomial at one point, its one-row value."""
+    return float(trig.value_many(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+
+
+def kinetic_at(model, x) -> np.ndarray:
+    """A(x) as an (n, n) matrix, entry by entry."""
+    a = [_at(entry, x) for entry in model.a_entries]
+    return np.array([a[:1]] if model.n == 1 else [a[:2], a[1:]])
+
+
 def hamiltonian(model, x, p) -> float:
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    a = model.kinetic_matrix(x)
-    return 0.5 * float(p @ a @ p) + model.v.value(x)
+    a = kinetic_at(model, x)
+    return 0.5 * float(p @ a @ p) + _at(model.v, x)
 
 
 def grad_p(model, x, p) -> np.ndarray:
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    return model.kinetic_matrix(x) @ p
+    return kinetic_at(model, x) @ p
 
 
 def lagrangian(model, x, v) -> float:
     """L(x, v) = max_p [p.v - H(x, p)], attained at p = A(x)^{-1} v."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    b = np.linalg.inv(model.kinetic_matrix(x))
-    return 0.5 * float(v @ b @ v) - model.v.value(x)
+    b = np.linalg.inv(kinetic_at(model, x))
+    return 0.5 * float(v @ b @ v) - _at(model.v, x)
 
 
 def legendre_transform_numeric(h_of_p, v, p0=None, span: float = 10.0) -> float:
@@ -167,7 +178,7 @@ def mean_action_check(cover, model, beta_eval, rate_bound: float,
         x0 = cover.edge_point(e_star, 0.5 * graph.lengths[e_star],
                               np.zeros(graph.cycle_rank, dtype=int))
     else:
-        x0 = cover.point(np.zeros(cover.n))
+        x0 = cover.from_lift(np.zeros(cover.n))
     gx = cover.g_map(x0)
     for t_hor in horizons:
         worst, worst_rate = -1.0, None

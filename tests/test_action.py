@@ -300,7 +300,7 @@ def _window_solve(cover, model, slope, x, eps=0.5, t=1.0):
 def test_lax_window_contains_minimizer(family, circle, free1, loop2_cover,
                                        loop2_free):
     if family == "torus":
-        cover, model, x = circle, free1, circle.point([0.25], [1])
+        cover, model, x = circle, free1, circle.from_lift([1.25])
     else:
         cover, model, x = loop2_cover, loop2_free, loop2_cover.edge_point(0, 0.3)
     for slope in (0.0, 1.0, 3.0):
@@ -313,13 +313,13 @@ def test_lax_window_contains_minimizer(family, circle, free1, loop2_cover,
 
 
 def test_search_radius_covers_linear_drift(circle, free1):
-    window = _window_solve(circle, free1, 1.0, circle.point([0.25], [1]))[0]
+    window = _window_solve(circle, free1, 1.0, circle.from_lift([1.25]))[0]
     # the optimal displacement for slope 1 over unit time has length 1
     assert window >= 1.0
 
 
 def test_search_radius_finite_and_monotone_in_slope(circle, free1):
-    x = circle.point([0.25], [1])
+    x = circle.from_lift([1.25])
     windows = [_window_solve(circle, free1, slope, x)[0]
                for slope in (0.0, 1.0, 3.0, 1000.0)]
     offsets = [lax_oleinik(circle, free1, InitialDatum.affine([1.0], c=c),
@@ -336,12 +336,12 @@ def test_search_radius_rejects_bad_scale(circle, free1):
     # the window is measured in units of eps, so a zero scale is refused
     with pytest.raises(ValueError):
         lax_oleinik(circle, free1, InitialDatum.affine([0.0]),
-                    circle.point([0.0]), 1.0, 0.0)
+                    circle.from_lift([0.0]), 1.0, 0.0)
 
 
 def test_lax_free_affine_is_exact(circle, free1):
     datum = InitialDatum.affine([0.7], c=0.1)
-    x = circle.point([0.25], [1])
+    x = circle.from_lift([1.25])
     for eps in (0.5, 0.25):
         got = lax_oleinik(circle, free1, datum, x, 1.5, eps).value
         expect = 0.7 * eps * circle.g_map(x)[0] + 0.1 - 0.5 * 0.7**2 * 1.5
@@ -354,7 +354,7 @@ def test_lax_constant_datum_zero_potential(circle, free1, loop2_cover, loop2_fre
                       0.5).value
     assert got == pytest.approx(0.7, abs=1e-12)
     down = InitialDatum.affine([0.0], c=-0.3)
-    got = lax_oleinik(circle, free1, down, circle.point([0.6]), 2.0, 0.25).value
+    got = lax_oleinik(circle, free1, down, circle.from_lift([0.6]), 2.0, 0.25).value
     assert got == pytest.approx(-0.3, abs=1e-12)
 
 
@@ -395,9 +395,9 @@ def test_lax_monotone_in_datum(loop2_cover, loop2_free):
 def test_lax_rejects_nonpositive_time_or_scale(circle, free1):
     datum = InitialDatum.affine([0.0])
     with pytest.raises(ValueError):
-        lax_oleinik(circle, free1, datum, circle.point([0.0]), 0.0, 0.5)
+        lax_oleinik(circle, free1, datum, circle.from_lift([0.0]), 0.0, 0.5)
     with pytest.raises(ValueError):
-        lax_oleinik(circle, free1, datum, circle.point([0.0]), 1.0, -0.25)
+        lax_oleinik(circle, free1, datum, circle.from_lift([0.0]), 1.0, -0.25)
 
 
 def test_action_semigroup_on_torus_midpoint_mesh(free1):
@@ -650,6 +650,26 @@ def test_deck_translation_shifts_by_the_affine_pairing(loop2_cover, loop2_lag,
     assert v_z - v == pytest.approx(eps * slope * z, abs=1e-12)
 
 
+@pytest.mark.parametrize("datum, dim", [
+    (InitialDatum.affine([0.3], c=0.25), 1),
+    (InitialDatum.affine([0.7, -0.2], c=0.1), 2),
+    (InitialDatum.cone(0.8, center=[0.1, 0.2], norm="l1", dim=2), 2),
+    (InitialDatum.cone(0.6, center=[0.1, 0.2], norm="l2", dim=2), 2),
+    (InitialDatum.quadratic([[1.3, 0.4], [0.4, 0.8]], p=[0.7, -0.2], c=0.1), 2),
+    (_PulledBackDatum(InitialDatum.quadratic([[1.3]], p=[0.3]),
+                      SubcoverMap([[1, 3]])), 2),
+], ids=["affine-1d", "affine", "l1-cone", "l2-cone", "quadratic",
+        "pulled-back-quadratic"])
+def test_datum_value_is_value_many_on_one_row(datum, dim):
+    # value is the one-row case of value_many, and value_many sums every
+    # row within itself, so a batch prices each row as it prices it alone
+    hs = np.random.default_rng(8).uniform(-40.0, 40.0, size=(300, dim))
+    alone = np.array([datum.value(h) for h in hs])
+    one_row = np.array([datum.value_many(h[None])[0] for h in hs])
+    assert alone.tobytes() == one_row.tobytes()
+    assert datum.value_many(hs).tobytes() == alone.tobytes()
+
+
 @pytest.mark.parametrize("datum", [
     InitialDatum.affine([0.7, -0.2], c=0.1),
     InitialDatum.cone(0.8, center=[0.1, 0.2], norm="l1", dim=2),
@@ -705,7 +725,8 @@ def _lbfgs_screen(model, horizon, chain):
     def fun(flat):
         nodes = chain.copy()
         nodes[1:-1] = flat.reshape(nodes[1:-1].shape)
-        act, grad = _chain_terms(model, dt, nodes[None])[:2]
+        act, grad = _chain_terms(model, dt, nodes[None],
+                                 model.constant_kinetic())[:2]
         return act[0], grad[0, 1:-1].ravel()
 
     res = optimize.minimize(fun, chain[1:-1].ravel(), jac=True,
@@ -744,7 +765,8 @@ def test_chain_terms_match_finite_differences(model_of):
         return sum(dt * lagrangian(model, 0.5 * (a + b), (b - a) / dt)
                    for a, b in zip(chain[:-1], chain[1:]))
 
-    act, grad, diag, off = _chain_terms(model, dt, q)
+    a_const = model.constant_kinetic()
+    act, grad, diag, off = _chain_terms(model, dt, q, a_const)
     step = 1e-6
     for c in range(q.shape[0]):
         assert act[c] == pytest.approx(midpoint_action(q[c]), abs=1e-12)
@@ -761,8 +783,8 @@ def test_chain_terms_match_finite_differences(model_of):
             up, down = q.copy(), q.copy()
             up[:, i, a] += step
             down[:, i, a] -= step
-            col = (_chain_terms(model, dt, up)[1]
-                   - _chain_terms(model, dt, down)[1]) / (2.0 * step)
+            col = (_chain_terms(model, dt, up, a_const)[1]
+                   - _chain_terms(model, dt, down, a_const)[1]) / (2.0 * step)
             assert np.allclose(diag[:, i, :, a], col[:, i], atol=1e-6)
             if i > 0:
                 assert np.allclose(off[:, i - 1, :, a], col[:, i - 1], atol=1e-6)
@@ -784,7 +806,7 @@ def test_damped_steps_are_the_banded_solve(model_of, dt):
     rng = np.random.default_rng(3)
     q = _chains(rng.uniform(-1.5, 1.5, size=(128, model.n)), np.full(model.n, 0.4),
                 12, bump=0.3)
-    _, grad, diag, off = _chain_terms(model, dt, q)
+    _, grad, diag, off = _chain_terms(model, dt, q, model.constant_kinetic())
     diag, off = diag[:, 1:-1], off[:, 1:-1]
     g = grad[:, 1:-1].reshape(len(q), -1)
     size = g.shape[1]
@@ -938,7 +960,7 @@ def test_screen_is_exact_on_free_systems(stem):
                                      stem.split("-")[0] + ".yaml")).model
     if stem.endswith("skew"):
         model = _free_2d_skew()
-    a_inv = np.linalg.inv(model.kinetic_matrix(np.zeros(model.n)))
+    a_inv = np.linalg.inv(model.constant_kinetic())
     rng = np.random.default_rng(11)
     starts = rng.uniform(-4.0, 4.0, size=(9, model.n))
     end = np.full(model.n, 0.25)
@@ -978,9 +1000,9 @@ def test_free_ladder_has_no_capped_descent():
 
 def _rung(monkeypatch, circle, pendulum, eps):
     """One pendulum rung of the scenario (h = 1/3, t = 1, mesh 64), with
-    the chains of every screen call and the minimize options recorded."""
-    screened, options = [], []
-    descend, minimize = action._descend, optimize.minimize
+    the chains of every screen call recorded."""
+    screened = []
+    descend = action._descend
 
     def record_screen(model, horizon, chains, start=None):
         out = descend(model, horizon, chains, start)
@@ -989,34 +1011,27 @@ def _rung(monkeypatch, circle, pendulum, eps):
             screened.append((chains, out[0]))
         return out
 
-    def record_minimize(*args, **kwargs):
-        options.append(kwargs.get("options", {}))
-        return minimize(*args, **kwargs)
-
     monkeypatch.setattr(action, "_descend", record_screen)
-    monkeypatch.setattr(optimize, "minimize", record_minimize)
     point, _ = match_point(circle, np.array([1.0 / 3.0]), eps, 64)
     res = lax_oleinik(circle, pendulum, InitialDatum.affine([0.0]), point,
                       1.0, eps, mesh=64)
-    return res, screened, options
+    return res, screened
 
 
 def test_pendulum_rung_screens_without_lbfgs(monkeypatch, circle, pendulum):
     # 202 is the count of the one-by-one L-BFGS screen that the lockstep
     # screen replaced: a screen that evaluates more or fewer candidates
-    # shows here, and every torus chain descends by Newton, so no solve
-    # calls minimize
-    res, screened, options = _rung(monkeypatch, circle, pendulum, 0.25)
+    # shows here
+    res, screened = _rung(monkeypatch, circle, pendulum, 0.25)
     assert res.evaluated == 202
     assert screened
-    assert options == []
     assert res.diagnostics == {"newton_capped": 0}
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.0625])
 def test_screen_matches_lbfgs_on_the_pendulum(monkeypatch, circle, pendulum,
                                               eps):
-    _, screened, _ = _rung(monkeypatch, circle, pendulum, eps)
+    _, screened = _rung(monkeypatch, circle, pendulum, eps)
     chains = np.concatenate([c for c, _ in screened])
     got = np.concatenate([v for _, v in screened])
     want = np.array([_lbfgs_screen(pendulum, 1.0 / eps, chain)

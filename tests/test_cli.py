@@ -171,6 +171,30 @@ def test_sweep_script_runs_the_cheap_commands(tmp_path, capsys):
     assert lines[-37].endswith("0 failing runs")
 
 
+def test_compare_sweeps_names_each_moved_artifact(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "compare_sweeps", os.path.join(ROOT, "scripts", "compare_sweeps.py"))
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root in (old, new):
+        (root / "s").mkdir(parents=True)
+        (root / "s" / "same.csv").write_text("w1,beta\n1,0.5\n")
+    (old / "s" / "t.json").write_text('{"beta": [1.0, 2.0], "passed": true}\n')
+    (new / "s" / "t.json").write_text(
+        '{"beta": [1.0, 2.0000000000000004], "passed": true}\n')
+    (old / "s" / "t.csv").write_text("w1,beta\n1,0.25\n2,3\n")
+    (new / "s" / "t.csv").write_text("w1,beta\n1,0.25\n2,3.5\n")
+    (new / "s" / "extra.csv").write_text("x\n")
+    assert compare.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"s/extra.csv: only in {new}",
+        "s/t.csv: max |diff| 0.5 over 1 of 4 numbers",
+        "s/t.json: max |diff| 4.44e-16 over 1 of 2 numbers",
+        "3 of 4 artifacts differ"]
+    assert compare.main([str(old), str(old)]) == 0
+
+
 def test_spaces_fails_when_the_limit_norm_is_wrong(tmp_path, capsys,
                                                   monkeypatch):
     # on loops of lengths 1 and 0.37 the stable norm is |h1| + 0.37 |h2|;

@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.optimize import brentq
 from scipy.special import ellipe
 
 from effham import mather
+from effham.config import load_config
 from effham.errors import SolverError
 from effham.homogenize import default_beta_evaluator
 from effham.mather import (
@@ -30,6 +32,8 @@ from tests.conftest import allocate_time_oracle, figure_eight, make_pendulum
 from tests.oracles import (alpha_graph_bellman_ford, alpha_graph_walks,
                            bisect_threshold_scalar, mean_action_check)
 
+_SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scenarios")
 FIG8 = figure_eight(1.0, 1.0)
 FIG8_LAG = GraphLagrangian(FIG8, [0.3, -0.2])
 
@@ -223,14 +227,15 @@ def test_rotation_rule_matches_quad_with_varying_kinetic():
         warnings.simplefilter("error")
         for energy in rule.vmax + np.logspace(-4, 1, 16):
             ref, _ = integrate.quad(
-                lambda x: math.sqrt(max(0.0, 2.0 * (energy - TILTED_V.value(x))
-                                        / a11.value(x))),
+                lambda x: math.sqrt(max(0.0, 2.0 * (
+                    energy - TILTED_V.value_many([[x]])[0])
+                    / a11.value_many([[x]])[0])),
                 0.0, 1.0, points=maxima, limit=200, epsabs=1e-13, epsrel=1e-13)
             assert abs(rule(energy) - ref) <= 1e-13, energy
 
 
 def test_circle_floor_is_the_polished_max():
-    vmax = max(TILTED_V.value(x) for x in _tilted_maxima())
+    vmax = TILTED_V.value_many(np.array(_tilted_maxima())[:, None]).max()
     sampled = TILTED_V.value_many((np.arange(4096) / 4096.0)[:, None]).max()
     assert vmax - sampled > 5e-8
     pair = MechanicalBeta1D(TILTED)
@@ -352,8 +357,8 @@ def test_mechanical_beta_matches_quadrature_dual(pendulum):
 
 @pytest.mark.parametrize("speed", [0.3, 0.5, 0.9, 1.7])
 def test_mechanical_beta_does_not_depend_on_earlier_queries(pendulum, speed):
-    # rates 4e-14 apart share one rounded cache key: the later one would
-    # read the earlier one's value
+    # rates 4e-14 apart: an evaluator that kept state between queries, as
+    # a rounded cache key would, could read the earlier one's value
     near = speed + 4e-14
     warm = MechanicalBeta1D(pendulum)
     warm.value([speed])
@@ -565,12 +570,56 @@ def _evaluator(name):
                                   "analytic-quadratic", "mechanical-circle",
                                   "beta-hat-kernel", "beta-hat-identity"])
 def test_value_many_is_value_row_by_row(name):
-    # fresh evaluators for the two routes, so no cached rate is shared
+    # fresh evaluators for the two routes, so no state is shared; the rates
+    # along (1, ..., 1) at 0.05, 1 and 40 take energy brackets that double
+    # 0 to 10 times, and those below 1e-14 sit at the circle's speed floor
     batched, dim = _evaluator(name)
     single, _ = _evaluator(name)
     rng = np.random.default_rng(23)
+    speeds = np.array([0.05, 1.0, 40.0, -40.0, 1e-15, -3e-15, 2e-14])
     ws = np.vstack([np.zeros(dim), rng.uniform(-1.5, 1.5, size=(24, dim)),
-                    np.eye(dim), -np.eye(dim)])
+                    np.eye(dim), -np.eye(dim), np.outer(speeds, np.ones(dim))])
     many = batched.value_many(ws)
     assert many.shape == (len(ws),)
     assert many.tobytes() == np.array([single.value(w) for w in ws]).tobytes()
+
+
+def test_rotation_rule_prices_a_batch_row_by_row(pendulum):
+    # the rule is one dot product per energy, whatever the batch: a
+    # matrix-vector product rounds some rows by the batch size
+    rule = _RotationRule(pendulum)
+    rng = np.random.default_rng(4)
+    energies = rule.vmax + np.concatenate([[0.0], rng.uniform(0.0, 60.0, 199)])
+    alone = np.array([rule(e) for e in energies])
+    for size in (2, 3, 33, 200):
+        got = np.concatenate([rule(energies[i:i + size])
+                              for i in range(0, len(energies), size)])
+        assert got.tobytes() == alone.tobytes()
+
+
+def test_circle_alpha_on_the_p_grid_is_each_p_alone():
+    # the pendulum's alpha table (cli alpha: 33 p on [-2, 2]) bisects every
+    # running row in lockstep; each must step as it would alone
+    pendulum = load_config(os.path.join(_SCENARIOS, "pendulum.yaml")).model
+    ps = np.linspace(-2.0, 2.0, 33)
+    table = alpha_torus_quadrature(pendulum, ps)
+    alone = np.array([alpha_torus_quadrature(pendulum, p)[0] for p in ps])
+    assert table.tobytes() == alone.tobytes()
+
+
+def test_concave_max_steps_each_gain_as_alone():
+    # peaks at 0.3, 5 and 300 above lo take 0, 3 and 9 doublings, a peak
+    # below lo keeps the endpoint, and a flat-topped gain stops at once
+    peaks = np.array([0.3, 5.0, 300.0, -2.0, 0.7])
+    flats = np.array([0.0, 0.0, 0.0, 0.0, 3.0])
+    los = np.array([0.0, 0.1, -1.0, 0.0, 0.5])
+
+    def gain(idx, energies):
+        e = np.asarray(energies)
+        return -np.maximum(np.abs(e - peaks[idx]) - flats[idx], 0.0) ** 2
+
+    together = mather._concave_max(gain, los)
+    alone = [mather._concave_max(
+        lambda idx, e, k=k: gain(np.full(len(np.asarray(e)), k), e), [lo])[0]
+        for k, lo in enumerate(los)]
+    assert together.tobytes() == np.array(alone).tobytes()

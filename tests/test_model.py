@@ -1,9 +1,13 @@
+import math
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from effham import action
 from effham.action import InitialDatum, lax_oleinik
+from effham.config import load_config
 from effham.model import TorusHamiltonian, TrigPolynomial, _proved_range
 from effham.topology import TorusCover
 from tests.conftest import make_pendulum
@@ -16,6 +20,8 @@ from tests.oracles import (
 )
 
 PENDULUM = make_pendulum()
+_SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scenarios")
 
 
 def test_free_lagrangian_is_half_speed_squared(free1):
@@ -26,7 +32,7 @@ def test_mechanical_lagrangian_subtracts_potential(pendulum):
     # L(x, v) = v^2/2 - V(x) for unit kinetic term
     for x in (0.0, 0.3, 0.71):
         for v in (-1.5, 0.0, 2.0):
-            expect = 0.5 * v * v - pendulum.v.value([x])
+            expect = 0.5 * v * v - pendulum.v.value_many([[x]])[0]
             assert lagrangian(pendulum, [x], [v]) == pytest.approx(expect, abs=1e-12)
 
 
@@ -109,33 +115,6 @@ def test_fused_kernel_matches_the_per_term_sums(n):
         assert np.allclose(fused_h[:, :, j], diff, rtol=1e-6, atol=1e-5)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_scalar_value_matches_value_many(n):
-    # frequencies in -7..7 with k = 3 among them, sin terms and a constant
-    rng = np.random.default_rng(60 + n)
-    terms = [(rng.integers(-7, 8, size=n), rng.normal(), rng.normal())
-             for _ in range(12)]
-    terms += [(np.full(n, 3), 0.8, -0.6), (np.zeros(n, dtype=int), 0.7, 0.0)]
-    poly = TrigPolynomial(n, terms)
-    xs = rng.uniform(-2.0, 2.0, size=(2000, n))
-    rows = poly.value_many(xs)
-    # in 1-D both sides round the same operations in the same order; in
-    # 2-D numpy's matmul may fuse k.x into one multiply-add, so with u the
-    # unit roundoff each side's phase is within 6 pi u sum_j |k_j x_j| of
-    # the exact one, each cos and sin within u, and each partial sum over
-    # the terms rounds once more on each side
-    u = np.finfo(float).eps / 2
-    freqs = np.array([k for k, _, _ in poly.terms])
-    weight = np.array([abs(a) + abs(b) for _, a, b in poly.terms])
-    bound = 0.0 if n == 1 else (
-        (12 * np.pi * u * (np.abs(xs) @ np.abs(freqs).T) + 4 * u) @ weight
-        + 2 * len(terms) * u * weight.sum())
-    inputs = [list, tuple, np.asarray] + ([lambda x: float(x[0])] if n == 1 else [])
-    for point in inputs:
-        got = np.array([poly.value(point(x)) for x in xs])
-        assert np.all(np.abs(got - rows) <= bound)
-
-
 # positive coefficients: at a zero phase every term of a cos-only gradient
 # is -0, so only a sum that starts at +0 reads +0 there
 _WAVES = {
@@ -193,6 +172,49 @@ def test_proved_range_encloses_off_grid_extremes(n, monkeypatch):
     monkeypatch.setattr(action, "_search_cells", record)
     cover = TorusCover(n)
     lax_oleinik(cover, TorusHamiltonian.mechanical(poly),
-                InitialDatum.affine(np.zeros(n)), cover.point(np.zeros(n)),
+                InitialDatum.affine(np.zeros(n)), cover.from_lift(np.zeros(n)),
                 1.0, 1.0, mesh=4)
     assert drifts == [hi]
+
+
+def _kinetic_at_zero_scalar(model) -> np.ndarray:
+    """A(0) as the scalar route summed it: each entry's terms in order,
+    a cos 0 + b sin 0 added to a running 0.0."""
+    vals = []
+    for entry in model.a_entries:
+        total = 0.0
+        for _, a, b in entry.terms:
+            total += a * math.cos(0.0) + b * math.sin(0.0)
+        vals.append(total)
+    return np.array([vals[:1]] if model.n == 1 else [vals[:2], vals[1:]])
+
+
+def _split_entries(n):
+    # entries given as several constant terms: (0.1 + 0.2) + 0.3 and
+    # 0.1 + (0.2 + 0.3) differ in the last bit, so only the scalar route's
+    # order reads its bytes
+    def split(values):
+        return TrigPolynomial(n, [(np.zeros(n, dtype=int), a, -0.25)
+                                  for a in values])
+    diag = split([0.1, 0.2, 0.3])
+    entries = [diag] if n == 1 else [diag, split([0.7, 0.6]), diag]
+    return TorusHamiltonian(n, entries, TrigPolynomial.constant(n, 0.0))
+
+
+@pytest.mark.parametrize("model_of", [
+    pytest.param(lambda stem=stem: load_config(
+        os.path.join(_SCENARIOS, stem + ".yaml")).model, id=stem)
+    for stem in ("free_torus_1d", "free_torus_2d", "pendulum")
+] + [pytest.param(lambda n=n: _split_entries(n), id=f"split-constant-terms-{n}d")
+     for n in (1, 2)])
+def test_constant_kinetic_is_a_at_zero(model_of):
+    model = model_of()
+    got = model.constant_kinetic()
+    assert got.shape == (model.n, model.n)
+    assert got.tobytes() == _kinetic_at_zero_scalar(model).tobytes()
+
+
+def test_constant_kinetic_is_none_for_a_varying_entry():
+    a = TrigPolynomial(1, [([0], 1.0, 0.0), ([1], 0.3, 0.1)])
+    assert TorusHamiltonian(1, [a], TrigPolynomial.constant(1, 0.0)) \
+        .constant_kinetic() is None

@@ -32,7 +32,7 @@ sheets2 = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 def torus_points():
     return st.builds(
-        lambda b1, b2, z: TORUS2.point([b1, b2], z),
+        lambda b1, b2, z: TORUS2.from_lift(np.add([b1, b2], z)),
         st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
         st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
         sheets2,
@@ -49,7 +49,7 @@ def fig8_points():
 
 
 def test_winding_map_at_base_point(circle):
-    assert np.array_equal(circle.g_map(circle.point([0.0])), np.zeros(1))
+    assert np.array_equal(circle.g_map(circle.from_lift([0.0])), np.zeros(1))
 
 
 def test_winding_map_reads_graph_sheet(fig8_cover):
@@ -58,7 +58,7 @@ def test_winding_map_reads_graph_sheet(fig8_cover):
 
 
 def test_winding_map_torus_lift(torus2):
-    got = torus2.g_map(torus2.point([0.5, 0.75], [3, -2]))
+    got = torus2.g_map(torus2.from_lift([3.5, -1.25]))
     assert np.allclose(got, [3.5, -1.25], atol=1e-15)
 
 
@@ -69,7 +69,7 @@ def test_cover_distance_loop_counts_circuits(loop2_cover):
 
 
 def test_cover_distance_torus(circle):
-    d = circle.distance(circle.point([0.25]), circle.point([0.75], [4]))
+    d = circle.distance(circle.from_lift([0.25]), circle.from_lift([4.75]))
     assert d == pytest.approx(4.5, abs=1e-12)
 
 
