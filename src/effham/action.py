@@ -8,15 +8,13 @@ Three layers:
   change; ``_graph_actions`` prices those of many starts at once by
   ``allocate_time``, the vectorised shared-energy split that also gives
   graph beta in ``mather``, and ``minimal_action_graph`` is its one-start
-  case.  Tori descend piecewise-linear midpoint chains with
-  segment-doubling refinement.  One kernel, ``_chain_terms``, prices
-  every torus chain: its midpoint action, its gradient and its exact
-  banded Hessian, as (C, N) arrays in 1-D.  One descent, ``_descend``,
-  minimises every torus chain: damped Newton on that Hessian over chains
-  in lockstep, dropping each chain as it stops.  An iteration factors
-  the live chains stacked into one system in one LAPACK call
-  (tridiagonal L D L^T in 1-D, banded Cholesky in 2-D), which restarts
-  after a chain whose damped Hessian is not positive definite.
+  case.  The circle descends piecewise-linear midpoint chains (C, N+1)
+  with segment-doubling refinement: ``_chain_terms`` prices each chain's
+  action, gradient and exact tridiagonal Hessian, and ``_descend`` runs
+  damped Newton on them over chains in lockstep, factoring the live
+  chains as one system in one LAPACK ``ptsv`` call.  A 2-torus is free
+  (config load admits no other), so its action is the exact quadratic
+  (x - y).A^{-1}.(x - y)/(2T) and no path is searched.
 * ``lax_oleinik``: the rescaled cover solution, an infimum of
   f(eps * G(y)) + eps * action over starting points y (f the limit
   datum, G the cover's coordinate map) in the translate cells of G that
@@ -24,12 +22,11 @@ Three layers:
   lower-bound order, in blocks, until the bound passes the incumbent: on
   graphs the cells' mesh starts, exactly, one ``_graph_actions`` call a
   block; on tori the cells at their least straight-path cost, which keep
-  the mesh lifts no cell bound rules out, then those on coarse chains
-  that ``_descend`` runs in lockstep, the lowest few re-priced at full
-  resolution by one ``_minimal_actions_torus`` call, which solves them
-  in lockstep.  The winner is polished: on graphs by golden-section
-  searches along its edges, in lockstep; on tori by one more descent
-  with its start node free.
+  the mesh lifts no cell bound rules out, then those lifts: exactly on
+  the plane, on the circle on coarse chains whose lowest few are
+  re-priced in full.  The winner is polished: on graphs by golden-section
+  searches along its edges, in lockstep; on the circle by one more
+  descent with its start node free; on the plane by ``_nelder_mead``.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box, its seed grid
   priced by one ``value_many`` call and its best node polished by
@@ -47,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import ModelValidityError, SolverError
 from .model import GraphLagrangian, TorusHamiltonian, _proved_range, _torus_grid
 from .topology import (CoverPoint, _ball_axes, _ball_nodes, _edge_flow, _grid,
                        _norm_rows, dual_norm_value, norm_value)
@@ -146,19 +143,12 @@ class InitialDatum:
         return self.slope * d / r
 
     def hessian(self, h):
-        """Hessian where smooth; zero at the tip of a cone.  An l2 cone
-        curves across its rays, slope (I - u u^T) / r with u = (h - center)/r;
-        an affine datum and an l1 cone have none."""
+        """Hessian on the circle, the joint polish's, where a cone is linear
+        off its tip and only a quadratic curves."""
         h = np.atleast_1d(np.asarray(h, dtype=float))
         if self.kind == "quadratic":
             return self.q_matrix.copy()
-        out = np.zeros((h.size, h.size))
-        if self.kind == "cone" and self.cone_norm == "l2":
-            d = h - self.center
-            r = float(np.linalg.norm(d))
-            if r >= 1e-12:
-                out = self.slope * (np.eye(h.size) - np.outer(d, d) / (r * r)) / r
-        return out
+        return np.zeros((h.size, h.size))
 
     def growth_constants(self, norm: str):
         """(A, B) with f(h) >= -A|h|_norm - B for all h."""
@@ -388,150 +378,88 @@ def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
 
 
 # ---------------------------------------------------------------------------
-# torus actions: piecewise-linear trajectory descent
+# torus actions: piecewise-linear trajectory descent on the circle
 
 
-def _chain_inits(y_lift: np.ndarray, x_lift: np.ndarray, n_segments: int):
-    frac = np.linspace(0.0, 1.0, n_segments + 1)[:, None]
-    straight = y_lift[None, :] + frac * (x_lift - y_lift)[None, :]
-    inits = [straight]
+def _chain_inits(y_lift: float, x_lift: float, n_segments: int):
+    """The straight chain y_lift -> x_lift and its bends by +-0.35 sin(pi s)."""
+    frac = np.linspace(0.0, 1.0, n_segments + 1)
+    straight = y_lift + frac * (x_lift - y_lift)
     hump = np.sin(math.pi * frac)
-    for axis in range(y_lift.size):
-        for amp in (0.35, -0.35):
-            bumped = straight.copy()
-            bumped[:, axis] += amp * hump[:, 0]
-            inits.append(bumped)
-    return inits
+    return [straight] + [straight + amp * hump for amp in (0.35, -0.35)]
 
 
 def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray,
                  a_const=None):
-    """Action (C,), gradient (C, N+1, n) and exact Hessian of C midpoint
-    chains q (C, N+1, n): the Hessian's diagonal blocks (C, N+1, n, n)
-    and the blocks (C, N, n, n) that couple node i to node i+1.  Every
-    torus solve prices its chains here; ``a_const`` is
-    ``model.constant_kinetic()`` (``_descend`` reads it once).
+    """Action (C,), gradient (C, N+1) and exact tridiagonal Hessian of C
+    midpoint chains q (C, N+1) on the circle: its diagonal (C, N+1) and
+    the entries (C, N) that couple node i to node i+1.  Every chain solve
+    prices its chains here; ``a_const`` is ``model.constant_kinetic()``
+    (``_descend`` reads it once).
 
-    Segment i costs dt L(m, v) = dt (v.w/2 - V(m)) with v = d/dt,
-    d = q[i+1] - q[i], m = (q[i] + q[i+1])/2 and w = B(m) v, B = A^{-1}:
-    B = 1/a(x) on the circle, and a constant in 2-D (``kinetic_eig_bounds``,
-    which every caller reads first, rejects any other A).  As
+    Segment i costs dt L(m, v) = dt (v w/2 - V(m)) with v = d/dt,
+    d = q[i+1] - q[i], m = (q[i] + q[i+1])/2 and w = v/a(m).  As
     q[i+1] = m + d/2 and q[i] = m - d/2, node i+1 takes w + dt L_m/2 and
     node i takes -w + dt L_m/2 of the gradient, with
-    L_m = -(w.A'(m).w)/2 - V'(m).  For the Hessian write the segment as
-    L(d, m) = d.B(m).d/(2 dt) - dt V(m): nodes i+1 and i take
-    L_dd +- sym(L_dm) + L_mm/4, and their coupling block is
-    -L_dd - L_dm/2 + L_dm^T/2 + L_mm/4.  So the Hessian is tridiagonal in
-    1-D and block-tridiagonal in 2-D.  L_dm is 1 x 1 in 1-D and zero in
-    2-D, so sym(L_dm) = L_dm and the rest of the coupling is an exact 0:
-    the 1-D terms are (C, N) arrays, returned as (..., 1, 1) views.
+    L_m = -w^2 a'(m)/2 - V'(m).  For the Hessian write the segment as
+    L(d, m) = d^2/(2 a(m) dt) - dt V(m): nodes i+1 and i take
+    L_dd +- L_dm + L_mm/4, and their coupling is -L_dd + L_mm/4.
     """
-    chains, nodes, n = q.shape
-    shape = (chains, nodes - 1)
+    shape = (q.shape[0], q.shape[1] - 1)
     d = q[:, 1:] - q[:, :-1]
-    vel = d / dt
-    flat = (0.5 * (q[:, 1:] + q[:, :-1])).reshape(-1, n)
-    pot, gv, l_mm = model.v.gradient_many(flat)
-    pot = pot.reshape(shape)
-    gv = gv.reshape(shape + (n,))
-    l_mm = -dt * l_mm.reshape(shape + (n, n))
-    if n == 1:
-        vv, dd, gv, l_mm = vel[..., 0], d[..., 0], gv[..., 0], l_mm[..., 0, 0]
-        if a_const is None:
-            a, a1, a2 = (t.reshape(shape) for t in
-                         model.a_entries[0].gradient_many(flat))
-            w = vv / a
-            dmid = -0.5 * w * w * a1 - gv
-            phi, phi1 = 1.0 / a, -a1 / (a * a)
-            phi2 = (2.0 * a1 * a1 - a * a2) / (a * a * a)
-            l_dd, l_dm = phi / dt, dd * phi1 / dt
-            l_mm += 0.5 * dd * dd * phi2 / dt
-        else:
-            # a' = a'' = 0: every term dropped here is an exact +-0
-            w = vv / a_const[0, 0]
-            dmid = -gv
-            l_dd, l_dm = 1.0 / a_const[0, 0] / dt, 0.0
-        kin = 0.5 * vv * w
+    vv = d / dt
+    flat = (0.5 * (q[:, 1:] + q[:, :-1])).reshape(-1, 1)
+    pot, gv, l_mm = (t.reshape(shape) for t in model.v.gradient_many(flat))
+    l_mm = -dt * l_mm
+    if a_const is None:
+        a, a1, a2 = (t.reshape(shape) for t in
+                     model.a_entries[0].gradient_many(flat))
+        w = vv / a
+        dmid = -0.5 * w * w * a1 - gv
+        phi, phi1 = 1.0 / a, -a1 / (a * a)
+        phi2 = (2.0 * a1 * a1 - a * a2) / (a * a * a)
+        l_dd, l_dm = phi / dt, d * phi1 / dt
+        l_mm += 0.5 * d * d * phi2 / dt
     else:
-        a11, a12, a22 = a_const[0, 0], a_const[0, 1], a_const[1, 1]
-        det = a11 * a22 - a12 * a12
-        w = np.stack([(a22 * vel[..., 0] - a12 * vel[..., 1]) / det,
-                      (-a12 * vel[..., 0] + a11 * vel[..., 1]) / det], axis=-1)
-        kin = 0.5 * (w[..., 0] * vel[..., 0] + w[..., 1] * vel[..., 1])
+        # a' = a'' = 0: every term dropped here is an exact +-0
+        w = vv / a_const[0, 0]
         dmid = -gv
-        l_dd, l_dm = np.linalg.inv(a_const) / dt, 0.0
-    act = dt * np.sum(kin - pot, axis=1)
+        l_dd, l_dm = 1.0 / a_const[0, 0] / dt, 0.0
+    act = dt * np.sum(0.5 * vv * w - pot, axis=1)
     grad = np.zeros(q.shape)
-    # the 1-D terms are (C, N) arrays, so they fill the only coordinate
-    g = grad[..., 0] if n == 1 else grad
     side = 0.5 * dt * dmid
-    g[:, 1:] += w + side
-    g[:, :-1] += -w + side
+    grad[:, 1:] += w + side
+    grad[:, :-1] += -w + side
     quarter = 0.25 * l_mm
-    diag = np.zeros(q.shape[:2] if n == 1 else q.shape + (n,))
+    diag = np.zeros(q.shape)
     diag[:, 1:] += l_dd + l_dm + quarter
     diag[:, :-1] += l_dd - l_dm + quarter
-    # -L_dd + (L_dm^T - L_dm)/2 + L_mm/4, the middle term an exact +0
-    off = -l_dd + 0.0 + quarter
-    if n == 1:
-        return act, grad, diag[..., None, None], off[..., None, None]
-    return act, grad, diag, off
-
-
-def _band(diag, off):
-    """Upper band storage ab[u + i - j, j] = H[i, j] (i <= j, u = 2n - 1),
-    the layout of LAPACK's ``pbsv``, of C block-tridiagonal 2-D Hessians
-    with diagonal blocks diag (C, M, n, n) and blocks off (C, M - 1, n, n)
-    coupling node i to node i + 1, coordinates ordered node by node: one
-    Fortran-ordered (u + 1, C M n) band, chain after chain, with no
-    coupling between chains.  1-D chains pass their two diagonals to
-    ``ptsv`` instead."""
-    chains, m, n, _ = diag.shape
-    u = 2 * n - 1
-    ab = np.zeros((chains, m, n, u + 1))
-    for a in range(n):
-        for b in range(n):
-            if a <= b:
-                ab[:, :, b, u - b + a] = diag[:, :, a, b]
-            ab[:, 1:, b, u - n - b + a] = off[:, :, a, b]
-    return ab.reshape(-1, u + 1).T
+    # -L_dd + (L_dm - L_dm)/2 + L_mm/4, the middle term an exact +0
+    return act, grad, diag, -l_dd + 0.0 + quarter
 
 
 def _damped_steps(diag, off, mu, grad):
-    """Steps -(H + mu I)^{-1} g of C chains (blocks as in ``_band``, g
-    (C, M n)) and the mask of those whose H + mu I is positive definite.
+    """Steps -(H + mu I)^{-1} g of C chains (H tridiagonal with diagonal
+    diag (C, M) and off-diagonal off (C, M - 1), g (C, M)) and the mask of
+    those whose H + mu I is positive definite.
 
-    All chains go to LAPACK as one system, block diagonal by chain:
-    ``ptsv`` factors the stacked tridiagonal 1-D Hessians as L D L^T,
-    ``pbsv`` the stacked 2-D band by Cholesky.  A coupling between chains
-    is 0, so every pivot, and every step, is that of the chain's own
-    system, bit for bit; scipy's Hermitian banded solve picks the same
-    routines per chain.  A pivot that is not positive stops the call in
-    some chain c: the chains before it are factored, so ``pttrs``/``pbtrs``
-    solves them on that prefix of the factors, c is marked, and the call
-    restarts on the chain after c.
+    All chains go to LAPACK's ``ptsv`` as one tridiagonal system, factored
+    as L D L^T.  A coupling between chains is 0, so every pivot, and every
+    step, is that of the chain's own system, bit for bit.  A pivot that is
+    not positive stops the call in some chain c: the chains before it are
+    factored, so ``pttrs`` solves them on that prefix of the factors, c is
+    marked, and the call restarts on the chain after c.
     """
-    from scipy.linalg.lapack import dpbsv, dpbtrs, dptsv, dpttrs
-    chains, m, n, _ = diag.shape
-    size = m * n
+    from scipy.linalg.lapack import dptsv, dpttrs
+    chains, size = diag.shape
     b = -grad.ravel()
-    if n == 1:
-        d = (diag[..., 0, 0] + mu[:, None]).ravel()
-        e = np.zeros((chains, m))
-        e[:, :-1] = off[..., 0, 0]
-        e = e.ravel()[:-1]
-    else:
-        ab = _band(diag, off)
-        ab[-1] += np.repeat(mu, size)
+    d = (diag + mu[:, None]).ravel()
+    e = np.concatenate([off, np.zeros((chains, 1))], axis=1).ravel()[:-1]
     ok = np.ones(chains, dtype=bool)
     lo = 0
     while lo < b.size:
-        if n == 1:
-            fd, fe, x, info = dptsv(d[lo:], e[lo:], b[lo:], overwrite_d=1,
-                                    overwrite_e=1, overwrite_b=1)
-        else:
-            fab, x, info = dpbsv(ab[:, lo:], b[lo:], overwrite_ab=1,
-                                 overwrite_b=1)
+        fd, fe, x, info = dptsv(d[lo:], e[lo:], b[lo:], overwrite_d=1,
+                                overwrite_e=1, overwrite_b=1)
         if info < 0:
             raise ValueError(f"LAPACK rejected argument {-info}")
         if info == 0:
@@ -540,25 +468,24 @@ def _damped_steps(diag, off, mu, grad):
         # the chains in rows lo:lo + k are factored, and the next one failed
         k = (lo + info - 1) // size * size - lo
         if k:
-            b[lo:lo + k] = (dpttrs(fd[:k], fe[:k - 1], b[lo:lo + k])[0] if n == 1
-                            else dpbtrs(fab[:, :k], b[lo:lo + k])[0])
+            b[lo:lo + k] = dpttrs(fd[:k], fe[:k - 1], b[lo:lo + k])[0]
         ok[(lo + k) // size] = False
         lo += k + size
     return b.reshape(chains, size), ok
 
 
 def _objective(model, dt, q, start, a_const):
-    """Value (C,), gradient and Hessian blocks (``_chain_terms``' layout)
-    of C chains q: the chain action, or with start = (datum, eps) the
-    joint value datum(eps q0) + eps * action."""
+    """Value (C,), gradient and Hessian (``_chain_terms``' layout) of C
+    chains q: the chain action, or with start = (datum, eps) the joint
+    value datum(eps q0) + eps * action."""
     act, grad, diag, off = _chain_terms(model, dt, q, a_const)
     if start is None:
         return act, grad, diag, off
     datum, eps = start
-    h0 = eps * q[:, 0]
+    h0 = eps * q[:, :1]
     grad, diag, off = eps * grad, eps * diag, eps * off
-    grad[:, 0] += eps * np.array([datum.gradient(h) for h in h0])
-    diag[:, 0] += eps * eps * np.array([datum.hessian(h) for h in h0])
+    grad[:, 0] += eps * np.array([datum.gradient(h)[0] for h in h0])
+    diag[:, 0] += eps * eps * datum.hessian(h0[0])[0, 0]
     return datum.value_many(h0) + eps * act, grad, diag, off
 
 
@@ -571,8 +498,9 @@ _DESCENT_TAU = 1e-3
 
 def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
     """Minimal midpoint values over the horizon from C starting chains
-    (C, N+1, n), descended in lockstep by damped Newton; returns (values
-    (C,), descended chains, mask of the chains that hit the iteration cap).
+    (C, N+1) on the circle, descended in lockstep by damped Newton;
+    returns (values (C,), descended chains, mask of the chains that hit
+    the iteration cap).
 
     Without ``start`` both end nodes are fixed and the value is the chain
     action.  With start = (datum, eps) the first node is free as well and
@@ -580,15 +508,15 @@ def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
     ``_lax_torus``; its Hessian adds eps^2 ``InitialDatum.hessian`` at q0.
 
     One iteration factors H + mu I of every live chain in one LAPACK call
-    (``_damped_steps``: tridiagonal L D L^T in 1-D, banded Cholesky in
-    2-D) and steps by the solution.  A chain whose factorisation fails,
-    H + mu I not being positive definite, only raises its damping mu; a
-    step is kept when it lowers the value, and mu follows the ratio of the
-    actual to the predicted decrease (Nielsen's rule).  A chain stops once
-    its free-node gradient is at most _DESCENT_GTOL, or once a rejected
-    step predicted a decrease below rounding, and is then written out and
-    dropped: the state holds the live chains only, so every chain's
-    iterates are those it has alone.  A constant A is read once.
+    (``_damped_steps``) and steps by the solution.  A chain whose
+    factorisation fails, H + mu I not being positive definite, only raises
+    its damping mu; a step is kept when it lowers the value, and mu
+    follows the ratio of the actual to the predicted decrease (Nielsen's
+    rule).  A chain stops once its free-node gradient is at most
+    _DESCENT_GTOL, or once a rejected step predicted a decrease below
+    rounding, and is then written out and dropped: the state holds the
+    live chains only, so every chain's iterates are those it has alone.
+    A constant A is read once.
     """
     q = np.array(chains, dtype=float)
     dt = horizon / (q.shape[1] - 1)
@@ -597,9 +525,8 @@ def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
     val, grad, diag, off = _objective(model, dt, q, start, a_const)
     out_val, out_q = val, q
     capped = np.zeros(q.shape[0], dtype=bool)
-    floor = _DESCENT_TAU * np.abs(np.diagonal(diag[:, free], axis1=-2,
-                                              axis2=-1)).max(axis=(1, 2))
-    live = np.abs(grad[:, free]).max(axis=(1, 2)) > _DESCENT_GTOL
+    floor = _DESCENT_TAU * np.abs(diag[:, free]).max(axis=1)
+    live = np.abs(grad[:, free]).max(axis=1) > _DESCENT_GTOL
     ids = np.flatnonzero(live)
     q, val, grad, diag, off, floor = (x[live] for x in
                                       (q, val, grad, diag, off, floor))
@@ -607,7 +534,7 @@ def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
     for _ in range(_DESCENT_CAP):
         if not ids.size:
             break
-        g = grad[:, free].reshape(ids.size, -1)
+        g = grad[:, free]
         step, ok = _damped_steps(diag[:, free], off[:, free], mu, g)
         kept, done = np.zeros(ids.size, dtype=bool), np.zeros(ids.size, dtype=bool)
         if ok.any():
@@ -615,14 +542,14 @@ def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
             sel = slice(None) if ok.all() else np.flatnonzero(ok)
             p = step[sel]
             trial = q[sel].copy()
-            trial[:, free] += p.reshape(trial[:, free].shape)
+            trial[:, free] += p
             t_val, t_grad, t_diag, t_off = _objective(model, dt, trial, start,
                                                       a_const)
             pred = 0.5 * (p * (mu[sel, None] * p - g[sel])).sum(axis=1)
             stalled = pred <= 1e-15 * np.maximum(1.0, np.abs(val[sel]))
             gain = (val[sel] - t_val) / pred
             keep = gain > 0.0
-            small = np.abs(t_grad[:, free]).max(axis=(1, 2)) <= _DESCENT_GTOL
+            small = np.abs(t_grad[:, free]).max(axis=1) <= _DESCENT_GTOL
             kept[sel], done[sel] = keep, np.where(keep, small, stalled)
             if kept.all():
                 q, val, grad, diag, off = trial, t_val, t_grad, t_diag, t_off
@@ -645,13 +572,10 @@ def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
 
 
 def _refine_nodes(nodes: np.ndarray) -> np.ndarray:
-    m, dim = nodes.shape
-    old = np.linspace(0.0, 1.0, m)
-    new = np.linspace(0.0, 1.0, 2 * (m - 1) + 1)
-    out = np.empty((new.size, dim))
-    for c in range(dim):
-        out[:, c] = np.interp(new, old, nodes[:, c])
-    return out
+    """The chain with every segment halved at its midpoint."""
+    m = nodes.size
+    return np.interp(np.linspace(0.0, 1.0, 2 * (m - 1) + 1),
+                     np.linspace(0.0, 1.0, m), nodes)
 
 
 def _auto_segments(horizon: float) -> int:
@@ -671,16 +595,19 @@ def _minimal_actions_torus(model: TorusHamiltonian, pairs, horizon: float):
     each of which stops on its own test.  The pairs share the horizon, so
     at each level they share the chain length, and ``_descend`` gives each
     chain the iterates it has alone: every result is that pair's lone
-    solve, bit for bit.  Checks the horizon and A once per batch; returns
-    one (action, nodes, capped count) per pair, [] for no pair."""
+    solve, bit for bit.  Checks the horizon and the dimension once per
+    batch; returns one (action, nodes, capped count) per pair, [] for no
+    pair."""
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    model.kinetic_eig_bounds()
+    if model.n != 1:
+        raise ModelValidityError("torus chains run on the circle only; a free "
+                                 "2-torus prices its exact quadratic action")
     if not pairs:
         return []
     n = _auto_segments(horizon)
-    starts = [_chain_inits(*(np.atleast_1d(np.asarray(p, dtype=float))
-                             for p in pair), n) for pair in pairs]
+    starts = [_chain_inits(*(np.asarray(p, dtype=float).item() for p in pair), n)
+              for pair in pairs]
     vals, chains, capped = _descend(model, horizon, sum(starts, []))
     per = len(starts[0])
     firsts = per * np.arange(len(pairs)) + np.argmin(vals.reshape(-1, per), axis=1)
@@ -699,7 +626,7 @@ def _minimal_actions_torus(model: TorusHamiltonian, pairs, horizon: float):
 
 
 def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float):
-    """Two-point action on the R^n cover by trajectory descent.
+    """Two-point action on the R cover of the circle by trajectory descent.
 
     Piecewise-linear chains with midpoint quadrature, ``_descend`` from a
     straight line plus deterministic sinusoidal perturbations as one
@@ -710,10 +637,9 @@ def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float
     solve runs to ``_MAX_SEGMENTS`` and returns that chain's
     discretisation error.  Returns (action, nodes of the best chain,
     number of capped descents whose value is read: the best starting chain
-    and each doubling).  The chains are priced by ``_chain_terms``, so a
-    2-D A(x) that is not constant raises ModelValidityError
-    (``kinetic_eig_bounds``).  This is the one-pair case of
-    ``_minimal_actions_torus``, which solves many pairs in lockstep.
+    and each doubling).  A 2-torus raises ModelValidityError, as
+    ``_lax_torus`` prices the free one exactly.  This is the one-pair case
+    of ``_minimal_actions_torus``, which solves many pairs in lockstep.
     """
     return _minimal_actions_torus(model, [(y_lift, x_lift)], horizon)[0]
 
@@ -782,7 +708,7 @@ class LaxResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-# candidates priced at once by a sweep, and the torus screen's survivors
+# candidates priced at once by a sweep, and the circle screen's survivors
 # re-priced at full resolution
 _SCREEN_BLOCK = 128
 _N_TOP = 6
@@ -818,19 +744,33 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     /(2*amin*t) - vmin*t of their mesh lifts y (d = |y - x|), ``_sweep`` over
     the lifts they keep, and the polish.  A lift's low (quad = amax, drift =
     vmax) is at least its cell's cell_low; a candidate has d <= window/eps.
-    The screen's six best are re-priced by one ``_minimal_actions_torus``
-    call and replayed in screen order.  amin, amax, vmin and vmax are each
-    read once."""
+
+    On the circle the lifts are priced on coarse chains that ``_descend``
+    runs in lockstep, the six best re-priced in full by one
+    ``_minimal_actions_torus`` call, and the winner's chain descends once
+    more with its start node free.  A 2-torus must be free
+    (``TorusHamiltonian.free_kinetic``, else ModelValidityError): its stay
+    costs 0, a lift y exactly f(eps*y) + eps*(x - y).A^{-1}.(x - y)/(2T),
+    and ``_nelder_mead`` polishes the best lift as ``hopf_lax`` does."""
     horizon = t / eps
     x_lift = cover.lift(x)
+    plane = model.n == 2
+    if plane and (a_matrix := model.free_kinetic()) is None:
+        raise ModelValidityError("a two-dimensional torus needs a constant "
+                                 "kinetic matrix and no potential")
+    a_inv = np.linalg.inv(a_matrix) if plane else None
     amin, amax = model.kinetic_eig_bounds()
     vmin, vmax = _proved_range(model.v)
     quad, drift = float(amax), float(vmax)
 
-    stay, stay_nodes, capped = minimal_action_torus(model, x_lift, x_lift,
-                                                    horizon)
+    def plane_action(ys):
+        """Action from each row of ys to x on the plane, row by row."""
+        d = ys - x_lift
+        return np.vecdot(d, np.vecdot(d[:, None, :], a_inv)) / (2.0 * horizon)
+
+    stay, best_nodes, capped = ((0.0, None, 0) if plane else
+                                minimal_action_torus(model, x_lift, x_lift, horizon))
     incumbent = datum.value(eps * x_lift) + eps * stay
-    best_nodes = stay_nodes
     best_g = x_lift.copy()
 
     window, cells, cell_low = _search_cells(cover, datum, quad, drift, x_lift,
@@ -868,19 +808,20 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     lifts, f_vals, dist, lower = (c[merged[3] <= incumbent + 1e-9] for c in merged)
     n_candidates = lifts.shape[0]
 
-    # coarse screen: a block's straight chains descend in lockstep, and a
-    # start at x itself is skipped
+    # a block's lifts, exactly on the plane, on the circle by coarse straight
+    # chains that descend in lockstep; a start at x itself is skipped
     frac = np.linspace(0.0, 1.0, max(32, _auto_segments(horizon) // 4) + 1)
 
     def price(block):
         nonlocal capped
         moving = dist[block] >= 1e-12
+        starts = lifts[block[moving]]
         vals = np.full(block.size, np.nan)
-        if moving.any():
-            starts = lifts[block[moving]][:, None, :]
-            vals[moving], _, hit = _descend(
-                model, horizon,
-                starts + frac[None, :, None] * (x_lift[None, None, :] - starts))
+        if plane:
+            vals[moving] = plane_action(starts)
+        elif moving.any():
+            vals[moving], _, hit = _descend(model, horizon,
+                                            starts + frac * (x_lift - starts))
             capped += int(hit.sum())
         return f_vals[block] + eps * vals
 
@@ -888,24 +829,28 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
                                      incumbent, price)
     if best is not None:
         best_g = lifts[best]
-    scored.sort(key=lambda z: z[0])
-    top = [idx for _, idx in scored[:_N_TOP]]
-    solves = _minimal_actions_torus(model, [(lifts[idx], x_lift) for idx in top],
-                                    horizon) if top else []
-    for idx, (val, nodes, n_capped) in zip(top, solves):
-        capped += n_capped
-        total = f_vals[idx] + eps * val
-        if total < incumbent:
-            incumbent = total
-            best_nodes = nodes
-            best_g = lifts[idx]
-
-    # joint polish: the start node descends with the chain
-    polished, chains, hit = _descend(model, horizon, best_nodes[None],
-                                     start=(datum, eps))
-    capped += int(hit[0])
-    if polished[0] < incumbent:
-        incumbent, best_g = float(polished[0]), chains[0, 0]
+    if plane:
+        y, fun, _, _ = _nelder_mead(
+            lambda y: datum.value(eps * y) + eps * plane_action(y[None])[0],
+            _simplex_start(best_g), 1e-10, 1e-12, 4000, 8000)
+        if fun < incumbent:
+            incumbent, best_g = fun, y
+    else:
+        scored.sort(key=lambda z: z[0])
+        top = [idx for _, idx in scored[:_N_TOP]]
+        solves = _minimal_actions_torus(
+            model, [(lifts[idx], x_lift) for idx in top], horizon)
+        for idx, (val, nodes, n_capped) in zip(top, solves):
+            capped += n_capped
+            total = f_vals[idx] + eps * val
+            if total < incumbent:
+                incumbent, best_nodes, best_g = total, nodes, lifts[idx]
+        # joint polish: the start node descends with the chain
+        polished, chains, hit = _descend(model, horizon, best_nodes[None],
+                                         start=(datum, eps))
+        capped += int(hit[0])
+        if polished[0] < incumbent:
+            incumbent, best_g = polished[0], chains[0, :1]
     return LaxResult(value=float(incumbent), minimizer_g=np.asarray(best_g),
                      window=window, candidates=int(n_candidates),
                      evaluated=len(scored),

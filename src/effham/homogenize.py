@@ -28,7 +28,7 @@ from .errors import ConfigError, SolverError
 from .mather import (AnalyticQuadraticBeta, BetaHatEvaluator,
                      DirectBetaEvaluator, LegendreDual, MechanicalBeta1D,
                      alpha_graph)
-from .model import _is_constant, _proved_range
+from .model import _proved_range
 # unused estimate_space_convergence: perfbench/test_perfbench.py expects the binding
 from .topology import (estimate_space_convergence, match_point, matching_bound,
                        norm_value)
@@ -37,11 +37,11 @@ from .topology import (estimate_space_convergence, match_point, matching_bound,
 def default_beta_evaluator(cover, model):
     """The exact (alpha, beta) pair of the scenario's system family.
 
-    Graphs get the per-query graph solvers; constant-coefficient free
-    systems in any dimension get the two quadratic forms; other circle
-    systems get the energy quadrature.  Any other torus system has no
-    exact pair, and this test is the one that rejects it at config load
-    (ConfigError on the field that breaks the free form).
+    Graphs get the per-query graph solvers; free systems in any dimension
+    (``TorusHamiltonian.free_kinetic``) get the two quadratic forms; other
+    circle systems get the energy quadrature.  Any other torus system has
+    no exact pair, and this test rejects it at config load (ConfigError on
+    the kinetic matrix when it varies, else on the potential).
 
     It also rejects a torus system that is not convex in the momentum, a
     kinetic matrix A(x) not proved positive definite: a constant A by its
@@ -51,15 +51,15 @@ def default_beta_evaluator(cover, model):
     """
     if cover.family == "graph":
         return DirectBetaEvaluator(cover.graph, model)
-    free_potential = _is_constant(model.v) and model.v.mean() == 0.0
-    a_matrix = model.constant_kinetic()
-    if free_potential and a_matrix is not None:
+    a_matrix = model.free_kinetic()
+    if a_matrix is not None:
         _require_convex(np.linalg.eigvalsh(a_matrix)[0])
         return AnalyticQuadraticBeta(a_matrix)
     if model.n == 1:
         _require_convex(model.kinetic_eig_bounds()[0])
         return MechanicalBeta1D(model)
-    raise ConfigError("system.kinetic" if free_potential else "system.potential",
+    raise ConfigError("system.potential" if model.constant_kinetic() is not None
+                      else "system.kinetic",
                       "a two-dimensional torus needs a constant kinetic "
                       "matrix and no potential: no exact (alpha, beta) pair "
                       "is built in for other systems")

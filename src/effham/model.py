@@ -76,7 +76,10 @@ class TrigPolynomial:
             if k is None:
                 out += a
                 continue
-            phase = TWO_PI * (xs @ k)
+            # k.x summed within each row, which a matrix product may sum
+            # differently in another batch
+            phase = TWO_PI * sum((xs[:, j] * k[j] for j in range(1, self.n)),
+                                 xs[:, 0] * k[0])
             cos, sin = np.cos(phase), np.sin(phase)
             if b == 0.0:
                 term, slope = a * cos, -a * sin
@@ -104,7 +107,8 @@ class TorusHamiltonian:
 
     ``a_entries`` stores the upper triangle of A(x) as TrigPolynomials in
     row-major order: [A11] for n=1, [A11, A12, A22] for n=2, each priced at
-    rows of points; ``constant_kinetic`` alone decides whether A is constant.
+    rows of points.  ``constant_kinetic`` alone decides whether A is
+    constant; a 2-torus must be free (``free_kinetic``).
     """
 
     n: int
@@ -133,6 +137,13 @@ class TorusHamiltonian:
         if all(map(_is_constant, self.a_entries)):
             a = [entry.mean() for entry in self.a_entries]
             return np.array([a[:1]] if self.n == 1 else [a[:2], a[1:]])
+        return None
+
+    def free_kinetic(self):
+        """``constant_kinetic`` when V = 0 as well, else None: then
+        L = v.A^{-1}.v/2 does not depend on x."""
+        if _is_constant(self.v) and self.v.mean() == 0.0:
+            return self.constant_kinetic()
         return None
 
     def kinetic_eig_bounds(self):

@@ -716,8 +716,8 @@ def estimate_space_convergence(cover, epsilons, mesh: int,
         gap = dist[distinct] - _stable_norm(
             cover, gvals[second[distinct]] - gvals[first[distinct]])
         gap_bound = _gap_bound(cover)
-    axis = np.linspace(-_BALL_RADIUS, _BALL_RADIUS, 11)
-    probes = _ball_nodes([axis] * cover.deck_rank, _BALL_RADIUS, cover.norm)
+    probes = _ball_nodes(_ball_axes(_BALL_RADIUS, 11, cover.deck_rank),
+                         _BALL_RADIUS, cover.norm)
     return SpaceConvergenceReport(
         gap_low=float(gap.min(initial=0.0)),
         gap_high=float(gap.max(initial=0.0)),

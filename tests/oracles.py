@@ -278,8 +278,11 @@ def torus_candidate_count(cover, model, datum, x, t: float, eps: float,
              + _torus_grid(model.n, mesh)[None, :, :]).reshape(-1, model.n)
     d = np.sqrt(np.sum((lifts - x_lift) ** 2, axis=1))
     f = datum.value_many(eps * lifts)
-    stay = datum.value(eps * x_lift) + eps * minimal_action_torus(
-        model, x_lift, x_lift, horizon)[0]
+    # a 2-torus is free, so staying at x costs 0
+    stay = datum.value(eps * x_lift) + eps * (0.0 if model.n == 2 else
+                                              minimal_action_torus(
+                                                  model, x_lift, x_lift,
+                                                  horizon)[0])
     incumbent = min(stay, float(np.min(
         f + (eps * d) ** 2 / (2.0 * amin * t) - vmin * t)))
     low = f + (eps * d) ** 2 / (2.0 * amax * t) - vmax * t
@@ -626,7 +629,8 @@ def trig_derivatives(poly, xs):
             out += a
             continue
         kf = k.astype(float)
-        phase = two_pi * (xs @ kf)
+        phase = two_pi * sum((xs[:, j] * kf[j] for j in range(1, poly.n)),
+                             xs[:, 0] * kf[0])
         cos, sin = np.cos(phase), np.sin(phase)
         term = a * cos + b * sin
         out += term

@@ -105,9 +105,11 @@ def test_validate_and_tables_load_no_scipy(tmp_path):
 
 def test_homogenize_loads_no_scipy_on_graphs_and_only_linalg_on_tori(tmp_path):
     # the Hopf-Lax polish is the package's own Nelder-Mead, and a graph
-    # ladder solves nothing else with scipy; a torus ladder factors its
-    # chain steps through scipy.linalg's LAPACK and loads no other
-    # subpackage.  Each ladder is cut to two rungs with a loose tolerance,
+    # ladder solves nothing else with scipy, nor does the free 2-torus,
+    # whose actions are exact; a circle ladder factors its chain steps
+    # through scipy.linalg's LAPACK and loads no other subpackage.  The
+    # groups run in that order in one process, so each line reads what its
+    # group added.  Each ladder is cut to two rungs with a loose tolerance,
     # so every run passes quickly
     script = (
         "import glob, os, sys, yaml\n"
@@ -126,13 +128,16 @@ def test_homogenize_loads_no_scipy_on_graphs_and_only_linalg_on_tori(tmp_path):
         "    cut = os.path.join(out, os.path.basename(path))\n"
         "    with open(cut, 'w') as fh:\n"
         "        yaml.safe_dump(tree, fh)\n"
-        "    paths.setdefault(tree['system']['family'], []).append(cut)\n"
-        "for family in ('graph', 'torus'):\n"
-        "    for path in paths[family]:\n"
+        "    system = tree['system']\n"
+        "    group = ('graph' if system['family'] == 'graph' else\n"
+        "             'plane' if system['dimension'] == 2 else 'circle')\n"
+        "    paths.setdefault(group, []).append(cut)\n"
+        "for group in ('graph', 'plane', 'circle'):\n"
+        "    for path in paths[group]:\n"
         "        assert run(path, 'homogenize', out_dir=out) == 0, path\n"
-        "    print(family, len(paths[family]),\n"
+        "    print(group, len(paths[group]),\n"
         "          sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "          if family == 'graph' else subpackages())\n")
+        "          if group != 'circle' else subpackages())\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -141,7 +146,7 @@ def test_homogenize_loads_no_scipy_on_graphs_and_only_linalg_on_tori(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = [line for line in done.stdout.splitlines()
              if not line.startswith("{")]
-    assert lines == ["graph 3 []", "torus 3 ['scipy.linalg']"]
+    assert lines == ["graph 3 []", "plane 1 []", "circle 2 ['scipy.linalg']"]
 
 
 def test_sweep_script_runs_the_cheap_commands(tmp_path, capsys):
