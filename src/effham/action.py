@@ -5,28 +5,28 @@ Three layers:
 * ``minimal_action_graph``/``minimal_action_torus``: the two-point
   action over a fixed horizon.  Graphs reduce exactly to finitely many
   edge-traversal multisets, kept per cover by their deck-invariant sheet
-  change; ``_graph_actions`` prices those of many starts at once by
-  ``allocate_time``, the vectorised shared-energy split that also gives
-  graph beta in ``mather``, and ``minimal_action_graph`` is its one-start
-  case.  The circle descends piecewise-linear midpoint chains (C, N+1)
+  change; a ``_GraphPlan`` fixes those of many starts, and its ``price``
+  splits their time by ``allocate_time`` (horizon per row), which also
+  gives graph beta in ``mather``.  The circle descends midpoint chains (C, N+1)
   with segment-doubling refinement: ``_chain_terms`` prices each chain's
   action, gradient and exact tridiagonal Hessian, and ``_descend`` runs
   damped Newton on them over chains in lockstep, factoring the live
   chains as one system in one LAPACK ``ptsv`` call.  A 2-torus is free
   (config load admits no other), so its action is the exact quadratic
   (x - y).A^{-1}.(x - y)/(2T) and no path is searched.
-* ``lax_oleinik``: the rescaled cover solution, an infimum of
-  f(eps * G(y)) + eps * action over starting points y (f the limit
-  datum, G the cover's coordinate map) in the translate cells of G that
-  ``_search_cells`` certifies.  One sweep, ``_sweep``, prices items in
-  lower-bound order, in blocks, until the bound passes the incumbent: on
-  graphs the cells' mesh starts, exactly, one ``_graph_actions`` call a
-  block; on tori the cells at their least straight-path cost, which keep
-  the mesh lifts no cell bound rules out, then those lifts: exactly on
-  the plane, on the circle on coarse chains whose lowest few are
-  re-priced in full.  The winner is polished: on graphs by golden-section
-  searches along its edges, in lockstep; on the circle by one more
-  descent with its start node free; on the plane by ``_nelder_mead``.
+* ``lax_oleinik_many``: the rescaled cover solution at many queries, an
+  infimum of f(eps * G(y)) + eps * action over starting points y (f the
+  limit datum, G the cover's coordinate map) in the translate cells of G
+  that ``_search_cells`` certifies; ``lax_oleinik`` is its one-query case.
+  One sweep, ``_sweep``, prices items in lower-bound order, in blocks,
+  until the bound passes the incumbent: on graphs the cells' mesh starts,
+  exactly, one plan a block; on tori the cells at their least straight-path
+  (a skew plane's exact) cost, which keep the mesh lifts no cell bound rules
+  out, then those lifts: exactly on the plane, on the circle on coarse chains
+  whose lowest few are re-priced in full.  The winner is polished: on
+  graphs by golden-section searches along its edges, every query's in
+  one lockstep search over one plan; on the circle by one more descent
+  with its start node free; on the plane by ``_nelder_mead``.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box, its seed grid
   priced by one ``value_many`` call and its best node polished by
@@ -187,15 +187,15 @@ def _travel(sig, lens, off2):
     return rad, per_sigma, per_sigma.sum(axis=1) * sig
 
 
-def allocate_time(lengths, potentials, total_time: float, rest):
+def allocate_time(lengths, potentials, total_time, rest):
     """Price the shared-energy split of every row of run lengths at once.
 
     Row i runs lengths[i, e] at potential potentials[e] (entries up to
-    1e-140 count as absent) within the horizon and may rest at rate
-    rest[i] for whatever time is left.  All runs of a row share one
-    energy level E, the Lagrange multiplier of the time constraint.  With
-    V0 the row's cheapest run potential, off_e = V_e - V0 and
-    sigma = 1/sqrt(2 (E + V0)), a run of length l takes
+    1e-140 count as absent) within its horizon total_time[i] (a scalar is
+    every row's) and may rest at rate rest[i] for whatever time is left.
+    All runs of a row share one energy level E, the Lagrange multiplier of
+    the time constraint.  With V0 the row's cheapest run potential,
+    off_e = V_e - V0 and sigma = 1/sqrt(2 (E + V0)), a run of length l takes
     l * sigma / sqrt(1 + 2 off_e sigma^2) and costs
     l * (sigma (V_e + off_e) + 1 / (2 sigma)) / sqrt(1 + 2 off_e sigma^2).
 
@@ -207,9 +207,10 @@ def allocate_time(lengths, potentials, total_time: float, rest):
     step test, so its cost does not depend on the rest of the batch.
     Returns the costs (m,).
     """
-    if total_time <= 0.0:
-        raise ValueError("total_time must be positive")
     lens = np.atleast_2d(np.asarray(lengths, dtype=float))
+    total_time = np.broadcast_to(np.asarray(total_time, dtype=float), lens.shape[:1])
+    if not np.all(total_time > 0.0):
+        raise ValueError("total_time must be positive")
     pots = np.asarray(potentials, dtype=float)
     rest = np.asarray(rest, dtype=float)
     used = lens > 1e-140
@@ -226,12 +227,12 @@ def allocate_time(lengths, potentials, total_time: float, rest):
     resting = moving & (gap > 0.0) & (t_rest <= total_time)
     solve = np.flatnonzero(moving & ~resting)
     if solve.size:
-        s_lens, s_off2 = lens[solve], off2[solve]
-        s_sig = total_time / s_lens.sum(axis=1)
+        s_lens, s_off2, s_time = lens[solve], off2[solve], total_time[solve]
+        s_sig = s_time / s_lens.sum(axis=1)
         live = np.arange(solve.size)
         for _ in range(_NEWTON_CAP):
             rad, per_sigma, tau = _travel(s_sig[live], s_lens[live], s_off2[live])
-            step = (total_time - tau) / (per_sigma / rad).sum(axis=1)
+            step = (s_time[live] - tau) / (per_sigma / rad).sum(axis=1)
             # a step that rounding turns negative means the root is reached
             s_sig[live] += np.maximum(step, 0.0)
             live = live[~(step <= _SIGMA_RTOL * s_sig[live])]
@@ -313,10 +314,10 @@ def _multisets(graph, va: int, vb: int, dz: tuple):
     return out
 
 
-def _graph_actions(lagrangian: GraphLagrangian, cover, starts, x: CoverPoint,
-                   horizon: float) -> np.ndarray:
-    """Exact two-point actions on a graph cover from C starts y to x, the
-    starts given by their ``GraphCover._attachments``.
+class _GraphPlan:
+    """Exact two-point actions on a graph cover from C starts y to their
+    targets x (``GraphCover._attachments`` rows, one target row for all or
+    one per start): what those fix, then ``price`` at offsets along them.
 
     The action of a path depends on its edge-traversal multiset only, so
     the infimum is a finite minimum over the ``_multisets`` of every pair
@@ -325,48 +326,71 @@ def _graph_actions(lagrangian: GraphLagrangian, cover, starts, x: CoverPoint,
     travel time and cost), plus the direct path when both lie on one edge
     of one sheet.  Each multiset may rest at the cheapest vertex it
     visits; every run touches such a vertex, so no run potential is
-    cheaper.  The endpoint pairs of all starts are grouped by multiset
-    key, whose rows and rest rates are gathered in one take; every row is
-    priced by one ``allocate_time`` call, and every key has a multiset, so
-    no start's minimum is over an empty set.
+    cheaper.  The plan groups the endpoint pairs of all starts by multiset
+    key and gathers their rows, rest rates and offset columns in one take;
+    every key has a multiset, so no start's minimum is over an empty set.
     """
-    graph = cover.graph
-    pots = lagrangian.potentials
-    vertex_rate = np.array([min(pots[e] for e, _ in inc) for inc in graph.incident])
-    verts, sheets, offs, edges = starts
-    x_verts, x_sheets, x_offs, x_edge = (a[0] for a in cover._attachments([x]))
-    # endpoint pairs (start, its attachment, x's), starts in order
-    c, i, j = np.nonzero(np.isfinite(offs)[:, :, None] & np.isfinite(x_offs))
-    keys = np.column_stack([verts[c, i], x_verts[j], x_sheets[j] - sheets[c, i]])
-    index = {}
-    inv = np.array([index.setdefault(tuple(k), len(index))
-                    for k in keys.astype(int).tolist()])
-    for key in index:
-        if key not in cover._multisets:
-            cover._multisets[key] = _multisets(graph, key[0], key[1], key[2:])
-    runs, visited = zip(*map(cover._multisets.get, index))
-    key_first = np.cumsum([0] + [len(r) for r in runs])
-    rows = np.diff(key_first)[inv]
-    first = np.cumsum(rows) - rows
-    # stacked row r of pair p is row r - first[p] of its key's multisets
-    take = np.arange(rows.sum()) + np.repeat(key_first[inv] - first, rows)
-    pair = np.repeat(np.arange(inv.size), rows)
-    lengths = np.concatenate(runs)[take]
-    # a vertex's offset 0 lands on any column unchanged
-    lengths[np.arange(take.size), np.maximum(edges[c], 0)[pair]] += offs[c, i][pair]
-    lengths[np.arange(take.size), max(x_edge, 0)] += x_offs[j][pair]
-    rests = np.where(np.concatenate(visited), vertex_rate, np.inf).min(axis=1)[take]
-    # direct rows within one edge of one sheet (never touch a vertex)
-    direct = np.flatnonzero((edges >= 0) & (edges == x_edge)
-                            & np.all(sheets[:, 0] == x_sheets[0], axis=1))
-    inside = np.zeros((direct.size, len(graph.edges)))
-    inside[np.arange(direct.size), edges[direct]] = np.abs(x_offs[0] - offs[direct, 0])
-    costs = allocate_time(np.concatenate([lengths, inside]), pots, horizon,
-                          np.concatenate([rests, pots[edges[direct]]]))
-    out = np.minimum.reduceat(costs[:take.size],
-                              first[np.searchsorted(c, np.arange(len(verts)))])
-    out[direct] = np.minimum(out[direct], costs[take.size:])
-    return out
+
+    def __init__(self, lagrangian: GraphLagrangian, cover, starts, targets):
+        graph, pots = cover.graph, lagrangian.potentials
+        vertex_rate = np.array([min(pots[e] for e, _ in inc) for inc in graph.incident])
+        verts, sheets, offs, self.edges = starts
+        x_verts, x_sheets, x_offs, x_edges = (np.broadcast_to(a, (len(verts),) + a.shape[1:])
+                                              for a in targets)
+        # endpoint pairs (start, its attachment, its target's), starts in order
+        c, i, j = np.nonzero(np.isfinite(offs)[:, :, None] & np.isfinite(x_offs)[:, None, :])
+        keys = np.column_stack([verts[c, i], x_verts[c, j], x_sheets[c, j] - sheets[c, i]])
+        index = {}
+        inv = np.array([index.setdefault(tuple(k), len(index))
+                        for k in keys.astype(int).tolist()])
+        for key in index:
+            if key not in cover._multisets:
+                cover._multisets[key] = _multisets(graph, key[0], key[1], key[2:])
+        runs, visited = zip(*map(cover._multisets.get, index))
+        key_first = np.cumsum([0] + [len(r) for r in runs])
+        rows = np.diff(key_first)[inv]
+        first = np.cumsum(rows) - rows
+        # stacked row r of pair p is row r - first[p] of its key's multisets
+        take = np.arange(rows.sum()) + np.repeat(key_first[inv] - first, rows)
+        pair = np.repeat(np.arange(inv.size), rows)
+        self.runs = np.concatenate(runs)[take]
+        self.rests = np.where(np.concatenate(visited), vertex_rate, np.inf).min(axis=1)[take]
+        # each row's start and the attachment it leaves by; a vertex's
+        # offset 0 lands on any column unchanged
+        self.start, self.via = c[pair], i[pair]
+        self.col, self.x_col = (np.maximum(e, 0)[self.start] for e in (self.edges, x_edges))
+        self.x_off = x_offs[c, j][pair]
+        # direct rows within one edge of one sheet (never touch a vertex)
+        self.direct = np.flatnonzero((self.edges >= 0) & (self.edges == x_edges)
+                                     & np.all(sheets[:, 0] == x_sheets[:, 0], axis=1))
+        self.x_inside, self.pots = x_offs[:, 0], pots
+
+    def price(self, offs, horizon, live):
+        """Actions of the starts ``live`` (ascending) at attachment offsets
+        offs (C, 2) over their horizons (C,): every row of those starts in
+        one ``allocate_time`` call, then each one's least."""
+        mask = np.zeros(len(offs), dtype=bool)
+        mask[live] = True
+        r, d = np.flatnonzero(mask[self.start]), self.direct[mask[self.direct]]
+        lengths, start = self.runs[r], self.start[r]
+        lengths[np.arange(r.size), self.col[r]] += offs[start, self.via[r]]
+        lengths[np.arange(r.size), self.x_col[r]] += self.x_off[r]
+        inside = np.zeros((d.size, lengths.shape[1]))
+        inside[np.arange(d.size), self.edges[d]] = np.abs(self.x_inside[d] - offs[d, 0])
+        costs = allocate_time(np.concatenate([lengths, inside]), self.pots,
+                              np.concatenate([horizon[start], horizon[d]]),
+                              np.concatenate([self.rests[r], self.pots[self.edges[d]]]))
+        out = np.minimum.reduceat(costs[:r.size], np.searchsorted(start, live))
+        np.minimum.at(out, np.searchsorted(live, d), costs[r.size:])
+        return out
+
+
+def _graph_actions(lagrangian: GraphLagrangian, cover, starts, x: CoverPoint,
+                   horizon: float) -> np.ndarray:
+    """One ``_GraphPlan`` from C starts (``GraphCover._attachments``) to x."""
+    n = len(starts[2])
+    return _GraphPlan(lagrangian, cover, starts, cover._attachments([x])).price(
+        starts[2], np.full(n, horizon), np.arange(n))
 
 
 def minimal_action_graph(lagrangian: GraphLagrangian, cover, y: CoverPoint,
@@ -791,8 +815,10 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
         d_c = _norm_rows(lifts - x_lift[None, :], cover.norm)
         f_c = datum.value_many(eps * lifts)
         low_c = f_c + (eps * d_c) ** 2 / (2.0 * quad * t) - drift * t
-        up_c = (f_c + (eps * d_c) ** 2 / (2.0 * amin * t)
-                - vmin * t).reshape(block.size, -1)
+        up_c = f_c + (eps * d_c) ** 2 / (2.0 * amin * t) - vmin * t
+        if plane and amin < amax:  # A = a I keeps its cheaper, already exact bounds
+            low_c = up_c = f_c + eps * plane_action(lifts)
+        up_c = up_c.reshape(block.size, -1)
         cell_best[block] = np.argmin(up_c, axis=1)
         up_c = up_c.min(axis=1)
         least = min(least, float(up_c.min()))
@@ -888,11 +914,11 @@ def _golden_min(fn, lo, hi, tol):
     return s, list(fn(list(range(len(s))), s))
 
 
-def _lax_graph(cover, lagrangian, datum, x, t, eps, mesh):
-    """Graph cover solution: the stay at x, ``_sweep`` over the starts
-    (locator, sheet) on the sheets of ``_search_cells``, and the polish.  A
-    locator's G on sheet 0 lies in [0, 1)^k, so sheet z holds cell z."""
-    graph = cover.graph
+def _graph_search(cover, lagrangian, datum, x, t, eps, mesh):
+    """Graph cover search at one query: the stay at x and ``_sweep`` over
+    the starts (locator, sheet) on the sheets of ``_search_cells``; returns
+    (incumbent, best start, window, candidates, evaluated).  A locator's G
+    on sheet 0 lies in [0, 1)^k, so sheet z holds cell z."""
     horizon = t / eps
     gx = cover.g_map(x)
     # action >= d^2/(2*quad*T) - drift*T, as L = v^2/2 + V_e on every edge
@@ -930,47 +956,87 @@ def _lax_graph(cover, lagrangian, datum, x, t, eps, mesh):
     if best is not None:
         best_point = CoverPoint(base_locs[loc_of[best]],
                                 tuple(int(s) for s in sheets[sheet_of[best]]))
+    return [incumbent, best_point, window, int(kept.size), len(scored)]
 
-    # continuous polish along the edges at the best start's vertex, or at
-    # both ends of its edge: a start within rounding of an end would
-    # otherwise miss a minimiser across that vertex.  A vertex lists an
-    # edge once per direction, and the two directions of a loop, a
-    # non-tree edge, differ in sheet by its nonzero cocycle; the start's
-    # own edge, reached from both of its ends, is kept once.
-    z0 = np.array(best_point.sheet)
-    if best_point.base[0] == "e":
-        e = best_point.base[1]
-        ends = [(graph.tail(e), z0), (graph.head(e), z0 + graph.cocycles[e])]
-    else:
-        ends = [(best_point.base[1], z0)]
-    polish_domains = [(e, np.array(z)) for e, z in dict.fromkeys(
-        (e, tuple(z - (direction == -1) * graph.cocycles[e]))
-        for v, z in ends for e, direction in graph.incident[v])]
-    lengths = np.array([graph.length(e) for e, _ in polish_domains])
+
+def _graph_polish(cover, lagrangian, datum, queries, found):
+    """Continuous polish of each query's best start (``_graph_search``'s
+    ``found``) by golden-section searches along the edges at its vertex,
+    or at both ends of its edge: a start within rounding of an end would
+    otherwise miss a minimiser across that vertex.  A vertex lists an edge
+    once per direction, and the two directions of a loop, a non-tree edge,
+    differ in sheet by its nonzero cocycle; the start's own edge, reached
+    from both of its ends, is kept once.  The searches of all queries run
+    in one lockstep ``_golden_min`` over one ``_GraphPlan``, a step one
+    ``allocate_time`` call; each query's incumbent then updates in its
+    edge order.  Returns one ``LaxResult`` per query."""
+    graph, domains = cover.graph, []
+    for q, (_, best, *_) in enumerate(found):
+        (kind, at, *_), z0 = best.base, np.array(best.sheet)
+        ends = ([(graph.tail(at), z0), (graph.head(at), z0 + graph.cocycles[at])]
+                if kind == "e" else [(at, z0)])
+        domains += [(q,) + key for key in dict.fromkeys(
+            (e, tuple(z - (direction == -1) * graph.cocycles[e]))
+            for v, z in ends for e, direction in graph.incident[v])]
+    owner, edges = (np.array([d[k] for d in domains]) for k in (0, 1))
+    lengths, cocycles = graph.lengths[edges], graph.cocycles[edges]
+    sheets = np.array([z for _, _, z in domains], dtype=float)
+    scale, horizons = (np.array(v)[owner]
+                       for v in zip(*[(eps, t / eps) for _, t, eps in queries]))
+    plan = _GraphPlan(lagrangian, cover, cover._attachments(
+        [cover.edge_point(e, 0.5 * ln, z) for (_, e, z), ln in zip(domains, lengths)]),
+        cover._attachments([queries[q][0] for q in owner]))
 
     def objective(idx, s):
-        points = [cover.edge_point(polish_domains[k][0], min(max(sk, 0.0), lengths[k]),
-                                   polish_domains[k][1]) for k, sk in zip(idx, s)]
-        acts = _graph_actions(lagrangian, cover, cover._attachments(points), x, horizon)
-        return datum.value_many(eps * np.array([cover.g_map(p) for p in points])) + eps * acts
+        # an edge point at s: G = sheet + s/length * cocycle, as ``g_map``
+        idx, s = np.array(idx), np.array(s)
+        offs = np.zeros((edges.size, 2))
+        offs[idx, 0], offs[idx, 1] = s, lengths[idx] - s
+        g = sheets[idx] + (s / lengths[idx])[:, None] * cocycles[idx]
+        return (datum.value_many(scale[idx, None] * g)
+                + scale[idx] * plan.price(offs, horizons, idx))
 
-    # one lockstep search per edge; the incumbent then updates in edge order
     s_best, vals = _golden_min(objective, 0.0, lengths, 1e-9 * np.maximum(1.0, lengths))
-    for (e, sheet), s, val in zip(polish_domains, s_best, vals):
-        if val < incumbent:
-            incumbent = val
-            best_point = cover.edge_point(e, s, sheet)
+    for (q, e, z), s, val in zip(domains, s_best, vals):
+        if val < found[q][0]:
+            found[q][:2] = val, cover.edge_point(e, s, np.array(z))
+    return [LaxResult(value=float(val), minimizer_g=cover.g_map(best), window=window,
+                      candidates=candidates, evaluated=evaluated)
+            for val, best, window, candidates, evaluated in found]
 
-    return LaxResult(value=float(incumbent), minimizer_g=cover.g_map(best_point),
-                     window=window, candidates=int(kept.size),
-                     evaluated=len(scored))
+
+def lax_oleinik_many(cover, lagrangian, datum: InitialDatum, queries,
+                     mesh: int = 64) -> list:
+    """``lax_oleinik`` at every query (x, t, eps), one ``LaxResult`` each.
+
+    Each query runs its own search, on a torus all of it (the horizons
+    differ), on a graph its stay and ``_sweep``; then ``_graph_polish``
+    polishes every graph query in one lockstep search.  Every probe and row
+    is priced as its query prices it alone, so each result is that query's,
+    bit for bit.  A SolverError in one query's search carries its index as
+    ``query``."""
+    for _, t, eps in queries:
+        if t <= 0.0:
+            raise ValueError(f"time must be positive, got {t}")
+        if eps <= 0.0:
+            raise ValueError(f"scale eps must be positive, got {eps}")
+    graph, found = cover.family == "graph", []
+    for k, (x, t, eps) in enumerate(queries):
+        try:
+            found.append((_graph_search if graph else _lax_torus)(
+                cover, lagrangian, datum, x, t, eps, mesh))
+        except SolverError as exc:
+            exc.query = k
+            raise
+    return (_graph_polish(cover, lagrangian, datum, queries, found) if graph and found
+            else found)
 
 
 def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
                 eps: float, mesh: int = 64) -> LaxResult:
     """Rescaled cover solution at (x, t): inf over starting points y of
     datum(eps * G(y)) + eps * action(y, x, t/eps), with G the cover's
-    coordinate map.
+    coordinate map; the one-query case of ``lax_oleinik_many``.
 
     Starts live on a base mesh crossed with the translate cells that
     ``_search_cells`` certifies.  The candidates, the starts whose lower
@@ -980,13 +1046,7 @@ def lax_oleinik(cover, lagrangian, datum: InitialDatum, x: CoverPoint, t: float,
     ``LaxResult``: the value, the minimizer's G, the window, the counts of
     candidates and evaluated starts, and tori's solver ``diagnostics``.
     """
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    if eps <= 0.0:
-        raise ValueError(f"scale eps must be positive, got {eps}")
-    if cover.family == "graph":
-        return _lax_graph(cover, lagrangian, datum, x, t, eps, mesh)
-    return _lax_torus(cover, lagrangian, datum, x, t, eps, mesh)
+    return lax_oleinik_many(cover, lagrangian, datum, [(x, t, eps)], mesh)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,4 +28,7 @@ class ModelValidityError(EffhamError):
 
 
 class SolverError(EffhamError):
-    """An iterative solver failed to converge or exhausted its budget."""
+    """An iterative solver failed to converge or exhausted its budget;
+    ``query`` indexes the query of ``action.lax_oleinik_many`` that failed."""
+
+    query = None

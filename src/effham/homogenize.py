@@ -23,7 +23,7 @@ import numpy as np
 
 # unused minimal_action_graph: perfbench/test_perfbench.py expects the binding
 from .action import (InitialDatum, _reach, hopf_lax, lax_oleinik,
-                     minimal_action_graph)
+                     lax_oleinik_many, minimal_action_graph)
 from .errors import ConfigError, SolverError
 from .mather import (AnalyticQuadraticBeta, BetaHatEvaluator,
                      DirectBetaEvaluator, LegendreDual, MechanicalBeta1D,
@@ -216,32 +216,29 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
         limits[(h, t)], ok = hopf_lax(limit_eval, scenario.datum, np.array(h), t)
         unpolished += not ok
 
-    windows = []
-    evaluated = 0
+    # every (rung, point) query in one solve, rung by rung
+    labels = [(h, t, eps) for eps in scenario.eps_ladder
+              for h, t in scenario.eval_points]
+    matched = [match_point(cover, np.array(h), eps, scenario.mesh, sub)
+               for h, _, eps in labels]
+    points = [point for point, _ in matched]
+    try:
+        results = lax_oleinik_many(cover, model, datum, [
+            (point, t, eps) for point, (_, t, eps) in zip(points, labels)],
+            mesh=scenario.mesh)
+    except SolverError as exc:
+        where = ("" if exc.query is None
+                 else "h={} t={} eps={}: ".format(*labels[exc.query]))
+        raise SolverError(f"scenario {scenario.name}: {where}{exc}") from exc
     counts = {}
-    points = []
-    for eps in scenario.eps_ladder:
-        for h, t in scenario.eval_points:
-            point, image = match_point(cover, np.array(h), eps, scenario.mesh,
-                                       sub)
-            points.append(point)
-            try:
-                res = lax_oleinik(cover, model, datum, point, t, eps,
-                                  mesh=scenario.mesh)
-            except SolverError as exc:
-                raise SolverError(
-                    f"scenario {scenario.name}: h={h} t={t} eps={eps}: {exc}"
-                ) from exc
-            windows.append(res.window)
-            evaluated += res.evaluated
-            for key, n in res.diagnostics.items():
-                counts[key] = counts.get(key, 0) + int(n)
-            u_val = limits[(h, t)]
-            report.rows.append(ExperimentRow(
-                h=h, t=t, eps=eps, v_eps=float(res.value),
-                u_limit=float(u_val), abs_error=float(abs(res.value - u_val)),
-                match_error=float(norm_value(image - np.array(h),
-                                             cover.norm))))
+    for (h, t, eps), (_, image), res in zip(labels, matched, results):
+        for key, n in res.diagnostics.items():
+            counts[key] = counts.get(key, 0) + int(n)
+        u_val = limits[(h, t)]
+        report.rows.append(ExperimentRow(
+            h=h, t=t, eps=eps, v_eps=float(res.value),
+            u_limit=float(u_val), abs_error=float(abs(res.value - u_val)),
+            match_error=float(norm_value(image - np.array(h), cover.norm))))
 
     errs = report.errors_by_eps()
     report.final_error = errs[-1][1] if errs else math.inf
@@ -251,8 +248,8 @@ def run_experiment(scenario: Scenario, beta_eval=None) -> ExperimentReport:
 
     report.diagnostics = {
         "mesh": scenario.mesh,
-        "max_window": max(windows) if windows else 0.0,
-        "actions_evaluated": int(evaluated),
+        "max_window": max((res.window for res in results), default=0.0),
+        "actions_evaluated": sum(res.evaluated for res in results),
         "neldermead_unconverged": unpolished,
         **counts,
     }

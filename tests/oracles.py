@@ -266,7 +266,9 @@ def torus_candidate_count(cover, model, datum, x, t: float, eps: float,
     when its lower bound f(eps y) + (eps d)^2/(2 amax t) - vmax t is
     within 1e-9 of the incumbent and d <= window/eps.  amin, amax, vmin and
     vmax are the proved bounds of ``kinetic_eig_bounds`` and
-    ``_proved_range``, as in the search."""
+    ``_proved_range``, as in the search.  On a free 2-torus with amin <
+    amax both bounds are the exact value f(eps y) + eps^2 (y - x).A^{-1}.
+    (y - x)/(2t), here by ``np.einsum``."""
     x_lift = cover.lift(x)
     horizon, reach = t / eps, window / eps
     amin, amax = model.kinetic_eig_bounds()
@@ -283,9 +285,14 @@ def torus_candidate_count(cover, model, datum, x, t: float, eps: float,
                                               minimal_action_torus(
                                                   model, x_lift, x_lift,
                                                   horizon)[0])
-    incumbent = min(stay, float(np.min(
-        f + (eps * d) ** 2 / (2.0 * amin * t) - vmin * t)))
+    up = f + (eps * d) ** 2 / (2.0 * amin * t) - vmin * t
     low = f + (eps * d) ** 2 / (2.0 * amax * t) - vmax * t
+    if model.n == 2 and amin < amax:
+        step = lifts - x_lift
+        low = up = f + eps * eps * np.einsum(
+            "ij,jk,ik->i", step, np.linalg.inv(model.constant_kinetic()),
+            step) / (2.0 * t)
+    incumbent = min(stay, float(np.min(up)))
     return int(np.sum((low <= incumbent + 1e-9) & (d <= reach + 1e-12)))
 
 

@@ -22,6 +22,7 @@ from effham.action import (
     allocate_time,
     hopf_lax,
     lax_oleinik,
+    lax_oleinik_many,
     minimal_action_graph,
     minimal_action_torus,
 )
@@ -81,6 +82,33 @@ def test_row_cost_does_not_depend_on_its_batch(horizon):
     alone = [allocate_time(row[None], pots, horizon, [rest])[0]
              for row, rest in zip(rows, rests)]
     assert np.array_equal(batch, alone)
+
+
+def test_horizon_per_row_is_each_row_alone():
+    # rows that rest (rate below every run), that solve for the energy,
+    # that hold only lengths up to 1e-140 (no run: rest the whole horizon)
+    # and direct rows (one run resting at its own potential), each over
+    # its own horizon, against one scalar call per row
+    rng = np.random.default_rng(5)
+    pots = np.array([0.3, -0.2, 0.1])
+    rows = rng.uniform(0.0, 2.0, (60, 3)) * (rng.random((60, 3)) < 0.7)
+    rests = rng.uniform(-1.0, 1.0, 60)
+    rows[:10] = rng.choice([0.0, 1e-141, 1e-140], (10, 3))
+    rows[10:20] = 0.0
+    rows[10:20, 1] = rng.uniform(0.0, 1.0, 10)
+    rests[10:20] = pots[1]
+    rests[20:30] = -2.0
+    horizons = rng.choice([0.05, 0.5, 4.0, 64.0, 1e3], 60)
+    batch = allocate_time(rows, pots, horizons, rests)
+    alone = [allocate_time(row[None], pots, float(h), [rest])[0]
+             for row, h, rest in zip(rows, horizons, rests)]
+    assert np.float64(batch).tobytes() == np.float64(alone).tobytes()
+    # a row with no run rests the whole horizon
+    assert np.array_equal(batch[:10], rests[:10] * horizons[:10])
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="total_time"):
+            allocate_time(rows, pots, np.where(np.arange(60) == 37, bad, horizons),
+                          rests)
 
 
 def test_detour_to_cheaper_ground_wins():
@@ -939,9 +967,8 @@ def test_screen_is_exact_on_free_systems(stem):
 
 @pytest.mark.parametrize("stem, mesh, rungs", [
     pytest.param("free_torus_2d", 64, 7, id="free_torus_2d"),
-    # an anisotropic A keeps every mesh lift between its amin and amax
-    # ellipses as a candidate, (mesh/eps)^2 of them, so a coarse mesh and
-    # the first four rungs keep this one small
+    # a coarse mesh and the first four rungs keep the skew A's cell
+    # pre-sweep short
     pytest.param("free_torus_2d-skew", 8, 4, id="free_torus_2d-skew")])
 def test_plane_is_the_affine_hopf_lax_formula(stem, mesh, rungs):
     # under an affine datum f(h) = p.h + c the free plane's solution is
@@ -962,6 +989,22 @@ def test_plane_is_the_affine_hopf_lax_formula(stem, mesh, rungs):
                 - t * closed_rate
             assert abs(res.value - closed) <= 1e-15
             assert res.diagnostics == {"newton_capped": 0}
+
+
+def test_skew_plane_keeps_few_candidates():
+    # the cell pre-sweep prices an anisotropic plane's lifts exactly, so it
+    # keeps the best lift alone; the bounds by amin and amax kept about 5.9 M
+    # of them at eps = 1/16 (1.48 M at 1/8)
+    scenario = load_config(os.path.join(_SCENARIOS,
+                                        "free_torus_2d.yaml")).scenario()
+    model, eps, p = _free_2d_skew(), 0.0625, scenario.datum.p
+    (h, t), = scenario.eval_points
+    point, _ = match_point(scenario.cover, np.array(h), eps, 64)
+    res = lax_oleinik(scenario.cover, model, scenario.datum, point, t, eps, mesh=64)
+    assert res.candidates <= 4
+    closed = eps * float(p @ scenario.cover.g_map(point)) + scenario.datum.c \
+        - 0.5 * t * float(p @ model.constant_kinetic() @ p)
+    assert abs(res.value - closed) <= 1e-15
 
 
 @pytest.mark.parametrize("model", [
@@ -1061,15 +1104,17 @@ def test_shared_sweep_is_the_one_by_one_sweep(monkeypatch, fig8_cover, fig8_lag,
 
 @pytest.mark.parametrize("system, eps, counts", [
     ("pendulum", 1.0, (143, 100)), ("pendulum", 0.5, (201, 142)),
-    ("pendulum", 0.25, (285, 202)), ("torus2", 1.0, (23, 18)),
-    ("torus2", 0.5, (95, 71)), ("torus2", 0.25, (380, 274)),
+    ("pendulum", 0.25, (285, 202)), ("torus2", 1.0, (1, 1)),
+    ("torus2", 0.5, (1, 1)), ("torus2", 0.25, (1, 1)),
     ("figure-eight", 0.5, (552, 169)), ("figure-eight", 0.125, (4219, 963))])
 def test_cell_sweep_drops_no_candidate(circle, torus2, pendulum, fig8_cover,
                                        fig8_lag, system, eps, counts):
     # (candidates, evaluated): for the pendulum scenario at h = 1/3 those
     # of the shell sweep that the cell sweep replaced; for the free skew
     # plane under a quadratic datum at h = (0.3, -0.2) on mesh 8 those of
-    # the cell sweep, its candidates every lift of the brute-force count;
+    # the cell sweep, whose bounds there are the exact action (the lift
+    # bounds by amin and amax kept 23, 95 and 380), its candidates every
+    # lift of the brute-force count;
     # on the figure_eight scenario at h = (1/3, -1/3) the starts of the
     # cells within 1e-9 of the stay value; all at t = 1
     if system == "pendulum":
@@ -1188,11 +1233,13 @@ def _theta_case(name):
             InitialDatum.affine([0.3, -0.2]), [(x, 1.0, eps)])
 
 
-def _figure_eight_rungs():
-    scenario = load_config(os.path.join(_SCENARIOS, "figure_eight.yaml")).scenario()
-    calls = [(match_point(scenario.cover, np.array(h), eps, scenario.mesh)[0], t, eps)
-             for eps in scenario.eps_ladder for h, t in scenario.eval_points]
-    return scenario.cover, scenario.model, scenario.datum, calls
+def _scenario_queries(stem, rungs=None):
+    """(cover, model, datum, queries (x, t, eps)) of a scenario's ladder,
+    rung by rung, cut to its first ``rungs``."""
+    scenario = load_config(os.path.join(_SCENARIOS, stem + ".yaml")).scenario()
+    return (scenario.cover, scenario.model, scenario.datum,
+            [(match_point(scenario.cover, np.array(h), eps, scenario.mesh)[0], t, eps)
+             for eps in scenario.eps_ladder[:rungs] for h, t in scenario.eval_points])
 
 
 @pytest.mark.parametrize("case", ["figure-eight-rungs", "inside-an-edge",
@@ -1200,7 +1247,8 @@ def _figure_eight_rungs():
 def test_graph_polish_is_each_edge_alone(monkeypatch, case):
     # the lockstep polish against the searches run one by one: each
     # search's midpoint and value, and the result, bit for bit
-    cover, lag, datum, calls = (_figure_eight_rungs() if case == "figure-eight-rungs"
+    cover, lag, datum, calls = (_scenario_queries("figure_eight")
+                                if case == "figure-eight-rungs"
                                 else _theta_case(case))
     lockstep, sizes = action._golden_min, []
 
@@ -1239,7 +1287,7 @@ def _graph_search_case(case):
     case: a scenario's ladder, or a graph with non-tree lengths other
     than 1 under one datum family at a vertex and inside an edge."""
     if case == "figure-eight-rungs":
-        return _figure_eight_rungs()
+        return _scenario_queries("figure_eight")
     if case == "figure-eight-subcover":
         scenario = load_config(os.path.join(
             _SCENARIOS, "figure_eight_subcover.yaml")).scenario()
@@ -1276,3 +1324,29 @@ def test_graph_search_is_the_full_table(case):
         assert got.minimizer_g.tobytes() == ref.minimizer_g.tobytes()
         assert got.evaluated == ref.evaluated
         assert got.candidates == ref.candidates
+
+
+@pytest.mark.parametrize("case", ["figure-eight-rungs", "theta",
+                                  "single-loop", "figure-eight-subcover",
+                                  "pendulum"])
+def test_many_queries_are_each_query_alone(case):
+    # one solve over K queries, whose graph polish runs every query's
+    # searches in lockstep, against K one-query solves, bit for bit
+    if case == "theta":
+        cover, lag, datum, _ = _theta_case("degree-3-vertex")
+        inside = _theta_case("inside-an-edge")[3][0][0]
+        queries = [(x, t, eps) for x in (cover.vertex_point(0), inside)
+                   for t, eps in ((1.0, 1.0), (0.5, 0.5), (2.0, 0.25))]
+    elif case in ("single-loop", "pendulum"):
+        cover, lag, datum, queries = _scenario_queries(
+            case.replace("-", "_"), None if case == "single-loop" else 3)
+    else:
+        cover, lag, datum, queries = _graph_search_case(case)
+    many = lax_oleinik_many(cover, lag, datum, queries, mesh=64)
+    assert len(many) == len(queries) > 2
+    for got, (x, t, eps) in zip(many, queries):
+        ref = lax_oleinik(cover, lag, datum, x, t, eps, mesh=64)
+        assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes()
+        assert got.minimizer_g.tobytes() == ref.minimizer_g.tobytes()
+        assert (got.window, got.candidates, got.evaluated, got.diagnostics) == \
+            (ref.window, ref.candidates, ref.evaluated, ref.diagnostics)

@@ -1,8 +1,13 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
 from effham import action, homogenize
 from effham.action import InitialDatum
+from effham.config import load_config
+from effham.errors import SolverError
 from effham.homogenize import (
     ExperimentReport,
     ExperimentRow,
@@ -17,6 +22,7 @@ from tests.oracles import affine_datum_check
 
 
 LADDER3 = (1.0, 0.5, 0.25)
+_SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def test_free_experiment_error_equals_matching(circle, free1):
@@ -36,14 +42,15 @@ def test_sandwich_violation_fails_the_report(circle, free1, monkeypatch):
     # a cover solver that undershoots the limit by 1 keeps the error flat
     # (monotone) and under the loose tolerance, so only the sandwich
     # check can catch it
-    solve = homogenize.lax_oleinik
+    solve = homogenize.lax_oleinik_many
 
     def undershoot(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        res.value -= 1.0
-        return res
+        results = solve(*args, **kwargs)
+        for res in results:
+            res.value -= 1.0
+        return results
 
-    monkeypatch.setattr(homogenize, "lax_oleinik", undershoot)
+    monkeypatch.setattr(homogenize, "lax_oleinik_many", undershoot)
     scenario = Scenario(name="free-line", cover=circle, model=free1,
                         datum=InitialDatum.affine([1.0], 0.25),
                         eps_ladder=LADDER3, eval_points=(((1 / 3,), 1.0),),
@@ -66,14 +73,15 @@ def test_nan_error_reaches_final_error():
 
 
 def test_nan_cover_value_fails_the_report(circle, free1, monkeypatch):
-    solve = homogenize.lax_oleinik
+    solve = homogenize.lax_oleinik_many
 
     def nan_value(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        res.value = float("nan")
-        return res
+        results = solve(*args, **kwargs)
+        for res in results:
+            res.value = float("nan")
+        return results
 
-    monkeypatch.setattr(homogenize, "lax_oleinik", nan_value)
+    monkeypatch.setattr(homogenize, "lax_oleinik_many", nan_value)
     scenario = Scenario(name="free-line", cover=circle, model=free1,
                         datum=InitialDatum.affine([1.0], 0.25),
                         eps_ladder=LADDER3, eval_points=(((1 / 3,), 1.0),),
@@ -119,6 +127,57 @@ def test_figure_eight_cone_experiment(fig8_cover, fig8_lag):
     errs = [v for _, v in report.errors_by_eps()]
     # coarse rungs can wobble; the tolerance claim needs the full ladder
     assert errs[-1] < 0.5 * errs[0]
+
+
+def test_ladder_polish_prices_every_rung_at_once(monkeypatch):
+    # graph-ladder's cut figure_eight ladder: polishing rung by rung made
+    # 188 allocate_time calls, one per golden step of each rung
+    scenario = load_config(os.path.join(_SCENARIOS, "figure_eight.yaml")).scenario()
+    scenario = dataclasses.replace(scenario, eps_ladder=(1.0, 0.5, 0.25, 0.125))
+    allocate, polish, calls = action.allocate_time, action._graph_polish, []
+
+    def counted(*args):
+        calls.append(polishing)
+        return allocate(*args)
+
+    def flagged(*args):
+        nonlocal polishing
+        polishing = True
+        try:
+            return polish(*args)
+        finally:
+            polishing = False
+
+    polishing = False
+    monkeypatch.setattr(action, "allocate_time", counted)
+    monkeypatch.setattr(action, "_graph_polish", flagged)
+    run_experiment(scenario)
+    assert 0 < sum(calls) <= 50
+
+
+@pytest.mark.parametrize("name, fail_at, where", [
+    # each graph query sweeps once, so the third sweep is the third rung's
+    ("_sweep", 3, "h=(0.3333333333333333, -0.3333333333333333) t=1.0 eps=0.25: "),
+    # the joint polish belongs to no one query
+    ("_golden_min", 1, "")])
+def test_solver_error_names_its_query(monkeypatch, fig8_cover, fig8_lag, name,
+                                      fail_at, where):
+    scenario = Scenario(name="fig8-small", cover=fig8_cover, model=fig8_lag,
+                        datum=InitialDatum.cone(0.6, norm="l1", dim=2),
+                        eps_ladder=LADDER3,
+                        eval_points=(((1 / 3, -1 / 3), 1.0),), mesh=32)
+    real, seen = getattr(action, name), []
+
+    def fails(*args):
+        seen.append(None)
+        if len(seen) == fail_at:
+            raise SolverError("stalled")
+        return real(*args)
+
+    monkeypatch.setattr(action, name, fails)
+    with pytest.raises(SolverError) as info:
+        run_experiment(scenario)
+    assert str(info.value) == f"scenario fig8-small: {where}stalled"
 
 
 def test_affine_check_free_is_tight(circle, free1):
