@@ -7,13 +7,13 @@ Three layers:
   edge-traversal multisets, kept per cover by their deck-invariant sheet
   change; a ``_GraphPlan`` fixes those of many starts, and its ``price``
   splits their time by ``allocate_time`` (horizon per row), which also
-  gives graph beta in ``mather``.  The circle descends midpoint chains (C, N+1)
-  with segment-doubling refinement: ``_chain_terms`` prices each chain's
-  action, gradient and exact tridiagonal Hessian, and ``_descend`` runs
-  damped Newton on them over chains in lockstep, factoring the live
-  chains as one system in one LAPACK ``ptsv`` call.  A 2-torus is free
-  (config load admits no other), so its action is the exact quadratic
-  (x - y).A^{-1}.(x - y)/(2T) and no path is searched.
+  gives graph beta in ``mather``.  A free torus has the exact action
+  (x - y).A^{-1}.(x - y)/(2T); any other torus is a circle, which descends
+  midpoint chains (C, N+1) with segment-doubling refinement:
+  ``_chain_terms`` prices each chain's action, gradient and exact
+  tridiagonal Hessian, and ``_descend`` runs damped Newton on them over
+  chains in lockstep, factoring the live chains as one system in one
+  LAPACK ``ptsv`` call.
 * ``lax_oleinik_many``: the rescaled cover solution at many queries, an
   infimum of f(eps * G(y)) + eps * action over starting points y (f the
   limit datum, G the cover's coordinate map) in the translate cells of G
@@ -21,12 +21,12 @@ Three layers:
   One sweep, ``_sweep``, prices items in lower-bound order, in blocks,
   until the bound passes the incumbent: on graphs the cells' mesh starts,
   exactly, one plan a block; on tori the cells at their least straight-path
-  (a skew plane's exact) cost, which keep the mesh lifts no cell bound rules
-  out, then those lifts: exactly on the plane, on the circle on coarse chains
-  whose lowest few are re-priced in full.  The winner is polished: on
-  graphs by golden-section searches along its edges, every query's in
-  one lockstep search over one plan; on the circle by one more descent
-  with its start node free; on the plane by ``_nelder_mead``.
+  cost, on a free torus each lift's exact cost, while a circle's cells keep
+  the lifts no cell bound rules out for a sweep on coarse chains whose
+  lowest few are re-priced in full.  The winner is polished: on graphs by
+  golden-section searches along its edges, every query's in one lockstep
+  search over one plan; on a free torus by ``_nelder_mead``; on the circle
+  by one more descent with its start node free.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box, its seed grid
   priced by one ``value_many`` call and its best node polished by
@@ -127,28 +127,20 @@ class InitialDatum:
         return (0.5 * np.vecdot(hs, np.vecdot(hs[:, None, :], self.q_matrix))
                 + lin + self.c)
 
-    def gradient(self, h):
-        """Gradient where smooth; zero at the tip of a cone."""
-        h = np.atleast_1d(np.asarray(h, dtype=float))
+    def circle_slopes(self, hs):
+        """Slopes at the entries of hs (m,) on the circle, and the
+        curvature, the joint polish's: a cone is linear off its tip, where
+        its slope reads 0, and only a quadratic curves."""
+        hs = np.asarray(hs, dtype=float)
         if self.kind == "affine":
-            return self.p.copy()
+            return np.full(hs.shape, self.p[0]), 0.0
         if self.kind == "quadratic":
-            return self.q_matrix @ h + self.p
-        d = h - self.center
+            return self.q_matrix[0, 0] * hs + self.p[0], float(self.q_matrix[0, 0])
+        d = hs - self.center[0]
         if self.cone_norm == "l1":
-            return self.slope * np.sign(d)
-        r = float(np.linalg.norm(d))
-        if r < 1e-12:
-            return np.zeros_like(d)
-        return self.slope * d / r
-
-    def hessian(self, h):
-        """Hessian on the circle, the joint polish's, where a cone is linear
-        off its tip and only a quadratic curves."""
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-        if self.kind == "quadratic":
-            return self.q_matrix.copy()
-        return np.zeros((h.size, h.size))
+            return self.slope * np.sign(d), 0.0
+        r = np.sqrt(d * d)
+        return np.where(r < 1e-12, 0.0, self.slope * d / np.maximum(r, 1e-12)), 0.0
 
     def growth_constants(self, norm: str):
         """(A, B) with f(h) >= -A|h|_norm - B for all h."""
@@ -508,8 +500,9 @@ def _objective(model, dt, q, start, a_const):
     datum, eps = start
     h0 = eps * q[:, :1]
     grad, diag, off = eps * grad, eps * diag, eps * off
-    grad[:, 0] += eps * np.array([datum.gradient(h)[0] for h in h0])
-    diag[:, 0] += eps * eps * datum.hessian(h0[0])[0, 0]
+    slopes, curvature = datum.circle_slopes(h0[:, 0])
+    grad[:, 0] += eps * slopes
+    diag[:, 0] += eps * eps * curvature
     return datum.value_many(h0) + eps * act, grad, diag, off
 
 
@@ -529,7 +522,8 @@ def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
     Without ``start`` both end nodes are fixed and the value is the chain
     action.  With start = (datum, eps) the first node is free as well and
     the value is datum(eps q0) + eps * action, the joint polish of
-    ``_lax_torus``; its Hessian adds eps^2 ``InitialDatum.hessian`` at q0.
+    ``_lax_torus``; its Hessian adds eps^2 times the datum's curvature
+    (``InitialDatum.circle_slopes``) at q0.
 
     One iteration factors H + mu I of every live chain in one LAPACK call
     (``_damped_steps``) and steps by the solution.  A chain whose
@@ -662,7 +656,7 @@ def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float
     discretisation error.  Returns (action, nodes of the best chain,
     number of capped descents whose value is read: the best starting chain
     and each doubling).  A 2-torus raises ModelValidityError, as
-    ``_lax_torus`` prices the free one exactly.  This is the one-pair case
+    ``_lax_torus`` prices every free torus exactly.  This is the one-pair case
     of ``_minimal_actions_torus``, which solves many pairs in lockstep.
     """
     return _minimal_actions_torus(model, [(y_lift, x_lift)], horizon)[0]
@@ -763,36 +757,33 @@ def _sweep(order, lower, incumbent, price):
 
 
 def _lax_torus(cover, model, datum, x, t, eps, mesh):
-    """Torus cover solution: the stay at x, ``_sweep`` over the cells of
-    ``_search_cells`` at the least straight-path cost f(eps*y) + (eps*d)^2
-    /(2*amin*t) - vmin*t of their mesh lifts y (d = |y - x|), ``_sweep`` over
-    the lifts they keep, and the polish.  A lift's low (quad = amax, drift =
-    vmax) is at least its cell's cell_low; a candidate has d <= window/eps.
+    """Torus cover solution: the stay at x, then ``_sweep`` over the cells
+    of ``_search_cells`` at the least straight-path cost f(eps*y) +
+    (eps*d)^2/(2*amin*t) - vmin*t of their mesh lifts y (d = |y - x|).
 
-    On the circle the lifts are priced on coarse chains that ``_descend``
-    runs in lockstep, the six best re-priced in full by one
-    ``_minimal_actions_torus`` call, and the winner's chain descends once
-    more with its start node free.  A 2-torus must be free
-    (``TorusHamiltonian.free_kinetic``, else ModelValidityError): its stay
-    costs 0, a lift y exactly f(eps*y) + eps*(x - y).A^{-1}.(x - y)/(2T),
-    and ``_nelder_mead`` polishes the best lift as ``hopf_lax`` does."""
+    On a free torus (``TorusHamiltonian.free_kinetic``) the action is
+    exactly (x - y).A^{-1}.(x - y)/(2T), the cost above for A = aI and a
+    skew A's lift cost: the stay costs 0, ``_nelder_mead`` polishes the
+    best lift as ``hopf_lax`` does, and both counts are the lifts priced.
+    Any other torus is a circle: the sweep keeps the lifts within window/eps
+    whose low (quad = amax, drift = vmax) is within 1e-9 of the least cost,
+    a second ``_sweep`` prices them on coarse chains in lockstep, the six
+    best are re-priced in full by one ``_minimal_actions_torus`` call, and
+    the winner's chain descends once more with its start node free."""
     horizon = t / eps
     x_lift = cover.lift(x)
-    plane = model.n == 2
-    if plane and (a_matrix := model.free_kinetic()) is None:
-        raise ModelValidityError("a two-dimensional torus needs a constant "
-                                 "kinetic matrix and no potential")
-    a_inv = np.linalg.inv(a_matrix) if plane else None
+    free = (a_matrix := model.free_kinetic()) is not None
+    a_inv = np.linalg.inv(a_matrix) if free else None
     amin, amax = model.kinetic_eig_bounds()
     vmin, vmax = _proved_range(model.v)
     quad, drift = float(amax), float(vmax)
 
-    def plane_action(ys):
-        """Action from each row of ys to x on the plane, row by row."""
+    def free_action(ys):
+        """Action from each row of ys to x on a free torus, row by row."""
         d = ys - x_lift
         return np.vecdot(d, np.vecdot(d[:, None, :], a_inv)) / (2.0 * horizon)
 
-    stay, best_nodes, capped = ((0.0, None, 0) if plane else
+    stay, best_nodes, capped = ((0.0, None, 0) if free else
                                 minimal_action_torus(model, x_lift, x_lift, horizon))
     incumbent = datum.value(eps * x_lift) + eps * stay
     best_g = x_lift.copy()
@@ -803,8 +794,8 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     n = model.n
     offsets = _torus_grid(n, mesh)
 
-    # kept lifts as parts (lifts, datum values, distances, lower bounds),
-    # cut at the least up so far; each cell's mesh offset of least up
+    # the circle's kept lifts as parts (lifts, datum values, distances, lower
+    # bounds), cut at the least up so far; each cell's mesh offset of least up
     parts = [(np.zeros((0, n)),) + (np.zeros(0),) * 3]
     cell_best = np.zeros(cells.shape[0], dtype=int)
     least = incumbent
@@ -814,28 +805,39 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
         lifts = (cells[block][:, None, :] + offsets[None, :, :]).reshape(-1, n)
         d_c = _norm_rows(lifts - x_lift[None, :], cover.norm)
         f_c = datum.value_many(eps * lifts)
-        low_c = f_c + (eps * d_c) ** 2 / (2.0 * quad * t) - drift * t
         up_c = f_c + (eps * d_c) ** 2 / (2.0 * amin * t) - vmin * t
-        if plane and amin < amax:  # A = a I keeps its cheaper, already exact bounds
-            low_c = up_c = f_c + eps * plane_action(lifts)
+        if free and amin < amax:  # A = a I keeps its cheaper, already exact cost
+            up_c = f_c + eps * free_action(lifts)
         up_c = up_c.reshape(block.size, -1)
         cell_best[block] = np.argmin(up_c, axis=1)
         up_c = up_c.min(axis=1)
-        least = min(least, float(up_c.min()))
-        keep = (low_c <= least + 1e-9) & (d_c <= reach + 1e-12)
-        parts.append((lifts[keep], f_c[keep], d_c[keep], low_c[keep]))
+        if not free:
+            least = min(least, float(up_c.min()))
+            low_c = f_c + (eps * d_c) ** 2 / (2.0 * quad * t) - drift * t
+            keep = (low_c <= least + 1e-9) & (d_c <= reach + 1e-12)
+            parts.append((lifts[keep], f_c[keep], d_c[keep], low_c[keep]))
         return up_c
 
-    incumbent, best, _ = _sweep(np.argsort(cell_low, kind="stable"), cell_low,
-                                incumbent, price_cells)
+    incumbent, best, swept = _sweep(np.argsort(cell_low, kind="stable"), cell_low,
+                                    incumbent, price_cells)
     if best is not None:
         best_g = cells[best] + offsets[cell_best[best]]
+    if free:
+        y, fun, _, _ = _nelder_mead(
+            lambda y: datum.value(eps * y) + eps * free_action(y[None])[0],
+            _simplex_start(best_g), 1e-10, 1e-12, 4000, 8000)
+        if fun < incumbent:
+            incumbent, best_g = fun, y
+        priced = len(swept) * offsets.shape[0]
+        return LaxResult(value=float(incumbent), minimizer_g=np.asarray(best_g),
+                         window=window, candidates=priced, evaluated=priced,
+                         diagnostics={"newton_capped": 0})
     merged = [np.concatenate(c) for c in zip(*parts)]
     lifts, f_vals, dist, lower = (c[merged[3] <= incumbent + 1e-9] for c in merged)
     n_candidates = lifts.shape[0]
 
-    # a block's lifts, exactly on the plane, on the circle by coarse straight
-    # chains that descend in lockstep; a start at x itself is skipped
+    # a block's lifts on coarse straight chains that descend in lockstep; a
+    # start at x itself is skipped
     frac = np.linspace(0.0, 1.0, max(32, _auto_segments(horizon) // 4) + 1)
 
     def price(block):
@@ -843,9 +845,7 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
         moving = dist[block] >= 1e-12
         starts = lifts[block[moving]]
         vals = np.full(block.size, np.nan)
-        if plane:
-            vals[moving] = plane_action(starts)
-        elif moving.any():
+        if moving.any():
             vals[moving], _, hit = _descend(model, horizon,
                                             starts + frac * (x_lift - starts))
             capped += int(hit.sum())
@@ -855,28 +855,21 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
                                      incumbent, price)
     if best is not None:
         best_g = lifts[best]
-    if plane:
-        y, fun, _, _ = _nelder_mead(
-            lambda y: datum.value(eps * y) + eps * plane_action(y[None])[0],
-            _simplex_start(best_g), 1e-10, 1e-12, 4000, 8000)
-        if fun < incumbent:
-            incumbent, best_g = fun, y
-    else:
-        scored.sort(key=lambda z: z[0])
-        top = [idx for _, idx in scored[:_N_TOP]]
-        solves = _minimal_actions_torus(
-            model, [(lifts[idx], x_lift) for idx in top], horizon)
-        for idx, (val, nodes, n_capped) in zip(top, solves):
-            capped += n_capped
-            total = f_vals[idx] + eps * val
-            if total < incumbent:
-                incumbent, best_nodes, best_g = total, nodes, lifts[idx]
-        # joint polish: the start node descends with the chain
-        polished, chains, hit = _descend(model, horizon, best_nodes[None],
-                                         start=(datum, eps))
-        capped += int(hit[0])
-        if polished[0] < incumbent:
-            incumbent, best_g = polished[0], chains[0, :1]
+    scored.sort(key=lambda z: z[0])
+    top = [idx for _, idx in scored[:_N_TOP]]
+    solves = _minimal_actions_torus(
+        model, [(lifts[idx], x_lift) for idx in top], horizon)
+    for idx, (val, nodes, n_capped) in zip(top, solves):
+        capped += n_capped
+        total = f_vals[idx] + eps * val
+        if total < incumbent:
+            incumbent, best_nodes, best_g = total, nodes, lifts[idx]
+    # joint polish: the start node descends with the chain
+    polished, chains, hit = _descend(model, horizon, best_nodes[None],
+                                     start=(datum, eps))
+    capped += int(hit[0])
+    if polished[0] < incumbent:
+        incumbent, best_g = polished[0], chains[0, :1]
     return LaxResult(value=float(incumbent), minimizer_g=np.asarray(best_g),
                      window=window, candidates=int(n_candidates),
                      evaluated=len(scored),

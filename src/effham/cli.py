@@ -23,9 +23,9 @@ Exit codes: 0 all checks passed, 1 a tolerance check failed or a minimiser
 stopped unconverged (``passed`` is false), 2 an unknown command or a
 rejected config (on every command alike: a malformed field, a system with no
 exact (alpha, beta) pair, a torus kinetic matrix not proved positive
-definite, a ``cover.norm`` or a cone's ``datum.norm`` other than the
-family's, or a key the loader does not read), 3 a solver gave up, 4 an
-unexpected internal error (the traceback goes to stderr).
+definite, or a key the loader does not read, a norm among them: each cover
+family has one), 3 a solver gave up, 4 an unexpected internal error (the
+traceback goes to stderr).
 """
 
 from __future__ import annotations

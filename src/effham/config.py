@@ -8,10 +8,10 @@ Loading is the one place that decides what a run may be, so everything
 downstream can take it as given.  The system's (alpha, beta) evaluator is
 picked at load: a system the package has no exact pair for, or a torus
 system whose kinetic matrix is not proved positive definite (H not
-convex in the momentum), is rejected here.  Each cover family has one
-measuring norm (l1 on graphs, l2 on tori); ``cover.norm`` may only
-restate it, and a cone datum measures in it, so ``datum.norm`` may only
-restate it too.  The cover datum is the limit datum read through the
+convex in the momentum), is rejected here, as is a 2-torus that is not
+free (``TorusHamiltonian``).  Each cover family has one measuring norm
+(l1 on graphs, l2 on tori), and a cone datum measures in it, so no key
+names a norm.  The cover datum is the limit datum read through the
 rescaled coordinate map, f(eps * G(x)).  A key that the loader does not
 read (for a datum, per family), and a block that is not a mapping, are
 rejected on their dotted path, so a misspelt field, a ``datum.bump`` or
@@ -27,9 +27,9 @@ import numpy as np
 import yaml
 
 from .action import InitialDatum
-from .errors import ConfigError
+from .errors import ConfigError, ModelValidityError
 from .homogenize import Scenario, default_beta_evaluator
-from .model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
+from .model import GraphLagrangian, TorusHamiltonian, TrigPolynomial, _is_constant
 from .topology import GraphCover, MetricGraph, SubcoverMap, TorusCover
 
 
@@ -142,10 +142,8 @@ def _build_torus(system: dict):
     pot = system.get("potential")
     v = (_parse_trig(pot, n, "system.potential") if pot is not None
          else TrigPolynomial.constant(n, 0.0))
-    kin = system.get("kinetic")
-    if kin is None:
-        model = TorusHamiltonian.mechanical(v)
-    else:
+    kin, entries = system.get("kinetic"), None
+    if kin is not None:
         expected = {1: 1, 2: 3}[n]
         if not isinstance(kin, (list, tuple)) or len(kin) != expected:
             raise ConfigError(
@@ -153,10 +151,14 @@ def _build_torus(system: dict):
                 f"expected {expected} entry lists for dimension {n}")
         entries = [_parse_trig(e, n, f"system.kinetic[{i}]")
                    for i, e in enumerate(kin)]
-        try:
-            model = TorusHamiltonian(n, entries, v)
-        except ValueError as exc:
-            raise ConfigError("system.kinetic", str(exc)) from None
+    try:
+        model = (TorusHamiltonian.mechanical(v) if entries is None
+                 else TorusHamiltonian(n, entries, v))
+    except ModelValidityError as exc:
+        # a 2-torus that is not free: its A varies, else it has a potential
+        varies = entries is not None and not all(map(_is_constant, entries))
+        raise ConfigError("system.kinetic" if varies else "system.potential",
+                          str(exc)) from None
     return TorusCover(n), model
 
 
@@ -206,7 +208,7 @@ def _build_graph(system: dict):
 
 # the keys each datum family reads
 _DATUM_KEYS = {"affine": ("family", "slope_vector", "constant"),
-               "cone": ("family", "slope", "center", "norm", "constant"),
+               "cone": ("family", "slope", "center", "constant"),
                "quadratic": ("family", "matrix", "slope_vector", "constant")}
 
 
@@ -233,9 +235,6 @@ def _build_datum(datum_cfg: dict, dim: int, norm: str) -> InitialDatum:
             center = _as_vector(center, "datum.center")
             if center.shape != (dim,):
                 raise ConfigError("datum.center", f"expected {dim} entries")
-        if datum_cfg.get("norm", norm) != norm:
-            raise ConfigError("datum.norm", f"a cone measures in its cover's "
-                              f"norm {norm}, got {datum_cfg['norm']!r}")
         return InitialDatum.cone(slope, center=center,
                                  c=_as_float(datum_cfg.get("constant", 0.0),
                                              "datum.constant"),
@@ -283,17 +282,13 @@ def load_config(path: str) -> ScenarioConfig:
 
     system = _require(tree, "system", "config")
     family = _require(system, "family", "system")
-    cover_cfg = _block(tree, "cover", ("norm", "subcover"), "cover")
+    cover_cfg = _block(tree, "cover", ("subcover",), "cover")
     if family == "torus":
         cover, model = _build_torus(system)
     elif family == "graph":
         cover, model = _build_graph(system)
     else:
         raise ConfigError("system.family", f"unknown family {family!r}")
-    norm = cover_cfg.get("norm", cover.norm)
-    if norm != cover.norm:
-        raise ConfigError("cover.norm", f"a {family} cover measures in "
-                          f"{cover.norm}, got {norm!r}")
     evaluator = default_beta_evaluator(cover, model)
 
     subcover = None

@@ -39,37 +39,23 @@ def default_beta_evaluator(cover, model):
 
     Graphs get the per-query graph solvers; free systems in any dimension
     (``TorusHamiltonian.free_kinetic``) get the two quadratic forms; other
-    circle systems get the energy quadrature.  Any other torus system has
-    no exact pair, and this test rejects it at config load (ConfigError on
-    the kinetic matrix when it varies, else on the potential).
+    circle systems get the energy quadrature.  ``TorusHamiltonian`` admits
+    no other torus system.
 
-    It also rejects a torus system that is not convex in the momentum, a
-    kinetic matrix A(x) not proved positive definite: a constant A by its
-    smallest eigenvalue, a circle A(x) by the proved lower bound of
-    ``TorusHamiltonian.kinetic_eig_bounds``, before ``MechanicalBeta1D``
-    stores 2/A at its quadrature nodes.
+    It rejects a torus system that is not convex in the momentum, a
+    kinetic matrix A(x) not proved positive definite by the lower bound of
+    ``TorusHamiltonian.kinetic_eig_bounds`` (a constant A's smallest
+    eigenvalue), before ``MechanicalBeta1D`` stores 2/A at its quadrature
+    nodes.
     """
     if cover.family == "graph":
         return DirectBetaEvaluator(cover.graph, model)
-    a_matrix = model.free_kinetic()
-    if a_matrix is not None:
-        _require_convex(np.linalg.eigvalsh(a_matrix)[0])
-        return AnalyticQuadraticBeta(a_matrix)
-    if model.n == 1:
-        _require_convex(model.kinetic_eig_bounds()[0])
-        return MechanicalBeta1D(model)
-    raise ConfigError("system.potential" if model.constant_kinetic() is not None
-                      else "system.kinetic",
-                      "a two-dimensional torus needs a constant kinetic "
-                      "matrix and no potential: no exact (alpha, beta) pair "
-                      "is built in for other systems")
-
-
-def _require_convex(amin: float) -> None:
-    if not amin > 0.0:
+    if not (amin := model.kinetic_eig_bounds()[0]) > 0.0:
         raise ConfigError("system.kinetic",
                           f"kinetic matrix is not positive definite (smallest "
                           f"eigenvalue {amin:.6g}): H is not convex in p")
+    a_matrix = model.free_kinetic()
+    return MechanicalBeta1D(model) if a_matrix is None else AnalyticQuadraticBeta(a_matrix)
 
 
 def _rest_commute_bound(cover, model) -> float:

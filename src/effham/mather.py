@@ -41,17 +41,25 @@ from .topology import SubcoverMap, _ball_axes, _edge_flow, _grid
 # alpha on graphs: the largest root over the cycle classes
 
 
+def _grow_bracket(grow, lo: np.ndarray, cap: float, message: str) -> np.ndarray:
+    """Upper ends hi of brackets [lo, hi], each entry in lockstep as it would
+    step alone: hi = lo + 1 doubles its gap to lo while ``grow(hi)`` holds
+    there, and a gap past cap raises SolverError(message)."""
+    hi = lo + 1.0
+    while (grow_at := grow(hi)).any():
+        hi = np.where(grow_at, lo + 2.0 * (hi - lo), hi)
+        if np.any(hi - lo > cap):
+            raise SolverError(message)
+    return hi
+
+
 def _bisect_threshold(below, lo, tol: float) -> np.ndarray:
     """Midpoints of brackets around where a test ``below`` that holds at the
     levels lo starts to fail, each entry in lockstep as it would step alone:
-    hi = lo + 1 doubles its gap to lo until the test fails (past 1e12 a
+    ``_grow_bracket`` doubles hi until the test fails (past 1e12 a
     SolverError), then the bracket halves to tol wide or adjacent floats."""
     lo = np.array(lo, dtype=float)
-    hi = lo + 1.0
-    while (grow := below(hi)).any():
-        hi = np.where(grow, lo + 2.0 * (hi - lo), hi)
-        if np.any(hi - lo > 1e12):
-            raise SolverError("alpha bracket grew past its cap")
+    hi = _grow_bracket(below, lo, 1e12, "alpha bracket grew past its cap")
     mid = 0.5 * (lo + hi)
     while (live := (hi - lo > tol) & (lo < mid) & (mid < hi)).any():
         fails = below(mid)
@@ -205,16 +213,13 @@ def _concave_max(gain, lo) -> np.ndarray:
     """Maxima over E >= lo[k] of K concave gains that fall eventually, in
     lockstep: ``gain(idx, energies)`` prices gains idx (a list, or the
     slice of them all) at an array of energies, one each.  Bracket k,
-    [lo, hi], doubles from hi = lo + 1 until gain k is past its peak at hi
-    (under ``np.where``, as in ``_bisect_threshold``), then one
-    ``_golden_min`` closes every bracket to 1e-12 * max(1, |hi|); lo is kept
-    where the peak sits there.  Each entry steps as it would alone."""
+    [lo, hi], grows by ``_grow_bracket`` until gain k is past its peak at hi
+    (past 1e9 a SolverError), then one ``_golden_min`` closes every bracket
+    to 1e-12 * max(1, |hi|); lo is kept where the peak sits there.  Each
+    entry steps as it would alone."""
     lo, every = np.array(lo, dtype=float), slice(None)
-    hi = lo + 1.0
-    while (grow := gain(every, hi + 1e-6) > gain(every, hi)).any():
-        hi = np.where(grow, lo + 2.0 * (hi - lo), hi)
-        if np.any(hi - lo > 1e9):
-            raise SolverError("energy bracket grew past its cap")
+    hi = _grow_bracket(lambda hi: gain(every, hi + 1e-6) > gain(every, hi), lo,
+                       1e9, "energy bracket grew past its cap")
     _, low = _golden_min(lambda idx, e: (-gain(
         idx if len(idx) < lo.size else every, np.array(e))).tolist(),
         lo, hi, 1e-12 * np.maximum(1.0, np.abs(hi)))

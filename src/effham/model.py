@@ -5,8 +5,8 @@ Two concrete families are supported in production code:
 * ``TorusHamiltonian``: H(x, p) = (1/2) p . A(x) p + V(x) on the flat
   n-torus (n = 1 or 2), with A(x) a symmetric positive definite matrix of
   trigonometric polynomials (config load rejects any other) and V(x) a
-  trigonometric polynomial.  The Legendre-dual Lagrangian has the closed
-  form L(x, v) = (1/2) v . A(x)^{-1} v - V(x).
+  trigonometric polynomial, a 2-torus free (V = 0, A constant).  The
+  Legendre-dual Lagrangian is L(x, v) = (1/2) v . A(x)^{-1} v - V(x).
 
 * ``GraphLagrangian``: on a metric graph, L_e(v) = v^2 / 2 + V_e on each
   edge, where V_e is a per-edge action-rate offset.  The per-edge dual is
@@ -108,7 +108,8 @@ class TorusHamiltonian:
     ``a_entries`` stores the upper triangle of A(x) as TrigPolynomials in
     row-major order: [A11] for n=1, [A11, A12, A22] for n=2, each priced at
     rows of points.  ``constant_kinetic`` alone decides whether A is
-    constant; a 2-torus must be free (``free_kinetic``).
+    constant, and ``free_kinetic`` whether the system is free; building a
+    2-torus that is not free raises ModelValidityError.
     """
 
     n: int
@@ -121,6 +122,9 @@ class TorusHamiltonian:
         expected = {1: 1, 2: 3}[self.n]
         if len(self.a_entries) != expected:
             raise ValueError(f"expected {expected} kinetic entries for n={self.n}")
+        if self.n == 2 and self.free_kinetic() is None:
+            raise ModelValidityError("a two-dimensional torus needs a constant "
+                                     "kinetic matrix and no potential")
 
     @classmethod
     def mechanical(cls, v: TrigPolynomial) -> "TorusHamiltonian":
@@ -148,17 +152,10 @@ class TorusHamiltonian:
 
     def kinetic_eig_bounds(self):
         """Proved (lower, upper) bounds on the eigenvalues of A(x) over the
-        torus.
-
-        On the circle: ``_proved_range`` of A, the extremes of A on N =
-        64 max(1, k_max) equispaced samples widened by M2 / (8 N^2).  In
-        2-D, A must be constant (config load admits no other), so the
-        eigenvalues of ``constant_kinetic`` are exact.
-        """
-        if self.n == 2:
-            if (a_matrix := self.constant_kinetic()) is None:
-                raise ModelValidityError("a two-dimensional kinetic matrix "
-                                         "must be constant")
+        torus: those of ``constant_kinetic`` exactly, which every 2-torus
+        has; else, on the circle, ``_proved_range`` of A, the extremes of A
+        on N = 64 max(1, k_max) equispaced samples widened by M2 / (8 N^2)."""
+        if (a_matrix := self.constant_kinetic()) is not None:
             w = np.linalg.eigvalsh(a_matrix)
             return w[0], w[-1]
         kmax = max(abs(int(k[0])) for k, _, _ in self.a_entries[0].terms)

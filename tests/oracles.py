@@ -258,42 +258,52 @@ def affine_datum_check(cover, model, p, a: float, eps_ladder, eval_points,
 
 def torus_candidate_count(cover, model, datum, x, t: float, eps: float,
                           mesh: int, window: float) -> int:
-    """Candidates of the torus Lax-Oleinik search over every mesh lift y
-    of the box |z - floor(x)|_inf <= ceil(window/eps) + 2 of translate
-    cells, with no cell bound.  The incumbent is the smaller of the stay
-    value f(eps x) + eps * action(x, x) and the least straight-path bound
+    """Candidates of the circle's Lax-Oleinik search over every mesh lift y
+    of the box |z - floor(x)| <= ceil(window/eps) + 2 of translate cells,
+    with no cell bound.  The incumbent is the smaller of the stay value
+    f(eps x) + eps * action(x, x) and the least straight-path bound
     f(eps y) + (eps d)^2/(2 amin t) - vmin t (d = |y - x|); a lift counts
     when its lower bound f(eps y) + (eps d)^2/(2 amax t) - vmax t is
     within 1e-9 of the incumbent and d <= window/eps.  amin, amax, vmin and
     vmax are the proved bounds of ``kinetic_eig_bounds`` and
-    ``_proved_range``, as in the search.  On a free 2-torus with amin <
-    amax both bounds are the exact value f(eps y) + eps^2 (y - x).A^{-1}.
-    (y - x)/(2t), here by ``np.einsum``."""
+    ``_proved_range``, as in the search."""
     x_lift = cover.lift(x)
     horizon, reach = t / eps, window / eps
     amin, amax = model.kinetic_eig_bounds()
     vmin, vmax = _proved_range(model.v)
-    box = math.ceil(reach) + 2
-    cells = np.floor(x_lift).astype(int) + _grid(
-        [np.arange(-box, box + 1)] * model.n)
-    lifts = (cells[:, None, :]
-             + _torus_grid(model.n, mesh)[None, :, :]).reshape(-1, model.n)
-    d = np.sqrt(np.sum((lifts - x_lift) ** 2, axis=1))
+    lifts, d = _box_lifts(x_lift, reach, mesh)
     f = datum.value_many(eps * lifts)
-    # a 2-torus is free, so staying at x costs 0
-    stay = datum.value(eps * x_lift) + eps * (0.0 if model.n == 2 else
-                                              minimal_action_torus(
-                                                  model, x_lift, x_lift,
-                                                  horizon)[0])
+    stay = datum.value(eps * x_lift) + eps * minimal_action_torus(
+        model, x_lift, x_lift, horizon)[0]
     up = f + (eps * d) ** 2 / (2.0 * amin * t) - vmin * t
     low = f + (eps * d) ** 2 / (2.0 * amax * t) - vmax * t
-    if model.n == 2 and amin < amax:
-        step = lifts - x_lift
-        low = up = f + eps * eps * np.einsum(
-            "ij,jk,ik->i", step, np.linalg.inv(model.constant_kinetic()),
-            step) / (2.0 * t)
     incumbent = min(stay, float(np.min(up)))
     return int(np.sum((low <= incumbent + 1e-9) & (d <= reach + 1e-12)))
+
+
+def free_torus_lattice_min(cover, model, datum, x, t: float, eps: float,
+                           mesh: int, window: float) -> float:
+    """Least of f(eps y) + eps^2 (y - x).A^{-1}.(y - x)/(2t) over the stay
+    y = x and every mesh lift y of the box |z - floor(x)|_inf <=
+    ceil(window/eps) + 2 of translate cells on a free torus, by
+    ``np.einsum``."""
+    x_lift = cover.lift(x)
+    lifts, _ = _box_lifts(x_lift, window / eps, mesh)
+    step = lifts - x_lift
+    exact = datum.value_many(eps * lifts) + eps * eps * np.einsum(
+        "ij,jk,ik->i", step, np.linalg.inv(model.free_kinetic()), step) / (2.0 * t)
+    return min(datum.value(eps * x_lift), float(np.min(exact)))
+
+
+def _box_lifts(x_lift, reach: float, mesh: int):
+    """Every mesh lift of the box |z - floor(x)|_inf <= ceil(reach) + 2 of
+    translate cells, and its l2 distance to x."""
+    box = math.ceil(reach) + 2
+    cells = np.floor(x_lift).astype(int) + _grid(
+        [np.arange(-box, box + 1)] * x_lift.size)
+    lifts = (cells[:, None, :] + _torus_grid(x_lift.size, mesh)[None, :, :]
+             ).reshape(-1, x_lift.size)
+    return lifts, np.sqrt(np.sum((lifts - x_lift) ** 2, axis=1))
 
 
 def lax_graph_full_table(cover, lagrangian, datum, x, t: float, eps: float,

@@ -36,9 +36,10 @@ from effham.topology import (GraphCover, MetricGraph, SubcoverMap, match_point,
                              norm_value)
 from tests.conftest import (allocate_time_oracle, figure_eight, make_pendulum,
                             single_loop)
-from tests.oracles import (golden_min_scalar, lagrangian, lax_graph_full_table,
-                           minimal_action_torus_alone, multisets_unpruned,
-                           nelder_mead_scipy, torus_candidate_count)
+from tests.oracles import (free_torus_lattice_min, golden_min_scalar, lagrangian,
+                           lax_graph_full_table, minimal_action_torus_alone,
+                           multisets_unpruned, nelder_mead_scipy,
+                           torus_candidate_count)
 
 
 def test_free_straight_line_action(free1):
@@ -290,13 +291,11 @@ def test_kept_multisets_price_as_every_walk():
             assert least[0] == least[1]
 
 
-def test_torus_action_rejects_a_varying_two_dimensional_kinetic_matrix():
-    varying = TrigPolynomial(2, [([0, 0], 1.0, 0.0), ([1, 0], 0.2, 0.0)])
-    model = TorusHamiltonian(2, [varying, TrigPolynomial.constant(2, 0.0),
-                                 TrigPolynomial.constant(2, 1.0)],
-                             TrigPolynomial.constant(2, 0.0))
+def test_torus_chains_reject_a_two_torus(free2):
+    # a free 2-torus is a valid model, but its actions are exact and the
+    # chain kernel serves the circle only
     with pytest.raises(ModelValidityError, match="circle only"):
-        minimal_action_torus(model, [0.0, 0.0], [0.5, 0.2], 1.0)
+        minimal_action_torus(free2, [0.0, 0.0], [0.5, 0.2], 1.0)
 
 
 def test_pendulum_resting_rate(pendulum):
@@ -697,36 +696,39 @@ def test_datum_value_is_value_many_on_one_row(datum, dim):
     assert datum.value_many(hs).tobytes() == alone.tobytes()
 
 
-@pytest.mark.parametrize("datum", [
-    InitialDatum.affine([0.7, -0.2], c=0.1),
-    InitialDatum.cone(0.8, center=[0.1, 0.2], norm="l1", dim=2),
-    InitialDatum.cone(0.8, center=[0.1, 0.2], norm="l2", dim=2),
-    # f reads only the symmetric part of a non-symmetric Q
-    InitialDatum.quadratic([[1.0, 2.0], [0.0, 1.0]], p=[0.5, -0.3]),
-], ids=["affine", "l1-cone", "l2-cone", "skew-quadratic"])
+_CIRCLE_DATA = [
+    InitialDatum.affine([0.7], c=0.1),
+    InitialDatum.cone(0.8, center=[0.1], norm="l1", dim=1),
+    InitialDatum.cone(0.8, center=[0.1], norm="l2", dim=1),
+    InitialDatum.quadratic([[1.5]], p=[0.5]),
+]
+_CIRCLE_IDS = ["affine", "l1-cone", "l2-cone", "quadratic"]
+
+
+@pytest.mark.parametrize("datum", _CIRCLE_DATA, ids=_CIRCLE_IDS)
 def test_datum_gradient_matches_central_differences(datum):
-    step = 1e-6
-    for h in (np.array([0.3, -0.7]), np.array([-1.2, 0.4])):
-        diff = [(datum.value(h + step * e) - datum.value(h - step * e))
-                / (2.0 * step) for e in np.eye(2)]
-        np.testing.assert_allclose(datum.gradient(h), diff, rtol=0.0,
-                                   atol=1e-8)
+    # the slopes that the circle's joint polish reads, at every start node
+    # at once, off the cone's tip
+    step, hs = 1e-6, np.array([0.3, -0.7, -1.2, 0.4, 2.5])
+    diff = (datum.value_many(hs[:, None] + step)
+            - datum.value_many(hs[:, None] - step)) / (2.0 * step)
+    np.testing.assert_allclose(datum.circle_slopes(hs)[0], diff, rtol=0.0,
+                               atol=1e-8)
+    # each node's slope is the one it has alone, and a cone's tip reads 0
+    for h, slope in zip(hs, datum.circle_slopes(hs)[0]):
+        assert datum.circle_slopes(np.array([h]))[0][0] == slope
+    if datum.kind == "cone":
+        assert datum.circle_slopes(np.array([0.1]))[0][0] == 0.0
 
 
-@pytest.mark.parametrize("datum, dim", [
-    (InitialDatum.affine([0.7, -0.2], c=0.1), 2),
-    # on the circle, where the joint polish reads it, and off its tip
-    (InitialDatum.cone(0.8, center=[0.1], norm="l2", dim=1), 1),
-    (InitialDatum.quadratic([[1.0, 2.0], [0.0, 1.0]], p=[0.5, -0.3]), 2),
-], ids=["affine", "l2-cone", "skew-quadratic"])
-def test_datum_hessian_matches_central_differences(datum, dim):
-    step = 1e-6
-    for h in (np.array([0.3, -0.7])[:dim], np.array([-1.2, 0.4])[:dim]):
-        diff = np.array([(datum.gradient(h + step * e)
-                          - datum.gradient(h - step * e)) / (2.0 * step)
-                         for e in np.eye(dim)])
-        np.testing.assert_allclose(datum.hessian(h), diff, rtol=0.0,
-                                   atol=1e-8)
+@pytest.mark.parametrize("datum", _CIRCLE_DATA, ids=_CIRCLE_IDS)
+def test_datum_hessian_matches_central_differences(datum):
+    # the curvature against central differences of the slopes, off the tip
+    step, hs = 1e-6, np.array([0.3, -0.7, -1.2, 0.4])
+    diff = (datum.circle_slopes(hs + step)[0]
+            - datum.circle_slopes(hs - step)[0]) / (2.0 * step)
+    np.testing.assert_allclose(diff, datum.circle_slopes(hs)[1], rtol=0.0,
+                               atol=1e-8)
 
 
 # the lockstep Newton screen of the torus Lax-Oleinik search
@@ -950,32 +952,18 @@ def test_torus_rung_is_the_one_by_one_rung(monkeypatch, circle, pendulum, eps,
     assert batched.minimizer_g.tolist() == [start]
 
 
-@pytest.mark.parametrize("stem", ["free_torus_1d"])
-def test_screen_is_exact_on_free_systems(stem):
-    # the action of a free system is the quadratic Delta^2/(2 a T) in the
-    # end points, so one undamped Newton step from any chain is exact
-    model = load_config(os.path.join(_SCENARIOS, stem + ".yaml")).model
-    a = model.constant_kinetic()[0, 0]
-    starts = np.random.default_rng(11).uniform(-4.0, 4.0, size=9)
-    horizon = 3.0
-    exact = 0.5 * (starts - 0.25) ** 2 / (a * horizon)
-    for bump in (0.0, 0.35):
-        got, _, capped = _descend(model, horizon, _chains(starts, 0.25, 32, bump))
-        assert not capped.any()
-        assert np.max(np.abs(got - exact)) <= 1e-12
-
-
 @pytest.mark.parametrize("stem, mesh, rungs", [
+    pytest.param("free_torus_1d", 64, 7, id="free_torus_1d"),
     pytest.param("free_torus_2d", 64, 7, id="free_torus_2d"),
     # a coarse mesh and the first four rungs keep the skew A's cell
     # pre-sweep short
     pytest.param("free_torus_2d-skew", 8, 4, id="free_torus_2d-skew")])
 def test_plane_is_the_affine_hopf_lax_formula(stem, mesh, rungs):
-    # under an affine datum f(h) = p.h + c the free plane's solution is
+    # under an affine datum f(h) = p.h + c a free torus's solution is
     # p.eps G(x) + c - t p.A.p/2 exactly (the minimiser sits at
     # y = x - T A p), whatever the rung and the mesh
-    scenario = load_config(os.path.join(_SCENARIOS,
-                                        "free_torus_2d.yaml")).scenario()
+    scenario = load_config(os.path.join(
+        _SCENARIOS, stem.removesuffix("-skew") + ".yaml")).scenario()
     model = _free_2d_skew() if stem.endswith("skew") else scenario.model
     p, c = scenario.datum.p, scenario.datum.c
     closed_rate = 0.5 * float(p @ model.constant_kinetic() @ p)
@@ -991,38 +979,29 @@ def test_plane_is_the_affine_hopf_lax_formula(stem, mesh, rungs):
             assert res.diagnostics == {"newton_capped": 0}
 
 
-def test_skew_plane_keeps_few_candidates():
-    # the cell pre-sweep prices an anisotropic plane's lifts exactly, so it
-    # keeps the best lift alone; the bounds by amin and amax kept about 5.9 M
-    # of them at eps = 1/16 (1.48 M at 1/8)
+def test_skew_plane_is_exact_from_one_cell_sweep():
+    # the cell sweep prices an anisotropic plane's lifts exactly and keeps
+    # no lift list: it prices 1,225 of the 2,593 cells that the window
+    # leaves at eps = 1/16, 4,096 lifts each (the bounds by amin and amax
+    # once kept 5.9 M lifts for a second sweep)
     scenario = load_config(os.path.join(_SCENARIOS,
                                         "free_torus_2d.yaml")).scenario()
     model, eps, p = _free_2d_skew(), 0.0625, scenario.datum.p
     (h, t), = scenario.eval_points
     point, _ = match_point(scenario.cover, np.array(h), eps, 64)
     res = lax_oleinik(scenario.cover, model, scenario.datum, point, t, eps, mesh=64)
-    assert res.candidates <= 4
+    assert res.candidates == res.evaluated == 1225 * 64 ** 2
     closed = eps * float(p @ scenario.cover.g_map(point)) + scenario.datum.c \
         - 0.5 * t * float(p @ model.constant_kinetic() @ p)
     assert abs(res.value - closed) <= 1e-15
 
 
-@pytest.mark.parametrize("model", [
-    TorusHamiltonian.mechanical(TrigPolynomial(2, [([1, 0], 0.3, 0.0)])),
-    TorusHamiltonian(2, [TrigPolynomial(2, [([0, 0], 1.0, 0.0), ([1, 0], 0.2, 0.0)]),
-                         TrigPolynomial.constant(2, 0.0),
-                         TrigPolynomial.constant(2, 1.0)],
-                     TrigPolynomial.constant(2, 0.0)),
-], ids=["potential", "varying-kinetic"])
-def test_lax_rejects_a_two_torus_that_is_not_free(torus2, model):
-    with pytest.raises(ModelValidityError, match="two-dimensional torus"):
-        lax_oleinik(torus2, model, InitialDatum.affine([0.0, 0.0]),
-                    torus2.from_lift([0.3, -0.2]), 1.0, 0.5, mesh=8)
+def test_free_ladder_has_no_capped_descent(monkeypatch):
+    # a free circle's actions are exact, so its ladder descends no chain
+    def descend(*args, **kwargs):
+        raise AssertionError("a free torus descended a chain")
 
-
-def test_free_ladder_has_no_capped_descent():
-    # the joint polish of a free system under an affine datum is an exact
-    # quadratic, which damped Newton ends
+    monkeypatch.setattr(action, "_descend", descend)
     scenario = load_config(os.path.join(_SCENARIOS,
                                         "free_torus_1d.yaml")).scenario()
     assert len(scenario.eps_ladder) == 7
@@ -1104,17 +1083,17 @@ def test_shared_sweep_is_the_one_by_one_sweep(monkeypatch, fig8_cover, fig8_lag,
 
 @pytest.mark.parametrize("system, eps, counts", [
     ("pendulum", 1.0, (143, 100)), ("pendulum", 0.5, (201, 142)),
-    ("pendulum", 0.25, (285, 202)), ("torus2", 1.0, (1, 1)),
-    ("torus2", 0.5, (1, 1)), ("torus2", 0.25, (1, 1)),
+    ("pendulum", 0.25, (285, 202)), ("torus2", 1.0, (1024, 1024)),
+    ("torus2", 0.5, (1984, 1984)), ("torus2", 0.25, (3712, 3712)),
     ("figure-eight", 0.5, (552, 169)), ("figure-eight", 0.125, (4219, 963))])
-def test_cell_sweep_drops_no_candidate(circle, torus2, pendulum, fig8_cover,
-                                       fig8_lag, system, eps, counts):
+def test_cell_sweep_drops_no_candidate(monkeypatch, circle, torus2, pendulum,
+                                       fig8_cover, fig8_lag, system, eps,
+                                       counts):
     # (candidates, evaluated): for the pendulum scenario at h = 1/3 those
     # of the shell sweep that the cell sweep replaced; for the free skew
-    # plane under a quadratic datum at h = (0.3, -0.2) on mesh 8 those of
-    # the cell sweep, whose bounds there are the exact action (the lift
-    # bounds by amin and amax kept 23, 95 and 380), its candidates every
-    # lift of the brute-force count;
+    # plane under a quadratic datum at h = (0.3, -0.2) on mesh 8 the lifts
+    # that its one cell sweep prices exactly (16, 31 and 58 cells of 64),
+    # whose least, unpolished, is the least over every lift of the box;
     # on the figure_eight scenario at h = (1/3, -1/3) the starts of the
     # cells within 1e-9 of the stay value; all at t = 1
     if system == "pendulum":
@@ -1124,6 +1103,8 @@ def test_cell_sweep_drops_no_candidate(circle, torus2, pendulum, fig8_cover,
         cover, model, h, mesh = torus2, _free_2d_skew(), [0.3, -0.2], 8
         datum = InitialDatum.quadratic([[1.0, 0.3], [0.3, 0.5]], p=[0.4, -0.2],
                                        c=0.1)
+        monkeypatch.setattr(action, "_nelder_mead",
+                            lambda fn, sim, *args: (sim[0], math.inf, 0, 0))
     else:
         cover, model, h, mesh = fig8_cover, fig8_lag, [1.0 / 3.0, -1.0 / 3.0], 64
         datum = InitialDatum.cone(0.8, norm="l1", dim=2)
@@ -1134,7 +1115,10 @@ def test_cell_sweep_drops_no_candidate(circle, torus2, pendulum, fig8_cover,
     if system == "figure-eight":
         assert res.candidates == lax_graph_full_table(
             cover, model, datum, point, 1.0, eps, mesh).candidates
-    elif system == "torus2" or eps >= 0.5:
+    elif system == "torus2":
+        assert abs(res.value - free_torus_lattice_min(
+            cover, model, datum, point, 1.0, eps, mesh, res.window)) <= 1e-15
+    elif eps >= 0.5:
         assert res.candidates == torus_candidate_count(
             cover, model, datum, point, 1.0, eps, mesh, res.window)
 
@@ -1150,7 +1134,7 @@ def _lbfgs_polish(model, datum, eps, horizon, nodes):
         chain[:-1] = flat.reshape(nodes[:-1].shape)
         act, grad = _chain_terms(model, dt, chain[None])[:2]
         full = eps * grad[0]
-        full[0] += eps * datum.gradient(eps * chain[0])[0]
+        full[0] += eps * datum.circle_slopes(eps * chain[:1])[0][0]
         return datum.value(eps * chain[0]) + eps * act[0], full[:-1].ravel()
 
     res = optimize.minimize(fun, nodes[:-1].ravel(), jac=True,

@@ -105,15 +105,16 @@ def test_validate_and_tables_load_no_scipy(tmp_path):
 
 def test_homogenize_loads_no_scipy_on_graphs_and_only_linalg_on_tori(tmp_path):
     # the Hopf-Lax polish is the package's own Nelder-Mead, and a graph
-    # ladder solves nothing else with scipy, nor does the free 2-torus,
-    # whose actions are exact; a circle ladder factors its chain steps
-    # through scipy.linalg's LAPACK and loads no other subpackage.  The
-    # groups run in that order in one process, so each line reads what its
-    # group added.  Each ladder is cut to two rungs with a loose tolerance,
-    # so every run passes quickly
+    # ladder solves nothing else with scipy, nor does a free torus of either
+    # dimension, whose actions are exact; the pendulum's ladder factors its
+    # chain steps through scipy.linalg's LAPACK and loads no other
+    # subpackage.  The families run in that order in one process, so each
+    # line reads what its family added.  Each ladder is cut to two rungs
+    # with a loose tolerance, so every run passes quickly
     script = (
         "import glob, os, sys, yaml\n"
         "from effham.cli import run\n"
+        "from effham.config import load_config\n"
         "root, out = sys.argv[1:]\n"
         "def subpackages():\n"
         "    return sorted(m for m in sys.modules if m.count('.') == 1\n"
@@ -128,11 +129,11 @@ def test_homogenize_loads_no_scipy_on_graphs_and_only_linalg_on_tori(tmp_path):
         "    cut = os.path.join(out, os.path.basename(path))\n"
         "    with open(cut, 'w') as fh:\n"
         "        yaml.safe_dump(tree, fh)\n"
-        "    system = tree['system']\n"
-        "    group = ('graph' if system['family'] == 'graph' else\n"
-        "             'plane' if system['dimension'] == 2 else 'circle')\n"
+        "    group = ('graph' if tree['system']['family'] == 'graph' else\n"
+        "             'free' if load_config(cut).model.free_kinetic() is not None\n"
+        "             else 'circle')\n"
         "    paths.setdefault(group, []).append(cut)\n"
-        "for group in ('graph', 'plane', 'circle'):\n"
+        "for group in ('graph', 'free', 'circle'):\n"
         "    for path in paths[group]:\n"
         "        assert run(path, 'homogenize', out_dir=out) == 0, path\n"
         "    print(group, len(paths[group]),\n"
@@ -146,7 +147,7 @@ def test_homogenize_loads_no_scipy_on_graphs_and_only_linalg_on_tori(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = [line for line in done.stdout.splitlines()
              if not line.startswith("{")]
-    assert lines == ["graph 3 []", "plane 1 []", "circle 2 ['scipy.linalg']"]
+    assert lines == ["graph 3 []", "free 2 []", "circle 1 ['scipy.linalg']"]
 
 
 def test_sweep_script_runs_the_cheap_commands(tmp_path, capsys):
@@ -336,6 +337,12 @@ def _both(first, second):
     pytest.param("free_torus_2d", _set("datum", {
         "family": "cone", "slope": 0.5, "norm": "l1"}), "datum.norm",
         id="free_torus_2d-l1-cone"),
+    # each family has one norm, so no key may restate it either
+    pytest.param("free_torus_2d", _set("cover", {"norm": "l2"}), "cover.norm",
+                 id="free_torus_2d-own-cover.norm"),
+    pytest.param("free_torus_2d", _set("datum", {
+        "family": "cone", "slope": 0.5, "norm": "l2"}), "datum.norm",
+        id="free_torus_2d-own-cone-norm"),
     # A = 1 + 2 cos(2 pi 64 x) has minimum -1 exactly where a 64-point
     # grid does not look
     pytest.param("free_torus_1d", _set("system.kinetic", [
@@ -414,12 +421,7 @@ def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
     pytest.param("free_torus_1d",
                  _set("system.kinetic", [[{"k": [0], "cos": 0.15}]]),
                  id="slow-kinetic"),
-    # restating the family's own norm is allowed
-    pytest.param("free_torus_2d", _set("cover", {"norm": "l2"}),
-                 id="own-norm"),
-    # a torus cone is an l2 cone, stated or not
-    pytest.param("free_torus_2d", _set("datum", {
-        "family": "cone", "slope": 0.5, "norm": "l2"}), id="l2-cone"),
+    # a torus cone is an l2 cone
     pytest.param("free_torus_2d", _set("datum", {"family": "cone",
                                                  "slope": 0.5}),
                  id="default-norm-cone"),
@@ -437,7 +439,7 @@ def test_config_errors_exit_two_with_their_field(tmp_path, capsys, stem,
         "family": "quadratic", "matrix": [[1.0, 0.0], [0.0, 2.0]],
         "slope_vector": [0.5, 0.0], "constant": 0.1}), id="quadratic-keys"),
     pytest.param("figure_eight", _set("datum", {
-        "family": "cone", "slope": 0.5, "center": [0.1, 0.0], "norm": "l1",
+        "family": "cone", "slope": 0.5, "center": [0.1, 0.0],
         "constant": 0.1}), id="cone-keys"),
 ])
 def test_validate_accepts_supported_systems(tmp_path, capsys, stem, mutate):

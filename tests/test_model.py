@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from effham import action
 from effham.action import InitialDatum, lax_oleinik
 from effham.config import load_config
+from effham.errors import ModelValidityError
 from effham.model import TorusHamiltonian, TrigPolynomial, _proved_range
 from effham.topology import TorusCover
 from tests.conftest import make_pendulum
@@ -237,3 +238,18 @@ def test_constant_kinetic_is_none_for_a_varying_entry():
     a = TrigPolynomial(1, [([0], 1.0, 0.0), ([1], 0.3, 0.1)])
     assert TorusHamiltonian(1, [a], TrigPolynomial.constant(1, 0.0)) \
         .constant_kinetic() is None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TorusHamiltonian.mechanical(TrigPolynomial(2, [([1, 0], 0.3, 0.0)])),
+    lambda: TorusHamiltonian(2, [TrigPolynomial(2, [([0, 0], 1.0, 0.0),
+                                                    ([1, 0], 0.2, 0.0)]),
+                                 TrigPolynomial.constant(2, 0.0),
+                                 TrigPolynomial.constant(2, 1.0)],
+                             TrigPolynomial.constant(2, 0.0)),
+], ids=["potential", "varying-kinetic"])
+def test_two_torus_must_be_free(build):
+    # the model type alone admits a 2-torus, and only a free one: every
+    # solver may take a 2-D TorusHamiltonian as free
+    with pytest.raises(ModelValidityError, match="two-dimensional torus"):
+        build()
