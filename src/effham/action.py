@@ -30,7 +30,7 @@ Three layers:
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box, its seed grid
   priced by one ``value_many`` call and its best node polished by
-  ``_nelder_mead``, which ``mather.LegendreDual`` shares in 2-D.
+  ``_nelder_mead``, as the free torus's best lift is.
 
 Both searches are cut off by the same quadratic-growth certificate
 (``_reach``): a start too far away pays more action than the datum can
@@ -1084,18 +1084,17 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float):
     return float(min(incumbent, fun)), status == 0
 
 
-def _simplex_start(x0: np.ndarray, floor: float = 0.005) -> np.ndarray:
-    """Each coordinate in turn moved by 5%, or by 0.00025 at zero or below
-    ``floor`` (0: scipy's default start).  ``hopf_lax`` keeps 0.005: a 5%
-    move of a tiny coordinate falls under xatol and ends the polish."""
+def _simplex_start(x0: np.ndarray) -> np.ndarray:
+    """Each coordinate in turn moved by 5%, or by 0.00025 when it is below
+    0.005 in size: a 5% move of a tiny coordinate falls under xatol and
+    ends the polish."""
     sim = np.tile(x0, (x0.size + 1, 1))
     for k, q in enumerate(x0):
-        sim[k + 1, k] = (1 + 0.05) * q if q != 0 and abs(q) >= floor else q + 0.00025
+        sim[k + 1, k] = (1 + 0.05) * q if abs(q) >= 0.005 else q + 0.00025
     return sim
 
 
-def _nelder_mead(fn, sim, xatol: float, fatol: float, maxiter: int,
-                 maxfev: float = math.inf):
+def _nelder_mead(fn, sim, xatol: float, fatol: float, maxiter: int, maxfev: float):
     """Minimise ``fn`` from the simplex ``sim`` (N + 1 rows) as scipy 1.17's
     ``_minimize_neldermead`` does without bounds, step for step, down to
     its reorders and its cut before a call past maxfev.  Returns (x, fun,

@@ -21,20 +21,20 @@ and ``coercivity`` a certified quadratic lower bound (kappa, v_off) on beta
 in that norm, so downstream solvers can truncate searches.  Graphs pair
 ``alpha_graph`` with ``beta_graph``, free tori the two quadratic forms of A
 and its inverse, and the circle ``alpha_torus_quadrature`` with the energy
-profile of ``MechanicalBeta1D``, both on one ``_RotationRule``.  That
-profile and beta-hat's run their rows in one lockstep ``_concave_max``.
-``LegendreDual`` is the one Legendre transform; the subcover dual check
-compares the pulled-back alpha with the conjugate of beta-hat through it.
+profile of ``MechanicalBeta1D``, both on one ``_RotationRule``.  Those
+profiles, beta-hat's and every conjugate of ``LegendreDual``, the one
+Legendre transform, run their rows in one lockstep ``_concave_max``; the
+subcover dual check compares the pulled-back alpha with beta-hat's conjugate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .action import _golden_min, _nelder_mead, _simplex_start, allocate_time
+from .action import _golden_min, allocate_time
 from .errors import SolverError
 from .model import GraphLagrangian, TorusHamiltonian
-from .topology import SubcoverMap, _ball_axes, _edge_flow, _grid
+from .topology import SubcoverMap, _edge_flow, _grid
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +210,16 @@ def alpha_torus_quadrature(model: TorusHamiltonian, ps, rule=None) -> np.ndarray
 
 
 def _concave_max(gain, lo) -> np.ndarray:
-    """Maxima over E >= lo[k] of K concave gains that fall eventually, in
-    lockstep: ``gain(idx, energies)`` prices gains idx (a list, or the
-    slice of them all) at an array of energies, one each.  Bracket k,
-    [lo, hi], grows by ``_grow_bracket`` until gain k is past its peak at hi
-    (past 1e9 a SolverError), then one ``_golden_min`` closes every bracket
-    to 1e-12 * max(1, |hi|); lo is kept where the peak sits there.  Each
-    entry steps as it would alone."""
+    """Maxima over x >= lo[k] of K concave gains that fall eventually, in
+    lockstep (every concave maximisation of the package): ``gain(idx, xs)``
+    prices gains idx (a list, or the slice of them all) at an array xs, one
+    each.  Bracket k, [lo, hi], grows by ``_grow_bracket`` until gain k is
+    past its peak at hi (past 1e9 a SolverError: it does not fall), then
+    one ``_golden_min`` closes every bracket to 1e-12 * max(1, |hi|); lo is
+    kept where the peak sits there.  Each entry steps as it would alone."""
     lo, every = np.array(lo, dtype=float), slice(None)
     hi = _grow_bracket(lambda hi: gain(every, hi + 1e-6) > gain(every, hi), lo,
-                       1e9, "energy bracket grew past its cap")
+                       1e9, "concave search bracket grew past its cap")
     _, low = _golden_min(lambda idx, e: (-gain(
         idx if len(idx) < lo.size else every, np.array(e))).tolist(),
         lo, hi, 1e-12 * np.maximum(1.0, np.abs(hi)))
@@ -278,42 +278,44 @@ class DirectBetaEvaluator:
 
 
 class LegendreDual:
-    """Continuous dual evaluator: value(w) = sup_p (p.w - source(p)).
+    """Conjugate of a convex source that grows superlinearly: ``value_many``
+    is sup_z [w.z - source(z)] at every row w, each as alone (``value`` its
+    one-row case), with ``source_many`` pricing rows of z, each as alone.
 
-    The supremum is seeded on a p-grid and polished by golden section
-    (one dimension) or by ``action._nelder_mead`` from scipy's default
-    start, with no cap on evaluations, which raises SolverError when it
-    stops at its iteration cap; the source callable must be finite on the
-    search box, and the box must hold every maximizer the caller asks for.
+    Each coordinate of z runs over its two half-lines from 0, where the
+    pairing is concave and falls eventually: one ``_concave_max`` gain per
+    (row, half-line), in lockstep.  In 2-D the gain at a first coordinate
+    is the maximum over the second, concave as a partial supremum of a
+    concave function, so the search nests.  Kinks of the source at 0 or on
+    an axis sit at half-line ends, priced exactly; a pairing that never
+    falls (a source of linear growth) raises SolverError at the bracket cap.
     """
 
-    def __init__(self, source_fn, dim: int, p_box: float = 8.0,
-                 p_points: int = 65):
-        self.source_fn = source_fn
+    def __init__(self, source_many, dim: int):
+        self.source_many = source_many
         self.dim = dim
-        self.p_box = float(p_box)
-        self._nodes = _grid(_ball_axes(p_box, p_points, dim))
-        self._source_at_nodes = np.array([source_fn(row) for row in self._nodes])
 
     def value(self, w) -> float:
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        pairings = self._nodes @ w - self._source_at_nodes
-        best_idx = int(np.argmax(pairings))
-        best_p = self._nodes[best_idx]
-        if self.dim == 1:
-            step = self._nodes[1, 0] - self._nodes[0, 0]
-            lo = max(-self.p_box, best_p[0] - step)
-            hi = min(self.p_box, best_p[0] + step)
-            _, (low,) = _golden_min(
-                lambda _, pv: [-(pv[0] * w[0] - self.source_fn(np.array(pv)))],
-                lo, hi, 1e-11)
-            return max(float(pairings[best_idx]), -low)
-        _, fun, status, _ = _nelder_mead(
-            lambda pv: -(pv @ w - self.source_fn(pv)),
-            _simplex_start(best_p, floor=0.0), 1e-10, 1e-13, 2000)
-        if status:
-            raise SolverError("Legendre dual polish did not converge in 2000 steps")
-        return max(float(pairings[best_idx]), float(-fun))
+        return float(self.value_many(np.atleast_2d(w))[0])
+
+    def value_many(self, ws) -> np.ndarray:
+        ws = np.atleast_2d(np.asarray(ws, dtype=float))
+        return self._sup(ws, ws[:, :0])
+
+    def _sup(self, ws, head) -> np.ndarray:
+        """For each row of ``head`` (K, j), which fixes z's first j entries,
+        the max over z's other entries of w.z - source(z), less head's share."""
+        j, k = head.shape[1], len(ws)
+        signs = np.repeat([1.0, -1.0], k)  # every row forward, then back
+        ws, head = np.tile(ws, (2, 1)), np.tile(head, (2, 1))
+
+        def gain(idx, s):
+            zs = np.column_stack([head[idx], signs[idx] * s])
+            rest = self._sup(ws[idx], zs) if j + 1 < self.dim else -self.source_many(zs)
+            return signs[idx] * ws[idx, j] * s + rest
+
+        best = _concave_max(gain, np.zeros(2 * k))
+        return np.maximum(best[:k], best[k:])
 
 
 class MechanicalBeta1D:

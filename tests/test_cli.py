@@ -463,27 +463,6 @@ def test_solver_failure_exits_three(monkeypatch, capsys, tmp_path):
     assert "bracket" in record["error"]["message"]
 
 
-def test_unconverged_legendre_polish_exits_three(monkeypatch, capsys,
-                                                 tmp_path):
-    # a two-dimensional subcover polishes its dual check by simplex descent
-    polish = action._nelder_mead
-
-    def stalled(*args, **kwargs):
-        x, fun, _, nfev = polish(*args, **kwargs)
-        return x, fun, 2, nfev
-
-    monkeypatch.setattr(action, "_nelder_mead", stalled)
-    monkeypatch.setattr(mather, "_nelder_mead", stalled)
-    tree = _scenario_tree("figure_eight")
-    tree["experiment"]["ladder"] = [1.0, 0.5]
-    tree["cover"] = {"subcover": [[1, 0], [0, 1]]}
-    path = _write(tmp_path, tree)
-    assert cli.run(path, "homogenize", out_dir=str(tmp_path)) == cli.EXIT_SOLVER
-    record = _records(capsys)[-1]
-    assert record["error"]["kind"] == "solver"
-    assert "Legendre dual polish" in record["error"]["message"]
-
-
 def test_stray_exception_becomes_internal_error(monkeypatch, capsys):
     def broken(cfg):
         raise RuntimeError("boom")

@@ -252,7 +252,7 @@ def test_unconverged_hopf_lax_polish_is_counted(loop2_cover, loop2_lag,
 
 
 def test_merged_loops_subcover_consistency(fig8_cover, fig8_lag, fig8):
-    # on [[2, 3]] the conjugate of beta-hat peaks outside the box |z| <= 6
+    # on [[2, 3]] the conjugate of beta-hat peaks beyond |z| = 6
     for matrix in ([1, 1], [2, 3]):
         scenario = Scenario(name="fig8-merge", cover=fig8_cover, model=fig8_lag,
                             datum=InitialDatum.affine([0.5], 0.1),
@@ -289,6 +289,19 @@ def test_lifted_limit_catches_a_wrong_beta_hat(fig8_cover, fig8_lag,
     report = run_experiment(scenario)
     assert report.lifted_limit_error > 1e-8
     assert "lifted_limit_error <= 1e-8" in report.failed
+
+
+def test_dual_limit_catches_a_scaled_beta_hat(monkeypatch):
+    # the conjugate of 1.01 beta-hat is 1.01 alpha-hat(p / 1.01), 3e-3 off
+    # alpha at the pulled-back covectors on figure_eight_subcover
+    value_many = BetaHatEvaluator.value_many
+    monkeypatch.setattr(BetaHatEvaluator, "value_many",
+                        lambda self, zs: 1.01 * value_many(self, zs))
+    scenario = load_config(os.path.join(
+        _SCENARIOS, "figure_eight_subcover.yaml")).scenario()
+    report = run_experiment(dataclasses.replace(scenario, eps_ladder=(1.0,)))
+    assert report.dual_limit_error > 1e-3
+    assert "dual_limit_error <= 1e-12" in report.failed
 
 
 @pytest.mark.parametrize("matrix", [[[1, 1]], [[1, 2]]])

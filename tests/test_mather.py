@@ -301,21 +301,44 @@ def test_beta_figure_eight_split_strategy(fig8, fig8_free):
     assert beta_graph(fig8, fig8_free, [1.5, -0.5]) == pytest.approx(2.0, abs=1e-9)
 
 
-def _half_square(w):
-    return 0.5 * float(np.dot(w, w))
+def _half_square(zs):
+    return 0.5 * np.vecdot(zs, zs)
 
 
-def test_quadratic_duality_on_grid():
-    dual = LegendreDual(_half_square, 1, p_box=3.0, p_points=193)
-    worst = max(abs(dual.value([p]) - 0.5 * p * p) for p in np.linspace(-1.0, 1.0, 41))
+def test_quadratic_duality():
+    ps = np.linspace(-1.0, 1.0, 41)[:, None]
+    worst = np.max(np.abs(LegendreDual(_half_square, 1).value_many(ps)
+                          - _half_square(ps)))
     assert worst <= 1e-12
 
 
 def test_double_transform_recovers_convex_input():
-    alpha = LegendreDual(_half_square, 1, p_box=3.0, p_points=193)
-    back = LegendreDual(alpha.value, 1, p_box=2.0, p_points=129)
-    worst = max(abs(back.value([w]) - 0.5 * w * w) for w in np.linspace(-1.0, 1.0, 41))
-    assert worst <= 1e-12
+    back = LegendreDual(LegendreDual(_half_square, 1).value_many, 1)
+    ws = np.linspace(-1.0, 1.0, 41)[:, None]
+    assert np.max(np.abs(back.value_many(ws) - _half_square(ws))) <= 1e-12
+
+
+def test_conjugate_of_a_linear_source_is_infinite_past_its_slope():
+    # sup_z [w z - |z|] is 0 for |w| <= 1 and +inf beyond: the bracket of
+    # a pairing that never falls passes its cap instead of stopping at a box
+    dual = LegendreDual(lambda zs: np.abs(zs[:, 0]), 1)
+    assert dual.value([0.5]) == 0.0
+    with pytest.raises(SolverError, match="concave search bracket"):
+        dual.value([2.0])
+
+
+@pytest.mark.parametrize("source, ws", [
+    # beta-hat of figure_eight_subcover, and the free2 quadratic
+    (BetaHatEvaluator(SubcoverMap([[1, 1]]),
+                      DirectBetaEvaluator(FIG8, FIG8_LAG)).value_many,
+     np.linspace(-1.0, 1.0, 9)[:, None]),
+    (AnalyticQuadraticBeta([[2.0, 0.5], [0.5, 1.0]]).value_many,
+     np.array([[0.5, -0.3], [1.0, 0.4], [-0.7, 0.9], [0.0, 0.0]])),
+], ids=["beta-hat", "free2"])
+def test_conjugate_rows_are_each_row_alone(source, ws):
+    dual = LegendreDual(source, ws.shape[1])
+    alone = np.array([dual.value(w) for w in ws])
+    assert dual.value_many(ws).tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("family, p_values", [
@@ -329,21 +352,18 @@ def test_rates_dualize_to_alpha(request, family, p_values):
     if family == "loop":
         pair = DirectBetaEvaluator(request.getfixturevalue("loop2"),
                                    request.getfixturevalue("loop2_lag"))
-        w_box = 2.0
     elif family == "free2":
-        pair, w_box = AnalyticQuadraticBeta([[2.0, 0.5], [0.5, 1.0]]), 4.0
+        pair = AnalyticQuadraticBeta([[2.0, 0.5], [0.5, 1.0]])
     else:
-        pair, w_box = MechanicalBeta1D(make_pendulum()), 6.0
-    dual = LegendreDual(pair.value, len(p_values[0]), p_box=w_box,
-                        p_points=33)
-    worst = np.max(np.abs([dual.value(p) for p in p_values]
+        pair = MechanicalBeta1D(make_pendulum())
+    dual = LegendreDual(pair.value_many, len(p_values[0]))
+    worst = np.max(np.abs(dual.value_many(p_values)
                           - pair.alpha_many(p_values)))
     assert worst <= 1e-8
 
 
 def test_pendulum_beta_zero_via_quadrature_table(pendulum):
-    dual = LegendreDual(lambda p: alpha_torus_quadrature(pendulum, p)[0], 1,
-                        p_box=3.0, p_points=33)
+    dual = LegendreDual(lambda zs: alpha_torus_quadrature(pendulum, zs), 1)
     assert dual.value([0.0]) == pytest.approx(-1.0, abs=1e-12)
 
 
