@@ -8,12 +8,13 @@ Three layers:
   change; a ``_GraphPlan`` fixes those of many starts, and its ``price``
   splits their time by ``allocate_time`` (horizon per row), which also
   gives graph beta in ``mather``.  A free torus has the exact action
-  (x - y).A^{-1}.(x - y)/(2T); any other torus is a circle, which descends
-  midpoint chains (C, N+1) with segment-doubling refinement:
-  ``_chain_terms`` prices each chain's action, gradient and exact
-  tridiagonal Hessian, and ``_descend`` runs damped Newton on them over
-  chains in lockstep, factoring the live chains as one system in one
-  LAPACK ``ptsv`` call.
+  (x - y).A^{-1}.(x - y)/(2T); any other torus is a circle, whose pair
+  kernel ``minimal_action_torus`` makes every full chain solve, many pairs
+  of one horizon in lockstep: midpoint chains (C, N+1) with
+  segment-doubling refinement, ``_chain_terms`` pricing each chain's
+  action, gradient and exact tridiagonal Hessian, and ``_descend`` running
+  damped Newton on them over chains in lockstep, the live chains factored
+  as one system in one LAPACK ``ptsv`` call.
 * ``lax_oleinik_many``: the rescaled cover solution at many queries, an
   infimum of f(eps * G(y)) + eps * action over starting points y (f the
   limit datum, G the cover's coordinate map) in the translate cells of G
@@ -606,16 +607,25 @@ _ACTION_TOL = 1e-7
 _MAX_SEGMENTS = 2048
 
 
-def _minimal_actions_torus(model: TorusHamiltonian, pairs, horizon: float):
-    """``minimal_action_torus`` of K pairs (y_lift, x_lift) over one
-    horizon, in lockstep: one ``_descend`` over the starting chains of
-    every pair, then one per doubling level over the pairs still moving,
-    each of which stops on its own test.  The pairs share the horizon, so
-    at each level they share the chain length, and ``_descend`` gives each
-    chain the iterates it has alone: every result is that pair's lone
-    solve, bit for bit.  Checks the horizon and the dimension once per
-    batch; returns one (action, nodes, capped count) per pair, [] for no
-    pair."""
+def minimal_action_torus(model: TorusHamiltonian, pairs, horizon: float):
+    """Two-point actions on the R cover of the circle by trajectory descent,
+    for K pairs (y_lift, x_lift) over one horizon in lockstep.
+
+    Piecewise-linear chains with midpoint quadrature: one ``_descend`` over
+    every pair's starting chains (a straight line plus deterministic
+    sinusoidal perturbations), then one per doubling of the best chains
+    still moving, each pair stopping once its action changes by less than
+    ``_ACTION_TOL`` or its count reaches ``_MAX_SEGMENTS``.  The midpoint
+    error is O(dt^2), so a doubling moves the action by about a quarter of
+    the previous move, and most pendulum solves run to ``_MAX_SEGMENTS``.
+    The pairs share the horizon, hence the chain length at each level, and
+    ``_descend`` gives each chain the iterates it has alone: every result
+    is that pair's lone solve, bit for bit.  Returns one (action, nodes of
+    the best chain, number of capped descents whose value is read: the best
+    starting chain and each doubling) per pair, [] for no pair.  A 2-torus
+    raises ModelValidityError, as ``_lax_torus`` prices every free torus
+    exactly.
+    """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     if model.n != 1:
@@ -641,25 +651,6 @@ def _minimal_actions_torus(model: TorusHamiltonian, pairs, horizon: float):
             best[k] = (float(val), nodes, best[k][2] + int(hit))
         moving = still
     return best
-
-
-def minimal_action_torus(model: TorusHamiltonian, y_lift, x_lift, horizon: float):
-    """Two-point action on the R cover of the circle by trajectory descent.
-
-    Piecewise-linear chains with midpoint quadrature, ``_descend`` from a
-    straight line plus deterministic sinusoidal perturbations as one
-    batch, then segment doubling of the best chain until the action
-    changes by less than ``_ACTION_TOL`` or the count reaches
-    ``_MAX_SEGMENTS``.  The midpoint error is O(dt^2), so a doubling moves
-    the action by about a quarter of the previous move, and every pendulum
-    solve runs to ``_MAX_SEGMENTS`` and returns that chain's
-    discretisation error.  Returns (action, nodes of the best chain,
-    number of capped descents whose value is read: the best starting chain
-    and each doubling).  A 2-torus raises ModelValidityError, as
-    ``_lax_torus`` prices every free torus exactly.  This is the one-pair case
-    of ``_minimal_actions_torus``, which solves many pairs in lockstep.
-    """
-    return _minimal_actions_torus(model, [(y_lift, x_lift)], horizon)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -765,11 +756,12 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     exactly (x - y).A^{-1}.(x - y)/(2T), the cost above for A = aI and a
     skew A's lift cost: the stay costs 0, ``_nelder_mead`` polishes the
     best lift as ``hopf_lax`` does, and both counts are the lifts priced.
-    Any other torus is a circle: the sweep keeps the lifts within window/eps
-    whose low (quad = amax, drift = vmax) is within 1e-9 of the least cost,
-    a second ``_sweep`` prices them on coarse chains in lockstep, the six
-    best are re-priced in full by one ``_minimal_actions_torus`` call, and
-    the winner's chain descends once more with its start node free."""
+    Any other torus is a circle, whose stay is one ``minimal_action_torus``
+    pair: the sweep keeps the lifts within window/eps whose low (quad =
+    amax, drift = vmax) is within 1e-9 of the least cost, a second
+    ``_sweep`` prices them on coarse chains in lockstep, the six best are
+    re-priced in full by one more ``minimal_action_torus`` call, and the
+    winner's chain descends once more with its start node free."""
     horizon = t / eps
     x_lift = cover.lift(x)
     free = (a_matrix := model.free_kinetic()) is not None
@@ -783,8 +775,8 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
         d = ys - x_lift
         return np.vecdot(d, np.vecdot(d[:, None, :], a_inv)) / (2.0 * horizon)
 
-    stay, best_nodes, capped = ((0.0, None, 0) if free else
-                                minimal_action_torus(model, x_lift, x_lift, horizon))
+    stay, best_nodes, capped = ((0.0, None, 0) if free else minimal_action_torus(
+        model, [(x_lift, x_lift)], horizon)[0])
     incumbent = datum.value(eps * x_lift) + eps * stay
     best_g = x_lift.copy()
 
@@ -857,7 +849,7 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
         best_g = lifts[best]
     scored.sort(key=lambda z: z[0])
     top = [idx for _, idx in scored[:_N_TOP]]
-    solves = _minimal_actions_torus(
+    solves = minimal_action_torus(
         model, [(lifts[idx], x_lift) for idx in top], horizon)
     for idx, (val, nodes, n_capped) in zip(top, solves):
         capped += n_capped

@@ -53,10 +53,6 @@ EXIT_INTERNAL = 4
 COMMANDS = ("alpha", "beta", "homogenize", "spaces", "validate")
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def _emit(record: dict) -> None:
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -68,16 +64,17 @@ def _error_record(kind: str, exit_code: int, message: str, field=None) -> dict:
     return {"error": err}
 
 
-def _write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-
-
-def _table_csv(header, rows) -> str:
+def _write_artifacts(out_dir: str, stem: str, header, rows, record: dict) -> None:
+    """The one artifact writer: ``stem.csv``, the header then the rows, every
+    number as ``%.17g``, and ``stem.json``, the record with sorted keys and
+    indent 2, into out_dir, each ending in one newline."""
+    os.makedirs(out_dir or ".", exist_ok=True)
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    lines += [",".join("%.17g" % float(v) for v in row) for row in rows]
+    with open(os.path.join(out_dir, stem + ".csv"), "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with open(os.path.join(out_dir, stem + ".json"), "w", newline="\n") as fh:
+        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def _cmd_table(cfg: ScenarioConfig, command: str, out_dir: str) -> int:
@@ -93,8 +90,6 @@ def _cmd_table(cfg: ScenarioConfig, command: str, out_dir: str) -> int:
     values = [float(v) for v in evaluate(nodes)]
     header = [f"{axis}{i + 1}" for i in range(dim)] + [command]
     rows = [list(node) + [v] for node, v in zip(nodes, values)]
-    _write_text(os.path.join(out_dir, f"{cfg.name}_{command}.csv"),
-                _table_csv(header, rows))
     record = {"scenario": cfg.name, "grid_radius": radius, "points": n_points,
               "nodes": [list(map(float, node)) for node in nodes],
               command: values}
@@ -102,18 +97,20 @@ def _cmd_table(cfg: ScenarioConfig, command: str, out_dir: str) -> int:
         kappa, voff = beta.coercivity()
         record["coercivity"] = {"kappa": kappa, "offset": voff,
                                 "norm": beta.norm}
-    _write_text(os.path.join(out_dir, f"{cfg.name}_{command}.json"),
-                json.dumps(record, sort_keys=True, indent=2) + "\n")
+    _write_artifacts(out_dir, f"{cfg.name}_{command}", header, rows, record)
     _emit({"command": command, "scenario": cfg.name, "rows": len(values),
            "passed": True})
     return EXIT_OK
 
 
 def _write_report(cfg: ScenarioConfig, report, command: str, out_dir: str) -> int:
-    _write_text(os.path.join(out_dir, f"{cfg.name}_{command}.csv"),
-                "\n".join(report.csv_lines()) + "\n")
-    _write_text(os.path.join(out_dir, f"{cfg.name}_{command}.json"),
-                report.to_json() + "\n")
+    k = len(report.rows[0].h) if report.rows else 1
+    header = [f"h{j + 1}" for j in range(k)] + ["t", "epsilon", "v_eps",
+                                                "u_limit", "abs_error"]
+    rows = [(*r.h, r.t, r.eps, r.v_eps, r.u_limit, r.abs_error)
+            for r in report.rows]
+    _write_artifacts(out_dir, f"{cfg.name}_{command}", header, rows,
+                     dataclasses.asdict(report))
     _emit({"command": command, "scenario": cfg.name,
            "passed": bool(report.passed),
            "final_error": report.final_error,
@@ -135,11 +132,10 @@ def _cmd_spaces(cfg: ScenarioConfig, out_dir: str) -> int:
     sp = estimate_space_convergence(cfg.cover, cfg.eps_ladder, cfg.mesh,
                                     seed=cfg.seed)
     rows = list(zip(sp.epsilons, sp.covering_radius, sp.covering_bound))
-    _write_text(os.path.join(out_dir, f"{cfg.name}_spaces.csv"), _table_csv(
-        ["epsilon", "covering_radius", "covering_bound"], rows))
-    _write_text(os.path.join(out_dir, f"{cfg.name}_spaces.json"), json.dumps(
-        {"scenario": cfg.name, **dataclasses.asdict(sp), "passed": sp.passed},
-        sort_keys=True, indent=2) + "\n")
+    _write_artifacts(out_dir, f"{cfg.name}_spaces",
+                     ["epsilon", "covering_radius", "covering_bound"], rows,
+                     {"scenario": cfg.name, **dataclasses.asdict(sp),
+                      "passed": sp.passed})
     _emit({"command": "spaces", "scenario": cfg.name, "passed": sp.passed,
            "gap_low": sp.gap_low, "gap_high": sp.gap_high,
            "gap_bound": sp.gap_bound})

@@ -15,7 +15,9 @@ names a norm.  The cover datum is the limit datum read through the
 rescaled coordinate map, f(eps * G(x)).  A key that the loader does not
 read (for a datum, per family), and a block that is not a mapping, are
 rejected on their dotted path, so a misspelt field, a ``datum.bump`` or
-a ``compute: 5`` cannot load as if it were absent.
+a ``compute: 5`` cannot load as if it were absent.  ``load_config``
+returns a ``ScenarioConfig``: the ``homogenize.Scenario`` itself plus the
+fields only the CLI reads.
 """
 
 from __future__ import annotations
@@ -81,31 +83,20 @@ def _as_vector(value, path: str) -> np.ndarray:
     return np.array([_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated scenario description plus the constructed solver objects."""
+@dataclass(frozen=True, kw_only=True)
+class ScenarioConfig(Scenario):
+    """A loaded ``Scenario`` plus the fields only the CLI reads: the
+    ``spaces`` seed, the evaluator, the table grids, the artifact directory."""
 
-    name: str
-    cover: object
-    model: object
-    datum: InitialDatum
-    subcover: object
-    eps_ladder: tuple
-    eval_points: tuple
-    tolerance: float
     seed: int
-    mesh: int
     evaluator: object
     p_grid: dict = field(default_factory=dict)
     w_grid: dict = field(default_factory=dict)
     out_dir: str = "out"
 
     def scenario(self) -> Scenario:
-        return Scenario(name=self.name, cover=self.cover, model=self.model,
-                        datum=self.datum, eps_ladder=self.eps_ladder,
-                        eval_points=self.eval_points,
-                        subcover=self.subcover, mesh=self.mesh,
-                        tolerance=self.tolerance)
+        """The experiment this config describes: the config itself."""
+        return self
 
     def beta_evaluator(self):
         """The system's (alpha, beta) evaluator, picked at load."""

@@ -15,9 +15,8 @@ quotient checks of the same run gate ``passed`` with the rest.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,21 +134,6 @@ class ExperimentReport:
             out.setdefault(row.eps, []).append(row.abs_error)
         return sorted(((e, float(np.max(v))) for e, v in out.items()),
                       key=lambda kv: -kv[0])
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-    def csv_lines(self) -> list:
-        k = len(self.rows[0].h) if self.rows else 1
-        header = ",".join([f"h{j + 1}" for j in range(k)]
-                          + ["t", "epsilon", "v_eps", "u_limit", "abs_error"])
-        lines = [header]
-        for r in self.rows:
-            cells = ["%.17g" % c for c in r.h]
-            cells += ["%.17g" % r.t, "%.17g" % r.eps, "%.17g" % r.v_eps,
-                      "%.17g" % r.u_limit, "%.17g" % r.abs_error]
-            lines.append(",".join(cells))
-        return lines
 
 
 def _check_monotone(report: ExperimentReport, ladder) -> bool:

@@ -53,15 +53,15 @@ def _grow_bracket(grow, lo: np.ndarray, cap: float, message: str) -> np.ndarray:
     return hi
 
 
-def _bisect_threshold(below, lo, tol: float) -> np.ndarray:
+def _bisect_threshold(below, lo) -> np.ndarray:
     """Midpoints of brackets around where a test ``below`` that holds at the
     levels lo starts to fail, each entry in lockstep as it would step alone:
     ``_grow_bracket`` doubles hi until the test fails (past 1e12 a
-    SolverError), then the bracket halves to tol wide or adjacent floats."""
+    SolverError), then the bracket halves to adjacent floats."""
     lo = np.array(lo, dtype=float)
     hi = _grow_bracket(below, lo, 1e12, "alpha bracket grew past its cap")
     mid = 0.5 * (lo + hi)
-    while (live := (hi - lo > tol) & (lo < mid) & (mid < hi)).any():
+    while (live := (lo < mid) & (mid < hi)).any():
         fails = below(mid)
         lo, hi = np.where(live & fails, mid, lo), np.where(live & ~fails, mid, hi)
         mid = 0.5 * (lo + hi)
@@ -106,7 +106,7 @@ def alpha_graph(graph, lagrangian: GraphLagrangian, ps) -> np.ndarray:
     out = np.full(len(ps), -lagrangian.min_potential())
     fails = below(out, pairings)
     out[fails] = _bisect_threshold(lambda k: below(k, pairings[fails]),
-                                   out[fails], 0.0)
+                                   out[fails])
     return out
 
 
@@ -201,7 +201,7 @@ def alpha_torus_quadrature(model: TorusHamiltonian, ps, rule=None) -> np.ndarray
     out = np.full(p.shape, rule.vmax)
     running = p > rule(rule.vmax) + 1e-14
     out[running] = _bisect_threshold(lambda energy: rule(energy) < p[running],
-                                     out[running], 0.0)
+                                     out[running])
     return out
 
 

@@ -187,8 +187,8 @@ def mean_action_check(cover, model, beta_eval, rate_bound: float,
             if cover.family == "torus":
                 y = cover.from_lift(target)
                 rate = w
-                act = minimal_action_torus(model, cover.lift(x0),
-                                           cover.lift(y), t_hor)[0]
+                act = minimal_action_torus(
+                    model, [(cover.lift(x0), cover.lift(y))], t_hor)[0][0]
             else:
                 y, image = match_point(cover, target, 1.0, mesh)
                 rate = (cover.g_map(y) - gx) / t_hor
@@ -274,7 +274,7 @@ def torus_candidate_count(cover, model, datum, x, t: float, eps: float,
     lifts, d = _box_lifts(x_lift, reach, mesh)
     f = datum.value_many(eps * lifts)
     stay = datum.value(eps * x_lift) + eps * minimal_action_torus(
-        model, x_lift, x_lift, horizon)[0]
+        model, [(x_lift, x_lift)], horizon)[0][0]
     up = f + (eps * d) ** 2 / (2.0 * amin * t) - vmin * t
     low = f + (eps * d) ** 2 / (2.0 * amax * t) - vmax * t
     incumbent = min(stay, float(np.min(up)))
@@ -588,7 +588,7 @@ def golden_min_scalar(fn, lo: float, hi: float, tol: float):
 
 def bisect_threshold_scalar(below, lo: float, tol: float) -> float:
     """Midpoint of a bracket on the level where a test that holds at lo
-    starts to fail, one probe per call: the search that
+    starts to fail, one probe per call: at tol = 0, the search that
     ``mather._bisect_threshold`` runs for each of its levels in lockstep.
     hi = lo + 1 doubles its distance from lo until the test fails there
     (past 1e12 a SolverError), then the bracket halves until it is at most
@@ -608,7 +608,7 @@ def minimal_action_torus_alone(model, y_lift, x_lift, horizon: float):
     """One torus two-point action on its own: the descent of its starting
     chains, then one single-chain descent per doubling of the best chain
     until the action moves by less than ``_ACTION_TOL`` or the count
-    reaches ``_MAX_SEGMENTS``.  ``action._minimal_actions_torus`` runs this
+    reaches ``_MAX_SEGMENTS``.  ``action.minimal_action_torus`` runs this
     for each of its pairs in lockstep; returns (action, nodes, capped
     count) as it does."""
     y_lift = np.atleast_1d(np.asarray(y_lift, dtype=float))

@@ -43,7 +43,7 @@ from tests.oracles import (free_torus_lattice_min, golden_min_scalar, lagrangian
 
 def test_free_straight_line_action(free1):
     # constant-speed segment: (3/2)^2 / 2 * 2
-    got = minimal_action_torus(free1, [0.0], [3.0], 2.0)[0]
+    got = minimal_action_torus(free1, [([0.0], [3.0])], 2.0)[0][0]
     assert got == pytest.approx(2.25, abs=1e-9)
 
 
@@ -294,12 +294,12 @@ def test_torus_chains_reject_a_two_torus(free2):
     # a free 2-torus is a valid model, but its actions are exact and the
     # chain kernel serves the circle only
     with pytest.raises(ModelValidityError, match="circle only"):
-        minimal_action_torus(free2, [0.0, 0.0], [0.5, 0.2], 1.0)
+        minimal_action_torus(free2, [([0.0, 0.0], [0.5, 0.2])], 1.0)
 
 
 def test_pendulum_resting_rate(pendulum):
     # parking on the potential maximum gives running cost -1 forever
-    value = minimal_action_torus(pendulum, [0.0], [0.0], 32.0)[0]
+    value = minimal_action_torus(pendulum, [([0.0], [0.0])], 32.0)[0][0]
     assert value / 32.0 == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -307,7 +307,7 @@ def test_long_pendulum_descent_ends_uncapped(pendulum):
     # the chains cross nine cells near the separatrix, through a long flat
     # valley that damped Newton needs over a thousand steps to cross; a
     # descent cut at 200 steps ends near -52.2349
-    value, _, capped = minimal_action_torus(pendulum, [0.1], [9.3], 64.0)
+    value, _, capped = minimal_action_torus(pendulum, [([0.1], [9.3])], 64.0)[0]
     assert capped == 0
     assert value < -52.29
 
@@ -427,13 +427,13 @@ def test_lax_rejects_nonpositive_time_or_scale(circle, free1):
 
 def test_action_semigroup_on_torus_midpoint_mesh(free1):
     start, end = [0.0], [3.0]
-    direct = minimal_action_torus(free1, start, end, 2.0)[0]
+    direct = minimal_action_torus(free1, [(start, end)], 2.0)[0][0]
     split = math.inf
     for k in range(4):
         for frac in (0.0, 0.25, 0.5, 0.75):
             mid = [k + frac]
-            first = minimal_action_torus(free1, start, mid, 1.0)[0]
-            second = minimal_action_torus(free1, mid, end, 1.0)[0]
+            first = minimal_action_torus(free1, [(start, mid)], 1.0)[0][0]
+            second = minimal_action_torus(free1, [(mid, end)], 1.0)[0][0]
             split = min(split, first + second)
     assert split >= direct - 1e-9
     assert split == pytest.approx(direct, abs=1e-9)
@@ -486,7 +486,7 @@ def _pendulum_running_action(y, x, horizon):
                                            (0.0, 1.0, 0.5)])
 def test_torus_action_matches_pendulum_energy_quadrature(pendulum, y, x,
                                                          horizon):
-    chain = minimal_action_torus(pendulum, [y], [x], horizon)[0]
+    chain = minimal_action_torus(pendulum, [([y], [x])], horizon)[0][0]
     assert abs(chain - _pendulum_running_action(y, x, horizon)) <= 1e-5
 
 
@@ -639,7 +639,7 @@ def test_both_polishes_return_scipys_bytes(monkeypatch, fig8, fig8_lag,
 
 def test_actions_reject_nonpositive_horizon(free1, loop2_cover, loop2_free):
     with pytest.raises(ValueError):
-        minimal_action_torus(free1, [0.0], [0.0], 0.0)
+        minimal_action_torus(free1, [([0.0], [0.0])], 0.0)
     x = loop2_cover.vertex_point(0)
     with pytest.raises(ValueError):
         minimal_action_graph(loop2_free, loop2_cover, x, x, 0.0)
@@ -909,7 +909,7 @@ def test_batched_torus_actions_are_each_pair_alone(monkeypatch, model_of,
         return descend(model, horizon, chains, start)
 
     monkeypatch.setattr(action, "_descend", record)
-    got = action._minimal_actions_torus(model, pairs, horizon)
+    got = minimal_action_torus(model, pairs, horizon)
     monkeypatch.undo()
     assert len(got) == len(pairs)
     if not pairs:
@@ -948,7 +948,7 @@ def test_torus_rung_is_the_one_by_one_rung(monkeypatch, circle, pendulum, eps,
         return [minimal_action_torus_alone(model, y, x, horizon)
                 for y, x in pairs]
 
-    monkeypatch.setattr(action, "_minimal_actions_torus", one_by_one)
+    monkeypatch.setattr(action, "minimal_action_torus", one_by_one)
     alone = rung()
     # the stay solve, then the screen's six best
     assert batches == [1, 6]
@@ -958,6 +958,33 @@ def test_torus_rung_is_the_one_by_one_rung(monkeypatch, circle, pendulum, eps,
         (alone.window, alone.candidates, alone.evaluated)
     assert batched.diagnostics == alone.diagnostics
     assert batched.minimizer_g.tolist() == [start]
+
+
+def test_torus_rung_solves_every_full_chain_through_the_pair_kernel(
+        monkeypatch, circle, pendulum):
+    # a wrapper of the public kernel, as a tracer installs, sees every full
+    # chain solve of a pendulum rung: the stay, then the screen's six best
+    point, _ = match_point(circle, np.array([1.0 / 3.0]), 0.25, 64)
+
+    def rung():
+        return lax_oleinik(circle, pendulum, InitialDatum.affine([0.0]), point,
+                           1.0, 0.25, mesh=64)
+
+    plain, calls, kernel = rung(), [], action.minimal_action_torus
+
+    def record(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(action, "minimal_action_torus", record)
+    wrapped = rung()
+    x_lift = float(circle.lift(point)[0])
+    assert [len(args[1]) for args in calls] == [1, 6]
+    ends = [[tuple(np.concatenate(pair)) for pair in args[1]] for args in calls]
+    assert ends[0] == [(x_lift, x_lift)]
+    assert all(x == x_lift for _, x in ends[1])
+    assert wrapped.value == plain.value
+    assert wrapped.diagnostics == plain.diagnostics
 
 
 @pytest.mark.parametrize("stem, mesh, rungs", [

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -11,6 +12,7 @@ import yaml
 
 from effham import action, cli, homogenize, mather, topology
 from effham.action import InitialDatum
+from effham.config import load_config
 from effham.errors import SolverError
 from effham.homogenize import Scenario, run_experiment
 from effham.topology import SubcoverMap
@@ -148,6 +150,52 @@ def test_homogenize_loads_no_scipy_on_graphs_and_only_linalg_on_tori(tmp_path):
     lines = [line for line in done.stdout.splitlines()
              if not line.startswith("{")]
     assert lines == ["graph 3 []", "free 2 []", "circle 1 ['scipy.linalg']"]
+
+
+def _csv_and_json_columns(record: dict, command: str):
+    """The csv header and rows that a command's json record implies."""
+    if command == "spaces":
+        columns = ("epsilons", "covering_radius", "covering_bound")
+        return (["epsilon", "covering_radius", "covering_bound"],
+                [list(row) for row in zip(*(record[c] for c in columns))])
+    k = len(record["rows"][0]["h"])
+    header = [f"h{j + 1}" for j in range(k)] + ["t", "epsilon", "v_eps",
+                                                "u_limit", "abs_error"]
+    return header, [[*r["h"], r["t"], r["eps"], r["v_eps"], r["u_limit"],
+                     r["abs_error"]] for r in record["rows"]]
+
+
+@pytest.mark.parametrize("command", ["homogenize", "spaces"])
+def test_csv_and_json_artifacts_hold_the_same_numbers(tmp_path, capsys,
+                                                      command):
+    # one run writes each number twice, as a %.17g csv cell and as a json
+    # value; every cell parses back to its value exactly
+    path = os.path.join(ROOT, "scenarios", "single_loop.yaml")
+    assert cli.run(path, command, out_dir=str(tmp_path)) == cli.EXIT_OK
+    texts = {ext: (tmp_path / f"single-loop_{command}.{ext}").read_text()
+             for ext in ("csv", "json")}
+    for text in texts.values():
+        assert text.endswith("\n") and not text.endswith("\n\n")
+    header, rows = _csv_and_json_columns(json.loads(texts["json"]), command)
+    lines = texts["csv"].splitlines()
+    assert lines[0].split(",") == header
+    if command == "homogenize":
+        assert lines[0] == "h1,t,epsilon,v_eps,u_limit,abs_error"
+    assert len(rows) == len(lines) - 1 == 7
+    for line, row in zip(lines[1:], rows):
+        assert [float(cell) for cell in line.split(",")] == row
+
+
+def test_loaded_config_is_its_own_scenario():
+    cfg = load_config(os.path.join(ROOT, "scenarios", "figure_eight_subcover.yaml"))
+    assert isinstance(cfg, Scenario)
+    assert cfg.scenario() is cfg
+    assert cfg.beta_evaluator() is cfg.evaluator
+    # the experiment fields are the Scenario's own; the config adds only
+    # the ones the CLI reads
+    own = {f.name for f in dataclasses.fields(Scenario)}
+    added = [f.name for f in dataclasses.fields(cfg) if f.name not in own]
+    assert added == ["seed", "evaluator", "p_grid", "w_grid", "out_dir"]
 
 
 def test_sweep_script_runs_the_cheap_commands(tmp_path, capsys):

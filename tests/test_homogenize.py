@@ -99,7 +99,7 @@ def test_experiment_reruns_are_identical(circle, free1):
                         mesh=32)
     first = run_experiment(scenario)
     again = run_experiment(scenario)
-    assert first.to_json() == again.to_json()
+    assert dataclasses.asdict(first) == dataclasses.asdict(again)
 
 
 def test_pendulum_experiment_error_decreases(circle, pendulum):
