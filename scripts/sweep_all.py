@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Sweep every scenario in scenarios/ through validate + its main command.
 
-Prints one line per (scenario, command) with the exit status, the time
-and the process's peak resident memory so far in MB (a run that raises
-the peak set it), then ends with one ``sha256  path`` line per artifact
+Runs each (scenario, command) in its own forked child, so that every
+run starts from the same state: the sweeper, which has imported the
+package and run nothing.  Prints one line per run with the exit status,
+the time and the child's own peak resident memory in MB, which counts
+the sweeper's pages it starts with and any lazy import the run makes,
+then ends with one ``sha256  path`` line per artifact
 the sweep wrote, sorted, the path relative to the output directory;
 exits nonzero if any run failed.  Heavy ladder experiments are only
 run when --full is given, otherwise the sweep sticks to the cheap
@@ -27,9 +30,9 @@ import argparse
 import glob
 import hashlib
 import os
-import resource
 import sys
 import time
+import traceback
 
 from effham.cli import run
 
@@ -40,6 +43,28 @@ def _stamps(directory: str) -> dict:
     """Modification time of every file under directory, by path."""
     return {os.path.join(root, name): os.stat(os.path.join(root, name)).st_mtime_ns
             for root, _, names in os.walk(directory) for name in names}
+
+
+def _run_alone(path: str, command: str, out_dir: str):
+    """One ``run`` in a forked child: (exit code, seconds, the child's peak
+    resident memory in MB)."""
+    sys.stdout.flush()
+    start = time.perf_counter()
+    pid = os.fork()
+    if pid == 0:
+        code = 4  # an exception that ``run`` lets through
+        try:
+            code = run(path, command, out_dir=out_dir)
+        except Exception:
+            traceback.print_exc()
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+    _, status, usage = os.wait4(pid, 0)
+    elapsed = time.perf_counter() - start
+    # ru_maxrss is in kilobytes on Linux
+    return os.waitstatus_to_exitcode(status), elapsed, usage.ru_maxrss / 1024.0
 
 
 def main(argv=None) -> int:
@@ -66,14 +91,10 @@ def main(argv=None) -> int:
         out_dir = os.path.join(args.out_dir, name)
         for command in commands:
             before = _stamps(out_dir)
-            start = time.perf_counter()
-            code = run(path, command, out_dir=out_dir)
-            elapsed = time.perf_counter() - start
+            code, elapsed, peak_mb = _run_alone(path, command, out_dir)
             written.update(p for p, stamp in _stamps(out_dir).items()
                            if before.get(p) != stamp)
             status = "ok" if code == 0 else f"exit {code}"
-            # ru_maxrss is in kilobytes on Linux
-            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
             print(f"[{status:>7}] {name:<24} {command:<10} {elapsed:8.2f}s"
                   f" {peak_mb:8.1f} MB")
             failures += code != 0

@@ -31,7 +31,8 @@ Three layers:
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box, its seed grid
   priced by one ``value_many`` call and its best node polished by
-  ``_nelder_mead``, as the free torus's best lift is.
+  ``_nelder_mead`` with one ``value_many`` call per simplex step, as the
+  free torus's best lift is.
 
 Both searches are cut off by the same quadratic-growth certificate
 (``_reach``): a start too far away pays more action than the datum can
@@ -40,6 +41,7 @@ give back.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -432,27 +434,33 @@ def _chain_terms(model: TorusHamiltonian, dt: float, q: np.ndarray,
         a, a1, a2 = (t.reshape(shape) for t in
                      model.a_entries[0].gradient_many(flat))
         w = vv / a
-        dmid = -0.5 * w * w * a1 - gv
+        side = 0.5 * dt * (-0.5 * w * w * a1 - gv)
         phi, phi1 = 1.0 / a, -a1 / (a * a)
         phi2 = (2.0 * a1 * a1 - a * a2) / (a * a * a)
         l_dd, l_dm = phi / dt, d * phi1 / dt
         l_mm += 0.5 * d * d * phi2 / dt
     else:
-        # a' = a'' = 0: every term dropped here is an exact +-0
+        # a' = a'' = 0: each term dropped is an exact +-0, and -0.5 dt V' is 0.5 dt (-V')
         w = vv / a_const[0, 0]
-        dmid = -gv
+        side = -0.5 * dt * gv
         l_dd, l_dm = 1.0 / a_const[0, 0] / dt, 0.0
-    act = dt * np.sum(0.5 * vv * w - pot, axis=1)
+    act = dt * (0.5 * vv * w - pot).sum(axis=1)
     grad = np.zeros(q.shape)
-    side = 0.5 * dt * dmid
     grad[:, 1:] += w + side
-    grad[:, :-1] += -w + side
+    grad[:, :-1] += side - w
     quarter = 0.25 * l_mm
     diag = np.zeros(q.shape)
     diag[:, 1:] += l_dd + l_dm + quarter
     diag[:, :-1] += l_dd - l_dm + quarter
     # -L_dd + (L_dm - L_dm)/2 + L_mm/4, the middle term an exact +0
     return act, grad, diag, -l_dd + 0.0 + quarter
+
+
+@functools.cache
+def _pt_lapack():
+    """LAPACK's ``ptsv`` and ``pttrs``, imported at the first circle solve."""
+    from scipy.linalg.lapack import dptsv, dpttrs
+    return dptsv, dpttrs
 
 
 def _damped_steps(diag, off, mu, grad):
@@ -465,18 +473,23 @@ def _damped_steps(diag, off, mu, grad):
     step, is that of the chain's own system, bit for bit.  A pivot that is
     not positive stops the call in some chain c: the chains before it are
     factored, so ``pttrs`` solves them on that prefix of the factors, c is
-    marked, and the call restarts on the chain after c.
+    marked, and the call restarts on the chain after c (a lone chain: no restart).
     """
-    from scipy.linalg.lapack import dptsv, dpttrs
+    ptsv, pttrs = _pt_lapack()
     chains, size = diag.shape
     b = -grad.ravel()
     d = (diag + mu[:, None]).ravel()
+    if chains == 1:
+        x, info = ptsv(d, off[0], b, overwrite_d=1, overwrite_b=1)[2:]
+        if info < 0:
+            raise ValueError(f"LAPACK rejected argument {-info}")
+        return x.reshape(1, size), np.array([info == 0])
     e = np.concatenate([off, np.zeros((chains, 1))], axis=1).ravel()[:-1]
     ok = np.ones(chains, dtype=bool)
     lo = 0
     while lo < b.size:
-        fd, fe, x, info = dptsv(d[lo:], e[lo:], b[lo:], overwrite_d=1,
-                                overwrite_e=1, overwrite_b=1)
+        fd, fe, x, info = ptsv(d[lo:], e[lo:], b[lo:], overwrite_d=1,
+                               overwrite_e=1, overwrite_b=1)
         if info < 0:
             raise ValueError(f"LAPACK rejected argument {-info}")
         if info == 0:
@@ -485,7 +498,7 @@ def _damped_steps(diag, off, mu, grad):
         # the chains in rows lo:lo + k are factored, and the next one failed
         k = (lo + info - 1) // size * size - lo
         if k:
-            b[lo:lo + k] = dpttrs(fd[:k], fe[:k - 1], b[lo:lo + k])[0]
+            b[lo:lo + k] = pttrs(fd[:k], fe[:k - 1], b[lo:lo + k])[0]
         ok[(lo + k) // size] = False
         lo += k + size
     return b.reshape(chains, size), ok
@@ -508,7 +521,7 @@ def _objective(model, dt, q, start, a_const):
 
 
 # chain descent: the free-node gradient test, the iteration cap, and the
-# first Levenberg damping as a share of the largest Hessian diagonal entry
+# damping floor, the first mu off 0, as a share of the largest Hessian diagonal
 _DESCENT_GTOL = 1e-11
 _DESCENT_CAP = 2000
 _DESCENT_TAU = 1e-3
@@ -527,11 +540,12 @@ def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
     (``InitialDatum.circle_slopes``) at q0.
 
     One iteration factors H + mu I of every live chain in one LAPACK call
-    (``_damped_steps``) and steps by the solution.  A chain whose
-    factorisation fails, H + mu I not being positive definite, only raises
-    its damping mu; a step is kept when it lowers the value, and mu
-    follows the ratio of the actual to the predicted decrease (Nielsen's
-    rule).  A chain stops once its free-node gradient is at most
+    (``_damped_steps``) and steps by the solution; a step is kept when it
+    lowers the value.  The damping mu follows Nielsen's rule: from 0, a kept
+    step scales it by max(1/3, 1 - (2 rho - 1)^3) (rho the actual over the
+    predicted decrease) and resets nu to 2; a rejected step, or H + mu I not
+    positive definite, multiplies it by nu and doubles nu, but lifts a mu of
+    0 to its floor.  A chain stops once its free-node gradient is at most
     _DESCENT_GTOL, or once a rejected step predicted a decrease below
     rounding, and is then written out and dropped: the state holds the
     live chains only, so every chain's iterates are those it has alone.
@@ -555,31 +569,34 @@ def _descend(model: TorusHamiltonian, horizon: float, chains, start=None):
             break
         g = grad[:, free]
         step, ok = _damped_steps(diag[:, free], off[:, free], mu, g)
-        kept, done = np.zeros(ids.size, dtype=bool), np.zeros(ids.size, dtype=bool)
-        if ok.any():
+        if (whole := ok.all()) or ok.any():
             # the chains that factored: all of them as a slice, or an index
-            sel = slice(None) if ok.all() else np.flatnonzero(ok)
+            sel = slice(None) if whole else np.flatnonzero(ok)
             p = step[sel]
             trial = q[sel].copy()
             trial[:, free] += p
             t_val, t_grad, t_diag, t_off = _objective(model, dt, trial, start,
                                                       a_const)
             pred = 0.5 * (p * (mu[sel, None] * p - g[sel])).sum(axis=1)
-            stalled = pred <= 1e-15 * np.maximum(1.0, np.abs(val[sel]))
             gain = (val[sel] - t_val) / pred
             keep = gain > 0.0
             small = np.abs(t_grad[:, free]).max(axis=1) <= _DESCENT_GTOL
-            kept[sel], done[sel] = keep, np.where(keep, small, stalled)
-            if kept.all():
-                q, val, grad, diag, off = trial, t_val, t_grad, t_diag, t_off
-            else:
+            whole = whole and keep.all()
+        if whole:  # every chain factored and stepped: no mask
+            q, val, grad, diag, off = trial, t_val, t_grad, t_diag, t_off
+            mu *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu[:], done = 2.0, small
+        else:
+            kept, done = np.zeros(ids.size, dtype=bool), np.zeros(ids.size, dtype=bool)
+            if ok.any():
+                stalled = pred <= 1e-15 * np.maximum(1.0, np.abs(val[sel]))
+                kept[sel], done[sel] = keep, np.where(keep, small, stalled)
                 q[kept], val[kept], grad[kept] = trial[keep], t_val[keep], t_grad[keep]
                 diag[kept], off[kept] = t_diag[keep], t_off[keep]
-            mu[kept] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain[keep] - 1.0) ** 3)
-            nu[kept] = 2.0
-        if not kept.all():
+                mu[kept] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain[keep] - 1.0) ** 3)
+                nu[kept] = 2.0
             bump = ~kept
-            mu[bump] = np.maximum(mu[bump] * nu[bump], floor[bump])
+            mu[bump] = np.where(mu[bump] > 0.0, mu[bump] * nu[bump], floor[bump])
             nu[bump] *= 2.0
         if done.any():
             out_val[ids[done]], out_q[ids[done]] = val[done], q[done]
@@ -816,7 +833,7 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
         best_g = cells[best] + offsets[cell_best[best]]
     if free:
         y, fun, _, _ = _nelder_mead(
-            lambda y: datum.value(eps * y) + eps * free_action(y[None])[0],
+            lambda ys: datum.value_many(eps * ys) + eps * free_action(ys),
             _simplex_start(best_g), 1e-10, 1e-12, 4000, 8000)
         if fun < incumbent:
             incumbent, best_g = fun, y
@@ -1046,9 +1063,9 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float):
     its one-row case, its norm ``norm`` (l1 or l2) and coercivity() ->
     (kappa, v_off) certifying beta(w) >= kappa*|w|^2 - v_off in it.  The
     q-window is certified from the datum growth and that coercivity, seeded
-    on a grid of 33 rates per axis over the ball of rates it allows (one
-    value_many call each for the datum and beta, the first strict best
-    kept), and ``_nelder_mead`` polishes the best node; u is the better.
+    on a grid of 33 rates per axis over the ball of rates it allows, and
+    its first strict best node polished by ``_nelder_mead``: the grid and
+    each simplex step one value_many call for the datum and beta; u is the best.
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
@@ -1071,7 +1088,7 @@ def hopf_lax(beta_eval, datum: InitialDatum, h, t: float):
         incumbent, best_q = float(vals[best]), seeds[best]
 
     _, fun, status, _ = _nelder_mead(
-        lambda q: datum.value(q) + t * beta_eval.value((h - q) / t),
+        lambda qs: datum.value_many(qs) + t * beta_eval.value_many((h - qs) / t),
         _simplex_start(best_q), 1e-10, 1e-12, 4000, 8000)
     return float(min(incumbent, fun)), status == 0
 
@@ -1086,15 +1103,18 @@ def _simplex_start(x0: np.ndarray) -> np.ndarray:
     return sim
 
 
-def _nelder_mead(fn, sim, xatol: float, fatol: float, maxiter: int, maxfev: float):
-    """Minimise ``fn`` from the simplex ``sim`` (N + 1 rows) as scipy 1.17's
-    ``_minimize_neldermead`` does without bounds, step for step, down to
-    its reorders and its cut before a call past maxfev.  Returns (x, fun,
-    status, nfev), status 0 converged, 1 hit maxfev, 2 hit maxiter."""
+def _nelder_mead(fn_many, sim, xatol: float, fatol: float, maxiter: int, maxfev: float):
+    """Minimise a function from the simplex ``sim`` (N + 1 rows) as scipy
+    1.17's ``_minimize_neldermead`` does without bounds, step for step, down
+    to its reorders and its cut before a call past maxfev.  ``fn_many``
+    prices rows, each as it would alone: the start is one call, a step one
+    call over its reflection, expansion and both contractions, of which
+    ``nfev`` counts those scipy prices, and a shrink one call.  Returns (x,
+    fun, status, nfev), status 0 converged, 1 hit maxfev, 2 hit maxiter."""
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     sim = np.array(sim, dtype=float)
     fsim, nfev, it = np.full(len(sim), np.inf), int(min(len(sim), maxfev)), 1
-    fsim[:nfev] = [fn(x.copy()) for x in sim[:nfev]]
+    fsim[:nfev] = fn_many(sim[:nfev])
     ind = np.argsort(fsim)  # scipy reorders twice after the start
     sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
     while True:
@@ -1105,29 +1125,29 @@ def _nelder_mead(fn, sim, xatol: float, fatol: float, maxiter: int, maxfev: floa
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
             break
         xbar = np.add.reduce(sim[:-1], 0) / (len(sim) - 1)
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr, nfev = fn(xr.copy()), nfev + 1
+        probes = np.array([(1 + rho) * xbar - rho * sim[-1],
+                           (1 + rho * chi) * xbar - rho * chi * sim[-1],
+                           (1 + psi * rho) * xbar - psi * rho * sim[-1],
+                           (1 - psi) * xbar + psi * sim[-1]])
+        (xr, xe, xo, xi), (fxr, fxe, fxo, fxi), nfev = probes, fn_many(probes), nfev + 1
         if fsim[0] <= fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         elif nfev >= maxfev:  # the step's next call would pass the cap
             continue
         elif fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe, nfev = fn(xe.copy()), nfev + 1
+            nfev += 1
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         else:
             out = fxr < fsim[-1]  # outside contraction, else inside
-            xc = ((1 + psi * rho) * xbar - psi * rho * sim[-1] if out
-                  else (1 - psi) * xbar + psi * sim[-1])
-            fxc, nfev = fn(xc.copy()), nfev + 1
+            xc, fxc = (xo, fxo) if out else (xi, fxi)
+            nfev += 1
             if (fxc <= fxr) if out else (fxc < fsim[-1]):
                 sim[-1], fsim[-1] = xc, fxc
             else:
-                for j in range(1, len(sim)):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    if nfev >= maxfev:
-                        break
-                    fsim[j], nfev = fn(sim[j].copy()), nfev + 1
+                k = sum(nfev + j < maxfev for j in range(len(sim) - 1))  # priced under the cap
+                sim[1:k + 2] = sim[0] + sigma * (sim[1:k + 2] - sim[0])
+                if k:
+                    fsim[1:k + 1], nfev = fn_many(sim[1:k + 1]), nfev + k
         it += 1
     status = 1 if nfev >= maxfev else 2 if it >= maxiter else 0
     return sim[0], np.min(fsim), status, nfev

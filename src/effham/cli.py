@@ -103,15 +103,16 @@ def _cmd_table(cfg: ScenarioConfig, command: str, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _write_report(cfg: ScenarioConfig, report, command: str, out_dir: str) -> int:
+def _cmd_homogenize(cfg: ScenarioConfig, out_dir: str) -> int:
+    report = run_experiment(cfg.scenario(), beta_eval=cfg.beta_evaluator())
     k = len(report.rows[0].h) if report.rows else 1
     header = [f"h{j + 1}" for j in range(k)] + ["t", "epsilon", "v_eps",
                                                 "u_limit", "abs_error"]
     rows = [(*r.h, r.t, r.eps, r.v_eps, r.u_limit, r.abs_error)
             for r in report.rows]
-    _write_artifacts(out_dir, f"{cfg.name}_{command}", header, rows,
+    _write_artifacts(out_dir, f"{cfg.name}_homogenize", header, rows,
                      dataclasses.asdict(report))
-    _emit({"command": command, "scenario": cfg.name,
+    _emit({"command": "homogenize", "scenario": cfg.name,
            "passed": bool(report.passed),
            "final_error": report.final_error,
            "diagnostics": report.diagnostics})
@@ -121,11 +122,6 @@ def _write_report(cfg: ScenarioConfig, report, command: str, out_dir: str) -> in
                             + ", ".join(report.failed)))
         return EXIT_TOLERANCE
     return EXIT_OK
-
-
-def _cmd_homogenize(cfg: ScenarioConfig, out_dir: str) -> int:
-    report = run_experiment(cfg.scenario(), beta_eval=cfg.beta_evaluator())
-    return _write_report(cfg, report, "homogenize", out_dir)
 
 
 def _cmd_spaces(cfg: ScenarioConfig, out_dir: str) -> int:

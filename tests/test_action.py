@@ -536,12 +536,13 @@ def _convex_objective(rng, dim: int):
 
 
 def _scipy_polish(default_start: bool):
-    """``_nelder_mead``'s signature over scipy's routine; with
-    default_start scipy builds its own start around the simplex's first
-    vertex, which ``_scipy_start`` must then match."""
-    def polish(fn, sim, *args):
-        return nelder_mead_scipy(fn, sim[0], None if default_start else sim,
-                                 *args)
+    """``_nelder_mead``'s signature over scipy's routine, which prices one
+    row of ``fn_many`` a call; with default_start scipy builds its own
+    start around the simplex's first vertex, which ``_scipy_start`` must
+    then match."""
+    def polish(fn_many, sim, *args):
+        return nelder_mead_scipy(lambda x: fn_many(x[None])[0], sim[0],
+                                 None if default_start else sim, *args)
     return polish
 
 
@@ -554,12 +555,12 @@ def _scipy_start(x0):
     return sim
 
 
-def _polish_runs(polish, seed: int = 7, draws: int = 60):
-    """The polish on seeded convex objectives in 1-D and 2-D, each run by
-    ``polish(default_start)``: hopf_lax's settings (its start, xatol 1e-10,
-    fatol 1e-12, maxiter 4000, maxfev 8000) and scipy's default start with
-    fatol 1e-13, maxiter 2000 and no call cap, each also cut short by a
-    small maxfev or maxiter.  Yields (case, (x, fun, status, nfev))."""
+def _polish_problems(seed: int = 7, draws: int = 60):
+    """Seeded convex objectives in 1-D and 2-D, each with hopf_lax's
+    settings (its start, xatol 1e-10, fatol 1e-12, maxiter 4000, maxfev
+    8000) and scipy's default start with fatol 1e-13, maxiter 2000 and no
+    call cap, each also cut short by a small maxfev or maxiter.  Yields
+    (case, default_start, fn, sim, (xatol, fatol, maxiter, maxfev))."""
     rng = np.random.default_rng(seed)
     for draw in range(draws):
         dim = 1 + draw % 2
@@ -574,7 +575,15 @@ def _polish_runs(polish, seed: int = 7, draws: int = 60):
                 ("maxfev", False, (1e-10, 1e-12, 4000, cut_fev)),
                 ("maxiter", True, (1e-10, 1e-13, cut_iter, math.inf))]:
             sim = _scipy_start(x0) if default else _simplex_start(x0)
-            yield case, polish(default)(fn, sim, *args)
+            yield case, default, fn, sim, args
+
+
+def _polish_runs(polish):
+    """Each of ``_polish_problems`` run by ``polish(default_start)`` on its
+    objective's rows, one by one.  Yields (case, (x, fun, status, nfev))."""
+    for case, default, fn, sim, args in _polish_problems():
+        yield case, polish(default)(lambda xs: np.array([fn(x) for x in xs]),
+                                    sim, *args)
 
 
 def _polish_misses(polish) -> int:
@@ -595,6 +604,39 @@ def test_nelder_mead_is_scipys_step_for_step():
     statuses = {(case, res[2])
                 for case, res in _polish_runs(lambda default: _nelder_mead)}
     assert {("hopf", 0), ("scipy-start", 0), ("maxfev", 1), ("maxiter", 2)} <= statuses
+
+
+def test_nelder_mead_prices_each_step_in_one_call():
+    # scipy's evaluations replayed through the polish's calls: the start is
+    # one call; a step is one call of four rows, the first scipy's
+    # reflection, and the expansion or contraction scipy prices next among
+    # the others; a shrink is one call of at most N rows after a step
+    for _, _, fn, sim, args in _polish_problems():
+        seen, calls = [], []
+
+        def logged(x):
+            seen.append(x.copy())
+            return fn(x)
+
+        def rows(xs):
+            calls.append(xs.copy())
+            return np.array([fn(x) for x in xs])
+
+        nelder_mead_scipy(logged, sim[0], sim, *args)
+        _nelder_mead(rows, sim, *args)
+        at, contracted = len(calls[0]), False
+        assert np.array_equal(calls[0], seen[:at])
+        for call in calls[1:]:
+            if len(call) == 4:
+                assert np.array_equal(call[0], seen[at])
+                also = [k for k in (1, 2, 3) if at + 1 < len(seen)
+                        and np.array_equal(call[k], seen[at + 1])][:1]
+                at, contracted = at + 1 + len(also), also > [1]
+            else:
+                assert contracted and len(call) < len(sim)
+                assert np.array_equal(call, seen[at:at + len(call)])
+                at, contracted = at + len(call), False
+        assert at == len(seen)
 
 
 @pytest.mark.parametrize("old, new", [
@@ -882,6 +924,60 @@ def test_batched_descent_is_each_chain_alone(model_of, horizon, batch):
         assert np.array_equal(nodes[c:c + 1], alone)
         assert np.array_equal(capped[c:c + 1], hit)
     assert not capped.any()
+
+
+def _crawl(monkeypatch, pendulum):
+    """The T = 16 stay's crawling chain, the +0.35 hump at the lift
+    5.328125, descended alone: its value, the first objective's Hessian
+    diagonal and, per iteration, mu, whether H + mu I factored, and the
+    trial value when it did."""
+    steps, objective, log, first = action._damped_steps, action._objective, [], []
+
+    def record_steps(diag, off, mu, grad):
+        step, ok = steps(diag, off, mu, grad)
+        log.append([float(mu[0]), bool(ok[0]), None])
+        return step, ok
+
+    def record_objective(*args):
+        out = objective(*args)
+        if log:
+            log[-1][2] = float(out[0][0])
+        else:  # copies: the descent writes its results into the first value
+            first.extend(x.copy() for x in out)
+        return out
+
+    monkeypatch.setattr(action, "_damped_steps", record_steps)
+    monkeypatch.setattr(action, "_objective", record_objective)
+    chain = action._chain_inits(5.328125, 5.328125, 256)[1]
+    vals, _, capped = _descend(pendulum, 16.0, chain[None])
+    assert not capped.any()
+    return float(vals[0]), first, log
+
+
+def test_descent_rejection_multiplies_damping_by_nu(monkeypatch, pendulum):
+    # Nielsen's rule: a rejected step multiplies mu by nu and doubles nu,
+    # an accepted one resets nu to 2, and only a rejection at mu = 0 lifts
+    # mu to the floor; the crawl rejects steps at a mu whose double is far
+    # below that floor
+    _, (val, _, diag, _), log = _crawl(monkeypatch, pendulum)
+    val, nu, below = float(val[0]), 2.0, 0
+    floor = action._DESCENT_TAU * np.abs(diag[0, 1:-1]).max()
+    for (mu, ok, trial), (after, _, _) in zip(log, log[1:]):
+        if ok and trial < val:
+            val, nu = trial, 2.0
+            continue
+        assert after == (mu * nu if mu > 0.0 else floor)
+        below += 0.0 < 2.0 * mu < floor / 100.0
+        nu *= 2.0
+    assert below >= 10
+
+
+def test_crawling_descent_reaches_its_minimum_sooner(monkeypatch, pendulum):
+    # the parent rule reset mu to the floor at every rejection and took
+    # 1,049 iterations to the same minimum
+    val, _, log = _crawl(monkeypatch, pendulum)
+    assert val == pytest.approx(-14.062913255409974, abs=1e-12)
+    assert len(log) < 1049
 
 
 # the rest at the top of the pendulum's V stops doubling at 128 segments

@@ -198,11 +198,17 @@ def test_loaded_config_is_its_own_scenario():
     assert added == ["seed", "evaluator", "p_grid", "w_grid", "out_dir"]
 
 
-def test_sweep_script_runs_the_cheap_commands(tmp_path, capsys):
+def _script(name: str):
+    """The module of scripts/<name>.py."""
     spec = importlib.util.spec_from_file_location(
-        "sweep_all", os.path.join(ROOT, "scripts", "sweep_all.py"))
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+        name, os.path.join(ROOT, "scripts", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_script_runs_the_cheap_commands(tmp_path, capsys):
+    sweep = _script("sweep_all")
     code = sweep.main(["--scenario-dir", os.path.join(ROOT, "scenarios"),
                        "--out-dir", str(tmp_path)])
     assert code == 0
@@ -225,11 +231,31 @@ def test_sweep_script_runs_the_cheap_commands(tmp_path, capsys):
     assert lines[-37].endswith("0 failing runs")
 
 
+def test_sweep_script_counts_a_raising_run_as_failed(tmp_path, capsys,
+                                                     monkeypatch):
+    # each run is a forked child: one that raises exits 4 and the sweep
+    # goes on to the next
+    sweep = _script("sweep_all")
+
+    def raising(*args, **kwargs):
+        raise RuntimeError("no run")
+
+    monkeypatch.setattr(sweep, "run", raising)
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    (scenarios / "single_loop.yaml").write_text(yaml.safe_dump(
+        _scenario_tree("single_loop"), sort_keys=False))
+    code = sweep.main(["--scenario-dir", str(scenarios),
+                       "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:4] for line in lines[:-1]] == [
+        ["[", "exit", "4]", "single_loop"]] * len(sweep.CHEAP)
+    assert lines[-1] == f"1 configs swept, {len(sweep.CHEAP)} failing runs"
+
+
 def test_compare_sweeps_names_each_moved_artifact(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "compare_sweeps", os.path.join(ROOT, "scripts", "compare_sweeps.py"))
-    compare = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare)
+    compare = _script("compare_sweeps")
     old, new = tmp_path / "old", tmp_path / "new"
     for root in (old, new):
         (root / "s").mkdir(parents=True)

@@ -277,10 +277,11 @@ def test_merged_loops_subcover_consistency(fig8_cover, fig8_lag, fig8):
 def test_lifted_limit_catches_a_wrong_beta_hat(fig8_cover, fig8_lag,
                                                monkeypatch, wrong):
     # the lifted limit over beta at R h is one route, the limit over
-    # beta-hat the other; a beta-hat off by 1e-6 moves only the second
-    value = BetaHatEvaluator.value
-    monkeypatch.setattr(BetaHatEvaluator, "value",
-                        lambda self, z: wrong(value(self, z)))
+    # beta-hat the other; a beta-hat off by 1e-6 moves only the second.
+    # The Hopf-Lax seed grid and polish both price rows of beta-hat
+    value_many = BetaHatEvaluator.value_many
+    monkeypatch.setattr(BetaHatEvaluator, "value_many",
+                        lambda self, zs: wrong(value_many(self, zs)))
     scenario = Scenario(name="fig8-merge", cover=fig8_cover, model=fig8_lag,
                         datum=InitialDatum.cone(0.6, norm="l1", dim=1),
                         eps_ladder=(1.0,),
