@@ -7,32 +7,30 @@ Three layers:
   edge-traversal multisets, kept per cover by their deck-invariant sheet
   change; a ``_GraphPlan`` fixes those of many starts, and its ``price``
   splits their time by ``allocate_time`` (horizon per row), which also
-  gives graph beta in ``mather``.  A free torus has the exact action
-  (x - y).A^{-1}.(x - y)/(2T); any other torus is a circle, whose pair
-  kernel ``minimal_action_torus`` makes every full chain solve, many pairs
-  of one horizon in lockstep: midpoint chains (C, N+1) with
-  segment-doubling refinement, ``_chain_terms`` pricing each chain's
-  action, gradient and exact tridiagonal Hessian, and ``_descend`` running
-  damped Newton on them over chains in lockstep, the live chains factored
-  as one system in one LAPACK ``ptsv`` call.
+  gives graph beta in ``mather``.  On the circle the pair kernel
+  ``minimal_action_torus`` makes every full chain solve, many pairs of one
+  horizon in lockstep: midpoint chains (C, N+1) with segment-doubling
+  refinement, ``_chain_terms`` pricing each chain's action, gradient and
+  exact tridiagonal Hessian, and ``_descend`` running damped Newton on
+  them over chains in lockstep, the live chains factored as one system in
+  one LAPACK ``ptsv`` call.
 * ``lax_oleinik_many``: the rescaled cover solution at many queries, an
   infimum of f(eps * G(y)) + eps * action over starting points y (f the
   limit datum, G the cover's coordinate map) in the translate cells of G
   that ``_search_cells`` certifies; ``lax_oleinik`` is its one-query case.
   One sweep, ``_sweep``, prices items in lower-bound order, in blocks,
   until the bound passes the incumbent: on graphs the cells' mesh starts,
-  exactly, one plan a block; on tori the cells at their least straight-path
-  cost, on a free torus each lift's exact cost, while a circle's cells keep
-  the lifts no cell bound rules out for a sweep on coarse chains whose
-  lowest few are re-priced in full.  The winner is polished: on graphs by
-  golden-section searches along its edges, every query's in one lockstep
-  search over one plan; on a free torus by ``_nelder_mead``; on the circle
-  by one more descent with its start node free.
+  exactly, one plan a block; on the circle the cells at their least
+  straight-path cost, which keep the lifts no cell bound rules out for a
+  sweep on coarse chains whose lowest few are re-priced in full.  The
+  winner is polished: on graphs by golden-section searches along its
+  edges, every query's in one lockstep search over one plan; on the circle
+  by one more descent with its start node free.  A free torus searches
+  nothing: ``_lax_free`` gives its Hopf-Lax minimiser in closed form.
 * ``hopf_lax``: the limit solution on homology space, an inf-convolution
   against t * beta((h - q)/t) over a certified compact box, its seed grid
   priced by one ``value_many`` call and its best node polished by
-  ``_nelder_mead`` with one ``value_many`` call per simplex step, as the
-  free torus's best lift is.
+  ``_nelder_mead`` with one ``value_many`` call per simplex step.
 
 Both searches are cut off by the same quadratic-growth certificate
 (``_reach``): a start too far away pays more action than the datum can
@@ -48,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelValidityError, SolverError
-from .model import GraphLagrangian, TorusHamiltonian, _proved_range, _torus_grid
+from .model import GraphLagrangian, TorusHamiltonian, _proved_range
 from .topology import (CoverPoint, _ball_axes, _ball_nodes, _edge_flow, _grid,
                        _norm_rows, dual_norm_value, norm_value)
 
@@ -640,14 +638,14 @@ def minimal_action_torus(model: TorusHamiltonian, pairs, horizon: float):
     is that pair's lone solve, bit for bit.  Returns one (action, nodes of
     the best chain, number of capped descents whose value is read: the best
     starting chain and each doubling) per pair, [] for no pair.  A 2-torus
-    raises ModelValidityError, as ``_lax_torus`` prices every free torus
-    exactly.
+    raises ModelValidityError, as ``_lax_torus`` solves every free torus by
+    the Hopf-Lax formula.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     if model.n != 1:
         raise ModelValidityError("torus chains run on the circle only; a free "
-                                 "2-torus prices its exact quadratic action")
+                                 "2-torus takes the Hopf-Lax formula")
     if not pairs:
         return []
     n = _auto_segments(horizon)
@@ -764,86 +762,86 @@ def _sweep(order, lower, incumbent, price):
     return incumbent, best, scored
 
 
+def _lax_free(a_matrix, datum, h, t):
+    """Minimiser q of f(q) + |h - q|^2_{A^{-1}}/(2t) over R^n, where
+    A^{-1}(h - q)/t is a subgradient of f: affine q = h - tAp; quadratic
+    (I + tAQ) q = h - tAp; an l2 cone (l1 is l2 in 1-D) of slope s at its
+    centre c when |A^{-1}g| <= st (g = h - c), else q = h - st A w with
+    w = (kappa |g| I + st A)^{-1} g at the kappa where |w| = 1, in (0, 1]
+    since |w| falls from above 1 at 0 to at most 1 at 1 (st = 0: q = h)."""
+    if datum.kind == "affine":
+        return h - t * (a_matrix @ datum.p)
+    if datum.kind == "quadratic":
+        return np.linalg.solve(np.eye(h.size) + t * (a_matrix @ datum.q_matrix),
+                               h - t * (a_matrix @ datum.p))
+    if h.size > 1 and datum.cone_norm != "l2":
+        raise ModelValidityError("a free torus prices l2 cones only")
+    g, st = h - datum.center, datum.slope * t
+    if np.linalg.norm(np.linalg.solve(a_matrix, g)) <= st:
+        return datum.center.copy()
+
+    def w_at(kappa):
+        return np.linalg.solve(kappa * np.linalg.norm(g) * np.eye(g.size)
+                               + st * a_matrix, g)
+
+    return h - st * (a_matrix @ w_at(_bisect_threshold(
+        lambda k: np.array([np.linalg.norm(w_at(k[0])) > 1.0]), np.zeros(1))[0]))
+
+
 def _lax_torus(cover, model, datum, x, t, eps, mesh):
-    """Torus cover solution: the stay at x, then ``_sweep`` over the cells
+    """Torus cover solution.  A free torus (``TorusHamiltonian.free_kinetic``,
+    L free of x on the cover R^n) takes the Hopf-Lax formula at h = eps*x at
+    every scale (``_lax_free``'s q; window |h - q|, counts 1).  The circle
+    stays at x (one ``minimal_action_torus`` pair); ``_sweep`` over the cells
     of ``_search_cells`` at the least straight-path cost f(eps*y) +
-    (eps*d)^2/(2*amin*t) - vmin*t of their mesh lifts y (d = |y - x|).
-
-    On a free torus (``TorusHamiltonian.free_kinetic``) the action is
-    exactly (x - y).A^{-1}.(x - y)/(2T), the cost above for A = aI and a
-    skew A's lift cost: the stay costs 0, ``_nelder_mead`` polishes the
-    best lift as ``hopf_lax`` does, and both counts are the lifts priced.
-    Any other torus is a circle, whose stay is one ``minimal_action_torus``
-    pair: the sweep keeps the lifts within window/eps whose low (quad =
-    amax, drift = vmax) is within 1e-9 of the least cost, a second
-    ``_sweep`` prices them on coarse chains in lockstep, the six best are
-    re-priced in full by one more ``minimal_action_torus`` call, and the
-    winner's chain descends once more with its start node free."""
-    horizon = t / eps
-    x_lift = cover.lift(x)
-    free = (a_matrix := model.free_kinetic()) is not None
-    a_inv = np.linalg.inv(a_matrix) if free else None
-    amin, amax = model.kinetic_eig_bounds()
-    vmin, vmax = _proved_range(model.v)
-    quad, drift = float(amax), float(vmax)
-
-    def free_action(ys):
-        """Action from each row of ys to x on a free torus, row by row."""
-        d = ys - x_lift
-        return np.vecdot(d, np.vecdot(d[:, None, :], a_inv)) / (2.0 * horizon)
-
-    stay, best_nodes, capped = ((0.0, None, 0) if free else minimal_action_torus(
-        model, [(x_lift, x_lift)], horizon)[0])
+    (eps*d)^2/(2*amin*t) - vmin*t of their mesh lifts y (d = |y - x|) keeps
+    the lifts within window/eps whose low (quad = amax, drift = vmax) is
+    within 1e-9 of the least; a second ``_sweep`` prices them on coarse
+    chains, ``minimal_action_torus`` the six best in full, and the winner's
+    chain descends again with its start node free."""
+    if (a_matrix := model.free_kinetic()) is not None:
+        h = eps * cover.lift(x)
+        d = h - (q := _lax_free(a_matrix, datum, h, t))
+        value = datum.value(q) + float(d @ np.linalg.solve(a_matrix, d)) / (2.0 * t)
+        return LaxResult(value=value, minimizer_g=q / eps, window=float(np.linalg.norm(d)),
+                         candidates=1, evaluated=1, diagnostics={"newton_capped": 0})
+    horizon, x_lift = t / eps, cover.lift(x)
+    amin, amax = map(float, model.kinetic_eig_bounds())
+    vmin, vmax = map(float, _proved_range(model.v))
+    stay, best_nodes, capped = minimal_action_torus(model, [(x_lift, x_lift)], horizon)[0]
     incumbent = datum.value(eps * x_lift) + eps * stay
     best_g = x_lift.copy()
 
-    window, cells, cell_low = _search_cells(cover, datum, quad, drift, x_lift,
+    window, cells, cell_low = _search_cells(cover, datum, amax, vmax, x_lift,
                                             t, eps, incumbent)
     reach = window / eps
-    n = model.n
-    offsets = _torus_grid(n, mesh)
+    offsets = np.arange(mesh) / mesh
 
-    # the circle's kept lifts as parts (lifts, datum values, distances, lower
-    # bounds), cut at the least up so far; each cell's mesh offset of least up
-    parts = [(np.zeros((0, n)),) + (np.zeros(0),) * 3]
+    # the kept lifts as parts (lifts, datum values, distances, lower bounds),
+    # cut at the least up so far; each cell's mesh offset of least up
+    parts = [(np.zeros(0),) * 4]
     cell_best = np.zeros(cells.shape[0], dtype=int)
     least = incumbent
 
     def price_cells(block):
         nonlocal least
-        lifts = (cells[block][:, None, :] + offsets[None, :, :]).reshape(-1, n)
-        d_c = _norm_rows(lifts - x_lift[None, :], cover.norm)
-        f_c = datum.value_many(eps * lifts)
-        up_c = f_c + (eps * d_c) ** 2 / (2.0 * amin * t) - vmin * t
-        if free and amin < amax:  # A = a I keeps its cheaper, already exact cost
-            up_c = f_c + eps * free_action(lifts)
-        up_c = up_c.reshape(block.size, -1)
+        lifts = (cells[block] + offsets).ravel()
+        d_c = np.abs(lifts - x_lift[0])
+        f_c = datum.value_many(eps * lifts[:, None])
+        up_c = (f_c + (eps * d_c) ** 2 / (2.0 * amin * t) - vmin * t).reshape(block.size, -1)
         cell_best[block] = np.argmin(up_c, axis=1)
-        up_c = up_c.min(axis=1)
-        if not free:
-            least = min(least, float(up_c.min()))
-            low_c = f_c + (eps * d_c) ** 2 / (2.0 * quad * t) - drift * t
-            keep = (low_c <= least + 1e-9) & (d_c <= reach + 1e-12)
-            parts.append((lifts[keep], f_c[keep], d_c[keep], low_c[keep]))
-        return up_c
+        least = min(least, float(up_c.min()))
+        low_c = f_c + (eps * d_c) ** 2 / (2.0 * amax * t) - vmax * t
+        keep = (low_c <= least + 1e-9) & (d_c <= reach + 1e-12)
+        parts.append((lifts[keep], f_c[keep], d_c[keep], low_c[keep]))
+        return up_c.min(axis=1)
 
-    incumbent, best, swept = _sweep(np.argsort(cell_low, kind="stable"), cell_low,
-                                    incumbent, price_cells)
+    incumbent, best, _ = _sweep(np.argsort(cell_low, kind="stable"), cell_low,
+                                incumbent, price_cells)
     if best is not None:
         best_g = cells[best] + offsets[cell_best[best]]
-    if free:
-        y, fun, _, _ = _nelder_mead(
-            lambda ys: datum.value_many(eps * ys) + eps * free_action(ys),
-            _simplex_start(best_g), 1e-10, 1e-12, 4000, 8000)
-        if fun < incumbent:
-            incumbent, best_g = fun, y
-        priced = len(swept) * offsets.shape[0]
-        return LaxResult(value=float(incumbent), minimizer_g=np.asarray(best_g),
-                         window=window, candidates=priced, evaluated=priced,
-                         diagnostics={"newton_capped": 0})
     merged = [np.concatenate(c) for c in zip(*parts)]
     lifts, f_vals, dist, lower = (c[merged[3] <= incumbent + 1e-9] for c in merged)
-    n_candidates = lifts.shape[0]
 
     # a block's lifts on coarse straight chains that descend in lockstep; a
     # start at x itself is skipped
@@ -852,7 +850,7 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     def price(block):
         nonlocal capped
         moving = dist[block] >= 1e-12
-        starts = lifts[block[moving]]
+        starts = lifts[block[moving], None]
         vals = np.full(block.size, np.nan)
         if moving.any():
             vals[moving], _, hit = _descend(model, horizon,
@@ -863,16 +861,16 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     incumbent, best, scored = _sweep(np.argsort(lower, kind="stable"), lower,
                                      incumbent, price)
     if best is not None:
-        best_g = lifts[best]
+        best_g = lifts[best, None]
     scored.sort(key=lambda z: z[0])
     top = [idx for _, idx in scored[:_N_TOP]]
     solves = minimal_action_torus(
-        model, [(lifts[idx], x_lift) for idx in top], horizon)
+        model, [(lifts[idx, None], x_lift) for idx in top], horizon)
     for idx, (val, nodes, n_capped) in zip(top, solves):
         capped += n_capped
         total = f_vals[idx] + eps * val
         if total < incumbent:
-            incumbent, best_nodes, best_g = total, nodes, lifts[idx]
+            incumbent, best_nodes, best_g = total, nodes, lifts[idx, None]
     # joint polish: the start node descends with the chain
     polished, chains, hit = _descend(model, horizon, best_nodes[None],
                                      start=(datum, eps))
@@ -880,7 +878,7 @@ def _lax_torus(cover, model, datum, x, t, eps, mesh):
     if polished[0] < incumbent:
         incumbent, best_g = polished[0], chains[0, :1]
     return LaxResult(value=float(incumbent), minimizer_g=np.asarray(best_g),
-                     window=window, candidates=int(n_candidates),
+                     window=window, candidates=lifts.size,
                      evaluated=len(scored),
                      diagnostics={"newton_capped": int(capped)})
 
@@ -914,6 +912,33 @@ def _golden_min(fn, lo, hi, tol):
             (fc if lt else fd)[k] = val
     s = [0.5 * (ak + bk) for ak, bk in zip(a, b)]
     return s, list(fn(list(range(len(s))), s))
+
+
+def _grow_bracket(grow, lo: np.ndarray, cap: float, message: str) -> np.ndarray:
+    """Upper ends hi of brackets [lo, hi], each entry in lockstep as it would
+    step alone: hi = lo + 1 doubles its gap to lo while ``grow(hi)`` holds
+    there, and a gap past cap raises SolverError(message)."""
+    hi = lo + 1.0
+    while (grow_at := grow(hi)).any():
+        hi = np.where(grow_at, lo + 2.0 * (hi - lo), hi)
+        if np.any(hi - lo > cap):
+            raise SolverError(message)
+    return hi
+
+
+def _bisect_threshold(below, lo) -> np.ndarray:
+    """Midpoints of brackets around where a test ``below`` that holds at the
+    levels lo starts to fail, each entry in lockstep as it would step alone:
+    ``_grow_bracket`` doubles hi until the test fails (past 1e12 a
+    SolverError), then the bracket halves to adjacent floats."""
+    lo = np.array(lo, dtype=float)
+    hi = _grow_bracket(below, lo, 1e12, "alpha bracket grew past its cap")
+    mid = 0.5 * (lo + hi)
+    while (live := (lo < mid) & (mid < hi)).any():
+        fails = below(mid)
+        lo, hi = np.where(live & fails, mid, lo), np.where(live & ~fails, mid, hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def _graph_search(cover, lagrangian, datum, x, t, eps, mesh):

@@ -31,41 +31,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .action import _golden_min, allocate_time
-from .errors import SolverError
+from .action import _bisect_threshold, _golden_min, _grow_bracket, allocate_time
 from .model import GraphLagrangian, TorusHamiltonian
 from .topology import SubcoverMap, _edge_flow, _grid
 
 
 # ---------------------------------------------------------------------------
 # alpha on graphs: the largest root over the cycle classes
-
-
-def _grow_bracket(grow, lo: np.ndarray, cap: float, message: str) -> np.ndarray:
-    """Upper ends hi of brackets [lo, hi], each entry in lockstep as it would
-    step alone: hi = lo + 1 doubles its gap to lo while ``grow(hi)`` holds
-    there, and a gap past cap raises SolverError(message)."""
-    hi = lo + 1.0
-    while (grow_at := grow(hi)).any():
-        hi = np.where(grow_at, lo + 2.0 * (hi - lo), hi)
-        if np.any(hi - lo > cap):
-            raise SolverError(message)
-    return hi
-
-
-def _bisect_threshold(below, lo) -> np.ndarray:
-    """Midpoints of brackets around where a test ``below`` that holds at the
-    levels lo starts to fail, each entry in lockstep as it would step alone:
-    ``_grow_bracket`` doubles hi until the test fails (past 1e12 a
-    SolverError), then the bracket halves to adjacent floats."""
-    lo = np.array(lo, dtype=float)
-    hi = _grow_bracket(below, lo, 1e12, "alpha bracket grew past its cap")
-    mid = 0.5 * (lo + hi)
-    while (live := (lo < mid) & (mid < hi)).any():
-        fails = below(mid)
-        lo, hi = np.where(live & fails, mid, lo), np.where(live & ~fails, mid, hi)
-        mid = 0.5 * (lo + hi)
-    return mid
 
 
 def _cycle_classes(rank: int) -> np.ndarray:

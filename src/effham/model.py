@@ -196,8 +196,9 @@ def _proved_range(trig: TrigPolynomial, mesh: int = 256):
     The gradient vanishes at an extremum, and a grid point within
     sqrt(n) h / 2 of it is within M2 n h^2 / 8 of the extreme value by
     Taylor's theorem.  In 1-D this is the chord bound: a C^2 function stays
-    within M2 h^2 / 8 of its chord between samples h apart."""
-    vals = trig.value_many(_torus_grid(trig.n, mesh))
+    within M2 h^2 / 8 of its chord between samples h apart; a constant,
+    whose M2 is 0, is sampled once."""
+    vals = trig.value_many(_torus_grid(trig.n, 1 if _is_constant(trig) else mesh))
     m2 = sum((TWO_PI * float(np.linalg.norm(k))) ** 2 * (abs(a) + abs(b))
              for k, a, b in trig.terms)
     slack = trig.n * m2 / (8.0 * mesh * mesh)

@@ -31,8 +31,8 @@ from effham.errors import ModelValidityError
 from effham.homogenize import _PulledBackDatum
 from effham.mather import AnalyticQuadraticBeta, DirectBetaEvaluator
 from effham.model import GraphLagrangian, TorusHamiltonian, TrigPolynomial
-from effham.topology import (GraphCover, MetricGraph, SubcoverMap, match_point,
-                             norm_value)
+from effham.topology import (GraphCover, MetricGraph, SubcoverMap, TorusCover,
+                             match_point, norm_value)
 from tests.conftest import (allocate_time_oracle, figure_eight, make_pendulum,
                             single_loop)
 from tests.oracles import (free_torus_lattice_min, golden_min_scalar, lagrangian,
@@ -321,11 +321,18 @@ def _window_solve(cover, model, slope, x, eps=0.5, t=1.0):
     return res.window, moved, cover.g_lipschitz()
 
 
+def _level_circle():
+    """The circle with A = 1 and V = 0.1: free motion, but not a free
+    torus, so its cover solution runs the certified window, the cell sweep
+    and the chains."""
+    return TorusHamiltonian.mechanical(TrigPolynomial.constant(1, 0.1))
+
+
 @pytest.mark.parametrize("family", ["torus", "graph"])
-def test_lax_window_contains_minimizer(family, circle, free1, loop2_cover,
+def test_lax_window_contains_minimizer(family, circle, loop2_cover,
                                        loop2_free):
     if family == "torus":
-        cover, model, x = circle, free1, circle.from_lift([1.25])
+        cover, model, x = circle, _level_circle(), circle.from_lift([1.25])
     else:
         cover, model, x = loop2_cover, loop2_free, loop2_cover.edge_point(0, 0.3)
     for slope in (0.0, 1.0, 3.0):
@@ -337,24 +344,30 @@ def test_lax_window_contains_minimizer(family, circle, free1, loop2_cover,
     assert moved == pytest.approx(3.0 * k0 * k0, abs=0.05)
 
 
-def test_search_radius_covers_linear_drift(circle, free1):
-    window = _window_solve(circle, free1, 1.0, circle.from_lift([1.25]))[0]
+def test_search_radius_covers_linear_drift(circle):
+    window = _window_solve(circle, _level_circle(), 1.0, circle.from_lift([1.25]))[0]
     # the optimal displacement for slope 1 over unit time has length 1
     assert window >= 1.0
 
 
-def test_search_radius_finite_and_monotone_in_slope(circle, free1):
-    x = circle.from_lift([1.25])
-    windows = [_window_solve(circle, free1, slope, x)[0]
-               for slope in (0.0, 1.0, 3.0, 1000.0)]
-    offsets = [lax_oleinik(circle, free1, InitialDatum.affine([1.0], c=c),
+def test_search_radius_finite_and_monotone_in_slope(circle):
+    x, model = circle.from_lift([1.25]), _level_circle()
+    solves = [_window_solve(circle, model, slope, x)
+              for slope in (0.0, 1.0, 3.0, 1000.0)]
+    windows = [window for window, _, _ in solves]
+    offsets = [lax_oleinik(circle, model, InitialDatum.affine([1.0], c=c),
                            x, 1.0, 0.5, mesh=16).window
                for c in (1000.0, -1000.0)]
+    # the minimizer moves by the slope over unit time, inside every window
+    for (window, moved, _), slope in zip(solves, (0.0, 1.0, 3.0, 1000.0)):
+        assert moved == pytest.approx(slope, abs=1e-6)
+        assert moved <= window + 1e-12
     for r in windows + offsets:
         assert math.isfinite(r)
     assert windows[0] < windows[1] < windows[2] < windows[3]
-    # a constant added to the datum moves no minimizer, so the window stays
-    assert offsets == [windows[1], windows[1]]
+    # a constant added to the datum moves no minimizer, so the window stays,
+    # up to the rounding of the stay's action -0.1 t against c = +-1000
+    assert offsets == pytest.approx([windows[1], windows[1]], rel=0.0, abs=1e-12)
 
 
 def test_search_radius_rejects_bad_scale(circle, free1):
@@ -658,21 +671,13 @@ def test_nelder_mead_oracle_catches_a_mutant(old, new):
     assert _polish_misses(lambda default: namespace["_nelder_mead"]) > 0
 
 
-def test_both_polishes_return_scipys_bytes(monkeypatch, fig8, fig8_lag,
-                                          torus2):
-    # hopf_lax's polish, and the free torus's polish of its best lift,
-    # which lowers this skew plane's value by 8e-4
+def test_hopf_lax_polish_returns_scipys_bytes(monkeypatch, fig8, fig8_lag):
     beta = DirectBetaEvaluator(fig8, fig8_lag)
     datum = InitialDatum.cone(0.7, center=[0.2, -0.1], norm="l1", dim=2)
     hs = [[0.3, -0.4], [0.0, 0.0], [1.1, 0.25]]
-    quad = InitialDatum.quadratic([[1.0, 0.3], [0.3, 0.5]], p=[0.4, -0.2],
-                                  c=0.1)
-    point, _ = match_point(torus2, np.array([0.3, -0.2]), 0.5, 8)
 
     def values():
-        return np.hstack([hopf_lax(beta, datum, h, 1.5) for h in hs] + [
-            lax_oleinik(torus2, _free_2d_skew(), quad, point, 1.0, 0.5,
-                        mesh=8).value])
+        return np.hstack([hopf_lax(beta, datum, h, 1.5) for h in hs])
 
     got = values()
     monkeypatch.setattr(action, "_nelder_mead", _scipy_polish(False))
@@ -1083,48 +1088,29 @@ def test_torus_rung_solves_every_full_chain_through_the_pair_kernel(
     assert wrapped.diagnostics == plain.diagnostics
 
 
-@pytest.mark.parametrize("stem, mesh, rungs", [
-    pytest.param("free_torus_1d", 64, 7, id="free_torus_1d"),
-    pytest.param("free_torus_2d", 64, 7, id="free_torus_2d"),
-    # a coarse mesh and the first four rungs keep the skew A's cell
-    # pre-sweep short
-    pytest.param("free_torus_2d-skew", 8, 4, id="free_torus_2d-skew")])
-def test_plane_is_the_affine_hopf_lax_formula(stem, mesh, rungs):
+@pytest.mark.parametrize("stem", ["free_torus_1d", "free_torus_2d",
+                                  "free_torus_2d-skew"])
+def test_plane_is_the_affine_hopf_lax_formula(monkeypatch, stem):
     # under an affine datum f(h) = p.h + c a free torus's solution is
     # p.eps G(x) + c - t p.A.p/2 exactly (the minimiser sits at
-    # y = x - T A p), whatever the rung and the mesh
+    # y = x - T A p), whatever the rung, and nothing is searched
+    for name in ("_search_cells", "_sweep", "_nelder_mead", "_descend"):
+        monkeypatch.setattr(action, name, _forbidden(name))
     scenario = load_config(os.path.join(
         _SCENARIOS, stem.removesuffix("-skew") + ".yaml")).scenario()
     model = _free_2d_skew() if stem.endswith("skew") else scenario.model
     p, c = scenario.datum.p, scenario.datum.c
     closed_rate = 0.5 * float(p @ model.constant_kinetic() @ p)
     assert len(scenario.eps_ladder) == 7
-    for eps in scenario.eps_ladder[:rungs]:
+    for eps in scenario.eps_ladder:
         for h, t in scenario.eval_points:
-            point, _ = match_point(scenario.cover, np.array(h), eps, mesh)
+            point, _ = match_point(scenario.cover, np.array(h), eps, 64)
             res = lax_oleinik(scenario.cover, model, scenario.datum, point, t,
-                              eps, mesh=mesh)
+                              eps)
             closed = eps * float(p @ scenario.cover.g_map(point)) + c \
                 - t * closed_rate
             assert abs(res.value - closed) <= 1e-15
             assert res.diagnostics == {"newton_capped": 0}
-
-
-def test_skew_plane_is_exact_from_one_cell_sweep():
-    # the cell sweep prices an anisotropic plane's lifts exactly and keeps
-    # no lift list: it prices 1,225 of the 2,593 cells that the window
-    # leaves at eps = 1/16, 4,096 lifts each (the bounds by amin and amax
-    # once kept 5.9 M lifts for a second sweep)
-    scenario = load_config(os.path.join(_SCENARIOS,
-                                        "free_torus_2d.yaml")).scenario()
-    model, eps, p = _free_2d_skew(), 0.0625, scenario.datum.p
-    (h, t), = scenario.eval_points
-    point, _ = match_point(scenario.cover, np.array(h), eps, 64)
-    res = lax_oleinik(scenario.cover, model, scenario.datum, point, t, eps, mesh=64)
-    assert res.candidates == res.evaluated == 1225 * 64 ** 2
-    closed = eps * float(p @ scenario.cover.g_map(point)) + scenario.datum.c \
-        - 0.5 * t * float(p @ model.constant_kinetic() @ p)
-    assert abs(res.value - closed) <= 1e-15
 
 
 def test_free_ladder_has_no_capped_descent(monkeypatch):
@@ -1143,6 +1129,111 @@ def test_free_ladder_has_no_capped_descent(monkeypatch):
             res = lax_oleinik(scenario.cover, scenario.model, scenario.datum,
                               point, t, eps, mesh=scenario.mesh)
             assert res.diagnostics == {"newton_capped": 0}
+
+
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"a free torus ran {name}")
+    return call
+
+
+def _free_model(n, entries):
+    return TorusHamiltonian(n, [TrigPolynomial.constant(n, v) for v in entries],
+                            TrigPolynomial.constant(n, 0.0))
+
+
+def _free_data(n):
+    """Affine, quadratic and two l2 cones, one mostly at its tip."""
+    center = [0.1, 0.2][:n]
+    return [InitialDatum.affine([0.7, -0.2][:n], c=0.1),
+            InitialDatum.quadratic(np.array([[1.3, 0.4], [0.4, 0.8]])[:n, :n],
+                                   p=[0.7, -0.2][:n], c=0.1),
+            InitialDatum.cone(0.8, center=center, c=0.3, norm="l2", dim=n),
+            InitialDatum.cone(2.5, center=center, c=0.3, norm="l2", dim=n)]
+
+
+def _hopf_lax_by_scipy(datum, a_matrix, h, t):
+    """min over q of f(q) + (h - q).A^{-1}.(h - q)/(2t) by two scipy
+    Nelder-Mead runs from h, f written out from the datum's parameters."""
+    a_inv = np.linalg.inv(a_matrix)
+    if datum.kind == "cone":
+        def f(q):
+            return datum.slope * np.linalg.norm(q - datum.center) + datum.c
+    else:
+        q_matrix = np.zeros_like(a_inv) if datum.q_matrix is None else datum.q_matrix
+        def f(q):
+            return 0.5 * q @ q_matrix @ q + datum.p @ q + datum.c
+
+    def fun(q):
+        return f(q) + (h - q) @ a_inv @ (h - q) / (2.0 * t)
+
+    first = optimize.minimize(fun, h, method="Nelder-Mead", options={
+        "xatol": 1e-10, "fatol": 1e-15, "maxiter": 20000, "maxfev": 20000})
+    second = optimize.minimize(fun, first.x, method="Nelder-Mead", options={
+        "xatol": 1e-10, "fatol": 1e-15, "maxiter": 20000, "maxfev": 20000})
+    return min(first.fun, second.fun)
+
+
+@pytest.mark.parametrize("n, entries", [
+    (1, (1.0,)), (1, (1.7,)), (2, (1.0, 0.0, 1.0)), (2, (1.3, 0.4, 0.8))],
+    ids=["circle", "circle-A1.7", "plane", "skew-plane"])
+def test_free_torus_is_the_hopf_lax_minimum(n, entries):
+    # 48 queries a system: each value is scipy's minimum over q to 1e-13
+    # and at most the least over the lattice of mesh lifts (and the stay);
+    # the window holds the minimiser, and the cones sit at their tips and
+    # off them
+    model, cover = _free_model(n, entries), TorusCover(n)
+    tips = 0
+    for datum in _free_data(n):
+        for h, eps, t in itertools.product(([0.37, -0.61], [1.3, 0.9]),
+                                           (1.0, 0.25, 0.0625), (0.5, 2.0)):
+            x = cover.from_lift(np.array(h[:n]) / eps)
+            res = lax_oleinik(cover, model, datum, x, t, eps, mesh=16)
+            q, hx = eps * res.minimizer_g, eps * cover.lift(x)
+            assert abs(res.value - _hopf_lax_by_scipy(
+                datum, model.free_kinetic(), hx, t)) <= 1e-13
+            assert res.value <= free_torus_lattice_min(
+                cover, model, datum, x, t, eps, 8, res.window) + 1e-13
+            assert res.window == np.linalg.norm(hx - q)
+            assert res.candidates == res.evaluated == 1
+            tips += datum.kind == "cone" and np.array_equal(q, datum.center)
+    assert 0 < tips < 24
+
+
+@pytest.mark.parametrize("n, entries", [(1, (1.7,)), (2, (1.3, 0.4, 0.8))],
+                         ids=["circle", "skew-plane"])
+def test_free_torus_cone_edge_cases(n, entries):
+    model, cover = _free_model(n, entries), TorusCover(n)
+    center = np.array([0.1, 0.2][:n])
+    x = cover.from_lift(np.array([1.3, 0.9][:n]) * 4.0)
+    h = 0.25 * cover.lift(x)
+    # slope 0: the datum is the constant c, so q = h and u = c exactly,
+    # where a root in nu grows its bracket past the cap
+    flat = InitialDatum.cone(0.0, center=center, c=0.3, norm="l2", dim=n)
+    res = lax_oleinik(cover, model, flat, x, 1.0, 0.25)
+    assert np.array_equal(0.25 * res.minimizer_g, h)
+    assert res.value == 0.3 and res.window == 0.0
+    # a slope so small that the root's nu is past that cap: still scipy's
+    # minimum, just off q = h
+    faint = InitialDatum.cone(1e-14, center=center, c=0.3, norm="l2", dim=n)
+    res = lax_oleinik(cover, model, faint, x, 1.0, 0.25)
+    assert 0.0 < res.window < 1e-13
+    assert abs(res.value - _hopf_lax_by_scipy(faint, model.free_kinetic(), h,
+                                              1.0)) <= 1e-13
+    # h at the centre is the tip
+    steep = InitialDatum.cone(0.8, center=h, c=0.3, norm="l2", dim=n)
+    res = lax_oleinik(cover, model, steep, x, 1.0, 0.25)
+    assert np.array_equal(0.25 * res.minimizer_g, h)
+    assert res.value == 0.3
+    # an l1 cone is the l2 cone on the circle, and refused on the plane
+    l1 = InitialDatum.cone(0.8, center=center, c=0.3, norm="l1", dim=n)
+    l2 = InitialDatum.cone(0.8, center=center, c=0.3, norm="l2", dim=n)
+    if n == 1:
+        assert (lax_oleinik(cover, model, l1, x, 1.0, 0.25).value
+                == lax_oleinik(cover, model, l2, x, 1.0, 0.25).value)
+    else:
+        with pytest.raises(ModelValidityError, match="l2 cones"):
+            lax_oleinik(cover, model, l1, x, 1.0, 0.25)
 
 
 def _rung(monkeypatch, circle, pendulum, eps):
@@ -1214,44 +1305,33 @@ def test_shared_sweep_is_the_one_by_one_sweep(monkeypatch, fig8_cover, fig8_lag,
 
 @pytest.mark.parametrize("system, eps, counts", [
     ("pendulum", 1.0, (143, 100)), ("pendulum", 0.5, (201, 142)),
-    ("pendulum", 0.25, (285, 202)), ("torus2", 1.0, (1024, 1024)),
-    ("torus2", 0.5, (1984, 1984)), ("torus2", 0.25, (3712, 3712)),
-    ("figure-eight", 0.5, (552, 169)), ("figure-eight", 0.125, (4219, 963))])
-def test_cell_sweep_drops_no_candidate(monkeypatch, circle, torus2, pendulum,
-                                       fig8_cover, fig8_lag, system, eps,
-                                       counts):
+    ("pendulum", 0.25, (285, 202)),
+    ("figure-eight", 0.5, (552, 169)), ("figure-eight", 0.125, (4219, 963))],
+    # ids fixed, so that each case keeps its name
+    ids=["pendulum-1.0-counts0", "pendulum-0.5-counts1", "pendulum-0.25-counts2",
+         "figure-eight-0.5-counts6", "figure-eight-0.125-counts7"])
+def test_cell_sweep_drops_no_candidate(circle, pendulum, fig8_cover, fig8_lag,
+                                       system, eps, counts):
     # (candidates, evaluated): for the pendulum scenario at h = 1/3 those
-    # of the shell sweep that the cell sweep replaced; for the free skew
-    # plane under a quadratic datum at h = (0.3, -0.2) on mesh 8 the lifts
-    # that its one cell sweep prices exactly (16, 31 and 58 cells of 64),
-    # whose least, unpolished, is the least over every lift of the box;
-    # on the figure_eight scenario at h = (1/3, -1/3) the starts of the
-    # cells within 1e-9 of the stay value; all at t = 1
+    # of the shell sweep that the cell sweep replaced; on the figure_eight
+    # scenario at h = (1/3, -1/3) the starts of the cells within 1e-9 of
+    # the stay value; all at t = 1
     if system == "pendulum":
-        cover, model, h, mesh = circle, pendulum, [1.0 / 3.0], 64
+        cover, model, h = circle, pendulum, [1.0 / 3.0]
         datum = InitialDatum.affine([0.0])
-    elif system == "torus2":
-        cover, model, h, mesh = torus2, _free_2d_skew(), [0.3, -0.2], 8
-        datum = InitialDatum.quadratic([[1.0, 0.3], [0.3, 0.5]], p=[0.4, -0.2],
-                                       c=0.1)
-        monkeypatch.setattr(action, "_nelder_mead",
-                            lambda fn, sim, *args: (sim[0], math.inf, 0, 0))
     else:
-        cover, model, h, mesh = fig8_cover, fig8_lag, [1.0 / 3.0, -1.0 / 3.0], 64
+        cover, model, h = fig8_cover, fig8_lag, [1.0 / 3.0, -1.0 / 3.0]
         datum = InitialDatum.cone(0.8, norm="l1", dim=2)
-    point, _ = match_point(cover, np.array(h), eps, mesh)
-    res = lax_oleinik(cover, model, datum, point, 1.0, eps, mesh=mesh)
+    point, _ = match_point(cover, np.array(h), eps, 64)
+    res = lax_oleinik(cover, model, datum, point, 1.0, eps, mesh=64)
     assert (res.candidates, res.evaluated) == counts
     # every mesh start of the box, with no cell bound
     if system == "figure-eight":
         assert res.candidates == lax_graph_full_table(
-            cover, model, datum, point, 1.0, eps, mesh).candidates
-    elif system == "torus2":
-        assert abs(res.value - free_torus_lattice_min(
-            cover, model, datum, point, 1.0, eps, mesh, res.window)) <= 1e-15
+            cover, model, datum, point, 1.0, eps, 64).candidates
     elif eps >= 0.5:
         assert res.candidates == torus_candidate_count(
-            cover, model, datum, point, 1.0, eps, mesh, res.window)
+            cover, model, datum, point, 1.0, eps, 64, res.window)
 
 
 def _lbfgs_polish(model, datum, eps, horizon, nodes):

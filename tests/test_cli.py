@@ -108,8 +108,8 @@ def test_validate_and_tables_load_no_scipy(tmp_path):
 def test_homogenize_loads_no_scipy_on_graphs_and_only_linalg_on_tori(tmp_path):
     # the Hopf-Lax polish is the package's own Nelder-Mead, and a graph
     # ladder solves nothing else with scipy, nor does a free torus of either
-    # dimension, whose actions are exact; the pendulum's ladder factors its
-    # chain steps through scipy.linalg's LAPACK and loads no other
+    # dimension, which takes the Hopf-Lax formula; the pendulum's ladder
+    # factors its chain steps through scipy.linalg's LAPACK and loads no other
     # subpackage.  The families run in that order in one process, so each
     # line reads what its family added.  Each ladder is cut to two rungs
     # with a loose tolerance, so every run passes quickly
@@ -150,6 +150,27 @@ def test_homogenize_loads_no_scipy_on_graphs_and_only_linalg_on_tori(tmp_path):
     lines = [line for line in done.stdout.splitlines()
              if not line.startswith("{")]
     assert lines == ["graph 3 []", "free 2 []", "circle 1 ['scipy.linalg']"]
+
+
+@pytest.mark.parametrize("stem", ["single_loop", "free_torus_1d",
+                                  "free_torus_2d"])
+def test_full_homogenize_loads_no_scipy_in_a_fresh_process(tmp_path, stem):
+    # the whole shipped ladder, alone in its process: a graph polishes by
+    # golden section and the package's own Nelder-Mead, and a free torus
+    # takes the Hopf-Lax formula
+    script = (
+        "import sys\n"
+        "from effham.cli import run\n"
+        "assert run(sys.argv[1], 'homogenize', out_dir=sys.argv[2]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-c", script, os.path.join(ROOT, "scenarios", stem + ".yaml"),
+         str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def _csv_and_json_columns(record: dict, command: str):
